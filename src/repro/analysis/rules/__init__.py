@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.analysis.rules.codec import HandRolledParserRule
 from repro.analysis.rules.concurrency import (
     BlockingUnderLockRule,
     LockOrderCycleRule,
@@ -55,6 +56,7 @@ ALL_RULES: tuple[Rule, ...] = (
     SilentSwallowRule(),
     DirectClockReadRule(),
     DirectWriteOpenRule(),
+    HandRolledParserRule(),
 )
 
 RULES_BY_CODE: dict[str, Rule] = {rule.code: rule for rule in ALL_RULES}

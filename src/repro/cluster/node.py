@@ -50,7 +50,7 @@ from __future__ import annotations
 import copy
 import threading
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.cluster.membership import EMPTY_VIEW, MembershipView
 from repro.cluster.ring import HashRing
@@ -62,11 +62,7 @@ from repro.service import protocol
 from repro.service.clock import Clock, SystemClock
 from repro.service.protocol import decode_message
 from repro.service.registry import MetricKey, MetricRegistry
-from repro.service.server import (
-    QuantileServer,
-    _optional_tags,
-    _require_metric,
-)
+from repro.service.server import QuantileServer
 
 
 class _MergedReads:
@@ -81,7 +77,7 @@ class _MergedReads:
     def __init__(self, stores: list[Any]) -> None:
         self._stores = stores
 
-    def _combined(
+    def merged(
         self, t0: float | None, t1: float | None
     ) -> QuantileSketch:
         view: QuantileSketch | None = None
@@ -101,35 +97,6 @@ class _MergedReads:
                 "no data in the requested range"
             )
         return view
-
-    def quantile(
-        self, q: float, t0: float | None = None, t1: float | None = None
-    ) -> float:
-        return self._combined(t0, t1).quantile(q)
-
-    def quantiles(
-        self,
-        qs: Iterable[float],
-        t0: float | None = None,
-        t1: float | None = None,
-    ) -> list[float]:
-        return self._combined(t0, t1).quantiles(qs)
-
-    def rank(
-        self,
-        value: float,
-        t0: float | None = None,
-        t1: float | None = None,
-    ) -> int:
-        return self._combined(t0, t1).rank(value)
-
-    def cdf(
-        self,
-        value: float,
-        t0: float | None = None,
-        t1: float | None = None,
-    ) -> float:
-        return self._combined(t0, t1).cdf(value)
 
     def count(
         self, t0: float | None = None, t1: float | None = None
@@ -315,17 +282,7 @@ class ClusterNode(QuantileServer):
     # ------------------------------------------------------------------
 
     def _op_ingest(self, request: dict[str, Any]) -> dict[str, Any]:
-        name = _require_metric(request)
-        tags = _optional_tags(request)
-        raw_values = request.get("values")
-        if not isinstance(raw_values, list) or not raw_values:
-            raise InvalidValueError(
-                "ingest needs a non-empty 'values' list"
-            )
-        values = [float(value) for value in raw_values]
-        timestamp_ms = request.get("timestamp_ms")
-        if timestamp_ms is not None:
-            timestamp_ms = float(timestamp_ms)
+        name, tags, values, timestamp_ms = self._parse_ingest(request)
         self.stats.incr("ingest_requests")
         key = str(MetricKey.of(name, tags))
         leader = self.leader_for(key)
@@ -638,18 +595,15 @@ class ClusterNode(QuantileServer):
     # View distribution and introspection ops
     # ------------------------------------------------------------------
 
-    def _query_target(
-        self, request: dict[str, Any]
-    ) -> tuple[Any, float | None, float | None]:
+    def _stores_for(
+        self, name: str, tags: dict[str, str] | None
+    ) -> Any | None:
         """Resolve a read against *every* origin replica of the key.
 
         A key's history spans origins across failovers, and a follower
         holds the key only in the leader's origin registry — the single
         own-registry lookup the base class does would miss both.
         """
-        name = _require_metric(request)
-        tags = _optional_tags(request)
-        self.stats.incr("query_requests")
         with self._state_lock:
             stores = [
                 store
@@ -659,18 +613,9 @@ class ClusterNode(QuantileServer):
                 )
                 if store is not None
             ]
-        if not stores:
-            raise InvalidValueError(
-                f"unknown metric {name!r} (no values ingested)"
-            )
-        t0 = request.get("t0")
-        t1 = request.get("t1")
-        target = stores[0] if len(stores) == 1 else _MergedReads(stores)
-        return (
-            target,
-            None if t0 is None else float(t0),
-            None if t1 is None else float(t1),
-        )
+        if len(stores) > 1:
+            return _MergedReads(stores)
+        return stores[0] if stores else None
 
     def _op_metrics(self, request: dict[str, Any]) -> dict[str, Any]:
         with self._state_lock:

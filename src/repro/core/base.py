@@ -162,8 +162,11 @@ class QuantileSketch(abc.ABC):
         if not checked:
             _reject_nan_batch(values)
         self._count += int(values.size)
-        lo = float(values.min())
-        hi = float(values.max())
+        # argmin/argmax keep the *first* extreme, like the strict
+        # comparisons here and in _observe; min()/max() would keep
+        # the last of 0.0 and -0.0, which serialize differently.
+        lo = float(values[values.argmin()])
+        hi = float(values[values.argmax()])
         if lo < self._min:
             self._min = lo
         if hi > self._max:

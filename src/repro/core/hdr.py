@@ -57,9 +57,9 @@ class HdrHistogram(QuantileSketch):
                 f"significant_digits must be in [1, 4], got "
                 f"{significant_digits!r}"
             )
-        if highest_trackable_value < 2:
+        if not 2 <= highest_trackable_value < math.inf:
             raise InvalidValueError(
-                f"highest_trackable_value must be >= 2, got "
+                f"highest_trackable_value must be finite and >= 2, got "
                 f"{highest_trackable_value!r}"
             )
         self.significant_digits = int(significant_digits)

@@ -216,8 +216,14 @@ class MomentsSketch(QuantileSketch):
             self._power_sums[i] += powers.sum()
             if i < self.num_moments:
                 powers = powers * centred
-        self._t_min = min(self._t_min, float(transformed.min()))
-        self._t_max = max(self._t_max, float(transformed.max()))
+        # First extreme wins, as in the scalar path and _observe_batch
+        # (min()/max() would keep the last of 0.0 and -0.0).
+        self._t_min = min(
+            self._t_min, float(transformed[transformed.argmin()])
+        )
+        self._t_max = max(
+            self._t_max, float(transformed[transformed.argmax()])
+        )
         if self.log_moments:
             logs = np.log(values)
             if self._log_origin is None:

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from typing import Callable
 
 import numpy as np
 
 from repro.core.base import QuantileSketch
+from repro.core.codec import Reader, Writer, canonical_json
 from repro.core.countsketch import CountSketch
 from repro.core.dcs import DyadicCountSketch
 from repro.core.ddsketch import DDSketch
@@ -54,81 +54,12 @@ from repro.errors import SerializationError
 MAGIC = b"RPRO"
 VERSION = 2
 
+# Decoders index the *_NAMES tables directly: an unknown code is a
+# KeyError, which the Reader turns into SerializationError.
 _TRANSFORM_CODES = {"none": 0, "log": 1, "arcsinh": 2}
 _TRANSFORM_NAMES = {code: name for name, code in _TRANSFORM_CODES.items()}
 _STORE_CODES = {"dense": 0, "collapsing": 1, "sparse": 2}
 _STORE_NAMES = {code: name for name, code in _STORE_CODES.items()}
-
-
-class _Writer:
-    """Append-only little-endian binary writer."""
-
-    def __init__(self) -> None:
-        self._parts: list[bytes] = []
-
-    def u8(self, value: int) -> None:
-        self._parts.append(struct.pack("<B", value))
-
-    def i64(self, value: int) -> None:
-        self._parts.append(struct.pack("<q", value))
-
-    def f64(self, value: float) -> None:
-        self._parts.append(struct.pack("<d", value))
-
-    def raw(self, data: bytes) -> None:
-        self._parts.append(data)
-
-    def f64_array(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype="<f8")
-        self.i64(values.size)
-        self._parts.append(values.tobytes())
-
-    def i64_array(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype="<i8")
-        self.i64(values.size)
-        self._parts.append(values.tobytes())
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
-
-
-class _Reader:
-    """Sequential little-endian binary reader with bounds checking."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise SerializationError("truncated sketch byte-stream")
-        chunk = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return struct.unpack("<B", self._take(1))[0]
-
-    def i64(self) -> int:
-        return struct.unpack("<q", self._take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
-
-    def raw(self, n: int) -> bytes:
-        return self._take(n)
-
-    def f64_array(self) -> np.ndarray:
-        size = self.i64()
-        return np.frombuffer(self._take(8 * size), dtype="<f8").copy()
-
-    def i64_array(self) -> np.ndarray:
-        size = self.i64()
-        return np.frombuffer(self._take(8 * size), dtype="<i8").copy()
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos == len(self._data)
 
 
 # ----------------------------------------------------------------------
@@ -136,15 +67,12 @@ class _Reader:
 # ----------------------------------------------------------------------
 
 
-def _write_store(w: _Writer, store: BucketStore) -> None:
+def _write_store(w: Writer, store: BucketStore) -> None:
     if isinstance(store, SparseStore):
         w.u8(_STORE_CODES["sparse"])
-        indices = np.asarray(sorted(store._buckets), dtype=np.int64)
-        counts = np.asarray(
-            [store._buckets[i] for i in indices.tolist()], dtype=np.int64
-        )
+        indices = sorted(store._buckets)
         w.i64_array(indices)
-        w.i64_array(counts)
+        w.i64_array([store._buckets[i] for i in indices])
         return
     if isinstance(store, CollapsingLowestDenseStore):
         w.u8(_STORE_CODES["collapsing"])
@@ -166,25 +94,20 @@ def _write_store(w: _Writer, store: BucketStore) -> None:
         w.i64_array(store._counts[lo:hi])
     else:
         w.i64(store._offset if keep_floor else 0)
-        w.i64_array(np.zeros(0, dtype=np.int64))
+        w.i64_array(())
 
 
-def _read_store(r: _Reader) -> BucketStore:
-    kind = _STORE_NAMES.get(r.u8())
-    if kind is None:
-        raise SerializationError("unknown store kind in byte-stream")
+def _read_store(r: Reader) -> BucketStore:
+    kind = _STORE_NAMES[r.u8()]
     if kind == "sparse":
         store = SparseStore()
         indices = r.i64_array()
-        counts = r.i64_array()
-        for index, count in zip(indices.tolist(), counts.tolist()):
+        for index, count in zip(indices.tolist(), r.i64_array().tolist()):
             store.add(index, count)
         return store
     if kind == "collapsing":
-        max_bins = r.i64()
-        collapsed = bool(r.u8())
-        store = CollapsingLowestDenseStore(max_bins)
-        store.is_collapsed = collapsed
+        store = CollapsingLowestDenseStore(r.i64())
+        store.is_collapsed = bool(r.u8())
     else:
         store = DenseStore()
     store._offset = r.i64()
@@ -198,29 +121,19 @@ def _read_store(r: _Reader) -> BucketStore:
 # ----------------------------------------------------------------------
 
 
-def _write_rng(w: _Writer, rng: np.random.Generator) -> None:
+def _write_rng(w: Writer, rng: np.random.Generator) -> None:
     """Capture the generator state so decode continues the same stream.
 
     The bit-generator state is a JSON-safe dict of Python ints; written
-    canonically (sorted keys, no whitespace) so identical states always
-    produce identical bytes.
+    canonically so identical states always produce identical bytes.
     """
-    blob = json.dumps(
-        rng.bit_generator.state, sort_keys=True, separators=(",", ":")
-    ).encode("ascii")
+    blob = canonical_json(rng.bit_generator.state)
     w.i64(len(blob))
     w.raw(blob)
 
 
-def _read_rng(r: _Reader, rng: np.random.Generator) -> None:
-    blob = r.raw(r.i64())
-    try:
-        state = json.loads(blob.decode("ascii"))
-        rng.bit_generator.state = state
-    except (ValueError, TypeError, KeyError) as exc:
-        raise SerializationError(
-            "malformed RNG state in sketch byte-stream"
-        ) from exc
+def _read_rng(r: Reader, rng: np.random.Generator) -> None:
+    rng.bit_generator.state = json.loads(r.raw(r.count()))
 
 
 # ----------------------------------------------------------------------
@@ -228,113 +141,107 @@ def _read_rng(r: _Reader, rng: np.random.Generator) -> None:
 # ----------------------------------------------------------------------
 
 
-def _write_common(w: _Writer, sketch: QuantileSketch) -> None:
+def _write_common(w: Writer, sketch: QuantileSketch) -> None:
     w.i64(sketch._count)
     w.f64(sketch._min)
     w.f64(sketch._max)
 
 
-def _read_common(r: _Reader, sketch: QuantileSketch) -> None:
+def _read_common(r: Reader, sketch: QuantileSketch) -> None:
     sketch._count = r.i64()
     sketch._min = r.f64()
     sketch._max = r.f64()
 
 
-def _encode_ddsketch(w: _Writer, sketch: DDSketch) -> None:
-    w.f64(sketch._mapping.alpha)
-    w.u8(_STORE_CODES[sketch._store_kind])
-    w.i64(sketch._max_bins)
+def _write_buckets(w: Writer, sketch: DDSketch) -> None:
+    """The state DDSketch and UDDSketch share, after their configs."""
     w.i64(sketch._zero_count)
     _write_common(w, sketch)
     _write_store(w, sketch._positive)
     _write_store(w, sketch._negative)
 
 
-def _decode_ddsketch(r: _Reader) -> DDSketch:
-    alpha = r.f64()
-    store_kind = _STORE_NAMES.get(r.u8())
-    if store_kind is None:
-        raise SerializationError("unknown DDSketch store kind")
-    max_bins = r.i64()
-    sketch = DDSketch(alpha=alpha, store=store_kind, max_bins=max_bins)
+def _read_buckets(r: Reader, sketch: DDSketch) -> None:
     sketch._zero_count = r.i64()
     _read_common(r, sketch)
     sketch._positive = _read_store(r)
     sketch._negative = _read_store(r)
+
+
+def _encode_ddsketch(w: Writer, sketch: DDSketch) -> None:
+    w.f64(sketch._mapping.alpha)
+    w.u8(_STORE_CODES[sketch._store_kind])
+    w.i64(sketch._max_bins)
+    _write_buckets(w, sketch)
+
+
+def _decode_ddsketch(r: Reader) -> DDSketch:
+    sketch = DDSketch(
+        alpha=r.f64(), store=_STORE_NAMES[r.u8()], max_bins=r.i64()
+    )
+    _read_buckets(r, sketch)
     return sketch
 
 
-def _encode_uddsketch(w: _Writer, sketch: UDDSketch) -> None:
+def _encode_uddsketch(w: Writer, sketch: UDDSketch) -> None:
     w.f64(sketch.final_alpha)
     w.i64(sketch.collapse_budget)
     w.i64(sketch.max_buckets)
     w.f64(sketch._initial_alpha)
     w.i64(sketch._collapses)
     w.f64(sketch._mapping.alpha)
-    w.i64(sketch._zero_count)
-    _write_common(w, sketch)
-    _write_store(w, sketch._positive)
-    _write_store(w, sketch._negative)
+    _write_buckets(w, sketch)
 
 
-def _decode_uddsketch(r: _Reader) -> UDDSketch:
-    final_alpha = r.f64()
-    collapse_budget = r.i64()
-    max_buckets = r.i64()
-    alpha0 = r.f64()
+def _decode_uddsketch(r: Reader) -> UDDSketch:
     sketch = UDDSketch(
-        final_alpha=final_alpha,
-        num_collapses=collapse_budget,
-        max_buckets=max_buckets,
-        alpha0=alpha0,
+        final_alpha=r.f64(), num_collapses=r.i64(),
+        max_buckets=r.i64(), alpha0=r.f64(),
     )
     sketch._collapses = r.i64()
     sketch._mapping = LogarithmicMapping(r.f64())
-    sketch._zero_count = r.i64()
-    _read_common(r, sketch)
-    sketch._positive = _read_store(r)
-    sketch._negative = _read_store(r)
+    _read_buckets(r, sketch)
     return sketch
 
 
-def _encode_kll(w: _Writer, sketch: KLLSketch) -> None:
+def _encode_kll(w: Writer, sketch: KLLSketch) -> None:
     w.i64(sketch.max_compactor_size)
     _write_common(w, sketch)
     w.i64(len(sketch._compactors))
     for buffer in sketch._compactors:
-        w.f64_array(np.asarray(buffer, dtype=np.float64))
+        w.f64_array(buffer)
     _write_rng(w, sketch._rng)
 
 
-def _decode_kll(r: _Reader) -> KLLSketch:
-    k = r.i64()
-    sketch = KLLSketch(max_compactor_size=k)
+def _decode_kll(r: Reader) -> KLLSketch:
+    sketch = KLLSketch(max_compactor_size=r.i64())
     _read_common(r, sketch)
-    num_levels = r.i64()
-    sketch._compactors = [r.f64_array().tolist() for _ in range(num_levels)]
+    # Each level costs at least its 8-byte length prefix.
+    sketch._compactors = [
+        r.f64_array().tolist() for _ in range(r.count(8))
+    ]
     sketch._retained = sum(len(b) for b in sketch._compactors)
     sketch._recompute_capacity()
     _read_rng(r, sketch._rng)
     return sketch
 
 
-def _encode_kllpm(w: _Writer, sketch: KLLPlusMinus) -> None:
+def _encode_kllpm(w: Writer, sketch: KLLPlusMinus) -> None:
     w.i64(sketch.max_compactor_size)
     _write_common(w, sketch)
     _encode_kll(w, sketch._inserts)
     _encode_kll(w, sketch._deletes)
 
 
-def _decode_kllpm(r: _Reader) -> KLLPlusMinus:
-    k = r.i64()
-    sketch = KLLPlusMinus(max_compactor_size=k)
+def _decode_kllpm(r: Reader) -> KLLPlusMinus:
+    sketch = KLLPlusMinus(max_compactor_size=r.i64())
     _read_common(r, sketch)
     sketch._inserts = _decode_kll(r)
     sketch._deletes = _decode_kll(r)
     return sketch
 
 
-def _encode_req(w: _Writer, sketch: ReqSketch) -> None:
+def _encode_req(w: Writer, sketch: ReqSketch) -> None:
     w.i64(sketch.num_sections)
     w.u8(1 if sketch.hra else 0)
     _write_common(w, sketch)
@@ -344,18 +251,17 @@ def _encode_req(w: _Writer, sketch: ReqSketch) -> None:
         w.f64(compactor._section_size_f)
         w.i64(compactor.num_sections)
         w.i64(compactor.state)
-        w.f64_array(np.asarray(compactor.buffer, dtype=np.float64))
+        w.f64_array(compactor.buffer)
     _write_rng(w, sketch._rng)
 
 
-def _decode_req(r: _Reader) -> ReqSketch:
+def _decode_req(r: Reader) -> ReqSketch:
     num_sections = r.i64()
     hra = bool(r.u8())
     sketch = ReqSketch(num_sections=num_sections, hra=hra)
     _read_common(r, sketch)
-    num_levels = r.i64()
     compactors = []
-    for _ in range(num_levels):
+    for _ in range(r.count(40)):  # four fixed fields + a length prefix
         compactor = _RelativeCompactor(num_sections, hra)
         compactor.section_size = r.i64()
         compactor._section_size_f = r.f64()
@@ -369,62 +275,64 @@ def _decode_req(r: _Reader) -> ReqSketch:
     return sketch
 
 
-def _encode_moments(w: _Writer, sketch: MomentsSketch) -> None:
+def _write_sums(
+    w: Writer, lo: float, hi: float, origin: float | None, sums: np.ndarray
+) -> None:
+    w.f64(lo)
+    w.f64(hi)
+    # NaN encodes "no origin yet" (empty sketch).
+    w.f64(math.nan if origin is None else origin)
+    w.f64_array(sums)
+
+
+def _read_sums(r: Reader) -> tuple[float, float, float | None, np.ndarray]:
+    lo, hi, origin = r.f64(), r.f64(), r.f64()
+    return lo, hi, None if math.isnan(origin) else origin, r.f64_array()
+
+
+def _encode_moments(w: Writer, sketch: MomentsSketch) -> None:
     w.i64(sketch.num_moments)
     w.u8(_TRANSFORM_CODES[sketch.transform])
     w.u8(1 if sketch.log_moments else 0)
     _write_common(w, sketch)
-    w.f64(sketch._t_min)
-    w.f64(sketch._t_max)
-    # NaN encodes "no origin yet" (empty sketch).
-    w.f64(math.nan if sketch._origin is None else sketch._origin)
-    w.f64_array(sketch._power_sums)
+    _write_sums(
+        w, sketch._t_min, sketch._t_max, sketch._origin,
+        sketch._power_sums,
+    )
     if sketch.log_moments:
-        w.f64(sketch._l_min)
-        w.f64(sketch._l_max)
-        w.f64(
-            math.nan if sketch._log_origin is None
-            else sketch._log_origin
+        _write_sums(
+            w, sketch._l_min, sketch._l_max, sketch._log_origin,
+            sketch._log_power_sums,
         )
-        w.f64_array(sketch._log_power_sums)
 
 
-def _decode_moments(r: _Reader) -> MomentsSketch:
-    num_moments = r.i64()
-    transform = _TRANSFORM_NAMES.get(r.u8())
-    if transform is None:
-        raise SerializationError("unknown Moments Sketch transform")
-    log_moments = bool(r.u8())
+def _decode_moments(r: Reader) -> MomentsSketch:
+    # The power sums stored below hold num_moments + 1 doubles, so the
+    # bytes must back the claim before the constructor allocates on it.
     sketch = MomentsSketch(
-        num_moments=num_moments, transform=transform,
-        log_moments=log_moments,
+        num_moments=r.count(8),
+        transform=_TRANSFORM_NAMES[r.u8()],
+        log_moments=bool(r.u8()),
     )
     _read_common(r, sketch)
-    sketch._t_min = r.f64()
-    sketch._t_max = r.f64()
-    origin = r.f64()
-    sketch._origin = None if math.isnan(origin) else origin
-    sketch._power_sums = r.f64_array()
-    if log_moments:
-        sketch._l_min = r.f64()
-        sketch._l_max = r.f64()
-        log_origin = r.f64()
-        sketch._log_origin = (
-            None if math.isnan(log_origin) else log_origin
-        )
-        sketch._log_power_sums = r.f64_array()
+    (
+        sketch._t_min, sketch._t_max, sketch._origin,
+        sketch._power_sums,
+    ) = _read_sums(r)
+    if sketch.log_moments:
+        (
+            sketch._l_min, sketch._l_max, sketch._log_origin,
+            sketch._log_power_sums,
+        ) = _read_sums(r)
     return sketch
 
 
-def _encode_exact(w: _Writer, sketch: ExactQuantiles) -> None:
+def _encode_exact(w: Writer, sketch: ExactQuantiles) -> None:
     _write_common(w, sketch)
-    if sketch._count:
-        w.f64_array(np.concatenate(sketch._chunks))
-    else:
-        w.f64_array(np.zeros(0))
+    w.f64_array(np.concatenate(sketch._chunks) if sketch._count else ())
 
 
-def _decode_exact(r: _Reader) -> ExactQuantiles:
+def _decode_exact(r: Reader) -> ExactQuantiles:
     sketch = ExactQuantiles()
     _read_common(r, sketch)
     values = r.f64_array()
@@ -432,7 +340,7 @@ def _decode_exact(r: _Reader) -> ExactQuantiles:
     return sketch
 
 
-def _encode_tdigest(w: _Writer, sketch: TDigest) -> None:
+def _encode_tdigest(w: Writer, sketch: TDigest) -> None:
     # The unflushed buffer is serialized as-is: flushing here would
     # mutate the sketch being saved and diverge it from a copy that
     # kept streaming (flush timing changes centroid formation).
@@ -440,10 +348,10 @@ def _encode_tdigest(w: _Writer, sketch: TDigest) -> None:
     _write_common(w, sketch)
     w.f64_array(sketch._means)
     w.i64_array(sketch._counts)
-    w.f64_array(np.asarray(sketch._buffer, dtype=np.float64))
+    w.f64_array(sketch._buffer)
 
 
-def _decode_tdigest(r: _Reader) -> TDigest:
+def _decode_tdigest(r: Reader) -> TDigest:
     sketch = TDigest(compression=r.f64())
     _read_common(r, sketch)
     sketch._means = r.f64_array()
@@ -452,9 +360,7 @@ def _decode_tdigest(r: _Reader) -> TDigest:
     return sketch
 
 
-def _encode_gk(w: _Writer, sketch: GKSketch) -> None:
-    w.f64(sketch.epsilon)
-    _write_common(w, sketch)
+def _write_tuples(w: Writer, sketch: GKSketch | GKArray) -> None:
     w.i64(len(sketch._tuples))
     for item in sketch._tuples:
         w.f64(item.value)
@@ -462,68 +368,70 @@ def _encode_gk(w: _Writer, sketch: GKSketch) -> None:
         w.i64(item.delta)
 
 
-def _decode_gk(r: _Reader) -> GKSketch:
+def _read_tuples(r: Reader, sketch: GKSketch | GKArray) -> None:
+    for _ in range(r.count(24)):
+        value = r.f64()
+        sketch._tuples.append(_Tuple(value, r.i64(), r.i64()))
+        sketch._values.append(value)
+
+
+def _encode_gk(w: Writer, sketch: GKSketch) -> None:
+    w.f64(sketch.epsilon)
+    _write_common(w, sketch)
+    _write_tuples(w, sketch)
+
+
+def _decode_gk(r: Reader) -> GKSketch:
     sketch = GKSketch(epsilon=r.f64())
     _read_common(r, sketch)
-    num_tuples = r.i64()
-    for _ in range(num_tuples):
-        value = r.f64()
-        g = r.i64()
-        delta = r.i64()
-        sketch._tuples.append(_Tuple(value, g, delta))
-        sketch._values.append(value)
+    _read_tuples(r, sketch)
     return sketch
 
 
-def _encode_hdr(w: _Writer, sketch: HdrHistogram) -> None:
+def _encode_hdr(w: Writer, sketch: HdrHistogram) -> None:
     w.i64(sketch.significant_digits)
     w.f64(sketch.highest_trackable_value)
     _write_common(w, sketch)
     w.i64_array(sketch._counts)
 
 
-def _decode_hdr(r: _Reader) -> HdrHistogram:
-    digits = r.i64()
-    highest = r.f64()
+def _decode_hdr(r: Reader) -> HdrHistogram:
     sketch = HdrHistogram(
-        significant_digits=digits, highest_trackable_value=highest
+        significant_digits=r.i64(), highest_trackable_value=r.f64()
     )
     _read_common(r, sketch)
     counts = r.i64_array()
     if counts.size != sketch._counts.size:
-        raise SerializationError(
-            "HdrHistogram counts array does not match configuration"
-        )
+        r.fail("HdrHistogram counts array does not match configuration")
     sketch._counts = counts
     return sketch
 
 
-def _encode_random(w: _Writer, sketch: RandomSketch) -> None:
+def _encode_random(w: Writer, sketch: RandomSketch) -> None:
     w.i64(sketch.num_buffers)
     w.i64(sketch.buffer_size)
     _write_common(w, sketch)
-    w.f64_array(np.asarray(sketch._active, dtype=np.float64))
+    w.f64_array(sketch._active)
     w.i64(len(sketch._full))
     for buffer in sketch._full:
         w.i64(buffer.weight)
-        w.f64_array(np.asarray(buffer.items, dtype=np.float64))
+        w.f64_array(buffer.items)
     _write_rng(w, sketch._rng)
 
 
-def _decode_random(r: _Reader) -> RandomSketch:
+def _decode_random(r: Reader) -> RandomSketch:
     sketch = RandomSketch(num_buffers=r.i64(), buffer_size=r.i64())
     _read_common(r, sketch)
     sketch._active = r.f64_array().tolist()
-    num_full = r.i64()
-    sketch._full = []
-    for _ in range(num_full):
-        weight = r.i64()
-        sketch._full.append(_Buffer(weight, r.f64_array().tolist()))
+    sketch._full = [
+        _Buffer(r.i64(), r.f64_array().tolist())
+        for _ in range(r.count(16))  # weight + a length prefix each
+    ]
     _read_rng(r, sketch._rng)
     return sketch
 
 
-def _encode_dcs(w: _Writer, sketch: DyadicCountSketch) -> None:
+def _encode_dcs(w: Writer, sketch: DyadicCountSketch) -> None:
     w.i64(sketch.universe_log2)
     w.i64(sketch.exact_threshold)
     w.i64(sketch.seed)
@@ -543,75 +451,63 @@ def _encode_dcs(w: _Writer, sketch: DyadicCountSketch) -> None:
             w.i64_array(structure)
 
 
-def _decode_dcs(r: _Reader) -> DyadicCountSketch:
-    universe_log2 = r.i64()
+def _decode_dcs(r: Reader) -> DyadicCountSketch:
+    universe_log2 = r.count(9)  # a kind byte + a length prefix per level
     exact_threshold = r.i64()
     seed = r.i64()
-    count = r.i64()
-    lo = r.f64()
-    hi = r.f64()
-    cs_width = r.i64()
-    cs_depth = r.i64()
+    count, lo, hi = r.i64(), r.f64(), r.f64()
+    cs_width = r.i64() or 1024
+    cs_depth = r.i64() or 5
+    # Levels are stored in full: check them against the configuration
+    # *before* the constructor allocates what a hostile one claims.
+    tables = []
+    for level in range(universe_log2):
+        sketched = r.u8() == 1
+        table = r.i64_array()
+        intervals = 1 << (universe_log2 - level)
+        if sketched != (intervals > exact_threshold):
+            r.fail("DCS level kind does not match configuration")
+        if table.size != (cs_width * cs_depth if sketched else intervals):
+            r.fail("DCS level size does not match configuration")
+        tables.append(table)
     sketch = DyadicCountSketch(
         universe_log2=universe_log2,
         exact_threshold=exact_threshold,
-        cs_width=cs_width or 1024,
-        cs_depth=cs_depth or 5,
+        cs_width=cs_width,
+        cs_depth=cs_depth,
         seed=seed,
     )
-    sketch._count = count
-    sketch._min = lo
-    sketch._max = hi
-    for level, structure in enumerate(sketch._levels):
-        kind = r.u8()
-        payload = r.i64_array()
-        if kind == 1:
-            if not isinstance(structure, CountSketch):
-                raise SerializationError(
-                    "DCS level kind does not match configuration"
-                )
-            structure._table = payload.reshape(
-                structure.depth, structure.width
-            )
+    sketch._count, sketch._min, sketch._max = count, lo, hi
+    for level, table in enumerate(tables):
+        structure = sketch._levels[level]
+        if isinstance(structure, CountSketch):
+            structure._table = table.reshape(cs_depth, cs_width)
         else:
-            if payload.size != structure.size:
-                raise SerializationError(
-                    "DCS exact level size does not match configuration"
-                )
-            sketch._levels[level] = payload
+            sketch._levels[level] = table
     return sketch
 
 
-def _encode_gkarray(w: _Writer, sketch: GKArray) -> None:
+def _encode_gkarray(w: Writer, sketch: GKArray) -> None:
     # Like t-digest: carry the unflushed buffer rather than flushing,
     # so encoding never mutates the sketch or changes its future.
     w.f64(sketch.epsilon)
     w.i64(sketch.buffer_size)
     _write_common(w, sketch)
-    w.i64(len(sketch._tuples))
-    for item in sketch._tuples:
-        w.f64(item.value)
-        w.i64(item.g)
-        w.i64(item.delta)
-    w.f64_array(np.asarray(sketch._buffer, dtype=np.float64))
+    _write_tuples(w, sketch)
+    w.f64_array(sketch._buffer)
 
 
-def _decode_gkarray(r: _Reader) -> GKArray:
+def _decode_gkarray(r: Reader) -> GKArray:
     sketch = GKArray(epsilon=r.f64(), buffer_size=r.i64())
     _read_common(r, sketch)
-    for _ in range(r.i64()):
-        value = r.f64()
-        g = r.i64()
-        delta = r.i64()
-        sketch._tuples.append(_Tuple(value, g, delta))
-        sketch._values.append(value)
+    _read_tuples(r, sketch)
     sketch._buffer = r.f64_array().tolist()
     return sketch
 
 
 _CODECS: dict[
     str,
-    tuple[type, Callable[[_Writer, QuantileSketch], None], Callable[[_Reader], QuantileSketch]],
+    tuple[type, Callable[[Writer, QuantileSketch], None], Callable[[Reader], QuantileSketch]],
 ] = {
     # UDDSketch must be checked before DDSketch (it is a subclass).
     "uddsketch": (UDDSketch, _encode_uddsketch, _decode_uddsketch),
@@ -634,12 +530,10 @@ def dumps(sketch: QuantileSketch) -> bytes:
     """Serialize *sketch* to bytes."""
     for name, (cls, encode, _decode) in _CODECS.items():
         if type(sketch) is cls:
-            w = _Writer()
-            w.raw(MAGIC)
-            w.u8(VERSION)
-            name_bytes = name.encode("ascii")
-            w.u8(len(name_bytes))
-            w.raw(name_bytes)
+            w = Writer()
+            w.header(MAGIC, VERSION)
+            w.u8(len(name))
+            w.raw(name.encode("ascii"))
             encode(w, sketch)
             return w.getvalue()
     raise SerializationError(
@@ -648,17 +542,13 @@ def dumps(sketch: QuantileSketch) -> bytes:
 
 
 def loads(data: bytes) -> QuantileSketch:
-    """Deserialize a sketch produced by :func:`dumps`."""
-    r = _Reader(data)
-    if r.raw(4) != MAGIC:
-        raise SerializationError("bad magic: not a repro sketch byte-stream")
-    version = r.u8()
-    if version != VERSION:
-        raise SerializationError(f"unsupported format version {version}")
-    name = r.raw(r.u8()).decode("ascii")
-    if name not in _CODECS:
-        raise SerializationError(f"unknown sketch name {name!r}")
-    sketch = _CODECS[name][2](r)
-    if not r.exhausted:
-        raise SerializationError("trailing bytes after sketch payload")
+    """Deserialize a sketch produced by :func:`dumps` (hostile bytes
+    raise only :class:`~repro.errors.SerializationError`)."""
+    with Reader(data, SerializationError, "sketch byte-stream") as r:
+        r.header(MAGIC, VERSION)
+        name = r.raw(r.u8()).decode("ascii")
+        if name not in _CODECS:
+            r.fail(f"unknown sketch name {name!r}")
+        sketch = _CODECS[name][2](r)
+        r.finish()
     return sketch

@@ -29,12 +29,11 @@ eventually doesn't recover.
 from __future__ import annotations
 
 import json
-import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
+from repro.core.codec import Reader, Writer, canonical_json, crc32
 from repro.durability.atomicio import atomic_write_bytes
 from repro.errors import CheckpointError
 from repro.obs.telemetry import NOOP, Telemetry
@@ -46,9 +45,6 @@ CHECKPOINT_MAGIC = b"RPCK"
 CHECKPOINT_VERSION = 1
 CHECKPOINT_PREFIX = "checkpoint-"
 CHECKPOINT_SUFFIX = ".ckpt"
-
-_U8 = struct.Struct("<B")
-_U32 = struct.Struct("<I")
 
 
 def checkpoint_path(directory: Path, wal_seq: int) -> Path:
@@ -81,12 +77,6 @@ def list_checkpoints(directory: Path) -> list[Path]:
     return sorted(paths, key=seq_of)
 
 
-def _canonical(obj: Any) -> bytes:
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-
-
 @dataclass(frozen=True)
 class LoadedCheckpoint:
     """A decoded, CRC-verified checkpoint."""
@@ -113,82 +103,47 @@ def encode_checkpoint(
 ) -> bytes:
     """Serialise *registry* into checkpoint bytes."""
     keys = registry.keys()  # sorted: deterministic checkpoint bytes
-    body: list[bytes] = []
-    header = _canonical(
-        {
-            "created_ms": float(created_ms),
-            "metrics": len(keys),
-            "wal_seq": int(wal_seq),
-        }
-    )
-    body.append(_U32.pack(len(header)))
-    body.append(header)
+    header = {
+        "created_ms": float(created_ms),
+        "metrics": len(keys),
+        "wal_seq": int(wal_seq),
+    }
+    body = Writer()
+    body.blob(canonical_json(header))
     for key in keys:
         store = registry.get(key.name, key.as_dict())
         if store is None:  # pragma: no cover - keys() implies presence
             continue
-        key_json = _canonical(
-            {"name": key.name, "tags": key.as_dict()}
-        )
-        blob = store.snapshot()
-        body.append(_U32.pack(len(key_json)))
-        body.append(key_json)
-        body.append(_U32.pack(len(blob)))
-        body.append(blob)
-    payload = b"".join(body)
-    return (
-        CHECKPOINT_MAGIC
-        + _U8.pack(CHECKPOINT_VERSION)
-        + _U32.pack(zlib.crc32(payload) & 0xFFFFFFFF)
-        + payload
-    )
+        body.blob(canonical_json({"name": key.name, "tags": key.as_dict()}))
+        body.blob(store.snapshot())
+    payload = body.getvalue()
+    w = Writer()
+    w.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    w.u32(crc32(payload))
+    w.raw(payload)
+    return w.getvalue()
 
 
 def decode_checkpoint(path: Path) -> LoadedCheckpoint:
-    """Decode and CRC-verify one checkpoint file."""
+    """Decode and CRC-verify one checkpoint file (hostile contents
+    raise only :class:`~repro.errors.CheckpointError`)."""
     data = path.read_bytes()
-    if len(data) < 9 or data[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path.name}: not a checkpoint file")
-    version = _U8.unpack_from(data, 4)[0]
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path.name}: unsupported checkpoint version {version}"
+    with Reader(data, CheckpointError, f"checkpoint {path.name}") as r:
+        r.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        if r.u32() != crc32(data[r.pos :]):
+            r.fail("fails its CRC")
+        header = json.loads(r.blob())
+        stores: list[tuple[str, dict[str, str], bytes]] = []
+        for _ in range(header["metrics"]):
+            key = json.loads(r.blob())
+            stores.append((key["name"], dict(key["tags"]), r.blob()))
+        r.finish()
+        return LoadedCheckpoint(
+            path=path,
+            wal_seq=int(header["wal_seq"]),
+            created_ms=float(header["created_ms"]),
+            stores=tuple(stores),
         )
-    crc = _U32.unpack_from(data, 5)[0]
-    payload = data[9:]
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise CheckpointError(f"{path.name}: checkpoint fails its CRC")
-    offset = 0
-
-    def take(n: int) -> bytes:
-        nonlocal offset
-        if offset + n > len(payload):
-            raise CheckpointError(
-                f"{path.name}: truncated checkpoint body"
-            )
-        chunk = payload[offset : offset + n]
-        offset += n
-        return chunk
-
-    def take_u32() -> int:
-        return int(_U32.unpack(take(4))[0])
-
-    header = json.loads(take(take_u32()).decode("utf-8"))
-    stores: list[tuple[str, dict[str, str], bytes]] = []
-    for _ in range(int(header["metrics"])):
-        key = json.loads(take(take_u32()).decode("utf-8"))
-        blob = take(take_u32())
-        stores.append((key["name"], dict(key["tags"]), blob))
-    if offset != len(payload):
-        raise CheckpointError(
-            f"{path.name}: trailing bytes after checkpoint body"
-        )
-    return LoadedCheckpoint(
-        path=path,
-        wal_seq=int(header["wal_seq"]),
-        created_ms=float(header["created_ms"]),
-        stores=tuple(stores),
-    )
 
 
 class Checkpointer:

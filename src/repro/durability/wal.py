@@ -49,13 +49,12 @@ further appends refuse rather than ack atop quicksand.
 from __future__ import annotations
 
 import os
-import struct
 import threading
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
+from repro.core.codec import Reader, Writer, crc32
 from repro.errors import InvalidValueError, WALError
 from repro.obs.telemetry import NOOP, Telemetry
 
@@ -63,10 +62,6 @@ SEGMENT_MAGIC = b"RPWL"
 SEGMENT_VERSION = 1
 SEGMENT_PREFIX = "wal-"
 SEGMENT_SUFFIX = ".log"
-
-_U8 = struct.Struct("<B")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
 
 #: Bytes of segment header preceding the first record.
 SEGMENT_HEADER_SIZE = 4 + 1 + 8
@@ -156,56 +151,40 @@ def scan_segment(
     """
     data = path.read_bytes()
     expected_first = _segment_first_seq(path)
-    if len(data) < SEGMENT_HEADER_SIZE:
-        if is_final:
-            # A crash during rotation can leave a header-short file.
-            return SegmentScan(0, 0, len(data)), []
-        raise WALError(f"segment {path.name} has a truncated header")
-    if data[:4] != SEGMENT_MAGIC:
-        raise WALError(f"segment {path.name} has bad magic")
-    version = _U8.unpack_from(data, 4)[0]
-    if version != SEGMENT_VERSION:
-        raise WALError(
-            f"segment {path.name} has unsupported version {version}"
-        )
-    first_seq = _U64.unpack_from(data, 5)[0]
-    if first_seq != expected_first:
-        raise WALError(
-            f"segment {path.name} header claims first_seq "
-            f"{first_seq}, name says {expected_first}"
-        )
+    if len(data) < SEGMENT_HEADER_SIZE and is_final:
+        # A crash during rotation can leave a header-short file.
+        return SegmentScan(0, 0, len(data)), []
     payloads: list[bytes] = []
-    offset = SEGMENT_HEADER_SIZE
-    while offset < len(data):
-        torn = None
-        if offset + RECORD_HEADER_SIZE > len(data):
-            torn = "truncated record header"
-        else:
-            length = _U32.unpack_from(data, offset)[0]
-            crc = _U32.unpack_from(data, offset + 4)[0]
-            end = offset + RECORD_HEADER_SIZE + length
-            if end > len(data):
-                torn = "record overruns the segment"
-            else:
-                payload = data[offset + RECORD_HEADER_SIZE : end]
-                if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                    torn = "record fails its CRC"
-        if torn is not None:
-            if is_final:
-                return (
-                    SegmentScan(
-                        len(payloads), offset, len(data) - offset
-                    ),
-                    payloads,
-                )
-            raise WALError(
-                f"segment {path.name}: {torn} at offset {offset} "
-                f"in a non-final segment — the log is corrupt, not "
-                f"merely torn"
+    with Reader(data, WALError, f"segment {path.name}") as reader:
+        reader.header(SEGMENT_MAGIC, SEGMENT_VERSION)
+        first_seq = reader.u64()
+        if first_seq != expected_first:
+            reader.fail(
+                f"header claims first_seq {first_seq}, name says "
+                f"{expected_first}"
             )
-        payloads.append(payload)
-        offset = end
-    return SegmentScan(len(payloads), offset, 0), payloads
+        while reader.remaining:
+            start = reader.pos
+            try:
+                length = reader.u32()
+                crc = reader.u32()
+                payload = reader.raw(length)
+                if crc32(payload) != crc:
+                    reader.fail("record fails its CRC")
+            except WALError as exc:
+                if is_final:
+                    return (
+                        SegmentScan(
+                            len(payloads), start, len(data) - start
+                        ),
+                        payloads,
+                    )
+                raise WALError(
+                    f"{exc} (record at offset {start}) in a non-final "
+                    f"segment — the log is corrupt, not merely torn"
+                ) from exc
+            payloads.append(payload)
+    return SegmentScan(len(payloads), len(data), 0), payloads
 
 
 class WriteAheadLog:
@@ -356,10 +335,10 @@ class WriteAheadLog:
                     self._rotate_locked()
                     handle = self._handle
                 with self.telemetry.span("wal.append"):
-                    handle.write(
-                        _U32.pack(len(payload))
-                        + _U32.pack(zlib.crc32(payload) & 0xFFFFFFFF)
-                    )
+                    frame = Writer()
+                    frame.u32(len(payload))
+                    frame.u32(crc32(payload))
+                    handle.write(frame.getvalue())
                     self._fault("wal.append.partial")
                     handle.write(payload)
                     # Push into the OS so a same-process reader (or a
@@ -415,11 +394,10 @@ class WriteAheadLog:
         self._pending_bytes = 0
 
     def _header(self, first_seq: int) -> bytes:
-        return (
-            SEGMENT_MAGIC
-            + _U8.pack(SEGMENT_VERSION)
-            + _U64.pack(first_seq)
-        )
+        header = Writer()
+        header.header(SEGMENT_MAGIC, SEGMENT_VERSION)
+        header.u64(first_seq)
+        return header.getvalue()
 
     def _start_segment_locked(self, first_seq: int) -> None:
         path = segment_path(self.directory, first_seq)

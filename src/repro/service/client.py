@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import socket
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -65,9 +65,6 @@ class QuantileClient:
         Time source the backoff waits on.  A
         :class:`~repro.service.clock.ManualClock` advances itself
         instead of blocking, so failover tests retry sleep-free.
-    sleep:
-        Legacy injectable sleeper (seconds).  When provided it
-        overrides the clock's ``sleep_ms``; prefer *clock*.
     telemetry:
         Observability sink (:mod:`repro.obs`); the retry loop reports
         ``client.transport_retries`` and ``client.backoff_total_ms``
@@ -84,7 +81,6 @@ class QuantileClient:
         jitter: float = 0.0,
         jitter_seed: int = 0,
         clock: Clock | None = None,
-        sleep: Callable[[float], None] | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
         self._address = (host, int(port))
@@ -94,7 +90,6 @@ class QuantileClient:
         self._jitter = float(jitter)
         self._rng = np.random.default_rng(jitter_seed)
         self._clock = clock if clock is not None else SystemClock()
-        self._sleep = sleep
         self.telemetry = telemetry if telemetry is not None else NOOP
         self._sock: socket.socket | None = None
         self._rfile: Any = None
@@ -179,10 +174,7 @@ class QuantileClient:
                 self.telemetry.counter("client.backoff_total_ms").inc(
                     int(backoff_ms)
                 )
-                if self._sleep is not None:
-                    self._sleep(backoff_ms / 1000.0)
-                else:
-                    self._clock.sleep_ms(backoff_ms)
+                self._clock.sleep_ms(backoff_ms)
             try:
                 self.connect()
                 protocol.write_frame(self._wfile, request)

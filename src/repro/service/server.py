@@ -233,6 +233,12 @@ class TCPFrontEnd:
         server = self._server
         if server is None:
             return
+        # A shut-down listening socket polls readable, so the accept
+        # loop sees the shutdown request now rather than at its next
+        # 0.5 s select timeout (where a platform refuses to shut down
+        # a listening socket, stop just waits out that poll).
+        with contextlib.suppress(OSError):
+            server.socket.shutdown(socket.SHUT_RDWR)
         server.shutdown()
         server.server_close()
         server.close_connections()
@@ -714,7 +720,11 @@ class QuantileServer:
             frontier=self.partition_frontier(),
         )
 
-    def _op_ingest(self, request: dict[str, Any]) -> dict[str, Any]:
+    @staticmethod
+    def _parse_ingest(
+        request: dict[str, Any],
+    ) -> tuple[str, dict[str, str] | None, list[float], float | None]:
+        """Validate an ingest frame: ``(name, tags, values, timestamp_ms)``."""
         name = _require_metric(request)
         tags = _optional_tags(request)
         raw_values = request.get("values")
@@ -726,6 +736,10 @@ class QuantileServer:
         timestamp_ms = request.get("timestamp_ms")
         if timestamp_ms is not None:
             timestamp_ms = float(timestamp_ms)
+        return name, tags, values, timestamp_ms
+
+    def _op_ingest(self, request: dict[str, Any]) -> dict[str, Any]:
+        name, tags, values, timestamp_ms = self._parse_ingest(request)
         self.stats.incr("ingest_requests")
         if self.durability is not None:
             with self._ingest_lock:
@@ -830,22 +844,26 @@ class QuantileServer:
         q = request.get("q")
         if isinstance(q, list):
             qs = [float(item) for item in q]
-            return protocol.ok(quantiles=store.quantiles(qs, t0, t1))
+            return protocol.ok(
+                quantiles=store.merged(t0, t1).quantiles(qs)
+            )
         if q is None:
             raise InvalidValueError(
                 "quantile needs 'q': a number or a list of numbers"
             )
-        return protocol.ok(quantile=store.quantile(float(q), t0, t1))
+        return protocol.ok(
+            quantile=store.merged(t0, t1).quantile(float(q))
+        )
 
     def _op_rank(self, request: dict[str, Any]) -> dict[str, Any]:
         store, t0, t1 = self._query_target(request)
         value = _require_number(request, "value")
-        return protocol.ok(rank=store.rank(value, t0, t1))
+        return protocol.ok(rank=store.merged(t0, t1).rank(value))
 
     def _op_cdf(self, request: dict[str, Any]) -> dict[str, Any]:
         store, t0, t1 = self._query_target(request)
         value = _require_number(request, "value")
-        return protocol.ok(cdf=store.cdf(value, t0, t1))
+        return protocol.ok(cdf=store.merged(t0, t1).cdf(value))
 
     def _op_count(self, request: dict[str, Any]) -> dict[str, Any]:
         store, t0, t1 = self._query_target(request)
@@ -900,13 +918,20 @@ class QuantileServer:
             combined.update(self.durability.stats())
         return protocol.ok(stats=combined)
 
+    def _stores_for(
+        self, name: str, tags: dict[str, str] | None
+    ) -> Any | None:
+        """Hook: what a read of ``(name, tags)`` queries, or ``None``
+        (cluster nodes read every origin replica of the key)."""
+        return self.registry.get(name, tags)
+
     def _query_target(
         self, request: dict[str, Any]
     ) -> tuple[Any, float | None, float | None]:
         name = _require_metric(request)
         tags = _optional_tags(request)
         self.stats.incr("query_requests")
-        store = self.registry.get(name, tags)
+        store = self._stores_for(name, tags)
         if store is None:
             raise InvalidValueError(
                 f"unknown metric {name!r} (no values ingested)"

@@ -33,13 +33,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import struct
 import threading
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from repro.core.base import QuantileSketch
+from repro.core.codec import Reader, Writer, canonical_json
 from repro.core.serialization import dumps, loads
 from repro.errors import (
     EmptySketchError,
@@ -55,10 +55,6 @@ SNAPSHOT_VERSION = 1
 
 _PARTITIONER_CODES = {"round_robin": 0, "hash": 1}
 _PARTITIONER_NAMES = {code: name for name, code in _PARTITIONER_CODES.items()}
-
-_U8 = struct.Struct("<B")
-_U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
 
 
 class TimePartitionedStore:
@@ -449,7 +445,7 @@ class TimePartitionedStore:
     @staticmethod
     def _parse_partition_key(key: str) -> tuple[str, int]:
         tier, _, raw = key.partition(":")
-        if tier not in ("f", "c") or not raw:
+        if tier not in ("f", "c") or not raw.lstrip("-").isdigit():
             raise InvalidValueError(
                 f"malformed partition key {key!r}; expected "
                 "'f:<id>' or 'c:<id>'"
@@ -546,16 +542,12 @@ class TimePartitionedStore:
                         changed += 1
             for key, blob in blobs.items():
                 tier_name, bucket_id = self._parse_partition_key(key)
-                reader = _SnapshotReader(blob)
-                sketch = _thaw(
-                    reader,
-                    self._view_factory,
-                    self._fine_sharded and tier_name == "f",
-                )
-                if not reader.exhausted:
-                    raise SerializationError(
-                        f"trailing bytes after partition blob {key!r}"
-                    )
+                sharded = self._fine_sharded and tier_name == "f"
+                with Reader(
+                    blob, SerializationError, f"partition blob {key!r}"
+                ) as reader:
+                    sketch = _thaw(reader, self._view_factory, sharded)
+                    reader.finish()
                 tier = self._fine if tier_name == "f" else self._coarse
                 tier[bucket_id] = sketch
                 changed += 1
@@ -583,32 +575,25 @@ class TimePartitionedStore:
         through :mod:`repro.core.serialization`, so a snapshot of an
         unchanged store is byte-identical across runs.
         """
+        w = Writer()
+        w.header(SNAPSHOT_MAGIC, SNAPSHOT_VERSION)
         with self._lock:
-            header = json.dumps(
-                {
-                    "partition_ms": self.partition_ms,
-                    "fine_partitions": self.fine_partitions,
-                    "coarse_factor": self.coarse_factor,
-                    "coarse_partitions": self.coarse_partitions,
-                    "events_recorded": self._events_recorded,
-                    "dropped_late": self._dropped_late,
-                    "events_expired": self._events_expired,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            ).encode("utf-8")
-            parts = [
-                SNAPSHOT_MAGIC,
-                _U8.pack(SNAPSHOT_VERSION),
-                _U32.pack(len(header)),
-                header,
-            ]
+            header = {
+                "partition_ms": self.partition_ms,
+                "fine_partitions": self.fine_partitions,
+                "coarse_factor": self.coarse_factor,
+                "coarse_partitions": self.coarse_partitions,
+                "events_recorded": self._events_recorded,
+                "dropped_late": self._dropped_late,
+                "events_expired": self._events_expired,
+            }
+            w.blob(canonical_json(header))
             for tier in (self._fine, self._coarse):
-                parts.append(_U32.pack(len(tier)))
+                w.u32(len(tier))
                 for bucket_id in sorted(tier):
-                    parts.append(_I64.pack(bucket_id))
-                    parts.append(_freeze(tier[bucket_id]))
-            return b"".join(parts)
+                    w.i64(bucket_id)
+                    w.raw(_freeze(tier[bucket_id]))
+        return w.getvalue()
 
     @classmethod
     def restore(
@@ -622,74 +607,35 @@ class TimePartitionedStore:
 
         *sketch_factory* must produce the same shape of partition the
         snapshot holds (sharded vs. plain); a mismatch raises
-        :class:`~repro.errors.SerializationError`.
+        :class:`~repro.errors.SerializationError`, as do hostile bytes.
         """
-        reader = _SnapshotReader(data)
-        if reader.raw(4) != SNAPSHOT_MAGIC:
-            raise SerializationError(
-                "bad magic: not a store snapshot byte-stream"
+        with Reader(data, SerializationError, "store snapshot") as reader:
+            reader.header(SNAPSHOT_MAGIC, SNAPSHOT_VERSION)
+            header = json.loads(reader.blob())
+            store = cls(
+                sketch_factory,
+                clock=clock,
+                telemetry=telemetry,
+                partition_ms=header["partition_ms"],
+                fine_partitions=header["fine_partitions"],
+                coarse_factor=header["coarse_factor"],
+                coarse_partitions=header["coarse_partitions"],
             )
-        version = reader.u8()
-        if version != SNAPSHOT_VERSION:
-            raise SerializationError(
-                f"unsupported snapshot version {version}"
-            )
-        header = json.loads(reader.raw(reader.u32()).decode("utf-8"))
-        store = cls(
-            sketch_factory,
-            clock=clock,
-            telemetry=telemetry,
-            partition_ms=header["partition_ms"],
-            fine_partitions=header["fine_partitions"],
-            coarse_factor=header["coarse_factor"],
-            coarse_partitions=header["coarse_partitions"],
-        )
-        store._events_recorded = int(header["events_recorded"])
-        store._dropped_late = int(header["dropped_late"])
-        store._events_expired = int(header["events_expired"])
-        fine_sharded = isinstance(sketch_factory(), ShardedSketch)
-        # Coarse partitions are always plain (compaction merges through
-        # the view factory), so only the fine tier may be sharded.
-        for tier, sharded in ((store._fine, fine_sharded),
-                              (store._coarse, False)):
-            for _ in range(reader.u32()):
-                bucket_id = reader.i64()
-                tier[bucket_id] = _thaw(
-                    reader, store._view_factory, sharded
-                )
-        if not reader.exhausted:
-            raise SerializationError(
-                "trailing bytes after store snapshot"
-            )
+            store._events_recorded = int(header["events_recorded"])
+            store._dropped_late = int(header["dropped_late"])
+            store._events_expired = int(header["events_expired"])
+            # Coarse partitions are always plain (compaction merges
+            # through the view factory), so only the fine tier may be
+            # sharded.
+            for tier, sharded in ((store._fine, store._fine_sharded),
+                                  (store._coarse, False)):
+                for _ in range(reader.u32()):
+                    bucket_id = reader.i64()
+                    tier[bucket_id] = _thaw(
+                        reader, store._view_factory, sharded
+                    )
+            reader.finish()
         return store
-
-
-class _SnapshotReader:
-    """Sequential reader over snapshot bytes with bounds checking."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-
-    def raw(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise SerializationError("truncated store snapshot")
-        chunk = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return int(_U8.unpack(self.raw(1))[0])
-
-    def u32(self) -> int:
-        return int(_U32.unpack(self.raw(4))[0])
-
-    def i64(self) -> int:
-        return int(_I64.unpack(self.raw(8))[0])
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos == len(self._data)
 
 
 def _freeze(sketch: QuantileSketch) -> bytes:
@@ -700,52 +646,37 @@ def _freeze(sketch: QuantileSketch) -> bytes:
     re-snapshot is byte-identical); plain partitions are one codec
     payload.
     """
+    w = Writer()
     if isinstance(sketch, ShardedSketch):
-        parts = [
-            _U8.pack(1),
-            _U8.pack(_PARTITIONER_CODES[sketch.partitioner]),
-            _U32.pack(sketch.n_shards),
-        ]
+        w.u8(1)
+        w.u8(_PARTITIONER_CODES[sketch.partitioner])
+        w.u32(sketch.n_shards)
         for shard in sketch.shards:
-            payload = dumps(shard)
-            parts.append(_U32.pack(len(payload)))
-            parts.append(payload)
-        return b"".join(parts)
-    payload = dumps(sketch)
-    return _U8.pack(0) + _U32.pack(len(payload)) + payload
+            w.blob(dumps(shard))
+    else:
+        w.u8(0)
+        w.blob(dumps(sketch))
+    return w.getvalue()
 
 
 def _thaw(
-    reader: _SnapshotReader,
+    reader: Reader,
     base_factory: Callable[[], QuantileSketch],
     expect_sharded: bool,
 ) -> QuantileSketch:
     kind = reader.u8()
-    if kind == 1:
-        if not expect_sharded:
-            raise SerializationError(
-                "snapshot holds a sharded partition but the factory "
-                "builds plain sketches"
-            )
-        partitioner = _PARTITIONER_NAMES.get(reader.u8())
-        if partitioner is None:
-            raise SerializationError(
-                "unknown partitioner code in store snapshot"
-            )
-        n_shards = reader.u32()
-        shards = [
-            loads(reader.raw(reader.u32())) for _ in range(n_shards)
-        ]
-        return ShardedSketch.from_shards(
-            base_factory, shards, partitioner=partitioner
+    if kind not in (0, 1):
+        reader.fail(f"unknown partition kind {kind}")
+    if bool(kind) != expect_sharded:
+        shapes = ("plain", "sharded")
+        reader.fail(
+            f"holds a {shapes[kind]} partition but the factory builds "
+            f"{shapes[expect_sharded]} sketches"
         )
-    if kind != 0:
-        raise SerializationError(
-            f"unknown partition kind {kind} in store snapshot"
-        )
-    if expect_sharded:
-        raise SerializationError(
-            "snapshot holds a plain partition but the factory builds "
-            "sharded sketches"
-        )
-    return loads(reader.raw(reader.u32()))
+    if not kind:
+        return loads(reader.blob())
+    partitioner = _PARTITIONER_NAMES[reader.u8()]
+    shards = [loads(reader.blob()) for _ in range(reader.u32())]
+    return ShardedSketch.from_shards(
+        base_factory, shards, partitioner=partitioner
+    )

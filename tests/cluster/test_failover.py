@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 from repro.cluster import LocalCluster
 from repro.service.client import QuantileClient
 
@@ -150,3 +152,20 @@ class TestStalenessBound:
             # max_lag_records=0: every follower trails the origin, so
             # only the leader may answer.
             assert after == before + 1
+
+
+class TestShutdown:
+    """Stops wake the accept loop instead of waiting out a 0.5 s poll."""
+
+    def test_idle_node_stop_returns_promptly(self):
+        with LocalCluster(n_nodes=1) as cluster:
+            node = cluster.node("n0")
+            began = time.monotonic()
+            node.stop()
+            assert time.monotonic() - began < 0.1
+
+    def test_idle_proxy_stop_returns_promptly(self):
+        with LocalCluster(n_nodes=1) as cluster:
+            began = time.monotonic()
+            cluster.proxy.stop()
+            assert time.monotonic() - began < 0.1

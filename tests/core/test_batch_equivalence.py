@@ -152,3 +152,18 @@ def test_mixed_scalar_and_batch_bookkeeping(name: str) -> None:
     assert sketch.count == data.size
     assert sketch.min == float(data.min())
     assert sketch.max == float(data.max())
+
+
+@pytest.mark.parametrize("zeros", ([0.0, -0.0], [-0.0, 0.0]))
+@pytest.mark.parametrize("name", ALL_SKETCHES)
+def test_signed_zeros_first_seen_wins(name: str, zeros: list[float]) -> None:
+    """0.0 and -0.0 compare equal, so the recorded min/max keep the
+    first one seen — identically for scalar, one-batch and split-batch
+    ingestion (``ndarray.min()`` would keep the last)."""
+    scalar = paper_config(name, seed=SEED)
+    scalar_ingest(scalar, np.asarray(zeros))
+    joined = paper_config(name, seed=SEED)
+    joined.update_batch(zeros)
+    split = paper_config(name, seed=SEED)
+    batch_ingest(split, np.asarray(zeros), 1)
+    assert dumps(scalar) == dumps(joined) == dumps(split)

@@ -1,0 +1,466 @@
+"""Hostile bytes against the five decode entry points.
+
+Every decoder built on :mod:`repro.core.codec` promises one thing:
+arbitrary bytes come back as the entry point's typed
+:class:`~repro.errors.ReproError` subclass — or decode — in time and
+memory bounded by the input length.  This table holds each of them to
+it: ``loads``, ``TimePartitionedStore.restore``, ``adopt_partitions``,
+``decode_checkpoint`` and ``scan_segment``.
+
+Mutations are structure-aware.  A recording pass over a valid decode
+notes the offset of every integer field the top-level reader consumes;
+each is then overwritten with hostile values (``-1``, ``2**40``,
+``2**62``), next to truncation at every offset, trailing garbage and a
+fixed case per defect class found before the codecs were unified (the
+negative-length KLL blob that looped for seconds, an inflated Moments
+``num_moments``, a non-ASCII sketch name, a NaN t-digest compression,
+junk embedded JSON).  Each case runs under a 0.5 s interval timer, and
+the integer-field cases under a traced-allocation ceiling.
+"""
+
+from __future__ import annotations
+
+import functools
+import signal
+import struct
+import tempfile
+import tracemalloc
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Iterator
+
+import numpy as np
+import pytest
+
+from repro.core import codec
+from repro.core.registry import SKETCH_CLASSES, make_sketch
+from repro.core.serialization import dumps, loads
+from repro.durability.checkpoint import (
+    checkpoint_path,
+    decode_checkpoint,
+    encode_checkpoint,
+)
+from repro.durability.wal import WriteAheadLog, scan_segment, segment_path
+from repro.errors import (
+    CheckpointError,
+    ReproError,
+    SerializationError,
+    WALError,
+)
+from repro.parallel import ShardedSketch
+from repro.service.clock import ManualClock
+from repro.service.registry import MetricRegistry
+from repro.service.store import TimePartitionedStore
+
+BUDGET_S = 0.5
+#: Ceiling on traced allocations while decoding a blob of a few
+#: hundred bytes whose integer fields claim up to 2**62 of anything.
+ALLOC_CEILING = 8 * 1024 * 1024
+HOSTILE_INTS = (-1, 2**40, 2**62)
+
+#: Small configurations so "every offset" stays a few hundred cases.
+SMALL_CONFIGS: dict[str, dict[str, object]] = {
+    "dcs": dict(universe_log2=6, exact_threshold=8, cs_width=8, cs_depth=2),
+    "hdr": dict(significant_digits=1, highest_trackable_value=1_000.0),
+    "kll": dict(max_compactor_size=8, seed=3),
+    "kllpm": dict(max_compactor_size=8, seed=3),
+    "req": dict(num_sections=4, seed=3),
+    "random": dict(num_buffers=3, buffer_size=4, seed=3),
+    "uddsketch": dict(max_buckets=8, num_collapses=4),
+    "gkarray": dict(buffer_size=8),
+    "tdigest": dict(compression=20),
+}
+
+
+def small_sketch(name: str, n: int = 37):
+    sketch = make_sketch(name, **SMALL_CONFIGS.get(name, {}))
+    rng = np.random.default_rng(11)
+    sketch.update_batch(np.floor(1.0 + 50.0 * rng.random(n)))
+    return sketch
+
+
+def kll_factory():
+    return make_sketch("kll", **SMALL_CONFIGS["kll"])
+
+
+# ----------------------------------------------------------------------
+# The five entry points
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EntryPoint:
+    name: str
+    error: type[ReproError]
+    valid: Callable[[], bytes]
+    decode: Callable[[bytes, Path], object]
+    #: Re-establish an integrity check after mutating (checkpoint CRC).
+    reseal: Callable[[bytes], bytes] = lambda data: data
+    #: Whether every strict prefix of a valid blob is invalid (a WAL
+    #: segment cut at a record boundary is a shorter valid segment).
+    prefix_invalid: bool = True
+
+
+def store_factory(sharded: bool) -> Callable:
+    if sharded:
+        return functools.partial(ShardedSketch, kll_factory, 2)
+    return kll_factory
+
+
+def small_store(sharded: bool = False) -> TimePartitionedStore:
+    clock = ManualClock(10_000.0)
+    store = TimePartitionedStore(
+        store_factory(sharded), clock=clock, fine_partitions=2,
+        coarse_factor=2, coarse_partitions=4,
+    )
+    for step in range(5):
+        store.record_batch([1.0 + step, 2.0 + step], clock.now_ms())
+        clock.advance(900.0)
+    return store
+
+
+def restore(data: bytes, _tmp: Path, sharded: bool = False) -> object:
+    return TimePartitionedStore.restore(
+        data, store_factory(sharded), clock=ManualClock()
+    )
+
+
+def partition_blob() -> bytes:
+    store = small_store(sharded=True)
+    key = sorted(k for k in store.partition_digests() if k[0] == "f")[0]
+    return store.export_partitions([key])[key]
+
+
+def adopt(data: bytes, _tmp: Path) -> object:
+    store = small_store(sharded=True)
+    return store.adopt_partitions(
+        {"f:7": data}, ["f:7"], store.sync_counters()
+    )
+
+
+def checkpoint_bytes() -> bytes:
+    clock = ManualClock(10_000.0)
+    registry = MetricRegistry(sketch_factory=kll_factory, clock=clock)
+    registry.record("lat", [1.0, 2.0, 3.0], clock.now_ms(), {"svc": "a"})
+    registry.record("rps", [4.0], clock.now_ms())
+    return encode_checkpoint(registry, wal_seq=3, created_ms=5.0)
+
+
+def reseal_checkpoint(data: bytes) -> bytes:
+    if len(data) < 9:
+        return data
+    return data[:5] + struct.pack("<I", codec.crc32(data[9:])) + data[9:]
+
+
+def read_checkpoint(data: bytes, tmp: Path) -> object:
+    path = checkpoint_path(tmp, 3)
+    path.write_bytes(data)
+    return decode_checkpoint(path)
+
+
+def segment_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        with WriteAheadLog(tmp) as wal:
+            for payload in (b"alpha", b"", b"gamma-gamma"):
+                wal.append(payload)
+        return segment_path(Path(tmp), 1).read_bytes()
+
+
+def scan(data: bytes, tmp: Path, is_final: bool) -> object:
+    path = segment_path(tmp, 1)
+    path.write_bytes(data)
+    return scan_segment(path, is_final=is_final)
+
+
+ENTRY_POINTS = [
+    *(
+        EntryPoint(
+            f"loads[{name}]", SerializationError,
+            functools.partial(lambda n: dumps(small_sketch(n)), name),
+            lambda data, _tmp: loads(data),
+        )
+        for name in sorted(SKETCH_CLASSES)
+    ),
+    EntryPoint(
+        "restore[plain]", SerializationError,
+        lambda: small_store().snapshot(), restore,
+    ),
+    EntryPoint(
+        "restore[sharded]", SerializationError,
+        lambda: small_store(sharded=True).snapshot(),
+        functools.partial(restore, sharded=True),
+    ),
+    EntryPoint(
+        "adopt_partitions", SerializationError, partition_blob, adopt
+    ),
+    EntryPoint(
+        "decode_checkpoint", CheckpointError, checkpoint_bytes,
+        read_checkpoint, reseal=reseal_checkpoint,
+    ),
+    EntryPoint(
+        "scan_segment[sealed]", WALError, segment_bytes,
+        functools.partial(scan, is_final=False), prefix_invalid=False,
+    ),
+    EntryPoint(
+        "scan_segment[final]", WALError, segment_bytes,
+        functools.partial(scan, is_final=True), prefix_invalid=False,
+    ),
+]
+
+
+# ----------------------------------------------------------------------
+# Running one case under the time (and allocation) budget
+# ----------------------------------------------------------------------
+
+
+class _OverBudget(BaseException):
+    """Raised by the interval timer; never caught by a decoder."""
+
+
+def _on_alarm(_signum: int, _frame: object) -> None:
+    raise _OverBudget
+
+
+def outcome(entry: EntryPoint, data: bytes, tmp: Path) -> str:
+    """``"ok"`` or ``"typed"``; anything else propagates and fails."""
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
+    try:
+        entry.decode(data, tmp)
+        return "ok"
+    except entry.error:
+        return "typed"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def check(
+    entry: EntryPoint, label: str, data: bytes, tmp: Path,
+    must_fail: bool = False,
+) -> None:
+    try:
+        result = outcome(entry, data, tmp)
+    except BaseException as exc:  # noqa: B036 - report, then re-raise
+        raise AssertionError(
+            f"{entry.name} / {label}: escaped as {type(exc).__name__}: "
+            f"{exc} (only {entry.error.__name__} is allowed, within "
+            f"{BUDGET_S}s)"
+        ) from exc
+    if must_fail:
+        assert result == "typed", f"{entry.name} / {label}: decoded"
+
+
+def integer_fields(entry: EntryPoint, data: bytes, tmp: Path):
+    """``(offset, struct format)`` of every integer the top-level
+    reader consumes while decoding the valid *data*."""
+    fields: list[tuple[int, str]] = []
+    originals = {
+        "u32": ("<I", codec.Reader.u32),
+        "u64": ("<Q", codec.Reader.u64),
+        "i64": ("<q", codec.Reader.i64),
+    }
+
+    def recording(fmt: str, original: Callable) -> Callable:
+        def read(self: codec.Reader) -> int:
+            if self._data == data:
+                fields.append((self.pos, fmt))
+            return original(self)
+
+        return read
+
+    with pytest.MonkeyPatch.context() as patch:
+        for method, (fmt, original) in originals.items():
+            patch.setattr(codec.Reader, method, recording(fmt, original))
+        entry.decode(data, tmp)
+    return fields
+
+
+def hostile_field_values(fmt: str) -> Iterator[bytes]:
+    if fmt == "<I":
+        yield struct.pack(fmt, 0xFFFFFFFF)
+    elif fmt == "<Q":
+        yield struct.pack(fmt, 2**62)
+    else:
+        for value in HOSTILE_INTS:
+            yield struct.pack(fmt, value)
+
+
+# ----------------------------------------------------------------------
+# The table
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda e: e.name)
+class TestHostileBytes:
+    def test_valid_blob_decodes(self, entry, tmp_path):
+        assert outcome(entry, entry.valid(), tmp_path) == "ok"
+
+    def test_truncation_at_every_offset(self, entry, tmp_path):
+        data = entry.valid()
+        for cut in range(len(data)):
+            check(
+                entry, f"truncated to {cut} bytes", data[:cut], tmp_path,
+                must_fail=entry.prefix_invalid,
+            )
+
+    def test_trailing_garbage(self, entry, tmp_path):
+        data = entry.valid()
+        for tail in (b"\x00", b"\xff" * 9):
+            check(
+                entry, f"{len(tail)} trailing bytes",
+                entry.reseal(data + tail), tmp_path,
+                # A final WAL segment drops garbage as a torn tail.
+                must_fail=entry.name != "scan_segment[final]",
+            )
+
+    def test_hostile_value_in_every_integer_field(self, entry, tmp_path):
+        data = entry.valid()
+        fields = integer_fields(entry, data, tmp_path)
+        assert fields, "the recording pass saw no integer fields"
+        tracemalloc.start()
+        try:
+            for offset, fmt in fields:
+                for hostile in hostile_field_values(fmt):
+                    mutated = entry.reseal(
+                        data[:offset] + hostile
+                        + data[offset + len(hostile):]
+                    )
+                    tracemalloc.reset_peak()
+                    check(
+                        entry,
+                        f"{hostile.hex()} at offset {offset}",
+                        mutated, tmp_path,
+                    )
+                    peak = tracemalloc.get_traced_memory()[1]
+                    assert peak < ALLOC_CEILING, (
+                        f"{entry.name}: {hostile.hex()} at offset "
+                        f"{offset} allocated {peak} bytes from a "
+                        f"{len(data)}-byte blob"
+                    )
+        finally:
+            tracemalloc.stop()
+
+    def test_bit_flips(self, entry, tmp_path):
+        """Seeded single-bit flips: typed or decodable, never else."""
+        data = entry.valid()
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            position = int(rng.integers(len(data)))
+            mutated = bytearray(data)
+            mutated[position] ^= 1 << int(rng.integers(8))
+            check(
+                entry, f"bit flip at {position}",
+                entry.reseal(bytes(mutated)), tmp_path,
+            )
+
+
+# ----------------------------------------------------------------------
+# One fixed case per defect class found before the codecs were unified
+# ----------------------------------------------------------------------
+
+
+def entry(name: str) -> EntryPoint:
+    return next(e for e in ENTRY_POINTS if e.name == name)
+
+
+def negative_length_kll_blob(levels: int = 2**62) -> bytes:
+    """A KLL header claiming *levels* levels whose first array length
+    is ``-1``: the old reader moved its cursor back over the length and
+    re-read it once per claimed level (7 s per 4e6 levels)."""
+    head = dumps(kll_factory())
+    head = head[: head.index(b"kll") + 3 + 8 + 24]  # k, count, min, max
+    return head + struct.pack("<qq", levels, -1)
+
+
+def with_snapshot_header(header: bytes) -> bytes:
+    return b"RPQS\x01" + struct.pack("<I", len(header)) + header
+
+
+FIXED_CASES = [
+    ("loads[kll]", "negative array length", negative_length_kll_blob()),
+    (
+        "loads[kll]", "4e6 levels, negative array length",
+        negative_length_kll_blob(4_000_000),
+    ),
+    (
+        "adopt_partitions", "negative-length KLL blob inside a partition",
+        b"\x00" + struct.pack("<I", len(negative_length_kll_blob()))
+        + negative_length_kll_blob(),
+    ),
+    (
+        "loads[kll]", "sketch-name byte >= 0x80",
+        b"RPRO\x02\x03k\xffl" + bytes(64),
+    ),
+    (
+        "restore[plain]", "junk JSON in the snapshot header",
+        with_snapshot_header(b"{not json"),
+    ),
+    (
+        "restore[plain]", "snapshot header missing its keys",
+        with_snapshot_header(b"{}") + bytes(8),
+    ),
+    (
+        "restore[plain]", "snapshot header that is not an object",
+        with_snapshot_header(b"[1,2]") + bytes(8),
+    ),
+    (
+        "restore[plain]", "non-UTF-8 snapshot header",
+        with_snapshot_header(b"\xff\xfe\xfd"),
+    ),
+    (
+        "restore[plain]", "snapshot header nested past the recursion limit",
+        with_snapshot_header(b"[" * 100_000),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name,label,data", FIXED_CASES, ids=[c[1] for c in FIXED_CASES]
+)
+def test_fixed_hostile_cases(name, label, data, tmp_path):
+    check(entry(name), label, data, tmp_path, must_fail=True)
+
+
+def test_moments_inflated_num_moments_is_typed(tmp_path):
+    """``num_moments = 2**40`` reached ``np.zeros`` (``MemoryError``)."""
+    target = entry("loads[moments]")
+    data = target.valid()
+    offset = data.index(b"moments") + len(b"moments")
+    mutated = data[:offset] + struct.pack("<q", 2**40) + data[offset + 8:]
+    check(target, "num_moments = 2**40", mutated, tmp_path, must_fail=True)
+
+
+def test_tdigest_nan_compression_is_typed(tmp_path):
+    """``int(10 * nan)`` escaped as a bare ``ValueError``."""
+    target = entry("loads[tdigest]")
+    data = target.valid()
+    offset = data.index(b"tdigest") + len(b"tdigest")
+    mutated = (
+        data[:offset] + struct.pack("<d", float("nan")) + data[offset + 8:]
+    )
+    check(target, "compression = nan", mutated, tmp_path, must_fail=True)
+
+
+def test_hdr_infinite_range_is_typed(tmp_path):
+    """An infinite trackable range looped the bucket count forever."""
+    target = entry("loads[hdr]")
+    data = target.valid()
+    offset = data.index(b"hdr") + len(b"hdr") + 8
+    mutated = (
+        data[:offset] + struct.pack("<d", float("inf")) + data[offset + 8:]
+    )
+    check(target, "highest = inf", mutated, tmp_path, must_fail=True)
+
+
+def test_checkpoint_with_junk_json_behind_a_valid_crc(tmp_path):
+    target = entry("decode_checkpoint")
+    for label, header in (
+        ("junk header", b"{not json"),
+        ("header missing metrics", b'{"wal_seq":1}'),
+        ("metrics is a string", b'{"metrics":"many","wal_seq":1}'),
+        ("metrics is 2**62", b'{"metrics":4611686018427387904}'),
+    ):
+        body = struct.pack("<I", len(header)) + header
+        data = reseal_checkpoint(b"RPCK\x01" + bytes(4) + body)
+        check(target, label, data, tmp_path, must_fail=True)

@@ -107,7 +107,7 @@ class TestClientInstrumentation:
             timeout=0.2,
             retries=2,
             backoff_ms=50.0,
-            sleep=lambda seconds: None,
+            clock=ManualClock(0.0),
             telemetry=telemetry,
         )
         with pytest.raises(ServiceUnavailableError):

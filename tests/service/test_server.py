@@ -192,13 +192,13 @@ class TestBackpressure:
     def test_shed_is_not_retried_by_client(self):
         clock = ManualClock(0.0)
         registry = make_registry(clock)
-        sleeps = []
+        backoff = ManualClock(0.0)
         with QuantileServer(
             registry, ingest_queue_size=1, ingest_workers=1
         ) as server:
             host, port = server.address
             with QuantileClient(
-                host, port, retries=3, sleep=sleeps.append
+                host, port, retries=3, clock=backoff
             ) as client:
                 server.pause_ingest()
                 client.ingest("lat", [1.0], timestamp_ms=0.0)
@@ -206,7 +206,8 @@ class TestBackpressure:
                 client.ingest("lat", [1.0], timestamp_ms=0.0)
                 with pytest.raises(ServerOverloadedError):
                     client.ingest("lat", [1.0], timestamp_ms=0.0)
-                assert sleeps == []  # overload is not a transport error
+                # Overload is not a transport error: no backoff waits.
+                assert backoff.now_ms() == 0.0
                 server.resume_ingest()
 
 
@@ -217,19 +218,19 @@ class TestClientRetry:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()
-        sleeps = []
+        clock = ManualClock(0.0)
         client = QuantileClient(
             "127.0.0.1",
             port,
             timeout=0.5,
             retries=2,
             backoff_ms=10.0,
-            sleep=sleeps.append,
+            clock=clock,
         )
         with pytest.raises(ServiceUnavailableError):
             client.ping()
-        # Exponential backoff between the three attempts.
-        assert sleeps == [0.01, 0.02]
+        # Exponential backoff between the three attempts: 10 + 20 ms.
+        assert clock.now_ms() == 30.0
 
     def test_reconnects_after_server_side_close(self, server):
         host, port = server.address
@@ -251,6 +252,14 @@ class TestLifecycle:
         server.start()
         server.stop()
         server.stop()
+
+    def test_idle_stop_does_not_wait_out_a_poll(self):
+        """stop() wakes the accept loop, which alone notices a
+        shutdown request only at its next 0.5 s poll."""
+        server = QuantileServer(make_registry(ManualClock())).start()
+        began = time.monotonic()
+        server.stop()
+        assert time.monotonic() - began < 0.1
 
     def test_numpy_values_ingest(self, client):
         client.ingest(
