@@ -1,9 +1,9 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: help test-fast test-all lint analysis typecheck bench-parallel \
-	serve bench-service obs-bench durability-bench crash-test \
-	bench-ingest race-check cluster-demo cluster-test bench-cluster
+.PHONY: help test-fast test-all lint analysis typecheck serve bench \
+	paper-claims crash-test race-check cluster-demo cluster-test \
+	traffic traffic-test
 
 help:
 	@echo "Targets:"
@@ -12,20 +12,15 @@ help:
 	@echo "  lint           static analysis: repro.analysis AST rules + strict mypy"
 	@echo "  analysis       just the AST rules (python -m repro.analysis --check)"
 	@echo "  typecheck      just mypy --strict over repro.core and repro.parallel"
-	@echo "  bench-parallel parallel-scaling micro-benchmark"
 	@echo "  serve          run the quantile service TCP server (port 7107)"
-	@echo "  bench-service  quantile-service ingest/query/overload benchmark"
-	@echo "  bench-ingest   batch-ingestion throughput benchmark (>=5x geomean gate)"
-	@echo "  obs-bench      observability overhead benchmark (<5% disabled gate)"
-	@echo "  durability-bench WAL/checkpoint cost benchmark (<5% durability-off gate)"
+	@echo "  bench          the repo's one benchmark (benchmarks/e2e/run.py, BENCHMARK.json)"
+	@echo "  paper-claims   the paper's figures/tables as shape assertions (smoke scale)"
 	@echo "  crash-test     crash-consistency sweep + SIGKILL process smoke"
 	@echo "  race-check     concurrency gate: LCK/RACE static rules + runtime sanitizer tests"
 	@echo "  cluster-demo   3-node replicated cluster demo (ingest/failover/convergence)"
 	@echo "  cluster-test   cluster fault suite: partitions, crashes, convergence"
-	@echo "  bench-cluster  cluster requests/sec vs node count + failover timing"
 	@echo "  traffic        scenario catalog + determinism gate (each scenario twice)"
 	@echo "  traffic-test   workload suite: generators, continuous queries, scenarios"
-	@echo "  bench-traffic  per-scenario throughput/shed/p99 benchmark (BENCH_traffic.json)"
 
 # Tier-1 gate: everything except tests marked `slow` (pyproject's
 # addopts already applies -m 'not slow').
@@ -53,36 +48,24 @@ typecheck:
 		echo "mypy not installed - skipping strict typing gate"; \
 	fi
 
-bench-parallel:
-	PYTHONPATH=src:. $(PYTHON) benchmarks/bench_parallel_scaling.py
-
 # Foreground quantile service on the default port; override with e.g.
 # `make serve SERVE_ARGS="--port 9000 --sketch ddsketch"`.
 serve:
 	PYTHONPATH=src $(PYTHON) -m repro.service serve $(SERVE_ARGS)
 
-bench-service:
-	PYTHONPATH=src:. $(PYTHON) benchmarks/bench_service.py
+# The only code in the repo that times the system: four workloads, six
+# gated end-to-end metrics and the per-layer budget declared in
+# BENCHMARK.json (see benchmarks/e2e/README.md). Run the script
+# directly for the CI-sized pass (--smoke --e2e-only) or one workload's
+# per-layer numbers (--workload W --trace 1).
+bench:
+	$(PYTHON) benchmarks/e2e/run.py
 
-# The batch-ingestion gate behind BENCH_ingest.json: scalar-vs-batch
-# for every registry sketch (>=5x geomean at full scale), buffered
-# concurrent ingestion, and multi-worker TCP server scaling. Add
-# INGEST_BENCH_ARGS="--smoke --output DIR" for the CI-sized run.
-bench-ingest:
-	PYTHONPATH=src:. $(PYTHON) benchmarks/bench_ingest.py $(INGEST_BENCH_ARGS)
-
-# Proves the observability layer's cost contract: the instrumented
-# ingest loop with telemetry disabled stays within 5% of an
-# uninstrumented baseline. Writes snapshot exports with --output.
-obs-bench:
-	PYTHONPATH=src:. $(PYTHON) benchmarks/bench_obs_overhead.py $(OBS_BENCH_ARGS)
-
-# Proves the durability layer's cost contract: the server-shaped ingest
-# loop with durability off stays within 5% of the raw registry loop.
-# Also reports per-FlushPolicy WAL costs and checkpoint/recovery
-# latency. Writes durability_bench.json with --output.
-durability-bench:
-	PYTHONPATH=src:. $(PYTHON) benchmarks/bench_durability.py $(DURABILITY_BENCH_ARGS)
+# The paper's figure index: one pytest-benchmark file per table/figure
+# asserting the *shape* the paper reports over repro.experiments.
+paper-claims:
+	REPRO_SCALE=smoke $(PYTEST) benchmarks/ --benchmark-only \
+		--ignore=benchmarks/e2e
 
 # The crash-consistency gate: the in-process fault sweep (a simulated
 # crash at every WAL record boundary and mid-checkpoint) plus the
@@ -100,13 +83,6 @@ cluster-demo:
 cluster-test:
 	$(PYTEST) -q tests/cluster
 
-# Requests/sec vs node count through the routing proxy, plus
-# deterministic failover timing on the manual clock. Writes
-# BENCH_cluster.json with --output; add CLUSTER_BENCH_ARGS="--smoke
-# --output DIR" for the CI-sized run.
-bench-cluster:
-	PYTHONPATH=src:. $(PYTHON) benchmarks/bench_cluster.py $(CLUSTER_BENCH_ARGS)
-
 # The scenario catalog with its determinism gate: every scenario runs
 # twice on one seed and the SLO reports must match byte-for-byte.
 # TRAFFIC_ARGS="--scenario flash_crowd" (etc.) narrows the run.
@@ -117,13 +93,6 @@ traffic:
 traffic-test:
 	$(PYTEST) -q tests/workload tests/data/test_traffic.py \
 		tests/service/test_continuous.py
-
-# Per-scenario wall throughput, shed rate and p99 ingest/query spans
-# (wall telemetry on the same deterministic traffic). Writes
-# BENCH_traffic.json with TRAFFIC_BENCH_ARGS="--output DIR".
-bench-traffic:
-	PYTHONPATH=src:. $(PYTHON) benchmarks/bench_traffic.py \
-		$(TRAFFIC_BENCH_ARGS)
 
 # The concurrency gate (DESIGN §13): the LCK/RACE static family over
 # the whole tree, then the runtime sanitizer suite — its own unit

@@ -40,7 +40,7 @@ def bench_table4_summary(benchmark, scale):
 
     assert summary.approach["kll"] == "Sampling"
     assert summary.approach["ddsketch"] == "Summary"
-    # Fig 5c: Moments merges fastest.
+    # Fig 5c: Moments merges in the fastest tercile (level with DDSketch).
     assert summary.merge["moments"] == "High"
     # Insertion orderings below the sub-microsecond level are
     # JVM-constant-specific (CPython's per-call overhead dominates), so

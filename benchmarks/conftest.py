@@ -5,9 +5,10 @@ experiment index in DESIGN.md).  Scale is selected with ``REPRO_SCALE``
 (``smoke`` | ``quick`` | ``paper``); the default ``quick`` preserves the
 paper's shapes at a Python-friendly stream size.
 
-Run everything with::
+Run everything with ``make paper-claims``, i.e.::
 
-    pytest benchmarks/ --benchmark-only
+    REPRO_SCALE=smoke PYTHONPATH=src python -m pytest benchmarks/ \
+        --benchmark-only --ignore=benchmarks/e2e
 """
 
 from __future__ import annotations

@@ -17,8 +17,7 @@ the differential harness relies on.  Four checks encode that:
 * ``SK004`` — an overridden ``update_batch`` must not loop over
   per-item ``self.update(...)`` calls: that silently reverts the
   vectorised hot path (the per-item fallback lives in the abstract
-  base, and ``BENCH_ingest.json`` gates on the fast paths staying
-  fast).  The equivalence battery keeps the fast paths honest; this
+  base).  The equivalence battery keeps the fast paths honest; this
   rule keeps them *present*.
 * ``SK003`` — every concrete sketch in ``repro.core`` must be
   registered in ``repro.core.registry``'s ``SKETCH_CLASSES`` so the

@@ -18,11 +18,11 @@ from a smooth distribution (the real-world-data weakness of Sec 4.5).
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import comb
 
 from repro.core.base import (
     QuantileSketch,
@@ -47,6 +47,24 @@ DEFAULT_NUM_MOMENTS = 12
 MIN_CARDINALITY = 5
 
 _TRANSFORMS = ("none", "log", "arcsinh")
+
+
+@functools.lru_cache(maxsize=8)
+def _binomial_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``C(i, j)`` and ``max(i - j, 0)`` for ``0 <= i, j <= k``.
+
+    Both ``(k + 1, k + 1)`` arrays are read-only: every sketch with
+    *k* moments shares them.
+    """
+    binomials = np.array(
+        [[math.comb(i, j) for j in range(k + 1)] for i in range(k + 1)],
+        dtype=np.float64,
+    )
+    index = np.arange(k + 1)
+    degrees = np.maximum(index[:, None] - index[None, :], 0)
+    binomials.flags.writeable = False
+    degrees.flags.writeable = False
+    return binomials, degrees
 
 
 class MomentsSketch(QuantileSketch):
@@ -285,17 +303,17 @@ class MomentsSketch(QuantileSketch):
 
         With ``shift = o2 - o1``:
         ``(t - o1)^i = sum_j C(i,j) shift^(i-j) (t - o2)^j``.
+
+        Row ``i`` of the term matrix is summed left to right, so the
+        result is bit-identical to the scalar double loop it replaced
+        (``tests/core/test_moments.py`` keeps that loop as reference).
         """
-        k = sums.size - 1
-        out = np.zeros_like(sums)
-        for i in range(k + 1):
-            total = 0.0
-            for j in range(i + 1):
-                total += (
-                    comb(i, j, exact=True) * shift ** (i - j) * sums[j]
-                )
-            out[i] = total
-        return out
+        binomials, degrees = _binomial_table(sums.size - 1)
+        # Python's float pow, not np.power: SIMD pow may differ by an ulp.
+        powers = np.array([shift ** d for d in range(sums.size)])
+        terms = binomials * powers[degrees] * sums
+        # "+ 0.0" turns an all-(-0.0) row into the loop's 0.0 start.
+        return terms.cumsum(axis=1).diagonal() + 0.0
 
     @classmethod
     def _merge_sums(
@@ -339,19 +357,10 @@ class MomentsSketch(QuantileSketch):
         h = 0.5 * (hi - lo)
         if h <= 0.0:
             raise InsufficientDataError("all observed values are identical")
-        d = origin - s
-        k = power_sums.size - 1
-        scaled = np.zeros(k + 1)
+        scaled = MomentsSketch._recenter_sums(power_sums, origin - s)
         scaled[0] = 1.0
-        for i in range(1, k + 1):
-            total = 0.0
-            for j in range(i + 1):
-                total += (
-                    comb(i, j, exact=True)
-                    * d ** (i - j)
-                    * power_sums[j]
-                )
-            scaled[i] = total / (n * h ** i)
+        for i in range(1, scaled.size):
+            scaled[i] /= n * h ** i
         return scaled
 
     def _scaled_power_moments(self) -> np.ndarray:

@@ -13,16 +13,13 @@ distributions; this module models *traffic* — who sends how much, when:
 * :class:`FlashCrowd` — a multiplicative spike layered over any base
   curve for a bounded tick window (launch events, cache stampedes).
 * :class:`LatencyValues` — the canonical service-latency value model
-  (lognormal, the same ``(4.6, 0.5)`` parameterisation the service
-  benchmarks always used inline), with a per-call scale knob so a
-  scenario can degrade one tenant or one time window.
+  (lognormal ``(4.6, 0.5)``), with a per-call scale knob so a scenario
+  can degrade one tenant or one time window.
 
 Everything here is a pure function of its parameters and the supplied
 ``numpy.random.Generator`` — no global state, no wall clock — which is
 what lets the traffic simulator (:mod:`repro.workload`) assert that two
-runs with one seed produce identical SLO reports, and lets
-``benchmarks/bench_service.py`` / ``benchmarks/bench_cluster.py`` share
-one set of generators instead of ad-hoc inline distributions.
+runs with one seed produce identical SLO reports.
 """
 
 from __future__ import annotations

@@ -25,10 +25,6 @@ from repro.experiments.datasets import (
 from repro.experiments.kurtosis_sweep import KurtosisResult, run_kurtosis_sweep
 from repro.experiments.late_data import LateDataResult, run_late_data
 from repro.experiments.memory import MemoryResult, measure_memory
-from repro.experiments.parallel_scaling import (
-    ParallelScalingResult,
-    run_parallel_scaling,
-)
 from repro.experiments.related_work import (
     RelatedWorkResult,
     run_related_work,
@@ -62,8 +58,6 @@ __all__ = [
     "run_late_data",
     "MemoryResult",
     "measure_memory",
-    "ParallelScalingResult",
-    "run_parallel_scaling",
     "RelatedWorkResult",
     "run_related_work",
     "SizeSweepResult",

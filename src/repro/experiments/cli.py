@@ -22,9 +22,7 @@ from repro.experiments.export import write_json
 from repro.experiments.kurtosis_sweep import run_kurtosis_sweep
 from repro.experiments.late_data import run_late_data
 from repro.experiments.memory import measure_memory
-from repro.experiments.parallel_scaling import run_parallel_scaling
 from repro.experiments.related_work import run_related_work
-from repro.experiments.service_bench import run_service_benchmark
 from repro.experiments.size_sweep import run_size_sweep
 from repro.experiments.speed import (
     measure_insertion,
@@ -75,8 +73,6 @@ EXPERIMENTS: dict[str, Callable[[], Any]] = {
     "table4": _run_table4,
     "related": run_related_work,
     "sweep": run_size_sweep,
-    "parallel": run_parallel_scaling,
-    "service": run_service_benchmark,
 }
 
 

@@ -26,9 +26,7 @@ from repro.experiments.datasets import DatasetProfile
 from repro.experiments.kurtosis_sweep import KurtosisResult
 from repro.experiments.late_data import LateDataResult
 from repro.experiments.memory import MemoryResult
-from repro.experiments.parallel_scaling import ParallelScalingResult
 from repro.experiments.related_work import RelatedWorkResult
-from repro.experiments.service_bench import ServiceBenchmarkResult
 from repro.experiments.size_sweep import SizeSweepResult
 from repro.experiments.speed import SpeedResult
 from repro.experiments.summary import SummaryTable
@@ -145,48 +143,6 @@ def _related(result: RelatedWorkResult) -> dict[str, Any]:
     return {"kind": "related-work", "rows": result.rows}
 
 
-def _parallel_scaling(result: ParallelScalingResult) -> dict[str, Any]:
-    return {
-        "kind": "parallel-scaling",
-        "backend": result.backend,
-        "partitioner": result.partitioner,
-        "points": result.points,
-        "batch_size": result.batch_size,
-        "cpus": result.cpus,
-        "throughput_per_sec": {
-            sketch: {str(n): rate for n, rate in curve.items()}
-            for sketch, curve in result.throughput.items()
-        },
-        "speedups": {
-            sketch: {
-                str(n): result.speedup(sketch, n) for n in curve
-            }
-            for sketch, curve in result.throughput.items()
-        },
-    }
-
-
-def _service(result: ServiceBenchmarkResult) -> dict[str, Any]:
-    return {
-        "kind": "service-benchmark",
-        "sketch": result.sketch,
-        "metrics": result.metrics,
-        "clients": result.clients,
-        "events": result.events,
-        "batch_size": result.batch_size,
-        "queue_size": result.queue_size,
-        "ingest_seconds": result.ingest_seconds,
-        "ingest_events_per_sec": result.ingest_events_per_sec,
-        "ingest_backoffs": result.ingest_backoffs,
-        "queries": result.queries,
-        "query_latency_ms": result.query_latency_ms,
-        "overload_attempts": result.overload_attempts,
-        "shed_requests": result.shed_requests,
-        "server_stats": result.server_stats,
-        "telemetry": result.telemetry,
-    }
-
-
 def _size_sweep(result: SizeSweepResult) -> dict[str, Any]:
     return {
         "kind": "size-sweep",
@@ -211,8 +167,6 @@ _CONVERTERS = [
     (SummaryTable, _summary),
     (RelatedWorkResult, _related),
     (SizeSweepResult, _size_sweep),
-    (ParallelScalingResult, _parallel_scaling),
-    (ServiceBenchmarkResult, _service),
 ]
 
 

@@ -15,8 +15,7 @@ Three instrument kinds, mirroring the minimal Prometheus data model:
 All three are thread-safe — the server records from handler and drain
 threads concurrently — and every instrument has a no-op twin used when
 telemetry is disabled, so instrumented hot loops pay only an attribute
-call when observability is off (``benchmarks/bench_obs_overhead.py``
-pins the cost under 5%).
+call when observability is off.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 Every instrumented layer takes an optional ``telemetry`` argument.  Pass
 a shared :class:`Telemetry` to collect; pass :data:`NOOP` (or construct
-with ``enabled=False``) to turn the whole layer into no-ops whose cost
-on the ingest hot loop is pinned under 5% by
-``benchmarks/bench_obs_overhead.py``.
+with ``enabled=False``) to turn the whole layer into no-ops.  Either
+way the server's instrument calls are per batch, never per value
+(pinned by ``tests/obs/test_call_counts.py``).
 
 Instruments are created lazily on first use and then cached by name, so
 ``telemetry.counter("server.shed_requests").inc()`` is cheap at steady

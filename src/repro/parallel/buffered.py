@@ -1,13 +1,13 @@
 """Buffered concurrent ingestion (the Quancurrent pattern).
 
-Per-value locking serialises writers on every insert; the measurements
-behind ``BENCH_ingest.json`` show the lock round-trip costs more than
-the sketch update itself.  :class:`BufferedIngestor` amortises it the
-way Quancurrent (Zarfati et al.) does for KLL: each writer thread fills
-a *thread-local* buffer with no shared state at all, and only a full
-buffer takes the sketch lock — one short critical section per
-``buffer_size`` values, inside which the whole buffer is applied with
-one vectorised ``update_batch`` call.
+Per-value locking serialises writers on every insert, and the lock
+round-trip costs more than the sketch update itself.
+:class:`BufferedIngestor` amortises it the way Quancurrent (Zarfati et
+al.) does for KLL: each writer thread fills a *thread-local* buffer
+with no shared state at all, and only a full buffer takes the sketch
+lock — one short critical section per ``buffer_size`` values, inside
+which the whole buffer is applied with one vectorised ``update_batch``
+call.
 
 Failure semantics
 -----------------

@@ -16,7 +16,7 @@ sketches of :mod:`repro.core` composed into an actual serving system.
 * :mod:`repro.service.continuous` — :class:`ContinuousQueryEngine`,
   standing threshold/burn-rate/top-k queries evaluated per window
   (served over the ``cq_*`` protocol ops);
-* ``python -m repro.service`` — the ``serve`` / ``bench`` CLI.
+* ``python -m repro.service serve`` — the foreground server CLI.
 
 See README "Quantile service" and DESIGN §9 for the layering.
 """

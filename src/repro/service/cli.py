@@ -1,14 +1,8 @@
-"""Command-line entry point: ``python -m repro.service <command>``.
+"""Command-line entry point: ``python -m repro.service serve``.
 
-Two commands:
-
-* ``serve`` — run a quantile server in the foreground until
-  interrupted.  Sketch, store geometry, hot metrics, queue bound and
-  worker count are all flags, so the CLI reaches every knob the
-  subsystem exposes.
-* ``bench`` — run the end-to-end service benchmark (in-process server,
-  concurrent clients, query-latency and forced-overload phases) and
-  optionally write its JSON report for the CI artifact.
+``serve`` runs a quantile server in the foreground until interrupted.
+Sketch, store geometry, hot metrics, queue bound and worker count are
+all flags, so the CLI reaches every knob the subsystem exposes.
 """
 
 from __future__ import annotations
@@ -16,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from pathlib import Path
 
 from repro.core.registry import DEFAULT_SEED, SKETCH_CLASSES
 
@@ -104,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="on",
         help=(
             "observability instruments (repro.obs); 'off' swaps in "
-            "no-op twins, costing <5%% on the hot path"
+            "no-op twins"
         ),
     )
     serve.add_argument(
@@ -137,37 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=60_000.0,
         help="cadence between automatic checkpoints (0 disables)",
-    )
-
-    bench = commands.add_parser(
-        "bench", help="run the end-to-end service benchmark"
-    )
-    bench.add_argument(
-        "--sketch", default="kll", choices=sorted(SKETCH_CLASSES)
-    )
-    bench.add_argument("--metrics", type=int, default=3)
-    bench.add_argument("--clients", type=int, default=4)
-    bench.add_argument(
-        "--events",
-        type=int,
-        default=None,
-        help="total events (default: REPRO_SCALE speed points)",
-    )
-    bench.add_argument("--batch-size", type=int, default=1_000)
-    bench.add_argument("--queue-size", type=int, default=256)
-    bench.add_argument("--queries", type=int, default=200)
-    bench.add_argument("--overload-attempts", type=int, default=512)
-    bench.add_argument(
-        "--output",
-        metavar="PATH",
-        default=None,
-        help="also write the JSON report here",
-    )
-    bench.add_argument(
-        "--telemetry",
-        choices=("on", "off"),
-        default="on",
-        help="server-side observability during the benchmark",
     )
     return parser
 
@@ -246,35 +208,9 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.export import write_json
-    from repro.experiments.service_bench import run_service_benchmark
-    from repro.obs.telemetry import NOOP
-
-    result = run_service_benchmark(
-        sketch=args.sketch,
-        metrics=args.metrics,
-        clients=args.clients,
-        events=args.events,
-        batch_size=args.batch_size,
-        queue_size=args.queue_size,
-        queries=args.queries,
-        overload_attempts=args.overload_attempts,
-        telemetry=NOOP if args.telemetry == "off" else None,
-    )
-    print(result.to_table())
-    if args.output:
-        path = write_json(result, Path(args.output))
-        print(f"\n[repro-service] wrote {path}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
-    if args.command == "serve":
-        return _run_serve(args)
-    return _run_bench(args)
+    return _run_serve(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -179,7 +179,9 @@ class WindowedStream:
         allowed_lateness_ms``; the single firing includes any late
         events that arrived within the lateness horizon (equivalent to
         Flink's final updated emission).  Later events for that window
-        are dropped into ``report.dropped_late``.
+        are dropped into ``report.dropped_late``.  The run advances a
+        :meth:`~WatermarkStrategy.fresh` copy of *watermarks*, never the
+        caller's object.
 
         *time_characteristic* selects the Sec 2.5 grouping semantics:
         ``"event"`` groups by generation time (the paper's choice, and
@@ -202,7 +204,7 @@ class WindowedStream:
             )
         use_ingestion = time_characteristic == "ingestion"
         telemetry = telemetry if telemetry is not None else NOOP
-        watermarks = watermarks or AscendingTimestampsWatermarks()
+        watermarks = (watermarks or AscendingTimestampsWatermarks()).fresh()
         merging = isinstance(self._assigner, SessionWindows)
         report = ExecutionReport()
         panes: dict[tuple[Hashable, WindowSpan], Any] = {}

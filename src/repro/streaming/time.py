@@ -16,6 +16,7 @@ Strategies mirror Flink's two standard generators:
 from __future__ import annotations
 
 import abc
+import copy
 import math
 
 from repro.errors import InvalidValueError
@@ -30,6 +31,16 @@ class WatermarkStrategy(abc.ABC):
     @property
     def current_watermark(self) -> float:
         return self._watermark
+
+    def fresh(self) -> "WatermarkStrategy":
+        """A copy of this strategy back at ``-inf``.
+
+        Each pipeline run advances its own copy, so one strategy object
+        can configure any number of runs.
+        """
+        clone = copy.copy(self)
+        clone._watermark = -math.inf
+        return clone
 
     def on_event(self, event_time: float) -> float:
         """Observe an event time; return the (possibly advanced)

@@ -29,11 +29,6 @@ rules that make it hold:
    queue's free capacity is *exact*: the next ``queue_size`` sends are
    accepted and everything beyond is shed, byte-for-byte the same
    every run.
-
-For wall-clock measurements (the traffic benchmark) pass
-``wall_telemetry=True``: scenario time stays manual (still sleep-free)
-while telemetry spans time themselves on the monotonic clock, so the
-same scenario code yields real p99 ingest/query latencies.
 """
 
 from __future__ import annotations
@@ -71,11 +66,6 @@ class TrafficHarness:
         so one tick lands in one partition.
     hot_metrics:
         Metric names routed through sharded partitions.
-    wall_telemetry:
-        ``False`` (default): telemetry shares the manual clock — span
-        durations are deterministically zero and reports are
-        byte-stable.  ``True``: telemetry times itself on the
-        monotonic clock for real latency numbers (the benchmark mode).
     durability_dir:
         When set, the server journals every accepted ingest to a WAL
         under this directory (checkpoint cadence disabled — scenarios
@@ -94,17 +84,13 @@ class TrafficHarness:
         coalesce: int = 8,
         partition_ms: float = 1_000.0,
         hot_metrics: Iterable[str] = (),
-        wall_telemetry: bool = False,
         durability_dir: str | Path | None = None,
         final_checkpoint: bool = True,
     ) -> None:
         self.seed = int(seed)
         self.rng = np.random.default_rng(self.seed)
         self.clock = ManualClock(START_MS)
-        self.wall_telemetry = bool(wall_telemetry)
-        self.telemetry = (
-            Telemetry() if wall_telemetry else Telemetry(clock=self.clock)
-        )
+        self.telemetry = Telemetry(clock=self.clock)
         self.partition_ms = float(partition_ms)
         self.registry = MetricRegistry(
             clock=self.clock,
@@ -262,10 +248,9 @@ class TrafficHarness:
     def release(self) -> float:
         """Reopen the gate and drain the backlog; returns clock ms spent.
 
-        Under the manual clock the return value is deterministically
-        ``0.0`` (the barrier is thread-joining, not time-passing);
-        under wall telemetry the caller can time recovery around this
-        call instead.
+        The barrier is thread-joining, not time-passing, so the return
+        value is ``0.0`` unless a client retry backoff advanced the
+        clock on the way.
         """
         before = self.clock.now_ms()
         self.server.resume_ingest()
@@ -298,17 +283,6 @@ class TrafficHarness:
         """Current value of one telemetry counter (0 if never touched)."""
         snapshot = self.telemetry.snapshot()
         return int(snapshot["counters"].get(name, 0))
-
-    def span_p99_us(self, name: str) -> float:
-        """p99 of one span histogram, in µs (0.0 when empty/absent).
-
-        Span names arrive without the ``span.`` prefix (pass
-        ``server.op.ingest``).  Deterministically ``0.0`` under the
-        shared manual telemetry clock; real under ``wall_telemetry``.
-        """
-        snapshot = self.telemetry.snapshot()
-        entry = snapshot["histograms"].get(f"span.{name}", {})
-        return float(entry.get("p99", 0.0))
 
     def server_stat(self, field: str) -> int:
         """One field of the server's ``stats`` op, over the wire."""

@@ -37,11 +37,9 @@ Catalog (one scenario per production failure shape):
                      replays per config must be byte-identical.
 ===================  ==================================================
 
-Every scenario takes ``(seed, fast, wall_telemetry)`` and returns the
-report object of :func:`repro.workload.slo.scenario_report`; *fast*
-shrinks tick counts for CI smoke, *wall_telemetry* switches span
-timing to the monotonic clock for the benchmark (scenario time itself
-stays manual — scenarios never sleep).
+Every scenario takes ``(seed, fast)`` and returns the report object of
+:func:`repro.workload.slo.scenario_report`; *fast* shrinks tick counts
+for CI smoke.  Scenario time is manual — scenarios never sleep.
 """
 
 from __future__ import annotations
@@ -64,36 +62,12 @@ from repro.data.traffic import (
 from repro.errors import InvalidValueError
 from repro.service import protocol
 from repro.workload.harness import TrafficHarness
-from repro.workload.slo import SLOCheck, check, publish, scenario_report
+from repro.workload.slo import check, publish, scenario_report
 from repro.workload.whatif import (
     WhatIfConfig,
     record_workload,
     replay_whatif,
 )
-
-#: Generous per-op latency SLO (µs) shared by all scenarios: trivially
-#: met under manual telemetry (durations are exactly 0), and a real
-#: bound on the benchmark's wall-telemetry runs.
-P99_SPAN_SLO_US = 1_000_000.0
-
-
-def _latency_slos(harness: TrafficHarness) -> list[SLOCheck]:
-    """The p99 ingest/query span SLOs every scenario asserts."""
-    return [
-        check(
-            "p99_ingest_us",
-            harness.span_p99_us("server.op.ingest"),
-            "le",
-            P99_SPAN_SLO_US,
-        ),
-        check(
-            "p99_query_us",
-            harness.span_p99_us("server.op.quantile"),
-            "le",
-            P99_SPAN_SLO_US,
-        ),
-    ]
-
 
 # ----------------------------------------------------------------------
 # diurnal
@@ -103,7 +77,6 @@ def _latency_slos(harness: TrafficHarness) -> list[SLOCheck]:
 def scenario_diurnal(
     seed: int = DEFAULT_SEED,
     fast: bool = False,
-    wall_telemetry: bool = False,
 ) -> dict[str, Any]:
     """A compressed day: load and latency follow the diurnal curve.
 
@@ -122,9 +95,7 @@ def scenario_diurnal(
     tenants = ZipfTenants(n_tenants=4)
     values = LatencyValues()
     batch = 20
-    with TrafficHarness(
-        seed=seed, queue_size=512, wall_telemetry=wall_telemetry
-    ) as harness:
+    with TrafficHarness(seed=seed, queue_size=512) as harness:
         client = harness.client
         assert client is not None
         tick_ms = harness.partition_ms
@@ -194,7 +165,6 @@ def scenario_diurnal(
                 "eq",
                 harness.accepted_values,
             ),
-            *_latency_slos(harness),
         ]
         publish(harness.telemetry, "diurnal", checks)
         traffic = harness.traffic()
@@ -211,7 +181,6 @@ def scenario_diurnal(
 def scenario_hot_tenant(
     seed: int = DEFAULT_SEED,
     fast: bool = False,
-    wall_telemetry: bool = False,
 ) -> dict[str, Any]:
     """The noisy neighbor: the Zipf-hottest tenant is also degraded.
 
@@ -226,9 +195,7 @@ def scenario_hot_tenant(
     ticks = 4 if fast else 8
     batches_per_tick = 12
     batch = 20
-    with TrafficHarness(
-        seed=seed, queue_size=512, wall_telemetry=wall_telemetry
-    ) as harness:
+    with TrafficHarness(seed=seed, queue_size=512) as harness:
         client = harness.client
         assert client is not None
         client.cq_register(
@@ -276,7 +243,6 @@ def scenario_hot_tenant(
                 "eq",
                 harness.accepted_values,
             ),
-            *_latency_slos(harness),
         ]
         metrics = {
             "per_tenant_batches": per_tenant,
@@ -297,7 +263,6 @@ def scenario_hot_tenant(
 def scenario_flash_crowd(
     seed: int = DEFAULT_SEED,
     fast: bool = False,
-    wall_telemetry: bool = False,
 ) -> dict[str, Any]:
     """A spike sized above queue capacity; shed counts must be exact.
 
@@ -325,10 +290,7 @@ def scenario_flash_crowd(
     values = LatencyValues()
     batch = 10
     with TrafficHarness(
-        seed=seed,
-        queue_size=queue_size,
-        workers=workers,
-        wall_telemetry=wall_telemetry,
+        seed=seed, queue_size=queue_size, workers=workers
     ) as harness:
         client = harness.client
         assert client is not None
@@ -384,7 +346,6 @@ def scenario_flash_crowd(
                 "eq",
                 harness.accepted_values,
             ),
-            *_latency_slos(harness),
         ]
         publish(harness.telemetry, "flash_crowd", checks)
         traffic = harness.traffic()
@@ -401,7 +362,6 @@ def scenario_flash_crowd(
 def scenario_reconnect_storm(
     seed: int = DEFAULT_SEED,
     fast: bool = False,
-    wall_telemetry: bool = False,
 ) -> dict[str, Any]:
     """Server restart under live clients: fail over, reconnect, resume.
 
@@ -417,9 +377,7 @@ def scenario_reconnect_storm(
     retries = 2
     batch = 20
     values = LatencyValues()
-    with TrafficHarness(
-        seed=seed, queue_size=128, wall_telemetry=wall_telemetry
-    ) as harness:
+    with TrafficHarness(seed=seed, queue_size=128) as harness:
         clients = [harness.client] + [
             harness.new_client(retries=retries)
             for _ in range(n_clients - 1)
@@ -494,7 +452,6 @@ def scenario_reconnect_storm(
                 "eq",
                 1,
             ),
-            *_latency_slos(harness),
         ]
         metrics = {
             "n_clients": n_clients,
@@ -517,7 +474,6 @@ def scenario_reconnect_storm(
 def scenario_slow_consumer(
     seed: int = DEFAULT_SEED,
     fast: bool = False,
-    wall_telemetry: bool = False,
 ) -> dict[str, Any]:
     """A stalled drain plus a lagging reader; queries must not block.
 
@@ -537,10 +493,7 @@ def scenario_slow_consumer(
     baseline_batches = 4
     values = LatencyValues()
     with TrafficHarness(
-        seed=seed,
-        queue_size=queue_size,
-        workers=1,
-        wall_telemetry=wall_telemetry,
+        seed=seed, queue_size=queue_size, workers=1
     ) as harness:
         client = harness.client
         assert client is not None
@@ -593,7 +546,6 @@ def scenario_slow_consumer(
                 "eq",
                 baseline_count + (backlog + 1) * batch,
             ),
-            *_latency_slos(harness),
         ]
         metrics = {
             "baseline_count": baseline_count,
@@ -616,7 +568,6 @@ def scenario_slow_consumer(
 def scenario_proxy(
     seed: int = DEFAULT_SEED,
     fast: bool = False,
-    wall_telemetry: bool = False,
 ) -> dict[str, Any]:
     """The same traffic shapes through the replicated cluster path.
 
@@ -638,9 +589,7 @@ def scenario_proxy(
     values = LatencyValues()
     rng = np.random.default_rng(seed)
     clock = ManualClock(1_000_000.0)
-    telemetry = (
-        Telemetry() if wall_telemetry else Telemetry(clock=clock)
-    )
+    telemetry = Telemetry(clock=clock)
     offered = {name: 0 for name in tenants.names}
     accepted = 0
     cluster = LocalCluster(
@@ -710,7 +659,6 @@ def scenario_proxy(
 def scenario_whatif(
     seed: int = DEFAULT_SEED,
     fast: bool = False,
-    wall_telemetry: bool = False,
 ) -> dict[str, Any]:
     """Record once, replay through altered sketch configs, twice.
 
@@ -784,9 +732,7 @@ def scenario_whatif(
 # Registry
 # ----------------------------------------------------------------------
 
-SCENARIOS: dict[
-    str, Callable[[int, bool, bool], dict[str, Any]]
-] = {
+SCENARIOS: dict[str, Callable[[int, bool], dict[str, Any]]] = {
     "diurnal": scenario_diurnal,
     "hot_tenant": scenario_hot_tenant,
     "flash_crowd": scenario_flash_crowd,
@@ -801,7 +747,6 @@ def run_scenario(
     name: str,
     seed: int = DEFAULT_SEED,
     fast: bool = False,
-    wall_telemetry: bool = False,
 ) -> dict[str, Any]:
     """Run one catalog scenario by name and return its report."""
     scenario = SCENARIOS.get(name)
@@ -810,4 +755,4 @@ def run_scenario(
             f"unknown scenario {name!r}; expected one of "
             f"{sorted(SCENARIOS)}"
         )
-    return scenario(seed, fast, wall_telemetry)
+    return scenario(seed, fast)

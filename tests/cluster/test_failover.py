@@ -80,6 +80,42 @@ class TestFailover:
             assert cluster.leader_of("m") == old_leader
 
 
+def clock_ms_until(cluster, predicate):
+    """Tick at 250 ms until *predicate* holds; manual-clock ms spent."""
+    start = cluster.clock.now_ms()
+    while not predicate():
+        assert cluster.clock.now_ms() - start < 10_000.0, "never held"
+        cluster.tick(advance_ms=250.0)
+    return cluster.clock.now_ms() - start
+
+
+class TestFailoverClock:
+    """Failover cost in manual-clock time: noise-free, so pinned."""
+
+    def test_detection_and_catchup_stay_within_their_tick_budgets(self):
+        values = [float(v) for v in range(2_000)]
+        with LocalCluster(n_nodes=3) as cluster:
+            with cluster.client() as client:
+                acked = client.ingest("m", values)
+            cluster.run_for(2_000.0)
+            leader = cluster.leader_of("m")
+            cluster.crash(leader)
+            detection_ms = clock_ms_until(
+                cluster,
+                lambda: not cluster.supervisor.view.is_alive(leader)
+                and cluster.leader_of("m") != leader,
+            )
+            with cluster.client() as client:
+                acked += client.ingest("m", values)
+            cluster.restart(leader)
+            catchup_ms = clock_ms_until(cluster, cluster.converged)
+            assert detection_ms <= 1_250.0
+            assert catchup_ms <= 500.0
+            for node_id in cluster.running_nodes():
+                with direct_client(cluster, node_id) as direct:
+                    assert direct.count("m") == acked == 4_000
+
+
 class TestStalenessBound:
     def test_fresh_follower_serves_preferred_reads(self):
         with LocalCluster(n_nodes=3, prefer_followers=True) as cluster:

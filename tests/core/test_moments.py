@@ -1,5 +1,7 @@
 """Unit tests for the Moments Sketch."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -246,3 +248,58 @@ class TestNumericalStability:
         empty.merge(full)
         assert empty._origin == full._origin
         assert empty.quantile(0.5) == full.quantile(0.5)
+
+
+def _recenter_loop(sums, shift):
+    """The scalar double loop `_recenter_sums` replaced, kept
+    as the bit-identity reference."""
+    out = np.zeros_like(sums)
+    for i in range(sums.size):
+        total = 0.0
+        for j in range(i + 1):
+            total += math.comb(i, j) * shift ** (i - j) * sums[j]
+        out[i] = total
+    return out
+
+
+def _scale_loop(power_sums, lo, hi, origin):
+    """`_scale_sums` as it was before it shared `_recenter_sums`."""
+    n = power_sums[0]
+    s = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    scaled = _recenter_loop(power_sums, origin - s)
+    scaled[0] = 1.0
+    for i in range(1, scaled.size):
+        scaled[i] = scaled[i] / (n * h ** i)
+    return scaled
+
+
+class TestRecentreBitIdentity:
+    def test_recenter_matches_scalar_loop_byte_for_byte(self):
+        rng = np.random.default_rng(20230328)
+        for _ in range(2_000):
+            k = int(rng.integers(2, 16))
+            sums = rng.normal(0.0, 10.0 ** rng.integers(-3, 9), k + 1)
+            sums[0] = float(rng.integers(1, 10**6))
+            shift = float(rng.normal(0.0, 10.0 ** rng.integers(-6, 4)))
+            new = MomentsSketch._recenter_sums(sums, shift)
+            assert new.tobytes() == _recenter_loop(sums, shift).tobytes()
+
+    def test_recenter_edge_shifts(self):
+        sums = np.array([-0.0, 3.0, -0.0, 1e-300, 5e300])
+        for shift in (0.0, -0.0, 1.0, -1.0, 1e-200, -1e-200, 1e60):
+            new = MomentsSketch._recenter_sums(sums, shift)
+            assert new.tobytes() == _recenter_loop(sums, shift).tobytes()
+
+    def test_scale_sums_matches_scalar_loop_byte_for_byte(self, rng):
+        for k in (2, 7, 12, 15):
+            sketch = MomentsSketch(num_moments=k)
+            sketch.update_batch(rng.lognormal(1.0, 1.0, 5_000))
+            args = (
+                sketch._power_sums, sketch._t_min, sketch._t_max,
+                sketch._origin,
+            )
+            assert (
+                MomentsSketch._scale_sums(*args).tobytes()
+                == _scale_loop(*args).tobytes()
+            )

@@ -11,7 +11,7 @@ class TestCLI:
             "table3", "fig4", "fig5a", "fig5b", "fig5c",
             "fig6a", "fig6b", "fig6c", "fig6d",
             "fig7", "fig8", "late", "window", "table4", "related",
-            "sweep", "parallel", "service",
+            "sweep",
         }
         assert set(EXPERIMENTS) == expected
 

@@ -1,0 +1,106 @@
+"""Telemetry on the ingest path is per batch, never per value.
+
+A counting :class:`Telemetry` double is handed to the registry, the
+durability manager and the server; one ``ingest`` is dispatched and
+drained through the real server, and the double must see exactly the
+same instrument traffic for a 10-value batch as for a 10,000-value one.
+Counts, not clocks: the assertion is noise-free.
+"""
+
+import collections
+import threading
+
+import pytest
+
+from repro.durability import DurabilityManager
+from repro.obs.telemetry import Telemetry
+from repro.service import ManualClock, MetricRegistry, QuantileServer
+
+
+class _Tallied:
+    """Instrument proxy: each method looked up on it is one tally."""
+
+    def __init__(self, inner, tally, kind, name):
+        self._inner = inner
+        self._tally = tally
+        self._kind = kind
+        self._name = name
+
+    def __getattr__(self, attr):
+        self._tally(f"{self._kind}.{attr}", self._name)
+        return getattr(self._inner, attr)
+
+
+class CountingTelemetry(Telemetry):
+    """Tallies every instrument lookup and every instrument update."""
+
+    def __init__(self):
+        self.calls = collections.Counter()
+        self._tally_lock = threading.Lock()
+        super().__init__(clock=ManualClock(0.0))
+
+    def _tally(self, kind, name):
+        with self._tally_lock:
+            self.calls[kind, name] += 1
+
+    def _tallied(self, kind, name, inner):
+        self._tally(kind, name)
+        return _Tallied(inner, self._tally, kind, name)
+
+    def span(self, name):
+        self._tally("span", name)
+        return super().span(name)
+
+    def counter(self, name):
+        return self._tallied("counter", name, super().counter(name))
+
+    def gauge(self, name):
+        return self._tallied("gauge", name, super().gauge(name))
+
+    def histogram(self, name):
+        return self._tallied("histogram", name, super().histogram(name))
+
+
+def ingest_calls(n_values, data_dir=None):
+    """Instrument tallies of one *n_values* ingest, start to stop."""
+    telemetry = CountingTelemetry()
+    clock = ManualClock(0.0)
+    durability = None
+    if data_dir is not None:
+        durability = DurabilityManager(
+            data_dir,
+            clock=clock,
+            checkpoint_interval_ms=0.0,
+            telemetry=telemetry,
+        )
+    registry = MetricRegistry(clock=clock, telemetry=telemetry)
+    server = QuantileServer(
+        registry, telemetry=telemetry, durability=durability
+    )
+    with server:
+        response = server.dispatch(
+            {
+                "op": "ingest",
+                "metric": "lat",
+                "values": [float(v) for v in range(1, n_values + 1)],
+            }
+        )
+        assert response["ok"] and response["accepted"] == n_values
+        server.flush()
+    # Read after stop(): the drain thread sets its queue-depth gauge
+    # after task_done(), so only a joined worker has a final tally.
+    assert registry.get("lat").count() == n_values
+    return dict(telemetry.calls)
+
+
+@pytest.mark.parametrize(
+    "durable", [False, True], ids=["durability-off", "durability-on"]
+)
+def test_instrument_calls_do_not_scale_with_batch_size(durable, tmp_path):
+    small = ingest_calls(10, tmp_path / "small" if durable else None)
+    large = ingest_calls(10_000, tmp_path / "large" if durable else None)
+    assert small == large
+    assert small["span", "server.op.ingest"] == 1
+    assert small["span", "server.drain_batch"] == 1
+    assert small["histogram.record_us", "span.server.drain_batch"] == 1
+    assert small.get(("span", "wal.append"), 0) == int(durable)

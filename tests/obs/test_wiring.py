@@ -3,8 +3,8 @@
 Each test drives a real code path (live TCP server, retrying client,
 parallel ingestor, streaming engine) with a shared
 :class:`~repro.obs.telemetry.Telemetry` and asserts the documented
-instruments actually fill — the contract the snapshot exporters and the
-service benchmark's telemetry field depend on.
+instruments actually fill — the contract the snapshot exporters depend
+on.
 """
 
 import numpy as np

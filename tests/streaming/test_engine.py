@@ -1,5 +1,7 @@
 """Unit tests for the streaming engine."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,28 @@ class TestLateEvents:
             )
         )
         assert tolerant.dropped_late == 0
+
+    def test_one_strategy_object_serves_many_runs(self):
+        # 10 s of events, one per ms, each delayed up to 40 ms: with a
+        # 20 ms bound some are late.  A second run that inherited the
+        # first run's final watermark would drop the first 5 s outright.
+        rng = np.random.default_rng(7)
+        times = np.arange(10_000, dtype=np.float64)
+        batch = make_batch(
+            values=times,
+            event_times=times,
+            arrival_times=times + rng.uniform(0.0, 40.0, times.size),
+        )
+        strategy = BoundedOutOfOrdernessWatermarks(20.0)
+        stream = StreamEnvironment().from_batch(batch).window(
+            TumblingEventTimeWindows(5_000.0)
+        )
+        first = stream.aggregate(CountAggregator(), strategy)
+        second = stream.aggregate(CountAggregator(), strategy)
+        assert 0 < first.dropped_late < 1_000
+        assert len(first.results) == 2
+        assert second == first
+        assert strategy.current_watermark == -math.inf
 
     def test_loss_fraction(self):
         batch = make_batch(

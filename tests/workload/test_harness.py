@@ -98,13 +98,8 @@ class TestClients:
             harness.ingest("lat", [1.0] * 10)
             harness.advance(1_000.0)
             harness.client.quantile("lat", 0.5)
-            assert harness.span_p99_us("server.op.ingest") == 0.0
-            assert harness.span_p99_us("server.op.quantile") == 0.0
-
-    def test_wall_telemetry_times_spans_for_real(self):
-        with TrafficHarness(wall_telemetry=True) as harness:
-            harness.ingest("lat", [1.0] * 10)
-            harness.advance(1_000.0)
-            snapshot = harness.telemetry.snapshot()
-            span = snapshot["histograms"]["span.server.op.ingest"]
-            assert span["count"] >= 1
+            histograms = harness.telemetry.snapshot()["histograms"]
+            for op in ("ingest", "quantile"):
+                span = histograms[f"span.server.op.{op}"]
+                assert span["count"] >= 1
+                assert span["p99"] == 0.0
