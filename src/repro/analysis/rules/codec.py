@@ -5,8 +5,9 @@ Every binary format goes through :mod:`repro.core.codec`, whose
 reaching for ``struct`` or ``np.frombuffer`` itself is a hand-rolled
 parser outside that contract (the repo once had four, none of which
 rejected a negative length).  ``COD001`` flags both everywhere except
-the codec and :mod:`repro.service.protocol`, whose big-endian length
-prefix frames a socket stream, not a buffer.
+the codec.  :mod:`repro.service.protocol` may use ``struct`` — its
+big-endian length prefix frames a socket stream, not a buffer — but not
+``frombuffer``: a frame's float64 tail is a buffer like any other.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Iterator
 
 from repro.analysis.walker import Finding, ModuleInfo, Project, Rule
 
-_EXEMPT_MODULES = frozenset({"repro.core.codec", "repro.service.protocol"})
+_CODEC = "repro.core.codec"
+_STREAM_FRAMING = "repro.service.protocol"
 
 
 def _parser_primitive(node: ast.AST) -> str | None:
@@ -39,22 +41,24 @@ class HandRolledParserRule(Rule):
     name = "hand-rolled-byte-parser"
     description = (
         "struct and np.frombuffer are confined to repro.core.codec "
-        "(and repro.service.protocol's stream framing); every other "
-        "module reads and writes bytes through codec.Reader/Writer"
+        "(struct also to repro.service.protocol's stream framing); every "
+        "other module reads and writes bytes through codec.Reader/Writer"
     )
     scopes = ("repro",)
 
     def check(
         self, module: ModuleInfo, project: Project
     ) -> Iterator[Finding]:
-        if module.module in _EXEMPT_MODULES:
+        if module.module == _CODEC:
             return
+        framing = module.module == _STREAM_FRAMING
         for node in ast.walk(module.tree):
             primitive = _parser_primitive(node)
-            if primitive is not None:
-                yield self.finding(
-                    module, node,
-                    f"{primitive} outside repro.core.codec — use "
-                    "codec.Reader/Writer, which bounds-check every "
-                    "length and count",
-                )
+            if primitive is None or (framing and primitive != "frombuffer"):
+                continue
+            yield self.finding(
+                module, node,
+                f"{primitive} outside repro.core.codec — use "
+                "codec.Reader/Writer, which bounds-check every "
+                "length and count",
+            )

@@ -75,9 +75,7 @@ def _demo(args: argparse.Namespace, out: Any) -> int:
               file=out)
         with cluster.client() as client:
             for batch in range(5):
-                client.ingest(
-                    "demo.latency", [float(v) for v in range(100)],
-                )
+                client.ingest("demo.latency", range(100))
                 cluster.tick(advance_ms=100.0)
             p50 = client.quantile("demo.latency", 0.5)
             print(f"ingested 500 values; p50 = {p50:.1f}", file=out)

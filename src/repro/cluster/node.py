@@ -55,12 +55,11 @@ from typing import Any, Callable, Mapping
 from repro.cluster.membership import EMPTY_VIEW, MembershipView
 from repro.cluster.ring import HashRing
 from repro.core.base import QuantileSketch
-from repro.durability import DurabilityManager
+from repro.durability import DurabilityManager, decode_record
 from repro.errors import EmptySketchError, InvalidValueError, ReproError
 from repro.obs.telemetry import Telemetry
 from repro.service import protocol
 from repro.service.clock import Clock, SystemClock
-from repro.service.protocol import decode_message
 from repro.service.registry import MetricKey, MetricRegistry
 from repro.service.server import QuantileServer
 
@@ -366,7 +365,10 @@ class ClusterNode(QuantileServer):
         )
         out: list[list[Any]] = []
         for seq, payload in records:
-            record = decode_message(payload)
+            record = decode_record(payload, seq)
+            # Many records nest in one JSON response: this is the one
+            # boundary where a batch goes back to a list.
+            record["values"] = record["values"].tolist()
             if peer is not None and self.replication_factor is not None:
                 key = str(
                     MetricKey.of(record["metric"], record["tags"])

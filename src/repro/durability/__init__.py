@@ -28,6 +28,8 @@ from repro.durability.faults import (
 from repro.durability.manager import (
     DurabilityManager,
     RecoveryReport,
+    decode_record,
+    encode_record,
     read_wal_records,
 )
 from repro.durability.wal import (
@@ -52,7 +54,9 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "decode_checkpoint",
+    "decode_record",
     "encode_checkpoint",
+    "encode_record",
     "fsync_dir",
     "list_checkpoints",
     "list_segments",

@@ -26,26 +26,89 @@ checkpoint watermark equalling the state actually captured — is only
 guaranteed when appends pause and the ingest queue drains around the
 snapshot, which is the server's job.
 
-WAL records are encoded with the wire protocol's canonical-JSON codec
-(:mod:`repro.service.protocol`): sorted keys, explicit sentinels for
-non-finite floats.  A journaled batch containing ``inf`` (legal in
-sketches) or ``nan`` (rejected at apply time, identically on replay)
-round-trips exactly.
+A WAL record payload is a wire-protocol message body
+(:mod:`repro.service.protocol`): a canonical-JSON header — ``metric``,
+``tags``, ``ts``, ``now`` — and the batch as the raw float64 tail the
+ingest frame delivered, written by :func:`encode_record` and read only
+by :func:`decode_record`.  A journaled ``inf`` or ``nan`` (rejected at
+apply time, identically on replay) round-trips bit for bit; payloads
+older than the tail (one all-JSON body) decode to the same record.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
+import numpy as np
+
+from repro.core.codec import Reader
 from repro.durability.checkpoint import Checkpointer
 from repro.durability.wal import FlushPolicy, WriteAheadLog
-from repro.errors import DurabilityError, ReproError
+from repro.errors import DurabilityError, ReproError, WALError
 from repro.obs.telemetry import NOOP, Telemetry
 from repro.service.clock import Clock, SystemClock
-from repro.service.protocol import decode_message, encode_message
+from repro.service.protocol import (
+    decode_message,
+    encode_message,
+    float_values,
+)
 from repro.service.registry import MetricRegistry
+
+
+def encode_record(
+    metric: str,
+    tags: Mapping[str, str] | None,
+    values: np.ndarray,
+    ts: float,
+    now: float,
+) -> bytes:
+    """One ingest op as a WAL record payload."""
+    return encode_message(
+        {
+            "metric": metric,
+            "tags": dict(tags) if tags else None,
+            "values": values,
+            "ts": ts,
+            "now": now,
+        }
+    )
+
+
+def decode_record(payload: bytes, seq: int) -> dict[str, Any]:
+    """The record :func:`encode_record` wrote as sequence *seq*:
+    ``metric``/``tags``/``values`` (a float64 array)/``ts``/``now``.
+
+    A payload that is not a well-formed record raises
+    :class:`~repro.errors.WALError` naming *seq*.  Its CRC was valid
+    and the record was acked, so the caller refuses rather than skips.
+    """
+    with Reader(payload, WALError, f"WAL record {seq}") as reader:
+        record = decode_message(payload)
+        metric, tags = record["metric"], record["tags"]
+        if not (isinstance(metric, str) and metric):
+            reader.fail(f"'metric' must be a non-empty string: {metric!r}")
+        if not (tags is None or isinstance(tags, dict)):
+            reader.fail(f"'tags' must be an object or null: {tags!r}")
+        return {
+            "metric": metric,
+            "tags": tags,
+            "values": float_values(record["values"]),
+            "ts": _number(record["ts"]),
+            "now": _number(record["now"]),
+        }
+
+
+def _number(value: Any) -> float:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise TypeError(f"expected a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -159,10 +222,10 @@ class DurabilityManager:
         replayed = 0
         rejected = 0
         with self.telemetry.span("recovery.replay"):
-            for _seq, payload in self.wal.replay(
+            for seq, payload in self.wal.replay(
                 after_seq=checkpoint_seq
             ):
-                record = decode_message(payload)
+                record = decode_record(payload, seq)
                 try:
                     registry.record(
                         record["metric"],
@@ -203,7 +266,7 @@ class DurabilityManager:
         self,
         metric: str,
         tags: Mapping[str, str] | None,
-        values: list[float],
+        values: np.ndarray,
         timestamp_ms: float | None,
     ) -> tuple[int, float, float]:
         """Append one ingest op to the WAL; returns ``(seq, ts, now)``.
@@ -215,16 +278,7 @@ class DurabilityManager:
         """
         now = self._clock.now_ms()
         ts = now if timestamp_ms is None else float(timestamp_ms)
-        payload = encode_message(
-            {
-                "metric": metric,
-                "tags": dict(tags) if tags else None,
-                "values": values,
-                "ts": ts,
-                "now": now,
-            }
-        )
-        seq = self.wal.append(payload)
+        seq = self.wal.append(encode_record(metric, tags, values, ts, now))
         self._records_journaled += 1
         return seq, ts, now
 
@@ -299,11 +353,6 @@ class DurabilityManager:
         self.close()
 
 
-def record_payload(payload: bytes) -> dict[str, Any]:
-    """Decode one WAL record payload (test/debug helper)."""
-    return decode_message(payload)
-
-
 def read_wal_records(
     data_dir: str | Path, after_seq: int = 0
 ) -> "Iterator[tuple[int, dict[str, Any]]]":
@@ -321,4 +370,4 @@ def read_wal_records(
     """
     wal = WriteAheadLog(Path(data_dir))
     for seq, payload in wal.replay(after_seq=after_seq):
-        yield seq, decode_message(payload)
+        yield seq, decode_record(payload, seq)

@@ -236,15 +236,18 @@ class QuantileClient:
     def ingest(
         self,
         metric: str,
-        values: Iterable[float],
+        values: Iterable[float] | np.ndarray,
         timestamp_ms: float | None = None,
         tags: Mapping[str, str] | None = None,
     ) -> int:
-        """Enqueue a batch server-side; returns the accepted count."""
+        """Enqueue a batch server-side (one float64 array in the
+        frame's tail); returns the accepted count."""
+        if not isinstance(values, (list, tuple, np.ndarray)):
+            values = list(values)
         request: dict[str, Any] = {
             "op": "ingest",
             "metric": metric,
-            "values": [float(value) for value in values],
+            "values": protocol.float_values(values),
         }
         if timestamp_ms is not None:
             request["timestamp_ms"] = float(timestamp_ms)

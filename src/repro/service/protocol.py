@@ -1,11 +1,27 @@
 """Length-prefixed JSON wire protocol for the quantile service.
 
-Frames are ``u32 big-endian length | UTF-8 JSON body``.  JSON keeps the
-protocol inspectable (``nc`` + a hex dump is a working debugger) while
-the length prefix gives exact message boundaries over TCP.  Bodies are
-encoded *canonically* — sorted keys, no whitespace — so a response is a
-deterministic function of its payload; the end-to-end determinism test
-relies on two identical server runs emitting byte-identical frames.
+Frames are ``u32 big-endian length | body``.  A body is UTF-8 JSON:
+that keeps the protocol inspectable (``nc`` + a hex dump is a working
+debugger) while the length prefix gives exact message boundaries over
+TCP.  Bodies are encoded *canonically* — sorted keys, no whitespace —
+so a response is a deterministic function of its payload; the
+end-to-end determinism test relies on two identical server runs
+emitting byte-identical frames.
+
+Values tail
+-----------
+A message whose top-level ``"values"`` is a sequence of numbers — an
+ingest request, a WAL record — does not spell each float as text.  Its
+body is ``0xF6 | u32 header length | JSON header | i64 count | count
+little-endian float64``: the same canonical JSON object minus
+``"values"``, then the bytes the sketch will read.  ``0xF6`` can begin
+no UTF-8 text, so the first byte decides the shape and every other
+message keeps its all-JSON body.  The tail is read through
+:class:`repro.core.codec.Reader` (count checked against the remaining
+bytes before anything is allocated) into a 1-D ``float64`` array the
+caller owns.  An all-JSON body carrying a ``"values"`` list still
+decodes (hand-typed frames, WAL directories older than the tail);
+nothing emits one.
 
 Requests are objects with an ``"op"`` field; responses always carry
 ``"ok"``.  Failures are data, not connection state: the server answers
@@ -31,12 +47,23 @@ from __future__ import annotations
 import json
 import math
 import struct
+from array import array
 from typing import Any, BinaryIO
 
+import numpy as np
+
+from repro.core.codec import Reader, Writer
 from repro.errors import ProtocolError
 
 #: Reserved key marking a non-finite float sentinel object.
 FLOAT_SENTINEL_KEY = "$float"
+
+_SENTINEL_TEXT = f'"{FLOAT_SENTINEL_KEY}"'
+_SENTINEL_BYTES = FLOAT_SENTINEL_KEY.encode()
+#: Canonical form: sorted keys, no whitespace, no bare Infinity/NaN.
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+)
 
 _FLOAT_ENCODE = {math.inf: "inf", -math.inf: "-inf"}
 _FLOAT_DECODE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
@@ -83,25 +110,72 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
 
+#: First byte of a body with a values tail; never the first byte of
+#: UTF-8 text, so never of an all-JSON body.
+_TAIL_MARKER = b"\xf6"
+
 #: Error code the server uses when shedding ingest load.
 OVERLOADED = "overloaded"
 
 
-def encode_message(payload: dict[str, Any]) -> bytes:
-    """Canonical JSON bytes for *payload* (sorted keys, no whitespace).
+def float_values(values: Any) -> np.ndarray:
+    """*values* as a 1-D float64 array the caller owns.
 
-    Non-finite floats are transported as sentinel objects (see the
-    module docstring); ``allow_nan=False`` guarantees no bare
-    ``Infinity``/``NaN`` token can ever reach the wire.
+    The one "flat and numeric" check behind the encoder, the server's
+    ingest validation and the WAL record decoder.  A list goes through
+    ``array("d")``: ``float()`` per item in C, minus its string
+    parsing, so strings, ``None`` and nested lists are refused rather
+    than coerced.  NaN and ±inf pass — rejecting them is the sketch's
+    decision, made at apply.
     """
     try:
-        body = json.dumps(
-            _sanitize(payload), sort_keys=True, separators=(",", ":"),
-            allow_nan=False,
-        )
+        if isinstance(values, np.ndarray):
+            if values.ndim != 1 or values.dtype.kind not in "fiub":
+                raise TypeError(f"{values.ndim}-D {values.dtype} array")
+            return values.astype(np.float64)
+        if not isinstance(values, (list, tuple)):
+            raise TypeError(f"{type(values).__name__} is not a sequence")
+        return np.asarray(array("d", values))
+    except (TypeError, OverflowError) as exc:
+        raise ProtocolError(
+            f"'values' must be a flat sequence of numbers: {exc}"
+        ) from exc
+
+
+def _encode_json(payload: dict[str, Any]) -> bytes:
+    """Canonical JSON of *payload*; only one holding a non-finite float
+    or the reserved key's text pays for the :func:`_sanitize` walk."""
+    try:
+        try:
+            body = _ENCODER.encode(payload)
+        except ValueError:  # a non-finite float: spell it as a sentinel
+            body = _ENCODER.encode(_sanitize(payload))
+        else:
+            if _SENTINEL_TEXT in body:  # refuse the reserved key
+                _sanitize(payload)
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"payload is not JSON-encodable: {exc}") from exc
     return body.encode("utf-8")
+
+
+def encode_message(payload: dict[str, Any]) -> bytes:
+    """Body bytes for *payload*: canonical JSON (sorted keys, no
+    whitespace), with a top-level ``"values"`` sequence moved into the
+    float64 tail (see the module docstring).
+
+    Non-finite floats in the JSON are transported as sentinel objects;
+    ``allow_nan=False`` guarantees no bare ``Infinity``/``NaN`` token
+    can ever reach the wire.
+    """
+    values = payload.get("values")
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        return _encode_json(payload)
+    header = {key: item for key, item in payload.items() if key != "values"}
+    writer = Writer()
+    writer.raw(_TAIL_MARKER)
+    writer.blob(_encode_json(header))
+    writer.f64_array(float_values(values))
+    return writer.getvalue()
 
 
 def encode_frame(payload: dict[str, Any]) -> bytes:
@@ -115,22 +189,40 @@ def encode_frame(payload: dict[str, Any]) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
-def decode_message(body: bytes) -> dict[str, Any]:
-    """Parse one frame body back into a message object.
-
-    Float sentinel objects are restored to real non-finite floats, so
-    ``decode_message(encode_message(p)) == p`` for any encodable *p*.
-    """
+def _decode_json(body: bytes) -> dict[str, Any]:
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProtocolError(f"undecodable frame body: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError(
             f"frame body must be a JSON object, got "
             f"{type(payload).__name__}"
         )
-    return _restore(payload)
+    # A sentinel's key is on the wire verbatim or, at most, \u-escaped.
+    if _SENTINEL_BYTES in body or b"\\u" in body:
+        return _restore(payload)
+    return payload
+
+
+def decode_message(body: bytes) -> dict[str, Any]:
+    """Parse one frame body back into a message object.
+
+    Float sentinel objects are restored to real non-finite floats and a
+    values tail comes back as ``"values"``, a float64 array, so
+    ``decode_message(encode_message(p))`` equals *p* for any encodable
+    *p* up to that list-to-array conversion.
+    """
+    if body[:1] != _TAIL_MARKER:
+        return _decode_json(body)
+    with Reader(body, ProtocolError, "frame body") as reader:
+        reader.raw(1)
+        payload = _decode_json(reader.blob())
+        if "values" in payload:
+            reader.fail("'values' in both the header and the tail")
+        payload["values"] = reader.f64_array()
+        reader.finish()
+    return payload
 
 
 def write_frame(stream: BinaryIO, payload: dict[str, Any]) -> None:

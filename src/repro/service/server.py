@@ -60,11 +60,14 @@ layering acyclic.
 from __future__ import annotations
 
 import contextlib
+import math
 import queue
 import socket
 import socketserver
 import threading
 from typing import TYPE_CHECKING, Any, Callable, Mapping
+
+import numpy as np
 
 from repro.errors import (
     DurabilityError,
@@ -82,6 +85,12 @@ from repro.service.registry import MetricRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; no runtime cycle
     from repro.durability import DurabilityManager
+
+#: One queued ingest, ``(metric, tags, values, timestamp_ms, now_ms)``: the
+#: last two pin what durability journaled, so replay repeats the drain path.
+_IngestOp = tuple[
+    str, dict[str, str] | None, np.ndarray, float | None, float | None
+]
 
 
 class ServerStats:
@@ -351,10 +360,7 @@ class QuantileServer:
         self._port = port
         self._node_id = node_id
         self._front = TCPFrontEnd(self, host, port)
-        # Queue items pin both the resolved event timestamp and (when
-        # durability journaled the batch) the clock reading to apply it
-        # under, so replay reproduces the drain path exactly.
-        self._queue: "queue.Queue[tuple[str, dict[str, str] | None, list[float], float | None, float | None] | None]" = queue.Queue(
+        self._queue: "queue.Queue[_IngestOp | None]" = queue.Queue(
             maxsize=ingest_queue_size
         )
         self._ingest_workers = ingest_workers
@@ -584,12 +590,7 @@ class QuantileServer:
             if got_sentinel:
                 return
 
-    def _apply_ops(
-        self,
-        batch: list[
-            tuple[str, dict[str, str] | None, list[float], float | None, float | None]
-        ],
-    ) -> None:
+    def _apply_ops(self, batch: list[_IngestOp]) -> None:
         """Apply drained ops, merging adjacent same-key runs.
 
         Only *consecutive* ops with identical ``(metric, tags,
@@ -603,7 +604,6 @@ class QuantileServer:
         while start < total:
             name, tags, values, timestamp_ms, now_ms = batch[start]
             end = start + 1
-            merged = values
             while end < total:
                 other = batch[end]
                 if (
@@ -613,11 +613,10 @@ class QuantileServer:
                     or other[4] != now_ms
                 ):
                     break
-                if merged is values:
-                    merged = list(values)
-                merged.extend(other[2])
                 end += 1
+            merged = values
             if end - start > 1:
+                merged = np.concatenate([op[2] for op in batch[start:end]])
                 self.telemetry.counter("server.drain_coalesced_ops").inc(
                     end - start - 1
                 )
@@ -723,19 +722,20 @@ class QuantileServer:
     @staticmethod
     def _parse_ingest(
         request: dict[str, Any],
-    ) -> tuple[str, dict[str, str] | None, list[float], float | None]:
-        """Validate an ingest frame: ``(name, tags, values, timestamp_ms)``."""
+    ) -> tuple[str, dict[str, str] | None, np.ndarray, float | None]:
+        """``(name, tags, values, timestamp_ms)`` of a valid ingest frame;
+        *values* comes back as a float64 array nobody else holds."""
         name = _require_metric(request)
         tags = _optional_tags(request)
-        raw_values = request.get("values")
-        if not isinstance(raw_values, list) or not raw_values:
-            raise InvalidValueError(
-                "ingest needs a non-empty 'values' list"
-            )
-        values = [float(value) for value in raw_values]
+        raw = request.get("values")
+        if not isinstance(raw, (list, np.ndarray)) or len(raw) == 0:
+            raise InvalidValueError("ingest needs a non-empty 'values' list")
+        values = protocol.float_values(raw)
         timestamp_ms = request.get("timestamp_ms")
         if timestamp_ms is not None:
             timestamp_ms = float(timestamp_ms)
+            if not math.isfinite(timestamp_ms):  # no partition holds it
+                raise InvalidValueError("'timestamp_ms' must be finite")
         return name, tags, values, timestamp_ms
 
     def _op_ingest(self, request: dict[str, Any]) -> dict[str, Any]:

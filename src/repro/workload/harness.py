@@ -34,7 +34,7 @@ rules that make it hold:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -191,7 +191,7 @@ class TrafficHarness:
     def ingest(
         self,
         metric: str,
-        values: Iterable[float] | np.ndarray,
+        values: Sequence[float] | np.ndarray,
         tags: Mapping[str, str] | None = None,
         client: QuantileClient | None = None,
     ) -> bool:
@@ -202,7 +202,7 @@ class TrafficHarness:
         transport-dead server counts a failed batch and returns
         ``False`` too (reconnect-storm scenarios assert on it).
         """
-        batch = [float(value) for value in values]
+        batch = np.asarray(values, dtype=np.float64)
         sender = client if client is not None else self.client
         assert sender is not None, "harness not started"
         self.offered_batches += 1

@@ -606,8 +606,7 @@ def scenario_proxy(
                 for pick in tenants.pick(batches_per_tick, rng):
                     name = tenants.name_of(int(pick))
                     accepted += client.ingest(
-                        name,
-                        [float(v) for v in values.sample(batch, rng)],
+                        name, values.sample(batch, rng)
                     )
                     offered[name] += batch
                 cluster.run_for(1_000.0, step_ms=250.0)

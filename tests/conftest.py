@@ -61,3 +61,11 @@ def true_quantiles(values: np.ndarray, qs) -> dict[float, float]:
     return {
         q: float(s[max(math.ceil(q * s.size), 1) - 1]) for q in qs
     }
+
+
+def all_json_values(values) -> list:
+    """*values* as an all-JSON body spells them: the list the wire
+    carried before the float64 tail, non-finite floats as sentinels."""
+    import math
+
+    return [v if math.isfinite(v) else {"$float": str(v)} for v in values]

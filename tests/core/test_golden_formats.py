@@ -10,10 +10,17 @@ deterministic artifact per format:
 * ``RPQS`` v1 — a plain and a sharded store ``snapshot()`` holding fine
   and coarse partitions, and one ``export_partitions`` blob;
 * ``RPCK`` v1 — one checkpoint file written on a ``ManualClock``;
-* ``RPWL`` v1 — the WAL segment the same run journaled.
+* ``RPWL`` v1 — the WAL segment the same run journaled, twice: with
+  the record payloads ``journal`` writes (JSON header + float64 tail,
+  ``wal_segment_tail``) and with the all-JSON payloads it wrote before
+  the tail existed, built here with ``canonical_json``
+  (``wal_segment``).  That second digest is the one from before the
+  change: segment framing untouched, old logs byte for byte what the
+  decoder still reads.
 
 The digests were produced at the commit *before* the codec
-consolidation and must never change without a format-version bump.
+consolidation (``wal_segment_tail``: at the commit that introduced the
+tail) and must never change without a format-version bump.
 Regenerate (only then) with::
 
     PYTHONPATH=src python tests/core/test_golden_formats.py
@@ -31,10 +38,11 @@ from typing import Callable
 import numpy as np
 import pytest
 
+from repro.core.codec import canonical_json
 from repro.core.registry import SKETCH_CLASSES, paper_config
 from repro.core.serialization import dumps
 from repro.durability.manager import DurabilityManager
-from repro.durability.wal import list_segments
+from repro.durability.wal import WriteAheadLog, list_segments
 from repro.parallel import ShardedSketch
 from repro.service.clock import ManualClock
 from repro.service.registry import MetricRegistry
@@ -96,26 +104,37 @@ def partition_blob() -> bytes:
 
 
 def durability_files() -> dict[str, bytes]:
-    """One checkpoint file and one WAL segment from the same run."""
-    with tempfile.TemporaryDirectory() as tmp:
+    """One checkpoint file and one WAL segment from the same run, and
+    the segment the same records make as all-JSON payloads."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            tempfile.TemporaryDirectory() as json_tmp:
         clock = ManualClock(1_000_000.0)
         registry = MetricRegistry(clock=clock, hot_metrics=("rps",))
         manager = DurabilityManager(
             tmp, clock=clock, checkpoint_interval_ms=0.0
         )
         rng = np.random.default_rng(SEED)
-        with manager:
+        with manager, WriteAheadLog(json_tmp) as json_wal:
             for index in range(20):
                 name = ("lat", "rps")[index % 2]
                 tags = {"svc": "api"} if index % 4 < 2 else None
-                values = (1.0 + rng.pareto(1.0, 25)).tolist()
+                values = 1.0 + rng.pareto(1.0, 25)
                 _, ts, now = manager.journal(name, tags, values, None)
+                json_wal.append(canonical_json({
+                    "metric": name, "tags": tags,
+                    "values": values.tolist(), "ts": ts, "now": now,
+                }))
                 registry.record(name, values, ts, tags, now_ms=now)
                 clock.advance(50.0)
             # Read the segment before the checkpoint truncates it.
-            wal_segment = list_segments(Path(tmp))[0].read_bytes()
+            wal_segment_tail = list_segments(Path(tmp))[0].read_bytes()
             checkpoint = manager.checkpoint_now(registry).read_bytes()
-    return {"wal_segment": wal_segment, "checkpoint": checkpoint}
+        wal_segment = list_segments(Path(json_tmp))[0].read_bytes()
+    return {
+        "wal_segment": wal_segment,
+        "wal_segment_tail": wal_segment_tail,
+        "checkpoint": checkpoint,
+    }
 
 
 def artifacts() -> dict[str, Callable[[], bytes]]:
@@ -126,12 +145,10 @@ def artifacts() -> dict[str, Callable[[], bytes]]:
     table["store.plain"] = lambda: filled_store(False).snapshot()
     table["store.sharded"] = lambda: filled_store(True).snapshot()
     table["store.partition_blob"] = partition_blob
-    table["durability.checkpoint"] = (
-        lambda: durability_files()["checkpoint"]
-    )
-    table["durability.wal_segment"] = (
-        lambda: durability_files()["wal_segment"]
-    )
+    for name in ("checkpoint", "wal_segment", "wal_segment_tail"):
+        table[f"durability.{name}"] = functools.partial(
+            lambda key: durability_files()[key], name
+        )
     return table
 
 

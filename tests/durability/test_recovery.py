@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.core.codec import canonical_json
 from repro.durability.faults import CrashInjector, InjectedIOError
-from repro.durability.manager import DurabilityManager, record_payload
+from repro.durability.manager import (
+    DurabilityManager,
+    decode_record,
+    encode_record,
+    read_wal_records,
+)
 from repro.durability.wal import FlushPolicy, list_segments
+from repro.errors import WALError
 from repro.service.clock import ManualClock
 from repro.service.registry import MetricRegistry
+from tests.conftest import all_json_values
 
 
 def make_registry(clock):
@@ -165,14 +175,105 @@ class TestJournalEncoding:
             assert (seq, ts, now) == (2, 42.0, 5_100.0)
             manager.wal.sync()
             payloads = list(manager.wal.replay())
-        first = record_payload(payloads[0][1])
+        first = decode_record(payloads[0][1], 1)
         assert first["ts"] == 5_000.0
         assert first["now"] == 5_000.0
-        assert first["values"] == [1.5, float("inf")]
-        second = record_payload(payloads[1][1])
+        assert first["values"].dtype == np.float64
+        assert first["values"].tolist() == [1.5, float("inf")]
+        second = decode_record(payloads[1][1], 2)
         assert second["ts"] == 42.0
         assert second["now"] == 5_100.0
         assert second["tags"] is None
+
+
+def json_payload(metric, tags, values, ts, now):
+    """The record payload ``journal`` wrote before the values tail: one
+    all-JSON body, non-finite floats as sentinel objects."""
+    return canonical_json({
+        "metric": metric, "tags": tags, "ts": ts, "now": now,
+        "values": all_json_values(values),
+    })
+
+
+class TestWalGenerations:
+    """Logs written before the values tail replay to the same bytes."""
+
+    BATCHES = [
+        ("lat", {"svc": "api"}, [1.5, -0.0, 5e-324, 1e308]),
+        ("lat", None, [2.0, math.inf, 3.0]),  # rejected at apply
+        ("rps", None, [math.nan]),  # rejected at apply
+        *(
+            ("lat", {"svc": "api"}, batch.tolist())
+            for batch in 1.0 + np.random.default_rng(77).pareto(1.0, (9, 20))
+        ),
+    ]
+
+    def _write(self, data_dir, tail_for):
+        """Journal BATCHES; batch *i* gets a tail payload iff
+        ``tail_for(i)``, else the all-JSON one."""
+        clock = ManualClock(1_000_000.0)
+        with DurabilityManager(data_dir, clock=clock) as manager:
+            for index, (metric, tags, values) in enumerate(self.BATCHES):
+                if tail_for(index):
+                    manager.journal(metric, tags, np.array(values), None)
+                else:
+                    now = clock.now_ms()
+                    manager.wal.append(
+                        json_payload(metric, tags, values, now, now)
+                    )
+                clock.advance(25.0)
+        return clock.now_ms()
+
+    def _recover(self, data_dir, now_ms):
+        clock = ManualClock(now_ms)
+        registry = make_registry(clock)
+        with DurabilityManager(data_dir, clock=clock) as manager:
+            report = manager.recover(registry)
+        assert len(list_segments(data_dir)) == 1
+        return report.as_dict(), snapshot_all(registry)
+
+    def test_json_tail_and_mixed_logs_recover_identically(self, tmp_path):
+        recovered = {}
+        for label, tail_for in (
+            ("tail", lambda index: True),
+            ("json", lambda index: False),
+            ("mixed", lambda index: index % 2 == 0),
+        ):
+            now_ms = self._write(tmp_path / label, tail_for)
+            recovered[label] = self._recover(tmp_path / label, now_ms)
+        report, snapshots = recovered["tail"]
+        assert report["records_replayed"] == len(self.BATCHES)
+        assert report["replay_rejected"] == 2
+        assert snapshots
+        assert recovered["json"] == recovered["tail"]
+        assert recovered["mixed"] == recovered["tail"]
+
+
+class TestMalformedRecordRefused:
+    """A CRC-valid payload that is not a record stops recovery with a
+    typed error naming it; the record was acked, so it is not skipped."""
+
+    @pytest.mark.parametrize("payload", [
+        b"{}",  # escaped as KeyError('metric')
+        json_payload("lat", None, [1.0], 1.0, 1.0).replace(
+            b"[1.0]", b'"abc"'),  # ValueError
+        json_payload("lat", 3, [1.0], 1.0, 1.0),  # AttributeError
+        json_payload("lat", None, [1.0], "x", 1.0),  # ValueError
+        encode_record("lat", None, np.ones(3), 1.0, 1.0)[:-4],
+        b"\xf6junk",
+    ])
+    def test_recover_raises_walerror_naming_the_sequence(
+        self, tmp_path, payload
+    ):
+        clock = ManualClock(1_000_000.0)
+        with DurabilityManager(tmp_path, clock=clock) as manager:
+            ingest(manager, make_registry(clock), clock, 2)
+            manager.wal.append(payload)
+        with DurabilityManager(tmp_path, clock=clock) as manager:
+            with pytest.raises(WALError, match="WAL record 3"):
+                manager.recover(make_registry(clock))
+        with pytest.raises(WALError, match="WAL record 3"):
+            list(read_wal_records(tmp_path))
 
 
 class TestCheckpointCadence:

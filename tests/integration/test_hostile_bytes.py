@@ -1,11 +1,13 @@
-"""Hostile bytes against the five decode entry points.
+"""Hostile bytes against the seven decode entry points.
 
 Every decoder built on :mod:`repro.core.codec` promises one thing:
 arbitrary bytes come back as the entry point's typed
 :class:`~repro.errors.ReproError` subclass — or decode — in time and
 memory bounded by the input length.  This table holds each of them to
 it: ``loads``, ``TimePartitionedStore.restore``, ``adopt_partitions``,
-``decode_checkpoint`` and ``scan_segment``.
+``decode_checkpoint``, ``scan_segment``, and the two that read a JSON
+header with a float64 tail: ``protocol.decode_message`` (a frame body)
+and ``decode_record`` (a WAL record payload).
 
 Mutations are structure-aware.  A recording pass over a valid decode
 notes the offset of every integer field the top-level reader consumes;
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import signal
+import socket
 import struct
 import tempfile
 import tracemalloc
@@ -40,16 +43,20 @@ from repro.durability.checkpoint import (
     decode_checkpoint,
     encode_checkpoint,
 )
+from repro.durability.manager import decode_record, encode_record
 from repro.durability.wal import WriteAheadLog, scan_segment, segment_path
 from repro.errors import (
     CheckpointError,
+    ProtocolError,
     ReproError,
     SerializationError,
     WALError,
 )
 from repro.parallel import ShardedSketch
+from repro.service import protocol
 from repro.service.clock import ManualClock
 from repro.service.registry import MetricRegistry
+from repro.service.server import QuantileServer
 from repro.service.store import TimePartitionedStore
 
 BUDGET_S = 0.5
@@ -172,6 +179,20 @@ def scan(data: bytes, tmp: Path, is_final: bool) -> object:
     return scan_segment(path, is_final=is_final)
 
 
+def tail_body() -> bytes:
+    return protocol.encode_message({
+        "op": "ingest", "metric": "lat", "tags": {"svc": "a"},
+        "values": [1.5, -0.0, float("inf"), float("nan")],
+        "timestamp_ms": 12.0,
+    })
+
+
+def record_bytes() -> bytes:
+    return encode_record(
+        "lat", {"svc": "a"}, np.array([1.5, -0.0, float("inf")]), 12.0, 13.0
+    )
+
+
 ENTRY_POINTS = [
     *(
         EntryPoint(
@@ -204,6 +225,14 @@ ENTRY_POINTS = [
     EntryPoint(
         "scan_segment[final]", WALError, segment_bytes,
         functools.partial(scan, is_final=True), prefix_invalid=False,
+    ),
+    EntryPoint(
+        "decode_message[tail]", ProtocolError, tail_body,
+        lambda data, _tmp: protocol.decode_message(data),
+    ),
+    EntryPoint(
+        "decode_record", WALError, record_bytes,
+        lambda data, _tmp: decode_record(data, 7),
     ),
 ]
 
@@ -377,6 +406,20 @@ def with_snapshot_header(header: bytes) -> bytes:
     return b"RPQS\x01" + struct.pack("<I", len(header)) + header
 
 
+def with_tail(header: bytes, count: int) -> bytes:
+    """A tail body around an arbitrary *header*."""
+    return (
+        b"\xf6" + struct.pack("<I", len(header)) + header
+        + struct.pack("<q", count) + bytes(8 * count)
+    )
+
+
+#: A well-formed record; each fixed case breaks one field of it.
+RECORD = {
+    "metric": "lat", "tags": None, "values": [1.0], "ts": 1.0, "now": 2.0,
+}
+
+
 FIXED_CASES = [
     ("loads[kll]", "negative array length", negative_length_kll_blob()),
     (
@@ -411,6 +454,43 @@ FIXED_CASES = [
     (
         "restore[plain]", "snapshot header nested past the recursion limit",
         with_snapshot_header(b"[" * 100_000),
+    ),
+    *(
+        ("decode_message[tail]", label, data)
+        for label, data in (
+            ("tail half a float short", tail_body()[:-4]),
+            ("tail half a float long", tail_body() + bytes(4)),
+            (
+                "header that also carries values",
+                with_tail(b'{"op":"ingest","values":[1.0]}', 1),
+            ),
+            ("header that is not an object", with_tail(b"[1,2]", 1)),
+            ("header that is not JSON", with_tail(b"{not json", 1)),
+            (
+                "header nested past the recursion limit",
+                with_tail(b"[" * 100_000, 1),
+            ),
+            ("count without its floats", with_tail(b"{}", 3)[:-16]),
+        )
+    ),
+    # CRC-valid payloads that are not records; the first four escaped
+    # recover() as KeyError, ValueError, AttributeError and ValueError
+    *(
+        ("decode_record", label, codec.canonical_json(record))
+        for label, record in (
+            ("empty object", {}),
+            ("values is a string", {**RECORD, "values": "abc"}),
+            ("tags is a number", {**RECORD, "tags": 3}),
+            ("ts is a string", {**RECORD, "ts": "x"}),
+            ("no values", {**RECORD, "values": None}),
+            ("values holds a string", {**RECORD, "values": [1.0, "2"]}),
+            ("values is nested", {**RECORD, "values": [[1.0], [2.0]]}),
+            ("now is a boolean", {**RECORD, "now": True}),
+            ("ts is not finite", {**RECORD, "ts": {"$float": "nan"}}),
+            ("metric is empty", {**RECORD, "metric": ""}),
+            ("metric is a number", {**RECORD, "metric": 5}),
+            ("not an object", [1, 2]),
+        )
     ),
 ]
 
@@ -464,3 +544,69 @@ def test_checkpoint_with_junk_json_behind_a_valid_crc(tmp_path):
         body = struct.pack("<I", len(header)) + header
         data = reseal_checkpoint(b"RPCK\x01" + bytes(4) + body)
         check(target, label, data, tmp_path, must_fail=True)
+
+
+# ----------------------------------------------------------------------
+# The tail body over a live socket
+# ----------------------------------------------------------------------
+
+
+def converse(address, frames: bytes) -> list[dict]:
+    """Send *frames* and hang up; every response until the server does."""
+    with socket.create_connection(address, timeout=5.0) as sock:
+        sock.sendall(frames)
+        sock.shutdown(socket.SHUT_WR)
+        rfile = sock.makefile("rb")
+        return list(iter(lambda: protocol.read_frame(rfile), None))
+
+
+def framed(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
+
+
+class TestTailBodyOverASocket:
+    @pytest.fixture()
+    def server(self):
+        registry = MetricRegistry(clock=ManualClock(10_000.0))
+        with QuantileServer(registry) as server:
+            yield server
+
+    def test_hostile_tail_gets_one_protocol_error_then_close(self, server):
+        hostile = [
+            data for name, _label, data in FIXED_CASES
+            if name == "decode_message[tail]"
+        ]
+        for count in HOSTILE_INTS:
+            valid = tail_body()
+            hostile.append(
+                valid[:-8 * 4 - 8] + struct.pack("<q", count) + valid[-32:]
+            )
+        for body in hostile:
+            responses = converse(server.address, framed(body))
+            assert [r["ok"] for r in responses] == [False], body[:40]
+            assert responses[0]["error"] == "protocol"
+        # none of it reached the pipeline, and the server still serves
+        accepted, stats = converse(
+            server.address,
+            framed(tail_body()) + protocol.encode_frame({"op": "stats"}),
+        )
+        assert accepted == protocol.ok(accepted=4)
+        assert stats["stats"]["ingest_requests"] == 1
+
+    def test_frame_ceiling_bounds_header_and_tail_together(
+        self, server, monkeypatch
+    ):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 4096)
+        request = {"op": "ingest", "metric": "m", "values": np.ones(500)}
+        fits = protocol.encode_frame(request)
+        assert 4008 < len(fits) - 4 <= 4096
+        # the same tail behind a longer header is over the ceiling
+        request["metric"] = "m" * 100
+        with pytest.raises(ProtocolError):
+            protocol.encode_frame(request)
+        body = protocol.encode_message(request)
+        assert len(body) > 4096
+        # ...and the server refuses it on the length prefix alone
+        responses = converse(server.address, framed(body)[:4])
+        assert [r.get("error") for r in responses] == ["protocol"]
+        assert converse(server.address, fits) == [protocol.ok(accepted=500)]

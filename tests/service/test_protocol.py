@@ -4,6 +4,7 @@ import io
 import math
 import struct
 
+import numpy as np
 import pytest
 
 from repro.errors import ProtocolError
@@ -18,7 +19,48 @@ def round_trip(payload):
 class TestEncoding:
     def test_round_trip(self):
         payload = {"op": "ingest", "values": [1.0, 2.5], "metric": "m"}
-        assert round_trip(payload) == payload
+        decoded = round_trip(payload)
+        values = decoded.pop("values")
+        assert decoded == {"op": "ingest", "metric": "m"}
+        assert values.dtype == np.float64 and values.tolist() == [1.0, 2.5]
+
+    def test_values_travel_as_a_float64_tail_behind_a_json_header(self):
+        body = protocol.encode_message(
+            {"op": "ingest", "values": np.array([1.0, 2.5]), "metric": "m"}
+        )
+        header = b'{"metric":"m","op":"ingest"}'
+        assert body == (
+            b"\xf6" + struct.pack("<I", len(header)) + header
+            + struct.pack("<qdd", 2, 1.0, 2.5)
+        )
+        # list, tuple and array are one shape on the wire
+        for same in ([1.0, 2.5], (1.0, 2.5), [1, 2.5]):
+            assert protocol.encode_message(
+                {"op": "ingest", "values": same, "metric": "m"}
+            ) == body
+
+    def test_all_json_values_list_still_decodes(self):
+        decoded = protocol.decode_message(
+            b'{"metric":"m","op":"ingest","values":[1.0,2.5]}'
+        )
+        assert decoded["values"] == [1.0, 2.5]
+
+    def test_messages_without_values_keep_the_all_json_body(self):
+        assert protocol.encode_message(protocol.ok(accepted=2)) == (
+            b'{"accepted":2,"ok":true}'
+        )
+        # only a sequence moves to the tail; anything else is the
+        # server's to refuse
+        assert protocol.encode_message({"values": "abc"}) == (
+            b'{"values":"abc"}'
+        )
+
+    @pytest.mark.parametrize(
+        "values", [[1.0, "2"], [None], [[1.0], [2.0]], [1.0, [2.0]], ["x"]]
+    )
+    def test_values_that_are_not_flat_numbers_are_refused(self, values):
+        with pytest.raises(ProtocolError):
+            protocol.encode_message({"op": "ingest", "values": values})
 
     def test_canonical_bytes_ignore_key_order(self):
         a = protocol.encode_message({"b": 1, "a": 2})
@@ -40,15 +82,20 @@ class TestEncoding:
         payload = {
             "lo": -math.inf,
             "hi": math.inf,
-            "values": [1.0, math.inf, [-math.inf]],
+            "items": [1.0, math.inf, [-math.inf]],
             "nested": {"deep": math.inf},
+            "values": [1.0, math.inf, -math.inf, math.nan, -0.0],
         }
         decoded = round_trip(payload)
         assert decoded["lo"] == -math.inf
         assert decoded["hi"] == math.inf
-        assert decoded["values"][1] == math.inf
-        assert decoded["values"][2] == [-math.inf]
+        assert decoded["items"][1] == math.inf
+        assert decoded["items"][2] == [-math.inf]
         assert decoded["nested"]["deep"] == math.inf
+        # the tail carries every float bit for bit, no sentinels
+        assert decoded["values"].tobytes() == np.array(
+            payload["values"]
+        ).tobytes()
         nan = protocol.decode_message(
             protocol.encode_message({"x": math.nan})
         )["x"]
@@ -57,6 +104,14 @@ class TestEncoding:
     def test_reserved_sentinel_key_rejected_in_payloads(self):
         with pytest.raises(ProtocolError):
             protocol.encode_message({"v": {"$float": "bogus"}})
+
+    def test_reserved_key_text_as_a_value_is_just_a_string(self):
+        payload = {"note": "$float", "nested": ['"$float"'], "q": 0.5}
+        assert round_trip(payload) == payload
+
+    def test_sentinel_key_spelled_with_an_escape_is_still_restored(self):
+        body = b'{"v":{"\\u0024float":"-inf"}}'
+        assert protocol.decode_message(body) == {"v": -math.inf}
 
     def test_unknown_sentinel_name_rejected_on_decode(self):
         with pytest.raises(ProtocolError):

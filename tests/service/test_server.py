@@ -134,6 +134,47 @@ class TestErrors:
         with pytest.raises(ServiceError, match="bad_request"):
             client.call({"op": "quantile", "metric": "m"})
 
+    @pytest.mark.parametrize("timestamp_ms", [np.nan, np.inf, -np.inf])
+    def test_non_finite_timestamp_is_refused_before_the_queue(
+        self, client, server, timestamp_ms
+    ):
+        # It reached the drain thread and killed it: no partition id.
+        with pytest.raises(ServiceError, match="bad_request"):
+            client.ingest("lat", [1.0], timestamp_ms=timestamp_ms)
+        assert client.ingest("lat", [2.0], timestamp_ms=0.0) == 1
+        client.flush()
+        assert client.count("lat") == 1
+        assert all(worker.is_alive() for worker in server._workers)
+
+    def test_values_must_be_a_non_empty_flat_sequence_of_numbers(
+        self, server
+    ):
+        """What an all-JSON frame can carry in ``"values"``."""
+        request = {"op": "ingest", "metric": "m", "timestamp_ms": 0.0}
+        for values in (
+            "abc", 3, None, [], np.zeros(0), [[1.0], [2.0]], [1.0, [2.0]],
+            [1.0, "2"], ["x"], [None], np.ones((2, 2)), [10**400],
+            np.array(["1.0"]),
+        ):
+            response = server.dispatch({**request, "values": values})
+            assert response.get("error") == "bad_request", values
+        for values in ([1, 2.5, True], np.arange(3), np.ones(3), [2**70] * 3):
+            response = server.dispatch({**request, "values": values})
+            assert response == protocol.ok(accepted=3)
+        server.flush()
+        assert server.registry.get("m").count() == 12
+
+    def test_queued_values_do_not_alias_the_callers_array(self, server):
+        values = np.array([1.0, 2.0, 3.0])
+        server.pause_ingest()
+        server.dispatch({"op": "ingest", "metric": "m", "values": values,
+                         "timestamp_ms": 0.0})
+        values[:] = np.nan  # the caller reuses its buffer
+        server.resume_ingest()
+        server.flush()
+        assert server.registry.get("m").count() == 3
+        assert server.stats.snapshot()["error_responses"] == 0
+
     def test_invalid_quantile(self, client):
         client.ingest("lat", [1.0], timestamp_ms=0.0)
         client.flush()
