@@ -1,7 +1,7 @@
 """Miniature event-time stream-processing engine (the Flink substrate).
 
 See :mod:`repro.streaming.engine` for the execution semantics.  Typical
-usage::
+usage (``run_tumbling_batch`` spells this pipeline in one call)::
 
     from repro.streaming import (
         StreamEnvironment, TumblingEventTimeWindows, SketchAggregator,
@@ -23,13 +23,11 @@ from repro.streaming.engine import (
     StreamEnvironment,
     WindowedStream,
     WindowResult,
-    run_sliding_batch,
     run_tumbling_batch,
     tumbling_assignment,
     window_values,
 )
 from repro.streaming.events import Event, events_from_batch
-from repro.streaming.parallel import run_tumbling_parallel
 from repro.streaming.operators import (
     AggregateFunction,
     CollectingAggregator,
@@ -63,8 +61,6 @@ __all__ = [
     "WindowResult",
     "ExecutionReport",
     "run_tumbling_batch",
-    "run_tumbling_parallel",
-    "run_sliding_batch",
     "tumbling_assignment",
     "window_values",
     "AggregateFunction",

@@ -11,17 +11,19 @@ experiments depend on:
 * events belonging to an already-fired window are **dropped and
   counted** — the paper's late-data policy (Sec 2.6).
 
-Two execution paths are provided with identical semantics (and a test
-asserting so): a general per-event pipeline supporting map/filter/keyed
-streams and all window types, and :func:`run_tumbling_batch`, a
-vectorised executor for the tumbling-window case every experiment uses.
+There is one executor, :meth:`WindowedStream.aggregate`, and it works by
+column: which events land in which window, which are dropped late and
+the order values reach the aggregator are functions of the stream's
+timestamps alone, so they are computed on arrays and each pane is
+folded by a single ``add_batch``.  :func:`run_tumbling_batch` names the
+tumbling pipeline every experiment runs; it is not a second executor.
+:func:`tumbling_assignment` and :func:`window_values` are the
+independent reference the engine is checked against and never calls.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Iterator
 
@@ -30,14 +32,16 @@ import numpy as np
 from repro.data.streams import EventBatch
 from repro.errors import PipelineError
 from repro.obs.telemetry import NOOP, Telemetry
-from repro.streaming.events import Event, events_from_batch
+from repro.streaming.events import Event, EventColumns, events_from_batch
 from repro.streaming.operators import AggregateFunction
 from repro.streaming.time import (
     AscendingTimestampsWatermarks,
+    BoundedOutOfOrdernessWatermarks,
     WatermarkStrategy,
 )
 from repro.streaming.windows import (
     SessionWindows,
+    TumblingEventTimeWindows,
     WindowAssigner,
     WindowSpan,
 )
@@ -83,14 +87,30 @@ class StreamEnvironment:
     def from_batch(
         self, batch: EventBatch, key: Hashable = None
     ) -> "DataStream":
-        return DataStream(lambda: events_from_batch(batch, key))
+        return DataStream(
+            lambda: events_from_batch(batch, key),
+            lambda: EventColumns.from_batch(batch, key),
+        )
 
 
 class DataStream:
-    """A lazily-transformed stream of events."""
+    """A lazily-transformed stream of events.
 
-    def __init__(self, source: Callable[[], Iterator[Event]]) -> None:
+    *source* yields it as :class:`Event` objects for the transformations
+    and their callbacks; *columns* yields it as :class:`EventColumns`
+    for the window executor — one pass over *source*, unless the stream
+    is an untransformed batch whose arrays serve as they are.
+    """
+
+    def __init__(
+        self,
+        source: Callable[[], Iterator[Event]],
+        columns: Callable[[], EventColumns] | None = None,
+    ) -> None:
         self._source = source
+        self._columns = columns or (
+            lambda: EventColumns.from_events(source())
+        )
 
     def __iter__(self) -> Iterator[Event]:
         return self._source()
@@ -133,23 +153,17 @@ class DataStream:
         )
 
     def window(self, assigner: WindowAssigner) -> "WindowedStream":
-        return WindowedStream(self._source, assigner)
+        return WindowedStream(self._columns, assigner)
 
     def count_window(self, size: int) -> "CountWindowedStream":
         """Sequence-based windows of *size* events per key (Sec 2.5:
         "a sequence-based window of length 10 would group the next 10
         events")."""
-        return CountWindowedStream(self._source, size)
+        return CountWindowedStream(self._columns, size)
 
 
 class KeyedStream(DataStream):
     """A stream whose events carry partition keys."""
-
-    def window(self, assigner: WindowAssigner) -> "WindowedStream":
-        return WindowedStream(self._source, assigner)
-
-    def count_window(self, size: int) -> "CountWindowedStream":
-        return CountWindowedStream(self._source, size)
 
 
 class WindowedStream:
@@ -157,10 +171,10 @@ class WindowedStream:
 
     def __init__(
         self,
-        source: Callable[[], Iterator[Event]],
+        columns: Callable[[], EventColumns],
         assigner: WindowAssigner,
     ) -> None:
-        self._source = source
+        self._columns = columns
         self._assigner = assigner
 
     def aggregate(
@@ -176,12 +190,20 @@ class WindowedStream:
         """Run the pipeline and fire every window.
 
         A pane fires once the watermark passes ``window.end +
-        allowed_lateness_ms``; the single firing includes any late
-        events that arrived within the lateness horizon (equivalent to
-        Flink's final updated emission).  Later events for that window
-        are dropped into ``report.dropped_late``.  The run advances a
-        :meth:`~WatermarkStrategy.fresh` copy of *watermarks*, never the
-        caller's object.
+        allowed_lateness_ms`` (the rest at end of stream); the single
+        firing includes any late events that arrived within the
+        lateness horizon (equivalent to Flink's final updated
+        emission).  An event none of whose windows accepts it — each had
+        already fired by the watermark the event met on arrival — is
+        dropped, once, into ``report.dropped_late``; one that is late
+        for some of its sliding windows and kept by others is not a drop.
+        *watermarks* is only read, never advanced, so one strategy
+        object can configure any number of runs.
+
+        ``report.results`` is in firing order: ascending ``end +
+        allowed_lateness_ms``, ties by the arrival position of the
+        pane's first event.  A pane's surviving values reach the
+        aggregator in arrival order, as one ``add_batch``.
 
         *time_characteristic* selects the Sec 2.5 grouping semantics:
         ``"event"`` groups by generation time (the paper's choice, and
@@ -191,7 +213,7 @@ class WindowedStream:
         actually happened.
 
         *telemetry* (keyword-only) is an optional :mod:`repro.obs`
-        sink: each pane firing is timed under the
+        sink: each pane firing — fold and result — is timed under the
         ``streaming.window_emit`` span and counted in
         ``streaming.windows_emitted``.
         """
@@ -202,125 +224,35 @@ class WindowedStream:
                 f"unknown time characteristic {time_characteristic!r}; "
                 f"expected 'event' or 'ingestion'"
             )
-        use_ingestion = time_characteristic == "ingestion"
-        telemetry = telemetry if telemetry is not None else NOOP
-        watermarks = (watermarks or AscendingTimestampsWatermarks()).fresh()
-        merging = isinstance(self._assigner, SessionWindows)
-        report = ExecutionReport()
-        panes: dict[tuple[Hashable, WindowSpan], Any] = {}
-        counts: dict[tuple[Hashable, WindowSpan], int] = {}
-        heap: list[tuple[float, int, Hashable, WindowSpan]] = []
-        seq = itertools.count()
-
-        def open_pane(key: Hashable, window: WindowSpan) -> None:
-            panes[(key, window)] = aggregator.create_accumulator()
-            counts[(key, window)] = 0
-            heapq.heappush(
-                heap,
-                (window.end + allowed_lateness_ms, next(seq), key, window),
+        columns = self._columns()
+        times = (
+            columns.arrival_times
+            if time_characteristic == "ingestion"
+            else columns.event_times
+        )
+        watermarks = watermarks or AscendingTimestampsWatermarks()
+        rows, starts, ends = self._assigner.assign_batch(times)
+        seen = watermarks.watermarks_before(times)[rows]
+        kept = np.flatnonzero(ends + allowed_lateness_ms > seen)
+        rows, starts, ends = rows[kept], starts[kept], ends[kept]
+        dropped = np.flatnonzero(
+            np.bincount(rows, minlength=times.size) == 0
+        )
+        report = ExecutionReport(
+            total_events=int(times.size), dropped_late=int(dropped.size)
+        )
+        if collect_late:
+            report.late_events = list(columns.events(dropped))
+        if isinstance(self._assigner, SessionWindows):
+            starts, ends = _merge_sessions(
+                columns.key_codes[rows], starts, ends,
+                seen[kept], allowed_lateness_ms,
             )
-
-        def fire_ready(watermark: float) -> None:
-            while heap and heap[0][0] <= watermark:
-                _fire_time, _seq, key, window = heapq.heappop(heap)
-                self._emit(
-                    report, panes, counts, aggregator, key, window,
-                    telemetry,
-                )
-
-        for event in self._source():
-            report.total_events += 1
-            timestamp = (
-                event.arrival_time if use_ingestion else event.event_time
-            )
-            watermark_before = watermarks.current_watermark
-            assigned = self._assigner.assign(timestamp)
-            for window in assigned:
-                if window.end + allowed_lateness_ms <= watermark_before:
-                    report.dropped_late += 1
-                    if collect_late:
-                        report.late_events.append(event)
-                    continue
-                if merging:
-                    window = self._merge_sessions(
-                        panes, counts, heap, seq, aggregator,
-                        event.key, window, allowed_lateness_ms,
-                    )
-                if (event.key, window) not in panes:
-                    open_pane(event.key, window)
-                panes[(event.key, window)] = aggregator.add(
-                    panes[(event.key, window)], event.value
-                )
-                counts[(event.key, window)] += 1
-            fire_ready(watermarks.on_event(timestamp))
-
-        # End of stream: flush everything still open, in end-time order.
-        while heap:
-            _fire_time, _seq, key, window = heapq.heappop(heap)
-            self._emit(
-                report, panes, counts, aggregator, key, window, telemetry
-            )
+        report.results = _fire_panes(
+            columns, rows, starts, ends, ends + allowed_lateness_ms,
+            aggregator, telemetry if telemetry is not None else NOOP,
+        )
         return report
-
-    def _emit(
-        self,
-        report: ExecutionReport,
-        panes: dict,
-        counts: dict,
-        aggregator: AggregateFunction,
-        key: Hashable,
-        window: WindowSpan,
-        telemetry: Telemetry = NOOP,
-    ) -> None:
-        accumulator = panes.pop((key, window), None)
-        if accumulator is None:  # stale heap entry from session merging
-            return
-        with telemetry.span("streaming.window_emit"):
-            result = aggregator.get_result(accumulator)
-        telemetry.counter("streaming.windows_emitted").inc()
-        report.results.append(
-            WindowResult(
-                key=key,
-                window=window,
-                result=result,
-                event_count=counts.pop((key, window)),
-            )
-        )
-
-    def _merge_sessions(
-        self,
-        panes: dict,
-        counts: dict,
-        heap: list,
-        seq: Iterator[int],
-        aggregator: AggregateFunction,
-        key: Hashable,
-        window: WindowSpan,
-        allowed_lateness_ms: float,
-    ) -> WindowSpan:
-        """Merge *window* with any open session it touches for *key*."""
-        touching = [
-            (k, w)
-            for (k, w) in panes
-            if k == key and w.intersects(window)
-        ]
-        if not touching:
-            return window
-        merged_span = window
-        merged_acc = aggregator.create_accumulator()
-        merged_count = 0
-        for k, w in touching:
-            merged_span = merged_span.cover(w)
-            merged_acc = aggregator.merge(merged_acc, panes.pop((k, w)))
-            merged_count += counts.pop((k, w))
-        panes[(key, merged_span)] = merged_acc
-        counts[(key, merged_span)] = merged_count
-        heapq.heappush(
-            heap,
-            (merged_span.end + allowed_lateness_ms, next(seq), key,
-             merged_span),
-        )
-        return merged_span
 
 
 class CountWindowedStream:
@@ -330,57 +262,141 @@ class CountWindowedStream:
     There is no lateness in sequence windows — every event extends its
     key's current group — so the report's ``dropped_late`` is always 0.
     The emitted ``WindowSpan`` carries *sequence* coordinates: window
-    ``i`` of a key spans ``[i * size, (i + 1) * size)``.
+    ``i`` of a key spans ``[i * size, (i + 1) * size)``.  A full window
+    fires on the arrival of its last event, the partial trailing ones
+    at end of stream.
     """
 
     def __init__(
-        self, source: Callable[[], Iterator[Event]], size: int
+        self, columns: Callable[[], EventColumns], size: int
     ) -> None:
         if size < 1:
             raise PipelineError(
                 f"count window size must be >= 1, got {size!r}"
             )
-        self._source = source
+        self._columns = columns
         self._size = int(size)
 
     def aggregate(self, aggregator: AggregateFunction) -> ExecutionReport:
         if aggregator is None:
             raise PipelineError("window aggregation needs an aggregator")
-        report = ExecutionReport()
-        panes: dict[Hashable, Any] = {}
-        counts: dict[Hashable, int] = {}
-        emitted: dict[Hashable, int] = {}
+        columns = self._columns()
+        codes = columns.key_codes
+        rows = np.arange(codes.size)
+        # rank: how many events of the same key arrived before this one
+        by_key = np.argsort(codes, kind="stable")
+        per_key = np.bincount(codes, minlength=len(columns.keys))
+        key_offset = np.cumsum(per_key) - per_key
+        rank = np.empty_like(rows)
+        rank[by_key] = rows - key_offset[codes[by_key]]
+        first_rank = rank // self._size * self._size
+        last_rank = first_rank + self._size - 1
+        full = last_rank < per_key[codes]
+        fire_at = np.full(codes.size, np.inf)
+        fire_at[full] = by_key[(key_offset[codes] + last_rank)[full]]
+        starts = first_rank.astype(np.float64)
+        return ExecutionReport(
+            total_events=int(codes.size),
+            results=_fire_panes(
+                columns, rows, starts, starts + self._size, fire_at,
+                aggregator, NOOP,
+            ),
+        )
 
-        def emit(key: Hashable) -> None:
-            index = emitted.get(key, 0)
-            span = WindowSpan(
-                float(index * self._size),
-                float((index + 1) * self._size),
-            )
-            report.results.append(
-                WindowResult(
-                    key=key,
-                    window=span,
-                    result=aggregator.get_result(panes.pop(key)),
-                    event_count=counts.pop(key),
-                )
-            )
-            emitted[key] = index + 1
 
-        for event in self._source():
-            report.total_events += 1
-            key = event.key
-            if key not in panes:
-                panes[key] = aggregator.create_accumulator()
-                counts[key] = 0
-            panes[key] = aggregator.add(panes[key], event.value)
-            counts[key] += 1
-            if counts[key] == self._size:
-                emit(key)
-        # Flush partial trailing windows.
-        for key in list(panes):
-            emit(key)
-        return report
+def _merge_sessions(
+    keys: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    seen: np.ndarray,
+    allowed_lateness_ms: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Replace each surviving event's proposed session by the merged
+    session it ends up in — the one sequential step of a run.
+
+    A proposal joins the sessions of its key that it touches and that
+    had not fired by the watermark its event met (*seen*).  Each event
+    starts a session absorbing the ones it joins; following
+    ``absorbed_by`` backwards gives every event its final span.
+    """
+    spans: list[WindowSpan] = []
+    absorbed_by: list[int] = []
+    open_sessions: dict[int, list[int]] = {}
+    for event, (key, start, end, watermark) in enumerate(
+        zip(keys.tolist(), starts.tolist(), ends.tolist(), seen.tolist())
+    ):
+        proposal = merged = WindowSpan(start, end)
+        still_open = [event]
+        for session in open_sessions.get(key, ()):
+            span = spans[session]
+            if span.end + allowed_lateness_ms <= watermark:
+                continue  # fired before this event arrived
+            if span.intersects(proposal):
+                merged = merged.cover(span)
+                absorbed_by[session] = event
+            else:
+                still_open.append(session)
+        spans.append(merged)
+        absorbed_by.append(event)
+        open_sessions[key] = still_open
+    for event in reversed(range(len(spans))):
+        spans[event] = spans[absorbed_by[event]]
+    merged_spans = np.array(
+        [(span.start, span.end) for span in spans], dtype=np.float64
+    ).reshape(-1, 2)
+    return merged_spans[:, 0], merged_spans[:, 1]
+
+
+def _fire_panes(
+    columns: EventColumns,
+    rows: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    fire_at: np.ndarray,
+    aggregator: AggregateFunction,
+    telemetry: Telemetry,
+) -> list[WindowResult]:
+    """Group (event, window) pairs into panes and fold each pane; the
+    results come back in firing order.
+
+    *rows* (ascending) index *columns*; a pane is the pairs sharing
+    ``(key, start, end)``.  The sort is stable, so each pane's values
+    stay in arrival order.  Panes fire by ascending *fire_at*, ties by
+    the arrival position of the pane's first event.
+    """
+    keys = columns.key_codes[rows]
+    by_pane = np.lexsort((ends, starts, keys))
+    rows, keys = rows[by_pane], keys[by_pane]
+    starts, ends = starts[by_pane], ends[by_pane]
+    opens = np.ones(rows.size, dtype=bool)
+    opens[1:] = (
+        (keys[1:] != keys[:-1])
+        | (starts[1:] != starts[:-1])
+        | (ends[1:] != ends[:-1])
+    )
+    first = np.flatnonzero(opens)
+    stop = np.append(first[1:], rows.size).tolist()
+    values = columns.values[rows]
+    pane_keys = keys[first].tolist()
+    pane_starts, pane_ends = starts[first].tolist(), ends[first].tolist()
+    results = []
+    for pane in np.lexsort((rows[first], fire_at[by_pane[first]])).tolist():
+        pane_values = values[first[pane]:stop[pane]]
+        with telemetry.span("streaming.window_emit"):
+            accumulator = aggregator.add_batch(
+                aggregator.create_accumulator(), pane_values
+            )
+            result = aggregator.get_result(accumulator)
+        telemetry.counter("streaming.windows_emitted").inc()
+        results.append(
+            WindowResult(
+                key=columns.keys[pane_keys[pane]],
+                window=WindowSpan(pane_starts[pane], pane_ends[pane]),
+                result=result,
+                event_count=int(pane_values.size),
+            )
+        )
+    return results
 
 
 def tumbling_assignment(
@@ -394,10 +410,10 @@ def tumbling_assignment(
     Returns ``(ordered, window_ids, late)``: the batch replayed in
     arrival order, each event's tumbling window id, and the boolean
     late mask (watermark had passed the window's end plus lateness
-    before the event arrived).  Every tumbling executor — sequential,
-    sharded-parallel, ground-truth — derives its drop policy from this
-    one function, which is what makes their drop counts identical by
-    construction.
+    before the event arrived).  This is the independent reference for
+    the engine's tumbling case — :func:`window_values`, the accuracy
+    ground truth and the benchmark's correctness gate derive the drop
+    policy from it — so the engine itself must not call it.
     """
     ordered = batch.in_arrival_order()
     event_times = ordered.event_times
@@ -419,178 +435,30 @@ def run_tumbling_batch(
     aggregator: AggregateFunction,
     out_of_orderness_ms: float = 0.0,
     allowed_lateness_ms: float = 0.0,
-    parallelism: int = 1,
     *,
     telemetry: Telemetry | None = None,
 ) -> ExecutionReport:
-    """Vectorised tumbling-window execution of a column batch.
+    """The tumbling-window pipeline the accuracy experiments run.
 
-    Semantics match :meth:`WindowedStream.aggregate` with a
+    Events are replayed in arrival order through
+    :class:`TumblingEventTimeWindows` under a
     :class:`BoundedOutOfOrdernessWatermarks` strategy (bound 0 =
-    ascending watermarks): events are replayed in arrival order, the
-    watermark is the running maximum event time minus the bound, and an
-    event is late iff the watermark had already passed its window's end
-    plus the allowed lateness *before* the event arrived.
-
-    This is the executor the accuracy experiments use: the late/kept
-    decision and window assignment are pure numpy, and each window's
-    surviving values are fed to the aggregator with one
-    ``add_batch`` call.
-
-    *parallelism* > 1 models Flink's partitioned execution: each
-    window's events are scattered round-robin over that many task-local
-    accumulators, which are merged when the window fires.  This is
-    exactly the distributed pattern mergeability (Sec 2.4) exists for;
-    results are identical for order-insensitive aggregators and
-    statistically equivalent for the randomized sketches.
+    ascending watermarks): the watermark is the running maximum event
+    time minus the bound, and an event is late iff the watermark had
+    already passed its window's end plus the allowed lateness *before*
+    the event arrived.  Results are ordered by window start.
     """
-    telemetry = telemetry if telemetry is not None else NOOP
-    ordered, window_ids, late = tumbling_assignment(
-        batch, window_size_ms, out_of_orderness_ms, allowed_lateness_ms
+    return (
+        StreamEnvironment()
+        .from_batch(batch)
+        .window(TumblingEventTimeWindows(window_size_ms))
+        .aggregate(
+            aggregator,
+            BoundedOutOfOrdernessWatermarks(out_of_orderness_ms),
+            allowed_lateness_ms,
+            telemetry=telemetry,
+        )
     )
-    n = ordered.event_times.size
-    report = ExecutionReport(total_events=int(n))
-    if n == 0:
-        return report
-    report.dropped_late = int(late.sum())
-    if late.all():
-        return report
-
-    if parallelism < 1:
-        raise PipelineError(
-            f"parallelism must be >= 1, got {parallelism!r}"
-        )
-    kept_values = ordered.values[~late]
-    kept_ids = window_ids[~late]
-    for window_id in np.unique(kept_ids):
-        values = kept_values[kept_ids == window_id]
-        # The span times one full pane firing — aggregate + result —
-        # landing in the "span.streaming.window_emit" histogram.
-        with telemetry.span("streaming.window_emit"):
-            if parallelism == 1:
-                accumulator = aggregator.create_accumulator()
-                accumulator = aggregator.add_batch(accumulator, values)
-            else:
-                # Scatter over task-local accumulators, then merge — the
-                # partition/pre-aggregate/combine plan of a parallel SPE.
-                partials = []
-                for task in range(parallelism):
-                    partial = aggregator.create_accumulator()
-                    partial = aggregator.add_batch(
-                        partial, values[task::parallelism]
-                    )
-                    partials.append(partial)
-                accumulator = partials[0]
-                for partial in partials[1:]:
-                    accumulator = aggregator.merge(accumulator, partial)
-            result = aggregator.get_result(accumulator)
-        telemetry.counter("streaming.windows_emitted").inc()
-        span = WindowSpan(
-            float(window_id) * window_size_ms,
-            float(window_id + 1) * window_size_ms,
-        )
-        report.results.append(
-            WindowResult(
-                key=None,
-                window=span,
-                result=result,
-                event_count=int(values.size),
-            )
-        )
-    report.results.sort(key=lambda r: r.window.start)
-    return report
-
-
-def run_sliding_batch(
-    batch: EventBatch,
-    window_size_ms: float,
-    slide_ms: float,
-    aggregator: AggregateFunction,
-    out_of_orderness_ms: float = 0.0,
-) -> ExecutionReport:
-    """Pane-sliced sliding-window execution (stream slicing).
-
-    Sliding windows overlap, so naive execution adds every event to
-    ``size / slide`` separate accumulators.  Mergeable aggregators
-    enable *slicing*: each event lands in exactly one ``slide_ms`` pane
-    and each window's result is the merge of its ``size / slide``
-    panes — the optimisation that makes mergeability (Sec 2.4) matter
-    even inside a single machine.
-
-    Requires ``window_size_ms`` to be a multiple of ``slide_ms``.  Late
-    events are dropped against their *pane* (the earliest window end
-    that covers them), a slightly conservative variant of per-window
-    dropping; on in-order streams the two coincide exactly.
-    """
-    if slide_ms <= 0 or window_size_ms <= 0:
-        raise PipelineError(
-            f"size and slide must be positive, got "
-            f"{window_size_ms!r}/{slide_ms!r}"
-        )
-    panes_per_window = window_size_ms / slide_ms
-    if abs(panes_per_window - round(panes_per_window)) > 1e-9:
-        raise PipelineError(
-            "window_size_ms must be a multiple of slide_ms for pane "
-            "slicing"
-        )
-    panes_per_window = int(round(panes_per_window))
-
-    ordered = batch.in_arrival_order()
-    event_times = ordered.event_times
-    n = event_times.size
-    report = ExecutionReport(total_events=int(n))
-    if n == 0:
-        return report
-
-    running_max = np.maximum.accumulate(event_times)
-    watermark_before = np.concatenate(([-np.inf], running_max[:-1]))
-    watermark_before = watermark_before - out_of_orderness_ms
-    pane_ids = np.floor(event_times / slide_ms).astype(np.int64)
-    pane_ends = (pane_ids + 1) * slide_ms
-    late = watermark_before >= pane_ends
-    report.dropped_late = int(late.sum())
-    if late.all():
-        return report
-
-    kept_values = ordered.values[~late]
-    kept_ids = pane_ids[~late]
-    panes: dict[int, Any] = {}
-    pane_counts: dict[int, int] = {}
-    for pane_id in np.unique(kept_ids):
-        values = kept_values[kept_ids == pane_id]
-        accumulator = aggregator.create_accumulator()
-        panes[int(pane_id)] = aggregator.add_batch(accumulator, values)
-        pane_counts[int(pane_id)] = int(values.size)
-
-    first_pane = min(panes)
-    last_pane = max(panes)
-    # Every window overlapping a non-empty pane fires.
-    for start_pane in range(
-        first_pane - panes_per_window + 1, last_pane + 1
-    ):
-        member_panes = [
-            p for p in range(start_pane, start_pane + panes_per_window)
-            if p in panes
-        ]
-        if not member_panes:
-            continue
-        merged = aggregator.create_accumulator()
-        for pane_id in member_panes:
-            merged = aggregator.merge(merged, panes[pane_id])
-        span = WindowSpan(
-            start_pane * slide_ms,
-            start_pane * slide_ms + window_size_ms,
-        )
-        report.results.append(
-            WindowResult(
-                key=None,
-                window=span,
-                result=aggregator.get_result(merged),
-                event_count=sum(pane_counts[p] for p in member_panes),
-            )
-        )
-    report.results.sort(key=lambda r: r.window.start)
-    return report
 
 
 def window_values(
@@ -602,7 +470,8 @@ def window_values(
     """The surviving raw values of each tumbling window.
 
     Companion to :func:`run_tumbling_batch` used to compute ground-truth
-    quantiles per window under the *same* late-drop policy.
+    quantiles per window under the *same* late-drop policy, from
+    :func:`tumbling_assignment` rather than from the engine.
     """
     ordered, window_ids, late = tumbling_assignment(
         batch, window_size_ms, out_of_orderness_ms, allowed_lateness_ms

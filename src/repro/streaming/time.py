@@ -16,14 +16,21 @@ Strategies mirror Flink's two standard generators:
 from __future__ import annotations
 
 import abc
-import copy
 import math
+
+import numpy as np
 
 from repro.errors import InvalidValueError
 
 
 class WatermarkStrategy(abc.ABC):
-    """Stateful generator advancing a monotone watermark."""
+    """Generator of a monotone watermark.
+
+    ``on_event`` / ``current_watermark`` define it one event at a time;
+    ``watermarks_before`` is the same fold over a whole column of event
+    times, which is what the engine runs (so a run never advances the
+    strategy object it was given).
+    """
 
     def __init__(self) -> None:
         self._watermark = -math.inf
@@ -31,16 +38,6 @@ class WatermarkStrategy(abc.ABC):
     @property
     def current_watermark(self) -> float:
         return self._watermark
-
-    def fresh(self) -> "WatermarkStrategy":
-        """A copy of this strategy back at ``-inf``.
-
-        Each pipeline run advances its own copy, so one strategy object
-        can configure any number of runs.
-        """
-        clone = copy.copy(self)
-        clone._watermark = -math.inf
-        return clone
 
     def on_event(self, event_time: float) -> float:
         """Observe an event time; return the (possibly advanced)
@@ -50,9 +47,19 @@ class WatermarkStrategy(abc.ABC):
             self._watermark = candidate
         return self._watermark
 
+    def watermarks_before(self, event_times: np.ndarray) -> np.ndarray:
+        """Column form of :meth:`on_event`, from ``-inf``: entry *i* is
+        ``current_watermark`` just before event *i* is observed."""
+        before = np.full(event_times.size, -math.inf)
+        np.maximum.accumulate(
+            self._candidate(event_times[:-1]), out=before[1:]
+        )
+        return before
+
     @abc.abstractmethod
     def _candidate(self, event_time: float) -> float:
-        """Watermark implied by seeing *event_time*."""
+        """Watermark implied by seeing *event_time* (elementwise on an
+        array of event times)."""
 
 
 class AscendingTimestampsWatermarks(WatermarkStrategy):

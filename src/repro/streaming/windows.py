@@ -2,9 +2,11 @@
 
 Three assigners mirror Flink's: fixed (tumbling) windows — the kind the
 paper's experiments use — plus sliding and session windows.  An assigner
-maps an event time to the window(s) it belongs to; session windows are
-stateful per key and merge as events bridge gaps, so they expose a
-different interface.
+maps an event time to the window(s) it belongs to: ``assign`` is the
+definition, one event at a time, and ``assign_batch`` is the same
+mapping over a whole column of event times, which is what the engine
+runs.  Session windows propose ``[t, t + gap)`` per event; the engine
+merges the proposals of a key that touch.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import InvalidValueError
 
@@ -47,12 +51,25 @@ class WindowSpan:
         )
 
 
+#: ``(rows, starts, ends)``: one entry per (event, window) pair.
+WindowColumns = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 class WindowAssigner(abc.ABC):
     """Maps an event time to the windows containing it."""
 
     @abc.abstractmethod
     def assign(self, event_time: float) -> list[WindowSpan]:
         """Windows the event belongs to (tumbling: exactly one)."""
+
+    @abc.abstractmethod
+    def assign_batch(self, event_times: np.ndarray) -> WindowColumns:
+        """Column form of :meth:`assign`: ``(rows, starts, ends)``.
+
+        One entry per (event, window) pair — ``rows`` indexes
+        *event_times* — in event order, each event's windows in the
+        order :meth:`assign` lists them, with bit-identical bounds.
+        """
 
 
 class TumblingEventTimeWindows(WindowAssigner):
@@ -72,6 +89,10 @@ class TumblingEventTimeWindows(WindowAssigner):
     def assign(self, event_time: float) -> list[WindowSpan]:
         start = math.floor(event_time / self.size_ms) * self.size_ms
         return [WindowSpan(start, start + self.size_ms)]
+
+    def assign_batch(self, event_times: np.ndarray) -> WindowColumns:
+        starts = np.floor(event_times / self.size_ms) * self.size_ms
+        return np.arange(starts.size), starts, starts + self.size_ms
 
 
 class SlidingEventTimeWindows(WindowAssigner):
@@ -101,6 +122,25 @@ class SlidingEventTimeWindows(WindowAssigner):
             start -= self.slide_ms
         return spans
 
+    def assign_batch(self, event_times: np.ndarray) -> WindowColumns:
+        # The scalar loop run on every event at once: round j keeps the
+        # events that still have a j-th window.
+        rows = np.arange(event_times.size)
+        start = np.floor(event_times / self.slide_ms) * self.slide_ms
+        lower = event_times - self.size_ms
+        row_rounds, start_rounds = [rows[:0]], [start[:0]]
+        live = start > lower
+        while live.any():
+            rows, start, lower = rows[live], start[live], lower[live]
+            row_rounds.append(rows)
+            start_rounds.append(start)
+            start = start - self.slide_ms
+            live = start > lower
+        rows = np.concatenate(row_rounds)
+        by_event = np.argsort(rows, kind="stable")
+        starts = np.concatenate(start_rounds)[by_event]
+        return rows[by_event], starts, starts + self.size_ms
+
 
 class SessionWindows(WindowAssigner):
     """Gap-based session windows.
@@ -119,6 +159,10 @@ class SessionWindows(WindowAssigner):
 
     def assign(self, event_time: float) -> list[WindowSpan]:
         return [WindowSpan(event_time, event_time + self.gap_ms)]
+
+    def assign_batch(self, event_times: np.ndarray) -> WindowColumns:
+        rows = np.arange(event_times.size)
+        return rows, event_times, event_times + self.gap_ms
 
     @property
     def is_merging(self) -> bool:

@@ -69,6 +69,21 @@ class TestCountWindows:
         assert by_key[0] == [[0.0, 2.0, 4.0], [6.0, 8.0]]
         assert by_key[1] == [[1.0, 3.0, 5.0], [7.0, 9.0]]
 
+    def test_full_windows_fire_on_their_last_event(self):
+        env = StreamEnvironment()
+        report = (
+            env.from_batch(batch_of(range(10)))
+            .key_by(lambda e: int(e.value) % 2)
+            .count_window(3)
+            .aggregate(CollectingAggregator())
+        )
+        # Full windows in the order they filled up, then the partial
+        # trailing ones in the order they opened.
+        assert [(r.key, r.result.tolist()) for r in report.results] == [
+            (0, [0.0, 2.0, 4.0]), (1, [1.0, 3.0, 5.0]),
+            (0, [6.0, 8.0]), (1, [7.0, 9.0]),
+        ]
+
     def test_exact_multiple_no_empty_flush(self):
         env = StreamEnvironment()
         report = (

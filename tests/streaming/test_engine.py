@@ -18,6 +18,7 @@ from repro.streaming import (
     TumblingEventTimeWindows,
     WindowSpan,
     run_tumbling_batch,
+    tumbling_assignment,
     window_values,
 )
 
@@ -272,7 +273,8 @@ class TestVectorisedPath:
         assert report.results == []
 
     def test_matches_general_path(self, rng):
-        # The central semantic property: both executors agree exactly.
+        # The central semantic property: the engine agrees exactly with
+        # the independent reference (tumbling_assignment/window_values).
         n = 3_000
         event_times = np.sort(rng.uniform(0, 10_000, n))
         batch = EventBatch(
@@ -280,22 +282,13 @@ class TestVectorisedPath:
             event_times=event_times,
             arrival_times=event_times + rng.exponential(200.0, n),
         )
-        env = StreamEnvironment()
-        general = (
-            env.from_batch(batch)
-            .window(TumblingEventTimeWindows(1_000.0))
-            .aggregate(CollectingAggregator())
-        )
+        _ordered, _ids, late = tumbling_assignment(batch, 1_000.0)
+        truth = window_values(batch, 1_000.0)
         fast = run_tumbling_batch(batch, 1_000.0, CollectingAggregator())
-        assert general.total_events == fast.total_events
-        assert general.dropped_late == fast.dropped_late
-        general_map = {
-            r.window: r.result.tolist()
-            for r in general.results
-            if r.result.size
-        }
+        assert fast.total_events == n
+        assert fast.dropped_late == int(late.sum()) > 0
         fast_map = {r.window: r.result.tolist() for r in fast.results}
-        assert general_map == fast_map
+        assert fast_map == {w: v.tolist() for w, v in truth.items()}
 
     def test_matches_general_path_with_lateness_and_bound(self, rng):
         n = 2_000
@@ -305,26 +298,17 @@ class TestVectorisedPath:
             event_times=event_times,
             arrival_times=event_times + rng.exponential(300.0, n),
         )
-        env = StreamEnvironment()
-        general = (
-            env.from_batch(batch)
-            .window(TumblingEventTimeWindows(500.0))
-            .aggregate(
-                CountAggregator(),
-                watermarks=BoundedOutOfOrdernessWatermarks(100.0),
-                allowed_lateness_ms=250.0,
-            )
+        _ordered, _ids, late = tumbling_assignment(
+            batch, 500.0, 100.0, 250.0
         )
+        truth = window_values(batch, 500.0, 100.0, 250.0)
         fast = run_tumbling_batch(
             batch, 500.0, CountAggregator(),
             out_of_orderness_ms=100.0, allowed_lateness_ms=250.0,
         )
-        assert general.dropped_late == fast.dropped_late
-        general_counts = {
-            r.window: r.result for r in general.results if r.result
-        }
+        assert fast.dropped_late == int(late.sum()) > 0
         fast_counts = {r.window: r.result for r in fast.results}
-        assert general_counts == fast_counts
+        assert fast_counts == {w: v.size for w, v in truth.items()}
 
     def test_window_values_consistent_with_report(self, rng):
         n = 1_000

@@ -1,10 +1,11 @@
-"""Property-based equivalence of the engine's execution paths.
+"""Property-based equivalence of the engine and its reference.
 
 Hypothesis generates arbitrary timestamped batches (values, event
-times, delays); the general per-event pipeline and the vectorised
-tumbling executor must agree *exactly* on window contents, late-drop
-counts, and totals — for every stream shape, not just the seeded ones
-the unit tests use.
+times, delays); the engine and the independent reference
+(``tumbling_assignment`` / ``window_values``, which the engine never
+calls) must agree *exactly* on window contents, late-drop counts, and
+totals — for every stream shape, not just the seeded ones the unit
+tests use.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.streaming import (
     StreamEnvironment,
     TumblingEventTimeWindows,
     run_tumbling_batch,
+    tumbling_assignment,
     window_values,
 )
 
@@ -64,9 +66,9 @@ class TestPathEquivalence:
            bound=bounds, late=lateness)
     @settings(max_examples=120, deadline=None)
     def test_general_equals_vectorised(self, batch, size, bound, late):
-        env = StreamEnvironment()
         general = (
-            env.from_batch(batch)
+            StreamEnvironment()
+            .from_batch(batch)
             .window(TumblingEventTimeWindows(size))
             .aggregate(
                 CollectingAggregator(),
@@ -74,20 +76,19 @@ class TestPathEquivalence:
                 allowed_lateness_ms=late,
             )
         )
-        fast = run_tumbling_batch(
-            batch, size, CollectingAggregator(),
-            out_of_orderness_ms=bound, allowed_lateness_ms=late,
+        _ordered, _ids, late_mask = tumbling_assignment(
+            batch, size, bound, late
         )
-        assert general.total_events == fast.total_events
-        assert general.dropped_late == fast.dropped_late
+        truth = window_values(batch, size, bound, late)
+        assert general.total_events == len(batch)
+        assert general.dropped_late == int(late_mask.sum())
         general_map = {
-            r.window: sorted(r.result.tolist())
-            for r in general.results if r.result.size
+            r.window: r.result.tolist() for r in general.results
         }
-        fast_map = {
-            r.window: sorted(r.result.tolist()) for r in fast.results
-        }
-        assert general_map == fast_map
+        assert general_map == {w: v.tolist() for w, v in truth.items()}
+        assert [r.event_count for r in general.results] == (
+            [truth[r.window].size for r in general.results]
+        )
 
     @given(batch=event_batches(), size=window_sizes)
     @settings(max_examples=80, deadline=None)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.data.streams import EventBatch
-from repro.streaming.events import Event, events_from_batch
+from repro.streaming.events import Event, EventColumns, events_from_batch
 
 
 class TestEvent:
@@ -56,3 +56,22 @@ class TestEventsFromBatch:
         [event] = events_from_batch(batch)
         assert isinstance(event.value, float)
         assert isinstance(event.event_time, float)
+
+
+class TestEventColumns:
+    def test_round_trip_keeps_order_and_keys(self):
+        events = [
+            Event(1.0, 5.0, 9.0, "b"),
+            Event(2.0, 3.0, 4.0, "a"),
+            Event(3.0, 1.0, 2.0, "b"),
+        ]
+        columns = EventColumns.from_events(iter(events))
+        assert columns.keys == ["b", "a"]  # first-seen order
+        assert columns.key_codes.tolist() == [0, 1, 0]
+        assert list(columns.events()) == events  # not re-sorted
+        assert list(columns.events(np.asarray([2]))) == events[2:]
+
+    def test_empty_stream(self):
+        columns = EventColumns.from_events([])
+        assert columns.values.size == columns.key_codes.size == 0
+        assert list(columns.events()) == []

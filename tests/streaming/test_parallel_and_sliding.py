@@ -1,18 +1,14 @@
-"""Tests for parallel window execution and pane-sliced sliding windows."""
+"""Sliding windows through the engine (``SlidingEventTimeWindows`` on
+``WindowedStream.aggregate``, the only sliding executor)."""
 
 import numpy as np
-import pytest
 
-from repro.core import DDSketch, MomentsSketch
 from repro.data.streams import EventBatch
-from repro.errors import PipelineError
 from repro.streaming import (
     CollectingAggregator,
     CountAggregator,
-    SketchAggregator,
     SlidingEventTimeWindows,
     StreamEnvironment,
-    run_sliding_batch,
     run_tumbling_batch,
 )
 
@@ -23,72 +19,19 @@ def ordered_batch(values, spacing_ms=1.0):
     return EventBatch(values, times, times.copy())
 
 
-class TestParallelism:
-    def test_counts_identical_to_serial(self, rng):
-        batch = ordered_batch(rng.uniform(0, 100, 5_000))
-        serial = run_tumbling_batch(batch, 1_000.0, CountAggregator())
-        parallel = run_tumbling_batch(
-            batch, 1_000.0, CountAggregator(), parallelism=4
-        )
-        assert [r.result for r in serial.results] == (
-            [r.result for r in parallel.results]
-        )
-
-    def test_ddsketch_results_identical(self, rng):
-        # DDSketch is order-insensitive and merge-exact, so parallel
-        # execution must reproduce the serial result bit for bit.
-        batch = ordered_batch(rng.uniform(1, 100, 5_000))
-        agg = SketchAggregator(DDSketch, quantiles=(0.5, 0.99))
-        serial = run_tumbling_batch(batch, 1_000.0, agg)
-        parallel = run_tumbling_batch(batch, 1_000.0, agg, parallelism=8)
-        for a, b in zip(serial.results, parallel.results):
-            assert a.result == b.result
-
-    def test_moments_results_identical(self, rng):
-        batch = ordered_batch(rng.uniform(1, 100, 5_000))
-        agg = SketchAggregator(
-            lambda: MomentsSketch(num_moments=8), quantiles=(0.5,)
-        )
-        serial = run_tumbling_batch(batch, 1_000.0, agg)
-        parallel = run_tumbling_batch(batch, 1_000.0, agg, parallelism=3)
-        for a, b in zip(serial.results, parallel.results):
-            assert a.result[0.5] == pytest.approx(
-                b.result[0.5], rel=1e-9
-            )
-
-    def test_rejects_bad_parallelism(self, rng):
-        batch = ordered_batch(rng.uniform(0, 10, 100))
-        with pytest.raises(PipelineError):
-            run_tumbling_batch(
-                batch, 10.0, CountAggregator(), parallelism=0
-            )
+def run_sliding(batch, size_ms, slide_ms, aggregator, **kwargs):
+    return (
+        StreamEnvironment()
+        .from_batch(batch)
+        .window(SlidingEventTimeWindows(size_ms, slide_ms))
+        .aggregate(aggregator, **kwargs)
+    )
 
 
 class TestSlidingPanes:
-    def test_matches_general_sliding_path_in_order(self, rng):
-        batch = ordered_batch(rng.uniform(0, 100, 3_000))
-        env = StreamEnvironment()
-        general = (
-            env.from_batch(batch)
-            .window(SlidingEventTimeWindows(1_000.0, 250.0))
-            .aggregate(CollectingAggregator())
-        )
-        sliced = run_sliding_batch(
-            batch, 1_000.0, 250.0, CollectingAggregator()
-        )
-        general_map = {
-            r.window: r.result.tolist() for r in general.results
-        }
-        sliced_map = {
-            r.window: r.result.tolist() for r in sliced.results
-        }
-        assert general_map == sliced_map
-
     def test_each_window_covers_size_worth_of_events(self, rng):
         batch = ordered_batch(np.ones(4_000))
-        report = run_sliding_batch(
-            batch, 1_000.0, 500.0, CountAggregator()
-        )
+        report = run_sliding(batch, 1_000.0, 500.0, CountAggregator())
         interior = [
             r for r in report.results
             if 0 <= r.window.start and r.window.end <= 4_000
@@ -101,46 +44,43 @@ class TestSlidingPanes:
         tumbling = run_tumbling_batch(
             batch, 500.0, CollectingAggregator()
         )
-        sliding = run_sliding_batch(
-            batch, 500.0, 500.0, CollectingAggregator()
-        )
+        sliding = run_sliding(batch, 500.0, 500.0, CollectingAggregator())
         assert [r.window for r in tumbling.results] == (
             [r.window for r in sliding.results]
         )
         for a, b in zip(tumbling.results, sliding.results):
             assert a.result.tolist() == b.result.tolist()
 
-    def test_panes_not_mutated_by_window_merges(self, rng):
-        # Each pane feeds several windows; merging must not corrupt it.
-        batch = ordered_batch(rng.uniform(1, 100, 2_000))
-        agg = SketchAggregator(DDSketch, quantiles=(0.5,))
-        report = run_sliding_batch(batch, 1_000.0, 250.0, agg)
-        # Windows sharing panes must be internally consistent: the
-        # event counts of overlapping windows differ by at most a pane.
-        counts = [r.event_count for r in report.results]
-        interior = counts[4:-4]
-        assert all(c == 1_000 for c in interior)
-
     def test_late_events_dropped_against_pane(self):
+        # The third event is late for all four of its windows: one
+        # dropped event, not four (event, window) pairs.
         values = np.asarray([1.0, 2.0, 3.0])
         event_times = np.asarray([0.0, 2_000.0, 100.0])
         arrival = np.asarray([0.0, 1.0, 2.0])
         batch = EventBatch(values, event_times, arrival)
-        report = run_sliding_batch(
-            batch, 1_000.0, 500.0, CountAggregator()
+        report = run_sliding(
+            batch, 1_000.0, 250.0, CountAggregator(), collect_late=True
         )
+        assert report.total_events == 3
         assert report.dropped_late == 1
+        assert report.loss_fraction <= 1.0
+        assert [e.value for e in report.late_events] == [3.0]
 
-    def test_validation(self, rng):
-        batch = ordered_batch(rng.uniform(0, 10, 10))
-        with pytest.raises(PipelineError):
-            run_sliding_batch(batch, 1_000.0, 300.0, CountAggregator())
-        with pytest.raises(PipelineError):
-            run_sliding_batch(batch, 0.0, 100.0, CountAggregator())
+    def test_event_kept_by_one_window_is_not_a_drop(self):
+        # Watermark 1250 has fired [250, 1250) but not [500, 1500) or
+        # later: the event at 1100 is late for one window only.
+        batch = EventBatch(
+            np.asarray([1.0, 2.0]),
+            np.asarray([1_250.0, 1_100.0]),
+            np.asarray([0.0, 1.0]),
+        )
+        report = run_sliding(batch, 1_000.0, 250.0, CountAggregator())
+        assert report.dropped_late == 0
+        counts = {r.window.start: r.result for r in report.results}
+        assert 250.0 not in counts
+        assert counts[500.0] == 2 and counts[1_000.0] == 2
 
     def test_empty_batch(self):
         batch = EventBatch(np.zeros(0), np.zeros(0), np.zeros(0))
-        report = run_sliding_batch(
-            batch, 1_000.0, 500.0, CountAggregator()
-        )
+        report = run_sliding(batch, 1_000.0, 500.0, CountAggregator())
         assert report.results == []
