@@ -47,7 +47,6 @@ I/O happens in the runner tick threads between lock regions.
 
 from __future__ import annotations
 
-import copy
 import threading
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -70,7 +69,7 @@ class _MergedReads:
     After a failover the key's history spans two origins (the old
     leader's replicated records plus the new leader's own), so queries
     merge the per-origin merged views.  Cached store views are never
-    mutated: the first view is deep-copied before absorbing the rest.
+    mutated: the first view is copied before absorbing the rest.
     """
 
     def __init__(self, stores: list[Any]) -> None:
@@ -88,7 +87,7 @@ class _MergedReads:
                 empty = exc
                 continue
             if view is None:
-                view = copy.deepcopy(source)
+                view = source.copy()
             else:
                 view.merge(source)
         if view is None:

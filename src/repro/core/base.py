@@ -26,13 +26,13 @@ Aliasing policy
 ``s.merge(s)`` is well-defined and doubles the sketch: merging reads
 *other*'s internal state while mutating our own, so every concrete
 ``merge`` first routes through :meth:`QuantileSketch._merge_operand`,
-which snapshots *other* (a deep copy) when it aliases ``self``.
+which snapshots *other* (:meth:`QuantileSketch.copy`) when it aliases
+``self``.
 """
 
 from __future__ import annotations
 
 import abc
-import copy
 import math
 from typing import Iterable, Sequence
 
@@ -194,7 +194,7 @@ class QuantileSketch(abc.ABC):
         mutating the same objects, corrupting the sketch.
         """
         if other is self:
-            return copy.deepcopy(other)
+            return other.copy()
         return other
 
     def _merge_bookkeeping(self, other: "QuantileSketch") -> None:
@@ -203,6 +203,24 @@ class QuantileSketch(abc.ABC):
             self._min = other._min
         if other._max > self._max:
             self._max = other._max
+
+    def copy(self) -> "QuantileSketch":
+        """An independent sketch that is, and stays, equal to this one.
+
+        The copy serializes to the same bytes and — generator state and
+        unflushed buffers included — answers the same further updates
+        and merges with the same bytes again; mutating either leaves
+        the other untouched.  It is a fresh instance, so an attribute
+        shadowed on this one (a timing wrapper around ``merge``) does
+        not travel with it, which a ``__dict__`` or ``deepcopy`` clone
+        would carry bound to the original.  The default round-trips
+        through the continuation-exact codec; sketches on a hot path
+        override it field by field.
+        """
+        # serialization imports every sketch module, this one included
+        from repro.core.serialization import dumps, loads
+
+        return loads(dumps(self))
 
     # ------------------------------------------------------------------
     # Queries

@@ -261,6 +261,17 @@ class KLLSketch(QuantileSketch):
         if self._retained > self._total_capacity():
             self._compress()
 
+    def copy(self) -> "KLLSketch":
+        clone = KLLSketch(self.max_compactor_size, seed=0)
+        clone._rng.bit_generator.state = self._rng.bit_generator.state
+        clone._compactors = [list(buffer) for buffer in self._compactors]
+        clone._retained = self._retained
+        clone._recompute_capacity()
+        clone._count = self._count
+        clone._min = self._min
+        clone._max = self._max
+        return clone
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

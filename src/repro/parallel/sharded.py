@@ -179,9 +179,10 @@ class ShardedSketch(QuantileSketch):
         via its merged view — folds into shard 0.
 
         ``s.merge(s)`` doubles the sketch, like every sketch in the
-        repo; the locks make :meth:`_merge_operand`'s deep copy
-        impossible here, so the self-snapshot is the merged view (a
-        plain, independent sketch) folded into shard 0.
+        repo; it has no codec for :meth:`_merge_operand`'s ``copy()``
+        to go through (and locks no copy should share), so the
+        self-snapshot is the merged view (a plain, independent sketch)
+        folded into shard 0.
         """
         if other is self:
             view = self._merged_view()

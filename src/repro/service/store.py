@@ -14,9 +14,21 @@ loses existence, the standard monitoring-store trade.
 Range queries are quantised to partition edges (a partition overlapping
 the range contributes wholly), mirroring
 :class:`~repro.streaming.windowed_sketch.SlidingWindowSketch` panes.
-The merged view is cached under a ``(version, range)`` key — the same
+Two caches sit under :meth:`TimePartitionedStore.merged`.  The whole
+view is cached under a ``(version, range)`` key — the same
 cache-invalidation rule as :class:`~repro.parallel.ShardedSketch` — so
-repeated queries of an unchanged store never re-merge.
+repeated queries of an unchanged store never merge at all.  Behind it
+the store keeps one *prefix fold*: the oldest→newest fold of every
+covered partition except the newest fine one, which is where in-order
+writes land.  A query beside writes extends that fold over the
+partitions passed since, copies it and merges the newest partition in,
+instead of re-folding the range from an empty sketch.  KLL and REQ
+spend coin flips in ``merge``, so the fold is never re-associated: the
+prefix (generator state included) is exactly what a from-scratch fold
+holds at that point, and every answer stays byte-identical to one.
+Writes into a folded partition, compaction and partition adoption drop
+the prefix; it is touched only under the store lock and callers only
+ever see copies of it.
 
 All time reads flow through the injected :class:`~repro.service.clock.Clock`;
 nothing here touches the wall clock directly, which is what makes two
@@ -82,9 +94,12 @@ class TimePartitionedStore:
         Coarse horizon, in coarse partitions; data older than this is
         dropped entirely.
     telemetry:
-        Observability sink (:mod:`repro.obs`); the merged-view cache
-        reports ``store.view_cache_hit`` / ``store.view_cache_miss``
-        counters through it.  Defaults to the disabled no-op instance.
+        Observability sink (:mod:`repro.obs`).  :meth:`merged` counts
+        ``store.view_cache_hit`` (answered without a merge) against
+        ``store.view_cache_miss``, and for the misses
+        ``store.view_prefix_hit`` (the prefix fold was reused) against
+        ``store.view_prefix_rebuild`` plus the ``store.view_merges``
+        they performed.  Defaults to the disabled no-op instance.
     """
 
     def __init__(
@@ -136,6 +151,11 @@ class TimePartitionedStore:
         self._version = 0
         self._cached_key: tuple[int, float, float] | None = None
         self._cached_view: QuantileSketch | None = None
+        # Prefix fold: _prefix holds the coarse, then the fine
+        # partitions named by _prefix_ids, folded in that order.  None
+        # once dropped; the ids it had are then meaningless.
+        self._prefix: QuantileSketch | None = None
+        self._prefix_ids: tuple[tuple[int, ...], list[int]] = ((), [])
         self._digest_cache: tuple[int, dict[str, str]] | None = None
         self._events_recorded = 0
         self._dropped_late = 0
@@ -175,11 +195,16 @@ class TimePartitionedStore:
         recovered store makes byte-identical drop and compaction
         choices to the live run.
 
+        A batch the partition sketch rejects (NaN, ±inf) raises out of
+        here and leaves the store as it was: counters, version and
+        partitions change only once the update has succeeded.
+
         Returns the number of values accepted.
         """
         array = np.asarray(values, dtype=np.float64).ravel()
         if array.size == 0:
             return 0
+        accepted = int(array.size)
         with self._lock:
             now = (
                 self._clock.now_ms() if now_ms is None else float(now_ms)
@@ -187,25 +212,40 @@ class TimePartitionedStore:
             ts = now if timestamp_ms is None else float(timestamp_ms)
             self._maybe_compact_locked(now)
             if ts < now - self.fine_horizon_ms:
-                self._dropped_late += int(array.size)
+                self._dropped_late += accepted
                 return 0
             bucket_id = int(math.floor(ts / self.partition_ms))
             bucket = self._fine.get(bucket_id)
-            if bucket is None:
-                bucket = self._factory()
-                self._fine[bucket_id] = bucket
-            self._events_recorded += int(array.size)
-            self._version += 1
-            if not isinstance(bucket, ShardedSketch):
-                # Plain sketches are not thread-safe; keep the store
-                # lock across the update.
+            if bucket is None or not self._fine_sharded:
+                # Plain sketches are not thread-safe, and a new
+                # partition joins the store only with its first batch
+                # applied: both keep the store lock across the update.
+                if bucket is None:
+                    bucket = self._factory()
                 bucket.update_batch(array)
-                return int(array.size)
+                self._fine[bucket_id] = bucket
+                self._applied_locked(bucket_id, accepted)
+                return accepted
         # Sharded partitions take their own per-shard locks, so the
         # update proceeds outside the store lock — this is the
         # lock-striped hot path.
         bucket.update_batch(array)
-        return int(array.size)
+        with self._lock:
+            self._applied_locked(bucket_id, accepted)
+        return accepted
+
+    def _applied_locked(self, bucket_id: int, accepted: int) -> None:
+        """Account for a batch now visible in fine partition *bucket_id*.
+
+        Runs after the update, never before: a view cached under the
+        new version, or a prefix that survives this call, must already
+        hold the batch.
+        """
+        self._events_recorded += accepted
+        self._version += 1
+        folded_fine = self._prefix_ids[1]
+        if folded_fine and bucket_id <= folded_fine[-1]:
+            self._prefix = None
 
     # ------------------------------------------------------------------
     # Retention
@@ -252,6 +292,7 @@ class TimePartitionedStore:
             changed = True
         if changed:
             self._version += 1
+            self._prefix = None
 
     # ------------------------------------------------------------------
     # Range queries
@@ -275,11 +316,12 @@ class TimePartitionedStore:
         width_ms: float,
         lo: float,
         hi: float,
-    ) -> Iterator[QuantileSketch]:
+    ) -> Iterator[int]:
+        """Ids of the partitions intersecting ``[lo, hi)``, ascending."""
         for bucket_id in sorted(buckets):
             start = bucket_id * width_ms
             if start + width_ms > lo and start < hi:
-                yield buckets[bucket_id]
+                yield bucket_id
 
     def merged(
         self, t0: float | None = None, t1: float | None = None
@@ -288,7 +330,9 @@ class TimePartitionedStore:
 
         The view is cached under the store version and the quantised
         range, so repeated queries of an unchanged store return the
-        same object without re-merging.  Raises
+        same object without re-merging.  Any other query folds the
+        covered partitions oldest to newest — coarse, then fine —
+        through :meth:`_fold_locked`.  Raises
         :class:`~repro.errors.EmptySketchError` when no retained data
         falls in the range.
         """
@@ -307,19 +351,10 @@ class TimePartitionedStore:
                 self.telemetry.counter("store.view_cache_hit").inc()
                 return self._cached_view
             self.telemetry.counter("store.view_cache_miss").inc()
-            view = self._view_factory()
-            sources = list(
-                self._covered(self._coarse, self.coarse_ms, lo, hi)
-            ) + list(
-                self._covered(self._fine, self.partition_ms, lo, hi)
+            view = self._fold_locked(
+                tuple(self._covered(self._coarse, self.coarse_ms, lo, hi)),
+                list(self._covered(self._fine, self.partition_ms, lo, hi)),
             )
-            for source in sources:
-                if isinstance(source, ShardedSketch):
-                    # Read through the shard locks for a consistent
-                    # snapshot while concurrent writers make progress.
-                    source = source._merged_view()
-                if not source.is_empty:
-                    view.merge(source)
             if view.is_empty:
                 raise EmptySketchError(
                     f"no events in range [{lo!r}, {hi!r})"
@@ -327,6 +362,54 @@ class TimePartitionedStore:
             self._cached_view = view
             self._cached_key = key
             return view
+
+    def _fold_locked(
+        self, coarse_ids: tuple[int, ...], fine_ids: list[int]
+    ) -> QuantileSketch:
+        """Fold the covered partitions; the caller owns the result.
+
+        The prefix — every covered partition but the newest fine one —
+        is kept between calls.  It serves this query if the partitions
+        it folded are the ones this fold begins with: the same coarse
+        partitions, then the same oldest fine ones.  It is then
+        extended, in place, over the fine partitions passed since;
+        otherwise (the range's lower edge moved past a folded
+        partition, or the range ends before the prefix does) it is
+        folded afresh.  The answer is a copy of the prefix with the
+        newest partition merged in, which is step for step the fold
+        from an empty sketch.
+        """
+        newest = fine_ids.pop() if fine_ids else None
+        # Out of its slot while it is mutated: a merge that raises
+        # leaves no half-extended prefix behind.
+        prefix, self._prefix = self._prefix, None
+        folded_coarse, folded_fine = self._prefix_ids
+        if (
+            prefix is not None
+            and folded_coarse == coarse_ids
+            and fine_ids[:len(folded_fine)] == folded_fine
+        ):
+            self.telemetry.counter("store.view_prefix_hit").inc()
+            sources = [
+                self._fine[bucket_id]
+                for bucket_id in fine_ids[len(folded_fine):]
+            ]
+        else:
+            self.telemetry.counter("store.view_prefix_rebuild").inc()
+            prefix = self._view_factory()
+            sources = [
+                self._coarse[coarse_id] for coarse_id in coarse_ids
+            ] + [self._fine[bucket_id] for bucket_id in fine_ids]
+        merges = 0
+        for source in sources:
+            merges += _merge_into(prefix, source)
+        view = prefix.copy()
+        if newest is not None:
+            merges += _merge_into(view, self._fine[newest])
+        self._prefix = prefix
+        self._prefix_ids = (coarse_ids, fine_ids)
+        self.telemetry.counter("store.view_merges").inc(merges)
+        return view
 
     def quantile(
         self,
@@ -367,13 +450,13 @@ class TimePartitionedStore:
         lo, hi = self._resolve_range(t0, t1)
         with self._lock:
             return sum(
-                sketch.count
-                for sketch in self._covered(
+                self._coarse[coarse_id].count
+                for coarse_id in self._covered(
                     self._coarse, self.coarse_ms, lo, hi
                 )
             ) + sum(
-                sketch.count
-                for sketch in self._covered(
+                self._fine[bucket_id].count
+                for bucket_id in self._covered(
                     self._fine, self.partition_ms, lo, hi
                 )
             )
@@ -562,6 +645,7 @@ class TimePartitionedStore:
                 self._version += 1
                 self._cached_view = None
                 self._cached_key = None
+                self._prefix = None
             return changed
 
     # ------------------------------------------------------------------
@@ -636,6 +720,18 @@ class TimePartitionedStore:
                     )
             reader.finish()
         return store
+
+
+def _merge_into(view: QuantileSketch, source: QuantileSketch) -> int:
+    """Merge one partition into *view*; the number of merges it took."""
+    if isinstance(source, ShardedSketch):
+        # Read through the shard locks for a consistent snapshot while
+        # concurrent writers make progress.
+        source = source._merged_view()
+    if source.is_empty:
+        return 0
+    view.merge(source)
+    return 1
 
 
 def _freeze(sketch: QuantileSketch) -> bytes:

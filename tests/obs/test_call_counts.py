@@ -4,7 +4,9 @@ A counting :class:`Telemetry` double is handed to the registry, the
 durability manager and the server; one ``ingest`` is dispatched and
 drained through the real server, and the double must see exactly the
 same instrument traffic for a 10-value batch as for a 10,000-value one.
-Counts, not clocks: the assertion is noise-free.
+Likewise on the read path: a query's instrument traffic is per query,
+never per partition merged.  Counts, not clocks: the assertions are
+noise-free.
 """
 
 import collections
@@ -14,7 +16,13 @@ import pytest
 
 from repro.durability import DurabilityManager
 from repro.obs.telemetry import Telemetry
-from repro.service import ManualClock, MetricRegistry, QuantileServer
+from repro.service import (
+    ManualClock,
+    MetricRegistry,
+    QuantileServer,
+    TimePartitionedStore,
+    default_sketch_factory,
+)
 
 
 class _Tallied:
@@ -104,3 +112,38 @@ def test_instrument_calls_do_not_scale_with_batch_size(durable, tmp_path):
     assert small["span", "server.drain_batch"] == 1
     assert small["histogram.record_us", "span.server.drain_batch"] == 1
     assert small.get(("span", "wal.append"), 0) == int(durable)
+
+
+def query_calls(n_partitions):
+    """Instrument tallies of a fold, an extension and a cached read."""
+    telemetry = CountingTelemetry()
+    clock = ManualClock(0.0)
+    store = TimePartitionedStore(
+        default_sketch_factory(), clock=clock, telemetry=telemetry
+    )
+    for _ in range(n_partitions):
+        store.record_batch([1.0, 2.0], timestamp_ms=clock.advance(1_000.0))
+    telemetry.calls.clear()
+    store.merged()  # folds every partition
+    store.record_batch([3.0], timestamp_ms=clock.advance(1_000.0))
+    store.merged()  # extends the prefix by one partition
+    store.merged()  # cached
+    return dict(telemetry.calls)
+
+
+def test_query_instrument_calls_do_not_scale_with_partitions():
+    few = query_calls(3)
+    many = query_calls(30)
+    assert few == many
+    assert few == {
+        ("counter", "store.view_cache_miss"): 2,
+        ("counter.inc", "store.view_cache_miss"): 2,
+        ("counter", "store.view_cache_hit"): 1,
+        ("counter.inc", "store.view_cache_hit"): 1,
+        ("counter", "store.view_prefix_rebuild"): 1,
+        ("counter.inc", "store.view_prefix_rebuild"): 1,
+        ("counter", "store.view_prefix_hit"): 1,
+        ("counter.inc", "store.view_prefix_hit"): 1,
+        ("counter", "store.view_merges"): 2,
+        ("counter.inc", "store.view_merges"): 2,
+    }

@@ -86,9 +86,16 @@ class TestServerInstrumentation:
                 client.flush()
                 client.quantile("lat", 0.5)  # build the merged view
                 client.quantile("lat", 0.9)  # reuse it
+                client.ingest("lat", [3.0], timestamp_ms=1_500.0)
+                client.flush()
+                client.quantile("lat", 0.5)  # extend the prefix fold
         counters = telemetry.snapshot()["counters"]
-        assert counters["store.view_cache_miss"] >= 1
-        assert counters["store.view_cache_hit"] >= 1
+        assert counters["store.view_cache_miss"] == 2
+        assert counters["store.view_cache_hit"] == 1
+        assert counters["store.view_prefix_rebuild"] == 1
+        assert counters["store.view_prefix_hit"] == 1
+        # [0] alone, then [0] into the prefix and [1] into its copy
+        assert counters["store.view_merges"] == 3
 
 
 class TestClientInstrumentation:

@@ -34,9 +34,9 @@ def stream():
     a batch the sketch rejects, then seeded bulk."""
     rng = np.random.default_rng(20231107)
     yield "lat", {"svc": "api"}, [1.5, -0.0, 5e-324, 1e308, 7], START_MS
-    # its own timestamp: coalesced with a neighbour, a rejected batch is
-    # counted twice in the store's events_recorded, by drain timing
-    yield "lat", None, [2.0, math.inf, -math.inf, math.nan], START_MS + 50.0
+    # key and timestamp of the batch after it: the drain may coalesce
+    # the two or not, and the store counts only what it applied
+    yield "lat", None, [2.0, math.inf, -math.inf, math.nan], START_MS
     for index in range(12):
         name = ("lat", "rps")[index % 2]
         values = (1.0 + rng.pareto(1.0, 40)).tolist()

@@ -10,6 +10,7 @@ Two regimes, per the service PR checklist:
   inside the ingested value range.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -159,6 +160,63 @@ class TestThreadedIngestWhileQuery:
     def test_short_threaded_run(self):
         """Tier-1-sized version of the soak: seconds, not minutes."""
         run_soak(n_writers=4, per_writer=30, batch=50, n_readers=2)
+
+    def test_a_view_holds_every_batch_counted_before_it_was_asked_for(self):
+        """Writers land inside the folded prefix while readers extend it.
+
+        ``events_recorded`` moves after the batch is in its partition,
+        so a view asked for after reading it can only hold more.  A
+        prefix that survived a write into one of its partitions, or a
+        view cached under a version bumped ahead of the update, would
+        come back short.
+        """
+        store = TimePartitionedStore(
+            lambda: ShardedSketch(lambda: DDSketch(alpha=0.01), n_shards=4),
+            clock=ManualClock(8_000.0),
+            partition_ms=1_000.0,
+            fine_partitions=100_000,
+        )
+        for second in range(8):  # the partitions exist; writers race on them
+            store.record_batch([LO], timestamp_ms=second * 1_000.0)
+        errors = []
+        done = threading.Event()
+
+        def write(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(60):
+                store.record_batch(
+                    rng.uniform(LO, HI, 20),
+                    timestamp_ms=float(rng.integers(8)) * 1_000.0,
+                )
+
+        def read():
+            while not done.is_set():
+                counted = store.events_recorded
+                held = store.merged().count
+                if held < counted:
+                    errors.append(f"view holds {held} of {counted} counted")
+                    return
+
+        threads = [
+            threading.Thread(target=write, args=(seed,), daemon=True)
+            for seed in range(4)
+        ]
+        readers = [threading.Thread(target=read, daemon=True) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers + threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            done.set()
+            for reader in readers:
+                reader.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads + readers)
+        assert errors == []
+        assert store.merged().count == store.events_recorded == 8 + 4 * 60 * 20
 
     def test_registry_concurrent_multi_metric(self):
         registry = MetricRegistry(

@@ -230,6 +230,27 @@ class TestBackpressure:
                 assert client.count("lat") == 4
                 assert client.stats()["ingested_values"] == 4
 
+    def test_poisoned_batch_coalesced_with_neighbours_counts_nothing(self):
+        clock = ManualClock(0.0)
+        registry = make_registry(clock)
+        with QuantileServer(registry, ingest_workers=1) as server:
+            host, port = server.address
+            with QuantileClient(host, port, retries=0) as client:
+                server.pause_ingest()
+                client.ingest("other", [1.0], timestamp_ms=0.0)
+                wait_until(lambda: server.queue_depth() == 0)
+                # one drained run of three ops with one key and timestamp
+                client.ingest("lat", [1.0, 2.0], timestamp_ms=0.0)
+                client.ingest("lat", [3.0, float("nan")], timestamp_ms=0.0)
+                client.ingest("lat", [4.0], timestamp_ms=0.0)
+                server.resume_ingest()
+                client.flush()
+                stats = client.stats()
+                assert stats["error_responses"] == 1
+                assert stats["ingested_values"] == 4
+        store = registry.get("lat")
+        assert store.count() == store.events_recorded == 3
+
     def test_shed_is_not_retried_by_client(self):
         clock = ManualClock(0.0)
         registry = make_registry(clock)

@@ -1,5 +1,7 @@
 """Tests for the time-partitioned sketch store."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -189,11 +191,15 @@ class TestMergedViewCache:
         clock = ManualClock(0.0)
         calls, store = self.counting(clock)
         store.record(1.0, timestamp_ms=0.0)
-        store.quantile(0.5)
+        first = store.merged()
         built = len(calls)
         store.record(2.0, timestamp_ms=100.0)
-        store.quantile(0.5)
-        assert len(calls) == built + 1
+        second = store.merged()
+        # A new view, not the old one mutated; it comes from a copy of
+        # the prefix fold, so no factory call.
+        assert second is not first
+        assert (first.count, second.count) == (1, 2)
+        assert len(calls) == built
 
     def test_different_range_rebuilds(self):
         clock = ManualClock(0.0)
@@ -286,6 +292,74 @@ class TestShardedPartitions:
         assert all(
             isinstance(s, ShardedSketch) for s in store._fine.values()
         )
+
+
+class GatedSharded(ShardedSketch):
+    """A sharded partition whose next update waits to be let through."""
+
+    entered = threading.Event()
+    gate = threading.Event()
+
+    def update_batch(self, values):
+        self.entered.set()
+        assert self.gate.wait(timeout=10.0)
+        super().update_batch(values)
+
+
+class TestCountedAfterApply:
+    """Counters, version and caches move once the update has happened."""
+
+    # No sharded-inf case: ShardedSketch pre-checks NaN only, so its
+    # shards apply part of such a batch before one refuses (ROADMAP).
+    @pytest.mark.parametrize(
+        "factory, poison",
+        [
+            (dd_factory, float("nan")),
+            (dd_factory, float("inf")),
+            (sharded_factory, float("nan")),
+        ],
+        ids=["plain-nan", "plain-inf", "sharded-nan"],
+    )
+    @pytest.mark.parametrize("partition", ["existing", "new"])
+    def test_rejected_batch_leaves_the_store_untouched(
+        self, factory, poison, partition
+    ):
+        store = TimePartitionedStore(factory, clock=ManualClock(0.0))
+        store.record_batch([1.0, 2.0], timestamp_ms=0.0)
+        before = (store.events_recorded, store.version, store.snapshot())
+        ts = 0.0 if partition == "existing" else 1_000.0
+        with pytest.raises(InvalidValueError):
+            store.record_batch([1.0, poison], timestamp_ms=ts)
+        assert (
+            store.events_recorded, store.version, store.snapshot()
+        ) == before
+        assert store.count() == store.events_recorded == 2
+
+    def test_batch_applied_outside_the_lock_shows_once_it_lands(self):
+        GatedSharded.gate.set()
+        store = TimePartitionedStore(
+            lambda: GatedSharded(dd_factory, n_shards=2),
+            clock=ManualClock(0.0),
+        )
+        store.record_batch([1.0], timestamp_ms=0.0)
+        GatedSharded.entered.clear()
+        GatedSharded.gate.clear()
+        writer = threading.Thread(
+            target=store.record_batch, args=([5.0, 6.0], 0.0), daemon=True
+        )
+        writer.start()
+        try:
+            assert GatedSharded.entered.wait(timeout=10.0)
+            # mid-update: under the version the writer will leave behind,
+            # this view would be served again below
+            assert store.merged().count == 1
+            assert store.events_recorded == 1
+        finally:
+            GatedSharded.gate.set()
+            writer.join(timeout=10.0)
+        assert not writer.is_alive()
+        assert store.merged().count == 3
+        assert store.events_recorded == 3
 
 
 class TestSnapshot:
