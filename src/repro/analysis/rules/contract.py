@@ -44,6 +44,8 @@ from repro.analysis.walker import (
 
 _REQUIRED_METHODS = ("update", "merge", "quantile", "size_bytes")
 _OBSERVERS = frozenset({"_observe", "_observe_batch"})
+#: The interface and base.py's abstract base for weighted-sample sketches.
+_SKETCH_BASES = frozenset({"QuantileSketch", "WeightedSampleSketch"})
 _REGISTRY_MODULE = "repro.core.registry"
 
 
@@ -57,7 +59,7 @@ def _base_names(cls: ast.ClassDef) -> set[str]:
 
 
 def _is_sketch_class(cls: ast.ClassDef) -> bool:
-    return "QuantileSketch" in _base_names(cls)
+    return bool(_SKETCH_BASES & _base_names(cls))
 
 
 def _is_abstract(cls: ast.ClassDef) -> bool:

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Iterable, Sequence
+import operator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -86,6 +87,58 @@ def validate_quantile(q: float) -> float:
     if not 0.0 < q <= 1.0:
         raise InvalidQuantileError(q)
     return q
+
+
+#: Coins a ``CoinFlips`` block draws one at a time before it switches
+#: to blocks: a merge or a small batch flips only a handful.
+SCALAR_COINS = 16
+#: First and largest coin block; the blocks between double.
+FIRST_COIN_BLOCK, MAX_COIN_BLOCK = 64, 4096
+
+
+class CoinFlips:
+    """Fair compaction coins from *rng*, as if drawn one at a time.
+
+    ``rng.integers(2, size=n)`` yields the same coins as n scalar
+    ``rng.integers(2)`` calls and leaves the same generator state.  So
+    after :data:`SCALAR_COINS` scalar draws the state is snapshotted and
+    coins are served from blocks; on exit — exception included — the
+    snapshot is restored and exactly the coins used are redrawn, leaving
+    the generator where one scalar draw per coin would have.
+    """
+
+    __slots__ = ("_rng", "_scalar_left", "_snapshot", "_block", "_drawn")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._scalar_left = SCALAR_COINS
+        self._snapshot: dict[str, Any] | None = None
+
+    def __enter__(self) -> Callable[[], int]:
+        return self.flip
+
+    def flip(self) -> int:
+        """The next coin, 0 or 1."""
+        if self._scalar_left:
+            self._scalar_left -= 1
+            return int(self._rng.integers(2))
+        if self._snapshot is None:
+            self._snapshot = self._rng.bit_generator.state
+            self._block: Iterator[int] = iter(())
+            self._drawn = 0
+        coin = next(self._block, None)
+        if coin is not None:
+            return coin
+        size = min(max(self._drawn, FIRST_COIN_BLOCK), MAX_COIN_BLOCK)
+        self._drawn += size
+        self._block = iter(self._rng.integers(2, size=size).tolist())
+        return next(self._block)
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._snapshot is not None:
+            used = self._drawn - operator.length_hint(self._block)
+            self._rng.bit_generator.state = self._snapshot
+            self._rng.integers(2, size=used)
 
 
 class QuantileSketch(abc.ABC):
@@ -312,3 +365,60 @@ class QuantileSketch(abc.ABC):
             raise EmptySketchError(
                 f"{type(self).__name__} has seen no data"
             )
+
+
+class WeightedSampleSketch(QuantileSketch):
+    """A sketch answering from retained items with integer weights.
+
+    KLL, REQ and Random select by cumulative weight over their sorted
+    sample, so every estimate is a stream value.  :meth:`quantiles`
+    sorts that sample once for all its *qs*; each subclass's
+    ``quantile`` is the one-element case.
+    """
+
+    @abc.abstractmethod
+    def _weighted_runs(self) -> Iterable[tuple[Any, int]]:
+        """The retained items as ``(items, weight)`` runs, in a fixed
+        order: equal values keep it in the sorted sample."""
+
+    def _weighted_samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """Retained values sorted ascending, with their int64 weights."""
+        runs = [
+            (np.asarray(items, dtype=np.float64), weight)
+            for items, weight in self._weighted_runs()
+            if len(items)
+        ]
+        values = np.concatenate([items for items, _ in runs])
+        weights = np.concatenate([
+            np.full(items.size, weight, dtype=np.int64)
+            for items, weight in runs
+        ])
+        order = np.argsort(values, kind="stable")
+        return values[order], weights[order]
+
+    def quantiles(self, qs: Iterable[float]) -> list[float]:
+        estimates: list[float] = []
+        for q in qs:
+            q = validate_quantile(q)
+            if not estimates:
+                self._require_nonempty()
+                values, weights = self._weighted_samples()
+                cumulative = np.cumsum(weights)
+            # The q-quantile is the item of rank ceil(q * N) (Sec 2.1);
+            # the retained weights sum to a value near (not exactly) the
+            # stream length, so select against the retained total.
+            target = math.ceil(q * cumulative[-1])
+            pos = int(np.searchsorted(cumulative, target, side="left"))
+            estimates.append(float(values[min(pos, values.size - 1)]))
+        return estimates
+
+    def rank(self, value: float) -> int:
+        self._require_nonempty()
+        values, weights = self._weighted_samples()
+        pos = int(np.searchsorted(values, value, side="right"))
+        retained_rank = int(weights[:pos].sum())
+        total_weight = int(weights.sum())
+        return min(
+            int(round(retained_rank * self._count / total_weight)),
+            self._count,
+        )

@@ -18,14 +18,15 @@ stream values, and the sketch occasionally returns the exact quantile
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.base import (
+    CoinFlips,
     QuantileSketch,
+    WeightedSampleSketch,
     as_float_batch,
-    validate_quantile,
 )
 from repro.errors import IncompatibleSketchError, InvalidValueError
 
@@ -38,7 +39,7 @@ CAPACITY_DECAY = 2.0 / 3.0
 MIN_CAPACITY = 2
 
 
-class KLLSketch(QuantileSketch):
+class KLLSketch(WeightedSampleSketch):
     """Additive rank-error sketch retaining a weighted sample.
 
     Parameters
@@ -75,26 +76,19 @@ class KLLSketch(QuantileSketch):
     # Capacity schedule
     # ------------------------------------------------------------------
 
-    def _capacity(self, height: int) -> int:
-        """Capacity of the compactor at *height*.
-
-        The top compactor holds ``k`` items; each level below holds a
-        ``2/3`` fraction of the level above, floored at two.  Reads the
-        per-level cache; the schedule only changes when the hierarchy
-        grows, so the compaction scan never redoes the power math.
-        """
-        return self._capacities[height]
-
     def _total_capacity(self) -> int:
-        """Cached sum of all compactor capacities.
-
-        Recomputed only when the hierarchy grows (the per-level
-        capacities depend on the number of levels), so the hot ``update``
-        path pays a constant-time comparison.
-        """
+        """Cached sum of all compactor capacities."""
         return self._capacity_cache
 
     def _recompute_capacity(self) -> None:
+        """Cache the capacity of each level and their sum.
+
+        The top compactor holds ``k`` items; each level below holds a
+        ``2/3`` fraction of the level above, floored at two.  The
+        schedule changes only when the hierarchy grows, so the hot paths
+        read ``_capacities`` / ``_capacity_cache`` and never redo the
+        power math.
+        """
         top = len(self._compactors) - 1
         self._capacities = [
             max(
@@ -118,8 +112,9 @@ class KLLSketch(QuantileSketch):
         self._compactors[0].append(value)
         self._retained += 1
         self._observe(value)
-        if self._retained > self._total_capacity():
-            self._compress()
+        if self._retained > self._capacity_cache:
+            with CoinFlips(self._rng) as flip:
+                self._compress(flip)
 
     def update_batch(self, values: Sequence[float] | np.ndarray) -> None:
         values = as_float_batch(values)
@@ -131,7 +126,7 @@ class KLLSketch(QuantileSketch):
         # between), so extending level 0 right up to that trigger and
         # then compressing once reproduces the per-item compaction
         # schedule exactly — same states at every compress point, same
-        # RNG draw sequence.
+        # RNG draw sequence, which one CoinFlips serves for the batch.
         # In steady state the next compress point is only a handful of
         # values away (median chunk ~4 at 10^6+ retained histories), so
         # the loop below is hot: keep the trigger state in locals and
@@ -142,39 +137,45 @@ class KLLSketch(QuantileSketch):
         extend = level0.extend
         capacity = self._capacity_cache
         retained = self._retained
+        if retained + total <= capacity:  # no compress point: no coins
+            extend(items)
+            self._retained = retained + total
+            return
         pos = 0
-        while pos < total:
-            end = pos + capacity - retained + 1
-            chunk = items[pos:end] if end < total else (
-                items[pos:] if pos else items
-            )
-            extend(chunk)
-            retained += len(chunk)
-            pos += len(chunk)
-            if retained > capacity:
-                self._retained = retained
-                self._compress()
-                retained = self._retained
-                capacity = self._capacity_cache
-                level0 = self._compactors[0]
-                extend = level0.extend
+        with CoinFlips(self._rng) as flip:
+            while pos < total:
+                end = pos + capacity - retained + 1
+                chunk = items[pos:end] if end < total else (
+                    items[pos:] if pos else items
+                )
+                extend(chunk)
+                retained += len(chunk)
+                pos += len(chunk)
+                if retained > capacity:
+                    self._retained = retained
+                    self._compress(flip)
+                    retained = self._retained
+                    capacity = self._capacity_cache
+                    level0 = self._compactors[0]
+                    extend = level0.extend
         self._retained = retained
 
     # ------------------------------------------------------------------
     # Compaction
     # ------------------------------------------------------------------
 
-    def _compress(self) -> None:
+    def _compress(self, flip: Callable[[], int]) -> None:
         """Compact the lowest over-full compactor (may cascade)."""
-        while self._retained > self._total_capacity():
-            for height in range(len(self._compactors)):
-                if len(self._compactors[height]) >= self._capacity(height):
-                    self._compact_level(height)
+        while self._retained > self._capacity_cache:
+            capacities = self._capacities
+            for height, buffer in enumerate(self._compactors):
+                if len(buffer) >= capacities[height]:
+                    self._compact_level(height, flip)
                     break
             else:  # no level is individually full; grow the hierarchy
-                self._compact_level(len(self._compactors) - 1)
+                self._compact_level(len(self._compactors) - 1, flip)
 
-    def _compact_level(self, height: int) -> None:
+    def _compact_level(self, height: int, flip: Callable[[], int]) -> None:
         """Sort level *height*, promote a random half, discard the rest."""
         buffer = self._compactors[height]
         if len(buffer) < MIN_CAPACITY:
@@ -183,61 +184,22 @@ class KLLSketch(QuantileSketch):
             self._compactors.append([])
             self._recompute_capacity()
         buffer.sort()
-        # An odd item (if any) stays behind so the halving is unbiased.
-        odd_one = buffer.pop() if len(buffer) % 2 == 1 else None
-        offset = int(self._rng.integers(2))
-        promoted = buffer[offset::2]
-        self._compactors[height + 1].extend(promoted)
-        removed = len(buffer) - len(promoted)
-        buffer.clear()
-        if odd_one is not None:
-            buffer.append(odd_one)
-        self._retained -= removed
+        # An odd item (the largest) stays behind so the halving is
+        # unbiased; the coin picks the odd- or even-indexed half.
+        even = len(buffer) & ~1
+        self._compactors[height + 1].extend(buffer[flip():even:2])
+        del buffer[:even]
+        self._retained -= even // 2
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
-    def _weighted_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """Retained values with their weights, sorted by value."""
-        values: list[np.ndarray] = []
-        weights: list[np.ndarray] = []
-        for height, buffer in enumerate(self._compactors):
-            if not buffer:
-                continue
-            arr = np.asarray(buffer, dtype=np.float64)
-            values.append(arr)
-            weights.append(np.full(arr.size, 1 << height, dtype=np.int64))
-        all_values = np.concatenate(values)
-        all_weights = np.concatenate(weights)
-        order = np.argsort(all_values, kind="stable")
-        return all_values[order], all_weights[order]
+    def _weighted_runs(self) -> list[tuple[list[float], int]]:
+        return [(buffer, 1 << h) for h, buffer in enumerate(self._compactors)]
 
     def quantile(self, q: float) -> float:
-        q = validate_quantile(q)
-        self._require_nonempty()
-        values, weights = self._weighted_samples()
-        cumulative = np.cumsum(weights)
-        # The q-quantile is the item of rank ceil(q * N) (Sec 2.1); the
-        # retained weights sum to a value near (not exactly) the stream
-        # length, so select against the retained total.
-        target = math.ceil(q * cumulative[-1])
-        pos = int(np.searchsorted(cumulative, target, side="left"))
-        pos = min(pos, values.size - 1)
-        return float(values[pos])
-
-    def rank(self, value: float) -> int:
-        self._require_nonempty()
-        values, weights = self._weighted_samples()
-        pos = int(np.searchsorted(values, value, side="right"))
-        retained_rank = int(weights[:pos].sum())
-        total_weight = int(weights.sum())
-        if total_weight == 0:
-            return 0
-        return min(
-            int(round(retained_rank * self._count / total_weight)),
-            self._count,
-        )
+        return self.quantiles((q,))[0]
 
     # ------------------------------------------------------------------
     # Merging
@@ -249,17 +211,19 @@ class KLLSketch(QuantileSketch):
             raise IncompatibleSketchError(
                 f"cannot merge KLLSketch with {type(other).__name__}"
             )
-        while len(self._compactors) < len(other._compactors):
-            self._compactors.append([])
-        self._recompute_capacity()
+        grow = len(other._compactors) - len(self._compactors)
+        if grow > 0:  # the schedule depends on the number of levels only
+            self._compactors.extend([] for _ in range(grow))
+            self._recompute_capacity()
         for height, buffer in enumerate(other._compactors):
             self._compactors[height].extend(buffer)
             self._retained += len(buffer)
         self._merge_bookkeeping(other)
         # Compact any level exceeding the capacity schedule of the
         # combined sketch (k_h is based on the merged height, Sec 3.1).
-        if self._retained > self._total_capacity():
-            self._compress()
+        if self._retained > self._capacity_cache:
+            with CoinFlips(self._rng) as flip:
+                self._compress(flip)
 
     def copy(self) -> "KLLSketch":
         clone = KLLSketch(self.max_compactor_size, seed=0)

@@ -16,6 +16,7 @@ grid, exactly as the reference msketch solver does.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,30 @@ DEFAULT_MAX_ITERATIONS = 200
 DEFAULT_TOLERANCE = 1e-9
 
 
+@functools.lru_cache(maxsize=16)
+def _chebyshev_power_rows(k: int) -> tuple[np.ndarray, ...]:
+    """Power-basis coefficients of ``T_0 .. T_k``, one read-only row each."""
+    cheb2poly = np.polynomial.chebyshev.cheb2poly
+    rows = tuple(cheb2poly(np.eye(j + 1)[j]) for j in range(k + 1))
+    for row in rows:
+        row.flags.writeable = False
+    return rows
+
+
+@functools.lru_cache(maxsize=16)
+def chebyshev_grid(
+    grid_size: int, degree: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical grid ``linspace(-1, 1, grid_size)`` and its basis
+    ``basis[j, g] = T_j(grid[g])`` for ``j <= degree``, both read-only:
+    every solve on that grid shares them."""
+    grid = np.linspace(-1.0, 1.0, grid_size)
+    vander = np.polynomial.chebyshev.chebvander(grid, degree)
+    grid.flags.writeable = False
+    vander.flags.writeable = False
+    return grid, vander.T
+
+
 def power_to_chebyshev_moments(power_moments: np.ndarray) -> np.ndarray:
     """Convert power moments ``E[x^i]`` to Chebyshev moments ``E[T_j(x)]``.
 
@@ -38,14 +63,8 @@ def power_to_chebyshev_moments(power_moments: np.ndarray) -> np.ndarray:
     moments.
     """
     power_moments = np.asarray(power_moments, dtype=np.float64)
-    k = power_moments.size - 1
-    cheb = np.zeros(k + 1)
-    for j in range(k + 1):
-        basis = np.zeros(j + 1)
-        basis[j] = 1.0
-        coeffs = np.polynomial.chebyshev.cheb2poly(basis)
-        cheb[j] = float(coeffs @ power_moments[: coeffs.size])
-    return cheb
+    rows = _chebyshev_power_rows(power_moments.size - 1)
+    return np.array([float(row @ power_moments[: row.size]) for row in rows])
 
 
 @dataclass(frozen=True)
@@ -98,10 +117,7 @@ class MaxEntropySolver:
         Newton's method fails to reduce the moment mismatch.
         """
         m = np.asarray(chebyshev_moments, dtype=np.float64)
-        k = m.size
-        grid = np.linspace(-1.0, 1.0, self.grid_size)
-        # Basis matrix: basis[j, g] = T_j(grid[g]).
-        basis = np.polynomial.chebyshev.chebvander(grid, k - 1).T
+        grid, basis = chebyshev_grid(self.grid_size, m.size - 1)
         return self.solve_system(grid, basis, m)
 
     def solve_system(

@@ -32,9 +32,11 @@ from repro.core.base import (
 from repro.core.maxent import (
     MaxEntropySolver,
     MaxEntSolution,
+    chebyshev_grid,
     power_to_chebyshev_moments,
 )
 from repro.errors import (
+    EmptySketchError,
     IncompatibleSketchError,
     InsufficientDataError,
     InvalidValueError,
@@ -420,7 +422,7 @@ class MomentsSketch(QuantileSketch):
         density matches both moment sets at once.
         """
         k = self.num_moments
-        grid_u = np.linspace(-1.0, 1.0, self._grid_size)
+        grid_u, basis_u = chebyshev_grid(self._grid_size, k)
         l_mid = 0.5 * (self._l_min + self._l_max)
         l_half = 0.5 * (self._l_max - self._l_min)
         x_grid = np.exp(grid_u * l_half + l_mid)
@@ -428,7 +430,6 @@ class MomentsSketch(QuantileSketch):
         t_half = 0.5 * (self._t_max - self._t_min)
         v_grid = np.clip((x_grid - t_mid) / t_half, -1.0, 1.0)
 
-        basis_u = np.polynomial.chebyshev.chebvander(grid_u, k).T
         basis_v = np.polynomial.chebyshev.chebvander(v_grid, k).T[1:]
         basis = np.vstack([basis_u, basis_v])
 
@@ -473,10 +474,11 @@ class MomentsSketch(QuantileSketch):
     def quantiles(self, qs: Iterable[float]) -> list[float]:
         """Batch query: the density is fitted once and reused."""
         qs = [validate_quantile(q) for q in qs]
-        # Warm the cached solution once for the whole batch; a solver
-        # failure here is not swallowed — each per-quantile call below
-        # re-raises or falls back through quantile()'s handling.
-        with contextlib.suppress(InsufficientDataError, SolverError):
+        # Warm the cached solution once for the whole batch; a failure
+        # here is not swallowed — each per-quantile call below re-raises
+        # or falls back through quantile()'s handling.
+        errors = (EmptySketchError, InsufficientDataError, SolverError)
+        with contextlib.suppress(*errors):
             self._solve()
         return [self.quantile(q) for q in qs]
 

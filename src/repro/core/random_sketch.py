@@ -25,8 +25,8 @@ import numpy as np
 
 from repro.core.base import (
     QuantileSketch,
+    WeightedSampleSketch,
     as_float_batch,
-    validate_quantile,
 )
 from repro.errors import IncompatibleSketchError, InvalidValueError
 
@@ -42,7 +42,7 @@ class _Buffer:
         self.items = items
 
 
-class RandomSketch(QuantileSketch):
+class RandomSketch(WeightedSampleSketch):
     """Manku et al.'s buffer-collapse sketch.
 
     Parameters
@@ -155,43 +155,12 @@ class RandomSketch(QuantileSketch):
     # Queries
     # ------------------------------------------------------------------
 
-    def _weighted_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        values: list[np.ndarray] = []
-        weights: list[np.ndarray] = []
-        for buffer in self._full:
-            if not buffer.items:
-                continue
-            arr = np.asarray(buffer.items)
-            values.append(arr)
-            weights.append(np.full(arr.size, buffer.weight, dtype=np.int64))
-        if self._active:
-            arr = np.asarray(self._active)
-            values.append(arr)
-            weights.append(np.ones(arr.size, dtype=np.int64))
-        all_values = np.concatenate(values)
-        all_weights = np.concatenate(weights)
-        order = np.argsort(all_values, kind="stable")
-        return all_values[order], all_weights[order]
+    def _weighted_runs(self) -> list[tuple[list[float], int]]:
+        runs = [(buffer.items, buffer.weight) for buffer in self._full]
+        return runs + [(self._active, 1)]
 
     def quantile(self, q: float) -> float:
-        q = validate_quantile(q)
-        self._require_nonempty()
-        values, weights = self._weighted_samples()
-        cumulative = np.cumsum(weights)
-        target = math.ceil(q * cumulative[-1])
-        pos = int(np.searchsorted(cumulative, target, side="left"))
-        pos = min(pos, values.size - 1)
-        return float(values[pos])
-
-    def rank(self, value: float) -> int:
-        self._require_nonempty()
-        values, weights = self._weighted_samples()
-        pos = int(np.searchsorted(values, value, side="right"))
-        retained = int(weights[:pos].sum())
-        total = int(weights.sum())
-        if total == 0:
-            return 0
-        return min(int(round(retained * self._count / total)), self._count)
+        return self.quantiles((q,))[0]
 
     # ------------------------------------------------------------------
     # Merging

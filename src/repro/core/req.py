@@ -18,14 +18,15 @@ default.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.base import (
+    CoinFlips,
     QuantileSketch,
+    WeightedSampleSketch,
     as_float_batch,
-    validate_quantile,
 )
 from repro.errors import IncompatibleSketchError, InvalidValueError
 
@@ -67,7 +68,7 @@ class _RelativeCompactor:
         """Buffer capacity ``B = 2 * num_sections * section_size``."""
         return 2 * self.num_sections * self.section_size
 
-    def compact(self, rng: np.random.Generator) -> list[float]:
+    def compact(self, flip: Callable[[], int]) -> list[float]:
         """Run one compaction and return the items promoted upward."""
         self._ensure_enough_sections()
         self.buffer.sort()
@@ -90,8 +91,7 @@ class _RelativeCompactor:
         else:
             region = self.buffer[len(self.buffer) - compact_len :]
             keep = self.buffer[: len(self.buffer) - compact_len]
-        offset = int(rng.integers(2))
-        promoted = region[offset::2]
+        promoted = region[flip()::2]
         self.buffer = keep
         self.state += 1
         return promoted
@@ -128,7 +128,7 @@ def _trailing_ones(state: int) -> int:
     return count
 
 
-class ReqSketch(QuantileSketch):
+class ReqSketch(WeightedSampleSketch):
     """Multiplicative rank-error sketch with configurable end bias.
 
     Parameters
@@ -178,7 +178,8 @@ class ReqSketch(QuantileSketch):
         self._retained += 1
         self._observe(value)
         if len(level0.buffer) >= level0.nom_capacity:
-            self._compress()
+            with CoinFlips(self._rng) as flip:
+                self._compress(flip)
 
     def update_batch(self, values: Sequence[float] | np.ndarray) -> None:
         values = as_float_batch(values)
@@ -188,18 +189,19 @@ class ReqSketch(QuantileSketch):
         items = values.tolist()
         total = len(items)
         pos = 0
-        while pos < total:
-            level0 = self._compactors[0]
-            capacity = level0.nom_capacity
-            room = max(capacity - len(level0.buffer), 1)
-            chunk = items[pos : pos + room]
-            level0.buffer.extend(chunk)
-            self._retained += len(chunk)
-            pos += len(chunk)
-            if len(level0.buffer) >= capacity:
-                self._compress()
+        with CoinFlips(self._rng) as flip:
+            while pos < total:
+                level0 = self._compactors[0]
+                capacity = level0.nom_capacity
+                room = max(capacity - len(level0.buffer), 1)
+                chunk = items[pos : pos + room]
+                level0.buffer.extend(chunk)
+                self._retained += len(chunk)
+                pos += len(chunk)
+                if len(level0.buffer) >= capacity:
+                    self._compress(flip)
 
-    def _compress(self) -> None:
+    def _compress(self, flip: Callable[[], int]) -> None:
         height = 0
         while height < len(self._compactors):
             compactor = self._compactors[height]
@@ -208,7 +210,7 @@ class ReqSketch(QuantileSketch):
                     self._compactors.append(
                         _RelativeCompactor(self.num_sections, self.hra)
                     )
-                promoted = compactor.compact(self._rng)
+                promoted = compactor.compact(flip)
                 self._compactors[height + 1].buffer.extend(promoted)
                 self._retained -= len(promoted)
             height += 1
@@ -218,42 +220,14 @@ class ReqSketch(QuantileSketch):
     # Queries
     # ------------------------------------------------------------------
 
-    def _weighted_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        values: list[np.ndarray] = []
-        weights: list[np.ndarray] = []
-        for height, compactor in enumerate(self._compactors):
-            if not compactor.buffer:
-                continue
-            arr = np.asarray(compactor.buffer, dtype=np.float64)
-            values.append(np.sort(arr))
-            weights.append(np.full(arr.size, 1 << height, dtype=np.int64))
-        all_values = np.concatenate(values)
-        all_weights = np.concatenate(weights)
-        order = np.argsort(all_values, kind="stable")
-        return all_values[order], all_weights[order]
+    def _weighted_runs(self) -> list[tuple[np.ndarray, int]]:
+        return [
+            (np.sort(np.asarray(compactor.buffer, dtype=np.float64)), 1 << h)
+            for h, compactor in enumerate(self._compactors)
+        ]
 
     def quantile(self, q: float) -> float:
-        q = validate_quantile(q)
-        self._require_nonempty()
-        values, weights = self._weighted_samples()
-        cumulative = np.cumsum(weights)
-        target = math.ceil(q * cumulative[-1])
-        pos = int(np.searchsorted(cumulative, target, side="left"))
-        pos = min(pos, values.size - 1)
-        return float(values[pos])
-
-    def rank(self, value: float) -> int:
-        self._require_nonempty()
-        values, weights = self._weighted_samples()
-        pos = int(np.searchsorted(values, value, side="right"))
-        retained_rank = int(weights[:pos].sum())
-        total_weight = int(weights.sum())
-        if total_weight == 0:
-            return 0
-        return min(
-            int(round(retained_rank * self._count / total_weight)),
-            self._count,
-        )
+        return self.quantiles((q,))[0]
 
     # ------------------------------------------------------------------
     # Merging
@@ -277,7 +251,8 @@ class ReqSketch(QuantileSketch):
             self._compactors[height].merge_from(compactor)
         self._merge_bookkeeping(other)
         self._retained = sum(len(c.buffer) for c in self._compactors)
-        self._compress()
+        with CoinFlips(self._rng) as flip:
+            self._compress(flip)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -28,8 +28,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.base import QuantileSketch, _reject_nan_batch
-from repro.errors import IncompatibleSketchError
+from repro.core.base import QuantileSketch, _reject_nan_batch, as_float_batch
+from repro.errors import IncompatibleSketchError, InvalidValueError
 from repro.parallel.partition import (
     hash_shard,
     partition_batch,
@@ -111,6 +111,8 @@ class ShardedSketch(QuantileSketch):
 
     def update(self, value: float) -> None:
         value = float(value)
+        if not np.isfinite(value):
+            raise InvalidValueError(f"cannot insert non-finite value {value!r}")
         if self.partitioner == "hash":
             shard = hash_shard(value, self.n_shards)
         else:
@@ -124,12 +126,11 @@ class ShardedSketch(QuantileSketch):
             self._version += 1
 
     def update_batch(self, values: Sequence[float] | np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float64).ravel()
+        # Refuse NaN and ±inf before the routing cursor moves or a shard
+        # is touched, so a poisoned batch leaves no partial state behind.
+        values = as_float_batch(values)
         if values.size == 0:
             return
-        # Reject NaN before advancing the routing cursor or touching any
-        # shard, so a poisoned batch leaves no partial state behind.
-        _reject_nan_batch(values)
         with self._meta_lock:
             offset = self._routed
             self._routed += int(values.size)

@@ -1,6 +1,6 @@
 # module: repro.core.badsketch
 """Known-bad: incomplete interface, missing bookkeeping, unregistered."""
-from repro.core.base import QuantileSketch
+from repro.core.base import QuantileSketch, WeightedSampleSketch
 
 
 class BadSketch(QuantileSketch):  # expect: SK001,SK003
@@ -17,3 +17,21 @@ class BadSketch(QuantileSketch):  # expect: SK001,SK003
 
     def quantile(self, q):
         return 0.0
+
+
+class BadSampleSketch(WeightedSampleSketch):  # expect: SK001,SK003
+    """A weighted-sample sketch is still a sketch: own quantile missing."""
+
+    name = "bad_sample"
+
+    def update(self, value):
+        self._observe(value)
+
+    def merge(self, other):
+        self._merge_bookkeeping(other)
+
+    def size_bytes(self):
+        return 0
+
+    def _weighted_runs(self):
+        return []

@@ -20,12 +20,20 @@ automatically enrolls it here.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
-from repro.core.base import QuantileSketch
+from repro.core.base import (
+    FIRST_COIN_BLOCK,
+    SCALAR_COINS,
+    CoinFlips,
+    QuantileSketch,
+)
 from repro.core.registry import SKETCH_CLASSES, paper_config
 from repro.core.serialization import dumps
+from repro.errors import InvalidValueError
 
 SEED = 20230807
 QS = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
@@ -167,3 +175,162 @@ def test_signed_zeros_first_seen_wins(name: str, zeros: list[float]) -> None:
     split = paper_config(name, seed=SEED)
     batch_ingest(split, np.asarray(zeros), 1)
     assert dumps(scalar) == dumps(joined) == dumps(split)
+
+
+# -- compaction coins drawn in blocks (KLL and REQ) ----------------------
+
+#: Coins flipped by one call: around the scalar -> block switch, around
+#: the first two block boundaries, and across several blocks.
+BOUNDARY_COINS = (
+    SCALAR_COINS - 1, SCALAR_COINS, SCALAR_COINS + 1,
+    SCALAR_COINS + FIRST_COIN_BLOCK - 1,
+    SCALAR_COINS + FIRST_COIN_BLOCK,
+    SCALAR_COINS + FIRST_COIN_BLOCK + 1,
+    SCALAR_COINS + 2 * FIRST_COIN_BLOCK - 1,
+    SCALAR_COINS + 2 * FIRST_COIN_BLOCK + 1,
+    1_000,
+)
+COIN_SKETCHES = ("kll", "req")
+
+
+class CountingRng:
+    """A generator proxy counting ``integers`` calls and how many of
+    them drew a single value."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self.bit_generator = rng.bit_generator
+        self.calls = 0
+        self.scalar_calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        self.scalar_calls += kwargs.get("size") is None
+        return self._rng.integers(*args, **kwargs)
+
+
+def _filled(name: str, size: int = 20_000) -> QuantileSketch:
+    sketch = paper_config(name, seed=SEED)
+    sketch.update_batch(dataset(name, size))
+    return sketch
+
+
+@functools.lru_cache(maxsize=None)
+def _coin_trace(name: str) -> tuple[np.ndarray, list[int]]:
+    """A stream after ``_filled(name)`` and the coins flipped after each
+    of its values, fed one scalar ``update`` (and one coin) at a time."""
+    data = dataset(name, 60_000, seed=SEED + 1)
+    probe = _filled(name)
+    probe._rng = CountingRng(probe._rng)
+    flipped = []
+    for value in data.tolist():
+        probe.update(value)
+        flipped.append(probe._rng.calls)
+    assert probe._rng.calls == probe._rng.scalar_calls
+    return data, flipped
+
+
+def _batch_flipping(name: str, coins: int) -> tuple[int, int]:
+    """``(prefix, size)``: after *prefix* values, the next *size* values
+    flip exactly *coins* coins (a REQ cascade can flip two per value, so
+    the prefix moves the start until the count lands exactly)."""
+    _, flipped = _coin_trace(name)
+    first_at = {}
+    for index, count in enumerate(flipped):
+        first_at.setdefault(count, index)
+    for prefix in range(len(flipped)):
+        start = flipped[prefix - 1] if prefix else 0
+        end = first_at.get(start + coins)
+        if end is not None and end >= prefix:
+            return prefix, end + 1 - prefix
+    raise AssertionError(f"{name}: no batch flips exactly {coins} coins")
+
+
+@pytest.mark.parametrize("coins", BOUNDARY_COINS)
+def test_coin_flips_equal_scalar_draws(coins: int) -> None:
+    for seed in range(3):
+        reference = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
+        # one draw first, so half a uint64 sits buffered in the state
+        reference.integers(2)
+        rng.integers(2)
+        expected = [int(reference.integers(2)) for _ in range(coins)]
+        with CoinFlips(rng) as flip:
+            drawn = [flip() for _ in range(coins)]
+        assert drawn == expected
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_coin_flips_settle_the_generator_on_exception() -> None:
+    coins = SCALAR_COINS + FIRST_COIN_BLOCK + 5
+    reference = np.random.default_rng(3)
+    rng = np.random.default_rng(3)
+    reference.integers(2, size=coins)
+    with pytest.raises(RuntimeError):
+        with CoinFlips(rng) as flip:
+            for _ in range(coins):
+                flip()
+            raise RuntimeError("compaction failed")
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("coins", BOUNDARY_COINS)
+@pytest.mark.parametrize("name", COIN_SKETCHES)
+def test_batch_at_coin_block_boundaries_matches_scalar(
+    name: str, coins: int
+) -> None:
+    data, _ = _coin_trace(name)
+    prefix, size = _batch_flipping(name, coins)
+    scalar = _filled(name)
+    batched = _filled(name)
+    scalar_ingest(scalar, data[: prefix + size])
+    scalar_ingest(batched, data[:prefix])
+    batched.update_batch(data[prefix : prefix + size])
+    assert_equivalent(name, scalar, batched)
+
+
+@pytest.mark.parametrize("name", COIN_SKETCHES)
+def test_refused_batch_leaves_the_generator_untouched(name: str) -> None:
+    sketch = _filled(name)
+    state = sketch._rng.bit_generator.state
+    before = dumps(sketch)
+    poisoned = dataset(name, 70_000, seed=SEED + 2)
+    poisoned[-1] = np.inf
+    with pytest.raises(InvalidValueError):
+        sketch.update_batch(poisoned)
+    assert sketch._rng.bit_generator.state == state
+    assert dumps(sketch) == before
+
+
+def test_large_batch_draws_its_coins_in_blocks() -> None:
+    """Noise-free count: one 65,536-value batch into a filled KLL."""
+    data = dataset("kll", 65_536, seed=SEED + 3)
+    batched = _filled("kll", 200_000)
+    scalar = batched.copy()
+    batched._rng = CountingRng(batched._rng)
+    scalar._rng = CountingRng(scalar._rng)
+    batched.update_batch(data)
+    scalar_ingest(scalar, data)
+    # one generator call per coin on the scalar path, as before blocks
+    assert scalar._rng.calls == scalar._rng.scalar_calls > 4_000
+    assert batched._rng.calls <= 32
+    assert dumps(batched) == dumps(scalar)
+
+
+@pytest.mark.parametrize("name", COIN_SKETCHES)
+def test_short_calls_stay_on_scalar_coins(name: str) -> None:
+    """A 64-value batch and a merge flip a handful of coins: one scalar
+    generator call each, as many calls as one draw per coin makes."""
+    data = dataset(name, 64, seed=SEED + 4)
+    batched = _filled(name)
+    scalar = batched.copy()
+    batched._rng = CountingRng(batched._rng)
+    scalar._rng = CountingRng(scalar._rng)
+    batched.update_batch(data)
+    scalar_ingest(scalar, data)
+    assert batched._rng.calls == batched._rng.scalar_calls
+    assert batched._rng.calls == scalar._rng.calls
+    target = _filled(name)
+    target._rng = CountingRng(target._rng)
+    target.merge(_filled(name, 5_000))
+    assert 0 < target._rng.calls == target._rng.scalar_calls <= SCALAR_COINS

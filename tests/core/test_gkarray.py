@@ -61,16 +61,19 @@ class TestAccuracy:
     def test_faster_ingest_than_classic_gk(self, rng):
         import time
         data = rng.uniform(0, 1, 30_000)
-        fast = GKArray(epsilon=0.01)
-        start = time.perf_counter()
-        fast.update_batch(data)
-        fast_time = time.perf_counter() - start
-        slow = GKSketch(epsilon=0.01)
-        start = time.perf_counter()
-        slow.update_batch(data)
-        slow_time = time.perf_counter() - start
-        # The buffered sweep is the whole point of GKArray (Sec 5.1).
-        assert fast_time < slow_time
+
+        def best_of_three(factory):
+            times = []
+            for _ in range(3):
+                sketch = factory(epsilon=0.01)
+                start = time.perf_counter()
+                sketch.update_batch(data)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        # The buffered sweep is the whole point of GKArray (Sec 5.1);
+        # the best of three keeps a host hiccup from deciding it.
+        assert best_of_three(GKArray) < best_of_three(GKSketch)
 
     def test_space_sublinear(self, rng):
         sketch = GKArray(epsilon=0.01)

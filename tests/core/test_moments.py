@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import KLLSketch, MomentsSketch
+from repro.core import KLLSketch, MomentsSketch, paper_config
+from repro.core.maxent import (
+    _chebyshev_power_rows,
+    chebyshev_grid,
+    power_to_chebyshev_moments,
+)
 from repro.errors import (
     EmptySketchError,
     IncompatibleSketchError,
@@ -303,3 +308,74 @@ class TestRecentreBitIdentity:
                 MomentsSketch._scale_sums(*args).tobytes()
                 == _scale_loop(*args).tobytes()
             )
+
+
+def _chebyshev_loop(power_moments: np.ndarray) -> np.ndarray:
+    """The conversion as it was before its rows were cached."""
+    power_moments = np.asarray(power_moments, dtype=np.float64)
+    k = power_moments.size - 1
+    cheb = np.zeros(k + 1)
+    for j in range(k + 1):
+        basis = np.zeros(j + 1)
+        basis[j] = 1.0
+        coeffs = np.polynomial.chebyshev.cheb2poly(basis)
+        cheb[j] = float(coeffs @ power_moments[: coeffs.size])
+    return cheb
+
+
+class TestConstantTables:
+    """The solver's input-independent tables are built once per shape
+    and shared read-only; nothing an answer depends on moves."""
+
+    def test_cached_tables_are_read_only(self):
+        grid, basis = chebyshev_grid(1024, 12)
+        assert not grid.flags.writeable
+        assert not basis.flags.writeable
+        rows = _chebyshev_power_rows(12)
+        assert not any(row.flags.writeable for row in rows)
+        with pytest.raises(ValueError):
+            basis[0, 0] = 2.0
+
+    def test_grid_basis_equals_a_fresh_build(self):
+        for grid_size, degree in ((1024, 12), (257, 5), (64, 20)):
+            grid, basis = chebyshev_grid(grid_size, degree)
+            fresh_grid = np.linspace(-1.0, 1.0, grid_size)
+            fresh = np.polynomial.chebyshev.chebvander(fresh_grid, degree).T
+            assert grid.tobytes() == fresh_grid.tobytes()
+            assert basis.tobytes() == fresh.tobytes()
+            assert basis.strides == fresh.strides  # same matmul layout
+
+    def test_conversion_matches_the_uncached_loop(self):
+        rng = np.random.default_rng(20230328)
+        for k in range(1, 21):
+            for _ in range(20):
+                power = rng.uniform(-1.0, 1.0, k + 1)
+                power[0] = 1.0
+                assert (
+                    power_to_chebyshev_moments(power).tobytes()
+                    == _chebyshev_loop(power).tobytes()
+                )
+
+    @pytest.mark.parametrize("config", ["pareto", "uniform", "joint"])
+    def test_answers_equal_before_and_after_the_cache_fills(self, config):
+        rng = np.random.default_rng(7)
+        if config == "uniform":
+            values = rng.uniform(50.0, 60.0, 5_000)
+        else:
+            values = 1.0 + rng.pareto(1.0, 5_000)
+
+        def build():
+            if config == "joint":
+                sketch = MomentsSketch(log_moments=True)
+            else:
+                sketch = paper_config("moments", dataset=config)
+            sketch.update_batch(values)
+            return sketch
+
+        qs = [0.01, 0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99]
+        _chebyshev_power_rows.cache_clear()
+        chebyshev_grid.cache_clear()
+        cold = [q.hex() for q in build().quantiles(qs)]
+        assert chebyshev_grid.cache_info().currsize == 1
+        warm = [q.hex() for q in build().quantiles(qs)]
+        assert cold == warm

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.base import QuantileSketch
 from repro.core.registry import SKETCH_CLASSES, paper_config
+from repro.core.serialization import dumps
 from repro.errors import InvalidValueError
 from repro.parallel import ShardedSketch
 
@@ -108,3 +109,26 @@ def test_sharded_sketch_rejects_nan_batches_atomically():
     with pytest.raises(InvalidValueError):
         sharded.update(math.nan)
     assert (sharded.count, sharded.shard_counts()) == before
+
+
+def test_sharded_sketch_rejects_inf_batches_atomically():
+    """±inf is refused, like NaN, before the routing cursor moves or any
+    shard is touched: before, ``[5.0, inf, 6.0, 7.0]`` on four shards
+    reached shard 0 and moved the cursor while ``count`` stayed put."""
+    sharded = ShardedSketch(
+        lambda: paper_config("kll", seed=11), n_shards=4
+    )
+    sharded.update_batch([1.0, 2.0, 3.0, 4.0])
+
+    def state():
+        shard_bytes = [dumps(shard) for shard in sharded.shards]
+        return shard_bytes, sharded._routed, sharded.count
+
+    before = state()
+    for poison in (math.inf, -math.inf):
+        with pytest.raises(InvalidValueError):
+            sharded.update_batch(np.array([5.0, poison, 6.0, 7.0]))
+        with pytest.raises(InvalidValueError):
+            sharded.update(poison)
+    assert state() == before
+    assert before[1:] == (4, 4)

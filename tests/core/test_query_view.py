@@ -1,0 +1,207 @@
+"""One sorted view per ``quantiles()`` call, and the same answers.
+
+``quantiles(qs)`` may answer all of *qs* from one view of the sketch
+(KLL, REQ and Random sort their weighted sample once per call; Moments
+fits its density once), so it must equal ``[quantile(q) for q in qs]``
+bit for bit — compared by ``float.hex``, so ``-0.0`` is not ``0.0`` —
+on every registry sketch in every state the system produces.  The
+weighted-sample sketches must also still answer exactly as the per-call
+code each of them carried before the shared query: that code is kept
+below verbatim as the reference.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from repro.core import SKETCH_CLASSES, dumps, loads, paper_config
+from repro.core.base import validate_quantile
+from repro.metrics import PAPER_QUANTILES
+from repro.parallel import ShardedSketch
+
+ALL_NAMES = sorted(SKETCH_CLASSES)
+QS = (1e-9, *PAPER_QUANTILES, 0.5, 0.25, 1.0)
+STATES = ("one", "filled", "merged", "roundtrip")
+
+
+def _values(seed: int, n: int) -> np.ndarray:
+    # Non-negative and below DCS's 2^20 universe: valid for all
+    # thirteen sketches.  Both zeros lead, so an answer of -0.0 where
+    # the per-quantile path says 0.0 (or back) would show.
+    tail = np.minimum(1.0 + np.random.default_rng(seed).pareto(1.0, n), 1e5)
+    return np.concatenate([[-0.0, 0.0] * 40, tail])
+
+
+def _sketch(name: str, state: str):
+    sketch = paper_config(name, seed=5)
+    if state == "one":
+        sketch.update(3.5)
+        return sketch
+    sketch.update_batch(_values(1, 4_000 if name == "gk" else 9_000))
+    if state == "merged":
+        other = paper_config(name, seed=5)  # DCS merges equal hashes only
+        other.update_batch(_values(2, 3_000))
+        sketch.merge(other)
+    if state == "roundtrip":
+        sketch = loads(dumps(sketch))
+    return sketch
+
+
+def _hex(values) -> list[str]:
+    return [float(value).hex() for value in values]
+
+
+@pytest.mark.parametrize("state", STATES)
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_quantiles_equal_per_quantile_answers(name, state):
+    sketch = _sketch(name, state)
+    assert _hex(sketch.quantiles(QS)) == _hex(
+        [sketch.quantile(q) for q in QS]
+    )
+
+
+@pytest.mark.parametrize("state", ["one", "filled", "merged"])
+def test_sharded_quantiles_equal_per_quantile_answers(state):
+    sharded = ShardedSketch(lambda: paper_config("kll", seed=5), n_shards=3)
+    if state == "one":
+        sharded.update(3.5)
+    else:
+        sharded.update_batch(_values(1, 9_000))
+    if state == "merged":
+        other = ShardedSketch(lambda: paper_config("kll", seed=5), n_shards=3)
+        other.update_batch(_values(2, 3_000))
+        sharded.merge(other)
+    assert _hex(sharded.quantiles(QS)) == _hex(
+        [sharded.quantile(q) for q in QS]
+    )
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_empty_sketch_raises_the_same_error_both_ways(name):
+    sketch = paper_config(name, seed=5)
+    with pytest.raises(Exception) as one:
+        sketch.quantile(0.5)
+    with pytest.raises(Exception) as many:
+        sketch.quantiles(QS)
+    assert type(many.value) is type(one.value)
+    assert sketch.quantiles([]) == []
+
+
+# -- the per-call code of KLL, REQ and Random before the shared query ----
+
+
+def _kll_weighted_samples(self) -> tuple[np.ndarray, np.ndarray]:
+    """Retained values with their weights, sorted by value."""
+    values: list[np.ndarray] = []
+    weights: list[np.ndarray] = []
+    for height, buffer in enumerate(self._compactors):
+        if not buffer:
+            continue
+        arr = np.asarray(buffer, dtype=np.float64)
+        values.append(arr)
+        weights.append(np.full(arr.size, 1 << height, dtype=np.int64))
+    all_values = np.concatenate(values)
+    all_weights = np.concatenate(weights)
+    order = np.argsort(all_values, kind="stable")
+    return all_values[order], all_weights[order]
+
+
+def _req_weighted_samples(self) -> tuple[np.ndarray, np.ndarray]:
+    values: list[np.ndarray] = []
+    weights: list[np.ndarray] = []
+    for height, compactor in enumerate(self._compactors):
+        if not compactor.buffer:
+            continue
+        arr = np.asarray(compactor.buffer, dtype=np.float64)
+        values.append(np.sort(arr))
+        weights.append(np.full(arr.size, 1 << height, dtype=np.int64))
+    all_values = np.concatenate(values)
+    all_weights = np.concatenate(weights)
+    order = np.argsort(all_values, kind="stable")
+    return all_values[order], all_weights[order]
+
+
+def _random_weighted_samples(self) -> tuple[np.ndarray, np.ndarray]:
+    values: list[np.ndarray] = []
+    weights: list[np.ndarray] = []
+    for buffer in self._full:
+        if not buffer.items:
+            continue
+        arr = np.asarray(buffer.items)
+        values.append(arr)
+        weights.append(np.full(arr.size, buffer.weight, dtype=np.int64))
+    if self._active:
+        arr = np.asarray(self._active)
+        values.append(arr)
+        weights.append(np.ones(arr.size, dtype=np.int64))
+    all_values = np.concatenate(values)
+    all_weights = np.concatenate(weights)
+    order = np.argsort(all_values, kind="stable")
+    return all_values[order], all_weights[order]
+
+
+def _reference_quantile(self, samples, q: float) -> float:
+    q = validate_quantile(q)
+    self._require_nonempty()
+    values, weights = samples(self)
+    cumulative = np.cumsum(weights)
+    target = math.ceil(q * cumulative[-1])
+    pos = int(np.searchsorted(cumulative, target, side="left"))
+    pos = min(pos, values.size - 1)
+    return float(values[pos])
+
+
+def _reference_rank(self, samples, value: float) -> int:
+    self._require_nonempty()
+    values, weights = samples(self)
+    pos = int(np.searchsorted(values, value, side="right"))
+    retained_rank = int(weights[:pos].sum())
+    total_weight = int(weights.sum())
+    if total_weight == 0:
+        return 0
+    return min(
+        int(round(retained_rank * self._count / total_weight)),
+        self._count,
+    )
+
+
+REFERENCE_SAMPLES = {
+    "kll": _kll_weighted_samples,
+    "req": _req_weighted_samples,
+    "random": _random_weighted_samples,
+}
+
+
+@pytest.mark.parametrize("state", STATES)
+@pytest.mark.parametrize("name", sorted(REFERENCE_SAMPLES))
+def test_weighted_sample_answers_match_the_per_call_code(name, state):
+    sketch = _sketch(name, state)
+    samples = REFERENCE_SAMPLES[name]
+    reference_values, reference_weights = samples(sketch)
+    values, weights = sketch._weighted_samples()
+    assert values.tobytes() == reference_values.tobytes()
+    assert weights.tobytes() == reference_weights.tobytes()
+    assert _hex(sketch.quantiles(QS)) == _hex(
+        [_reference_quantile(sketch, samples, q) for q in QS]
+    )
+    probes = [-1.0, 0.0, 1.0, 1.5, 2.0, 3.5, 10.0, 1e3, 1e5, 1e9]
+    probes += sketch.quantiles(PAPER_QUANTILES)
+    assert [sketch.rank(v) for v in probes] == [
+        _reference_rank(sketch, samples, v) for v in probes
+    ]
+
+
+def test_kllpm_halves_answer_through_the_shared_query():
+    sketch = paper_config("kllpm", seed=5)
+    sketch.update_batch(_values(1, 9_000))
+    sketch.delete_batch(_values(1, 2_000))
+    for half in (sketch._inserts, sketch._deletes):
+        assert _hex(half.quantiles(QS)) == _hex(
+            [_reference_quantile(half, _kll_weighted_samples, q) for q in QS]
+        )
+    assert _hex(sketch.quantiles(QS)) == _hex(
+        [sketch.quantile(q) for q in QS]
+    )

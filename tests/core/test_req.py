@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import KLLSketch, ReqSketch
+from repro.core.base import CoinFlips
 from repro.core.req import _RelativeCompactor, _trailing_ones
 from repro.errors import (
     EmptySketchError,
@@ -99,7 +100,7 @@ class TestCompactionSchedule:
         compactor = _RelativeCompactor(section_size=8, hra=True)
         compactor.buffer = list(map(float, range(compactor.nom_capacity)))
         before = len(compactor.buffer)
-        promoted = compactor.compact(rng)
+        promoted = compactor.compact(CoinFlips(rng).flip)
         assert len(promoted) >= 1
         # Promoted items plus retained items cover half the compacted
         # region; the rest was discarded.
@@ -111,7 +112,7 @@ class TestCompactionSchedule:
         compactor = _RelativeCompactor(section_size=8, hra=True)
         compactor.buffer = list(map(float, range(compactor.nom_capacity)))
         top = max(compactor.buffer)
-        compactor.compact(rng)
+        compactor.compact(CoinFlips(rng).flip)
         assert top in compactor.buffer  # largest item survived
 
     def test_lra_compacts_large_end(self):
@@ -119,7 +120,7 @@ class TestCompactionSchedule:
         compactor = _RelativeCompactor(section_size=8, hra=False)
         compactor.buffer = list(map(float, range(compactor.nom_capacity)))
         bottom = min(compactor.buffer)
-        compactor.compact(rng)
+        compactor.compact(CoinFlips(rng).flip)
         assert bottom in compactor.buffer
 
     def test_space_grows_sublinearly(self, rng):

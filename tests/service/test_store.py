@@ -309,16 +309,15 @@ class GatedSharded(ShardedSketch):
 class TestCountedAfterApply:
     """Counters, version and caches move once the update has happened."""
 
-    # No sharded-inf case: ShardedSketch pre-checks NaN only, so its
-    # shards apply part of such a batch before one refuses (ROADMAP).
     @pytest.mark.parametrize(
         "factory, poison",
         [
             (dd_factory, float("nan")),
             (dd_factory, float("inf")),
             (sharded_factory, float("nan")),
+            (sharded_factory, float("inf")),
         ],
-        ids=["plain-nan", "plain-inf", "sharded-nan"],
+        ids=["plain-nan", "plain-inf", "sharded-nan", "sharded-inf"],
     )
     @pytest.mark.parametrize("partition", ["existing", "new"])
     def test_rejected_batch_leaves_the_store_untouched(
@@ -328,8 +327,10 @@ class TestCountedAfterApply:
         store.record_batch([1.0, 2.0], timestamp_ms=0.0)
         before = (store.events_recorded, store.version, store.snapshot())
         ts = 0.0 if partition == "existing" else 1_000.0
+        # on three shards the poison lands last in shard order, after
+        # 2.0 has reached shard 0, unless it is refused up front
         with pytest.raises(InvalidValueError):
-            store.record_batch([1.0, poison], timestamp_ms=ts)
+            store.record_batch([1.0, 2.0, poison], timestamp_ms=ts)
         assert (
             store.events_recorded, store.version, store.snapshot()
         ) == before
