@@ -15,7 +15,8 @@ collapsing dense, and sparse.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import math
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -105,10 +106,14 @@ class DDSketch(QuantileSketch):
         positive = values[values > MIN_INDEXABLE_VALUE]
         negative = values[values < -MIN_INDEXABLE_VALUE]
         n_zero = values.size - positive.size - negative.size
+        # Index both signs before either store moves: a finite value
+        # outside the indexable range raises here, with nothing applied.
+        if negative.size:
+            negative_indices = self._mapping.index_batch(-negative)
         if positive.size:
             self._positive.add_batch(self._mapping.index_batch(positive))
         if negative.size:
-            self._negative.add_batch(self._mapping.index_batch(-negative))
+            self._negative.add_batch(negative_indices)
         self._zero_count += int(n_zero)
         self._observe_batch(values, checked=True)
 
@@ -117,36 +122,41 @@ class DDSketch(QuantileSketch):
     # ------------------------------------------------------------------
 
     def quantile(self, q: float) -> float:
-        q = validate_quantile(q)
-        self._require_nonempty()
-        # 0-based rank of the q-quantile item under the paper's Sec 2.1
-        # definition (the item of rank ceil(qN)).
-        rank = max(np.ceil(q * self._count) - 1, 0)
-        neg_total = self._negative.total
-        if rank < neg_total:
-            # Negatives are ordered most-negative first: the item of rank
-            # r sits in the bucket found by walking |x| buckets downward.
-            key = self._key_at_rank_descending(self._negative, rank)
-            estimate = -self._mapping.value(key)
-        elif rank < neg_total + self._zero_count:
-            estimate = 0.0
-        else:
-            key = self._positive.key_at_rank(
-                rank - neg_total - self._zero_count
-            )
-            estimate = self._mapping.value(key)
-        # Clamp to the observed range so extreme quantiles never leave it.
-        return float(min(max(estimate, self._min), self._max))
+        return self.quantiles((q,))[0]
 
-    @staticmethod
-    def _key_at_rank_descending(store: BucketStore, rank: float) -> int:
-        items = list(store.items())
-        cumulative = 0
-        for index, count in reversed(items):
-            cumulative += count
-            if cumulative > rank:
-                return index
-        return items[0][0]
+    def quantiles(self, qs: Iterable[float]) -> list[float]:
+        # Each store is read through one view per call, built on first
+        # use: most calls never reach the negative store.
+        estimates: list[float] = []
+        positive = negative = None
+        for q in qs:
+            q = validate_quantile(q)
+            if not estimates:
+                self._require_nonempty()
+                neg_total = self._negative.total
+                below_positive = neg_total + self._zero_count
+            # 0-based rank of the q-quantile item under the paper's
+            # Sec 2.1 definition (the item of rank ceil(qN)).
+            rank = max(math.ceil(q * self._count) - 1, 0)
+            if rank < neg_total:
+                # Negatives are ordered most-negative first: the item of
+                # rank r sits in the bucket found by walking |x| buckets
+                # downward.
+                if negative is None:
+                    negative = self._negative.view(descending=True)
+                estimate = -self._mapping.value(negative.key_at(rank))
+            elif rank < below_positive:
+                estimate = 0.0
+            else:
+                if positive is None:
+                    positive = self._positive.view()
+                estimate = self._mapping.value(
+                    positive.key_at(rank - below_positive)
+                )
+            # Clamp to the observed range so extreme quantiles never
+            # leave it.
+            estimates.append(float(min(max(estimate, self._min), self._max)))
+        return estimates
 
     def rank(self, value: float) -> int:
         self._require_nonempty()
@@ -155,21 +165,19 @@ class DDSketch(QuantileSketch):
             return self._count
         if value < self._min:
             return 0
-        total = 0
         if value >= -MIN_INDEXABLE_VALUE:
-            # everything negative is <= value
-            total += self._negative.total
+            # everything negative (and zero) is <= value
+            total = self._negative.total + self._zero_count
             if value >= MIN_INDEXABLE_VALUE:
-                total += self._zero_count
-                index = self._mapping.index(value)
-                total += sum(
-                    c for i, c in self._positive.items() if i <= index
+                total += self._positive.view().count_through(
+                    self._mapping.index(value)
                 )
-            else:
-                total += self._zero_count
         else:
-            index = self._mapping.index(-value)
-            total += sum(c for i, c in self._negative.items() if i >= index)
+            # the negatives <= value are those with |x| >= |value|; NaN
+            # lands here too, and the mapping refuses it
+            total = self._negative.view(descending=True).count_through(
+                self._mapping.index(-value)
+            )
         return min(total, self._count)
 
     # ------------------------------------------------------------------

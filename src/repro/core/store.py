@@ -12,6 +12,8 @@ implementations mirror the ones discussed in the paper:
 * :class:`SparseStore` — a hash-map store holding three numbers per
   bucket, mirroring the map-based UDDSketch implementation whose higher
   memory and iteration costs the paper's Sec 4.3/4.4 analysis discusses.
+
+Queries read a store through one :class:`BucketView` per call.
 """
 
 from __future__ import annotations
@@ -26,6 +28,76 @@ from repro.errors import EmptySketchError, InvalidValueError
 #: Dense stores grow in chunks of this many buckets (the paper notes the
 #: unbounded dense store starts at 64 buckets).
 CHUNK_SIZE = 64
+
+
+def collapsed_indices(indices: np.ndarray, levels: int) -> np.ndarray:
+    """Bucket indices after *levels* uniform collapses (UDDSketch).
+
+    One collapse maps ``i`` to ``ceil(i / 2)``, and for integers
+    ``ceil(ceil(i / 2) / 2) == ceil(i / 4)``, so *levels* collapses are
+    the one map ``ceil(i / 2**levels)``.  The arithmetic shift floors,
+    which makes ``(i + 2**levels - 1) >> levels`` that ceiling for
+    negative indices too.  The map is monotone: sorted in, sorted out.
+    """
+    return (indices + ((1 << levels) - 1)) >> levels
+
+
+def distinct_sorted(indices: np.ndarray) -> int:
+    """Number of distinct values in an ascending array."""
+    if not indices.size:
+        return 0
+    return int(np.count_nonzero(np.diff(indices))) + 1
+
+
+class BucketView:
+    """A store's buckets in walk order with their running counts.
+
+    Built once per query call.  The bucket holding the item of 0-based
+    rank ``r`` is the first whose running count exceeds ``r`` — the
+    cumulative walk of Sec 3.3 as one ``searchsorted``.  A dense store's
+    keys stay implicit (slot ``p`` is key ``first + step * p``, empty
+    slots included, which never end a walk); a sparse store lists its
+    keys in walk order.  ``step`` is ``1`` for a lowest-key-first walk
+    and ``-1`` for a highest-key-first one.
+    """
+
+    __slots__ = ("_cumulative", "_keys", "_first", "_step")
+
+    def __init__(
+        self,
+        counts: np.ndarray,
+        first: int = 0,
+        step: int = 1,
+        keys: np.ndarray | None = None,
+    ) -> None:
+        self._cumulative = np.cumsum(counts)
+        self._keys = keys
+        self._first = first
+        self._step = step
+
+    def key_at(self, rank: float) -> int:
+        """Key of the bucket holding the item of 0-based *rank*; a rank
+        past the total stops at the last bucket of the walk."""
+        cumulative = self._cumulative
+        if not cumulative.size or not cumulative[-1]:
+            raise EmptySketchError("bucket store is empty")
+        pos = int(np.searchsorted(cumulative, rank, side="right"))
+        pos = min(pos, cumulative.size - 1)
+        if self._keys is None:
+            return self._first + self._step * pos
+        return int(self._keys[pos])
+
+    def count_through(self, key: int) -> int:
+        """Items in the buckets the walk passes up to and including
+        *key* (keys ``<= key`` ascending, ``>= key`` descending)."""
+        step = self._step
+        if self._keys is None:
+            walked = min(
+                max((key - self._first) * step + 1, 0), self._cumulative.size
+            )
+        else:
+            walked = int(np.count_nonzero(self._keys * step <= key * step))
+        return int(self._cumulative[walked - 1]) if walked else 0
 
 
 class BucketStore(abc.ABC):
@@ -48,13 +120,10 @@ class BucketStore(abc.ABC):
         """Add every bucket of *other* into this store."""
 
     @abc.abstractmethod
-    def key_at_rank(self, rank: float) -> int:
-        """Index of the bucket containing the item of 0-based *rank*.
-
-        Buckets are consumed lowest-index first, matching the cumulative
-        walk of Sec 3.3: the returned bucket ``b`` is the first for which
-        ``sum(counts up to b) > rank``.
-        """
+    def view(self, descending: bool = False) -> BucketView:
+        """The buckets as one :class:`BucketView`, walked lowest index
+        first, or highest first with *descending* (the mirrored store of
+        negative values)."""
 
     @abc.abstractmethod
     def size_bytes(self) -> int:
@@ -171,12 +240,15 @@ class DenseStore(BucketStore):
         for pos in nonzero:
             yield int(pos) + self._offset, int(self._counts[pos])
 
-    def key_at_rank(self, rank: float) -> int:
-        self._require_nonempty()
-        cumulative = np.cumsum(self._counts)
-        pos = int(np.searchsorted(cumulative, rank, side="right"))
-        pos = min(pos, self._counts.size - 1)
-        return pos + self._offset
+    def view(self, descending: bool = False) -> BucketView:
+        # The cumsum runs over the slot array: extracting the non-empty
+        # slots first would cost more than it saves on a one-q query.
+        counts = self._counts
+        if descending:
+            return BucketView(
+                counts[::-1], first=self._offset + counts.size - 1, step=-1
+            )
+        return BucketView(counts, first=self._offset)
 
     @property
     def total(self) -> int:
@@ -379,46 +451,61 @@ class SparseStore(BucketStore):
             # *distinct* bucket — bounded by the store width, not the
             # batch length.
             unique, counts = np.unique(indices, return_counts=True)
-            for index, count in zip(unique.tolist(), counts.tolist()):
-                buckets[index] = buckets.get(index, 0) + count
+            if buckets:
+                for index, count in zip(unique.tolist(), counts.tolist()):
+                    buckets[index] = buckets.get(index, 0) + count
+            else:
+                self._buckets = dict(zip(unique.tolist(), counts.tolist()))
         self._total += int(indices.size)
 
     def items(self) -> Iterator[tuple[int, int]]:
         for index in sorted(self._buckets):
             yield index, self._buckets[index]
 
-    def key_at_rank(self, rank: float) -> int:
-        self._require_nonempty()
-        cumulative = 0
-        last = 0
-        for index, count in self.items():
-            cumulative += count
-            last = index
-            if cumulative > rank:
-                return index
-        return last
+    def sorted_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bucket indices ascending, with their counts (int64 arrays)."""
+        size = len(self._buckets)
+        indices = np.fromiter(self._buckets, dtype=np.int64, count=size)
+        counts = np.fromiter(self._buckets.values(), dtype=np.int64, count=size)
+        # A store filled by one batch holds its keys in order already.
+        if size > 1 and not bool((indices[1:] > indices[:-1]).all()):
+            order = np.argsort(indices)
+            indices, counts = indices[order], counts[order]
+        return indices, counts
+
+    def view(self, descending: bool = False) -> BucketView:
+        indices, counts = self.sorted_arrays()
+        if descending:
+            return BucketView(counts[::-1], step=-1, keys=indices[::-1])
+        return BucketView(counts, keys=indices)
 
     def merge(self, other: BucketStore) -> None:
         for index, count in other.items():
             self.add(index, count)
 
-    def uniform_collapse(self) -> None:
-        """Fold every adjacent bucket pair ``(2j-1, 2j) -> j``.
+    def set_collapsed(
+        self, indices: np.ndarray, counts: np.ndarray, levels: int
+    ) -> None:
+        """Hold the buckets *indices*/*counts* (as :meth:`sorted_arrays`
+        returns them) after *levels* uniform collapses, in one pass.
 
-        This is UDDSketch's uniform collapse: the new index of bucket
-        ``i`` is ``ceil(i / 2)``, consistent with squaring gamma in the
-        value mapping (Sec 3.4).
+        A uniform collapse folds every adjacent pair ``(2j-1, 2j) -> j``,
+        consistent with squaring gamma in the value mapping (Sec 3.4);
+        :func:`collapsed_indices` composes *levels* of them into one map.
         """
-        if not self._buckets:
+        if not indices.size:
+            self._buckets = {}
+            self._total = 0
             return
-        size = len(self._buckets)
-        indices = np.fromiter(self._buckets.keys(), dtype=np.int64, count=size)
-        counts = np.fromiter(self._buckets.values(), dtype=np.int64, count=size)
-        new_indices = (indices + 1) // 2  # == ceil(index / 2) for ints
-        unique, inverse = np.unique(new_indices, return_inverse=True)
-        summed = np.zeros(unique.size, dtype=np.int64)
-        np.add.at(summed, inverse, counts)
-        self._buckets = dict(zip(unique.tolist(), summed.tolist()))
+        collapsed = collapsed_indices(indices, levels)
+        starts = np.concatenate(
+            ([0], np.flatnonzero(np.diff(collapsed)) + 1)
+        )
+        self._buckets = dict(zip(
+            collapsed[starts].tolist(),
+            np.add.reduceat(counts, starts).tolist(),
+        ))
+        self._total = int(counts.sum())
 
     @property
     def total(self) -> int:

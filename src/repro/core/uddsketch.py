@@ -8,6 +8,18 @@ relative-error guarantee uniformly from ``a`` to ``2a / (1 + a^2)``; the
 initial accuracy is therefore chosen tight enough that the guarantee only
 reaches the target after the budgeted number of collapses.
 
+A collapse maps bucket ``i`` to ``ceil(i / 2)``, and ``k`` collapses
+compose into the single map ``ceil(i / 2**k)``
+(:func:`repro.core.store.collapsed_indices`).  So however many levels a
+batch needs — a fresh 5,000-value window pane at the paper's
+``alpha_0 ~ 2.4e-6`` needs about ten — the sketch finds the lowest level
+at which both stores fit the budget on their sorted indices and rebuilds
+each store once; ``merge`` brings the finer operand to the coarser level
+the same way.  Values are inserted at the current level first and the
+level is settled after: the mapping, and so gamma, still advances by one
+``collapsed()`` call per level, the same floats as collapsing one level
+at a time.
+
 Following the paper's Java port of the authors' C code, the bucket store
 is map-based (:class:`repro.core.store.SparseStore`), which is what drives
 UDDSketch's higher memory footprint (Table 3) and slower insert/merge
@@ -22,13 +34,36 @@ import numpy as np
 
 from repro.core.base import QuantileSketch
 from repro.core.ddsketch import DDSketch
-from repro.core.mapping import alpha_after_collapses, initial_alpha
-from repro.core.store import SparseStore
+from repro.core.mapping import (
+    LogarithmicMapping,
+    alpha_after_collapses,
+    initial_alpha,
+)
+from repro.core.store import SparseStore, collapsed_indices, distinct_sorted
 from repro.errors import IncompatibleSketchError, InvalidValueError
 
 DEFAULT_FINAL_ALPHA = 0.01
 DEFAULT_NUM_COLLAPSES = 12
 DEFAULT_MAX_BUCKETS = 1024
+
+_Arrays = tuple[np.ndarray, np.ndarray]
+
+
+def _coarsened(
+    mapping: LogarithmicMapping, target: LogarithmicMapping
+) -> tuple[int, LogarithmicMapping]:
+    """The collapses that bring *mapping* to *target*'s accuracy, and the
+    mapping they end at (none when *mapping* is not the finer one)."""
+    levels = 0
+    while mapping.alpha < target.alpha - 1e-15:
+        collapsed = mapping.collapsed()
+        if collapsed.alpha > target.alpha + 1e-12:
+            raise IncompatibleSketchError(
+                "sketches have incompatible initial accuracies: "
+                f"{mapping.alpha!r} vs {target.alpha!r}"
+            )
+        mapping, levels = collapsed, levels + 1
+    return levels, mapping
 
 
 class UDDSketch(DDSketch):
@@ -51,6 +86,10 @@ class UDDSketch(DDSketch):
     """
 
     name = "uddsketch"
+
+    # The constructor always asks DDSketch for sparse stores.
+    _positive: SparseStore
+    _negative: SparseStore
 
     def __init__(
         self,
@@ -85,16 +124,38 @@ class UDDSketch(DDSketch):
         self._collapse_if_needed()
 
     def _collapse_if_needed(self) -> None:
-        while self.num_buckets > self.max_buckets:
-            self._collapse_once()
+        """Collapse to the lowest level at which the buckets fit."""
+        if self.num_buckets <= self.max_buckets:
+            return
+        positive = self._positive.sorted_arrays()
+        negative = self._negative.sorted_arrays()
+        mapping, levels = self._mapping, 0
+        while True:
+            # The mapping refuses an alpha that has rounded to 1, so a
+            # budget no level can meet raises here, before any store
+            # has moved.
+            mapping = mapping.collapsed()
+            levels += 1
+            buckets = distinct_sorted(
+                collapsed_indices(positive[0], levels)
+            ) + distinct_sorted(collapsed_indices(negative[0], levels))
+            if buckets <= self.max_buckets:
+                break
+        self._collapse(levels, mapping, positive, negative)
 
-    def _collapse_once(self) -> None:
-        assert isinstance(self._positive, SparseStore)
-        assert isinstance(self._negative, SparseStore)
-        self._positive.uniform_collapse()
-        self._negative.uniform_collapse()
-        self._mapping = self._mapping.collapsed()
-        self._collapses += 1
+    def _collapse(
+        self,
+        levels: int,
+        mapping: LogarithmicMapping,
+        positive: _Arrays,
+        negative: _Arrays,
+    ) -> None:
+        """Rebuild each store once at *levels* collapses up, given their
+        sorted arrays, and move to *mapping*."""
+        self._positive.set_collapsed(*positive, levels)
+        self._negative.set_collapsed(*negative, levels)
+        self._mapping = mapping
+        self._collapses += levels
 
     # ------------------------------------------------------------------
     # Merging
@@ -106,30 +167,31 @@ class UDDSketch(DDSketch):
             raise IncompatibleSketchError(
                 f"cannot merge UDDSketch with {type(other).__name__}"
             )
-        # Align collapse levels: the coarser sketch wins, so collapse the
-        # finer one (copying *other* if it is the one to coarsen).
-        while self._mapping.alpha < other._mapping.alpha - 1e-15:
-            if self._mapping.collapsed().alpha > other._mapping.alpha + 1e-12:
-                raise IncompatibleSketchError(
-                    "sketches have incompatible initial accuracies: "
-                    f"{self._mapping.alpha!r} vs {other._mapping.alpha!r}"
-                )
-            self._collapse_once()
-        if other._mapping.alpha < self._mapping.alpha - 1e-15:
-            other = other.copy()
-            while other._mapping.alpha < self._mapping.alpha - 1e-15:
-                if (
-                    other._mapping.collapsed().alpha
-                    > self._mapping.alpha + 1e-12
-                ):
-                    raise IncompatibleSketchError(
-                        "sketches have incompatible initial accuracies: "
-                        f"{self._mapping.alpha!r} vs {other._mapping.alpha!r}"
-                    )
-                other._collapse_once()
-        self._mapping.require_compatible(other._mapping)
-        self._positive.merge(other._positive)
-        self._negative.merge(other._negative)
+        # Align collapse levels: the coarser sketch wins, so the finer
+        # one is collapsed to its level (*other* through collapsed
+        # copies of its stores).  Both levels are settled before either
+        # sketch moves, so an incompatible pair leaves us unchanged.
+        levels, mapping = _coarsened(self._mapping, other._mapping)
+        other_levels, other_mapping = _coarsened(other._mapping, mapping)
+        mapping.require_compatible(other_mapping)
+        if levels:
+            self._collapse(
+                levels,
+                mapping,
+                self._positive.sorted_arrays(),
+                self._negative.sorted_arrays(),
+            )
+        positive, negative = other._positive, other._negative
+        if other_levels:
+            positive, negative = SparseStore(), SparseStore()
+            positive.set_collapsed(
+                *other._positive.sorted_arrays(), other_levels
+            )
+            negative.set_collapsed(
+                *other._negative.sorted_arrays(), other_levels
+            )
+        self._positive.merge(positive)
+        self._negative.merge(negative)
         self._zero_count += other._zero_count
         self._merge_bookkeeping(other)
         self._collapse_if_needed()

@@ -9,7 +9,8 @@ seeded streams; these tests quantify over the contract itself:
   matter where in the batch the NaN sits;
 * the ±inf policy of the batch path matches the scalar path (both
   raise :class:`~repro.errors.InvalidValueError`), and the rejection
-  is likewise atomic;
+  is likewise atomic — as it is for a finite value the bucket
+  sketches cannot index (±1e300), whichever sign it carries;
 * batch ingestion is concatenation-compatible:
   ``update_batch(a); update_batch(b)`` leaves the sketch in the same
   state as ``update_batch(a ++ b)``.
@@ -26,11 +27,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import DDSketch, UDDSketch
 from repro.core.registry import SKETCH_CLASSES, paper_config
 from repro.core.serialization import dumps
 from repro.errors import InvalidValueError
 
 SEED = 20230807
+
+#: DDSketch in each store layout, and UDDSketch: each indexes its
+#: positive and negative values into two stores, and refuses a finite
+#: value past ``MAX_INDEXABLE_VALUE``.
+BUCKET_SKETCHES = {
+    "ddsketch-dense": lambda: DDSketch(store="dense"),
+    "ddsketch-collapsing": lambda: DDSketch(store="collapsing", max_bins=64),
+    "ddsketch-sparse": lambda: DDSketch(store="sparse"),
+    "uddsketch": lambda: UDDSketch(max_buckets=64),
+}
 
 #: Compared by answers instead of bytes (float addition order differs
 #: between ingestion schedules); see the equivalence battery.
@@ -174,3 +186,31 @@ class TestBatchProperties:
                 f"{name}: update_batch(a);update_batch(b) != "
                 f"update_batch(a ++ b)"
             )
+
+
+def bucket_totals(sketch) -> int:
+    return sketch._positive.total + sketch._negative.total + sketch._zero_count
+
+
+@pytest.mark.parametrize(
+    "make", BUCKET_SKETCHES.values(), ids=list(BUCKET_SKETCHES)
+)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_unindexable_batch_rejected_atomically(make, data):
+    """A batch with NaN, ±inf or a finite value past the indexable
+    range leaves a bucket sketch as it was: both signs are indexed
+    before either store moves."""
+    sketch = make()
+    sketch.update_batch(data.draw(batches("ddsketch")))
+    before = dumps(sketch)
+    count = sketch.count
+    bad = poison(
+        data.draw(batches("ddsketch")),
+        data.draw(st.sampled_from((NAN, INF, -INF, 1e300, -1e300))),
+        data.draw(st.integers(min_value=0, max_value=1 << 16)),
+    )
+    with pytest.raises(InvalidValueError):
+        sketch.update_batch(bad)
+    assert sketch.count == count == bucket_totals(sketch)
+    assert dumps(sketch) == before

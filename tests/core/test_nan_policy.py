@@ -20,6 +20,7 @@ from repro.core.registry import SKETCH_CLASSES, paper_config
 from repro.core.serialization import dumps
 from repro.errors import InvalidValueError
 from repro.parallel import ShardedSketch
+from tests.core.test_batch_properties import BUCKET_SKETCHES, bucket_totals
 
 ALL_SKETCHES = sorted(SKETCH_CLASSES)
 
@@ -132,3 +133,23 @@ def test_sharded_sketch_rejects_inf_batches_atomically():
             sharded.update(poison)
     assert state() == before
     assert before[1:] == (4, 4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300, -1e300])
+@pytest.mark.parametrize(
+    "make", BUCKET_SKETCHES.values(), ids=list(BUCKET_SKETCHES)
+)
+def test_bucket_sketch_refuses_a_batch_before_either_store_moves(make, bad):
+    """Before, ``[5.0, -1e300]`` put 5.0 in the positive store, then
+    raised on the negative side: the store total reached 3 while
+    ``count`` stayed 2, and the bytes changed."""
+    sketch = make()
+    sketch.update_batch([1.0, 2.0])
+    before = dumps(sketch)
+    for batch in ([5.0, bad], [bad, 5.0], [-5.0, bad], [0.0, 5.0, -5.0, bad]):
+        with pytest.raises(InvalidValueError):
+            sketch.update_batch(np.array(batch))
+    with pytest.raises(InvalidValueError):
+        sketch.update(bad)
+    assert dumps(sketch) == before
+    assert sketch.count == 2 == bucket_totals(sketch)

@@ -2,25 +2,31 @@
 
 ``quantiles(qs)`` may answer all of *qs* from one view of the sketch
 (KLL, REQ and Random sort their weighted sample once per call; Moments
-fits its density once), so it must equal ``[quantile(q) for q in qs]``
-bit for bit — compared by ``float.hex``, so ``-0.0`` is not ``0.0`` —
-on every registry sketch in every state the system produces.  The
-weighted-sample sketches must also still answer exactly as the per-call
-code each of them carried before the shared query: that code is kept
-below verbatim as the reference.
+fits its density once; DDSketch and UDDSketch take one running-count
+view of each bucket store), so it must equal ``[quantile(q) for q in
+qs]`` bit for bit — compared by ``float.hex``, so ``-0.0`` is not
+``0.0`` — on every registry sketch in every state the system produces.
+The weighted-sample and bucket sketches must also still answer, and
+rank, exactly as the per-call code each of them carried before the
+shared query: that code is kept below verbatim as the reference.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.core import SKETCH_CLASSES, dumps, loads, paper_config
 from repro.core.base import validate_quantile
+from repro.core.mapping import MIN_INDEXABLE_VALUE
+from repro.core.store import DenseStore
+from repro.errors import EmptySketchError, InvalidValueError
 from repro.metrics import PAPER_QUANTILES
 from repro.parallel import ShardedSketch
+from tests.core.test_batch_properties import BUCKET_SKETCHES
 
 ALL_NAMES = sorted(SKETCH_CLASSES)
 QS = (1e-9, *PAPER_QUANTILES, 0.5, 0.25, 1.0)
@@ -205,3 +211,140 @@ def test_kllpm_halves_answer_through_the_shared_query():
     assert _hex(sketch.quantiles(QS)) == _hex(
         [sketch.quantile(q) for q in QS]
     )
+
+
+# -- the DDSketch family: one bucket view per call -----------------------
+
+
+def _dense_key_at_rank(self, rank: float) -> int:
+    self._require_nonempty()
+    cumulative = np.cumsum(self._counts)
+    pos = int(np.searchsorted(cumulative, rank, side="right"))
+    pos = min(pos, self._counts.size - 1)
+    return pos + self._offset
+
+
+def _sparse_key_at_rank(self, rank: float) -> int:
+    self._require_nonempty()
+    cumulative = 0
+    last = 0
+    for index, count in self.items():
+        cumulative += count
+        last = index
+        if cumulative > rank:
+            return index
+    return last
+
+
+def _key_at_rank(store, rank: float) -> int:
+    if isinstance(store, DenseStore):
+        return _dense_key_at_rank(store, rank)
+    return _sparse_key_at_rank(store, rank)
+
+
+def _key_at_rank_descending(store, rank: float) -> int:
+    items = list(store.items())
+    cumulative = 0
+    for index, count in reversed(items):
+        cumulative += count
+        if cumulative > rank:
+            return index
+    return items[0][0]
+
+
+def _reference_bucket_quantile(self, q: float) -> float:
+    q = validate_quantile(q)
+    self._require_nonempty()
+    rank = max(np.ceil(q * self._count) - 1, 0)
+    neg_total = self._negative.total
+    if rank < neg_total:
+        key = _key_at_rank_descending(self._negative, rank)
+        estimate = -self._mapping.value(key)
+    elif rank < neg_total + self._zero_count:
+        estimate = 0.0
+    else:
+        key = _key_at_rank(self._positive, rank - neg_total - self._zero_count)
+        estimate = self._mapping.value(key)
+    return float(min(max(estimate, self._min), self._max))
+
+
+def _reference_bucket_rank(self, value: float) -> int:
+    self._require_nonempty()
+    value = float(value)
+    if value >= self._max:
+        return self._count
+    if value < self._min:
+        return 0
+    total = 0
+    if value >= -MIN_INDEXABLE_VALUE:
+        total += self._negative.total
+        if value >= MIN_INDEXABLE_VALUE:
+            total += self._zero_count
+            index = self._mapping.index(value)
+            total += sum(c for i, c in self._positive.items() if i <= index)
+        else:
+            total += self._zero_count
+    else:
+        index = self._mapping.index(-value)
+        total += sum(c for i, c in self._negative.items() if i >= index)
+    return min(total, self._count)
+
+
+def _bucket_values(kind: str) -> np.ndarray:
+    rng = np.random.default_rng(7)
+    if kind == "negative":
+        return -(1.0 + rng.pareto(1.0, 6_000))
+    if kind == "zero_heavy":
+        values = rng.lognormal(0.0, 3.0, 6_000) * rng.choice((-1.0, 1.0), 6_000)
+        zeros = rng.choice((0.0, -0.0, 1e-300, -1e-300), 6_000)
+        return np.where(rng.random(6_000) < 0.6, zeros, values)
+    if kind == "mixed":
+        return rng.normal(0.0, 1.0, 6_000) * 10.0 ** rng.uniform(-4, 6, 6_000)
+    if kind == "single_negative":
+        return np.full(40, -2.5)
+    return np.full(40, 3.5)  # single bucket
+
+
+BUCKET_KINDS = ("negative", "zero_heavy", "mixed", "single", "single_negative")
+
+
+@pytest.mark.parametrize("kind", BUCKET_KINDS)
+@pytest.mark.parametrize(
+    "make", BUCKET_SKETCHES.values(), ids=list(BUCKET_SKETCHES)
+)
+def test_bucket_answers_match_the_per_call_walk(make, kind):
+    sketch = make()
+    sketch.update_batch(_bucket_values(kind))
+    for current in (sketch, loads(dumps(sketch))):
+        answers = _hex(current.quantiles(QS))
+        assert answers == _hex([current.quantile(q) for q in QS])
+        assert answers == _hex(
+            [_reference_bucket_quantile(current, q) for q in QS]
+        )
+        probes = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 3.5, -2.5, 1e9, -1e9]
+        for estimate in current.quantiles(QS):
+            probes += [estimate, np.nextafter(estimate, -np.inf),
+                       np.nextafter(estimate, np.inf)]
+        assert [current.rank(v) for v in probes] == [
+            _reference_bucket_rank(current, v) for v in probes
+        ]
+        for rank in (current.rank, partial(_reference_bucket_rank, current)):
+            with pytest.raises(InvalidValueError):
+                rank(math.nan)
+
+
+@pytest.mark.parametrize(
+    "make", BUCKET_SKETCHES.values(), ids=list(BUCKET_SKETCHES)
+)
+def test_empty_bucket_sketch_raises_the_reference_error(make):
+    sketch = make()
+    for call in (
+        lambda: sketch.quantile(0.5),
+        lambda: sketch.quantiles(QS),
+        lambda: sketch.rank(1.0),
+        lambda: _reference_bucket_quantile(sketch, 0.5),
+        lambda: _reference_bucket_rank(sketch, 1.0),
+    ):
+        with pytest.raises(EmptySketchError):
+            call()
+    assert sketch.quantiles([]) == []

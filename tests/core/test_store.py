@@ -7,6 +7,7 @@ from repro.core.store import (
     CollapsingLowestDenseStore,
     DenseStore,
     SparseStore,
+    collapsed_indices,
 )
 from repro.errors import EmptySketchError, InvalidValueError
 
@@ -31,8 +32,11 @@ class TestStoreContract:
             _ = store.min_index
         with pytest.raises(EmptySketchError):
             _ = store.max_index
-        with pytest.raises(EmptySketchError):
-            store.key_at_rank(0)
+        for descending in (False, True):
+            view = store.view(descending)
+            with pytest.raises(EmptySketchError):
+                view.key_at(0)
+            assert view.count_through(0) == 0
 
     def test_single_add(self, factory):
         store = factory()
@@ -96,12 +100,31 @@ class TestStoreContract:
         store.add(0, 10)
         store.add(5, 10)
         store.add(9, 10)
-        assert store.key_at_rank(0) == 0
-        assert store.key_at_rank(9) == 0
-        assert store.key_at_rank(10) == 5
-        assert store.key_at_rank(19.5) == 5
-        assert store.key_at_rank(20) == 9
-        assert store.key_at_rank(29) == 9
+        view = store.view()
+        assert view.key_at(0) == 0
+        assert view.key_at(9) == 0
+        assert view.key_at(10) == 5
+        assert view.key_at(19.5) == 5
+        assert view.key_at(20) == 9
+        assert view.key_at(29) == 9
+        # Walked highest key first, as the mirrored negative store is.
+        descending = store.view(descending=True)
+        assert [descending.key_at(r) for r in (0, 9, 10, 19.5, 20, 29)] == [
+            9, 9, 5, 5, 0, 0,
+        ]
+
+    def test_count_through_sums_the_walked_buckets(self, factory):
+        store = factory()
+        for index, count in ((-3, 1), (0, 10), (5, 100), (9, 1000)):
+            store.add(index, count)
+        ascending, descending = store.view(), store.view(descending=True)
+        for key in range(-6, 13):
+            assert ascending.count_through(key) == sum(
+                c for i, c in store.items() if i <= key
+            )
+            assert descending.count_through(key) == sum(
+                c for i, c in store.items() if i >= key
+            )
 
     def test_merge(self, factory):
         a = factory()
@@ -208,13 +231,17 @@ class TestCollapsingLowestDenseStore:
             CollapsingLowestDenseStore(max_bins=0)
 
 
+def uniform_collapse(store: SparseStore, levels: int = 1) -> None:
+    store.set_collapsed(*store.sorted_arrays(), levels)
+
+
 class TestSparseStore:
     def test_uniform_collapse_halves_resolution(self):
         store = SparseStore()
         for index in range(-6, 7):
             store.add(index, 1)
         total = store.total
-        store.uniform_collapse()
+        uniform_collapse(store)
         assert store.total == total
         # ceil(i/2) for i in [-6, 6] covers [-3, 3].
         assert store.min_index == -3
@@ -226,7 +253,7 @@ class TestSparseStore:
         store.add(2, 20)
         store.add(3, 1)
         store.add(4, 2)
-        store.uniform_collapse()
+        uniform_collapse(store)
         assert dict(store.items()) == {1: 30, 2: 3}
 
     def test_uniform_collapse_negative_pairing(self):
@@ -235,9 +262,51 @@ class TestSparseStore:
         store.add(0, 7)
         store.add(-3, 1)
         store.add(-2, 2)
-        store.uniform_collapse()
+        uniform_collapse(store)
         # (-1, 0) -> 0 and (-3, -2) -> -1.
         assert dict(store.items()) == {0: 12, -1: 3}
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 7, 40])
+    def test_levels_compose_into_one_map(self, levels):
+        rng = np.random.default_rng(levels)
+        store = SparseStore()
+        for index in rng.integers(-500, 500, 300).tolist():
+            store.add(index, 1 + index % 3)
+        stepped = store.copy()
+        for _ in range(levels):
+            uniform_collapse(stepped)
+        uniform_collapse(store, levels)
+        assert list(store.items()) == list(stepped.items())
+        assert store.total == stepped.total
+        assert collapsed_indices(np.array([-5, -4, 0, 4, 5]), 2).tolist() == [
+            -1, -1, 0, 1, 2,
+        ]
+
+    def test_collapsing_an_empty_store(self):
+        store = SparseStore()
+        uniform_collapse(store, 3)
+        assert store.is_empty and store.num_buckets == 0
+
+    def test_sorted_arrays_after_scalar_adds(self):
+        store = SparseStore()
+        for index in (5, -2, 9, 0, -7):
+            store.add(index, index + 10)
+        indices, counts = store.sorted_arrays()
+        assert list(zip(indices.tolist(), counts.tolist())) == list(
+            store.items()
+        )
+
+    def test_first_batch_builds_the_dict_the_walk_built(self):
+        indices = np.random.default_rng(6).integers(-40, 40, 500)
+        store = SparseStore()
+        store.add_batch(indices)
+        walked: dict[int, int] = {}
+        unique, counts = np.unique(indices, return_counts=True)
+        for index, count in zip(unique.tolist(), counts.tolist()):
+            walked[index] = walked.get(index, 0) + count
+        # Same pairs in the same insertion order.
+        assert list(store._buckets.items()) == list(walked.items())
+        assert store.total == indices.size
 
     def test_size_accounts_three_numbers_per_bucket(self):
         store = SparseStore()
