@@ -11,13 +11,16 @@ coefficients ``theta`` are found by Newton's method on the convex dual
 
 whose gradient is the moment mismatch and whose Hessian is the Gram
 matrix of the basis under ``p`` — both evaluated on a fixed quadrature
-grid, exactly as the reference msketch solver does.
+grid, exactly as the reference msketch solver does.  On the Chebyshev
+basis ``T_i T_j = (T_{i+j} + T_{|i-j|}) / 2``, so one matvec against
+``T_0 .. T_2k`` yields the gradient and the whole Hessian of a step.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -52,6 +55,35 @@ def chebyshev_grid(
     grid.flags.writeable = False
     vander.flags.writeable = False
     return grid, vander.T
+
+
+@functools.lru_cache(maxsize=16)
+def _product_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``i + j`` and ``|i - j|`` for ``0 <= i, j <= k``, read-only."""
+    index = np.arange(k + 1)
+    upper = index[:, None] + index[None, :]
+    lower = np.abs(index[:, None] - index[None, :])
+    upper.flags.writeable = False
+    lower.flags.writeable = False
+    return upper, lower
+
+
+@functools.lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    identity = np.eye(n)
+    identity.flags.writeable = False
+    return identity
+
+
+def chebyshev_hessian(expectations: np.ndarray) -> np.ndarray:
+    """Gram matrix ``E_p[T_i T_j]`` for ``i, j <= k`` from the ``2k + 1``
+    Chebyshev expectations ``c_j = E_p[T_j]``.
+
+    ``T_i T_j = (T_{i+j} + T_{|i-j|}) / 2`` holds at every grid point,
+    so under any quadrature ``E_p[T_i T_j] = (c_{i+j} + c_{|i-j|}) / 2``.
+    """
+    upper, lower = _product_indices(expectations.size // 2)
+    return 0.5 * (expectations[upper] + expectations[lower])
 
 
 def power_to_chebyshev_moments(power_moments: np.ndarray) -> np.ndarray:
@@ -117,8 +149,14 @@ class MaxEntropySolver:
         Newton's method fails to reduce the moment mismatch.
         """
         m = np.asarray(chebyshev_moments, dtype=np.float64)
-        grid, basis = chebyshev_grid(self.grid_size, m.size - 1)
-        return self.solve_system(grid, basis, m)
+        k = m.size - 1
+        # Rows 0..k are the basis; rows up to 2k turn each step's one
+        # matvec into the whole Gram matrix (chebyshev_hessian).
+        grid, basis_2k = chebyshev_grid(self.grid_size, 2 * k)
+        return self._newton(
+            grid, basis_2k[: k + 1], m, basis_2k,
+            lambda expectations, _: chebyshev_hessian(expectations),
+        )
 
     def solve_system(
         self,
@@ -133,7 +171,9 @@ class MaxEntropySolver:
         row per feature evaluated on the grid (row 0 should be the
         constant 1 with ``moments[0] == 1``).  This generalised entry
         point is what the joint standard-plus-log-moment fit of the
-        full Moments Sketch design (Sec 3.2) uses.
+        full Moments Sketch design (Sec 3.2) uses.  A general basis has
+        no product identity, so each step forms its Gram matrix by
+        matmul.
         """
         m = np.asarray(moments, dtype=np.float64)
         grid = np.asarray(grid, dtype=np.float64)
@@ -143,6 +183,28 @@ class MaxEntropySolver:
                 f"basis shape {basis.shape} does not match "
                 f"{m.size} moments on a {grid.size}-point grid"
             )
+        return self._newton(
+            grid, basis, m, basis,
+            lambda _, pdf_weights: (basis * pdf_weights) @ basis.T,
+        )
+
+    def _newton(
+        self,
+        grid: np.ndarray,
+        basis: np.ndarray,
+        m: np.ndarray,
+        moment_rows: np.ndarray,
+        hessian: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ) -> MaxEntSolution:
+        """Newton's method on the dual, shared by both entry points.
+
+        Each step takes ``c = moment_rows @ (p * w)`` — ``moment_rows``
+        starts with the rows of *basis*, so ``c[:k]`` are the fitted
+        moments — and asks ``hessian(c, p * w)`` for the Gram matrix.
+        A point is evaluated (``theta . basis`` and one ``exp`` over the
+        grid) once, when the line search proposes it; the accepted
+        candidate carries that evaluation into the next step.
+        """
         k = m.size
         dx = grid[1] - grid[0]
         # Trapezoid quadrature weights.
@@ -152,51 +214,50 @@ class MaxEntropySolver:
 
         theta = np.zeros(k)
         theta[0] = -np.log(2.0)  # start from the uniform density on [-1, 1]
+        shift, unnorm = _evaluate(theta, basis)
 
         # Discrete or near-degenerate inputs admit no smooth density with
         # exactly these moments, so the iteration may stall with a
         # residual mismatch; like the reference msketch solver we then
         # use the best density found, and only fail on garbage.
-        best_theta = theta
+        best_theta, best_unnorm = theta, unnorm
         best_grad_norm = np.inf
         iterations = 0
         for iterations in range(1, self.max_iterations + 1):
-            log_pdf = theta @ basis
-            shift = log_pdf.max()
-            pdf_unnorm = np.exp(log_pdf - shift)
             scale = np.exp(shift)
-            pdf = pdf_unnorm * scale
-            moments = basis @ (pdf * weights)
-            grad = moments - m
+            pdf_weights = unnorm * scale * weights
+            expectations = moment_rows @ pdf_weights
+            grad = expectations[:k] - m
             grad_norm = float(np.abs(grad).max())
             if grad_norm < best_grad_norm:
                 best_grad_norm = grad_norm
-                best_theta = theta
+                best_theta, best_unnorm = theta, unnorm
             if grad_norm < self.tolerance:
                 break
-            hessian = (basis * (pdf * weights)) @ basis.T
-            step = self._newton_step(hessian, grad)
-            new_theta = self._line_search(theta, step, basis, weights, m)
-            if new_theta is theta:
+            step = self._newton_step(hessian(expectations, pdf_weights), grad)
+            current = _dual_value(theta, shift, unnorm, weights, m)
+            accepted = self._line_search(
+                theta, step, basis, weights, m, current
+            )
+            if accepted is None:
                 break  # line search cannot improve any further
-            theta = new_theta
+            theta, shift, unnorm = accepted
 
-        theta = best_theta
         if not np.isfinite(best_grad_norm) or best_grad_norm > 0.5:
             raise SolverError(
                 f"maximum-entropy solver diverged: |grad| = "
                 f"{best_grad_norm:.3g} after {iterations} iterations"
             )
 
-        log_pdf = theta @ basis
-        pdf = np.exp(log_pdf - log_pdf.max())
+        # best_unnorm is exp(theta . basis - max) at best_theta.
+        pdf = best_unnorm
         cdf = np.cumsum(pdf * weights)
         cdf /= cdf[-1]
         cdf[0] = 0.0
         cdf[-1] = 1.0
         pdf_normalised = pdf / float((pdf * weights).sum())
         return MaxEntSolution(
-            theta=theta,
+            theta=best_theta,
             grid=grid,
             pdf=pdf_normalised,
             cdf=cdf,
@@ -212,7 +273,7 @@ class MaxEntropySolver:
         joint standard+log fit on moderately-ranged data) from
         producing explosive steps; it grows if the solve still fails.
         """
-        identity = np.eye(hessian.shape[0])
+        identity = _identity(hessian.shape[0])
         scale = float(np.abs(np.diag(hessian)).max()) or 1.0
         ridge = 1e-10 * scale
         for _ in range(8):
@@ -223,38 +284,49 @@ class MaxEntropySolver:
         return np.linalg.lstsq(hessian, grad, rcond=None)[0]
 
     @staticmethod
-    def _dual_objective(
-        theta: np.ndarray,
-        basis: np.ndarray,
-        weights: np.ndarray,
-        m: np.ndarray,
-    ) -> float:
-        log_pdf = theta @ basis
-        shift = log_pdf.max()
-        # Stabilised evaluation of integral(exp(theta . T)) - theta . m;
-        # an overflowing candidate evaluates to inf and is rejected by
-        # the line search, so the overflow itself is benign.
-        with np.errstate(over="ignore"):
-            integral = (
-                float(np.exp(log_pdf - shift) @ weights) * np.exp(shift)
-            )
-        return integral - float(theta @ m)
-
     def _line_search(
-        self,
         theta: np.ndarray,
         step: np.ndarray,
         basis: np.ndarray,
         weights: np.ndarray,
         m: np.ndarray,
-    ) -> np.ndarray:
-        """Backtracking line search on the convex dual objective."""
-        current = self._dual_objective(theta, basis, weights, m)
+        current: float,
+    ) -> tuple[np.ndarray, float, np.ndarray] | None:
+        """Backtracking line search on the convex dual objective.
+
+        Returns the first candidate below *current* with its evaluation
+        ``(theta, shift, unnorm)``, or ``None`` when 40 halvings find
+        none.
+        """
         scale = 1.0
         for _ in range(40):
             candidate = theta - scale * step
-            value = self._dual_objective(candidate, basis, weights, m)
+            shift, unnorm = _evaluate(candidate, basis)
+            value = _dual_value(candidate, shift, unnorm, weights, m)
             if np.isfinite(value) and value < current:
-                return candidate
+                return candidate, shift, unnorm
             scale *= 0.5
-        return theta  # no progress possible; caller's loop will stop
+        return None  # no progress possible; caller's loop will stop
+
+
+def _evaluate(theta: np.ndarray, basis: np.ndarray) -> tuple[float, np.ndarray]:
+    """``(shift, exp(theta . basis - shift))`` with ``shift`` the max of
+    ``theta . basis``: the one product and one ``exp`` a point costs."""
+    log_pdf = theta @ basis
+    shift = log_pdf.max()
+    return shift, np.exp(log_pdf - shift)
+
+
+def _dual_value(
+    theta: np.ndarray,
+    shift: float,
+    unnorm: np.ndarray,
+    weights: np.ndarray,
+    m: np.ndarray,
+) -> float:
+    # Stabilised evaluation of integral(exp(theta . T)) - theta . m;
+    # an overflowing candidate evaluates to inf and is rejected by
+    # the line search, so the overflow itself is benign.
+    with np.errstate(over="ignore"):
+        integral = float(unnorm @ weights) * np.exp(shift)
+    return integral - float(theta @ m)

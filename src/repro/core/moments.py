@@ -30,6 +30,7 @@ from repro.core.base import (
     validate_quantile,
 )
 from repro.core.maxent import (
+    DEFAULT_GRID_SIZE,
     MaxEntropySolver,
     MaxEntSolution,
     chebyshev_grid,
@@ -49,6 +50,12 @@ DEFAULT_NUM_MOMENTS = 12
 MIN_CARDINALITY = 5
 
 _TRANSFORMS = ("none", "log", "arcsinh")
+
+#: Solver grid bounds: the trapezoid rule needs two points, and a query
+#: allocates ``2k + 1`` rows over the grid, so the top stays 64x the
+#: msketch default — which also bounds what decoded bytes can request.
+MIN_GRID_SIZE = 2
+MAX_GRID_SIZE = 1 << 16
 
 
 @functools.lru_cache(maxsize=8)
@@ -85,7 +92,8 @@ class MomentsSketch(QuantileSketch):
         magnitudes).
     grid_size:
         Quadrature grid of the maximum-entropy solver; raising it trades
-        query time for accuracy (Sec 4.5.5).
+        query time for accuracy (Sec 4.5.5).  Between 2 and
+        ``MAX_GRID_SIZE`` points.
     log_moments:
         Additionally keep the ``k`` log moments ``sum(ln(x)^i)`` and fit
         the density against both moment sets jointly — the full design
@@ -101,7 +109,7 @@ class MomentsSketch(QuantileSketch):
         self,
         num_moments: int = DEFAULT_NUM_MOMENTS,
         transform: str = "none",
-        grid_size: int = 1024,
+        grid_size: int = DEFAULT_GRID_SIZE,
         log_moments: bool = False,
     ) -> None:
         super().__init__()
@@ -113,6 +121,11 @@ class MomentsSketch(QuantileSketch):
             raise InvalidValueError(
                 f"unknown transform {transform!r}; expected one of "
                 f"{_TRANSFORMS}"
+            )
+        if not MIN_GRID_SIZE <= grid_size <= MAX_GRID_SIZE:
+            raise InvalidValueError(
+                f"grid_size must be in [{MIN_GRID_SIZE}, {MAX_GRID_SIZE}], "
+                f"got {grid_size!r}"
             )
         if log_moments and transform != "none":
             raise InvalidValueError(
@@ -137,8 +150,8 @@ class MomentsSketch(QuantileSketch):
         self._log_origin: float | None = None
         self._l_min = np.inf
         self._l_max = -np.inf
-        self._grid_size = int(grid_size)
-        self._solver = MaxEntropySolver(grid_size=grid_size)
+        self.grid_size = int(grid_size)
+        self._solver = MaxEntropySolver(grid_size=self.grid_size)
         self._solution: MaxEntSolution | None = None
         self._solution_count = -1
         self._solution_domain = "single"
@@ -422,7 +435,9 @@ class MomentsSketch(QuantileSketch):
         density matches both moment sets at once.
         """
         k = self.num_moments
-        grid_u, basis_u = chebyshev_grid(self._grid_size, k)
+        # The table the single-domain solve reads: one per (grid, k).
+        grid_u, basis_2k = chebyshev_grid(self.grid_size, 2 * k)
+        basis_u = basis_2k[: k + 1]
         l_mid = 0.5 * (self._l_min + self._l_max)
         l_half = 0.5 * (self._l_max - self._l_min)
         x_grid = np.exp(grid_u * l_half + l_mid)

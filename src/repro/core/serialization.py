@@ -38,6 +38,7 @@ from repro.core.hdr import HdrHistogram
 from repro.core.kll import KLLSketch
 from repro.core.kllpm import KLLPlusMinus
 from repro.core.mapping import LogarithmicMapping
+from repro.core.maxent import DEFAULT_GRID_SIZE
 from repro.core.moments import MomentsSketch
 from repro.core.random_sketch import RandomSketch, _Buffer
 from repro.core.req import ReqSketch, _RelativeCompactor
@@ -290,10 +291,22 @@ def _read_sums(r: Reader) -> tuple[float, float, float | None, np.ndarray]:
     return lo, hi, None if math.isnan(origin) else origin, r.f64_array()
 
 
+#: Moments flags byte.  A default-grid sketch writes only the log bit,
+#: so its bytes equal those of payloads written before the grid bit.
+_MOMENTS_LOG = 0x01
+_MOMENTS_GRID = 0x02  # an i64 grid_size follows
+
+
 def _encode_moments(w: Writer, sketch: MomentsSketch) -> None:
     w.i64(sketch.num_moments)
     w.u8(_TRANSFORM_CODES[sketch.transform])
-    w.u8(1 if sketch.log_moments else 0)
+    custom_grid = sketch.grid_size != DEFAULT_GRID_SIZE
+    w.u8(
+        (_MOMENTS_LOG if sketch.log_moments else 0)
+        | (_MOMENTS_GRID if custom_grid else 0)
+    )
+    if custom_grid:
+        w.i64(sketch.grid_size)
     _write_common(w, sketch)
     _write_sums(
         w, sketch._t_min, sketch._t_max, sketch._origin,
@@ -309,10 +322,18 @@ def _encode_moments(w: Writer, sketch: MomentsSketch) -> None:
 def _decode_moments(r: Reader) -> MomentsSketch:
     # The power sums stored below hold num_moments + 1 doubles, so the
     # bytes must back the claim before the constructor allocates on it.
+    num_moments = r.count(8)
+    transform = _TRANSFORM_NAMES[r.u8()]
+    flags = r.u8()
+    if flags & ~(_MOMENTS_LOG | _MOMENTS_GRID):
+        r.fail(f"unknown Moments flags {flags:#04x}")
+    # The constructor bounds the grid a query will allocate.
+    grid_size = r.i64() if flags & _MOMENTS_GRID else DEFAULT_GRID_SIZE
     sketch = MomentsSketch(
-        num_moments=r.count(8),
-        transform=_TRANSFORM_NAMES[r.u8()],
-        log_moments=bool(r.u8()),
+        num_moments=num_moments,
+        transform=transform,
+        grid_size=grid_size,
+        log_moments=bool(flags & _MOMENTS_LOG),
     )
     _read_common(r, sketch)
     (

@@ -12,7 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import SKETCH_CLASSES, dumps, paper_config
+from repro.core import (
+    SKETCH_CLASSES,
+    MomentsSketch,
+    dumps,
+    loads,
+    paper_config,
+)
 
 ALL_NAMES = sorted(SKETCH_CLASSES)
 
@@ -94,3 +100,21 @@ class TestCopyContract:
         assert calls == []
         assert dumps(sketch) == before
         assert clone.count == sketch.count + other.count
+
+
+def test_moments_grid_size_travels():
+    """A non-default solver grid answers the same after ``copy()`` and
+    a round trip; it came back on the default grid before, moving
+    Pareto q0.99 from 110 to 114."""
+    sketch = MomentsSketch(12, "log", grid_size=64)
+    sketch.update_batch(_values(1, 5_000))
+    qs = [0.01, 0.5, 0.99]
+    expected = [q.hex() for q in sketch.quantiles(qs)]
+    for clone in (sketch.copy(), loads(dumps(sketch))):
+        assert clone.grid_size == 64
+        assert [q.hex() for q in clone.quantiles(qs)] == expected
+        assert dumps(clone) == dumps(sketch)
+    default = MomentsSketch(12, "log")
+    default.update_batch(_values(1, 5_000))
+    assert dumps(default) != dumps(sketch)
+    assert default.quantile(0.99) != sketch.quantile(0.99)

@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.maxent import (
     MaxEntropySolver,
+    chebyshev_grid,
+    chebyshev_hessian,
     power_to_chebyshev_moments,
 )
 
@@ -103,3 +105,31 @@ class TestSolver:
         assert fine.quantile(0.5) == pytest.approx(
             coarse.quantile(0.5), abs=0.02
         )
+
+
+class TestChebyshevGram:
+    """``T_i T_j = (T_{i+j} + T_{|i-j|}) / 2`` makes the step's Gram
+    matrix and gradient a read of ``2k + 1`` expectations."""
+
+    @pytest.mark.parametrize("grid_size", [64, 257, 1024])
+    def test_matches_the_direct_gram_matrix(self, grid_size):
+        rng = np.random.default_rng(20230328)
+        for k in range(2, 21):
+            grid, basis_2k = chebyshev_grid(grid_size, 2 * k)
+            basis = basis_2k[: k + 1]
+            weights = np.full(grid_size, grid[1] - grid[0])
+            weights[[0, -1]] *= 0.5
+            for _ in range(5):
+                theta = rng.normal(0.0, 1.0 / k, k + 1)
+                pdf_weights = np.exp(theta @ basis) * weights
+                expectations = basis_2k @ pdf_weights
+                hessian = chebyshev_hessian(expectations)
+                direct = (basis * pdf_weights) @ basis.T
+                assert np.abs(hessian - direct).max() <= (
+                    1e-12 * np.abs(direct).max()
+                )
+                moments = basis @ pdf_weights
+                assert np.abs(expectations[: k + 1] - moments).max() <= (
+                    1e-12 * np.abs(moments).max()
+                )
+                assert hessian.tobytes() == hessian.T.tobytes()

@@ -38,6 +38,11 @@ class TestBasics:
             MomentsSketch(num_moments=1)
         with pytest.raises(InvalidValueError):
             MomentsSketch(transform="sqrt")
+        # A one-point grid used to fail only at the first query.
+        for grid_size in (0, 1, -5, 2**16 + 1):
+            with pytest.raises(InvalidValueError):
+                MomentsSketch(grid_size=grid_size)
+        assert MomentsSketch(grid_size=2).grid_size == 2
 
     def test_power_sums_accumulate(self):
         # Sums are accumulated around the first observed value (the

@@ -511,6 +511,41 @@ def test_moments_inflated_num_moments_is_typed(tmp_path):
     check(target, "num_moments = 2**40", mutated, tmp_path, must_fail=True)
 
 
+def moments_with_grid(grid_size: int) -> bytes:
+    """A grid-64 Moments blob with its carried grid set to *grid_size*."""
+    sketch = make_sketch("moments", grid_size=64)
+    sketch.update_batch(np.linspace(1.0, 50.0, 37))
+    data = dumps(sketch)
+    # name, then num_moments i64, transform u8, flags u8, grid i64
+    offset = data.index(b"moments") + len(b"moments") + 10
+    assert struct.unpack_from("<q", data, offset) == (64,)
+    return data[:offset] + struct.pack("<q", grid_size) + data[offset + 8:]
+
+
+@pytest.mark.parametrize("grid_size", [0, 1, -5, 2**17, 2**40, 2**62])
+def test_moments_out_of_range_grid_is_typed(grid_size, tmp_path):
+    """A grid the solver cannot use, or one whose first query would
+    allocate without bound, fails at decode, not at the first query."""
+    target = entry("loads[moments]")
+    assert outcome(target, moments_with_grid(64), tmp_path) == "ok"
+    check(
+        target, f"grid_size = {grid_size}", moments_with_grid(grid_size),
+        tmp_path, must_fail=True,
+    )
+
+
+def test_moments_unknown_flag_bits_are_typed(tmp_path):
+    target = entry("loads[moments]")
+    data = target.valid()
+    offset = data.index(b"moments") + len(b"moments") + 9
+    for flags in (0x04, 0x80, 0xFF):
+        mutated = data[:offset] + bytes([flags]) + data[offset + 1:]
+        check(
+            target, f"flags = {flags:#04x}", mutated, tmp_path,
+            must_fail=True,
+        )
+
+
 def test_tdigest_nan_compression_is_typed(tmp_path):
     """``int(10 * nan)`` escaped as a bare ``ValueError``."""
     target = entry("loads[tdigest]")
