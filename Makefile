@@ -97,11 +97,11 @@ traffic-test:
 # The concurrency gate (DESIGN §13): the LCK/RACE static family over
 # the whole tree, then the runtime sanitizer suite — its own unit
 # tests, the live corpus witnesses, the <10% overhead budget, and the
-# sanitizer-wrapped buffered/service/durability concurrency tests.
+# sanitizer-wrapped server/store/durability concurrency tests.
 race-check:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis --check \
 		--select LCK,RACE src/repro
 	$(PYTEST) -q tests/sanitizer -m "slow or not slow"
-	$(PYTEST) -q tests/parallel/test_buffered.py \
+	$(PYTEST) -q tests/service/test_concurrent_ingest.py \
 		tests/service/test_concurrency.py \
 		tests/durability/test_crash_sweep.py

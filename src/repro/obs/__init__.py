@@ -4,7 +4,7 @@ The quantile service observes itself with its own data structures —
 operation latencies land in :class:`~repro.obs.metrics.LatencyHistogram`
 instances backed by the repo's :class:`~repro.core.ddsketch.DDSketch`.
 One shared :class:`~repro.obs.telemetry.Telemetry` object threads
-through the server, client, parallel ingestor and streaming engine;
+through the server, client, stores and streaming engine;
 pass :data:`~repro.obs.telemetry.NOOP` (telemetry off) and every
 instrument degrades to a no-op with sub-5% hot-loop overhead.
 

@@ -1,41 +1,14 @@
-"""Sharded parallel ingestion over mergeable quantile sketches.
+"""Sharded ingestion over mergeable quantile sketches.
 
 The paper's speed experiments (Sec 5.3) are single-threaded, but every
-sketch it studies is mergeable by design; this package exploits that:
+sketch it studies is mergeable by design; :class:`ShardedSketch`
+exploits that: a :class:`~repro.core.base.QuantileSketch` that fans
+insertions out round-robin over per-shard inner sketches, each behind
+its own lock, and answers queries from a cached merged view.
 
-* :class:`ShardedSketch` — a :class:`~repro.core.base.QuantileSketch`
-  that fans insertions out over per-shard inner sketches and answers
-  queries from a cached merged view;
-* :class:`ParallelIngestor` — serial / thread / process ingestion
-  drivers, the process backend shipping shards through the
-  :mod:`repro.core.serialization` codecs;
-* :class:`BufferedIngestor` — Quancurrent-style thread-local staging
-  buffers flushed into a shared sketch under one short critical
-  section per ``buffer_size`` values;
-* :mod:`repro.parallel.partition` — deterministic round-robin and
-  value-hash partitioners.
-
-See DESIGN.md ("Parallel ingestion subsystem") for the shard/merge
-model and backend trade-offs.
+See DESIGN.md ("Parallel subsystem") for the shard/merge model.
 """
 
-from repro.parallel.buffered import BufferedIngestor
-from repro.parallel.ingestor import BACKENDS, ParallelIngestor
-from repro.parallel.partition import (
-    PARTITIONERS,
-    hash_shard,
-    hash_shard_ids,
-    partition_batch,
-)
 from repro.parallel.sharded import ShardedSketch
 
-__all__ = [
-    "BufferedIngestor",
-    "ShardedSketch",
-    "ParallelIngestor",
-    "BACKENDS",
-    "PARTITIONERS",
-    "partition_batch",
-    "hash_shard",
-    "hash_shard_ids",
-]
+__all__ = ["ShardedSketch"]

@@ -1,13 +1,14 @@
 """A sketch-of-sketches that ingests through N independent shards.
 
-:class:`ShardedSketch` is the in-process half of the parallel
-subsystem: it conforms to the :class:`~repro.core.base.QuantileSketch`
-interface, but routes every insertion to one of ``n_shards`` inner
-sketches and answers queries from a lazily merged view.  Because all
-sketches in :mod:`repro.core` are mergeable (Sec 2.4 of the paper),
-shard-then-merge answers carry the same error guarantee as sequential
-ingestion — the differential harness in ``tests/parallel`` asserts
-exactly that.
+:class:`ShardedSketch` conforms to the
+:class:`~repro.core.base.QuantileSketch` interface, but routes every
+insertion to one of ``n_shards`` inner sketches and answers queries
+from a lazily merged view; the service's hot metrics use it as their
+partition sketch so concurrent writers stripe across shard locks.
+Because all sketches in :mod:`repro.core` are mergeable (Sec 2.4 of the
+paper), shard-then-merge answers carry the same error guarantee as
+sequential ingestion — the differential harness in ``tests/parallel``
+asserts exactly that.
 
 Concurrency model
 -----------------
@@ -28,33 +29,26 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.base import QuantileSketch, _reject_nan_batch, as_float_batch
-from repro.errors import IncompatibleSketchError, InvalidValueError
-from repro.parallel.partition import (
-    hash_shard,
-    partition_batch,
-    validate_n_shards,
-    validate_partitioner,
-)
+from repro.core.base import QuantileSketch, as_float_batch
+from repro.errors import InvalidValueError
 
 
 class ShardedSketch(QuantileSketch):
     """Fan insertions out over per-shard sketches; merge on query.
+
+    Values are routed round-robin: element ``i`` of the stream goes to
+    shard ``i % n_shards``, and the cursor carries across batches, so
+    however the stream is chunked the shards stay balanced to within one
+    value and each shard keeps its values' arrival order.
 
     Parameters
     ----------
     sketch_factory:
         Zero-argument callable building one empty inner sketch; called
         ``n_shards`` times at construction and once more per merged-view
-        rebuild.  For the process-pool ingestion backend the factory
-        must be picklable (e.g. ``functools.partial(paper_config,
-        "kll", seed=7)``).
+        rebuild.
     n_shards:
         Number of inner sketches (parallelism ceiling for writers).
-    partitioner:
-        ``"round_robin"`` (balanced, order-dependent) or ``"hash"``
-        (value-determined, chunking-independent); see
-        :mod:`repro.parallel.partition`.
     """
 
     name = "sharded"
@@ -63,11 +57,14 @@ class ShardedSketch(QuantileSketch):
         self,
         sketch_factory: Callable[[], QuantileSketch],
         n_shards: int = 4,
-        partitioner: str = "round_robin",
     ) -> None:
         super().__init__()
-        self.n_shards = validate_n_shards(n_shards)
-        self.partitioner = validate_partitioner(partitioner)
+        n_shards = int(n_shards)
+        if n_shards < 1:
+            raise InvalidValueError(
+                f"n_shards must be >= 1, got {n_shards!r}"
+            )
+        self.n_shards = n_shards
         self._factory = sketch_factory
         self._shards: list[QuantileSketch] = [
             sketch_factory() for _ in range(self.n_shards)
@@ -87,14 +84,9 @@ class ShardedSketch(QuantileSketch):
         cls,
         sketch_factory: Callable[[], QuantileSketch],
         shards: Sequence[QuantileSketch],
-        partitioner: str = "round_robin",
     ) -> "ShardedSketch":
-        """Adopt pre-built shard sketches (the ingestor's exit path)."""
-        sharded = cls(
-            sketch_factory,
-            n_shards=len(shards),
-            partitioner=partitioner,
-        )
+        """Adopt pre-built shard sketches (a snapshot restore)."""
+        sharded = cls(sketch_factory, n_shards=len(shards))
         sharded._shards = list(shards)
         for shard in sharded._shards:
             sharded._count += shard._count
@@ -113,12 +105,9 @@ class ShardedSketch(QuantileSketch):
         value = float(value)
         if not np.isfinite(value):
             raise InvalidValueError(f"cannot insert non-finite value {value!r}")
-        if self.partitioner == "hash":
-            shard = hash_shard(value, self.n_shards)
-        else:
-            with self._meta_lock:
-                shard = self._routed % self.n_shards
-                self._routed += 1
+        with self._meta_lock:
+            shard = self._routed % self.n_shards
+            self._routed += 1
         with self._shard_locks[shard]:
             self._shards[shard].update(value)
         with self._meta_lock:
@@ -134,38 +123,18 @@ class ShardedSketch(QuantileSketch):
         with self._meta_lock:
             offset = self._routed
             self._routed += int(values.size)
-        parts = partition_batch(
-            values, self.n_shards, self.partitioner, offset=offset
-        )
-        for shard, part in enumerate(parts):
+        # Shard s takes every n-th value from the first one the cursor
+        # sends it; a writer holds one shard lock at a time, so
+        # concurrent batches stripe across the shards instead of queueing.
+        n = self.n_shards
+        for shard, lock in enumerate(self._shard_locks):
+            part = np.ascontiguousarray(values[(shard - offset) % n :: n])
             if part.size:
-                self.update_shard(shard, part, _observe=False)
+                with lock:
+                    self._shards[shard].update_batch(part)
         with self._meta_lock:
             self._observe_batch(values)
             self._version += 1
-
-    def update_shard(
-        self,
-        shard: int,
-        values: np.ndarray,
-        _observe: bool = True,
-    ) -> None:
-        """Feed a pre-partitioned chunk straight into shard *shard*.
-
-        This is the entry point concurrent ingestion drivers use: each
-        worker owns a shard id, so writers contend only on the shard
-        lock they hold anyway.
-        """
-        values = np.asarray(values, dtype=np.float64).ravel()
-        if values.size == 0:
-            return
-        _reject_nan_batch(values)
-        with self._shard_locks[shard]:
-            self._shards[shard].update_batch(values)
-        if _observe:
-            with self._meta_lock:
-                self._observe_batch(values)
-                self._version += 1
 
     # ------------------------------------------------------------------
     # Merging
@@ -274,6 +243,5 @@ class ShardedSketch(QuantileSketch):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<ShardedSketch n_shards={self.n_shards} "
-            f"partitioner={self.partitioner!r} count={self._count}>"
+            f"<ShardedSketch n_shards={self.n_shards} count={self._count}>"
         )

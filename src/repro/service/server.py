@@ -27,12 +27,11 @@ Drain coalescing
 Each drain pass takes one queued op (blocking) and then opportunistically
 pops up to ``ingest_coalesce - 1`` more without blocking.  Consecutive
 ops addressed to the same ``(metric, tags, timestamp, clock)`` key are
-concatenated and applied with *one* ``registry.record`` call — the
-server-side incarnation of the buffered-ingestion pattern in
-:class:`repro.parallel.buffered.BufferedIngestor`: values buffer cheaply
-(here: the ingest queue itself) and the expensive critical section (the
-registry's store locks and the sketch update) is paid once per batch
-instead of once per request.  Coalescing happens strictly *after* the
+concatenated and applied with *one* ``registry.record`` call —
+Quancurrent's bulk propagation: values buffer cheaply (here: the ingest
+queue itself) and the expensive critical section (the registry's store
+locks and the sketch update) is paid once per batch instead of once per
+request.  Coalescing happens strictly *after* the
 WAL append, so journal-before-ack and WAL-order-equals-apply-order are
 unaffected; per-key apply order is preserved because only adjacent
 same-key ops merge.  A coalesced apply that fails is retried op by op,

@@ -12,10 +12,9 @@ out of the coarse horizon.  Old data loses time resolution before it
 loses existence, the standard monitoring-store trade.
 
 Range queries are quantised to partition edges (a partition overlapping
-the range contributes wholly), mirroring
-:class:`~repro.streaming.windowed_sketch.SlidingWindowSketch` panes.
-Two caches sit under :meth:`TimePartitionedStore.merged`.  The whole
-view is cached under a ``(version, range)`` key — the same
+the range contributes wholly).  Two caches sit under
+:meth:`TimePartitionedStore.merged`.  The whole view is cached under a
+``(version, range)`` key — the same
 cache-invalidation rule as :class:`~repro.parallel.ShardedSketch` — so
 repeated queries of an unchanged store never merge at all.  Behind it
 the store keeps one *prefix fold*: the oldest→newest fold of every
@@ -65,8 +64,11 @@ from repro.service.clock import Clock, SystemClock
 SNAPSHOT_MAGIC = b"RPQS"
 SNAPSHOT_VERSION = 1
 
-_PARTITIONER_CODES = {"round_robin": 0, "hash": 1}
-_PARTITIONER_NAMES = {code: name for name, code in _PARTITIONER_CODES.items()}
+#: The partitioner byte of a sharded partition blob.  Shards are routed
+#: round-robin (0); 1 named a value-hash partitioner that no longer
+#: exists, and its shards still restore exactly.
+_ROUND_ROBIN = 0
+_VALUE_HASH = 1
 
 
 class TimePartitionedStore:
@@ -745,7 +747,7 @@ def _freeze(sketch: QuantileSketch) -> bytes:
     w = Writer()
     if isinstance(sketch, ShardedSketch):
         w.u8(1)
-        w.u8(_PARTITIONER_CODES[sketch.partitioner])
+        w.u8(_ROUND_ROBIN)
         w.u32(sketch.n_shards)
         for shard in sketch.shards:
             w.blob(dumps(shard))
@@ -771,8 +773,10 @@ def _thaw(
         )
     if not kind:
         return loads(reader.blob())
-    partitioner = _PARTITIONER_NAMES[reader.u8()]
+    partitioner = reader.u8()
+    if partitioner not in (_ROUND_ROBIN, _VALUE_HASH):
+        reader.fail(f"unknown partitioner {partitioner}")
     shards = [loads(reader.blob()) for _ in range(reader.u32())]
-    return ShardedSketch.from_shards(
-        base_factory, shards, partitioner=partitioner
-    )
+    # Either way the shards are adopted as written; later values route
+    # round-robin.
+    return ShardedSketch.from_shards(base_factory, shards)

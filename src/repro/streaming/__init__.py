@@ -41,7 +41,6 @@ from repro.streaming.time import (
     BoundedOutOfOrdernessWatermarks,
     WatermarkStrategy,
 )
-from repro.streaming.windowed_sketch import SlidingWindowSketch
 from repro.streaming.windows import (
     SessionWindows,
     SlidingEventTimeWindows,
@@ -78,5 +77,4 @@ __all__ = [
     "TumblingEventTimeWindows",
     "SlidingEventTimeWindows",
     "SessionWindows",
-    "SlidingWindowSketch",
 ]

@@ -1,8 +1,8 @@
 """Regression tests: merging with an empty sketch preserves bookkeeping.
 
 The sharded subsystem routinely merges shards that happen to be empty
-(a hash partition can starve a shard; a window can close before every
-shard saw data), so ``merge`` must treat an empty operand as a no-op
+(a batch shorter than the shard count starves some shards; a window
+can close before every shard saw data), so ``merge`` must treat an empty operand as a no-op
 for ``min``/``max``/``count`` in either direction.  TDigest used to
 crash outright on empty-into-empty (``_compress`` indexed into a
 zero-length centroid array); this file pins the contract for every

@@ -138,6 +138,16 @@ def partition_blob() -> bytes:
     return store.export_partitions([key])[key]
 
 
+def with_partitioner_byte(byte: int) -> bytes:
+    """A sharded store snapshot whose partitions name partitioner *byte*."""
+    store = small_store(sharded=True)
+    data = store.snapshot()
+    keys = [key for key in store.partition_digests() if key[0] == "f"]
+    for blob in store.export_partitions(keys).values():
+        data = data.replace(blob, blob[:1] + bytes([byte]) + blob[2:])
+    return data
+
+
 def adopt(data: bytes, _tmp: Path) -> object:
     store = small_store(sharded=True)
     return store.adopt_partitions(
@@ -434,6 +444,10 @@ FIXED_CASES = [
     (
         "loads[kll]", "sketch-name byte >= 0x80",
         b"RPRO\x02\x03k\xffl" + bytes(64),
+    ),
+    (
+        "restore[sharded]", "unknown partitioner byte",
+        with_partitioner_byte(2),
     ),
     (
         "restore[plain]", "junk JSON in the snapshot header",

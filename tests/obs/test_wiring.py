@@ -1,7 +1,7 @@
 """The observability layer wired through every instrumented subsystem.
 
 Each test drives a real code path (live TCP server, retrying client,
-parallel ingestor, streaming engine) with a shared
+streaming engine) with a shared
 :class:`~repro.obs.telemetry.Telemetry` and asserts the documented
 instruments actually fill — the contract the snapshot exporters depend
 on.
@@ -11,11 +11,9 @@ import numpy as np
 import pytest
 
 from repro.core import DDSketch
-from repro.core.registry import paper_config
 from repro.data.streams import EventBatch
 from repro.errors import ServerOverloadedError, ServiceUnavailableError
 from repro.obs.telemetry import Telemetry
-from repro.parallel import ParallelIngestor
 from repro.service import (
     ManualClock,
     MetricRegistry,
@@ -123,51 +121,6 @@ class TestClientInstrumentation:
         assert counters["client.transport_retries"] == 2
         # Exponential: 50ms then 100ms.
         assert counters["client.backoff_total_ms"] == 150
-
-
-class TestIngestorInstrumentation:
-    def test_round_robin_routing_reports_balanced_shards(self):
-        telemetry = Telemetry()
-        ingestor = ParallelIngestor(
-            lambda: paper_config("kll", seed=11),
-            n_shards=4,
-            backend="serial",
-            telemetry=telemetry,
-        )
-        sharded = ingestor.ingest([np.linspace(1.0, 50.0, 128)])
-        assert sharded.count == 128
-        snap = telemetry.snapshot()
-        per_shard = [
-            snap["counters"][f"ingest.shard.{shard}.values"]
-            for shard in range(4)
-        ]
-        assert sum(per_shard) == 128
-        assert per_shard == [32, 32, 32, 32]
-        assert snap["gauges"]["ingest.shard_imbalance"] == 1.0
-
-    def test_live_ingest_into_reports_per_batch(self):
-        from repro.parallel import ShardedSketch
-
-        telemetry = Telemetry()
-        ingestor = ParallelIngestor(
-            lambda: paper_config("kll", seed=11),
-            n_shards=2,
-            backend="thread",
-            telemetry=telemetry,
-        )
-        sharded = ShardedSketch(
-            lambda: paper_config("kll", seed=11), n_shards=2
-        )
-        ingestor.ingest_into(
-            sharded, [np.arange(1.0, 11.0), np.arange(11.0, 21.0)]
-        )
-        snap = telemetry.snapshot()
-        total = sum(
-            snap["counters"][f"ingest.shard.{shard}.values"]
-            for shard in range(2)
-        )
-        assert total == 20
-        assert snap["gauges"]["ingest.shard_imbalance"] >= 1.0
 
 
 class TestStreamingInstrumentation:

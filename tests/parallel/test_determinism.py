@@ -1,12 +1,10 @@
 """Determinism of the parallel subsystem.
 
-Hash partitioning routes each value by its bit pattern, and every
-randomized sketch in the registry draws from a seeded RNG, so the
-whole parallel pipeline is a pure function of (stream, seed, shard
-count): two runs must agree bit-for-bit, and so must the serial,
-thread, and process backends — the process backend rebuilds each
-shard's seeded RNG from the pickled factory, so even cross-process
-results reproduce exactly.
+Round-robin routing is a function of arrival order alone, and every
+randomized sketch in the registry draws from a seeded RNG, so a
+:class:`ShardedSketch` fed the same chunked stream is a pure function
+of (stream, chunking, seed, shard count): two runs must agree
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -17,10 +15,8 @@ import numpy as np
 import pytest
 
 from repro.core import paper_config
-from repro.core.registry import SKETCH_CLASSES
 from repro.experiments.config import BASE_SEED
-from repro.parallel import ParallelIngestor, ShardedSketch
-from repro.parallel.partition import hash_shard, hash_shard_ids
+from repro.parallel import ShardedSketch
 
 SEED = BASE_SEED
 QUANTILES = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0)
@@ -52,75 +48,14 @@ def fingerprint(sketch) -> tuple[float, ...]:
 
 @pytest.mark.parametrize("name", DETERMINISM_SKETCHES)
 def test_two_runs_bit_identical(name):
-    """Same seed, same stream, hash partitioning: identical answers."""
+    """Same seed, same chunked stream: identical answers."""
     runs = []
     for _ in range(2):
-        sharded = ShardedSketch(
-            factory(name), n_shards=4, partitioner="hash"
-        )
+        sharded = ShardedSketch(factory(name), n_shards=4)
         for batch in stream(name):
             sharded.update_batch(batch)
         runs.append(fingerprint(sharded))
     assert runs[0] == runs[1]
-
-
-@pytest.mark.parametrize("name", DETERMINISM_SKETCHES)
-def test_backends_bit_identical(name):
-    """serial == thread == process, bit for bit.
-
-    Each backend routes the same values to the same shards (hash
-    partitioning is stateless) and each shard sketch is rebuilt from
-    the same seeded factory, so scheduling cannot leak into results.
-    """
-    batches = stream(name)
-    prints = {}
-    for backend in ("serial", "thread", "process"):
-        ingestor = ParallelIngestor(
-            factory(name),
-            n_shards=4,
-            backend=backend,
-            partitioner="hash",
-        )
-        prints[backend] = fingerprint(ingestor.ingest(batches))
-    assert prints["serial"] == prints["thread"] == prints["process"]
-
-
-@pytest.mark.parametrize("name", ("kll", "ddsketch", "random"))
-def test_hash_routing_is_chunking_invariant(name):
-    """Hash routing depends only on the value, so re-chunking the same
-    stream (one big batch vs. many small ones) sends each value to the
-    same shard.  Full bit-equality of answers additionally needs the
-    inner sketch to be chunk-insensitive — true for DDSketch's bucket
-    counters, but not for KLL, whose compaction schedule follows batch
-    boundaries even when ingesting sequentially."""
-    batches = stream(name)
-    whole = np.concatenate(batches)
-    coarse = ShardedSketch(factory(name), n_shards=7, partitioner="hash")
-    coarse.update_batch(whole)
-    fine = ShardedSketch(factory(name), n_shards=7, partitioner="hash")
-    for batch in batches:
-        fine.update_batch(batch)
-    assert coarse.shard_counts() == fine.shard_counts()
-    if name == "ddsketch":
-        assert fingerprint(coarse) == fingerprint(fine)
-
-
-def test_hash_shard_scalar_matches_vectorized():
-    rng = np.random.default_rng(SEED)
-    values = np.concatenate([
-        rng.pareto(1.0, 500) + 1.0,
-        np.array([0.0, -0.0, 1.0, -1.0, 1e-300, 1e300]),
-    ])
-    for n_shards in (1, 2, 7, 16):
-        ids = hash_shard_ids(values, n_shards)
-        assert all(
-            hash_shard(float(v), n_shards) == int(i)
-            for v, i in zip(values, ids)
-        )
-
-
-def test_hash_treats_signed_zero_as_one_value():
-    assert hash_shard(0.0, 7) == hash_shard(-0.0, 7)
 
 
 def test_round_robin_cursor_spans_batches():

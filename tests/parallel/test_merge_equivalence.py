@@ -5,9 +5,10 @@ semantics-preserving: for every sketch in the registry, a
 :class:`ShardedSketch` over *any* partition of a stream must answer
 ``quantile``/``rank``/``cdf``/``count`` within the sketch's documented
 error bound of the sequentially-built sketch.  This file asserts that
-for shard counts {1, 2, 7, 16}, both partitioners, and a set of
-adversarial hand-built partitions (sorted, reversed, all-duplicates,
-single-element shards), plus hypothesis-driven random splits.
+for shard counts {1, 2, 7, 16}, for round-robin routing and for uneven
+value-split shards adopted whole, for a set of adversarial hand-built
+partitions (sorted, reversed, all-duplicates, single-element shards),
+and for hypothesis-driven random splits.
 
 Error accounting: rank-error sketches are judged on
 :func:`repro.metrics.errors.rank_error` against the exact sorted data;
@@ -128,21 +129,43 @@ def assert_within_budget(
         ) <= 2 * bound
 
 
+def value_split(values: np.ndarray, n_shards: int) -> np.ndarray:
+    """Shard ids fixed by each value's bit pattern (two rounds of a
+    multiplicative hash): uneven shards whose contents do not depend on
+    arrival order."""
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    mixed = (values + 0.0).view(np.uint64) * golden
+    mixed = (mixed ^ (mixed >> np.uint64(32))) * golden
+    return ((mixed >> np.uint64(32)) % np.uint64(n_shards)).astype(np.int64)
+
+
 @pytest.mark.parametrize("name", sorted(SKETCH_CLASSES))
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
-@pytest.mark.parametrize("partitioner", ("round_robin", "hash"))
-def test_sharded_matches_sequential(name, n_shards, partitioner):
+@pytest.mark.parametrize("split", ("round_robin", "hash"))
+def test_sharded_matches_sequential(name, n_shards, split):
     data = stream_for(name)
     sequential = make(name)
     sequential.update_batch(data)
-    sharded = ShardedSketch(
-        functools.partial(paper_config, name, dataset="pareto", seed=SEED),
-        n_shards=n_shards,
-        partitioner=partitioner,
+    factory = functools.partial(
+        paper_config, name, dataset="pareto", seed=SEED
     )
-    # Chunked ingestion, as a stream would arrive.
-    for start in range(0, data.size, 1_000):
-        sharded.update_batch(data[start : start + 1_000])
+    if split == "round_robin":
+        sharded = ShardedSketch(factory, n_shards=n_shards)
+        # Chunked ingestion, as a stream would arrive.
+        for start in range(0, data.size, 1_000):
+            sharded.update_batch(data[start : start + 1_000])
+    else:
+        # Value-split shards adopted whole: what a store snapshot whose
+        # partitioner byte names the value-hash partitioner restores to.
+        shards = [factory() for _ in range(n_shards)]
+        for start in range(0, data.size, 1_000):
+            chunk = data[start : start + 1_000]
+            ids = value_split(chunk, n_shards)
+            for shard_id, shard in enumerate(shards):
+                part = chunk[ids == shard_id]
+                if part.size:
+                    shard.update_batch(part)
+        sharded = ShardedSketch.from_shards(factory, shards)
     assert_within_budget(name, sharded, sequential, data, n_shards)
 
 
@@ -231,11 +254,7 @@ class TestRandomSplitsProperty:
         data = np.asarray(values)
         sequential = DDSketch(alpha=0.01)
         sequential.update_batch(data)
-        sharded = ShardedSketch(
-            lambda: DDSketch(alpha=0.01),
-            n_shards=n_shards,
-            partitioner="hash",
-        )
+        sharded = ShardedSketch(lambda: DDSketch(alpha=0.01), n_shards)
         sharded.update_batch(data)
         for q in (0.1, 0.5, 0.9, 1.0):
             assert sharded.quantile(q) == sequential.quantile(q)
@@ -256,7 +275,6 @@ class TestRandomSplitsProperty:
         sharded = ShardedSketch(
             lambda: KLLSketch(max_compactor_size=350, seed=7),
             n_shards=n_shards,
-            partitioner="round_robin",
         )
         sharded.update_batch(data)
         sorted_data = np.sort(data)

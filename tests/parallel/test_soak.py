@@ -1,12 +1,12 @@
 """Soak test: sustained ingestion under concurrent queries.
 
-One million Pareto-distributed events stream through
-:class:`ParallelIngestor.ingest_into` (thread backend) while reader
-threads hammer the same :class:`ShardedSketch` with ``quantile``,
-``cdf``, and ``rank`` calls.  The point is the concurrency contract,
-not accuracy: no call may raise, every CDF snapshot a reader observes
-must be monotone with values in [0, 1], and when the dust settles the
-sketch must have counted exactly what was ingested.
+One million Pareto-distributed events stream through writer threads
+calling :meth:`ShardedSketch.update_batch` while reader threads hammer
+the same sketch with ``quantile``, ``cdf``, and ``rank`` calls.  The
+point is the concurrency contract, not accuracy: no call may raise,
+every CDF snapshot a reader observes must be monotone with values in
+[0, 1], and when the dust settles the sketch must have counted exactly
+what was ingested.
 
 Marked ``slow``: excluded from the tier-1 gate (``make test-fast``),
 run by ``make test-all``.
@@ -23,11 +23,12 @@ import pytest
 
 from repro.core import paper_config
 from repro.experiments.config import BASE_SEED
-from repro.parallel import ParallelIngestor, ShardedSketch
+from repro.parallel import ShardedSketch
 
 TOTAL = 1_000_000
 BATCH = 20_000
 N_SHARDS = 4
+N_WRITERS = 4
 N_READERS = 3
 QS = (0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 
@@ -44,18 +45,22 @@ def test_soak_parallel_ingest_under_queries(name):
     factory = functools.partial(
         paper_config, name, dataset="pareto", seed=BASE_SEED
     )
-    sharded = ShardedSketch(factory, n_shards=N_SHARDS, partitioner="hash")
+    sharded = ShardedSketch(factory, n_shards=N_SHARDS)
     # Prime the sketch so readers never race the very first insert
     # against EmptySketchError.
     sharded.update_batch(batches[0])
 
-    ingestor = ParallelIngestor(
-        factory, n_shards=N_SHARDS, backend="thread", partitioner="hash"
-    )
     stop = threading.Event()
     errors: list[BaseException] = []
     snapshots = 0
     snapshot_lock = threading.Lock()
+
+    def writer(mine: list[np.ndarray]) -> None:
+        try:
+            for batch in mine:
+                sharded.update_batch(batch)
+        except BaseException as exc:  # noqa: BLE001 - soak collector
+            errors.append(exc)
 
     def reader() -> None:
         nonlocal snapshots
@@ -91,8 +96,15 @@ def test_soak_parallel_ingest_under_queries(name):
     ]
     for thread in threads:
         thread.start()
+    writers = [
+        threading.Thread(target=writer, args=(batches[1 + w :: N_WRITERS],))
+        for w in range(N_WRITERS)
+    ]
     try:
-        ingestor.ingest_into(sharded, batches[1:])
+        for thread in writers:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=600)
         # Fast ingesters (DDSketch) can drain the stream before a
         # reader completes its first snapshot; keep readers running
         # until at least one full snapshot lands.
@@ -108,7 +120,7 @@ def test_soak_parallel_ingest_under_queries(name):
         for thread in threads:
             thread.join(timeout=60)
     assert not errors, errors[:3]
-    assert all(not thread.is_alive() for thread in threads)
+    assert all(not thread.is_alive() for thread in writers + threads)
     assert snapshots > 0, "readers never completed a snapshot"
     # Nothing lost, nothing double-counted.
     assert sharded.count == TOTAL

@@ -285,12 +285,13 @@ class TestFixture:
         import numpy as np
 
         from repro.core import DDSketch
-        from repro.parallel import BufferedIngestor
+        from repro.parallel import ShardedSketch
 
-        ingestor = BufferedIngestor(DDSketch(alpha=0.02), buffer_size=64)
-        ingestor.ingest_batch(np.linspace(1.0, 2.0, 256))
-        assert lock_sanitizer.edges, "flush should nest buffer -> target"
+        sharded = ShardedSketch(lambda: DDSketch(alpha=0.02), n_shards=4)
+        sharded.update_batch(np.linspace(1.0, 2.0, 256))
+        sharded.quantile(0.5)
+        assert lock_sanitizer.edges, "a view rebuild nests cache -> meta"
         labels = {
             lock.label for lock in lock_sanitizer._locks.values()
         }
-        assert any("repro.parallel.buffered" in label for label in labels)
+        assert any("repro.parallel.sharded" in label for label in labels)

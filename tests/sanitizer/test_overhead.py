@@ -1,12 +1,12 @@
 """The <10% overhead gate for sanitized concurrency tests.
 
-The sanitizer only pays on lock operations, and buffered ingestion
-amortises those across ``buffer_size`` values — so a realistic
-multi-threaded ingest workload should time within 10% of its
-uninstrumented twin.  Measured as a min-of-N of interleaved runs (min
-is robust to scheduler noise; interleaving is robust to drift), with a
-small absolute slack so a sub-second workload can't fail on a single
-page fault.
+The sanitizer only pays on lock operations, and ``update_batch`` on a
+:class:`~repro.parallel.ShardedSketch` takes a handful of locks per
+batch however long it is — so a realistic multi-threaded ingest
+workload should time within 10% of its uninstrumented twin.  Measured
+as a min-of-N of interleaved runs (min is robust to scheduler noise;
+interleaving is robust to drift), with a small absolute slack so a
+sub-second workload can't fail on a single page fault.
 """
 
 import threading
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import DDSketch
-from repro.parallel import BufferedIngestor
+from repro.parallel import ShardedSketch
 from repro.sanitizer import LockMonitor, instrumented
 
 THREADS = 4
@@ -26,13 +26,13 @@ REPEATS = 3
 
 
 def run_workload():
-    ingestor = BufferedIngestor(DDSketch(alpha=0.01), buffer_size=8_192)
+    sharded = ShardedSketch(lambda: DDSketch(alpha=0.01), n_shards=THREADS)
     rng = np.random.default_rng(7)
     chunks = 1.0 + rng.pareto(1.0, (THREADS, BATCHES, BATCH))
 
     def worker(rows):
         for row in rows:
-            ingestor.ingest_batch(row)
+            sharded.update_batch(row)
 
     start = time.perf_counter()
     threads = [
@@ -44,8 +44,7 @@ def run_workload():
     for thread in threads:
         thread.join(timeout=120.0)
     elapsed = time.perf_counter() - start
-    ingestor.flush()
-    assert ingestor.target.count == THREADS * BATCHES * BATCH
+    assert sharded.count == THREADS * BATCHES * BATCH
     return elapsed
 
 

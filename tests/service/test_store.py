@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import DDSketch, paper_config
+from repro.core.serialization import dumps
 from repro.errors import (
     EmptySketchError,
     InvalidValueError,
@@ -407,6 +408,36 @@ class TestSnapshot:
         )
         assert restored.snapshot() == payload
         assert restored.quantile(0.5) == store.quantile(0.5)
+
+    def test_partitioner_byte(self, rng):
+        """Byte 0 (round-robin) is written; byte 1, the value-hash
+        partitioner older snapshots may name, restores the same shards;
+        anything else is refused."""
+        store = self._filled(rng, factory=sharded_factory)
+        payload = store.snapshot()
+        keys = [key for key in store.partition_digests() if key[0] == "f"]
+        blobs = store.export_partitions(keys).values()
+        assert blobs and all(blob[:2] == b"\x01\x00" for blob in blobs)
+
+        def with_byte(byte):
+            data = payload
+            for blob in blobs:
+                data = data.replace(blob, blob[:1] + bytes([byte]) + blob[2:])
+            assert data != payload
+            return data
+
+        restored = TimePartitionedStore.restore(
+            with_byte(1), sharded_factory, clock=ManualClock(11_000.0)
+        )
+        for bucket_id, sketch in store._fine.items():
+            assert [dumps(s) for s in restored._fine[bucket_id].shards] == [
+                dumps(s) for s in sketch.shards
+            ]
+        for q in QS:
+            assert restored.quantile(q) == store.quantile(q)
+        assert restored.snapshot() == payload
+        with pytest.raises(SerializationError, match="partitioner 2"):
+            TimePartitionedStore.restore(with_byte(2), sharded_factory)
 
     def test_restored_store_accepts_writes(self, rng):
         store = self._filled(rng)
