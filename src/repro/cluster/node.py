@@ -13,12 +13,15 @@ two sketches that might share events".  That is what makes replicas
 converge to **bit-identical** store state — the same determinism
 argument as WAL replay (PR 5), applied across the network.  Queries
 merge the per-origin stores for the requested key at read time, which
-is exactly the mergeability property the sketches were chosen for.
+is exactly the mergeability property the sketches were chosen for;
+query ops, ``metrics`` and continuous queries share that lookup.
 
 Ingest path
 -----------
-Cluster ingest is synchronous: leadership check, then
-journal-to-own-WAL and apply under the ingest lock, then ack.  The
+Cluster ingest is synchronous: leadership check, then the server's
+journal step and :func:`~repro.service.registry.apply_ops` under the
+ingest lock, then ack; replication applies a pulled record through the
+same ``apply_ops``, one record per op, so replicas stay bit-equal.  The
 origin WAL sequence *is* the replication log position, so "acked"
 means "readable at watermark ``seq`` by every replica that catches
 up", and a SIGKILLed leader recovers its acked suffix from its own WAL
@@ -55,11 +58,16 @@ from repro.cluster.membership import EMPTY_VIEW, MembershipView
 from repro.cluster.ring import HashRing
 from repro.core.base import QuantileSketch
 from repro.durability import DurabilityManager, decode_record
-from repro.errors import EmptySketchError, InvalidValueError, ReproError
+from repro.errors import EmptySketchError, InvalidValueError
 from repro.obs.telemetry import Telemetry
 from repro.service import protocol
 from repro.service.clock import Clock, SystemClock
-from repro.service.registry import MetricKey, MetricRegistry
+from repro.service.registry import (
+    IngestOp,
+    MetricKey,
+    MetricRegistry,
+    apply_ops,
+)
 from repro.service.server import QuantileServer
 
 
@@ -100,6 +108,45 @@ class _MergedReads:
         self, t0: float | None = None, t1: float | None = None
     ) -> int:
         return sum(store.count(t0, t1) for store in self._stores)
+
+
+class _OriginReads:
+    """A node's read lookup: one key across every origin replica.
+
+    A follower holds a key only under its leader's origin, and a
+    failover spreads one key over two.  Origins merge in id order, so
+    replicas holding equal bytes answer alike.
+    """
+
+    def __init__(
+        self,
+        origins: dict[str, MetricRegistry],
+        lock: threading.Lock,
+        clock: Clock,
+    ) -> None:
+        self._origins, self._lock, self.clock = origins, lock, clock
+
+    def get(
+        self, name: str, tags: Mapping[str, str] | None = None
+    ) -> Any | None:
+        with self._lock:
+            found = [
+                self._origins[origin].get(name, tags)
+                for origin in sorted(self._origins)
+            ]
+        stores = [store for store in found if store is not None]
+        if len(stores) > 1:
+            return _MergedReads(stores)
+        return stores[0] if stores else None
+
+    def keys(self) -> list[MetricKey]:
+        with self._lock:
+            keys = {
+                key
+                for registry in self._origins.values()
+                for key in registry.keys()
+            }
+        return sorted(keys, key=lambda key: (key.name, key.tags))
 
 
 class ClusterNode(QuantileServer):
@@ -180,6 +227,13 @@ class ClusterNode(QuantileServer):
             telemetry=telemetry,
             **self._geometry,
         )
+        # Guards the origin map, applied watermarks and installed view.
+        # Ordered before registry/store locks, never nested with the
+        # ingest lock, never held across network I/O.
+        self._state_lock = threading.Lock()
+        self._origins: dict[str, MetricRegistry] = {node_id: registry}
+        self._applied: dict[str, int] = {}
+        self._view: MembershipView = EMPTY_VIEW
         durability = DurabilityManager(
             data_dir,
             clock=clock,
@@ -196,17 +250,15 @@ class ClusterNode(QuantileServer):
             durability=durability,
             node_id=node_id,
         )
-        # Guards the origin map, applied watermarks and installed view.
-        # Ordered before registry/store locks, never nested with the
-        # ingest lock, never held across network I/O.
-        self._state_lock = threading.Lock()
-        self._origins: dict[str, MetricRegistry] = {node_id: registry}
-        self._applied: dict[str, int] = {}
-        self._view: MembershipView = EMPTY_VIEW
 
     # ------------------------------------------------------------------
     # Lifecycle hooks
     # ------------------------------------------------------------------
+
+    def _read_view(self) -> _OriginReads:
+        return _OriginReads(
+            self._origins, self._state_lock, self._cluster_clock
+        )
 
     def _spawn_workers_locked(self) -> None:
         """Cluster ingest applies synchronously: no drain workers."""
@@ -280,9 +332,9 @@ class ClusterNode(QuantileServer):
     # ------------------------------------------------------------------
 
     def _op_ingest(self, request: dict[str, Any]) -> dict[str, Any]:
-        name, tags, values, timestamp_ms = self._parse_ingest(request)
+        op = self._parse_ingest(request)
         self.stats.incr("ingest_requests")
-        key = str(MetricKey.of(name, tags))
+        key = str(MetricKey.of(op.metric, op.tags))
         leader = self.leader_for(key)
         if leader != self.node_id:
             address = (
@@ -298,30 +350,21 @@ class ClusterNode(QuantileServer):
             )
         assert self.durability is not None  # constructed internally
         with self._ingest_lock:
-            try:
-                seq, ts, now = self.durability.journal(
-                    name, tags, values, timestamp_ms
-                )
-            except OSError as exc:
-                self.stats.incr("error_responses")
-                return protocol.error(
-                    "durability", f"journal write failed: {exc}"
-                )
-            try:
-                accepted = self.registry.record(
-                    name, values, ts, tags, now_ms=now
-                )
-            except ReproError as exc:
-                # Journaled but rejected: replay and replication reject
-                # it identically, so replicas stay in lockstep.
-                self.stats.incr("error_responses")
-                return protocol.error(
-                    "bad_request", f"rejected at apply: {exc}"
-                )
+            journaled = self._journal_op(op)
+            if isinstance(journaled, dict):
+                return journaled
+            seq = self.wal_watermark()
+            accepted, rejected = apply_ops(self.registry, (journaled,))
+        if rejected:
+            # Journaled but rejected: replay and replication reject it
+            # identically, so replicas stay in lockstep.
+            self.stats.incr("error_responses")
+            return protocol.error(
+                "bad_request", f"rejected at apply: WAL record {seq}"
+            )
         self.stats.incr("ingested_values", accepted)
         response = protocol.ok(accepted=accepted, seq=seq)
-        if self.durability.checkpoint_due():
-            self.maybe_checkpoint()
+        self.maybe_checkpoint()
         return response
 
     # ------------------------------------------------------------------
@@ -364,17 +407,16 @@ class ClusterNode(QuantileServer):
         )
         out: list[list[Any]] = []
         for seq, payload in records:
-            record = decode_record(payload, seq)
-            # Many records nest in one JSON response: this is the one
-            # boundary where a batch goes back to a list.
-            record["values"] = record["values"].tolist()
+            op = decode_record(payload, seq)
             if peer is not None and self.replication_factor is not None:
-                key = str(
-                    MetricKey.of(record["metric"], record["tags"])
-                )
+                key = str(MetricKey.of(op.metric, op.tags))
                 if not self.replicates(str(peer), key):
                     continue
-            out.append([seq, record])
+            # Many records nest in one JSON response: this is the one
+            # boundary where a batch goes back to a list.
+            wire = op._asdict()
+            wire["values"] = op.values.tolist()
+            out.append([seq, wire])
         return protocol.ok(
             records=out, upto=upto, snapshot_needed=False
         )
@@ -421,20 +463,13 @@ class ClusterNode(QuantileServer):
             registry = self._origin_registry_locked(origin)
             watermark = self._applied.get(origin, 0)
             for entry in records:
-                seq, record = int(entry[0]), entry[1]
+                seq = int(entry[0])
                 if seq <= watermark:
                     continue
-                try:
-                    registry.record(
-                        record["metric"],
-                        record["values"],
-                        record["ts"],
-                        record["tags"],
-                        now_ms=record["now"],
-                    )
-                except ReproError:
-                    # The origin rejected it too (see _op_ingest).
-                    rejected += 1
+                # One record per op, as the origin applied it; a batch
+                # it rejected is rejected here too (see _op_ingest).
+                _, failed = apply_ops(registry, (IngestOp(**entry[1]),))
+                rejected += failed
                 watermark = seq
                 applied += 1
             self._applied[origin] = max(watermark, int(upto))
@@ -596,41 +631,6 @@ class ClusterNode(QuantileServer):
     # View distribution and introspection ops
     # ------------------------------------------------------------------
 
-    def _stores_for(
-        self, name: str, tags: dict[str, str] | None
-    ) -> Any | None:
-        """Resolve a read against *every* origin replica of the key.
-
-        A key's history spans origins across failovers, and a follower
-        holds the key only in the leader's origin registry — the single
-        own-registry lookup the base class does would miss both.
-        """
-        with self._state_lock:
-            stores = [
-                store
-                for store in (
-                    registry.get(name, tags)
-                    for registry in self._origins.values()
-                )
-                if store is not None
-            ]
-        if len(stores) > 1:
-            return _MergedReads(stores)
-        return stores[0] if stores else None
-
-    def _op_metrics(self, request: dict[str, Any]) -> dict[str, Any]:
-        with self._state_lock:
-            keys = {
-                key
-                for registry in self._origins.values()
-                for key in registry.keys()
-            }
-        listing = [
-            {"name": key.name, "tags": key.as_dict()}
-            for key in sorted(keys, key=str)
-        ]
-        return protocol.ok(metrics=listing)
-
     def _op_cluster_view(self, request: dict[str, Any]) -> dict[str, Any]:
         view = MembershipView.from_wire(request.get("view", {}))
         return protocol.ok(epoch=self.install_view(view))
@@ -673,7 +673,6 @@ class ClusterNode(QuantileServer):
             "ae_fetch": _op_ae_fetch,
             "cluster_view": _op_cluster_view,
             "ingest": _op_ingest,
-            "metrics": _op_metrics,
             "stats": _op_stats,
         }
     )

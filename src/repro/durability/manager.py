@@ -47,7 +47,7 @@ import numpy as np
 from repro.core.codec import Reader
 from repro.durability.checkpoint import Checkpointer
 from repro.durability.wal import FlushPolicy, WriteAheadLog
-from repro.errors import DurabilityError, ReproError, WALError
+from repro.errors import DurabilityError, WALError
 from repro.obs.telemetry import NOOP, Telemetry
 from repro.service.clock import Clock, SystemClock
 from repro.service.protocol import (
@@ -55,7 +55,7 @@ from repro.service.protocol import (
     encode_message,
     float_values,
 )
-from repro.service.registry import MetricRegistry
+from repro.service.registry import IngestOp, MetricRegistry, apply_ops
 
 
 def encode_record(
@@ -77,9 +77,9 @@ def encode_record(
     )
 
 
-def decode_record(payload: bytes, seq: int) -> dict[str, Any]:
-    """The record :func:`encode_record` wrote as sequence *seq*:
-    ``metric``/``tags``/``values`` (a float64 array)/``ts``/``now``.
+def decode_record(payload: bytes, seq: int) -> IngestOp:
+    """The op :func:`encode_record` wrote as sequence *seq*, its
+    ``values`` a float64 array and its ``ts``/``now`` pinned.
 
     A payload that is not a well-formed record raises
     :class:`~repro.errors.WALError` naming *seq*.  Its CRC was valid
@@ -92,13 +92,9 @@ def decode_record(payload: bytes, seq: int) -> dict[str, Any]:
             reader.fail(f"'metric' must be a non-empty string: {metric!r}")
         if not (tags is None or isinstance(tags, dict)):
             reader.fail(f"'tags' must be an object or null: {tags!r}")
-        return {
-            "metric": metric,
-            "tags": tags,
-            "values": float_values(record["values"]),
-            "ts": _number(record["ts"]),
-            "now": _number(record["now"]),
-        }
+        values = float_values(record["values"])
+        ts, now = _number(record["ts"]), _number(record["now"])
+        return IngestOp(metric, tags, values, ts, now)
 
 
 def _number(value: Any) -> float:
@@ -225,19 +221,12 @@ class DurabilityManager:
             for seq, payload in self.wal.replay(
                 after_seq=checkpoint_seq
             ):
-                record = decode_record(payload, seq)
-                try:
-                    registry.record(
-                        record["metric"],
-                        record["values"],
-                        record["ts"],
-                        record["tags"],
-                        now_ms=record["now"],
-                    )
-                except ReproError:
-                    # The live drain path rejected this batch too (and
-                    # counted it); replay must mirror that, not die.
-                    rejected += 1
+                # One op per apply, exactly as it was journaled: the
+                # live drain rejected (and counted) the same batches.
+                _, failed = apply_ops(
+                    registry, (decode_record(payload, seq),)
+                )
+                rejected += failed
                 replayed += 1
         self.telemetry.counter("recovery.records_replayed").inc(replayed)
         self.telemetry.counter("recovery.replay_rejected").inc(rejected)
@@ -355,15 +344,13 @@ class DurabilityManager:
 
 def read_wal_records(
     data_dir: str | Path, after_seq: int = 0
-) -> "Iterator[tuple[int, dict[str, Any]]]":
-    """Read-only scan of a WAL directory: yields ``(seq, record)``.
+) -> "Iterator[tuple[int, IngestOp]]":
+    """Read-only scan of a WAL directory: yields ``(seq, op)``.
 
-    Records come back decoded into the :meth:`DurabilityManager.journal`
-    shape (``metric``/``tags``/``values``/``ts``/``now``), in sequence
-    order, without opening the log for appends — replay works on a
-    freshly-constructed :class:`~repro.durability.wal.WriteAheadLog`
-    precisely so recorded streams can be re-read after the writing
-    process is gone.  This is the what-if seam: the workload layer
+    The ops :meth:`DurabilityManager.journal` wrote, in sequence order,
+    read without opening the log for appends, so recorded streams can
+    be re-read after the writing process is gone.  This is the what-if
+    seam: the workload layer
     replays one recorded stream through *differently configured*
     registries (:mod:`repro.workload.whatif`), which checkpoint blobs
     cannot support (they pin the sketch config) but raw records can.

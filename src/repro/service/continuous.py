@@ -45,11 +45,12 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Mapping
+from typing import Any, Mapping, Protocol
 
 from repro.errors import EmptySketchError, InvalidValueError
 from repro.obs.telemetry import NOOP, Telemetry
-from repro.service.registry import MetricKey, MetricRegistry
+from repro.service.clock import Clock
+from repro.service.registry import MetricKey
 
 #: Query kinds this engine understands, in wire-format order.
 QUERY_KINDS = ("threshold", "burn_rate", "topk")
@@ -110,15 +111,31 @@ def _tags(spec: Mapping[str, Any]) -> dict[str, str] | None:
     return {str(key): str(value) for key, value in tags.items()}
 
 
+class Reads(Protocol):
+    """What reads resolve keys through: a
+    :class:`~repro.service.registry.MetricRegistry`, or a cluster
+    node's lookup over its origin replicas.  ``get`` returns anything
+    with ``merged(t0, t1)`` and ``count(t0, t1)``, or ``None``."""
+
+    @property
+    def clock(self) -> Clock: ...
+
+    def get(
+        self, name: str, tags: Mapping[str, str] | None = None
+    ) -> Any | None: ...
+
+    def keys(self) -> list[MetricKey]: ...
+
+
 class ContinuousQueryEngine:
     """Registry of standing queries plus their evaluation loop.
 
     Parameters
     ----------
     registry:
-        The serving registry whose stores answer the window queries.
-        Windows are computed on ``registry.clock`` so query windows and
-        store partitions agree on what "now" means.
+        The lookup (:class:`Reads`) whose stores answer the window
+        queries.  Windows are computed on ``registry.clock`` so query
+        windows and store partitions agree on what "now" means.
     telemetry:
         Observability sink; evaluations count ``cq.evaluations`` and
         firing queries count ``cq.alerts``.
@@ -129,7 +146,7 @@ class ContinuousQueryEngine:
 
     def __init__(
         self,
-        registry: MetricRegistry,
+        registry: Reads,
         telemetry: Telemetry | None = None,
         max_results: int = DEFAULT_MAX_RESULTS,
     ) -> None:
@@ -286,20 +303,19 @@ class ContinuousQueryEngine:
             return self._eval_burn_rate(spec, now)
         return self._eval_topk(spec, now)
 
-    def _window_quantile(
+    def _window(
         self,
         metric: str,
         tags: Mapping[str, str] | None,
-        q: float,
         t0: float,
         t1: float,
-    ) -> float | None:
-        """p-quantile of one series over ``[t0, t1)``; None if empty."""
+    ) -> Any | None:
+        """Merged sketch of one series over ``[t0, t1)``; None if empty."""
         store = self._registry.get(metric, tags)
         if store is None:
             return None
         try:
-            return store.quantile(q, t0, t1)
+            return store.merged(t0, t1)
         except EmptySketchError:
             return None
 
@@ -307,9 +323,8 @@ class ContinuousQueryEngine:
         self, spec: dict[str, Any], now: float
     ) -> dict[str, Any]:
         t0 = now - spec["window_ms"]
-        observed = self._window_quantile(
-            spec["metric"], spec["tags"], spec["q"], t0, now
-        )
+        view = self._window(spec["metric"], spec["tags"], t0, now)
+        observed = None if view is None else view.quantile(spec["q"])
         if observed is None:
             status = "no_data"
         elif spec["op"] == "gt":
@@ -333,16 +348,11 @@ class ContinuousQueryEngine:
         self, spec: dict[str, Any], t0: float, t1: float
     ) -> float | None:
         """Burn rate of one window; None when the window has no data."""
-        store = self._registry.get(spec["metric"], spec["tags"])
-        if store is None:
+        view = self._window(spec["metric"], spec["tags"], t0, t1)
+        if view is None:
             return None
-        try:
-            good = store.cdf(spec["objective_ms"], t0, t1)
-        except EmptySketchError:
-            return None
-        error_fraction = 1.0 - good
-        budget = 1.0 - spec["target"]
-        return error_fraction / budget
+        error_fraction = 1.0 - view.cdf(spec["objective_ms"])
+        return error_fraction / (1.0 - spec["target"])
 
     def _eval_burn_rate(
         self, spec: dict[str, Any], now: float
@@ -380,11 +390,9 @@ class ContinuousQueryEngine:
         for key in self._registry.keys():
             if not key.name.startswith(spec["prefix"]):
                 continue
-            observed = self._window_quantile(
-                key.name, key.as_dict() or None, spec["q"], t0, now
-            )
-            if observed is not None:
-                ranked.append((observed, key))
+            view = self._window(key.name, key.as_dict() or None, t0, now)
+            if view is not None:
+                ranked.append((view.quantile(spec["q"]), key))
         # Worst tail first; (name, tags) breaks value ties so equal
         # tenants list in one canonical order run over run.
         ranked.sort(key=lambda item: (-item[0], item[1].name, item[1].tags))

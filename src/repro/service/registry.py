@@ -11,6 +11,10 @@ Metrics named in *hot_metrics* get their partitions built as
 same hot series stripe across shard locks instead of serialising on
 the store lock (the Quancurrent-style ingest-while-query regime the
 concurrency tests exercise); everything else pays no sharding overhead.
+
+The write path has one op record, :class:`IngestOp`, and one apply
+loop, :func:`apply_ops`: the server's drain, WAL recovery, replication
+and what-if replay all record through it.
 """
 
 from __future__ import annotations
@@ -18,13 +22,13 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from repro.core.base import QuantileSketch
 from repro.core.registry import DEFAULT_SEED, paper_config
-from repro.errors import InvalidValueError
+from repro.errors import InvalidValueError, ReproError
 from repro.obs.telemetry import NOOP, Telemetry
 from repro.parallel.sharded import ShardedSketch
 from repro.service.clock import Clock, SystemClock
@@ -69,6 +73,42 @@ class MetricKey:
             return self.name
         rendered = ",".join(f"{k}={v}" for k, v in self.tags)
         return f"{self.name}{{{rendered}}}"
+
+
+class IngestOp(NamedTuple):
+    """One ingest: a batch for ``(metric, tags)`` at event time *ts*.
+
+    *now* is the clock reading retention decisions use.  Journaling
+    pins both (``None``: read the store's clock at apply), so every
+    replay of the op repeats the live apply exactly.
+    """
+
+    metric: str
+    tags: dict[str, str] | None
+    values: np.ndarray
+    ts: float | None
+    now: float | None
+
+
+def apply_ops(
+    registry: MetricRegistry, ops: Iterable[IngestOp]
+) -> tuple[int, int]:
+    """Record each op into *registry*; ``(values_accepted, ops_rejected)``.
+
+    A rejected op (a ``ReproError``: NaN, ±inf) is counted, not fatal,
+    and left nothing behind.  A free function, so every apply is a
+    ``record`` call on whatever registry (or proxy) the caller holds.
+    """
+    accepted = 0
+    rejected = 0
+    for op in ops:
+        try:
+            accepted += registry.record(
+                op.metric, op.values, op.ts, op.tags, now_ms=op.now
+            )
+        except ReproError:
+            rejected += 1
+    return accepted, rejected
 
 
 class MetricRegistry:

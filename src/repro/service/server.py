@@ -1,10 +1,11 @@
 """Threaded TCP front end for the quantile service.
 
 :class:`QuantileServer` exposes a :class:`~repro.service.registry.MetricRegistry`
-over the length-prefixed JSON protocol of :mod:`repro.service.protocol`,
-using :class:`socketserver.ThreadingTCPServer` (one thread per
-connection, the same shape as the paper's Flink task slots serving
-operator queries).
+over the length-prefixed frames of :mod:`repro.service.protocol`
+(canonical JSON, plus a raw float64 tail on ingest frames), using
+:class:`socketserver.ThreadingTCPServer` (one thread per connection,
+the same shape as the paper's Flink task slots serving operator
+queries).
 
 Backpressure model
 ------------------
@@ -24,18 +25,21 @@ regime deterministically.
 
 Drain coalescing
 ----------------
-Each drain pass takes one queued op (blocking) and then opportunistically
+The queue carries :class:`~repro.service.registry.IngestOp` records,
+and every apply — here, in WAL recovery, in replication and in what-if
+replay — goes through :func:`~repro.service.registry.apply_ops`.  Each
+drain pass takes one queued op (blocking) and then opportunistically
 pops up to ``ingest_coalesce - 1`` more without blocking.  Consecutive
-ops addressed to the same ``(metric, tags, timestamp, clock)`` key are
-concatenated and applied with *one* ``registry.record`` call —
-Quancurrent's bulk propagation: values buffer cheaply (here: the ingest
-queue itself) and the expensive critical section (the registry's store
-locks and the sketch update) is paid once per batch instead of once per
-request.  Coalescing happens strictly *after* the
-WAL append, so journal-before-ack and WAL-order-equals-apply-order are
-unaffected; per-key apply order is preserved because only adjacent
-same-key ops merge.  A coalesced apply that fails is retried op by op,
-so a poisoned op cannot take down its neighbours.
+ops addressed to the same ``(metric, tags, ts, now)`` key are
+concatenated into *one* op for ``apply_ops`` — Quancurrent's bulk
+propagation: values buffer cheaply (here: the ingest queue itself) and
+the expensive critical section (the registry's store locks and the
+sketch update) is paid once per batch instead of once per request.
+Coalescing happens strictly *after* the WAL append, so
+journal-before-ack and WAL-order-equals-apply-order are unaffected;
+per-key apply order is preserved because only adjacent same-key ops
+merge.  A coalesced op that is rejected is re-applied op by op, so a
+poisoned op cannot take down its neighbours.
 
 Durability
 ----------
@@ -48,9 +52,11 @@ journal+enqueue so WAL order equals queue order equals apply order —
 drain workers only ever *remove* items, the subsequent ``put_nowait``
 cannot fail, keeping the log free of phantom (journaled-but-shed)
 records.  Checkpoints run on the manager's injectable clock cadence
-(checked after each ack) or on demand via the ``checkpoint`` op; both
-quiesce ingestion and barrier on the queue so the snapshot exactly
-matches the WAL watermark.  This module never imports
+(checked after each ack), on demand via the ``checkpoint`` op, or at
+:meth:`~QuantileServer.stop`; all three quiesce ingestion and barrier
+on the queue so the snapshot exactly matches the WAL watermark.  A
+failed journal or checkpoint (a poisoned WAL included) is answered
+with a ``durability`` error.  This module never imports
 :mod:`repro.durability` at runtime — the manager arrives duck-typed,
 keeping the service importable without the durability layer and the
 layering acyclic.
@@ -74,22 +80,15 @@ from repro.errors import (
     InvalidQuantileError,
     InvalidValueError,
     ProtocolError,
-    ReproError,
 )
 from repro.obs.telemetry import Telemetry
 from repro.service import protocol
 from repro.service.clock import Clock, SystemClock
-from repro.service.continuous import ContinuousQueryEngine
-from repro.service.registry import MetricRegistry
+from repro.service.continuous import ContinuousQueryEngine, Reads
+from repro.service.registry import IngestOp, MetricRegistry, apply_ops
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; no runtime cycle
     from repro.durability import DurabilityManager
-
-#: One queued ingest, ``(metric, tags, values, timestamp_ms, now_ms)``: the
-#: last two pin what durability journaled, so replay repeats the drain path.
-_IngestOp = tuple[
-    str, dict[str, str] | None, np.ndarray, float | None, float | None
-]
 
 
 class ServerStats:
@@ -350,16 +349,18 @@ class QuantileServer:
         self.stats = ServerStats()
         self.durability = durability
         self._final_checkpoint = bool(final_checkpoint)
-        # Standing queries evaluate on the registry's clock so alert
-        # windows and store partitions agree on "now".
+        # One lookup behind query ops, ``metrics`` and standing queries
+        # (whose windows read its clock, so alert windows and store
+        # partitions agree on "now").
+        self.reads = self._read_view()
         self.continuous = ContinuousQueryEngine(
-            self.registry, telemetry=self.telemetry
+            self.reads, telemetry=self.telemetry
         )
         self._host = host
         self._port = port
         self._node_id = node_id
         self._front = TCPFrontEnd(self, host, port)
-        self._queue: "queue.Queue[_IngestOp | None]" = queue.Queue(
+        self._queue: "queue.Queue[IngestOp | None]" = queue.Queue(
             maxsize=ingest_queue_size
         )
         self._ingest_workers = ingest_workers
@@ -376,9 +377,9 @@ class QuantileServer:
         # deterministic overload scenarios.
         self._park_lock = threading.Condition()
         self._parked = 0
-        # Guards the start/stop lifecycle fields below; never held
-        # while waiting on the queue or workers' locks, so it sits
-        # outside the ingest-lock hierarchy entirely.
+        # Guards the start/stop lifecycle fields below.  Ordered
+        # before the ingest lock (stop's final checkpoint); nothing
+        # that holds the ingest lock ever takes it.
         self._lifecycle_lock = threading.Lock()
         # Drain workers poll this so shutdown never depends on a
         # sentinel surviving a full queue (see stop()).
@@ -399,20 +400,17 @@ class QuantileServer:
         with self._lifecycle_lock:
             if self._front.running:
                 raise InvalidValueError("server already started")
-            self._recover()
+            if self.durability is not None:
+                self.durability.recover(self.registry)
             self._stopping.clear()
             self._front.start(thread_name="quantile-server-accept")
             self._spawn_workers_locked()
         return self
 
-    def _recover(self) -> None:
-        """Lifecycle hook: rebuild serving state before accepting.
-
-        The base server recovers through its durability manager;
-        cluster nodes override this to replay their origin WAL.
-        """
-        if self.durability is not None:
-            self.durability.recover(self.registry)
+    def _read_view(self) -> Reads:
+        """Hook: the lookup reads go through — ``get(name, tags)``,
+        ``keys()`` and ``clock`` (cluster nodes span every origin)."""
+        return self.registry
 
     def _spawn_workers_locked(self) -> None:
         """Lifecycle hook: start the ingest drain workers.
@@ -430,20 +428,31 @@ class QuantileServer:
             self._workers.append(worker)
 
     def stop(self) -> None:
-        """Stop accepting, drain shutdown sentinels, join all threads.
+        """Stop accepting, checkpoint, drain shutdown sentinels, join.
 
-        Shutdown must terminate even when the ingest queue is full and
-        a worker is wedged: the sentinel ``put`` uses a timeout (a full
-        queue would otherwise block forever — the exact deadlock LCK003
-        exists to catch), and workers also poll :attr:`_stopping`, so a
-        sentinel that never fit in the queue still stops them.
+        The final checkpoint (replay-free next start) runs while the
+        workers are alive, so its queue barrier always completes; if it
+        fails, the WAL still covers everything.  Shutdown must
+        terminate even when the ingest queue is full and a worker is
+        wedged: the sentinel ``put`` uses a timeout (a full queue would
+        otherwise block forever — the exact deadlock LCK003 exists to
+        catch), and workers also poll :attr:`_stopping`, so a sentinel
+        that never fit in the queue still stops them.
         """
         with self._lifecycle_lock:
             if not self._front.running:
                 return
             self._front.stop()
-            self._stopping.set()
             self.resume_ingest()
+            durability = self.durability
+            if durability is not None and self._final_checkpoint:
+                with self._ingest_lock:
+                    if (
+                        durability.wal.last_seq
+                        > durability.last_checkpoint_seq
+                    ):
+                        self._checkpoint_locked()
+            self._stopping.set()
             for _ in self._workers:
                 try:
                     self._queue.put(None, timeout=1.0)
@@ -455,22 +464,6 @@ class QuantileServer:
                 worker.join(timeout=5.0)
             self._workers = []
         if self.durability is not None:
-            # Workers are joined and the queue is drained, so the
-            # registry reflects every journaled record: checkpoint it
-            # to make the next start a replay-free recovery.  A failed
-            # final checkpoint is survivable (the WAL still covers
-            # everything) and must not block shutdown — including on a
-            # poisoned WAL, whose rotate raises WALError, not OSError.
-            try:
-                if self._final_checkpoint and (
-                    self.durability.wal.last_seq
-                    > self.durability.last_checkpoint_seq
-                ):
-                    self.durability.checkpoint_now(self.registry)
-            except (OSError, DurabilityError):
-                self.telemetry.counter(
-                    "server.checkpoint_failures"
-                ).inc()
             self.durability.close()
 
     def __enter__(self) -> "QuantileServer":
@@ -577,7 +570,7 @@ class QuantileServer:
                     break
                 batch.append(extra)
             try:
-                self._apply_ops(batch)
+                self._apply_drained(batch)
             finally:
                 for _ in batch:
                     self._queue.task_done()
@@ -589,56 +582,47 @@ class QuantileServer:
             if got_sentinel:
                 return
 
-    def _apply_ops(self, batch: list[_IngestOp]) -> None:
+    def _apply_drained(self, batch: list[IngestOp]) -> None:
         """Apply drained ops, merging adjacent same-key runs.
 
-        Only *consecutive* ops with identical ``(metric, tags,
-        timestamp, clock)`` coalesce, which preserves per-key apply
-        order.  Atomic batch rejection (validation precedes mutation in
-        every ``update_batch``) makes the op-by-op retry on failure
-        safe: a failed merged apply left nothing behind.
+        Only *consecutive* ops with identical ``(metric, tags, ts,
+        now)`` coalesce, which preserves per-key apply order.  Atomic
+        batch rejection (validation precedes mutation in every
+        ``update_batch``) makes the op-by-op retry of a rejected merged
+        op safe: it left nothing behind.
         """
         start = 0
         total = len(batch)
         while start < total:
-            name, tags, values, timestamp_ms, now_ms = batch[start]
+            first = batch[start]
+            key = (first.metric, first.tags, first.ts, first.now)
             end = start + 1
             while end < total:
                 other = batch[end]
-                if (
-                    other[0] != name
-                    or other[1] != tags
-                    or other[3] != timestamp_ms
-                    or other[4] != now_ms
-                ):
+                if (other.metric, other.tags, other.ts, other.now) != key:
                     break
                 end += 1
-            merged = values
+            merged = first
             if end - start > 1:
-                merged = np.concatenate([op[2] for op in batch[start:end]])
+                merged = first._replace(
+                    values=np.concatenate(
+                        [op.values for op in batch[start:end]]
+                    )
+                )
                 self.telemetry.counter("server.drain_coalesced_ops").inc(
                     end - start - 1
                 )
-            try:
-                with self.telemetry.span("server.drain_batch"):
-                    accepted = self.registry.record(
-                        name, merged, timestamp_ms, tags, now_ms=now_ms
-                    )
-                self.stats.incr("ingested_values", accepted)
-            except ReproError:
-                # A poisoned op must not kill the drain thread or take
-                # down coalesced neighbours: retry one op at a time.
-                if end - start == 1:
-                    self.stats.incr("error_responses")
-                else:
-                    for op in batch[start:end]:
-                        try:
-                            accepted = self.registry.record(
-                                op[0], op[2], op[3], op[1], now_ms=op[4]
-                            )
-                            self.stats.incr("ingested_values", accepted)
-                        except ReproError:
-                            self.stats.incr("error_responses")
+            with self.telemetry.span("server.drain_batch"):
+                accepted, rejected = apply_ops(self.registry, (merged,))
+            if rejected and end - start > 1:
+                # A poisoned op must not take down its coalesced
+                # neighbours: apply the run one op at a time.
+                accepted, rejected = apply_ops(
+                    self.registry, batch[start:end]
+                )
+            self.stats.incr("ingested_values", accepted)
+            if rejected:
+                self.stats.incr("error_responses", rejected)
             start = end
 
     # ------------------------------------------------------------------
@@ -719,11 +703,9 @@ class QuantileServer:
         )
 
     @staticmethod
-    def _parse_ingest(
-        request: dict[str, Any],
-    ) -> tuple[str, dict[str, str] | None, np.ndarray, float | None]:
-        """``(name, tags, values, timestamp_ms)`` of a valid ingest frame;
-        *values* comes back as a float64 array nobody else holds."""
+    def _parse_ingest(request: dict[str, Any]) -> IngestOp:
+        """The op of a valid ingest frame, clock not yet read (``now``
+        is ``None``); *values* is a float64 array nobody else holds."""
         name = _require_metric(request)
         tags = _optional_tags(request)
         raw = request.get("values")
@@ -735,10 +717,27 @@ class QuantileServer:
             timestamp_ms = float(timestamp_ms)
             if not math.isfinite(timestamp_ms):  # no partition holds it
                 raise InvalidValueError("'timestamp_ms' must be finite")
-        return name, tags, values, timestamp_ms
+        return IngestOp(name, tags, values, timestamp_ms, None)
+
+    def _journal_op(self, op: IngestOp) -> IngestOp | dict[str, Any]:
+        """Journal *op* under the caller's ingest lock: the op with its
+        ``ts``/``now`` pinned, or the ``durability`` error response
+        (not journaled: not acked, not applied) — also for the
+        ``WALError`` every append to a poisoned WAL raises."""
+        assert self.durability is not None
+        try:
+            _seq, ts, now = self.durability.journal(
+                op.metric, op.tags, op.values, op.ts
+            )
+        except (OSError, DurabilityError) as exc:
+            self.stats.incr("error_responses")
+            return protocol.error(
+                "durability", f"journal write failed: {exc}"
+            )
+        return op._replace(ts=ts, now=now)
 
     def _op_ingest(self, request: dict[str, Any]) -> dict[str, Any]:
-        name, tags, values, timestamp_ms = self._parse_ingest(request)
+        op = self._parse_ingest(request)
         self.stats.incr("ingest_requests")
         if self.durability is not None:
             with self._ingest_lock:
@@ -747,34 +746,20 @@ class QuantileServer:
                 # a non-full queue here cannot fill before the put.
                 if self._queue.full():
                     return self._shed()
-                try:
-                    _seq, ts, now = self.durability.journal(
-                        name, tags, values, timestamp_ms
-                    )
-                except OSError as exc:
-                    # Not journaled => not acked, not applied.
-                    self.stats.incr("error_responses")
-                    return protocol.error(
-                        "durability",
-                        f"journal write failed: {exc}",
-                    )
-                self._queue.put_nowait((name, tags, values, ts, now))
+                journaled = self._journal_op(op)
+                if isinstance(journaled, dict):
+                    return journaled
+                self._queue.put_nowait(journaled)
         else:
             try:
-                self._queue.put_nowait(
-                    (name, tags, values, timestamp_ms, None)
-                )
+                self._queue.put_nowait(op)
             except queue.Full:
                 return self._shed()
         self.telemetry.gauge("server.ingest_queue_depth").set(
             self._queue.qsize()
         )
-        response = protocol.ok(accepted=len(values))
-        if (
-            self.durability is not None
-            and self.durability.checkpoint_due()
-        ):
-            self.maybe_checkpoint()
+        response = protocol.ok(accepted=len(op.values))
+        self.maybe_checkpoint()
         return response
 
     def _shed(self) -> dict[str, Any]:
@@ -786,32 +771,31 @@ class QuantileServer:
         )
 
     def maybe_checkpoint(self) -> bool:
-        """Run a cadence checkpoint if one is (still) due.
-
-        Quiesces ingestion (ingest lock), barriers on the queue so the
-        registry reflects every journaled record, re-checks dueness
-        under the lock (another thread may have just checkpointed) and
-        snapshots.  Returns whether a checkpoint was written.
-        """
+        """Run a cadence checkpoint if one is due (checked again under
+        the ingest lock); returns whether a checkpoint was written."""
         durability = self.durability
-        if durability is None:
+        if durability is None or not durability.checkpoint_due():
             return False
         with self._ingest_lock:
             if not durability.checkpoint_due():
                 return False
-            self.flush()
-            try:
-                durability.checkpoint_now(self.registry)
-            except OSError:
-                # A failed checkpoint loses no data — the WAL still
-                # holds everything — so the ingest that triggered the
-                # cadence must not fail with it.
-                self.stats.incr("error_responses")
-                self.telemetry.counter(
-                    "server.checkpoint_failures"
-                ).inc()
-                return False
-            return True
+            # A failed cadence checkpoint must not fail the ingest
+            # that triggered it.
+            return self._checkpoint_locked() is None
+
+    def _checkpoint_locked(self) -> Exception | None:
+        """Barrier on the queue, then checkpoint at the WAL watermark
+        (the caller holds the ingest lock).  A failure loses no data —
+        the WAL holds everything — so it is counted and returned."""
+        assert self.durability is not None
+        self.flush()
+        try:
+            self.durability.checkpoint_now(self.registry)
+        except (OSError, DurabilityError) as exc:
+            self.stats.incr("error_responses")
+            self.telemetry.counter("server.checkpoint_failures").inc()
+            return exc
+        return None
 
     def _op_flush(self, request: dict[str, Any]) -> dict[str, Any]:
         self.flush()
@@ -824,15 +808,11 @@ class QuantileServer:
                 "checkpoint requires the server to run with durability "
                 "enabled"
             )
-        try:
-            with self._ingest_lock:
-                self.flush()
-                durability.checkpoint_now(self.registry)
-        except OSError as exc:
-            self.stats.incr("error_responses")
-            self.telemetry.counter("server.checkpoint_failures").inc()
+        with self._ingest_lock:
+            failure = self._checkpoint_locked()
+        if failure is not None:
             return protocol.error(
-                "durability", f"checkpoint failed: {exc}"
+                "durability", f"checkpoint failed: {failure}"
             )
         return protocol.ok(
             checkpoint_seq=durability.last_checkpoint_seq
@@ -906,7 +886,7 @@ class QuantileServer:
     def _op_metrics(self, request: dict[str, Any]) -> dict[str, Any]:
         listing = [
             {"name": key.name, "tags": key.as_dict()}
-            for key in self.registry.keys()
+            for key in self.reads.keys()
         ]
         return protocol.ok(metrics=listing)
 
@@ -917,20 +897,13 @@ class QuantileServer:
             combined.update(self.durability.stats())
         return protocol.ok(stats=combined)
 
-    def _stores_for(
-        self, name: str, tags: dict[str, str] | None
-    ) -> Any | None:
-        """Hook: what a read of ``(name, tags)`` queries, or ``None``
-        (cluster nodes read every origin replica of the key)."""
-        return self.registry.get(name, tags)
-
     def _query_target(
         self, request: dict[str, Any]
     ) -> tuple[Any, float | None, float | None]:
         name = _require_metric(request)
         tags = _optional_tags(request)
         self.stats.incr("query_requests")
-        store = self._stores_for(name, tags)
+        store = self.reads.get(name, tags)
         if store is None:
             raise InvalidValueError(
                 f"unknown metric {name!r} (no values ingested)"

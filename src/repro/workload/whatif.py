@@ -16,7 +16,7 @@ So the pipeline is:
 2. :func:`replay_whatif` — for each candidate
    :class:`WhatIfConfig`, build a fresh registry with that config and
    pump every WAL record through it with the *journaled* clock readings
-   pinned (``now_ms=record["now"]``), so bucketing/late-drop/compaction
+   pinned (each op's ``now``), so bucketing/late-drop/compaction
    decisions replay exactly as the live run made them;
 3. compare the per-config outputs: tail quantiles, store footprint, and
    a content digest of every store's snapshot bytes.
@@ -38,9 +38,8 @@ from typing import Any, Callable, Mapping
 from repro.core.base import QuantileSketch
 from repro.core.registry import DEFAULT_SEED, make_sketch, paper_config
 from repro.durability.manager import read_wal_records
-from repro.errors import ReproError
 from repro.service.clock import ManualClock
-from repro.service.registry import MetricRegistry
+from repro.service.registry import MetricRegistry, apply_ops
 
 #: Tail grid reported per store in every what-if summary.
 REPORT_QUANTILES = (0.5, 0.9, 0.99)
@@ -85,22 +84,10 @@ def replay_config(
         clock=ManualClock(0.0),
         partition_ms=partition_ms,
     )
-    replayed = 0
-    rejected = 0
-    for _seq, record in read_wal_records(data_dir):
-        try:
-            registry.record(
-                record["metric"],
-                record["values"],
-                record["ts"],
-                record["tags"],
-                now_ms=record["now"],
-            )
-        except ReproError:
-            # Mirror live-drain semantics: a batch the altered config
-            # rejects is counted, not fatal (identically on every run).
-            rejected += 1
-        replayed += 1
+    ops = [op for _seq, op in read_wal_records(data_dir)]
+    # One op per apply, as journaled: a batch the altered config
+    # rejects is counted, not fatal (identically on every run).
+    _, rejected = apply_ops(registry, ops)
     stores: dict[str, dict[str, Any]] = {}
     for key in registry.keys():
         store = registry.get(key.name, key.as_dict() or None)
@@ -117,7 +104,7 @@ def replay_config(
     return {
         "label": config.label,
         "sketch": config.sketch,
-        "records_replayed": replayed,
+        "records_replayed": len(ops),
         "records_rejected": rejected,
         "size_bytes": registry.size_bytes(),
         "stores": stores,

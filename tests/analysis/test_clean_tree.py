@@ -9,6 +9,7 @@ not just ``make lint``.
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -43,6 +44,27 @@ def test_lck_race_family_is_clean_on_src_tree():
         [SRC_ROOT], rules=select_rules(select=("LCK", "RACE"))
     ))
     assert findings == [], "\n".join(f.render() for f in findings)
+
+
+def test_one_apply_loop_calls_record():
+    """The write path has one apply loop: ``apply_ops`` is the only
+    function in the tree that calls ``.record(``, so the drain,
+    recovery, replication and what-if replay cannot drift apart."""
+    sites = []
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "record"
+                ):
+                    relative = path.relative_to(SRC_ROOT).as_posix()
+                    sites.append(f"{relative}:{fn.name}")
+    assert sites == ["service/registry.py:apply_ops"]
 
 
 def test_cli_check_gate_passes_on_src_tree():

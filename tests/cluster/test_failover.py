@@ -116,6 +116,58 @@ class TestFailoverClock:
                     assert direct.count("m") == acked == 4_000
 
 
+THRESHOLD = {
+    "kind": "threshold",
+    "metric": "lat",
+    "q": 0.5,
+    "op": "gt",
+    "threshold": 10.0,
+    "window_ms": 60_000.0,
+}
+
+
+def cq_observed(cluster):
+    """``{node: (status, observed)}`` of one threshold CQ per node."""
+    out = {}
+    for node_id in cluster.running_nodes():
+        with direct_client(cluster, node_id) as direct:
+            query_id = direct.cq_register(THRESHOLD)
+            [result] = direct.cq_eval()
+            direct.cq_unregister(query_id)
+        out[node_id] = (result["status"], result["observed"])
+    return out
+
+
+class TestContinuousQueriesOnFollowers:
+    """A follower holds a key only under its leader's origin; standing
+    queries must read through the same origin-spanning lookup as
+    one-shot queries."""
+
+    def test_follower_cq_matches_leader_across_failover(self):
+        with LocalCluster(n_nodes=3) as cluster:
+            with cluster.client() as client:
+                for batch in range(5):
+                    client.ingest(
+                        "lat", [float(v + batch) for v in range(30)]
+                    )
+            cluster.run_for(1_000.0)
+            leader = cluster.leader_of("lat")
+            before = cq_observed(cluster)
+            assert before[leader][0] == "firing"
+            assert set(before.values()) == {before[leader]}
+
+            cluster.crash(leader)
+            cluster.run_for(3_000.0, step_ms=250.0)
+            with cluster.client() as client:
+                client.ingest("lat", [500.0] * 200)
+            cluster.run_for(1_000.0)
+            new_leader = cluster.leader_of("lat")
+            after = cq_observed(cluster)
+            assert new_leader != leader and len(after) == 2
+            assert after[new_leader][1] != before[leader][1]
+            assert set(after.values()) == {after[new_leader]}
+
+
 class TestStalenessBound:
     def test_fresh_follower_serves_preferred_reads(self):
         with LocalCluster(n_nodes=3, prefer_followers=True) as cluster:

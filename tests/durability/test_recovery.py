@@ -176,14 +176,14 @@ class TestJournalEncoding:
             manager.wal.sync()
             payloads = list(manager.wal.replay())
         first = decode_record(payloads[0][1], 1)
-        assert first["ts"] == 5_000.0
-        assert first["now"] == 5_000.0
-        assert first["values"].dtype == np.float64
-        assert first["values"].tolist() == [1.5, float("inf")]
+        assert first.ts == 5_000.0
+        assert first.now == 5_000.0
+        assert first.values.dtype == np.float64
+        assert first.values.tolist() == [1.5, float("inf")]
         second = decode_record(payloads[1][1], 2)
-        assert second["ts"] == 42.0
-        assert second["now"] == 5_100.0
-        assert second["tags"] is None
+        assert second.ts == 42.0
+        assert second.now == 5_100.0
+        assert second.tags is None
 
 
 def json_payload(metric, tags, values, ts, now):

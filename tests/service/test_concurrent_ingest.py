@@ -126,3 +126,36 @@ class TestCrashedJournalNeverAcked:
             host, port = srv.address
             with QuantileClient(host, port, timeout=5.0, retries=0) as cli:
                 assert cli.count("lat") == acked
+
+
+class TestPoisonedWalAnswers:
+    """After one failed append the WAL refuses every later write with a
+    ``WALError``; each refusal is a ``durability`` reply on the same
+    connection, never a dropped socket."""
+
+    def test_later_writes_get_durability_errors(self, tmp_path):
+        clock = ManualClock(0.0)
+        manager = DurabilityManager(
+            tmp_path,
+            clock=clock,
+            checkpoint_interval_ms=0.0,
+            fault=CrashInjector("wal.append", countdown=2),
+        )
+        with QuantileServer(make_registry(clock), durability=manager) as srv:
+            host, port = srv.address
+            with QuantileClient(host, port, timeout=5.0, retries=0) as cli:
+                acked = cli.ingest("lat", [1.0, 2.0], timestamp_ms=0.0)
+                with pytest.raises(ServiceError, match="^durability: "):
+                    cli.ingest("lat", [3.0], timestamp_ms=0.0)
+                for _ in range(3):
+                    with pytest.raises(
+                        ServiceError, match="^durability: journal write"
+                    ):
+                        cli.ingest("lat", [4.0], timestamp_ms=0.0)
+                with pytest.raises(
+                    ServiceError, match="^durability: checkpoint failed"
+                ):
+                    cli.checkpoint()
+                assert cli.ping()
+                cli.flush()
+                assert cli.count("lat") == acked == 2
