@@ -124,23 +124,27 @@ class KLLSketch(WeightedSampleSketch):
         # The scalar path compacts only when the *total* retained count
         # exceeds the total capacity (level 0 may legally overfill in
         # between), so extending level 0 right up to that trigger and
-        # then compressing once reproduces the per-item compaction
-        # schedule exactly — same states at every compress point, same
-        # RNG draw sequence, which one CoinFlips serves for the batch.
-        # In steady state the next compress point is only a handful of
-        # values away (median chunk ~4 at 10^6+ retained histories), so
-        # the loop below is hot: keep the trigger state in locals and
-        # write it back only around _compress, which mutates it.
+        # then compacting reproduces the per-item compaction schedule
+        # exactly — same states at every compaction, same RNG draw
+        # sequence, which one CoinFlips serves for the batch.  In steady
+        # state the next trigger is only a handful of values away
+        # (median chunk ~4 at 10^6+ retained histories), so the loop
+        # below is hot: it keeps the levels, their capacities and the
+        # trigger state in locals and runs the steady-state compaction
+        # (_compress' lowest over-full level, below the top) inline.
+        # Growth goes through _compress, which rebuilds the schedule.
         items = values.tolist()
         total = len(items)
-        level0 = self._compactors[0]
-        extend = level0.extend
+        compactors = self._compactors
+        extend = compactors[0].extend
         capacity = self._capacity_cache
         retained = self._retained
-        if retained + total <= capacity:  # no compress point: no coins
+        if retained + total <= capacity:  # no compaction: no coins
             extend(items)
             self._retained = retained + total
             return
+        capacities = self._capacities
+        top = len(compactors) - 1
         pos = 0
         with CoinFlips(self._rng) as flip:
             while pos < total:
@@ -151,13 +155,25 @@ class KLLSketch(WeightedSampleSketch):
                 extend(chunk)
                 retained += len(chunk)
                 pos += len(chunk)
-                if retained > capacity:
-                    self._retained = retained
-                    self._compress(flip)
-                    retained = self._retained
-                    capacity = self._capacity_cache
-                    level0 = self._compactors[0]
-                    extend = level0.extend
+                while retained > capacity:
+                    height = 0
+                    for buffer in compactors:
+                        if len(buffer) >= capacities[height]:
+                            break
+                        height += 1
+                    if height >= top:  # the hierarchy grows
+                        self._retained = retained
+                        self._compress(flip)
+                        retained = self._retained
+                        capacity = self._capacity_cache
+                        capacities = self._capacities
+                        top = len(compactors) - 1
+                        break
+                    buffer.sort()
+                    even = len(buffer) & ~1
+                    compactors[height + 1].extend(buffer[flip():even:2])
+                    del buffer[:even]
+                    retained -= even >> 1
         self._retained = retained
 
     # ------------------------------------------------------------------

@@ -76,6 +76,22 @@ def _binomial_table(k: int) -> tuple[np.ndarray, np.ndarray]:
     return binomials, degrees
 
 
+def _add_power_sums(sums: np.ndarray, centred: np.ndarray) -> None:
+    """``sums[i] += sum(centred ** i)`` for every ``i``, in place.
+
+    The powers are a cumulative product multiplied in place, one array
+    for all of them.  Power 0 adds the count: a float sum of ones is
+    exactly that, so this is the float program of summing
+    ``ones * centred * centred ...`` term by term.
+    """
+    sums[0] += centred.size
+    powers = centred.copy()
+    for i in range(1, sums.size):
+        sums[i] += powers.sum()
+        if i + 1 < sums.size:
+            np.multiply(powers, centred, out=powers)
+
+
 class MomentsSketch(QuantileSketch):
     """Constant-size sketch holding power sums of the stream.
 
@@ -242,13 +258,7 @@ class MomentsSketch(QuantileSketch):
         transformed = self._apply_transform(values)
         if self._origin is None:
             self._origin = float(transformed[0])
-        centred = transformed - self._origin
-        # Accumulate sum((t - o)^i) for all i via a cumulative product.
-        powers = np.ones_like(centred)
-        for i in range(self.num_moments + 1):
-            self._power_sums[i] += powers.sum()
-            if i < self.num_moments:
-                powers = powers * centred
+        _add_power_sums(self._power_sums, transformed - self._origin)
         # First extreme wins, as in the scalar path and _observe_batch
         # (min()/max() would keep the last of 0.0 and -0.0).
         self._t_min = min(
@@ -261,12 +271,7 @@ class MomentsSketch(QuantileSketch):
             logs = np.log(values)
             if self._log_origin is None:
                 self._log_origin = float(logs[0])
-            centred = logs - self._log_origin
-            powers = np.ones_like(centred)
-            for i in range(self.num_moments + 1):
-                self._log_power_sums[i] += powers.sum()
-                if i < self.num_moments:
-                    powers = powers * centred
+            _add_power_sums(self._log_power_sums, logs - self._log_origin)
             self._l_min = min(self._l_min, float(logs.min()))
             self._l_max = max(self._l_max, float(logs.max()))
         self._observe_batch(values, checked=True)

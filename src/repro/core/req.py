@@ -50,82 +50,82 @@ class _RelativeCompactor:
         "section_size",
         "_section_size_f",
         "num_sections",
+        "nom_capacity",
         "state",
         "buffer",
         "hra",
     )
 
     def __init__(self, section_size: int, hra: bool) -> None:
-        self.section_size = section_size
-        self._section_size_f = float(section_size)
-        self.num_sections = INIT_SECTIONS
+        self._set_sections(INIT_SECTIONS, section_size, float(section_size))
         self.state = 0  # compaction counter driving the schedule
         self.buffer: list[float] = []
         self.hra = hra
 
-    @property
-    def nom_capacity(self) -> int:
-        """Buffer capacity ``B = 2 * num_sections * section_size``."""
-        return 2 * self.num_sections * self.section_size
+    def _set_sections(
+        self, num_sections: int, section_size: int, section_size_f: float
+    ) -> None:
+        """Set the section layout and its buffer capacity
+        ``B = 2 * num_sections * section_size`` (the ``nom_capacity``)."""
+        self.num_sections = num_sections
+        self.section_size = section_size
+        self._section_size_f = section_size_f
+        self.nom_capacity = 2 * num_sections * section_size
 
     def compact(self, flip: Callable[[], int]) -> list[float]:
-        """Run one compaction and return the items promoted upward."""
-        self._ensure_enough_sections()
-        self.buffer.sort()
+        """Run one compaction in place and return the items promoted
+        upward."""
+        if self.state >= 1 << (self.num_sections - 1):
+            self._ensure_enough_sections()
+        buffer = self.buffer
+        buffer.sort()
         # The schedule compacts 1 section most of the time and
         # progressively more sections as the state accumulates set bits,
         # so items near the protected end are compacted rarely.
-        secs = min(
-            _trailing_ones(self.state) + 1,
-            self.num_sections - 1,
-        )
+        secs = _trailing_ones(self.state) + 1
+        if secs > self.num_sections - 1:
+            secs = self.num_sections - 1
         compact_len = secs * self.section_size
         # At least half the buffer is always protected.
-        compact_len = min(compact_len, len(self.buffer) // 2)
+        half = len(buffer) // 2
+        if compact_len > half:
+            compact_len = half
         compact_len -= compact_len % 2  # even region for a fair halving
         if compact_len < 2:
             compact_len = 2
         if self.hra:
-            region = self.buffer[:compact_len]
-            keep = self.buffer[compact_len:]
+            promoted = buffer[flip():compact_len:2]
+            del buffer[:compact_len]
         else:
-            region = self.buffer[len(self.buffer) - compact_len :]
-            keep = self.buffer[: len(self.buffer) - compact_len]
-        promoted = region[flip()::2]
-        self.buffer = keep
+            start = max(len(buffer) - compact_len, 0)
+            promoted = buffer[start + flip()::2]
+            del buffer[start:]
         self.state += 1
         return promoted
 
     def _ensure_enough_sections(self) -> None:
-        """Double the section count (shrinking sections) when the state
+        """Double the section count (shrinking sections) once the state
         says this compactor has been compacted enough times."""
         new_size_f = self._section_size_f / math.sqrt(2.0)
         new_size = _nearest_even(new_size_f)
-        if (
-            self.state >= (1 << (self.num_sections - 1))
-            and new_size >= MIN_SECTION_SIZE
-        ):
-            self._section_size_f = new_size_f
-            self.section_size = new_size
-            self.num_sections <<= 1
+        if new_size >= MIN_SECTION_SIZE:
+            self._set_sections(self.num_sections << 1, new_size, new_size_f)
 
     def merge_from(self, other: "_RelativeCompactor") -> None:
         self.buffer.extend(other.buffer)
         # Sec 3.5: merged schedule state is the bitwise OR of the two.
         self.state |= other.state
-        if other.num_sections > self.num_sections:
-            self.num_sections = other.num_sections
-        if other.section_size < self.section_size:
-            self.section_size = other.section_size
-            self._section_size_f = other._section_size_f
+        smaller = other if other.section_size < self.section_size else self
+        self._set_sections(
+            max(self.num_sections, other.num_sections),
+            smaller.section_size,
+            smaller._section_size_f,
+        )
 
 
 def _trailing_ones(state: int) -> int:
-    count = 0
-    while state & 1:
-        count += 1
-        state >>= 1
-    return count
+    # state ^ (state + 1) is 2**(t + 1) - 1 for t trailing ones.
+    return (state ^ (state + 1)).bit_length() - 1
 
 
 class ReqSketch(WeightedSampleSketch):
@@ -164,6 +164,9 @@ class ReqSketch(WeightedSampleSketch):
         self._rng = np.random.default_rng(seed)
         self._compactors = [_RelativeCompactor(self.num_sections, self.hra)]
         self._retained = 0
+        # Every level above this one is below capacity: only a walk or a
+        # merge can leave one at or over it (see _compress).
+        self._overfull_top = 0
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -188,33 +191,66 @@ class ReqSketch(WeightedSampleSketch):
         self._observe_batch(values, checked=True)
         items = values.tolist()
         total = len(items)
+        # The walk only adds deltas to the retained count, so the batch
+        # can be counted up front.
+        self._retained += total
+        level0 = self._compactors[0]
+        buffer = level0.buffer  # compacted in place: the same list throughout
+        if len(buffer) + total < level0.nom_capacity:  # no walk: no coins
+            buffer.extend(items)
+            return
         pos = 0
         with CoinFlips(self._rng) as flip:
             while pos < total:
-                level0 = self._compactors[0]
                 capacity = level0.nom_capacity
-                room = max(capacity - len(level0.buffer), 1)
+                room = max(capacity - len(buffer), 1)
                 chunk = items[pos : pos + room]
-                level0.buffer.extend(chunk)
-                self._retained += len(chunk)
+                buffer.extend(chunk)
                 pos += len(chunk)
-                if len(level0.buffer) >= capacity:
+                if len(buffer) >= capacity:
                     self._compress(flip)
 
     def _compress(self, flip: Callable[[], int]) -> None:
+        """The compaction walk: bottom up, compact each level at or over
+        its capacity and promote half of the compacted region upward.
+
+        Between walks only level 0 grows, so a level above it can be at
+        capacity only if it receives promotions in this walk or the last
+        walk or a merge left it there (``_overfull_top``).  The walk stops
+        at the first level below capacity past both; the levels it skips
+        would not have been compacted.
+        """
+        compactors = self._compactors
+        retained = self._retained
+        last = self._overfull_top
+        overfull = 0
         height = 0
-        while height < len(self._compactors):
-            compactor = self._compactors[height]
-            if len(compactor.buffer) >= compactor.nom_capacity:
-                if height + 1 == len(self._compactors):
-                    self._compactors.append(
+        while height < len(compactors):
+            compactor = compactors[height]
+            buffer = compactor.buffer
+            size = len(buffer)
+            if size >= compactor.nom_capacity:
+                if height + 1 == len(compactors):
+                    compactors.append(
                         _RelativeCompactor(self.num_sections, self.hra)
                     )
                 promoted = compactor.compact(flip)
-                self._compactors[height + 1].buffer.extend(promoted)
-                self._retained -= len(promoted)
+                compactors[height + 1].buffer.extend(promoted)
+                retained += len(buffer) - size + len(promoted)
+                if len(buffer) >= compactor.nom_capacity:
+                    overfull = height
+            elif height >= last:
+                break
             height += 1
-        self._retained = sum(len(c.buffer) for c in self._compactors)
+        self._retained = retained
+        self._overfull_top = overfull
+
+    def _adopt_levels(self, compactors: list[_RelativeCompactor]) -> None:
+        """Take *compactors* as the hierarchy (the decoder's levels).  Any
+        of them may sit at capacity, so the next walk visits them all."""
+        self._compactors = compactors
+        self._retained = sum(len(c.buffer) for c in compactors)
+        self._overfull_top = len(compactors) - 1
 
     # ------------------------------------------------------------------
     # Queries
@@ -250,7 +286,10 @@ class ReqSketch(WeightedSampleSketch):
         for height, compactor in enumerate(other._compactors):
             self._compactors[height].merge_from(compactor)
         self._merge_bookkeeping(other)
-        self._retained = sum(len(c.buffer) for c in self._compactors)
+        self._retained += other._retained
+        # Any level may now be at capacity, and a merged section layout
+        # can lower a capacity: walk every level.
+        self._overfull_top = len(self._compactors) - 1
         with CoinFlips(self._rng) as flip:
             self._compress(flip)
 

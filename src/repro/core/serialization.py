@@ -264,14 +264,13 @@ def _decode_req(r: Reader) -> ReqSketch:
     compactors = []
     for _ in range(r.count(40)):  # four fixed fields + a length prefix
         compactor = _RelativeCompactor(num_sections, hra)
-        compactor.section_size = r.i64()
-        compactor._section_size_f = r.f64()
-        compactor.num_sections = r.i64()
+        section_size = r.i64()
+        section_size_f = r.f64()
+        compactor._set_sections(r.i64(), section_size, section_size_f)
         compactor.state = r.i64()
         compactor.buffer = r.f64_array().tolist()
         compactors.append(compactor)
-    sketch._compactors = compactors
-    sketch._retained = sum(len(c.buffer) for c in compactors)
+    sketch._adopt_levels(compactors)
     _read_rng(r, sketch._rng)
     return sketch
 
