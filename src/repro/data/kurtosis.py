@@ -5,13 +5,11 @@ normal distribution (Sec 2.3; the paper uses *excess* kurtosis, so the
 normal sits at 0).  Fig 7 plots the 0.98-quantile error of every sketch
 against the kurtosis of the data set; this module provides the ordered
 suite of workloads that sweep the x-axis, from the tail-free uniform to
-the extremely long-tailed Pareto.
+the extremely long-tailed Pareto.  The kurtosis itself is
+:func:`repro.metrics.stats.excess_kurtosis`, re-exported here.
 """
 
 from __future__ import annotations
-
-import numpy as np
-from scipy import stats
 
 from repro.data.distributions import (
     Distribution,
@@ -22,11 +20,9 @@ from repro.data.distributions import (
     Normal,
 )
 from repro.data.realworld import NYTFares, PowerConsumption
+from repro.metrics.stats import excess_kurtosis
 
-
-def excess_kurtosis(values: np.ndarray) -> float:
-    """Excess kurtosis of a sample (normal distribution = 0)."""
-    return float(stats.kurtosis(np.asarray(values, dtype=np.float64)))
+__all__ = ["excess_kurtosis", "kurtosis_suite"]
 
 
 def kurtosis_suite() -> list[tuple[str, Distribution, float]]:

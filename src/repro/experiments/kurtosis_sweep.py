@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.registry import paper_config
-from repro.data.kurtosis import excess_kurtosis, kurtosis_suite
+from repro.data.kurtosis import kurtosis_suite
 from repro.experiments.config import (
     BASE_SEED,
     DEFAULT_SKETCHES,
@@ -22,7 +22,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.reporting import format_table
 from repro.metrics.errors import relative_error, true_quantile
-from repro.metrics.stats import MeanWithCI, mean_with_ci
+from repro.metrics.stats import MeanWithCI, excess_kurtosis, mean_with_ci
 
 TARGET_QUANTILE = 0.98
 
