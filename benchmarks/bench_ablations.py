@@ -163,7 +163,7 @@ def bench_ablation_udd_budget(benchmark, pareto_stream):
             rows.append([
                 budget,
                 sketch.num_collapses,
-                sketch.current_guarantee,
+                sketch.guarantee().eps,
                 mean_error(sketch, sorted_values),
             ])
         return rows

@@ -5,9 +5,10 @@ same surface (Sec 2.1's operations) and maintains the same bookkeeping
 the differential harness relies on.  Four checks encode that:
 
 * ``SK001`` — a concrete ``QuantileSketch`` subclass must define the
-  four abstract operations (``update``, ``merge``, ``quantile``,
-  ``size_bytes``) in its own body; relying on a sibling's inheritance
-  chain hides which sketch actually answers a paper query.
+  five abstract methods (``update``, ``merge``, ``quantile``,
+  ``size_bytes``, ``guarantee``) in its own body; relying on a
+  sibling's inheritance chain hides which sketch actually answers a
+  paper query, and which bound it claims.
 * ``SK002`` — ``update`` must maintain the shared min/max/count
   bookkeeping: directly via ``self._observe`` / ``self._observe_batch``,
   or by delegating to another method of the class that does
@@ -42,7 +43,9 @@ from repro.analysis.walker import (
     dotted_name,
 )
 
-_REQUIRED_METHODS = ("update", "merge", "quantile", "size_bytes")
+_REQUIRED_METHODS = (
+    "update", "merge", "quantile", "size_bytes", "guarantee",
+)
 _OBSERVERS = frozenset({"_observe", "_observe_batch"})
 #: The interface and base.py's abstract base for weighted-sample sketches.
 _SKETCH_BASES = frozenset({"QuantileSketch", "WeightedSampleSketch"})
@@ -157,7 +160,7 @@ class SketchInterfaceRule(Rule):
     name = "sketch-interface"
     description = (
         "concrete QuantileSketch subclasses must define update, merge, "
-        "quantile and size_bytes in their own body"
+        "quantile, size_bytes and guarantee in their own body"
     )
     scopes = ("repro.core", "repro.parallel")
 

@@ -75,14 +75,6 @@ class ClusterTransport:
         with self._address_lock:
             self._addresses[str(node_id)] = (str(host), int(port))
 
-    def forget(self, node_id: str) -> None:
-        with self._address_lock:
-            self._addresses.pop(str(node_id), None)
-
-    def known_nodes(self) -> list[str]:
-        with self._address_lock:
-            return sorted(self._addresses)
-
     def _address_of(self, node_id: str) -> tuple[str, int]:
         with self._address_lock:
             address = self._addresses.get(node_id)

@@ -20,11 +20,7 @@ from repro.core.gkarray import GKArray
 from repro.core.hdr import HdrHistogram
 from repro.core.kll import KLLSketch
 from repro.core.kllpm import KLLPlusMinus
-from repro.core.mapping import (
-    LogarithmicMapping,
-    alpha_after_collapses,
-    initial_alpha,
-)
+from repro.core.mapping import LogarithmicMapping, initial_alpha
 from repro.core.maxent import MaxEntropySolver, MaxEntSolution
 from repro.core.moments import MomentsSketch
 from repro.core.random_sketch import RandomSketch
@@ -69,7 +65,6 @@ __all__ = [
     "KLLPlusMinus",
     "LogarithmicMapping",
     "initial_alpha",
-    "alpha_after_collapses",
     "MaxEntropySolver",
     "MaxEntSolution",
     "BucketStore",

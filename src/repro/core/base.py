@@ -35,15 +35,28 @@ from __future__ import annotations
 import abc
 import math
 import operator
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Literal,
+    Sequence,
+    TypeVar,
+    cast,
+)
 
 import numpy as np
 
 from repro.errors import (
     EmptySketchError,
+    IncompatibleSketchError,
     InvalidQuantileError,
     InvalidValueError,
 )
+
+_Sketch = TypeVar("_Sketch", bound="QuantileSketch")
 
 
 def _reject_nan_batch(values: np.ndarray) -> None:
@@ -87,6 +100,28 @@ def validate_quantile(q: float) -> float:
     if not 0.0 < q <= 1.0:
         raise InvalidQuantileError(q)
     return q
+
+
+@dataclass(frozen=True)
+class Guarantee:
+    """The error bound a sketch's answers carry (DESIGN §20).
+
+    *kind* is ``relative`` (``|estimate - x_q| <= eps * |x_q|``),
+    ``rank`` (additive: the estimate's rank is within ``eps * n`` of
+    ``q * n``; an exact sketch is ``rank`` with ``eps = 0``),
+    ``relative_rank`` (within ``eps`` times the rank counted from the
+    accurate end) or ``none``, whose ``eps`` is the vacuous ``1.0``.
+    *confidence* is ``1.0`` for a deterministic bound.  ``asdict``
+    round-trips it through ``canonical_json``.
+    """
+
+    kind: Literal["relative", "rank", "relative_rank", "none"]
+    eps: float = 1.0
+    confidence: float = 1.0
+
+
+#: What a sketch reports when no cited formula bounds its answers.
+NO_GUARANTEE = Guarantee("none")
 
 
 #: Coins a ``CoinFlips`` block draws one at a time before it switches
@@ -145,9 +180,10 @@ class QuantileSketch(abc.ABC):
     """Abstract base class for one-pass mergeable quantile sketches.
 
     Subclasses must implement :meth:`update`, :meth:`merge`,
-    :meth:`quantile` and :meth:`size_bytes`, and maintain the common
-    bookkeeping attributes ``_count``, ``_min`` and ``_max`` (most easily
-    by calling :meth:`_observe` from their ``update``).
+    :meth:`quantile`, :meth:`size_bytes` and :meth:`guarantee`, and
+    maintain the common bookkeeping attributes ``_count``, ``_min`` and
+    ``_max`` (most easily by calling :meth:`_observe` from their
+    ``update``).
     """
 
     #: Registry name, overridden by each concrete sketch.
@@ -237,18 +273,32 @@ class QuantileSketch(abc.ABC):
         streams (Sec 2.4: mergeability).  *other* is left unchanged.
         """
 
-    def _merge_operand(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Resolve aliasing before a merge: snapshot *other* if it is us.
+    def _merge_operand(
+        self: _Sketch, other: "QuantileSketch", *config: str
+    ) -> _Sketch:
+        """Refuse an operand that cannot merge in, and resolve aliasing.
 
-        Every concrete ``merge`` calls this first.  Merging a sketch
-        into itself must behave as if merging an identical independent
-        copy (the stream doubles); without the snapshot, ``merge``
-        would iterate *other*'s compactors/stores/centroids while
-        mutating the same objects, corrupting the sketch.
+        Every concrete ``merge`` calls this first.  Another sketch type,
+        or a different value of any *config* attribute, raises
+        :class:`~repro.errors.IncompatibleSketchError` before any state
+        moves: a mixed-config merge would answer with the coarser
+        operand's error under the finer one's :meth:`guarantee`.
+        Merging a sketch into itself must behave as if merging an
+        identical independent copy (the stream doubles); without the
+        snapshot, ``merge`` would iterate *other*'s compactors/stores/
+        centroids while mutating the same objects, corrupting the sketch.
         """
-        if other is self:
-            return other.copy()
-        return other
+        name = type(self).__name__
+        if not isinstance(other, type(self)):
+            raise IncompatibleSketchError(
+                f"cannot merge {name} with {type(other).__name__}"
+            )
+        for attr in config:
+            if getattr(other, attr) != getattr(self, attr):
+                raise IncompatibleSketchError(
+                    f"cannot merge {name}s that differ in {attr}"
+                )
+        return cast(_Sketch, other.copy() if other is self else other)
 
     def _merge_bookkeeping(self, other: "QuantileSketch") -> None:
         self._count += other._count
@@ -350,6 +400,11 @@ class QuantileSketch(abc.ABC):
         double/long, matching the paper's Sec 4.3 accounting), not Python
         object overhead, so figures are comparable to Table 3.
         """
+
+    @abc.abstractmethod
+    def guarantee(self) -> Guarantee:
+        """The bound the answers carry now: a pure function of the state
+        ``dumps`` writes, never tighter after a merge or a collapse."""
 
     def __len__(self) -> int:
         return self._count

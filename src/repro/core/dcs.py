@@ -25,13 +25,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.base import QuantileSketch, validate_quantile
-from repro.core.countsketch import CountSketch
-from repro.errors import (
-    EmptySketchError,
-    IncompatibleSketchError,
-    InvalidValueError,
+from repro.core.base import (
+    NO_GUARANTEE,
+    Guarantee,
+    QuantileSketch,
+    validate_quantile,
 )
+from repro.core.countsketch import CountSketch
+from repro.errors import EmptySketchError, InvalidValueError
 
 DEFAULT_UNIVERSE_LOG2 = 20
 
@@ -214,20 +215,9 @@ class DyadicCountSketch(QuantileSketch):
     # ------------------------------------------------------------------
 
     def merge(self, other: QuantileSketch) -> None:
-        other = self._merge_operand(other)
-        if not isinstance(other, DyadicCountSketch):
-            raise IncompatibleSketchError(
-                f"cannot merge DyadicCountSketch with "
-                f"{type(other).__name__}"
-            )
-        if (
-            other.universe_log2 != self.universe_log2
-            or other.exact_threshold != self.exact_threshold
-            or other.seed != self.seed
-        ):
-            raise IncompatibleSketchError(
-                "DyadicCountSketch configurations differ"
-            )
+        other = self._merge_operand(
+            other, "universe_log2", "exact_threshold", "seed"
+        )
         for mine, theirs in zip(self._levels, other._levels):
             if isinstance(mine, CountSketch):
                 mine.merge(theirs)
@@ -242,6 +232,11 @@ class DyadicCountSketch(QuantileSketch):
     @property
     def num_levels(self) -> int:
         return len(self._levels)
+
+    def guarantee(self) -> Guarantee:
+        """``none``: no cited closed form bounds the Count-Sketch levels'
+        rank error at this configuration."""
+        return NO_GUARANTEE
 
     def size_bytes(self) -> int:
         total = 4 * 8

@@ -21,6 +21,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.core.base import (
+    NO_GUARANTEE,
+    Guarantee,
     QuantileSketch,
     as_float_batch,
     validate_quantile,
@@ -35,7 +37,7 @@ from repro.core.store import (
     DenseStore,
     SparseStore,
 )
-from repro.errors import IncompatibleSketchError, InvalidValueError
+from repro.errors import InvalidValueError
 
 DEFAULT_ALPHA = 0.01
 
@@ -186,10 +188,6 @@ class DDSketch(QuantileSketch):
 
     def merge(self, other: QuantileSketch) -> None:
         other = self._merge_operand(other)
-        if not isinstance(other, DDSketch):
-            raise IncompatibleSketchError(
-                f"cannot merge DDSketch with {type(other).__name__}"
-            )
         self._mapping.require_compatible(other._mapping)
         self._positive.merge(other._positive)
         self._negative.merge(other._negative)
@@ -218,14 +216,12 @@ class DDSketch(QuantileSketch):
         """Non-empty buckets across both stores."""
         return self._positive.num_buckets + self._negative.num_buckets
 
-    @property
-    def is_collapsed(self) -> bool:
-        """Whether a bounded store has folded low buckets (guarantee lost
-        for the affected lower quantiles)."""
-        return bool(
-            getattr(self._positive, "is_collapsed", False)
-            or getattr(self._negative, "is_collapsed", False)
-        )
+    def guarantee(self) -> Guarantee:
+        """Relative error ``alpha`` (Masson et al., VLDB 2019); ``none``
+        once a bounded store has folded low buckets into its floor."""
+        if self._positive.is_collapsed or self._negative.is_collapsed:
+            return NO_GUARANTEE
+        return Guarantee("relative", self._mapping.alpha)
 
     def size_bytes(self) -> int:
         # Stores plus zero counter, count, min, max and gamma.

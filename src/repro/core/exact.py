@@ -15,11 +15,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.base import (
+    Guarantee,
     QuantileSketch,
     as_float_batch,
     validate_quantile,
 )
-from repro.errors import IncompatibleSketchError, InvalidValueError
+from repro.errors import InvalidValueError
 
 
 class ExactQuantiles(QuantileSketch):
@@ -50,10 +51,6 @@ class ExactQuantiles(QuantileSketch):
 
     def merge(self, other: QuantileSketch) -> None:
         other = self._merge_operand(other)
-        if not isinstance(other, ExactQuantiles):
-            raise IncompatibleSketchError(
-                f"cannot merge ExactQuantiles with {type(other).__name__}"
-            )
         self._chunks.extend(chunk.copy() for chunk in other._chunks)
         self._sorted = None
         self._merge_bookkeeping(other)
@@ -81,6 +78,10 @@ class ExactQuantiles(QuantileSketch):
         """Sorted copy of everything inserted so far."""
         self._require_nonempty()
         return self._sorted_values().copy()
+
+    def guarantee(self) -> Guarantee:
+        """Exact answers: additive rank error 0."""
+        return Guarantee("rank", 0.0)
 
     def size_bytes(self) -> int:
         return 8 * self._count + 3 * 8

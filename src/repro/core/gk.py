@@ -21,11 +21,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.base import (
+    Guarantee,
     QuantileSketch,
     as_float_batch,
     validate_quantile,
 )
-from repro.errors import IncompatibleSketchError, InvalidValueError
+from repro.errors import InvalidValueError
 
 DEFAULT_EPSILON = 0.01
 
@@ -226,11 +227,7 @@ class GKSketch(QuantileSketch):
         lists; its error bound is the *sum* of the inputs' epsilons, the
         classic weakness that motivated natively-mergeable sketches.
         """
-        other = self._merge_operand(other)
-        if not isinstance(other, GKSketch):
-            raise IncompatibleSketchError(
-                f"cannot merge GKSketch with {type(other).__name__}"
-            )
+        other = self._merge_operand(other, "epsilon")
         merged: list[_Tuple] = []
         values: list[float] = []
         i = j = 0
@@ -262,6 +259,11 @@ class GKSketch(QuantileSketch):
     @property
     def num_tuples(self) -> int:
         return len(self._tuples)
+
+    def guarantee(self) -> Guarantee:
+        """Additive rank error ``epsilon`` (Greenwald & Khanna 2001) over
+        one stream; merged summaries measure above it (DESIGN §20)."""
+        return Guarantee("rank", self.epsilon)
 
     def size_bytes(self) -> int:
         return 24 * len(self._tuples) + 4 * 8

@@ -18,12 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.base import (
+    Guarantee,
     QuantileSketch,
     as_float_batch,
     validate_quantile,
 )
 from repro.core.gk import _Tuple
-from repro.errors import IncompatibleSketchError, InvalidValueError
+from repro.errors import InvalidValueError
 
 DEFAULT_EPSILON = 0.01
 
@@ -194,11 +195,7 @@ class GKArray(QuantileSketch):
 
     def merge(self, other: QuantileSketch) -> None:
         """Combine two GKArray summaries (summed error bounds, like GK)."""
-        other = self._merge_operand(other)
-        if not isinstance(other, GKArray):
-            raise IncompatibleSketchError(
-                f"cannot merge GKArray with {type(other).__name__}"
-            )
+        other = self._merge_operand(other, "epsilon")
         self._flush()
         if other._buffer:
             other = self._copy_flushed(other)
@@ -247,6 +244,11 @@ class GKArray(QuantileSketch):
     @property
     def num_tuples(self) -> int:
         return len(self._tuples)
+
+    def guarantee(self) -> Guarantee:
+        """Additive rank error ``epsilon``, as GK's (Luo et al. 2016);
+        merged summaries measure above it (DESIGN §20)."""
+        return Guarantee("rank", self.epsilon)
 
     def size_bytes(self) -> int:
         return (

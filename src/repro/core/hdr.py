@@ -21,11 +21,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.base import (
+    Guarantee,
     QuantileSketch,
     as_float_batch,
     validate_quantile,
 )
-from repro.errors import IncompatibleSketchError, InvalidValueError
+from repro.errors import InvalidValueError
 
 DEFAULT_SIGNIFICANT_DIGITS = 2
 DEFAULT_HIGHEST_TRACKABLE = 10.0 ** 9
@@ -193,18 +194,9 @@ class HdrHistogram(QuantileSketch):
     # ------------------------------------------------------------------
 
     def merge(self, other: QuantileSketch) -> None:
-        other = self._merge_operand(other)
-        if not isinstance(other, HdrHistogram):
-            raise IncompatibleSketchError(
-                f"cannot merge HdrHistogram with {type(other).__name__}"
-            )
-        if (
-            other.significant_digits != self.significant_digits
-            or other.highest_trackable_value != self.highest_trackable_value
-        ):
-            raise IncompatibleSketchError(
-                "HdrHistogram configurations differ"
-            )
+        other = self._merge_operand(
+            other, "significant_digits", "highest_trackable_value"
+        )
         self._counts += other._counts
         self._merge_bookkeeping(other)
 
@@ -216,6 +208,12 @@ class HdrHistogram(QuantileSketch):
     def num_buckets(self) -> int:
         """Non-empty count slots."""
         return int(np.count_nonzero(self._counts))
+
+    def guarantee(self) -> Guarantee:
+        """Relative error ``10^-digits``, HdrHistogram's value precision,
+        for values >= ``10^digits / 2``; below that the integer grid's
+        unit resolution governs."""
+        return Guarantee("relative", 10.0 ** -self.significant_digits)
 
     def size_bytes(self) -> int:
         # The whole (mostly sparse) counts array is allocated up front —

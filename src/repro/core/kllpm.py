@@ -22,16 +22,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.base import (
+    NO_GUARANTEE,
+    Guarantee,
     QuantileSketch,
     as_float_batch,
     validate_quantile,
 )
 from repro.core.kll import DEFAULT_MAX_COMPACTOR_SIZE, KLLSketch
-from repro.errors import (
-    EmptySketchError,
-    IncompatibleSketchError,
-    InvalidValueError,
-)
+from repro.errors import EmptySketchError, InvalidValueError
 
 
 class KLLPlusMinus(QuantileSketch):
@@ -145,10 +143,6 @@ class KLLPlusMinus(QuantileSketch):
 
     def merge(self, other: QuantileSketch) -> None:
         other = self._merge_operand(other)
-        if not isinstance(other, KLLPlusMinus):
-            raise IncompatibleSketchError(
-                f"cannot merge KLLPlusMinus with {type(other).__name__}"
-            )
         self._inserts.merge(other._inserts)
         if other._deletes.count:
             self._deletes.merge(other._deletes)
@@ -163,6 +157,12 @@ class KLLPlusMinus(QuantileSketch):
     @property
     def num_retained(self) -> int:
         return self._inserts.num_retained + self._deletes.num_retained
+
+    def guarantee(self) -> Guarantee:
+        """``none``: the net rank carries both KLL sketches' errors, which
+        scale with inserts plus deletes, and no cited constant bounds
+        that against the net count."""
+        return NO_GUARANTEE
 
     def size_bytes(self) -> int:
         return self._inserts.size_bytes() + self._deletes.size_bytes()

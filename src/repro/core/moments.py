@@ -25,6 +25,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.base import (
+    NO_GUARANTEE,
+    Guarantee,
     QuantileSketch,
     as_float_batch,
     validate_quantile,
@@ -38,7 +40,6 @@ from repro.core.maxent import (
 )
 from repro.errors import (
     EmptySketchError,
-    IncompatibleSketchError,
     InsufficientDataError,
     InvalidValueError,
     SolverError,
@@ -282,25 +283,9 @@ class MomentsSketch(QuantileSketch):
     # ------------------------------------------------------------------
 
     def merge(self, other: QuantileSketch) -> None:
-        other = self._merge_operand(other)
-        if not isinstance(other, MomentsSketch):
-            raise IncompatibleSketchError(
-                f"cannot merge MomentsSketch with {type(other).__name__}"
-            )
-        if other.num_moments != self.num_moments:
-            raise IncompatibleSketchError(
-                f"num_moments mismatch: {self.num_moments} vs "
-                f"{other.num_moments}"
-            )
-        if other.transform != self.transform:
-            raise IncompatibleSketchError(
-                f"transform mismatch: {self.transform!r} vs "
-                f"{other.transform!r}"
-            )
-        if other.log_moments != self.log_moments:
-            raise IncompatibleSketchError(
-                "cannot merge sketches with and without log moments"
-            )
+        other = self._merge_operand(
+            other, "num_moments", "transform", "log_moments"
+        )
         self._power_sums, self._origin = self._merge_sums(
             self._power_sums, self._origin,
             other._power_sums, other._origin,
@@ -540,6 +525,10 @@ class MomentsSketch(QuantileSketch):
         notes on why accumulation is centred.
         """
         return self._power_sums.copy()
+
+    def guarantee(self) -> Guarantee:
+        """``none``: the maximum-entropy fit has no cited error bound."""
+        return NO_GUARANTEE
 
     def size_bytes(self) -> int:
         # k + 1 power sums plus min/max in both domains and the count:

@@ -24,11 +24,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.base import (
+    NO_GUARANTEE,
+    Guarantee,
     QuantileSketch,
     WeightedSampleSketch,
     as_float_batch,
 )
-from repro.errors import IncompatibleSketchError, InvalidValueError
+from repro.errors import InvalidValueError
 
 DEFAULT_NUM_BUFFERS = 8
 DEFAULT_BUFFER_SIZE = 128
@@ -167,18 +169,7 @@ class RandomSketch(WeightedSampleSketch):
     # ------------------------------------------------------------------
 
     def merge(self, other: QuantileSketch) -> None:
-        other = self._merge_operand(other)
-        if not isinstance(other, RandomSketch):
-            raise IncompatibleSketchError(
-                f"cannot merge RandomSketch with {type(other).__name__}"
-            )
-        if (
-            other.buffer_size != self.buffer_size
-            or other.num_buffers != self.num_buffers
-        ):
-            raise IncompatibleSketchError(
-                "RandomSketch configurations differ"
-            )
+        other = self._merge_operand(other, "buffer_size", "num_buffers")
         for buffer in other._full:
             self._full.append(_Buffer(buffer.weight, list(buffer.items)))
         self._merge_bookkeeping(other)
@@ -196,6 +187,10 @@ class RandomSketch(WeightedSampleSketch):
     @property
     def num_retained(self) -> int:
         return sum(len(b.items) for b in self._full) + len(self._active)
+
+    def guarantee(self) -> Guarantee:
+        """``none``: no cited formula maps ``b`` x ``k`` to a bound."""
+        return NO_GUARANTEE
 
     def size_bytes(self) -> int:
         return 8 * self.num_retained + 8 * len(self._full) + 4 * 8

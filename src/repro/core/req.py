@@ -23,12 +23,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.base import (
+    NO_GUARANTEE,
     CoinFlips,
+    Guarantee,
     QuantileSketch,
     WeightedSampleSketch,
     as_float_batch,
 )
-from repro.errors import IncompatibleSketchError, InvalidValueError
+from repro.errors import InvalidValueError
 
 DEFAULT_NUM_SECTIONS = 30
 
@@ -270,15 +272,7 @@ class ReqSketch(WeightedSampleSketch):
     # ------------------------------------------------------------------
 
     def merge(self, other: QuantileSketch) -> None:
-        other = self._merge_operand(other)
-        if not isinstance(other, ReqSketch):
-            raise IncompatibleSketchError(
-                f"cannot merge ReqSketch with {type(other).__name__}"
-            )
-        if self.hra != other.hra:
-            raise IncompatibleSketchError(
-                "cannot merge HRA and LRA ReqSketch instances"
-            )
+        other = self._merge_operand(other, "hra", "num_sections")
         while len(self._compactors) < len(other._compactors):
             self._compactors.append(
                 _RelativeCompactor(self.num_sections, self.hra)
@@ -305,6 +299,12 @@ class ReqSketch(WeightedSampleSketch):
     @property
     def num_levels(self) -> int:
         return len(self._compactors)
+
+    def guarantee(self) -> Guarantee:
+        """``none``: the multiplicative rank bound of Cormode et al.
+        (arXiv 2004.01668) is asymptotic, with no constant for this
+        section schedule."""
+        return NO_GUARANTEE
 
     def size_bytes(self) -> int:
         # Matches the accounting behind Table 3: the Apache REQ

@@ -103,6 +103,9 @@ class BucketView:
 class BucketStore(abc.ABC):
     """Mapping from bucket index to count, ordered by index."""
 
+    #: Whether low buckets were folded into a floor (bounded stores).
+    is_collapsed = False
+
     @abc.abstractmethod
     def add(self, index: int, count: int = 1) -> None:
         """Add *count* occurrences to bucket *index*."""

@@ -21,11 +21,13 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.base import (
+    NO_GUARANTEE,
+    Guarantee,
     QuantileSketch,
     as_float_batch,
     validate_quantile,
 )
-from repro.errors import IncompatibleSketchError, InvalidValueError
+from repro.errors import InvalidValueError
 
 DEFAULT_COMPRESSION = 100.0
 
@@ -186,10 +188,6 @@ class TDigest(QuantileSketch):
 
     def merge(self, other: QuantileSketch) -> None:
         other = self._merge_operand(other)
-        if not isinstance(other, TDigest):
-            raise IncompatibleSketchError(
-                f"cannot merge TDigest with {type(other).__name__}"
-            )
         self._flush()
         means = np.concatenate([self._means, other._means])
         counts = np.concatenate([self._counts, other._counts])
@@ -212,6 +210,10 @@ class TDigest(QuantileSketch):
     def num_centroids(self) -> int:
         self._flush()
         return int(self._means.size)
+
+    def guarantee(self) -> Guarantee:
+        """``none``: t-digest's accuracy is empirical (Sec 5.2.4)."""
+        return NO_GUARANTEE
 
     def size_bytes(self) -> int:
         return (

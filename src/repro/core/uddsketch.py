@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.base import QuantileSketch
+from repro.core.base import Guarantee, QuantileSketch
 from repro.core.ddsketch import DDSketch
 from repro.core.mapping import (
     LogarithmicMapping,
@@ -163,10 +163,6 @@ class UDDSketch(DDSketch):
 
     def merge(self, other: QuantileSketch) -> None:
         other = self._merge_operand(other)
-        if not isinstance(other, UDDSketch):
-            raise IncompatibleSketchError(
-                f"cannot merge UDDSketch with {type(other).__name__}"
-            )
         # Align collapse levels: the coarser sketch wins, so the finer
         # one is collapsed to its level (*other* through collapsed
         # copies of its stores).  Both levels are settled before either
@@ -227,21 +223,16 @@ class UDDSketch(DDSketch):
         """Accuracy the sketch started with, before any collapse."""
         return self._initial_alpha
 
-    @property
-    def current_guarantee(self) -> float:
-        """Relative-error guarantee currently in force.
-
-        Equal to ``tanh(atanh(alpha0) * 2**collapses)``; while fewer than
-        the budgeted collapses have happened this is *tighter* than
-        ``final_alpha``, which is why UDDSketch's measured accuracy beats
-        its nominal threshold throughout Sec 4.5.
-        """
-        return alpha_after_collapses(self._initial_alpha, self._collapses)
-
-    @property
-    def within_budget(self) -> bool:
-        """Whether the collapse budget has not been exceeded yet."""
-        return self._collapses <= self.collapse_budget
+    def guarantee(self) -> Guarantee:
+        """Relative error ``tanh(atanh(alpha0) * 2**collapses)`` (Epicoco
+        et al., arXiv 2004.08604).  Until the budgeted collapses have
+        happened it is *tighter* than ``final_alpha``, which is why
+        UDDSketch's measured accuracy beats its nominal threshold
+        throughout Sec 4.5."""
+        return Guarantee(
+            "relative",
+            alpha_after_collapses(self._initial_alpha, self._collapses),
+        )
 
     def size_bytes(self) -> int:
         # DDSketch payload plus the collapse bookkeeping words.

@@ -7,8 +7,11 @@ their own sketch should verify:
 
 * basic bookkeeping (count, min/max, empty-sketch errors);
 * quantile sanity (monotone in q, inside the observed range);
-* a configurable accuracy budget against exact quantiles;
-* merge-equals-concatenation within the same budget;
+* accuracy against exact quantiles, within the sketch's own
+  :meth:`~repro.core.base.QuantileSketch.guarantee`: relative value
+  error for a ``relative`` bound, rank error for a ``rank`` one, and
+  :data:`UNGUARANTEED_RANK_BUDGET` for any other;
+* merge-equals-concatenation within twice that;
 * serialization round-trip (skipped when the sketch has no codec).
 
 Returns a :class:`ConformanceReport` listing each check's outcome
@@ -28,6 +31,10 @@ from repro.core.base import QuantileSketch
 from repro.errors import EmptySketchError, ReproError, SerializationError
 
 DEFAULT_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)
+
+#: Rank error allowed a sketch whose guarantee is ``none``, or
+#: ``relative_rank``, whose bound depends on the end the sketch favours.
+UNGUARANTEED_RANK_BUDGET = 0.05
 
 
 @dataclass
@@ -60,28 +67,22 @@ class ConformanceReport:
         return "\n".join(str(check) for check in self.checks)
 
 
-def _exact_quantile(sorted_values: np.ndarray, q: float) -> float:
-    rank = max(math.ceil(q * sorted_values.size), 1)
-    return float(sorted_values[rank - 1])
-
-
 def check_conformance(
     factory: Callable[[], QuantileSketch],
     n: int = 20_000,
     seed: int = 0,
-    rank_error_budget: float = 0.05,
     value_range: tuple[float, float] = (1.0, 1_000.0),
     skip: set[str] | frozenset[str] = frozenset(),
 ) -> ConformanceReport:
     """Run the conformance battery against *factory*'s sketches.
 
-    *rank_error_budget* is the additive rank error allowed at every
-    checked quantile (sketches with relative-error guarantees pass far
-    inside it); *value_range* bounds the uniform test stream, letting
-    domain-restricted sketches (e.g. a bounded-universe DCS) be tested
-    inside their domain.  *skip* names checks to leave out for sketches
-    that deviate from the contract by design (e.g. DCS floors values,
-    so its min/max reflect the floored stream).
+    Each sketch is held to its own :meth:`guarantee` at every checked
+    quantile (see the module docstring).  *value_range* bounds the
+    uniform test stream, letting domain-restricted sketches (e.g. a
+    bounded-universe DCS) be tested inside their domain.  *skip* names
+    checks to leave out for sketches that deviate from the contract by
+    design (e.g. DCS floors values, so its min/max reflect the floored
+    stream).
     """
     report = ConformanceReport()
     rng = np.random.default_rng(seed)
@@ -153,20 +154,34 @@ def check_conformance(
 
     record("estimates within observed range", in_range)
 
-    def accuracy() -> str:
+    def worst_error(estimator: QuantileSketch) -> tuple[str, float, float]:
+        """The measured kind, the worst error over the checked
+        quantiles and the bound the sketch's guarantee sets on it."""
+        guarantee = estimator.guarantee()
+        kind, bound = guarantee.kind, guarantee.eps
+        if kind not in ("relative", "rank"):
+            kind, bound = "rank", UNGUARANTEED_RANK_BUDGET
         worst = 0.0
         for q in DEFAULT_QUANTILES:
-            estimate = sketch.quantile(q)
-            realised = np.searchsorted(
-                sorted_data, estimate, side="right"
-            ) / n
-            worst = max(worst, abs(realised - q))
-        if worst > rank_error_budget:
+            estimate = estimator.quantile(q)
+            if kind == "relative":
+                true = sorted_data[max(math.ceil(q * n), 1) - 1]
+                error = abs(estimate - true) / abs(true)
+            else:
+                realised = np.searchsorted(
+                    sorted_data, estimate, side="right"
+                ) / n
+                error = abs(realised - q)
+            worst = max(worst, float(error))
+        return kind, worst, bound
+
+    def accuracy() -> str:
+        kind, worst, bound = worst_error(sketch)
+        if worst > bound + 1e-9:
             raise AssertionError(
-                f"rank error {worst:.4f} exceeds budget "
-                f"{rank_error_budget}"
+                f"{kind} error {worst:.4f} exceeds budget {bound:.4g}"
             )
-        return f"worst rank error {worst:.4f}"
+        return f"worst {kind} error {worst:.4f} (budget {bound:.4g})"
 
     record("accuracy budget", accuracy)
 
@@ -179,18 +194,13 @@ def check_conformance(
         left.merge(right)
         if left.count != n:
             raise AssertionError("merged count wrong")
-        worst = 0.0
-        for q in DEFAULT_QUANTILES:
-            estimate = left.quantile(q)
-            realised = np.searchsorted(
-                sorted_data, estimate, side="right"
-            ) / n
-            worst = max(worst, abs(realised - q))
-        if worst > 2 * rank_error_budget:
+        kind, worst, bound = worst_error(left)
+        if worst > 2 * bound + 1e-9:
             raise AssertionError(
-                f"merged rank error {worst:.4f} exceeds merge budget"
+                f"merged {kind} error {worst:.4f} exceeds merge budget "
+                f"{2 * bound:.4g}"
             )
-        return f"worst merged rank error {worst:.4f}"
+        return f"worst merged {kind} error {worst:.4f}"
 
     record("merge equals concatenation", merge_consistency)
 

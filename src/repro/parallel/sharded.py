@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.base import QuantileSketch, as_float_batch
+from repro.core.base import Guarantee, QuantileSketch, as_float_batch
 from repro.errors import InvalidValueError
 
 
@@ -229,6 +229,10 @@ class ShardedSketch(QuantileSketch):
     def shard_counts(self) -> list[int]:
         """Per-shard item counts (balance diagnostics)."""
         return [shard.count for shard in self._shards]
+
+    def guarantee(self) -> Guarantee:
+        """The bound of the merged view the queries read."""
+        return self._merged_view().guarantee()
 
     def size_bytes(self) -> int:
         """Footprint of the shard array (the cached view is transient

@@ -2,7 +2,7 @@
 """Known-good: full interface, delegated bookkeeping, abstract base."""
 import abc
 
-from repro.core.base import QuantileSketch
+from repro.core.base import NO_GUARANTEE, QuantileSketch
 
 
 class GoodSketch(QuantileSketch):
@@ -19,6 +19,9 @@ class GoodSketch(QuantileSketch):
 
     def size_bytes(self):
         return 0
+
+    def guarantee(self):
+        return NO_GUARANTEE
 
 
 class DelegatingSketch(QuantileSketch):
@@ -40,6 +43,9 @@ class DelegatingSketch(QuantileSketch):
 
     def size_bytes(self):
         return 0
+
+    def guarantee(self):
+        return NO_GUARANTEE
 
 
 class AbstractVariant(QuantileSketch):

@@ -204,7 +204,7 @@ class TestStores:
         sketch = DDSketch(alpha=0.01, store="collapsing", max_bins=128)
         sketch.update_batch(data)
         assert sketch._positive._counts.size <= 128
-        assert sketch.is_collapsed
+        assert sketch.guarantee().kind == "none"
 
     def test_collapsing_store_keeps_upper_quantile_guarantee(self, rng):
         data = 10.0 ** rng.uniform(-6, 6, 50_000)

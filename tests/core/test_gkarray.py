@@ -131,6 +131,18 @@ class TestLifecycle:
         with pytest.raises(IncompatibleSketchError):
             GKArray().merge(GKSketch())
 
+    @pytest.mark.parametrize("cls", [GKSketch, GKArray])
+    def test_merge_refuses_a_different_epsilon(self, cls, rng):
+        a, b = cls(0.001), cls(0.2)
+        # 2,100 leaves GKArray's buffer unflushed: a merge that moved
+        # before refusing would show in its bytes.
+        a.update_batch(rng.uniform(0, 1, 2_100))
+        b.update_batch(rng.uniform(0, 1, 2_100))
+        before = dumps(a), dumps(b)
+        with pytest.raises(IncompatibleSketchError):
+            a.merge(b)
+        assert (dumps(a), dumps(b)) == before
+
     def test_serialization_round_trip(self, rng):
         sketch = GKArray(epsilon=0.02)
         sketch.update_batch(rng.uniform(0, 100, 10_000))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DDSketch, KLLSketch
+from repro.core import DDSketch, KLLSketch, dumps
 from repro.errors import (
     EmptySketchError,
     IncompatibleSketchError,
@@ -101,17 +101,19 @@ class TestAccuracy:
         data = rng.uniform(0, 1, 100_000)
         sketch.update_batch(data)
         s = np.sort(data)
-        bound = 3 * sketch.expected_rank_error()  # ~3 sigma headroom
+        bound = 3 * sketch.guarantee().eps  # ~3 sigma headroom
         for q in (0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99):
             est = sketch.quantile(q)
             rank = np.searchsorted(s, est, side="right") / s.size
             assert abs(rank - q) <= bound, (q, rank)
 
-    def test_expected_rank_error_matches_paper(self):
-        # Sec 4.2: k = 350 gives ~0.97% expected rank error.
-        assert KLLSketch(350).expected_rank_error() == pytest.approx(
-            0.0097, abs=0.0005
-        )
+    def test_guarantee_matches_paper(self):
+        # Sec 4.2: k = 350 gives ~0.97% rank error, which DataSketches
+        # states at 99% confidence.
+        guarantee = KLLSketch(350).guarantee()
+        assert guarantee.kind == "rank"
+        assert guarantee.eps == pytest.approx(0.0097, abs=0.0005)
+        assert guarantee.confidence == 0.99
 
     def test_high_relative_error_on_pareto_tail(self, rng):
         # Sec 4.5.1: small rank error is a large relative error at the
@@ -171,6 +173,16 @@ class TestMerge:
     def test_merge_wrong_type(self):
         with pytest.raises(IncompatibleSketchError):
             KLLSketch().merge(DDSketch())
+
+    def test_merge_refuses_a_different_k(self, rng):
+        # A k = 8 operand would leave k = 350's bound far from true.
+        a, b = KLLSketch(350, seed=1), KLLSketch(8, seed=2)
+        a.update_batch(rng.uniform(0, 1, 5_000))
+        b.update_batch(rng.uniform(0, 1, 5_000))
+        before = dumps(a), dumps(b)
+        with pytest.raises(IncompatibleSketchError):
+            a.merge(b)
+        assert (dumps(a), dumps(b)) == before
 
 
 class TestRank:

@@ -101,6 +101,18 @@ class TestMerge:
         with pytest.raises(IncompatibleSketchError):
             KLLPlusMinus().merge(KLLSketch())
 
+    def test_merge_refuses_a_different_k(self, rng):
+        # Refused by the inner insert sketches, before either moves.
+        a, b = KLLPlusMinus(350, seed=1), KLLPlusMinus(8, seed=2)
+        for pm in (a, b):
+            data = rng.uniform(0, 1, 5_000)
+            pm.update_batch(data)
+            pm.delete_batch(data[:1_000])
+        before = dumps(a), dumps(b)
+        with pytest.raises(IncompatibleSketchError):
+            a.merge(b)
+        assert (dumps(a), dumps(b)) == before
+
 
 class TestSerialization:
     def test_round_trip_with_deletions(self, rng):

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.base import QuantileSketch
+from repro.core.base import NO_GUARANTEE, QuantileSketch
 from repro.core.registry import SKETCH_CLASSES, paper_config
 from repro.core.serialization import dumps
 from repro.errors import InvalidValueError
@@ -84,6 +84,9 @@ def test_observe_helpers_reject_nan_before_mutating():
 
         def size_bytes(self):
             return 0
+
+        def guarantee(self):
+            return NO_GUARANTEE
 
     sketch = Minimal()
     with pytest.raises(InvalidValueError):

@@ -82,13 +82,13 @@ class TestDDSketchProperties:
 class TestUDDSketchProperties:
     @given(values=value_lists, q=quantiles)
     @settings(max_examples=80, deadline=None)
-    def test_current_guarantee_always_holds(self, values, q):
+    def test_guarantee_always_holds(self, values, q):
         sketch = UDDSketch(final_alpha=0.05, num_collapses=6,
                            max_buckets=64)
         sketch.update_batch(values)
         true = exact_quantile(values, q)
         est = sketch.quantile(q)
-        assert abs(est - true) / true <= sketch.current_guarantee + 1e-9
+        assert abs(est - true) / true <= sketch.guarantee().eps + 1e-9
 
     @given(values=value_lists)
     @settings(max_examples=40, deadline=None)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import KLLSketch, ReqSketch
+from repro.core import KLLSketch, ReqSketch, dumps
 from repro.core.base import CoinFlips
 from repro.core.req import _RelativeCompactor, _trailing_ones
 from repro.errors import (
@@ -176,6 +176,15 @@ class TestMerge:
     def test_merge_wrong_type(self):
         with pytest.raises(IncompatibleSketchError):
             ReqSketch().merge(KLLSketch())
+
+    def test_merge_rejects_a_different_k(self, rng):
+        a, b = ReqSketch(30, seed=1), ReqSketch(4, seed=2)
+        a.update_batch(rng.uniform(0, 1, 5_000))
+        b.update_batch(rng.uniform(0, 1, 5_000))
+        before = dumps(a), dumps(b)
+        with pytest.raises(IncompatibleSketchError):
+            a.merge(b)
+        assert (dumps(a), dumps(b)) == before
 
 
 class TestQueries:

@@ -120,7 +120,7 @@ class UDDSketchMachine(RuleBasedStateMachine):
     def check_quantile(self, q):
         true = exact_quantile(sorted(self.oracle), q)
         est = self.sketch.quantile(q)
-        guarantee = self.sketch.current_guarantee
+        guarantee = self.sketch.guarantee().eps
         assert abs(est - true) / true <= guarantee + 1e-9
 
     @invariant()

@@ -52,22 +52,22 @@ class TestUniformCollapse:
         sketch = UDDSketch(final_alpha=0.01, num_collapses=12,
                            max_buckets=1024)
         sketch.update_batch(1.0 + rng.pareto(1.0, 50_000))
-        assert sketch.within_budget
+        assert sketch.num_collapses <= sketch.collapse_budget
         # Sec 4.5.5: the realised threshold is much lower than 0.01.
-        assert sketch.current_guarantee < 0.01
+        assert sketch.guarantee().eps < 0.01
 
-    def test_error_within_current_guarantee(self, rng):
+    def test_error_within_guarantee(self, rng):
         data = 10.0 ** rng.uniform(-2, 4, 30_000)
         sketch = UDDSketch(final_alpha=0.01, num_collapses=12,
                            max_buckets=1024)
         sketch.update_batch(data)
-        guarantee = sketch.current_guarantee
+        guarantee = sketch.guarantee().eps
         for q, true in true_quantiles(
             data, (0.05, 0.25, 0.5, 0.9, 0.99)
         ).items():
             assert abs(sketch.quantile(q) - true) / true <= guarantee + 1e-9
 
-    def test_tighter_guarantee_than_ddsketch_within_budget(
+    def test_tighter_guarantee_than_ddsketch_before_budget_spent(
         self, pareto_data
     ):
         # Sec 4.5.5: UDDSketch's *realised* guarantee stays tighter than
@@ -77,12 +77,12 @@ class TestUniformCollapse:
         dds = DDSketch(alpha=0.01)
         udd.update_batch(pareto_data)
         dds.update_batch(pareto_data)
-        assert udd.current_guarantee < dds.alpha
+        assert udd.guarantee().eps < dds.guarantee().eps
         true = true_quantiles(pareto_data, (0.25, 0.5, 0.75, 0.9, 0.99))
         worst_udd = max(
             abs(udd.quantile(q) - t) / t for q, t in true.items()
         )
-        assert worst_udd <= udd.current_guarantee + 1e-9
+        assert worst_udd <= udd.guarantee().eps + 1e-9
 
 
 class TestMerge:

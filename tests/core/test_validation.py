@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import SKETCH_CLASSES, paper_config
-from repro.core.base import QuantileSketch
+from repro.core import SKETCH_CLASSES, DDSketch, KLLSketch, paper_config
+from repro.core.base import NO_GUARANTEE, Guarantee, QuantileSketch
 from repro.core.validation import check_conformance
 from repro.errors import EmptySketchError
 
@@ -20,6 +20,10 @@ class TestLibrarySketchesConform:
             lambda: paper_config(name, seed=1), n=20_000
         )
         assert report.ok, "\n" + str(report)
+        # A stated bound is checked as stated: tighter than the 0.05
+        # rank budget the unguaranteed sketches get.
+        guarantee = paper_config(name).guarantee()
+        assert guarantee.kind == "none" or guarantee.eps < 0.05
 
     def test_gk_passes_at_reduced_size(self):
         report = check_conformance(
@@ -58,10 +62,26 @@ class TestCheckerCatchesBrokenSketches:
             def size_bytes(self):
                 return 24
 
+            def guarantee(self):
+                return NO_GUARANTEE
+
         report = check_conformance(Biased, n=2_000)
         assert not report.ok
         failed = {check.name for check in report.failures}
         assert "accuracy budget" in failed
+
+    @pytest.mark.parametrize("base, claim", [
+        (KLLSketch, Guarantee("rank", 1e-4)),
+        (DDSketch, Guarantee("relative", 1e-4)),
+    ])
+    def test_holds_a_sketch_to_its_own_guarantee(self, base, claim):
+        class Overclaiming(base):
+            def guarantee(self):
+                return claim
+
+        report = check_conformance(Overclaiming, n=5_000)
+        failed = {check.name for check in report.failures}
+        assert failed == {"accuracy budget", "merge equals concatenation"}
 
     def test_flags_broken_count(self):
         class MiscountingDD(QuantileSketch):
@@ -85,6 +105,9 @@ class TestCheckerCatchesBrokenSketches:
             def size_bytes(self):
                 return self._inner.size_bytes()
 
+            def guarantee(self):
+                return self._inner.guarantee()
+
         report = check_conformance(MiscountingDD, n=1_000)
         assert not report.ok
         failed = {check.name for check in report.failures}
@@ -103,6 +126,9 @@ class TestCheckerCatchesBrokenSketches:
 
             def size_bytes(self):
                 return 8
+
+            def guarantee(self):
+                return NO_GUARANTEE
 
         report = check_conformance(NeverEmpty, n=1_000)
         failed = {check.name for check in report.failures}

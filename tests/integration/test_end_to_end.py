@@ -77,7 +77,7 @@ class TestDistributedRoundTrip:
         for q in (0.5, 0.9, 0.99):
             true = true_quantile(all_data, q)
             assert relative_error(true, merged.quantile(q)) <= (
-                merged.current_guarantee + 1e-9
+                merged.guarantee().eps + 1e-9
             )
 
 
