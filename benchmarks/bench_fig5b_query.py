@@ -11,7 +11,6 @@ import pytest
 
 from repro.core import paper_config
 from repro.experiments.config import DEFAULT_SKETCHES
-from repro.experiments.speed import _invalidate_query_caches
 from repro.metrics.errors import PAPER_QUANTILES
 
 #: Fill sizes swept per sketch; the paper sweeps 10k .. 1B.
@@ -26,7 +25,7 @@ def bench_query(benchmark, sketch_name, fill_size, speed_values):
     sketch.update_batch(values)
 
     def query_all():
-        _invalidate_query_caches(sketch)
+        sketch._drop_query_caches()
         return sketch.quantiles(PAPER_QUANTILES)
 
     estimates = benchmark(query_all)

@@ -36,6 +36,7 @@ import abc
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Any,
     Callable,
@@ -367,6 +368,15 @@ class QuantileSketch(abc.ABC):
         self._require_nonempty()
         return self.rank(value) / self._count
 
+    def _drop_query_caches(self) -> None:
+        """Forget what a read memoised, so the next read is cold.
+
+        Moments (its fitted density) and :class:`WeightedSampleSketch`
+        (its sorted sealed sample) override this and call it whenever
+        that state goes stale; Fig 5b calls it to time cold reads.  The
+        default keeps nothing.
+        """
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -426,46 +436,112 @@ class WeightedSampleSketch(QuantileSketch):
     """A sketch answering from retained items with integer weights.
 
     KLL, REQ and Random select by cumulative weight over their sorted
-    sample, so every estimate is a stream value.  :meth:`quantiles`
-    sorts that sample once for all its *qs*; each subclass's
-    ``quantile`` is the one-element case.
+    sample, so every estimate is a stream value.  The sample is one
+    *live* run of weight 1 — the only one a plain update touches (KLL's
+    and REQ's level 0, Random's active buffer) — and the *sealed* runs,
+    which change only when a compaction, a collapse, a seal or a merge
+    runs.  :meth:`_weighted_samples` keeps the sealed runs sorted
+    between reads and merges the sorted live run into them, so a read
+    pays for what changed since the last one (DESIGN §21).  Every path
+    that can touch a sealed run calls :meth:`_drop_query_caches` once
+    per call.  :meth:`quantiles` sorts the sample once for all its
+    *qs*; each subclass's ``quantile`` is the one-element case.
     """
 
+    #: Whether the live run comes first in the run order, so its items
+    #: precede equal sealed ones (KLL, REQ); Random's comes last.
+    _live_first = True
+    #: Whether each run is sorted on its own (``np.sort``) before the
+    #: stable merge, which fixes where ``-0.0``/``0.0`` ties land (REQ).
+    _sort_each_run = False
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._sealed: tuple[np.ndarray, np.ndarray] | None = None
+
     @abc.abstractmethod
-    def _weighted_runs(self) -> Iterable[tuple[Any, int]]:
-        """The retained items as ``(items, weight)`` runs, in a fixed
-        order: equal values keep it in the sorted sample."""
+    def _live_run(self) -> list[float]:
+        """The weight-1 items a plain update appends to."""
+
+    @abc.abstractmethod
+    def _sealed_runs(self) -> list[tuple[list[float], int]]:
+        """The other retained items as ``(items, weight)`` runs, in a
+        fixed order: equal values keep it in the sorted sample."""
+
+    def _drop_query_caches(self) -> None:
+        self._sealed = None
 
     def _weighted_samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """Retained values sorted ascending, with their int64 weights."""
-        runs = [
-            (np.asarray(items, dtype=np.float64), weight)
-            for items, weight in self._weighted_runs()
-            if len(items)
-        ]
-        values = np.concatenate([items for items, _ in runs])
-        weights = np.concatenate([
-            np.full(items.size, weight, dtype=np.int64)
-            for items, weight in runs
-        ])
+        """Retained values sorted ascending, with their int64 weights:
+        the stable sort of all runs in their order.  A warm read merges
+        the sorted live run into the kept sealed sample."""
+        sealed = self._sealed
+        if sealed is None:
+            return self._sort_all_runs()
+        values, weights = sealed
+        live = np.array(self._live_run(), dtype=np.float64)
+        if not live.size:
+            return values, weights
+        live.sort(kind=None if self._sort_each_run else "stable")
+        side = "left" if self._live_first else "right"
+        # Live item i lands at its insert point among the sealed items,
+        # shifted by the i live items before it.
+        at = np.searchsorted(values, live, side=side)
+        at += np.arange(live.size)
+        merged = np.empty(values.size + live.size, dtype=np.float64)
+        merged_weights = np.ones(merged.size, dtype=np.int64)
+        sealed_at = np.ones(merged.size, dtype=bool)
+        sealed_at[at] = False
+        merged[at] = live
+        merged[sealed_at] = values
+        merged_weights[sealed_at] = weights
+        return merged, merged_weights
+
+    def _sort_all_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """A cold read: every run in one stable sort.  Its sealed items,
+        in the order it leaves them, are the sample kept until
+        :meth:`_drop_query_caches`; readers share those arrays and never
+        write to them."""
+        live = self._live_run()
+        runs = self._sealed_runs()
+        runs = [(live, 1), *runs] if self._live_first else [*runs, (live, 1)]
+        lengths = [len(items) for items, _ in runs]
+        values = np.fromiter(
+            chain.from_iterable(items for items, _ in runs),
+            dtype=np.float64,
+            count=sum(lengths),
+        )
+        if self._sort_each_run:
+            start = 0
+            for length in lengths:
+                values[start:start + length].sort()
+                start += length
+        weights = np.repeat(
+            np.array([w for _, w in runs], dtype=np.int64), lengths
+        )
         order = np.argsort(values, kind="stable")
-        return values[order], weights[order]
+        values, weights = values[order], weights[order]
+        live_start = 0 if self._live_first else values.size - len(live)
+        sealed = (order < live_start) | (order >= live_start + len(live))
+        self._sealed = (values[sealed], weights[sealed])
+        return values, weights
 
     def quantiles(self, qs: Iterable[float]) -> list[float]:
-        estimates: list[float] = []
-        for q in qs:
-            q = validate_quantile(q)
-            if not estimates:
-                self._require_nonempty()
-                values, weights = self._weighted_samples()
-                cumulative = np.cumsum(weights)
-            # The q-quantile is the item of rank ceil(q * N) (Sec 2.1);
-            # the retained weights sum to a value near (not exactly) the
-            # stream length, so select against the retained total.
-            target = math.ceil(q * cumulative[-1])
-            pos = int(np.searchsorted(cumulative, target, side="left"))
-            estimates.append(float(values[min(pos, values.size - 1)]))
-        return estimates
+        wanted = list(qs)
+        if not wanted:
+            return []
+        checked = [validate_quantile(wanted[0])]
+        self._require_nonempty()
+        checked += [validate_quantile(q) for q in wanted[1:]]
+        values, weights = self._weighted_samples()
+        cumulative = np.cumsum(weights)
+        # The q-quantile is the item of rank ceil(q * N) (Sec 2.1); the
+        # retained weights sum to a value near (not exactly) the stream
+        # length, so select against the retained total.
+        total = int(cumulative[-1])
+        at = np.searchsorted(cumulative, [math.ceil(q * total) for q in checked])
+        result: list[float] = values.take(at, mode="clip").tolist()
+        return result
 
     def rank(self, value: float) -> int:
         self._require_nonempty()

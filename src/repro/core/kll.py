@@ -9,10 +9,12 @@ geometrically (factor ``c = 2/3``) below the top level with a floor of
 two, which plays the role of the sampler in the original construction and
 gives the ``O((1/eps) * sqrt(log(1/eps)))`` space bound.
 
-Quantile queries materialise the retained (value, weight) pairs, sort
-them, and select by cumulative weight — so estimates are always actual
-stream values, and the sketch occasionally returns the exact quantile
-(the zero-error runs visible in the paper's Fig 6).
+Quantile queries select by cumulative weight over the retained (value,
+weight) pairs in sorted order — so estimates are always actual stream
+values, and the sketch occasionally returns the exact quantile (the
+zero-error runs visible in the paper's Fig 6).  Levels above 0 change
+only when a compaction or a merge runs, so they stay sorted between
+queries and a read sorts only level 0 (``WeightedSampleSketch``).
 """
 
 from __future__ import annotations
@@ -114,6 +116,7 @@ class KLLSketch(WeightedSampleSketch):
         self._retained += 1
         self._observe(value)
         if self._retained > self._capacity_cache:
+            self._drop_query_caches()
             with CoinFlips(self._rng) as flip:
                 self._compress(flip)
 
@@ -144,6 +147,7 @@ class KLLSketch(WeightedSampleSketch):
             extend(items)
             self._retained = retained + total
             return
+        self._drop_query_caches()
         capacities = self._capacities
         top = len(compactors) - 1
         pos = 0
@@ -212,8 +216,14 @@ class KLLSketch(WeightedSampleSketch):
     # Queries
     # ------------------------------------------------------------------
 
-    def _weighted_runs(self) -> list[tuple[list[float], int]]:
-        return [(buffer, 1 << h) for h, buffer in enumerate(self._compactors)]
+    def _live_run(self) -> list[float]:
+        return self._compactors[0]
+
+    def _sealed_runs(self) -> list[tuple[list[float], int]]:
+        return [
+            (buffer, 1 << h)
+            for h, buffer in enumerate(self._compactors[1:], start=1)
+        ]
 
     def quantile(self, q: float) -> float:
         return self.quantiles((q,))[0]
@@ -224,6 +234,7 @@ class KLLSketch(WeightedSampleSketch):
 
     def merge(self, other: QuantileSketch) -> None:
         other = self._merge_operand(other, "max_compactor_size")
+        self._drop_query_caches()
         grow = len(other._compactors) - len(self._compactors)
         if grow > 0:  # the schedule depends on the number of levels only
             self._compactors.extend([] for _ in range(grow))

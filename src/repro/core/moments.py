@@ -374,6 +374,9 @@ class MomentsSketch(QuantileSketch):
             self._power_sums, self._t_min, self._t_max, self._origin
         )
 
+    def _drop_query_caches(self) -> None:
+        self._solution = None
+
     def _solve(self) -> MaxEntSolution:
         self._require_nonempty()
         if self._count < MIN_CARDINALITY:

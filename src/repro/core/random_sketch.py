@@ -58,6 +58,8 @@ class RandomSketch(WeightedSampleSketch):
     """
 
     name = "random"
+    #: The active buffer is the last run: it follows equal sealed items.
+    _live_first = False
 
     def __init__(
         self,
@@ -108,6 +110,7 @@ class RandomSketch(WeightedSampleSketch):
                 self._seal_active()
 
     def _seal_active(self) -> None:
+        self._drop_query_caches()
         self._full.append(_Buffer(1, self._active))
         self._active = []
         while len(self._full) >= self.num_buffers:
@@ -157,9 +160,11 @@ class RandomSketch(WeightedSampleSketch):
     # Queries
     # ------------------------------------------------------------------
 
-    def _weighted_runs(self) -> list[tuple[list[float], int]]:
-        runs = [(buffer.items, buffer.weight) for buffer in self._full]
-        return runs + [(self._active, 1)]
+    def _live_run(self) -> list[float]:
+        return self._active
+
+    def _sealed_runs(self) -> list[tuple[list[float], int]]:
+        return [(buffer.items, buffer.weight) for buffer in self._full]
 
     def quantile(self, q: float) -> float:
         return self.quantiles((q,))[0]
@@ -170,6 +175,7 @@ class RandomSketch(WeightedSampleSketch):
 
     def merge(self, other: QuantileSketch) -> None:
         other = self._merge_operand(other, "buffer_size", "num_buffers")
+        self._drop_query_caches()
         for buffer in other._full:
             self._full.append(_Buffer(buffer.weight, list(buffer.items)))
         self._merge_bookkeeping(other)

@@ -146,6 +146,8 @@ class ReqSketch(WeightedSampleSketch):
     """
 
     name = "req"
+    #: Each level is sorted on its own before the stable merge.
+    _sort_each_run = True
 
     def __init__(
         self,
@@ -183,6 +185,7 @@ class ReqSketch(WeightedSampleSketch):
         self._retained += 1
         self._observe(value)
         if len(level0.buffer) >= level0.nom_capacity:
+            self._drop_query_caches()
             with CoinFlips(self._rng) as flip:
                 self._compress(flip)
 
@@ -201,6 +204,7 @@ class ReqSketch(WeightedSampleSketch):
         if len(buffer) + total < level0.nom_capacity:  # no walk: no coins
             buffer.extend(items)
             return
+        self._drop_query_caches()
         pos = 0
         with CoinFlips(self._rng) as flip:
             while pos < total:
@@ -250,6 +254,7 @@ class ReqSketch(WeightedSampleSketch):
     def _adopt_levels(self, compactors: list[_RelativeCompactor]) -> None:
         """Take *compactors* as the hierarchy (the decoder's levels).  Any
         of them may sit at capacity, so the next walk visits them all."""
+        self._drop_query_caches()
         self._compactors = compactors
         self._retained = sum(len(c.buffer) for c in compactors)
         self._overfull_top = len(compactors) - 1
@@ -258,10 +263,13 @@ class ReqSketch(WeightedSampleSketch):
     # Queries
     # ------------------------------------------------------------------
 
-    def _weighted_runs(self) -> list[tuple[np.ndarray, int]]:
+    def _live_run(self) -> list[float]:
+        return self._compactors[0].buffer
+
+    def _sealed_runs(self) -> list[tuple[list[float], int]]:
         return [
-            (np.sort(np.asarray(compactor.buffer, dtype=np.float64)), 1 << h)
-            for h, compactor in enumerate(self._compactors)
+            (compactor.buffer, 1 << h)
+            for h, compactor in enumerate(self._compactors[1:], start=1)
         ]
 
     def quantile(self, q: float) -> float:
@@ -273,6 +281,7 @@ class ReqSketch(WeightedSampleSketch):
 
     def merge(self, other: QuantileSketch) -> None:
         other = self._merge_operand(other, "hra", "num_sections")
+        self._drop_query_caches()
         while len(self._compactors) < len(other._compactors):
             self._compactors.append(
                 _RelativeCompactor(self.num_sections, self.hra)

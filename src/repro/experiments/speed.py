@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.base import QuantileSketch
 from repro.core.registry import paper_config
 from repro.data.distributions import Binomial, Pareto, Uniform, Zipf
 from repro.experiments.config import (
@@ -129,22 +128,12 @@ def measure_query(
             sketch.quantiles(PAPER_QUANTILES)  # warm-up / solver prime
             start = time.perf_counter()
             for _ in range(repetitions):
-                _invalidate_query_caches(sketch)
+                sketch._drop_query_caches()  # the paper times cold reads
                 sketch.quantiles(PAPER_QUANTILES)
             elapsed = time.perf_counter() - start
             result.seconds_per_op[name] = elapsed / repetitions
         results[size] = result
     return results
-
-
-def _invalidate_query_caches(sketch: QuantileSketch) -> None:
-    """Force sketches with memoised query state to recompute.
-
-    Moments Sketch caches its fitted density between updates; the paper
-    measures cold queries, so the cache is dropped between repetitions.
-    """
-    if hasattr(sketch, "_solution"):
-        sketch._solution = None
 
 
 def measure_merge(

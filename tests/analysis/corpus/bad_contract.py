@@ -33,5 +33,8 @@ class BadSampleSketch(WeightedSampleSketch):  # expect: SK001,SK003
     def size_bytes(self):
         return 0
 
-    def _weighted_runs(self):
+    def _live_run(self):
+        return []
+
+    def _sealed_runs(self):
         return []

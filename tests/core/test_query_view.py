@@ -9,17 +9,38 @@ qs]`` bit for bit — compared by ``float.hex``, so ``-0.0`` is not
 The weighted-sample and bucket sketches must also still answer, and
 rank, exactly as the per-call code each of them carried before the
 shared query: that code is kept below verbatim as the reference.
+KLL, REQ and Random keep their sealed runs sorted between reads, so
+they are also read, changed and read again — by updates, a batch, a
+merge, ``copy`` and a round trip — and a read must never change a
+``dumps`` byte.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
-from repro.core import SKETCH_CLASSES, dumps, loads, paper_config
+from repro.core import (
+    SKETCH_CLASSES,
+    KLLSketch,
+    RandomSketch,
+    ReqSketch,
+    dumps,
+    loads,
+    paper_config,
+)
 from repro.core.base import validate_quantile
 from repro.core.mapping import MIN_INDEXABLE_VALUE
 from repro.core.store import DenseStore
@@ -211,6 +232,255 @@ def test_kllpm_halves_answer_through_the_shared_query():
     assert _hex(sketch.quantiles(QS)) == _hex(
         [sketch.quantile(q) for q in QS]
     )
+
+
+# -- re-reads: the sealed sample is kept between queries -----------------
+
+
+def _reference_kllpm_quantile(self, q: float) -> float:
+    """``KLLPlusMinus.quantile`` over the per-call KLL samples."""
+    q = validate_quantile(q)
+    if self._deletes.count == 0:
+        return _reference_quantile(self._inserts, _kll_weighted_samples, q)
+    target = max(math.ceil(q * self._count), 1)
+    values, weights = _kll_weighted_samples(self._inserts)
+    cum_inserted = np.cumsum(weights)
+    scale_ins = self._inserts.count / cum_inserted[-1]
+    del_values, del_weights = _kll_weighted_samples(self._deletes)
+    cum_deleted = np.cumsum(del_weights)
+    scale_del = self._deletes.count / cum_deleted[-1]
+    positions = np.searchsorted(del_values, values, side="right")
+    deleted_at = np.where(positions > 0, cum_deleted[positions - 1], 0)
+    net = cum_inserted * scale_ins - deleted_at * scale_del
+    index = int(np.searchsorted(net, target, side="left"))
+    return float(values[min(index, values.size - 1)])
+
+
+def _assert_reads_match_reference(name: str, sketch) -> None:
+    """Answers and ranks equal the per-call code's; reading, twice,
+    leaves every ``dumps`` byte as it was."""
+    before = dumps(sketch)
+    if name == "kllpm":
+        for _ in range(2):
+            assert _hex(sketch.quantiles(QS)) == _hex(
+                [_reference_kllpm_quantile(sketch, q) for q in QS]
+            )
+        for half in (sketch._inserts, sketch._deletes):
+            if not half.is_empty:
+                _assert_reads_match_reference("kll", half)
+        assert dumps(sketch) == before
+        return
+    samples = REFERENCE_SAMPLES[name]
+    probes = [-1.0, -0.0, 0.0, 1.0, 1.5, 3.5, 1e3, 1e9]
+    for _ in range(2):
+        reference_values, reference_weights = samples(sketch)
+        values, weights = sketch._weighted_samples()
+        assert values.tobytes() == reference_values.tobytes()
+        assert weights.tobytes() == reference_weights.tobytes()
+        assert _hex(sketch.quantiles(QS)) == _hex(
+            [_reference_quantile(sketch, samples, q) for q in QS]
+        )
+        assert [sketch.rank(v) for v in probes] == [
+            _reference_rank(sketch, samples, v) for v in probes
+        ]
+    assert dumps(sketch) == before
+
+
+def _reread_sketch(name: str):
+    sketch = _sketch(name, "filled")
+    if name == "kllpm":
+        sketch.delete_batch(_values(1, 2_000))
+    return sketch
+
+
+def _scalar_updates(n: int):
+    def change(sketch):
+        for value in _values(3, n)[-n:].tolist():
+            sketch.update(value)
+        return sketch
+
+    return change
+
+
+def _batch_update(sketch):
+    sketch.update_batch(_values(4, 2_500))
+    return sketch
+
+
+def _merge(n: int):
+    def change(sketch):
+        other = paper_config(sketch.name, seed=6)
+        other.update_batch(_values(5, n))
+        sketch.merge(other)
+        return sketch
+
+    return change
+
+
+#: What happens between two reads.
+CHANGES = {
+    "update-1": _scalar_updates(1),
+    "update-4": _scalar_updates(4),
+    "update-64": _scalar_updates(64),
+    "update-1000": _scalar_updates(1_000),
+    "update_batch": _batch_update,
+    "merge": _merge(3_000),
+    # 3,072 values: 24 whole Random buffers, so the operand has no
+    # active one and the merge seals nothing — only sealed runs change.
+    "merge-whole-buffers": _merge(2_992),
+    "copy": lambda sketch: sketch.copy(),
+    "roundtrip": lambda sketch: loads(dumps(sketch)),
+}
+REREAD_NAMES = ("kll", "kllpm", "random", "req")
+
+
+@pytest.mark.parametrize("change", sorted(CHANGES))
+@pytest.mark.parametrize("name", REREAD_NAMES)
+def test_reread_after_a_change_matches_the_per_call_code(name, change):
+    sketch = _reread_sketch(name)
+    _assert_reads_match_reference(name, sketch)
+    changed = CHANGES[change](sketch)
+    _assert_reads_match_reference(name, changed)
+    if changed is not sketch:  # the original kept its own sample
+        _assert_reads_match_reference(name, sketch)
+
+
+@pytest.mark.parametrize("name", REREAD_NAMES)
+def test_reread_of_signed_zeros_matches_the_per_call_code(name):
+    """Live and sealed runs both hold -0.0 and 0.0: the merge must put
+    each where the stable sort of all runs did."""
+    sketch = paper_config(name, seed=5)
+    zeros = [-0.0, 0.0, 0.0, -0.0, -0.0] * 300
+    sketch.update_batch(zeros)
+    _assert_reads_match_reference(name, sketch)
+    for value in zeros[:7] + [1.0, -0.0, 0.0]:
+        sketch.update(value)
+        _assert_reads_match_reference(name, sketch)
+
+
+def test_concurrent_readers_of_one_view_agree():
+    """The server reads a published view outside the store lock: four
+    threads reading (and one dropping the cache) get one answer."""
+    view = paper_config("kll", seed=5)
+    view.update_batch(_values(1, 200_000))
+    view = loads(dumps(view))
+    expected = (
+        _hex(_reference_quantile(view, _kll_weighted_samples, q) for q in QS),
+        [_reference_rank(view, _kll_weighted_samples, v)
+         for v in (0.0, 1.5, 10.0)],
+    )
+    start = threading.Barrier(4)
+    answers: list[list[object]] = [[] for _ in range(4)]
+
+    def read(slot: int) -> None:
+        start.wait()
+        for round_ in range(60):
+            if slot == 0 and round_ % 5 == 0:
+                view._drop_query_caches()
+            answers[slot].append((
+                _hex(view.quantiles(QS)),
+                [view.rank(v) for v in (0.0, 1.5, 10.0)],
+            ))
+
+    threads = [threading.Thread(target=read, args=(slot,)) for slot in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert all(answer == expected for slot in answers for answer in slot)
+    # a thread that raised stopped appending
+    assert sum(len(slot) for slot in answers) == 4 * 60
+
+
+#: Small configurations, so a few dozen values compact, collapse and
+#: grow the hierarchy.
+SMALL_SKETCHES = {
+    "kll": lambda: KLLSketch(8, seed=3),
+    "req": lambda: ReqSketch(4, seed=3),
+    "random": lambda: RandomSketch(num_buffers=3, buffer_size=4, seed=3),
+}
+#: Ties, both signed zeros and arbitrary finite values.
+_value = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 7.0]) | st.floats(
+    -1e6, 1e6, allow_nan=False, allow_infinity=False
+)
+_batch = st.lists(_value, max_size=80)
+
+
+def _reread_machine(name: str) -> type[RuleBasedStateMachine]:
+    make = SMALL_SKETCHES[name]
+
+    class RereadMachine(RuleBasedStateMachine):
+        """Every interleaving of writes, copies and round trips with
+        reads answers as the per-call code does."""
+
+        def __init__(self) -> None:
+            super().__init__()
+            self.sketch = make()
+
+        @rule(value=_value)
+        def update(self, value):
+            self.sketch.update(value)
+
+        @rule(batch=_batch)
+        def update_batch(self, batch):
+            self.sketch.update_batch(batch)
+
+        # REQ's merge compacts each level once, so repeated self-merges
+        # keep ~60 % of a doubling stream: cap the size they start from.
+        @precondition(lambda self: self.sketch.count < 5_000)
+        @rule(batch=_batch, itself=st.booleans())
+        def merge(self, batch, itself):
+            other = self.sketch if itself else make()
+            if not itself:
+                other.update_batch(batch)
+            self.sketch.merge(other)
+
+        @rule()
+        def copy(self):
+            self.sketch = self.sketch.copy()
+
+        @rule()
+        def round_trip(self):
+            self.sketch = loads(dumps(self.sketch))
+
+        @precondition(lambda self: not self.sketch.is_empty)
+        @rule(qs=st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=5))
+        def quantiles(self, qs):
+            before = dumps(self.sketch)
+            samples = REFERENCE_SAMPLES[name]
+            assert _hex(self.sketch.quantiles(qs)) == _hex(
+                [_reference_quantile(self.sketch, samples, q) for q in qs]
+            )
+            assert dumps(self.sketch) == before
+
+        @precondition(lambda self: not self.sketch.is_empty)
+        @rule(value=_value)
+        def rank(self, value):
+            before = dumps(self.sketch)
+            samples = REFERENCE_SAMPLES[name]
+            assert self.sketch.rank(value) == _reference_rank(
+                self.sketch, samples, value
+            )
+            assert dumps(self.sketch) == before
+
+    return RereadMachine
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_SKETCHES))
+def test_reread_machine(name):
+    run_state_machine_as_test(_reread_machine(name), settings=settings(
+        max_examples=20, stateful_step_count=30, deadline=None,
+        derandomize=True, database=None,
+    ))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(SMALL_SKETCHES))
+def test_reread_machine_wide(name):
+    run_state_machine_as_test(_reread_machine(name), settings=settings(
+        max_examples=400, stateful_step_count=60, deadline=None,
+        derandomize=True, database=None,
+    ))
 
 
 # -- the DDSketch family: one bucket view per call -----------------------
