@@ -71,6 +71,10 @@ class MembershipView:
     def status(self, node_id: str) -> NodeStatus | None:
         return self.nodes.get(node_id)
 
+    def adopt(self, offered: "MembershipView") -> "MembershipView":
+        """*offered* if it is at least as new as this view, else this."""
+        return offered if offered.epoch >= self.epoch else self
+
     def is_alive(self, node_id: str) -> bool:
         status = self.nodes.get(node_id)
         return status is not None and status.alive

@@ -20,27 +20,18 @@ Ingest path
 -----------
 Cluster ingest is synchronous: leadership check, then the server's
 journal step and :func:`~repro.service.registry.apply_ops` under the
-ingest lock, then ack; replication applies a pulled record through the
-same ``apply_ops``, one record per op, so replicas stay bit-equal.  The
-origin WAL sequence *is* the replication log position, so "acked"
-means "readable at watermark ``seq`` by every replica that catches
-up", and a SIGKILLed leader recovers its acked suffix from its own WAL
-on restart — no acked write is lost to a single node crash.  The base
-class's drain workers are disabled (``_spawn_workers_locked`` spawns
-nothing): decoupled apply would let an ack race its own visibility on
-the leader, and the bounded-queue overload story belongs to the
-routing proxy tier here.
+ingest lock, then ack (the base class's drain workers are disabled: a
+decoupled apply would let an ack race its own visibility).  The origin
+WAL sequence *is* the replication log position, so "acked" means
+"readable at watermark ``seq`` by every replica that catches up", and
+a SIGKILLed leader recovers its acked suffix from its own WAL.
 
-Two replication planes (serving side; the pull loops live in
+Two replication planes serve peers (the pull loops live in
 :mod:`repro.cluster.replication` / :mod:`repro.cluster.antientropy`):
-
-* ``repl_pull`` — fine tier: tail this node's segmented WAL after a
-  cursor, optionally filtered to the keys the pulling peer replicates;
-  answers ``snapshot_needed`` when checkpoint truncation has dropped
-  the requested suffix.
-* ``ae_frontier`` / ``ae_fetch`` — sealed tier: per-partition content
-  digests for every replica held here, and wholesale export of
-  requested partitions for symmetric-difference adoption.
+``repl_pull`` tails this node's WAL after a cursor, filtered to the
+keys the peer replicates (``snapshot_needed`` once a checkpoint has
+truncated the suffix); ``ae_frontier`` / ``ae_fetch`` exchange
+per-partition digests and export partitions wholesale for adoption.
 
 Lock hierarchy (DESIGN §13): ``_ingest_lock`` and ``_state_lock`` are
 never nested; either may be followed by a registry lock then a store
@@ -60,7 +51,7 @@ from repro.core.base import QuantileSketch
 from repro.durability import DurabilityManager, decode_record
 from repro.errors import EmptySketchError, InvalidValueError
 from repro.obs.telemetry import Telemetry
-from repro.service import protocol
+from repro.service import ops, protocol
 from repro.service.clock import Clock, SystemClock
 from repro.service.registry import (
     IngestOp,
@@ -311,8 +302,7 @@ class ClusterNode(QuantileServer):
     def install_view(self, view: MembershipView) -> int:
         """Adopt *view* if it is at least as new; returns held epoch."""
         with self._state_lock:
-            if view.epoch >= self._view.epoch:
-                self._view = view
+            self._view = self._view.adopt(view)
             return self._view.epoch
 
     def leader_for(self, key: str) -> str | None:
@@ -331,16 +321,13 @@ class ClusterNode(QuantileServer):
     # Ingest (synchronous, leader-checked)
     # ------------------------------------------------------------------
 
-    def _op_ingest(self, request: dict[str, Any]) -> dict[str, Any]:
-        op = self._parse_ingest(request)
-        self.stats.incr("ingest_requests")
+    def _admit(self, op: IngestOp) -> dict[str, Any]:
+        """Leader check, then journal and apply before the ack."""
         key = str(MetricKey.of(op.metric, op.tags))
         leader = self.leader_for(key)
         if leader != self.node_id:
-            address = (
-                None if leader is None
-                else self.current_view().address(leader)
-            )
+            view = self.current_view()
+            address = None if leader is None else view.address(leader)
             return protocol.error(
                 "not_leader",
                 f"{self.node_id} does not lead {key!r}; "
@@ -363,9 +350,7 @@ class ClusterNode(QuantileServer):
                 "bad_request", f"rejected at apply: WAL record {seq}"
             )
         self.stats.incr("ingested_values", accepted)
-        response = protocol.ok(accepted=accepted, seq=seq)
-        self.maybe_checkpoint()
-        return response
+        return protocol.ok(accepted=accepted, seq=seq)
 
     # ------------------------------------------------------------------
     # Replication plane: serve own WAL
@@ -380,9 +365,9 @@ class ClusterNode(QuantileServer):
         acked-prefix semantics without requiring contiguous delivery.
         """
         assert self.durability is not None
-        after = int(request.get("after", 0))
-        peer = request.get("peer")
-        limit = int(request.get("max_records", 512))
+        after = ops.integer(request, "after", 0)
+        peer = ops.string(request, "peer", optional=True)
+        limit = ops.integer(request, "max_records", 512)
         if after < 0 or limit < 1:
             raise InvalidValueError(
                 f"need after >= 0 and max_records >= 1, got "
@@ -398,35 +383,32 @@ class ClusterNode(QuantileServer):
             # Checkpoint truncation dropped that suffix; the peer must
             # adopt partition state instead of tailing.
             return protocol.ok(
-                snapshot_needed=True,
-                upto=self.wal_watermark(),
-                records=[],
+                snapshot_needed=True, upto=self.wal_watermark(), records=[]
             )
-        records, upto = self.durability.wal.tail(
-            after, max_records=limit
-        )
+        records, upto = self.durability.wal.tail(after, max_records=limit)
         out: list[list[Any]] = []
         for seq, payload in records:
             op = decode_record(payload, seq)
-            if peer is not None and self.replication_factor is not None:
+            if peer and self.replication_factor is not None:
                 key = str(MetricKey.of(op.metric, op.tags))
-                if not self.replicates(str(peer), key):
+                if not self.replicates(peer, key):
                     continue
             # Many records nest in one JSON response: this is the one
             # boundary where a batch goes back to a list.
             wire = op._asdict()
             wire["values"] = op.values.tolist()
             out.append([seq, wire])
-        return protocol.ok(
-            records=out, upto=upto, snapshot_needed=False
-        )
+        return protocol.ok(records=out, upto=upto, snapshot_needed=False)
 
     def applied_watermark(self, origin: str) -> int:
         """Newest origin sequence whose effects this node has applied."""
+        with self._state_lock:
+            return self._watermark_locked(origin)
+
+    def _watermark_locked(self, origin: str) -> int:
         if origin == self.node_id:
             return self.wal_watermark()
-        with self._state_lock:
-            return self._applied.get(origin, 0)
+        return self._applied.get(origin, 0)
 
     def _origin_registry_locked(self, origin: str) -> MetricRegistry:
         registry = self._origins.get(origin)
@@ -497,11 +479,7 @@ class ClusterNode(QuantileServer):
         with self._state_lock:
             for origin in sorted(self._origins):
                 registry = self._origins[origin]
-                watermarks[origin] = (
-                    self.wal_watermark()
-                    if origin == self.node_id
-                    else self._applied.get(origin, 0)
-                )
+                watermarks[origin] = self._watermark_locked(origin)
                 entries: list[dict[str, Any]] = []
                 for key in registry.keys():
                     store = registry.get(key.name, key.as_dict())
@@ -520,12 +498,8 @@ class ClusterNode(QuantileServer):
 
     def _op_ae_fetch(self, request: dict[str, Any]) -> dict[str, Any]:
         """Export requested partitions wholesale for adoption."""
-        origin = request.get("origin")
-        items = request.get("items")
-        if not isinstance(origin, str) or not isinstance(items, list):
-            raise InvalidValueError(
-                "ae_fetch needs a string 'origin' and an 'items' list"
-            )
+        origin = ops.string(request, "origin")
+        items = ops.listing(request, "items", dict)
         out: list[dict[str, Any]] = []
         with self._state_lock:
             registry = self._origins.get(origin)
@@ -533,18 +507,13 @@ class ClusterNode(QuantileServer):
                 raise InvalidValueError(
                     f"no replica of origin {origin!r} held here"
                 )
-            watermark = (
-                self.wal_watermark()
-                if origin == self.node_id
-                else self._applied.get(origin, 0)
-            )
+            watermark = self._watermark_locked(origin)
             for item in items:
-                name = str(item["metric"])
-                tags = item.get("tags")
+                name, tags = ops.series(item)
                 store = registry.get(name, tags)
                 if store is None:
                     continue
-                keys = [str(k) for k in item.get("keys", [])]
+                keys = ops.listing(item, "keys", str, [])
                 blobs = store.export_partitions(keys)
                 out.append(
                     {
@@ -632,7 +601,7 @@ class ClusterNode(QuantileServer):
     # ------------------------------------------------------------------
 
     def _op_cluster_view(self, request: dict[str, Any]) -> dict[str, Any]:
-        view = MembershipView.from_wire(request.get("view", {}))
+        view = MembershipView.from_wire(ops.obj(request, "view"))
         return protocol.ok(epoch=self.install_view(view))
 
     def _op_stats(self, request: dict[str, Any]) -> dict[str, Any]:
@@ -664,15 +633,3 @@ class ClusterNode(QuantileServer):
                         stores[str(key)] = store.snapshot()
                 out[origin] = stores
         return out
-
-    _OPS = dict(QuantileServer._OPS)
-    _OPS.update(
-        {
-            "repl_pull": _op_repl_pull,
-            "ae_frontier": _op_ae_frontier,
-            "ae_fetch": _op_ae_fetch,
-            "cluster_view": _op_cluster_view,
-            "ingest": _op_ingest,
-            "stats": _op_stats,
-        }
-    )

@@ -1,25 +1,25 @@
 """Routing proxy: one address, N nodes, leader-aware forwarding.
 
-The proxy is a :class:`~repro.service.server.Dispatcher` behind its
-own :class:`~repro.service.server.TCPFrontEnd` — same wire protocol as
+The proxy answers through its own
+:class:`~repro.service.frontend.TCPFrontEnd` — same wire protocol as
 a node, so every existing client works against a cluster unchanged.
-Per request it consults the latest supervisor view and the shared
+Each op's route is its row in :data:`repro.service.ops.OPS`; per
+request the proxy consults the latest supervisor view and the shared
 hash ring:
 
-* **ingest** goes to the tenant key's leader (first alive owner).
-  Routing races view propagation by design; a ``not_leader`` answer
-  carries the responder's belief and the proxy follows the redirect
-  once before giving up — bounded chasing, no loops.
-* **reads** (quantile/rank/cdf/count) prefer the leader but may fall
-  to a follower inside the key's replica set when the follower is
+* **leader** ops (ingest) go to the tenant key's leader (first alive
+  owner).  Routing races view propagation by design; a ``not_leader``
+  answer carries the responder's belief and the proxy follows the
+  redirect once before giving up — bounded chasing, no loops.
+* **replica** ops (keyed reads) prefer the leader but may fall to a
+  follower inside the key's replica set when the follower is
   *fresh*: its applied frontier, as of the last heartbeat, trails no
   alive origin by more than ``max_lag_records``, and the view itself
   is younger than ``staleness_ms``.  That pair is the staleness bound:
   every follower read is backed by evidence at most ``staleness_ms``
   old that the follower was at most ``max_lag_records`` behind.
-* **fan-out ops** (``metrics``, ``stats``, ``flush``, ``checkpoint``)
-  go to every alive node and merge: union for listings, summed
-  counters for stats.
+* **all** ops go to every alive node; the row's ``combine`` folds
+  the answers into one.
 
 The proxy holds no sketch state and takes no locks across network
 calls — the view is snapshotted under a mutex, then sockets happen.
@@ -27,25 +27,18 @@ calls — the view is snapshotted under a mutex, then sockets happen.
 
 from __future__ import annotations
 
+import functools
 import threading
-from typing import Any, Iterable
+from typing import Any
 
 from repro.cluster.membership import EMPTY_VIEW, MembershipView
 from repro.cluster.ring import HashRing
 from repro.cluster.transport import ClusterTransport
-from repro.errors import (
-    InvalidValueError,
-    ServiceError,
-    ServiceUnavailableError,
-)
+from repro.errors import InvalidValueError, ServiceError
 from repro.obs.telemetry import NOOP, Telemetry
-from repro.service import protocol
+from repro.service import ops, protocol
 from repro.service.clock import Clock, SystemClock
-from repro.service.registry import MetricKey
-from repro.service.server import TCPFrontEnd
-
-#: Ops routed by tenant key to a single replica.
-_KEYED_READS = frozenset({"quantile", "rank", "cdf", "count"})
+from repro.service.frontend import TCPFrontEnd
 
 
 class RoutingProxy:
@@ -99,10 +92,19 @@ class RoutingProxy:
         self.max_lag_records = int(max_lag_records)
         self.prefer_followers = bool(prefer_followers)
         self.telemetry = telemetry if telemetry is not None else NOOP
-        self._front = TCPFrontEnd(self, host, port)
+        self._front = TCPFrontEnd(self.dispatch, host, port)
         self._lock = threading.Lock()
         self._view: MembershipView = EMPTY_VIEW
         self._view_at_ms: float | None = None
+        keyed = {ops.LEADER: self._route_ingest, ops.REPLICA: self._route_read}
+        self._handlers = ops.handlers(self)  # the local ops
+        for name, op in ops.OPS.items():
+            if op.route in keyed:
+                self._handlers[name] = keyed[op.route]
+            elif op.route == ops.ALL:
+                self._handlers[name] = functools.partial(
+                    self._fan_out, name, op.combine
+                )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -136,10 +138,10 @@ class RoutingProxy:
     def apply_view(self, view: MembershipView) -> int:
         """Adopt *view* if at least as new; returns the held epoch."""
         with self._lock:
-            if view.epoch >= self._view.epoch:
-                self._view = view
-                self._view_at_ms = self._clock.now_ms()
-            epoch = self._view.epoch
+            held = self._view.adopt(view)
+            if held is view:
+                self._view, self._view_at_ms = view, self._clock.now_ms()
+            epoch = held.epoch
         for node_id, status in view.nodes.items():
             self.transport.set_address(node_id, *status.address)
         return epoch
@@ -153,61 +155,44 @@ class RoutingProxy:
     # ------------------------------------------------------------------
 
     def dispatch(self, request: dict[str, Any]) -> dict[str, Any]:
-        op = request.get("op")
         try:
-            if op == "ping":
-                return protocol.ok(pong=True)
-            if op == "node_info":
-                return protocol.ok(
-                    node_id="proxy",
-                    role="proxy",
-                    wal_watermark=0,
-                    frontier={},
-                )
-            if op == "cluster_view":
-                view = MembershipView.from_wire(
-                    request.get("view", {})
-                )
-                return protocol.ok(epoch=self.apply_view(view))
-            if op == "ingest":
-                return self._route_ingest(request)
-            if isinstance(op, str) and op in _KEYED_READS:
-                return self._route_read(request)
-            if op in ("metrics", "stats", "flush", "checkpoint"):
-                return self._fan_out(str(op), request)
+            handler = self._handlers[request["op"]]
+        except (KeyError, TypeError):  # absent, unhashable or node-only
             return protocol.error(
-                "unknown_op",
-                f"proxy cannot route op {op!r}",
+                "unknown_op", f"proxy cannot route op {request.get('op')!r}"
             )
-        except (InvalidValueError, KeyError, TypeError, ValueError) as exc:
-            return protocol.error(
-                "bad_request", f"{type(exc).__name__}: {exc}"
-            )
+        try:
+            return handler(request)
+        except ops.ANSWERED as exc:
+            return ops.answer(exc)
+
+    def _op_ping(self, request: dict[str, Any]) -> dict[str, Any]:
+        return protocol.ok(pong=True)
+
+    def _op_node_info(self, request: dict[str, Any]) -> dict[str, Any]:
+        return protocol.ok(
+            node_id="proxy", role="proxy", wal_watermark=0, frontier={}
+        )
+
+    def _op_cluster_view(self, request: dict[str, Any]) -> dict[str, Any]:
+        view = MembershipView.from_wire(ops.obj(request, "view"))
+        return protocol.ok(epoch=self.apply_view(view))
 
     # ------------------------------------------------------------------
     # Routing policies
     # ------------------------------------------------------------------
-
-    def _tenant_key(self, request: dict[str, Any]) -> str:
-        name = request.get("metric")
-        if not isinstance(name, str) or not name:
-            raise InvalidValueError(
-                "request needs a non-empty string 'metric'"
-            )
-        tags = request.get("tags")
-        return str(MetricKey.of(name, tags))
 
     def _forward(
         self, node_id: str, request: dict[str, Any]
     ) -> dict[str, Any] | None:
         try:
             return self.transport.request(node_id, request, check=False)
-        except (ServiceUnavailableError, ServiceError):
+        except ServiceError:  # unavailable included
             self.telemetry.counter("proxy.forward_failures").inc()
             return None
 
     def _route_ingest(self, request: dict[str, Any]) -> dict[str, Any]:
-        key = self._tenant_key(request)
+        key = ops.tenant_key(request)
         view, _ = self._view_snapshot()
         if view.nodes:
             leader = view.leader(self.ring, key, self.replication_factor)
@@ -216,8 +201,7 @@ class RoutingProxy:
         if leader is None:
             return protocol.error(
                 "unavailable",
-                f"no alive replica for {key!r} "
-                f"(epoch {view.epoch})",
+                f"no alive replica for {key!r} (epoch {view.epoch})",
             )
         response = self._forward(leader, request)
         if (
@@ -254,48 +238,42 @@ class RoutingProxy:
             self.telemetry.counter("proxy.stale_view_reads").inc()
             return []
         owners = self.ring.owners(key, self.replication_factor)
-        eligible: list[str] = []
-        for follower in owners[1:]:
-            status = view.status(follower)
-            if status is None or not status.alive:
-                continue
-            fresh = True
-            for origin in owners:
-                origin_status = view.status(origin)
-                if (
-                    origin == follower
-                    or origin_status is None
-                    or not origin_status.alive
-                ):
-                    continue
-                lag = origin_status.wal_watermark - int(
-                    status.frontier.get(origin, 0)
-                )
-                if lag > self.max_lag_records:
-                    fresh = False
-                    break
-            if fresh:
-                eligible.append(follower)
-        return eligible
+        alive = {
+            owner: view.nodes[owner]
+            for owner in owners
+            if view.is_alive(owner)
+        }
+        return [
+            follower
+            for follower in owners[1:]
+            if follower in alive
+            and all(
+                status.wal_watermark
+                - int(alive[follower].frontier.get(origin, 0))
+                <= self.max_lag_records
+                for origin, status in alive.items()
+                if origin != follower
+            )
+        ]
 
     def _route_read(self, request: dict[str, Any]) -> dict[str, Any]:
-        key = self._tenant_key(request)
+        key = ops.tenant_key(request)
         view, view_at = self._view_snapshot()
         if not view.nodes:
-            candidates: list[str] = [self.ring.primary(key)]
+            candidates = [self.ring.primary(key)]
         else:
             leader = view.leader(self.ring, key, self.replication_factor)
-            followers = self._fresh_followers(key, view, view_at)
-            if leader is not None and leader in followers:
-                followers.remove(leader)
-            if self.prefer_followers:
-                candidates = followers + (
-                    [leader] if leader is not None else []
-                )
-            else:
-                candidates = (
-                    [leader] if leader is not None else []
-                ) + followers
+            leaders = [] if leader is None else [leader]
+            followers = [
+                follower
+                for follower in self._fresh_followers(key, view, view_at)
+                if follower != leader
+            ]
+            candidates = (
+                followers + leaders
+                if self.prefer_followers
+                else leaders + followers
+            )
         for target in candidates:
             response = self._forward(target, request)
             if response is not None:
@@ -314,14 +292,11 @@ class RoutingProxy:
     # Fan-out ops
     # ------------------------------------------------------------------
 
-    def _alive_targets(self) -> list[str]:
-        view, _ = self._view_snapshot()
-        return view.alive_nodes()
-
     def _fan_out(
-        self, op: str, request: dict[str, Any]
+        self, name: str, combine: ops.Combine, request: dict[str, Any]
     ) -> dict[str, Any]:
-        targets = self._alive_targets()
+        view, _ = self._view_snapshot()
+        targets = view.alive_nodes()
         if not targets:
             return protocol.error(
                 "unavailable", "no alive nodes in the current view"
@@ -333,41 +308,7 @@ class RoutingProxy:
                 responses.append(response)
         if not responses:
             return protocol.error(
-                "unavailable", f"op {op!r} failed on every alive node"
+                "unavailable",
+                f"op {name!r} failed on every alive node",
             )
-        if op == "metrics":
-            return protocol.ok(
-                metrics=_merge_metric_listings(
-                    response["metrics"] for response in responses
-                )
-            )
-        if op == "stats":
-            merged: dict[str, int] = {}
-            for response in responses:
-                for field, value in dict(response["stats"]).items():
-                    if isinstance(value, int):
-                        merged[field] = merged.get(field, 0) + value
-            merged["nodes_reporting"] = len(responses)
-            return protocol.ok(stats=merged)
-        if op == "checkpoint":
-            return protocol.ok(
-                checkpoint_seq=max(
-                    int(response["checkpoint_seq"])
-                    for response in responses
-                )
-            )
-        return protocol.ok(flushed=True)
-
-
-def _merge_metric_listings(
-    listings: Iterable[list[dict[str, Any]]],
-) -> list[dict[str, Any]]:
-    seen: dict[tuple[str, tuple[tuple[str, str], ...]], dict[str, Any]] = {}
-    for listing in listings:
-        for entry in listing:
-            identity = (
-                str(entry["name"]),
-                tuple(sorted(dict(entry.get("tags", {})).items())),
-            )
-            seen.setdefault(identity, entry)
-    return [seen[identity] for identity in sorted(seen)]
+        return combine(responses)

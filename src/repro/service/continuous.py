@@ -49,6 +49,7 @@ from typing import Any, Mapping, Protocol
 
 from repro.errors import EmptySketchError, InvalidValueError
 from repro.obs.telemetry import NOOP, Telemetry
+from repro.service import ops
 from repro.service.clock import Clock
 from repro.service.registry import MetricKey
 
@@ -61,29 +62,9 @@ _OPS = ("gt", "lt")
 DEFAULT_MAX_RESULTS = 256
 
 
-def _require_str(spec: Mapping[str, Any], field: str) -> str:
-    value = spec.get(field)
-    if not isinstance(value, str) or not value:
-        raise InvalidValueError(
-            f"continuous query needs a non-empty string {field!r}"
-        )
-    return value
-
-
-def _number(
-    spec: Mapping[str, Any], field: str, default: float | None = None
-) -> float:
-    value = spec.get(field, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidValueError(
-            f"continuous query needs a numeric {field!r}"
-        )
-    return float(value)
-
-
 def _positive(spec: Mapping[str, Any], field: str,
               default: float | None = None) -> float:
-    value = _number(spec, field, default)
+    value = ops.number(spec, field, default)
     if value <= 0:
         raise InvalidValueError(
             f"continuous query {field!r} must be > 0, got {value!r}"
@@ -92,23 +73,12 @@ def _positive(spec: Mapping[str, Any], field: str,
 
 
 def _quantile(spec: Mapping[str, Any], default: float = 0.99) -> float:
-    q = _number(spec, "q", default)
+    q = ops.number(spec, "q", default)
     if not 0.0 <= q <= 1.0:
         raise InvalidValueError(
             f"continuous query 'q' must be in [0, 1], got {q!r}"
         )
     return q
-
-
-def _tags(spec: Mapping[str, Any]) -> dict[str, str] | None:
-    tags = spec.get("tags")
-    if tags is None:
-        return None
-    if not isinstance(tags, Mapping):
-        raise InvalidValueError(
-            "continuous query 'tags' must be an object of strings"
-        )
-    return {str(key): str(value) for key, value in tags.items()}
 
 
 class Reads(Protocol):
@@ -192,24 +162,25 @@ class ContinuousQueryEngine:
             return len(self._specs)
 
     def _normalise(self, spec: Mapping[str, Any]) -> dict[str, Any]:
-        kind = _require_str(spec, "kind")
+        kind = ops.string(spec, "kind")
         if kind == "threshold":
             op = spec.get("op", "gt")
             if op not in _OPS:
                 raise InvalidValueError(
                     f"threshold 'op' must be one of {_OPS}, got {op!r}"
                 )
+            metric, tags = ops.series(spec)
             return {
                 "kind": kind,
-                "metric": _require_str(spec, "metric"),
-                "tags": _tags(spec),
+                "metric": metric,
+                "tags": tags,
                 "q": _quantile(spec),
                 "op": str(op),
-                "threshold": _number(spec, "threshold"),
+                "threshold": ops.number(spec, "threshold"),
                 "window_ms": _positive(spec, "window_ms"),
             }
         if kind == "burn_rate":
-            target = _number(spec, "target", 0.99)
+            target = ops.number(spec, "target", 0.99)
             if not 0.0 < target < 1.0:
                 raise InvalidValueError(
                     f"burn_rate 'target' must be in (0, 1), got "
@@ -222,10 +193,11 @@ class ContinuousQueryEngine:
                     f"burn_rate needs slow_ms >= fast_ms, got "
                     f"fast_ms={fast_ms!r} slow_ms={slow_ms!r}"
                 )
+            metric, tags = ops.series(spec)
             return {
                 "kind": kind,
-                "metric": _require_str(spec, "metric"),
-                "tags": _tags(spec),
+                "metric": metric,
+                "tags": tags,
                 "objective_ms": _positive(spec, "objective_ms"),
                 "target": target,
                 "fast_ms": fast_ms,
@@ -233,16 +205,16 @@ class ContinuousQueryEngine:
                 "factor": _positive(spec, "factor", 1.0),
             }
         if kind == "topk":
-            k = spec.get("k", 3)
-            if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            k = ops.integer(spec, "k", 3)
+            if k < 1:
                 raise InvalidValueError(
                     f"topk 'k' must be an integer >= 1, got {k!r}"
                 )
             return {
                 "kind": kind,
-                "prefix": _require_str(spec, "prefix"),
+                "prefix": ops.string(spec, "prefix"),
                 "q": _quantile(spec),
-                "k": int(k),
+                "k": k,
                 "window_ms": _positive(spec, "window_ms"),
             }
         raise InvalidValueError(

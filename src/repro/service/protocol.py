@@ -27,7 +27,11 @@ Requests are objects with an ``"op"`` field; responses always carry
 ``"ok"``.  Failures are data, not connection state: the server answers
 ``{"ok": false, "error": <code>, "message": ...}`` and keeps the
 connection open, with ``"overloaded"`` as the explicit load-shedding
-code (``"shed": true``) a client must not blindly retry.
+code (``"shed": true``) a client must not blindly retry.  A hostile
+field in any op is answered the same way, on the server, a cluster
+node and the routing proxy alike —
+``tests/integration/test_hostile_requests.py`` holds every op's fields
+to it.
 
 Non-finite floats
 -----------------

@@ -1,90 +1,62 @@
-"""Threaded TCP front end for the quantile service.
+"""The quantile service: a metric registry behind a TCP front end.
 
 :class:`QuantileServer` exposes a :class:`~repro.service.registry.MetricRegistry`
 over the length-prefixed frames of :mod:`repro.service.protocol`
-(canonical JSON, plus a raw float64 tail on ingest frames), using
-:class:`socketserver.ThreadingTCPServer` (one thread per connection,
-the same shape as the paper's Flink task slots serving operator
-queries).
+(canonical JSON, plus a raw float64 tail on ingest frames) through a
+:class:`~repro.service.frontend.TCPFrontEnd` (one thread per
+connection, the same shape as the paper's Flink task slots serving
+operator queries).  Which ops exist, and the readers and error answers
+every handler shares, are declared once in :mod:`repro.service.ops`.
 
 Backpressure model
 ------------------
 Queries are answered synchronously from the registry's merged-view
-caches.  Ingest is decoupled: the handler validates the request,
-enqueues it on a *bounded* queue and acks immediately; dedicated worker
-threads drain the queue into the registry.  When the queue is full the
-server does not block the socket and does not buffer unboundedly — it
-*sheds* the request with an explicit ``overloaded`` response and counts
-it, so clients see backpressure as data instead of latency.  The
-``flush`` op barriers on the queue draining, which is what makes an
-ingest-then-query sequence deterministic for the test harness.
+caches.  An ingest is validated, enqueued on a *bounded* queue and
+acked; worker threads drain the queue into the registry.  A full queue
+*sheds* the request with an explicit ``overloaded`` answer, so clients
+see backpressure as data instead of latency.  ``flush`` barriers on
+the queue, which makes ingest-then-query deterministic;
+``pause_ingest()`` / ``resume_ingest()`` hold the workers at a gate to
+force the queue-full regime deterministically.
 
-``pause_ingest()`` / ``resume_ingest()`` hold the drain workers at a
-gate; the overload benchmark and tests use them to force the queue-full
-regime deterministically.
+Drain coalescing (DESIGN §12)
+-----------------------------
+The queue carries :class:`~repro.service.registry.IngestOp` records and
+every apply goes through :func:`~repro.service.registry.apply_ops`.  A
+drain pass takes up to ``ingest_coalesce`` queued ops and concatenates
+*adjacent* ops with the same ``(metric, tags, ts, now)`` into one apply
+(Quancurrent's bulk propagation), strictly after the WAL append, so
+per-key and WAL apply order are unchanged; a rejected coalesced op is
+re-applied op by op so a poisoned op cannot take down its neighbours.
 
-Drain coalescing
-----------------
-The queue carries :class:`~repro.service.registry.IngestOp` records,
-and every apply — here, in WAL recovery, in replication and in what-if
-replay — goes through :func:`~repro.service.registry.apply_ops`.  Each
-drain pass takes one queued op (blocking) and then opportunistically
-pops up to ``ingest_coalesce - 1`` more without blocking.  Consecutive
-ops addressed to the same ``(metric, tags, ts, now)`` key are
-concatenated into *one* op for ``apply_ops`` — Quancurrent's bulk
-propagation: values buffer cheaply (here: the ingest queue itself) and
-the expensive critical section (the registry's store locks and the
-sketch update) is paid once per batch instead of once per request.
-Coalescing happens strictly *after* the WAL append, so
-journal-before-ack and WAL-order-equals-apply-order are unaffected;
-per-key apply order is preserved because only adjacent same-key ops
-merge.  A coalesced op that is rejected is re-applied op by op, so a
-poisoned op cannot take down its neighbours.
-
-Durability
-----------
-With a :class:`~repro.durability.DurabilityManager` attached, every
-accepted ingest is journaled to the write-ahead log *before* the ack
-goes out (journal-before-ack): an acked batch survives a crash, and a
-crashed batch was never acked.  The ingest lock serialises
-journal+enqueue so WAL order equals queue order equals apply order —
-``queue.full()`` is checked under the lock before journaling, and since
-drain workers only ever *remove* items, the subsequent ``put_nowait``
-cannot fail, keeping the log free of phantom (journaled-but-shed)
-records.  Checkpoints run on the manager's injectable clock cadence
-(checked after each ack), on demand via the ``checkpoint`` op, or at
-:meth:`~QuantileServer.stop`; all three quiesce ingestion and barrier
-on the queue so the snapshot exactly matches the WAL watermark.  A
-failed journal or checkpoint (a poisoned WAL included) is answered
-with a ``durability`` error.  This module never imports
-:mod:`repro.durability` at runtime — the manager arrives duck-typed,
-keeping the service importable without the durability layer and the
-layering acyclic.
+Durability (DESIGN §11)
+-----------------------
+With a :class:`~repro.durability.DurabilityManager` attached, an ingest
+is journaled *before* its ack.  The ingest lock serialises
+journal+enqueue, and ``queue.full()`` is checked under it before
+journaling (workers only remove items), so WAL order is apply order
+and the log holds no journaled-but-shed record.  Cadence, on-demand
+(``checkpoint`` op) and final (:meth:`~QuantileServer.stop`)
+checkpoints quiesce ingestion and barrier on the queue, so a snapshot
+matches the WAL watermark exactly; a failed journal or checkpoint is
+answered with a ``durability`` error.  The manager arrives duck-typed:
+this module never imports :mod:`repro.durability` at runtime.
 """
 
 from __future__ import annotations
 
-import contextlib
-import math
 import queue
-import socket
-import socketserver
 import threading
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.errors import (
-    DurabilityError,
-    EmptySketchError,
-    InvalidQuantileError,
-    InvalidValueError,
-    ProtocolError,
-)
+from repro.errors import DurabilityError, InvalidValueError
 from repro.obs.telemetry import Telemetry
-from repro.service import protocol
+from repro.service import ops, protocol
 from repro.service.clock import Clock, SystemClock
 from repro.service.continuous import ContinuousQueryEngine, Reads
+from repro.service.frontend import TCPFrontEnd
 from repro.service.registry import IngestOp, MetricRegistry, apply_ops
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; no runtime cycle
@@ -95,12 +67,8 @@ class ServerStats:
     """Thread-safe request counters, reported by the ``stats`` op."""
 
     _FIELDS = (
-        "requests",
-        "ingest_requests",
-        "ingested_values",
-        "shed_requests",
-        "query_requests",
-        "error_responses",
+        "requests", "ingest_requests", "ingested_values",
+        "shed_requests", "query_requests", "error_responses",
     )
 
     def __init__(self) -> None:
@@ -114,153 +82,6 @@ class ServerStats:
     def snapshot(self) -> dict[str, int]:
         with self._lock:
             return dict(self._counts)
-
-
-class _TCPServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    #: Backlink injected by :class:`TCPFrontEnd`: any object with a
-    #: ``dispatch(request) -> response`` method.
-    service: "Dispatcher"
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        # Live connection sockets, so a stop can sever in-flight
-        # conversations too — shutdown() only stops the accept loop,
-        # and a "crashed" cluster node must not keep answering peers
-        # over their pooled connections.
-        self._conn_lock = threading.Lock()
-        self._conns: set[Any] = set()
-
-    def get_request(self) -> tuple[Any, Any]:
-        request, client_address = super().get_request()
-        with self._conn_lock:
-            self._conns.add(request)
-        return request, client_address
-
-    def shutdown_request(self, request: Any) -> None:  # type: ignore[override]
-        with self._conn_lock:
-            self._conns.discard(request)
-        super().shutdown_request(request)
-
-    def close_connections(self) -> None:
-        with self._conn_lock:
-            conns = list(self._conns)
-            self._conns.clear()
-        for conn in conns:
-            # Best-effort severing: the peer may have hung up first.
-            with contextlib.suppress(OSError):
-                conn.shutdown(socket.SHUT_RDWR)
-            with contextlib.suppress(OSError):
-                conn.close()
-
-
-class _RequestHandler(socketserver.StreamRequestHandler):
-    """One connection: a loop of request frame -> response frame."""
-
-    def handle(self) -> None:
-        service = self.server.service  # type: ignore[attr-defined]
-        while True:
-            try:
-                request = protocol.read_frame(self.rfile)
-            except ProtocolError as exc:
-                # The stream is no longer frame-aligned; answer once
-                # and drop the connection.
-                self._reply(
-                    protocol.error("protocol", str(exc))
-                )
-                return
-            except OSError:
-                # Peer vanished mid-read (reset, severed socket) — a
-                # lagging consumer hanging up is not a server error.
-                return
-            if request is None:
-                return
-            if not self._reply(service.dispatch(request)):
-                return
-
-    def _reply(self, response: dict[str, Any]) -> bool:
-        try:
-            protocol.write_frame(self.wfile, response)
-        except (OSError, ProtocolError):
-            return False  # peer went away; nothing left to say
-        return True
-
-
-class Dispatcher:
-    """Protocol for objects a :class:`TCPFrontEnd` can serve."""
-
-    def dispatch(
-        self, request: dict[str, Any]
-    ) -> dict[str, Any]:  # pragma: no cover - interface only
-        raise NotImplementedError
-
-
-class TCPFrontEnd:
-    """The bind/accept/serve half of a protocol endpoint.
-
-    Owns a threaded TCP server plus its accept-loop thread and maps
-    every request frame through *dispatcher*'s ``dispatch`` method.
-    :class:`QuantileServer` serves its registry through one of these;
-    the cluster routing proxy (:mod:`repro.cluster.proxy`) serves its
-    forwarding table through another — same wire behaviour, different
-    brains.
-    """
-
-    def __init__(
-        self,
-        dispatcher: "Dispatcher",
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self._dispatcher = dispatcher
-        self._host = host
-        self._port = port
-        self._server: _TCPServer | None = None
-        self._thread: threading.Thread | None = None
-
-    @property
-    def running(self) -> bool:
-        return self._server is not None
-
-    def start(self, thread_name: str = "tcp-front-accept") -> None:
-        if self._server is not None:
-            raise InvalidValueError("front end already started")
-        server = _TCPServer((self._host, self._port), _RequestHandler)
-        server.service = self._dispatcher
-        self._server = server
-        self._thread = threading.Thread(
-            target=server.serve_forever,
-            name=thread_name,
-            daemon=True,
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        server = self._server
-        if server is None:
-            return
-        # A shut-down listening socket polls readable, so the accept
-        # loop sees the shutdown request now rather than at its next
-        # 0.5 s select timeout (where a platform refuses to shut down
-        # a listening socket, stop just waits out that poll).
-        with contextlib.suppress(OSError):
-            server.socket.shutdown(socket.SHUT_RDWR)
-        server.shutdown()
-        server.server_close()
-        server.close_connections()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._server = None
-        self._thread = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """Actual (host, port) after binding."""
-        if self._server is None:
-            raise InvalidValueError("front end not started")
-        host, port = self._server.server_address[:2]
-        return str(host), int(port)
 
 
 class QuantileServer:
@@ -326,19 +147,13 @@ class QuantileServer:
         node_id: str | None = None,
         final_checkpoint: bool = True,
     ) -> None:
-        if ingest_queue_size < 1:
-            raise InvalidValueError(
-                f"ingest_queue_size must be >= 1, got "
-                f"{ingest_queue_size!r}"
-            )
-        if ingest_workers < 1:
-            raise InvalidValueError(
-                f"ingest_workers must be >= 1, got {ingest_workers!r}"
-            )
-        if ingest_coalesce < 1:
-            raise InvalidValueError(
-                f"ingest_coalesce must be >= 1, got {ingest_coalesce!r}"
-            )
+        for name, bound in (
+            ("ingest_queue_size", ingest_queue_size),
+            ("ingest_workers", ingest_workers),
+            ("ingest_coalesce", ingest_coalesce),
+        ):
+            if bound < 1:
+                raise InvalidValueError(f"{name} must be >= 1, got {bound!r}")
         clock = clock if clock is not None else SystemClock()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.registry = (
@@ -359,7 +174,8 @@ class QuantileServer:
         self._host = host
         self._port = port
         self._node_id = node_id
-        self._front = TCPFrontEnd(self, host, port)
+        self._front = TCPFrontEnd(self.dispatch, host, port)
+        self._handlers = ops.handlers(self)
         self._queue: "queue.Queue[IngestOp | None]" = queue.Queue(
             maxsize=ingest_queue_size
         )
@@ -632,34 +448,24 @@ class QuantileServer:
     def dispatch(self, request: dict[str, Any]) -> dict[str, Any]:
         """Map one request object to its response object."""
         self.stats.incr("requests")
-        op = request.get("op")
-        handler = self._OPS.get(op) if isinstance(op, str) else None
-        if handler is None:
+        try:
+            op = request["op"]
+            handler = self._handlers[op]
+        except (KeyError, TypeError):  # absent, unhashable or unknown
             self.stats.incr("error_responses")
             return protocol.error(
                 "unknown_op",
-                f"unknown op {op!r}; expected one of "
-                f"{sorted(self._OPS)}",
+                f"unknown op {request.get('op')!r}; expected one of "
+                f"{sorted(self._handlers)}",
             )
         try:
             # The span lands the handler's latency in the self-hosted
             # histogram "span.server.op.<op>" (see repro.obs).
             with self.telemetry.span(f"server.op.{op}"):
-                return handler(self, request)
-        except EmptySketchError as exc:
+                return handler(request)
+        except ops.ANSWERED as exc:
             self.stats.incr("error_responses")
-            return protocol.error("empty", str(exc))
-        except InvalidQuantileError as exc:
-            self.stats.incr("error_responses")
-            return protocol.error("invalid_quantile", str(exc))
-        except (InvalidValueError, ProtocolError) as exc:
-            self.stats.incr("error_responses")
-            return protocol.error("bad_request", str(exc))
-        except (KeyError, TypeError, ValueError) as exc:
-            self.stats.incr("error_responses")
-            return protocol.error(
-                "bad_request", f"{type(exc).__name__}: {exc}"
-            )
+            return ops.answer(exc)
 
     # -- op implementations --------------------------------------------
 
@@ -702,23 +508,6 @@ class QuantileServer:
             frontier=self.partition_frontier(),
         )
 
-    @staticmethod
-    def _parse_ingest(request: dict[str, Any]) -> IngestOp:
-        """The op of a valid ingest frame, clock not yet read (``now``
-        is ``None``); *values* is a float64 array nobody else holds."""
-        name = _require_metric(request)
-        tags = _optional_tags(request)
-        raw = request.get("values")
-        if not isinstance(raw, (list, np.ndarray)) or len(raw) == 0:
-            raise InvalidValueError("ingest needs a non-empty 'values' list")
-        values = protocol.float_values(raw)
-        timestamp_ms = request.get("timestamp_ms")
-        if timestamp_ms is not None:
-            timestamp_ms = float(timestamp_ms)
-            if not math.isfinite(timestamp_ms):  # no partition holds it
-                raise InvalidValueError("'timestamp_ms' must be finite")
-        return IngestOp(name, tags, values, timestamp_ms, None)
-
     def _journal_op(self, op: IngestOp) -> IngestOp | dict[str, Any]:
         """Journal *op* under the caller's ingest lock: the op with its
         ``ts``/``now`` pinned, or the ``durability`` error response
@@ -731,14 +520,19 @@ class QuantileServer:
             )
         except (OSError, DurabilityError) as exc:
             self.stats.incr("error_responses")
-            return protocol.error(
-                "durability", f"journal write failed: {exc}"
-            )
+            return protocol.error("durability", f"journal write failed: {exc}")
         return op._replace(ts=ts, now=now)
 
     def _op_ingest(self, request: dict[str, Any]) -> dict[str, Any]:
-        op = self._parse_ingest(request)
+        op = ops.ingest_op(request)
         self.stats.incr("ingest_requests")
+        response = self._admit(op)
+        if response["ok"]:
+            self.maybe_checkpoint()
+        return response
+
+    def _admit(self, op: IngestOp) -> dict[str, Any]:
+        """Journal and enqueue a parsed ingest: its ack, or why not."""
         if self.durability is not None:
             with self._ingest_lock:
                 # Shed *before* journaling: the WAL must hold exactly
@@ -758,9 +552,7 @@ class QuantileServer:
         self.telemetry.gauge("server.ingest_queue_depth").set(
             self._queue.qsize()
         )
-        response = protocol.ok(accepted=len(op.values))
-        self.maybe_checkpoint()
-        return response
+        return protocol.ok(accepted=len(op.values))
 
     def _shed(self) -> dict[str, Any]:
         self.stats.incr("shed_requests")
@@ -810,38 +602,25 @@ class QuantileServer:
             )
         with self._ingest_lock:
             failure = self._checkpoint_locked()
-        if failure is not None:
-            return protocol.error(
-                "durability", f"checkpoint failed: {failure}"
-            )
-        return protocol.ok(
-            checkpoint_seq=durability.last_checkpoint_seq
-        )
+        if failure is None:
+            return protocol.ok(checkpoint_seq=durability.last_checkpoint_seq)
+        return protocol.error("durability", f"checkpoint failed: {failure}")
 
     def _op_quantile(self, request: dict[str, Any]) -> dict[str, Any]:
         store, t0, t1 = self._query_target(request)
-        q = request.get("q")
+        q = ops.quantiles(request)
         if isinstance(q, list):
-            qs = [float(item) for item in q]
-            return protocol.ok(
-                quantiles=store.merged(t0, t1).quantiles(qs)
-            )
-        if q is None:
-            raise InvalidValueError(
-                "quantile needs 'q': a number or a list of numbers"
-            )
-        return protocol.ok(
-            quantile=store.merged(t0, t1).quantile(float(q))
-        )
+            return protocol.ok(quantiles=store.merged(t0, t1).quantiles(q))
+        return protocol.ok(quantile=store.merged(t0, t1).quantile(q))
 
     def _op_rank(self, request: dict[str, Any]) -> dict[str, Any]:
         store, t0, t1 = self._query_target(request)
-        value = _require_number(request, "value")
+        value = ops.number(request, "value")
         return protocol.ok(rank=store.merged(t0, t1).rank(value))
 
     def _op_cdf(self, request: dict[str, Any]) -> dict[str, Any]:
         store, t0, t1 = self._query_target(request)
-        value = _require_number(request, "value")
+        value = ops.number(request, "value")
         return protocol.ok(cdf=store.merged(t0, t1).cdf(value))
 
     def _op_count(self, request: dict[str, Any]) -> dict[str, Any]:
@@ -851,21 +630,11 @@ class QuantileServer:
     # -- continuous queries --------------------------------------------
 
     def _op_cq_register(self, request: dict[str, Any]) -> dict[str, Any]:
-        spec = request.get("query")
-        if not isinstance(spec, dict):
-            raise InvalidValueError(
-                "cq_register needs a 'query' object (the query spec)"
-            )
+        spec = ops.obj(request, "query")
         return protocol.ok(id=self.continuous.register(spec))
 
-    def _op_cq_unregister(
-        self, request: dict[str, Any]
-    ) -> dict[str, Any]:
-        query_id = request.get("id")
-        if not isinstance(query_id, str) or not query_id:
-            raise InvalidValueError(
-                "cq_unregister needs a non-empty string 'id'"
-            )
+    def _op_cq_unregister(self, request: dict[str, Any]) -> dict[str, Any]:
+        query_id = ops.string(request, "id")
         return protocol.ok(removed=self.continuous.unregister(query_id))
 
     def _op_cq_list(self, request: dict[str, Any]) -> dict[str, Any]:
@@ -876,11 +645,7 @@ class QuantileServer:
         return protocol.ok(results=self.continuous.evaluate())
 
     def _op_cq_results(self, request: dict[str, Any]) -> dict[str, Any]:
-        limit = request.get("limit")
-        if limit is not None and (
-            isinstance(limit, bool) or not isinstance(limit, int)
-        ):
-            raise InvalidValueError("'limit' must be an integer")
+        limit = ops.integer(request, "limit")
         return protocol.ok(results=self.continuous.results(limit))
 
     def _op_metrics(self, request: dict[str, Any]) -> dict[str, Any]:
@@ -900,64 +665,11 @@ class QuantileServer:
     def _query_target(
         self, request: dict[str, Any]
     ) -> tuple[Any, float | None, float | None]:
-        name = _require_metric(request)
-        tags = _optional_tags(request)
+        name, tags = ops.series(request)
         self.stats.incr("query_requests")
         store = self.reads.get(name, tags)
         if store is None:
             raise InvalidValueError(
                 f"unknown metric {name!r} (no values ingested)"
             )
-        t0 = request.get("t0")
-        t1 = request.get("t1")
-        return (
-            store,
-            None if t0 is None else float(t0),
-            None if t1 is None else float(t1),
-        )
-
-    _OPS: dict[str, Callable[["QuantileServer", dict[str, Any]], dict[str, Any]]] = {
-        "ping": _op_ping,
-        "node_info": _op_node_info,
-        "ingest": _op_ingest,
-        "flush": _op_flush,
-        "checkpoint": _op_checkpoint,
-        "quantile": _op_quantile,
-        "rank": _op_rank,
-        "cdf": _op_cdf,
-        "count": _op_count,
-        "metrics": _op_metrics,
-        "stats": _op_stats,
-        "cq_register": _op_cq_register,
-        "cq_unregister": _op_cq_unregister,
-        "cq_list": _op_cq_list,
-        "cq_eval": _op_cq_eval,
-        "cq_results": _op_cq_results,
-    }
-
-
-def _require_metric(request: Mapping[str, Any]) -> str:
-    name = request.get("metric")
-    if not isinstance(name, str) or not name:
-        raise InvalidValueError(
-            "request needs a non-empty string 'metric'"
-        )
-    return name
-
-
-def _optional_tags(request: Mapping[str, Any]) -> dict[str, str] | None:
-    tags = request.get("tags")
-    if tags is None:
-        return None
-    if not isinstance(tags, dict):
-        raise InvalidValueError("'tags' must be an object of strings")
-    return {str(key): str(value) for key, value in tags.items()}
-
-
-def _require_number(request: Mapping[str, Any], field: str) -> float:
-    value = request.get(field)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise InvalidValueError(
-            f"request needs a numeric {field!r} field"
-        )
-    return float(value)
+        return (store, *ops.window(request))

@@ -216,7 +216,12 @@ class TimePartitionedStore:
             if ts < now - self.fine_horizon_ms:
                 self._dropped_late += accepted
                 return 0
-            bucket_id = int(math.floor(ts / self.partition_ms))
+            position = ts / self.partition_ms
+            if not -(2**63) <= position < 2**63:  # snapshots hold an i64
+                raise InvalidValueError(
+                    f"timestamp {ts!r} ms is beyond every partition id"
+                )
+            bucket_id = int(math.floor(position))
             bucket = self._fine.get(bucket_id)
             if bucket is None or not self._fine_sharded:
                 # Plain sketches are not thread-safe, and a new

@@ -3,7 +3,7 @@
 ``client.ingest`` sends a JSON header with a float64 tail; a hand-typed
 frame (or a client written before the tail existed) sends one all-JSON
 body with a ``"values"`` list.  The server must not be able to tell
-them apart after ``_parse_ingest``: the same seeded stream through
+them apart after ``ops.ingest_op``: the same seeded stream through
 either leaves byte-identical store snapshots, the same WAL sequence and
 the same count of batches rejected at apply.
 """
