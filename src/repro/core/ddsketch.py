@@ -33,6 +33,7 @@ from repro.core.mapping import (
 )
 from repro.core.store import (
     BucketStore,
+    BucketView,
     CollapsingLowestDenseStore,
     DenseStore,
     SparseStore,
@@ -84,6 +85,8 @@ class DDSketch(QuantileSketch):
         self._positive = _STORE_FACTORIES[store](max_bins)
         self._negative = _STORE_FACTORIES[store](max_bins)
         self._zero_count = 0
+        self._positive_walk: BucketView | None = None
+        self._negative_walk: BucketView | None = None
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -100,6 +103,7 @@ class DDSketch(QuantileSketch):
         else:
             self._zero_count += 1
         self._observe(value)
+        self._drop_query_caches()
 
     def update_batch(self, values: Sequence[float] | np.ndarray) -> None:
         values = as_float_batch(values)
@@ -118,6 +122,7 @@ class DDSketch(QuantileSketch):
             self._negative.add_batch(negative_indices)
         self._zero_count += int(n_zero)
         self._observe_batch(values, checked=True)
+        self._drop_query_caches()
 
     # ------------------------------------------------------------------
     # Queries
@@ -127,8 +132,6 @@ class DDSketch(QuantileSketch):
         return self.quantiles((q,))[0]
 
     def quantiles(self, qs: Iterable[float]) -> list[float]:
-        # Each store is read through one view per call, built on first
-        # use: most calls never reach the negative store.
         estimates: list[float] = []
         positive = negative = None
         for q in qs:
@@ -145,13 +148,13 @@ class DDSketch(QuantileSketch):
                 # rank r sits in the bucket found by walking |x| buckets
                 # downward.
                 if negative is None:
-                    negative = self._negative.view(descending=True)
+                    negative = self._negative_view()
                 estimate = -self._mapping.value(negative.key_at(rank))
             elif rank < below_positive:
                 estimate = 0.0
             else:
                 if positive is None:
-                    positive = self._positive.view()
+                    positive = self._positive_view()
                 estimate = self._mapping.value(
                     positive.key_at(rank - below_positive)
                 )
@@ -171,16 +174,36 @@ class DDSketch(QuantileSketch):
             # everything negative (and zero) is <= value
             total = self._negative.total + self._zero_count
             if value >= MIN_INDEXABLE_VALUE:
-                total += self._positive.view().count_through(
+                total += self._positive_view().count_through(
                     self._mapping.index(value)
                 )
         else:
             # the negatives <= value are those with |x| >= |value|; NaN
             # lands here too, and the mapping refuses it
-            total = self._negative.view(descending=True).count_through(
+            total = self._negative_view().count_through(
                 self._mapping.index(-value)
             )
         return min(total, self._count)
+
+    # Each store's view is built on a read's first use of it (most reads
+    # never reach the negative store) and kept until a call changes a
+    # store or the mapping; readers share it and never write to it.
+
+    def _positive_view(self) -> BucketView:
+        view = self._positive_walk
+        if view is None:
+            view = self._positive_walk = self._positive.view()
+        return view
+
+    def _negative_view(self) -> BucketView:
+        view = self._negative_walk
+        if view is None:
+            view = self._negative_walk = self._negative.view(descending=True)
+        return view
+
+    def _drop_query_caches(self) -> None:
+        self._positive_walk = None
+        self._negative_walk = None
 
     # ------------------------------------------------------------------
     # Merging
@@ -193,6 +216,7 @@ class DDSketch(QuantileSketch):
         self._negative.merge(other._negative)
         self._zero_count += other._zero_count
         self._merge_bookkeeping(other)
+        self._drop_query_caches()
 
     # ------------------------------------------------------------------
     # Introspection

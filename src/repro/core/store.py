@@ -13,7 +13,8 @@ implementations mirror the ones discussed in the paper:
   bucket, mirroring the map-based UDDSketch implementation whose higher
   memory and iteration costs the paper's Sec 4.3/4.4 analysis discusses.
 
-Queries read a store through one :class:`BucketView` per call.
+Queries read a store through a :class:`BucketView`, which the sketch
+keeps until the store changes.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ def distinct_sorted(indices: np.ndarray) -> int:
 class BucketView:
     """A store's buckets in walk order with their running counts.
 
-    Built once per query call.  The bucket holding the item of 0-based
+    Built on a read's first use and kept by the sketch until a store
+    changes (DESIGN §21).  The bucket holding the item of 0-based
     rank ``r`` is the first whose running count exceeds ``r`` — the
     cumulative walk of Sec 3.3 as one ``searchsorted``.  A dense store's
     keys stay implicit (slot ``p`` is key ``first + step * p``, empty
@@ -61,7 +63,7 @@ class BucketView:
     and ``-1`` for a highest-key-first one.
     """
 
-    __slots__ = ("_cumulative", "_keys", "_first", "_step")
+    __slots__ = ("_cumulative", "_keys", "_first", "_step", "_last")
 
     def __init__(
         self,
@@ -70,19 +72,23 @@ class BucketView:
         step: int = 1,
         keys: np.ndarray | None = None,
     ) -> None:
-        self._cumulative = np.cumsum(counts)
+        self._cumulative = cumulative = np.cumsum(counts)
         self._keys = keys
         self._first = first
         self._step = step
+        # Position of the last bucket a walk can stop at; -1 when the
+        # store holds nothing.
+        self._last = (
+            cumulative.size - 1 if cumulative.size and cumulative[-1] else -1
+        )
 
     def key_at(self, rank: float) -> int:
         """Key of the bucket holding the item of 0-based *rank*; a rank
         past the total stops at the last bucket of the walk."""
-        cumulative = self._cumulative
-        if not cumulative.size or not cumulative[-1]:
+        last = self._last
+        if last < 0:
             raise EmptySketchError("bucket store is empty")
-        pos = int(np.searchsorted(cumulative, rank, side="right"))
-        pos = min(pos, cumulative.size - 1)
+        pos = min(int(self._cumulative.searchsorted(rank, "right")), last)
         if self._keys is None:
             return self._first + self._step * pos
         return int(self._keys[pos])

@@ -156,6 +156,7 @@ class UDDSketch(DDSketch):
         self._negative.set_collapsed(*negative, levels)
         self._mapping = mapping
         self._collapses += levels
+        self._drop_query_caches()
 
     # ------------------------------------------------------------------
     # Merging
@@ -190,6 +191,7 @@ class UDDSketch(DDSketch):
         self._negative.merge(negative)
         self._zero_count += other._zero_count
         self._merge_bookkeeping(other)
+        self._drop_query_caches()
         self._collapse_if_needed()
 
     def copy(self) -> "UDDSketch":

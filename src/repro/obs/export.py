@@ -8,8 +8,9 @@ strict encoder never trips.)
 
 The Prometheus form is the plain text exposition format: counters and
 gauges as single samples, histograms as summaries (``_count`` plus one
-sample per exported quantile).  Metric names swap ``.`` for ``_`` to
-satisfy Prometheus naming rules.
+sample per exported quantile).  Every sample prints exactly: a value
+read back from the text is the float in the snapshot.  Metric names
+swap ``.`` for ``_`` to satisfy Prometheus naming rules.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from repro.errors import InvalidValueError
 
 #: Exported quantile labels must match the keys LatencyHistogram emits.
 _PROM_QUANTILES = (("p50", "0.5"), ("p90", "0.9"), ("p99", "0.99"))
+
+#: Past 2**53 a float64 no longer holds every integer, and ``repr``
+#: is the shorter exact spelling.
+_EXACT_INTEGERS = 2.0**53
 
 
 def to_canonical_json(snapshot: dict) -> str:
@@ -71,7 +76,12 @@ def to_prometheus(snapshot: dict) -> str:
 
 
 def _prom_value(value: float) -> str:
-    return f"{float(value):.6g}"
+    """Exact sample text: an integral value as an integer, any other
+    with ``repr`` (the shortest string that parses back to it)."""
+    value = float(value)
+    if value.is_integer() and abs(value) < _EXACT_INTEGERS:
+        return str(int(value))
+    return repr(value)
 
 
 def diff_snapshots(before: dict, after: dict) -> dict:

@@ -10,7 +10,8 @@ Three instrument kinds, mirroring the minimal Prometheus data model:
   the repo's own :class:`~repro.core.ddsketch.DDSketch`: we observe the
   quantile service with the very sketches it serves.  Samples are
   microseconds; percentiles come out with DDSketch's relative-error
-  guarantee at a bounded memory footprint (collapsing store).
+  guarantee at a bounded memory footprint (collapsing store).  A sample
+  costs a list append; the sketch takes samples in batches (DESIGN §10).
 
 All three are thread-safe — the server records from handler and drain
 threads concurrently — and every instrument has a no-op twin used when
@@ -24,7 +25,8 @@ import threading
 from typing import Iterable, Mapping
 
 from repro.core.ddsketch import DDSketch
-from repro.errors import EmptySketchError
+from repro.core.mapping import MAX_INDEXABLE_VALUE
+from repro.errors import EmptySketchError, InvalidValueError
 
 #: Relative-error guarantee of the self-hosted latency sketches.
 HISTOGRAM_ALPHA = 0.01
@@ -33,8 +35,14 @@ HISTOGRAM_ALPHA = 0.01
 #: footprint no matter how long the process lives).
 HISTOGRAM_MAX_BINS = 512
 
+#: Samples a histogram holds before it folds them into its sketch with
+#: one ``update_batch``; every read folds whatever is pending first.
+HISTOGRAM_FOLD_SIZE = 256
+
 #: Percentiles every snapshot/export reports.
 SUMMARY_QS = (0.5, 0.9, 0.99)
+
+_INF = float("inf")
 
 
 class Counter:
@@ -88,9 +96,15 @@ class LatencyHistogram:
     :class:`~repro.core.ddsketch.DDSketch` (alpha = 1%), so a reported
     p99 of 840µs means the true p99 lies within 1% of 840µs — the same
     guarantee the service offers its own clients.
+
+    :meth:`record_us` appends to a pending list of at most
+    :data:`HISTOGRAM_FOLD_SIZE` samples, folded into the sketch with one
+    ``update_batch`` when full and before every read.  Batched and
+    scalar feeding leave the collapsing store the same bytes, so every
+    read answers as if each sample had gone in on its own.
     """
 
-    __slots__ = ("name", "_lock", "_sketch")
+    __slots__ = ("name", "_lock", "_sketch", "_pending")
 
     def __init__(
         self,
@@ -103,27 +117,46 @@ class LatencyHistogram:
         self._sketch = DDSketch(
             alpha=alpha, store="collapsing", max_bins=max_bins
         )
+        self._pending: list[float] = []
 
     def record_us(self, micros: float) -> None:
-        """Record one latency sample, clamped to be non-negative."""
+        """Record one latency sample, clamped to be non-negative.
+
+        A sample the sketch could not index (NaN, ±inf, past
+        ``MAX_INDEXABLE_VALUE``) raises here, never at a later fold.
+        """
         micros = float(micros)
+        if not -_INF < micros <= MAX_INDEXABLE_VALUE:
+            raise InvalidValueError(
+                f"cannot record a latency of {micros!r} us"
+            )
         if micros < 0.0:
             micros = 0.0
         with self._lock:
-            self._sketch.update(micros)
+            pending = self._pending
+            pending.append(micros)
+            if len(pending) >= HISTOGRAM_FOLD_SIZE:
+                self._fold()
+
+    def _fold(self) -> DDSketch:
+        """The sketch with every pending sample in it (lock held)."""
+        if self._pending:
+            self._sketch.update_batch(self._pending)
+            self._pending.clear()
+        return self._sketch
 
     @property
     def count(self) -> int:
         with self._lock:
-            return self._sketch.count
+            return self._fold().count
 
     def quantile(self, q: float) -> float:
         with self._lock:
-            return self._sketch.quantile(q)
+            return self._fold().quantile(q)
 
     def quantiles(self, qs: Iterable[float]) -> list[float]:
         with self._lock:
-            return self._sketch.quantiles(qs)
+            return self._fold().quantiles(qs)
 
     def summary(self, qs: Iterable[float] = SUMMARY_QS) -> dict[str, float]:
         """Snapshot dict: count, min/max and the requested percentiles.
@@ -134,12 +167,13 @@ class LatencyHistogram:
         """
         qs = tuple(qs)
         with self._lock:
-            out: dict[str, float] = {"count": self._sketch.count}
-            if self._sketch.is_empty:
+            sketch = self._fold()
+            out: dict[str, float] = {"count": sketch.count}
+            if sketch.is_empty:
                 return out
-            out["min"] = self._sketch.min
-            out["max"] = self._sketch.max
-            for q, value in zip(qs, self._sketch.quantiles(qs)):
+            out["min"] = sketch.min
+            out["max"] = sketch.max
+            for q, value in zip(qs, sketch.quantiles(qs)):
                 out[f"p{_percentile_label(q)}"] = value
             return out
 

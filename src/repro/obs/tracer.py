@@ -11,8 +11,10 @@ instrumented packages.
 On exit every span feeds its duration (microseconds) into a
 :class:`~repro.obs.metrics.LatencyHistogram` named ``span.<name>``, so
 percentile latency per operation is always available from the same
-snapshot that carries counters and gauges.  The tracer also retains a
-small bounded ring of recently finished *root* spans for debugging.
+snapshot that carries counters and gauges.  The tracer looks each
+name's histogram up once, so an exit costs a clock read and an append.
+The tracer also retains a small bounded ring of recently finished
+*root* spans for debugging.
 """
 
 from __future__ import annotations
@@ -69,13 +71,21 @@ class Span:
         }
 
 
+class _Stacks(threading.local):
+    """Each thread's stack of open spans, innermost last."""
+
+    def __init__(self) -> None:
+        self.stack: list[Span] = []
+
+
 class Tracer:
     """Produces nested spans and records their durations.
 
-    *histogram_factory* maps a span name to the latency histogram the
-    duration lands in; :class:`~repro.obs.telemetry.Telemetry` wires in
-    its own ``histogram("span." + name)`` so span timings and manual
-    histograms live in one namespace.
+    *histogram_factory* maps a histogram name to the latency histogram
+    a duration lands in; :class:`~repro.obs.telemetry.Telemetry` wires
+    in its own ``histogram``, called once per span name with
+    ``"span." + name``, so span timings and manual histograms live in
+    one namespace.
     """
 
     def __init__(
@@ -86,7 +96,10 @@ class Tracer:
     ) -> None:
         self._clock = clock
         self._histogram_factory = histogram_factory
-        self._local = threading.local()
+        # span name -> its histogram; a racing first lookup stores the
+        # factory's one instance twice
+        self._histograms: dict[str, "LatencyHistogram"] = {}
+        self._local = _Stacks()
         self._roots_lock = threading.Lock()
         self._recent_roots: deque[Span] = deque(maxlen=keep_roots)
 
@@ -100,15 +113,8 @@ class Tracer:
 
     # -- span lifecycle (called by Span.__enter__/__exit__) ------------
 
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
-
     def _enter(self, span: Span) -> None:
-        stack = self._stack()
+        stack = self._local.stack
         if stack:
             stack[-1].children.append(span)
         stack.append(span)
@@ -116,12 +122,15 @@ class Tracer:
 
     def _exit(self, span: Span) -> None:
         span.end_ms = self._clock.now_ms()
-        stack = self._stack()
+        stack = self._local.stack
         if stack and stack[-1] is span:
             stack.pop()
-        self._histogram_factory(f"span.{span.name}").record_us(
-            span.duration_us
-        )
+        histogram = self._histograms.get(span.name)
+        if histogram is None:
+            histogram = self._histograms[span.name] = (
+                self._histogram_factory("span." + span.name)
+            )
+        histogram.record_us((span.end_ms - span.start_ms) * 1000.0)
         if not stack:
             with self._roots_lock:
                 self._recent_roots.append(span)

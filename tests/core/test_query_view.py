@@ -9,10 +9,11 @@ qs]`` bit for bit — compared by ``float.hex``, so ``-0.0`` is not
 The weighted-sample and bucket sketches must also still answer, and
 rank, exactly as the per-call code each of them carried before the
 shared query: that code is kept below verbatim as the reference.
-KLL, REQ and Random keep their sealed runs sorted between reads, so
-they are also read, changed and read again — by updates, a batch, a
-merge, ``copy`` and a round trip — and a read must never change a
-``dumps`` byte.
+KLL, REQ and Random keep their sealed runs sorted between reads, and
+DDSketch and UDDSketch their bucket views, so they are also read,
+changed and read again — by updates, a batch, a merge, a collapse,
+``copy`` and a round trip — and a read must never change a ``dumps``
+byte.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from repro.core import (
 from repro.core.base import validate_quantile
 from repro.core.mapping import MIN_INDEXABLE_VALUE
 from repro.core.store import DenseStore
+from repro.core.uddsketch import UDDSketch
 from repro.errors import EmptySketchError, InvalidValueError
 from repro.metrics import PAPER_QUANTILES
 from repro.parallel import ShardedSketch
@@ -591,10 +593,7 @@ def test_bucket_answers_match_the_per_call_walk(make, kind):
         assert answers == _hex(
             [_reference_bucket_quantile(current, q) for q in QS]
         )
-        probes = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 3.5, -2.5, 1e9, -1e9]
-        for estimate in current.quantiles(QS):
-            probes += [estimate, np.nextafter(estimate, -np.inf),
-                       np.nextafter(estimate, np.inf)]
+        probes = _bucket_probes(current)
         assert [current.rank(v) for v in probes] == [
             _reference_bucket_rank(current, v) for v in probes
         ]
@@ -618,3 +617,164 @@ def test_empty_bucket_sketch_raises_the_reference_error(make):
         with pytest.raises(EmptySketchError):
             call()
     assert sketch.quantiles([]) == []
+
+
+# -- re-reads: DDSketch and UDDSketch keep their bucket views ------------
+
+
+def _wide(seed: int, n: int) -> np.ndarray:
+    """Both signs over 40 decades: collapses a bounded store."""
+    rng = np.random.default_rng(seed)
+    return 10.0 ** rng.uniform(-20.0, 20.0, n) * rng.choice((-1.0, 1.0), n)
+
+
+def _bucket_probes(sketch) -> list[float]:
+    probes = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 3.5, -2.5, 1e9, -1e9]
+    for estimate in sketch.quantiles(QS):
+        probes += [estimate, np.nextafter(estimate, -np.inf),
+                   np.nextafter(estimate, np.inf)]
+    return probes
+
+
+def _bucket_reads(sketch, probes) -> tuple[list[str], list[int]]:
+    return _hex(sketch.quantiles(QS)), [sketch.rank(v) for v in probes]
+
+
+def _assert_kept_views_read_cold(sketch) -> None:
+    """Two reads through the kept views equal a read after
+    ``_drop_query_caches()`` and the per-call walk, and leave every
+    ``dumps`` byte as it was."""
+    before = dumps(sketch)
+    probes = _bucket_probes(sketch)
+    warm = [_bucket_reads(sketch, probes) for _ in range(2)]
+    sketch._drop_query_caches()
+    cold = _bucket_reads(sketch, probes)
+    assert warm == [cold, cold]
+    assert cold == (
+        _hex(_reference_bucket_quantile(sketch, q) for q in QS),
+        [_reference_bucket_rank(sketch, v) for v in probes],
+    )
+    assert dumps(sketch) == before
+
+
+def _bucket_merge(sketch, make):
+    other = make()
+    other.update_batch(_bucket_values("zero_heavy")[::3])
+    sketch.merge(other)
+    return sketch
+
+
+def _levels_apart(finer: bool):
+    """UDDSketch merge with an operand at fewer (*finer*) or more
+    collapses than the sketch."""
+
+    def change(sketch, make):
+        other = make()
+        if finer:
+            other.update_batch(np.full(50, -7.25))
+        else:
+            other.update_batch(_wide(8, 3_000))
+        assert other.num_collapses != sketch.num_collapses
+        assert (other.num_collapses < sketch.num_collapses) == finer
+        sketch.merge(other)
+        return sketch
+
+    return change
+
+
+def _bucket_scalar_updates(n: int):
+    def change(sketch, make):
+        for value in _bucket_values("mixed")[:n].tolist():
+            sketch.update(value)
+        sketch.update(0.0)
+        sketch.update(-0.0)
+        return sketch
+
+    return change
+
+
+def _collapse(sketch, make):
+    collapses = getattr(sketch, "num_collapses", 0)
+    sketch.update_batch(_wide(9, 2_000))
+    if isinstance(sketch, UDDSketch):
+        assert sketch.num_collapses > collapses
+    return sketch
+
+
+def _filled(make):
+    sketch = make()
+    sketch.update_batch(_bucket_values("zero_heavy"))
+    sketch.update_batch(_bucket_values("mixed"))
+    return sketch
+
+
+def _bucket_batch(sketch, make):
+    sketch.update_batch(_bucket_values("negative"))
+    return sketch
+
+
+def _self_merge(sketch, make):
+    sketch.merge(sketch)
+    return sketch
+
+
+#: What happens between two reads of a bucket sketch.
+BUCKET_CHANGES = {
+    "update-1": _bucket_scalar_updates(1),
+    "update-64": _bucket_scalar_updates(64),
+    "update_batch": _bucket_batch,
+    "merge": _bucket_merge,
+    "merge-self": _self_merge,
+    "collapse": _collapse,
+    "copy": lambda sketch, make: sketch.copy(),
+    "roundtrip": lambda sketch, make: loads(dumps(sketch)),
+}
+UDD_CHANGES = {
+    "merge-finer-operand": _levels_apart(finer=True),
+    "merge-coarser-operand": _levels_apart(finer=False),
+}
+
+
+def _bucket_change_cases():
+    for name in BUCKET_SKETCHES:
+        for change in BUCKET_CHANGES:
+            yield pytest.param(name, BUCKET_CHANGES[change],
+                               id=f"{name}-{change}")
+    for change in UDD_CHANGES:
+        yield pytest.param("uddsketch", UDD_CHANGES[change],
+                           id=f"uddsketch-{change}")
+
+
+@pytest.mark.parametrize("name, change", list(_bucket_change_cases()))
+def test_bucket_reread_after_a_change_reads_cold(name, change):
+    make = BUCKET_SKETCHES[name]
+    sketch = _filled(make)
+    if isinstance(sketch, UDDSketch):
+        assert sketch.num_collapses  # a level the finer operand is below
+    _assert_kept_views_read_cold(sketch)
+    original = dumps(sketch)
+    changed = change(sketch, make)
+    _assert_kept_views_read_cold(changed)
+    if changed is not sketch:  # the original kept its own views
+        assert dumps(sketch) == original
+        _assert_kept_views_read_cold(sketch)
+
+
+@pytest.mark.parametrize(
+    "make", BUCKET_SKETCHES.values(), ids=list(BUCKET_SKETCHES)
+)
+def test_bucket_reread_of_each_sign_and_zero(make):
+    """Each store's view is built on first use: a read that reaches
+    only one sign, then a change to the other, re-reads fresh."""
+    sketch = make()
+    sketch.update_batch([-2.0, -0.0, 0.0, 3.0, 5.0])
+    # builds the positive view only
+    assert _hex([sketch.quantile(1.0)]) == _hex(
+        [_reference_bucket_quantile(sketch, 1.0)])
+    sketch.update(-9.0)
+    assert _hex([sketch.quantile(0.01)]) == _hex(
+        [_reference_bucket_quantile(sketch, 0.01)])
+    _assert_kept_views_read_cold(sketch)
+    for value in (-0.0, 0.0, 0.0, 1e-300, -4.0, 4.0):
+        sketch.update(value)
+        _assert_kept_views_read_cold(sketch)

@@ -5,8 +5,9 @@ durability manager and the server; one ``ingest`` is dispatched and
 drained through the real server, and the double must see exactly the
 same instrument traffic for a 10-value batch as for a 10,000-value one.
 Likewise on the read path: a query's instrument traffic is per query,
-never per partition merged.  Counts, not clocks: the assertions are
-noise-free.
+never per partition merged.  And the whole of one telemetry-on
+``dispatch`` has a call budget.  Counts, not clocks: the assertions
+are noise-free.
 """
 
 import collections
@@ -22,7 +23,9 @@ from repro.service import (
     QuantileServer,
     TimePartitionedStore,
     default_sketch_factory,
+    protocol,
 )
+from tests.service.test_wire_budget import count_calls, ingest_request
 
 
 class _Tallied:
@@ -147,3 +150,40 @@ def test_query_instrument_calls_do_not_scale_with_partitions():
         ("counter", "store.view_merges"): 2,
         ("counter.inc", "store.view_merges"): 2,
     }
+
+
+def _traced_server():
+    """A telemetry-on server over DDSketch partitions (``tcp_ingest``)."""
+    registry = MetricRegistry(
+        default_sketch_factory("ddsketch"), clock=ManualClock(0.0)
+    )
+    return QuantileServer(registry, telemetry=Telemetry(clock=ManualClock(0.0)))
+
+
+def _decoded(request):
+    return protocol.decode_message(protocol.encode_message(request))
+
+
+def test_telemetry_on_dispatch_call_budget():
+    """Python and C calls of one warm dispatch, spans and histograms
+    included: a span's exit appends to a histogram the tracer already
+    holds, and a read reuses the sketch's bucket views."""
+    query = {"op": "quantile", "metric": "tenant-0", "q": 0.99}
+    server = _traced_server()
+    with server:
+        assert server.dispatch(_decoded(ingest_request(1000)))["ok"]
+        server.flush()
+        first = server.dispatch(dict(query))
+    answers = []
+    quantile = count_calls(lambda: answers.append(server.dispatch(query)))
+    assert answers == [first] and first["ok"]
+    assert quantile <= 72
+
+    # not started: nothing drains the queue, so only this thread works
+    server = _traced_server()
+    request = _decoded(ingest_request(1000))
+    server.dispatch(request)
+    answers = []
+    ingest = count_calls(lambda: answers.append(server.dispatch(request)))
+    assert answers == [protocol.ok(accepted=1000)]
+    assert ingest <= 70

@@ -71,6 +71,33 @@ class TestPrometheus:
         assert len(quantile_lines) == 3
         assert text.endswith("\n")
 
+    def test_values_round_trip_exactly(self):
+        snapshot = {
+            "counters": {},
+            "gauges": {
+                "checkpoint.size_bytes": 1_333_662.0,
+                "server.ingest_queue_depth": 5.0,
+                "ratio": 0.1 + 0.2,
+                "huge": 2.0**60,
+            },
+            "histograms": {
+                "op": {"count": 3, "p50": 12.0, "p90": 1e-7,
+                       "p99": 1234.5678901},
+            },
+        }
+        samples = {}
+        for line in to_prometheus(snapshot).splitlines():
+            if not line.startswith("#"):
+                name, text = line.rsplit(" ", 1)
+                samples[name] = text
+        assert samples["checkpoint_size_bytes"] == "1333662"
+        assert samples["server_ingest_queue_depth"] == "5"
+        assert samples['op_us{quantile="0.5"}'] == "12"
+        assert samples['op_us{quantile="0.99"}'] == "1234.5678901"
+        assert float(samples["ratio"]) == 0.1 + 0.2
+        assert float(samples["huge"]) == 2.0**60
+        assert float(samples['op_us{quantile="0.9"}']) == 1e-7
+
     def test_empty_histogram_exports_only_its_count(self):
         snapshot = {
             "enabled": True,

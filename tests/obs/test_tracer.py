@@ -1,5 +1,6 @@
 """Tracer and Telemetry behavior under a deterministic manual clock."""
 
+import sys
 import threading
 
 import pytest
@@ -85,6 +86,50 @@ class TestSpans:
                 clock.advance(1.0)
                 raise RuntimeError("boom")
         assert telemetry.histogram("span.fails").count == 1
+
+    def test_each_span_name_looks_its_histogram_up_once(self, clock):
+        made = []
+
+        def factory(name):
+            made.append(name)
+            return Telemetry(clock=clock).histogram(name)
+
+        tracer = Tracer(clock, factory)
+        for _ in range(3):
+            for name in ("a", "b"):
+                with tracer.span(name):
+                    clock.advance(1.0)
+        assert made == ["span.a", "span.b"]
+
+    def test_first_spans_of_a_name_on_many_threads_all_count(
+        self, telemetry
+    ):
+        """Threads racing on names no span has used yet: every duration
+        lands in the one histogram the telemetry holds for the name."""
+        threads, per_thread = 6, 2_000
+        start = threading.Barrier(threads)
+
+        def work():
+            start.wait()
+            for i in range(per_thread):
+                with telemetry.span(f"race.{i % 7}"):
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        counts = telemetry.snapshot()["histograms"]
+        assert sum(
+            counts[f"span.race.{k}"]["count"] for k in range(7)
+        ) == threads * per_thread
 
 
 class TestTelemetryRegistry:
