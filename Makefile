@@ -23,9 +23,10 @@ help:
 	@echo "  traffic-test   workload suite: generators, continuous queries, scenarios"
 
 # Tier-1 gate: everything except tests marked `slow` (pyproject's
-# addopts already applies -m 'not slow').
+# addopts already applies -m 'not slow'). The 15 slowest tests are
+# listed at the end, so every run names what tier-1's time goes to.
 test-fast:
-	$(PYTEST) -x -q
+	$(PYTEST) -x -q --durations=15
 
 # Full suite, soak tests included (-m on the command line overrides
 # the addopts filter).

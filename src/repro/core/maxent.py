@@ -14,13 +14,20 @@ matrix of the basis under ``p`` — both evaluated on a fixed quadrature
 grid, exactly as the reference msketch solver does.  On the Chebyshev
 basis ``T_i T_j = (T_{i+j} + T_{|i-j|}) / 2``, so one matvec against
 ``T_0 .. T_2k`` yields the gradient and the whole Hessian of a step.
+
+Newton starts from the better (lower ``F``) of two densities: the
+uniform one, and the order-1 maximum-entropy density ``exp(a + b x)``
+whose mean is the first Chebyshev moment.  Wide-range data under a
+log transform is close to the latter, so the solve starts near its
+answer instead of travelling there in short damped steps.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,6 +38,14 @@ DEFAULT_GRID_SIZE = 1024
 
 DEFAULT_MAX_ITERATIONS = 200
 DEFAULT_TOLERANCE = 1e-9
+
+#: The order-1 start's slope is rounded to a multiple of this, so
+#: moment vectors that differ only by rounding (a batch-fed and a
+#: scalar-fed sketch) start Newton from the same point.
+START_SLOPE_QUANTUM = 1.0 / 16.0
+#: Scalar Newton steps from Cohen's Pade start for the slope; each
+#: roughly squares a relative error that starts below 5 %.
+_SLOPE_NEWTON_STEPS = 5
 
 
 @functools.lru_cache(maxsize=16)
@@ -153,9 +168,15 @@ class MaxEntropySolver:
         # Rows 0..k are the basis; rows up to 2k turn each step's one
         # matvec into the whole Gram matrix (chebyshev_hessian).
         grid, basis_2k = chebyshev_grid(self.grid_size, 2 * k)
+        starts = [uniform_start(k + 1)]
+        if k >= 1:
+            order_one = order_one_start(float(m[1]), k + 1)
+            if order_one is not None:
+                starts.append(order_one)
         return self._newton(
             grid, basis_2k[: k + 1], m, basis_2k,
             lambda expectations, _: chebyshev_hessian(expectations),
+            starts,
         )
 
     def solve_system(
@@ -173,7 +194,8 @@ class MaxEntropySolver:
         point is what the joint standard-plus-log-moment fit of the
         full Moments Sketch design (Sec 3.2) uses.  A general basis has
         no product identity, so each step forms its Gram matrix by
-        matmul.
+        matmul, and its rows need not start with ``1, x``, so Newton
+        starts from the uniform density alone.
         """
         m = np.asarray(moments, dtype=np.float64)
         grid = np.asarray(grid, dtype=np.float64)
@@ -186,6 +208,7 @@ class MaxEntropySolver:
         return self._newton(
             grid, basis, m, basis,
             lambda _, pdf_weights: (basis * pdf_weights) @ basis.T,
+            [uniform_start(m.size)],
         )
 
     def _newton(
@@ -195,15 +218,19 @@ class MaxEntropySolver:
         m: np.ndarray,
         moment_rows: np.ndarray,
         hessian: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        starts: Sequence[np.ndarray],
     ) -> MaxEntSolution:
         """Newton's method on the dual, shared by both entry points.
 
-        Each step takes ``c = moment_rows @ (p * w)`` — ``moment_rows``
-        starts with the rows of *basis*, so ``c[:k]`` are the fitted
-        moments — and asks ``hessian(c, p * w)`` for the Gram matrix.
-        A point is evaluated (``theta . basis`` and one ``exp`` over the
-        grid) once, when the line search proposes it; the accepted
-        candidate carries that evaluation into the next step.
+        It begins at the point of *starts* with the lowest dual value
+        (the first on ties or a non-finite value).  Each step takes
+        ``c = moment_rows @ (p * w)`` — ``moment_rows`` starts with the
+        rows of *basis*, so ``c[:k]`` are the fitted moments — and asks
+        ``hessian(c, p * w)`` for the Gram matrix.  A point is evaluated
+        (``theta . basis``, one ``exp`` over the grid and its dual
+        value) once, when it is offered as a start or proposed by the
+        line search; the accepted candidate carries that evaluation
+        into the next step.
         """
         k = m.size
         dx = grid[1] - grid[0]
@@ -212,9 +239,16 @@ class MaxEntropySolver:
         weights[0] *= 0.5
         weights[-1] *= 0.5
 
-        theta = np.zeros(k)
-        theta[0] = -np.log(2.0)  # start from the uniform density on [-1, 1]
+        theta = starts[0]
         shift, unnorm = _evaluate(theta, basis)
+        current = _dual_value(theta, shift, unnorm, weights, m)
+        for start in starts[1:]:
+            start_shift, start_unnorm = _evaluate(start, basis)
+            value = _dual_value(start, start_shift, start_unnorm, weights, m)
+            if value < current:
+                theta, shift, unnorm, current = (
+                    start, start_shift, start_unnorm, value
+                )
 
         # Discrete or near-degenerate inputs admit no smooth density with
         # exactly these moments, so the iteration may stall with a
@@ -235,13 +269,12 @@ class MaxEntropySolver:
             if grad_norm < self.tolerance:
                 break
             step = self._newton_step(hessian(expectations, pdf_weights), grad)
-            current = _dual_value(theta, shift, unnorm, weights, m)
             accepted = self._line_search(
                 theta, step, basis, weights, m, current
             )
             if accepted is None:
                 break  # line search cannot improve any further
-            theta, shift, unnorm = accepted
+            theta, shift, unnorm, current = accepted
 
         if not np.isfinite(best_grad_norm) or best_grad_norm > 0.5:
             raise SolverError(
@@ -291,12 +324,12 @@ class MaxEntropySolver:
         weights: np.ndarray,
         m: np.ndarray,
         current: float,
-    ) -> tuple[np.ndarray, float, np.ndarray] | None:
+    ) -> tuple[np.ndarray, float, np.ndarray, float] | None:
         """Backtracking line search on the convex dual objective.
 
         Returns the first candidate below *current* with its evaluation
-        ``(theta, shift, unnorm)``, or ``None`` when 40 halvings find
-        none.
+        ``(theta, shift, unnorm, dual value)``, or ``None`` when 40
+        halvings find none.
         """
         scale = 1.0
         for _ in range(40):
@@ -304,9 +337,73 @@ class MaxEntropySolver:
             shift, unnorm = _evaluate(candidate, basis)
             value = _dual_value(candidate, shift, unnorm, weights, m)
             if np.isfinite(value) and value < current:
-                return candidate, shift, unnorm
+                return candidate, shift, unnorm, value
             scale *= 0.5
         return None  # no progress possible; caller's loop will stop
+
+
+def uniform_start(size: int) -> np.ndarray:
+    """``theta`` of the uniform density on [-1, 1] over *size* features."""
+    theta = np.zeros(size)
+    theta[0] = -np.log(2.0)
+    return theta
+
+
+def order_one_start(m1: float, size: int) -> np.ndarray | None:
+    """``theta`` of the order-1 maximum-entropy density on [-1, 1].
+
+    That density is ``exp(a + b x)`` with mean ``coth b - 1/b = m1``;
+    ``b`` is rounded to a multiple of :data:`START_SLOPE_QUANTUM` and
+    ``a`` normalises it exactly.  ``None`` — keep the uniform start —
+    when *m1* is not a mean of a density on the open interval (NaN and
+    infinities included), when the slope is not finite or when it
+    rounds to 0.
+    """
+    if not abs(m1) < 1.0:  # also NaN
+        return None
+    slope = _inverse_langevin(m1)
+    if not math.isfinite(slope):
+        return None
+    quanta = round(slope / START_SLOPE_QUANTUM)
+    if quanta == 0:
+        return None
+    b = quanta * START_SLOPE_QUANTUM
+    # log of integral(exp(b x), -1, 1) = log(2 sinh(b) / b), stable for
+    # large |b|: |b| + log((1 - exp(-2|b|)) / |b|).
+    magnitude = abs(b)
+    a = -(magnitude + math.log(-math.expm1(-2.0 * magnitude) / magnitude))
+    theta = np.zeros(size)
+    theta[0] = a
+    theta[1] = b
+    return theta
+
+
+def _inverse_langevin(m1: float) -> float:
+    """``b`` with ``coth b - 1/b == m1`` for ``|m1| < 1``.
+
+    Cohen's Pade approximation ``m1 (3 - m1^2) / (1 - m1^2)`` (within
+    5 %) refined by Newton steps; NaN when a step cannot be taken.
+    """
+    b = m1 * (3.0 - m1 * m1) / (1.0 - m1 * m1)
+    for _ in range(_SLOPE_NEWTON_STEPS):
+        value, slope = _langevin(b)
+        if not slope > 0.0:
+            return math.nan
+        b -= (value - m1) / slope
+    return b
+
+
+def _langevin(b: float) -> tuple[float, float]:
+    """``L(b) = coth b - 1/b`` and ``L'(b) = 1/b^2 - 1/sinh(b)^2``."""
+    x = abs(b)
+    if x < 1e-2:  # the series; the closed form cancels near 0
+        square = b * b
+        return b * (1.0 / 3.0 - square / 45.0), 1.0 / 3.0 - square / 15.0
+    decay = math.exp(-2.0 * x)
+    denominator = -math.expm1(-2.0 * x)
+    value = (1.0 + decay) / denominator - 1.0 / x
+    csch_squared = 4.0 * decay / (denominator * denominator)
+    return math.copysign(value, b), 1.0 / (x * x) - csch_squared
 
 
 def _evaluate(theta: np.ndarray, basis: np.ndarray) -> tuple[float, np.ndarray]:

@@ -17,10 +17,9 @@ from a smooth distribution (the real-world-data weakness of Sec 4.5).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from repro.core.maxent import (
     power_to_chebyshev_moments,
 )
 from repro.errors import (
-    EmptySketchError,
     InsufficientDataError,
     InvalidValueError,
     SolverError,
@@ -456,7 +454,18 @@ class MomentsSketch(QuantileSketch):
         return self._solver.solve_system(grid_u, basis, moments)
 
     def quantile(self, q: float) -> float:
-        q = validate_quantile(q)
+        return self.quantiles([q])[0]
+
+    def quantiles(self, qs: Iterable[float]) -> list[float]:
+        """Fit the density once and read every q off its CDF.
+
+        Each q is interpolated on the canonical interval, mapped back
+        through the scalar inverse transform and clamped to the
+        observed range.
+        """
+        qs = [validate_quantile(q) for q in qs]
+        if not qs:
+            return []
         try:
             solution = self._solve()
         except InsufficientDataError:
@@ -464,31 +473,18 @@ class MomentsSketch(QuantileSketch):
                 raise
             # Degenerate stream: every value identical, or too few values
             # for the solver; fall back to the range endpoints.
-            return self._min if q <= 0.5 else self._max
-        scaled = solution.quantile(q)
+            return [self._min if q <= 0.5 else self._max for q in qs]
+        lo, hi = self._t_min, self._t_max
+        invert: Callable[[float], float] = self._invert_transform
         if self._solution_domain == "joint":
-            l_mid = 0.5 * (self._l_min + self._l_max)
-            l_half = 0.5 * (self._l_max - self._l_min)
-            estimate = math.exp(scaled * l_half + l_mid)
-            return float(np.clip(estimate, self._min, self._max))
-        s = 0.5 * (self._t_min + self._t_max)
-        h = 0.5 * (self._t_max - self._t_min)
-        return float(
-            np.clip(
-                self._invert_transform(scaled * h + s), self._min, self._max
-            )
-        )
-
-    def quantiles(self, qs: Iterable[float]) -> list[float]:
-        """Batch query: the density is fitted once and reused."""
-        qs = [validate_quantile(q) for q in qs]
-        # Warm the cached solution once for the whole batch; a failure
-        # here is not swallowed — each per-quantile call below re-raises
-        # or falls back through quantile()'s handling.
-        errors = (EmptySketchError, InsufficientDataError, SolverError)
-        with contextlib.suppress(*errors):
-            self._solve()
-        return [self.quantile(q) for q in qs]
+            lo, hi, invert = self._l_min, self._l_max, math.exp
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        scaled: list[float] = np.interp(
+            qs, solution.cdf, solution.grid
+        ).tolist()
+        low, high = self._min, self._max
+        return [min(max(invert(x * half + mid), low), high) for x in scaled]
 
     def rank(self, value: float) -> int:
         self._require_nonempty()

@@ -287,18 +287,20 @@ class DenseStore(BucketStore):
             hi_index = other.max_index
             self._extend_range(lo_index, hi_index)
             # A collapsing store may refuse to extend below its floor;
-            # fold that part of *other* into the floor bucket.
+            # fold that part of *other* (maybe all of it) into the
+            # floor bucket.
             if lo_index < self._offset:
                 src_lo = lo_index - other._offset
-                src_hi = self._offset - other._offset
+                src_hi = min(self._offset, hi_index + 1) - other._offset
                 self._counts[0] += other._counts[src_lo:src_hi].sum()
                 lo_index = self._offset
-            src_lo = lo_index - other._offset
-            src_hi = hi_index - other._offset + 1
-            dst_lo = lo_index - self._offset
-            self._counts[dst_lo : dst_lo + (src_hi - src_lo)] += (
-                other._counts[src_lo:src_hi]
-            )
+            if lo_index <= hi_index:
+                src_lo = lo_index - other._offset
+                src_hi = hi_index - other._offset + 1
+                dst_lo = lo_index - self._offset
+                self._counts[dst_lo : dst_lo + (src_hi - src_lo)] += (
+                    other._counts[src_lo:src_hi]
+                )
             self._total += other._total
         else:
             for index, count in other.items():
@@ -419,6 +421,13 @@ class CollapsingLowestDenseStore(DenseStore):
             clipped, minlength=int(clipped.max()) + 1
         )
         self._total += int(indices.size)
+
+    def merge(self, other: BucketStore) -> None:
+        super().merge(other)
+        # Counts *other* folded into its floor stay folded here, so the
+        # bound its collapse gave up stays given up, whatever the span.
+        if other.is_collapsed:
+            self.is_collapsed = True
 
     def size_bytes(self) -> int:
         return super().size_bytes() + 8  # max_bins word

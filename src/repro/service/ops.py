@@ -26,9 +26,11 @@ import numpy as np
 
 from repro.errors import (
     EmptySketchError,
+    InsufficientDataError,
     InvalidQuantileError,
     InvalidValueError,
     ProtocolError,
+    SolverError,
 )
 from repro.service import protocol
 from repro.service.registry import IngestOp, MetricKey
@@ -106,10 +108,13 @@ def handlers(endpoint: object) -> dict[str, Handler]:
 
 # -- error answers ------------------------------------------------------
 
-#: What a handler raises when the request, not the endpoint, is at fault.
+#: What a handler raises when the request, not the endpoint, is at
+#: fault, or when the sketch holds too little to answer it (a Moments
+#: read of fewer than five values, or a fit that diverged).
 ANSWERED = (
-    EmptySketchError, InvalidQuantileError, InvalidValueError,
-    ProtocolError, KeyError, TypeError, ValueError,
+    EmptySketchError, InsufficientDataError, SolverError,
+    InvalidQuantileError, InvalidValueError, ProtocolError,
+    KeyError, TypeError, ValueError,
 )
 
 
@@ -117,6 +122,8 @@ def answer(exc: Exception) -> Answer:
     """The error answer for an :data:`ANSWERED` exception."""
     if isinstance(exc, EmptySketchError):
         return protocol.error("empty", str(exc))
+    if isinstance(exc, (InsufficientDataError, SolverError)):
+        return protocol.error("unanswerable", str(exc))
     if isinstance(exc, InvalidQuantileError):
         return protocol.error("invalid_quantile", str(exc))
     if isinstance(exc, (InvalidValueError, ProtocolError)):

@@ -26,6 +26,8 @@ from repro.core import (
 from repro.core.base import NO_GUARANTEE, Guarantee
 from repro.core.codec import canonical_json
 from repro.parallel import ShardedSketch
+from repro.service.clock import ManualClock
+from repro.service.store import TimePartitionedStore
 
 ALL_NAMES = sorted(SKETCH_CLASSES)
 KINDS = ("relative", "rank", "relative_rank", "none")
@@ -117,3 +119,66 @@ def test_a_bounded_ddsketch_store_collapse_drops_the_bound():
     sketch.update_batch(10.0 ** np.linspace(-6, 6, 1_000))
     assert sketch.guarantee() == NO_GUARANTEE
     assert loads(dumps(sketch)).guarantee() == NO_GUARANTEE
+
+
+def _bounded() -> DDSketch:
+    return DDSketch(alpha=0.01, store="collapsing", max_bins=512)
+
+
+def _wide_values() -> np.ndarray:
+    """DESIGN §20's repro: twelve decades, more than 512 buckets."""
+    return 10.0 ** np.random.default_rng(20).uniform(-6.0, 6.0, 20_000)
+
+
+def _collapsed() -> DDSketch:
+    sketch = _bounded()
+    sketch.update_batch(_wide_values())
+    assert sketch.guarantee() == NO_GUARANTEE
+    return sketch
+
+
+def _merged_into_empty() -> DDSketch:
+    merged = _bounded()
+    merged.merge(_collapsed())
+    return merged
+
+
+def _sharded_view() -> DDSketch:
+    sharded = ShardedSketch(_bounded, n_shards=3)
+    sharded.update_batch(_wide_values())
+    return sharded._merged_view()
+
+
+def _store_fold() -> DDSketch:
+    store = TimePartitionedStore(_bounded, clock=ManualClock(0.0))
+    store.record_batch(_wide_values(), timestamp_ms=0.0)
+    store.record_batch(np.linspace(1.0, 1.5, 100), timestamp_ms=1_500.0)
+    return store.merged()
+
+
+@pytest.mark.parametrize(
+    "fold", [_merged_into_empty, _sharded_view, _store_fold],
+    ids=["into-empty", "sharded-view", "store-fold"],
+)
+def test_a_merged_ddsketch_collapse_keeps_no_guarantee(fold):
+    """A collapsed bounded store merged into one whose span fits keeps
+    its collapse, so the merged sketch claims no bound its answers
+    break (they are off by 9e6x at q = 0.05 on this stream)."""
+    merged = fold()
+    assert merged.guarantee() == NO_GUARANTEE
+    assert loads(dumps(merged)).guarantee() == NO_GUARANTEE
+    exact = np.quantile(_wide_values(), 0.05, method="inverted_cdf")
+    assert abs(merged.quantile(0.05) - exact) > 0.01 * exact
+
+
+def test_merging_uncollapsed_bounded_stores_keeps_their_bytes():
+    """No collapse on either side: the merge is the bucket sum, byte for
+    byte the sketch fed both streams, and the bound stays."""
+    values = _values(4, 4_000)
+    left, right, both = _bounded(), _bounded(), _bounded()
+    left.update_batch(values[:1_500])
+    right.update_batch(values[1_500:])
+    both.update_batch(values)
+    left.merge(right)
+    assert left.guarantee() == Guarantee("relative", 0.01)
+    assert dumps(left) == dumps(both)

@@ -1,12 +1,16 @@
 """Unit tests for the maximum-entropy solver."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.maxent import (
+    START_SLOPE_QUANTUM,
     MaxEntropySolver,
     chebyshev_grid,
     chebyshev_hessian,
+    order_one_start,
     power_to_chebyshev_moments,
 )
 
@@ -133,3 +137,52 @@ class TestChebyshevGram:
                     1e-12 * np.abs(moments).max()
                 )
                 assert hessian.tobytes() == hessian.T.tobytes()
+
+
+class TestOrderOneStart:
+    """``exp(a + b x)`` with mean ``m1``: a finite start, or ``None``
+    (keep the uniform one), and never an exception."""
+
+    @pytest.mark.parametrize(
+        "m1",
+        [0.0, 1e-13, -1e-13, 0.5, -0.5, 1 - 1e-12, -(1 - 1e-12),
+         1.0, -1.0, math.inf, -math.inf, math.nan, 1.5, -3.0],
+    )
+    def test_finite_or_uniform(self, m1):
+        theta = order_one_start(m1, 13)
+        if theta is None:
+            assert not 1e-3 < abs(m1) < 1.0
+            return
+        assert theta.shape == (13,)
+        assert np.isfinite(theta).all()
+        assert not theta[2:].any()
+        assert math.copysign(1.0, theta[1]) == math.copysign(1.0, m1)
+
+    @pytest.mark.parametrize("m1", [-0.9, -0.5, -0.1, 0.1, 0.5, 0.9, 0.99])
+    def test_density_has_the_mean_and_unit_mass(self, m1):
+        a, b = order_one_start(m1, 3)[:2]
+        assert (b / START_SLOPE_QUANTUM).is_integer()
+        # The exact integrals of exp(a + b x) and x exp(a + b x).
+        mass = math.exp(a) * 2.0 * math.sinh(b) / b
+        mean = 1.0 / math.tanh(b) - 1.0 / b
+        assert mass == pytest.approx(1.0, rel=1e-12)
+        # Only the rounding of b moves the mean off m1, and the mean's
+        # slope in b is at most 1/3.
+        assert abs(mean - m1) <= START_SLOPE_QUANTUM / 6 + 1e-12
+
+    def test_moments_that_differ_by_rounding_start_alike(self):
+        m1 = -0.748001540
+        starts = [order_one_start(m1 + d, 13) for d in (-1e-15, 0.0, 1e-15)]
+        assert starts[0].tobytes() == starts[1].tobytes()
+        assert starts[1].tobytes() == starts[2].tobytes()
+
+    def test_an_exponential_density_converges_in_a_few_steps(self):
+        grid, basis = chebyshev_grid(1024, 6)
+        weights = np.full(grid.size, grid[1] - grid[0])
+        weights[[0, -1]] *= 0.5
+        pdf = np.exp(-6.0 * grid)
+        pdf /= pdf @ weights
+        moments = basis @ (pdf * weights)
+        solution = MaxEntropySolver().solve(moments)
+        assert solution.iterations <= 6
+        assert solution.gradient_norm < 1e-9

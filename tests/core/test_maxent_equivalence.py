@@ -1,12 +1,19 @@
-"""The Newton solver against a verbatim copy of its previous loop.
+"""The Newton solver against a verbatim copy of an earlier loop.
 
 The solver forms each step's Gram matrix from ``2k + 1`` Chebyshev
 expectations (``T_i T_j = (T_{i+j} + T_{|i-j|}) / 2``) instead of a
-basis matmul, and evaluates each point (``theta . basis`` and one
-``exp`` over the grid) once.  Both change only rounding, so answers
-are compared at answer level — the level ``test_batch_equivalence``
-uses for Moments — against :class:`ReferenceSolver`, the loop as it
-was, kept here verbatim.
+basis matmul, and evaluates each point (``theta . basis``, one ``exp``
+over the grid and its dual value) once.  Both change only rounding:
+from the uniform start alone (:class:`UniformStartSolver`) it takes
+the steps of :class:`ReferenceSolver`, the loop as it was, kept here
+verbatim.  The solver also starts from the order-1 density when that
+has the lower dual value, which moves the path on purpose: it takes
+fewer steps to a fit of the same tolerance, so answers are compared at
+answer level — the level ``test_batch_equivalence`` uses for Moments —
+within 1e-5.  The reference's own converged answers move by up to
+2.8e-6 when only its tolerance is tightened to 1e-12 (on the
+well-posed cases that reach it), so a fit of tolerance 1e-9 pins an
+answer no closer than that.
 
 The wide distribution x size x transform grid is marked ``slow`` (the
 cases that hit the iteration cap cost ~20 ms each); tier-1 keeps a
@@ -26,8 +33,12 @@ from repro.core.maxent import (
     MaxEntropySolver,
     MaxEntSolution,
     chebyshev_grid,
+    chebyshev_hessian,
+    order_one_start,
     power_to_chebyshev_moments,
+    uniform_start,
 )
+from repro.core import dumps, loads
 from repro.core.moments import MomentsSketch
 from repro.core.registry import paper_config
 from repro.errors import SolverError
@@ -169,6 +180,21 @@ class ReferenceSolver:
         return theta
 
 
+class UniformStartSolver(MaxEntropySolver):
+    """The solver's loop from the uniform start alone."""
+
+    def solve(self, chebyshev_moments: np.ndarray) -> MaxEntSolution:
+        m = np.asarray(chebyshev_moments, dtype=np.float64)
+        k = m.size - 1
+        # Through the module, so the count witness can patch the table.
+        grid, basis_2k = maxent.chebyshev_grid(self.grid_size, 2 * k)
+        return self._newton(
+            grid, basis_2k[: k + 1], m, basis_2k,
+            lambda expectations, _: chebyshev_hessian(expectations),
+            [uniform_start(k + 1)],
+        )
+
+
 # ----------------------------------------------------------------------
 # Inputs
 # ----------------------------------------------------------------------
@@ -218,39 +244,51 @@ def mean_error(answers: list[float], values: np.ndarray) -> float:
     return float(np.mean(np.abs(np.asarray(answers) - exact) / scale))
 
 
+#: Answers of converged well-posed fits agree within this (relative).
+ANSWER_TOLERANCE = 1e-5
+
+
 def compare(dist: str, n: int, transform: str, seed: int):
-    """Check one case; return ``(new, reference)`` mean errors when it
-    is not a well-posed converged fit, else ``None``.
+    """Check one case; return ``(steps, errors)``.
 
     Both loops must reach the same outcome (answers or SolverError).
-    A fit that converges on a well-posed input answers within 1e-9 in
-    iterations +-1.  Otherwise — the 200-iteration cap, or a tiny
-    sample — answers stay within [min, max] and the caller holds the
-    mean error against the exact quantiles over the whole set.
+    ``steps`` is ``(new, reference)`` Newton steps when both answered,
+    else ``None``.  A fit that converges on a well-posed input answers
+    within :data:`ANSWER_TOLERANCE`, and ``errors`` is ``None``.
+    Otherwise — the 200-iteration cap, or a tiny sample — answers stay
+    within [min, max] and ``errors`` is the ``(new, reference)`` mean
+    error against the exact quantiles, which the caller holds over the
+    whole set.
     """
     values = values_for(dist, n, transform, seed)
     new, new_fit = fit(MaxEntropySolver(), values, transform)
     old, old_fit = fit(ReferenceSolver(), values, transform)
     if isinstance(old, SolverError):
         assert isinstance(new, SolverError), "reference raised, new answered"
-        return None
+        return None, None
     assert not isinstance(new, SolverError), f"new raised: {new}"
+    steps = new_fit.iterations, old_fit.iterations
     tolerance = DEFAULT_TOLERANCE
     if (
         n >= WELL_POSED_SIZE
         and new_fit.gradient_norm < tolerance
         and old_fit.gradient_norm < tolerance
     ):
-        assert new == pytest.approx(old, rel=1e-9, abs=1e-12)
-        assert abs(new_fit.iterations - old_fit.iterations) <= 1
-        return None
+        assert new == pytest.approx(old, rel=ANSWER_TOLERANCE, abs=1e-12)
+        return steps, None
     assert all(values.min() <= a <= values.max() for a in new)
-    return mean_error(new, values), mean_error(old, values)
+    return steps, (mean_error(new, values), mean_error(old, values))
 
 
-def assert_error_no_worse(errors: list[tuple[float, float]]) -> None:
+def assert_no_worse(results) -> None:
+    """Summed steps no more than the reference's; the mean error of the
+    unconverged and ill-posed cases within 1e-5 relative of it."""
+    steps = [s for s, _ in results if s is not None]
+    new_steps, old_steps = np.sum(steps, axis=0)
+    assert new_steps <= old_steps, (new_steps, old_steps)
+    errors = [e for _, e in results if e is not None]
     new, old = np.mean(errors, axis=0)
-    assert new <= old * (1 + 1e-6), (new, old)
+    assert new <= old * (1 + ANSWER_TOLERANCE), (new, old)
 
 
 FAST_CASES = [
@@ -266,38 +304,58 @@ FAST_CASES = [
 
 
 def test_answers_match_the_reference_loop():
-    errors = [compare(*case) for case in FAST_CASES]
-    assert_error_no_worse([e for e in errors if e is not None])
+    assert_no_worse([compare(*case) for case in FAST_CASES])
 
 
 @pytest.mark.slow
 def test_wide_grid_matches_the_reference_loop():
     """7 distributions x 5 sizes x 3 transforms x 3 seeds."""
-    errors = [
+    assert_no_worse([
         compare(dist, n, transform, seed)
         for dist in sorted(DISTRIBUTIONS)
         for n in SIZES
         for transform in TRANSFORMS
         for seed in SEEDS
-    ]
-    assert_error_no_worse([e for e in errors if e is not None])
+    ])
 
 
-@pytest.mark.parametrize("n", [5_000, 62_500, 400_000])
-@pytest.mark.parametrize("seed", [20230328, 4242])
-def test_benchmark_shapes_take_the_same_steps(n, seed):
-    """The Pareto(1, 1) / log fits the benchmark runs: panes, merge
-    parts and a large sketch take exactly the reference's steps."""
+BENCHMARK_SIZES = [5_000, 62_500, 400_000]
+BENCHMARK_SEEDS = [20230328, 4242]
+
+
+def benchmark_runs(n: int, seed: int, solvers):
+    """``(steps, answers)`` of each solver on a Pareto(1, 1) / log fit."""
     values = 1.0 + np.random.default_rng(seed).pareto(1.0, n)
     runs = []
-    for solver in (MaxEntropySolver(), ReferenceSolver()):
+    for solver in solvers:
         sketch = paper_config("moments", dataset="pareto")
         sketch.update_batch(values)
         sketch._solver = solver
         runs.append((sketch._solve().iterations, sketch.quantiles(QS)))
+    return runs
+
+
+@pytest.mark.parametrize("n", BENCHMARK_SIZES)
+@pytest.mark.parametrize("seed", BENCHMARK_SEEDS)
+def test_benchmark_shapes_take_the_same_steps(n, seed):
+    """From the uniform start alone, the benchmark's fits — panes,
+    merge parts and a large sketch — take exactly the reference's
+    steps: the loop itself changes only rounding."""
+    runs = benchmark_runs(n, seed, (UniformStartSolver(), ReferenceSolver()))
     (new_iters, new), (old_iters, old) = runs
     assert new_iters == old_iters
     assert new == pytest.approx(old, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", BENCHMARK_SIZES)
+@pytest.mark.parametrize("seed", BENCHMARK_SEEDS)
+def test_benchmark_shapes_take_at_most_065x_the_reference_steps(n, seed):
+    """The same fits from the order-1 start: the log of Pareto data is
+    an exponential density on [-1, 1], so Newton starts near it."""
+    runs = benchmark_runs(n, seed, (MaxEntropySolver(), ReferenceSolver()))
+    (new_iters, new), (old_iters, old) = runs
+    assert new_iters <= 0.65 * old_iters, (new_iters, old_iters)
+    assert new == pytest.approx(old, rel=ANSWER_TOLERANCE)
 
 
 def test_joint_fit_matches_the_reference_loop():
@@ -313,7 +371,51 @@ def test_joint_fit_matches_the_reference_loop():
 
 
 # ----------------------------------------------------------------------
-# Count witness: one evaluation per line-search candidate
+# Garbage moments keep the uniform start
+# ----------------------------------------------------------------------
+
+
+def tampered(index: int, value: float) -> MomentsSketch:
+    """A decoded Pareto/log sketch with one power sum replaced."""
+    sketch = paper_config("moments", dataset="pareto")
+    sketch.update_batch(
+        1.0 + np.random.default_rng(20230328).pareto(1.0, 5_000)
+    )
+    sketch._power_sums[index] = value
+    return loads(dumps(sketch))
+
+
+def outcome(sketch: MomentsSketch, solver):
+    sketch._solver = solver
+    sketch._solution = None
+    try:
+        with np.errstate(invalid="ignore"):  # inf - inf in the moments
+            return [a.hex() for a in sketch.quantiles(QS)]
+    except SolverError:
+        return SolverError
+
+
+@pytest.mark.parametrize(
+    "index, value",
+    [
+        (1, 1e6), (1, -1e6),  # |m1| > 1
+        (1, np.nan), (1, np.inf), (5, np.nan), (12, -np.inf),
+    ],
+    ids=["m1-above-1", "m1-below-minus-1", "m1-nan", "m1-inf",
+         "m5-nan", "m12-minus-inf"],
+)
+def test_garbage_moments_keep_todays_outcome(index, value):
+    """No order-1 candidate is taken, so the answer (or SolverError)
+    is bit for bit the uniform-start one, and the reference's outcome."""
+    sketch = tampered(index, value)
+    new = outcome(sketch, MaxEntropySolver())
+    assert new == outcome(sketch, UniformStartSolver())
+    reference = outcome(sketch, ReferenceSolver())
+    assert (new is SolverError) == (reference is SolverError)
+
+
+# ----------------------------------------------------------------------
+# Count witness: one evaluation per start and line-search candidate
 # ----------------------------------------------------------------------
 
 
@@ -365,14 +467,29 @@ class CountingNumpy:
         return getattr(_numpy, name)
 
 
-def counted_solve(solver, cheb: np.ndarray, monkeypatch):
-    """Solve *cheb* on the default grid with products and exps counted;
-    returns ``(thetas, grid_exps, iterations)``."""
+class Counts:
+    def __init__(self, thetas, grid_exps, dual_values, iterations):
+        self.thetas = thetas
+        self.grid_exps = grid_exps
+        self.dual_values = dual_values
+        self.iterations = iterations
+
+
+def counted_solve(solver, cheb: np.ndarray, monkeypatch) -> Counts:
+    """Solve *cheb* on the default grid with ``theta . basis`` products,
+    grid ``exp`` calls and the solver's dual values counted."""
     thetas: list[bytes] = []
     grid, basis = chebyshev_grid(DEFAULT_GRID_SIZE, 2 * (cheb.size - 1))
     counting = np.array(basis).view(CountingBasis)
     counting.thetas = thetas
     counting_np = CountingNumpy(DEFAULT_GRID_SIZE)
+    dual_values = []
+    dual_value = maxent._dual_value
+
+    def counting_dual_value(theta, *args):
+        dual_values.append(bytes(memoryview(theta)))
+        return dual_value(theta, *args)
+
     with monkeypatch.context() as patch:
         # Both loops call np.exp through their own module's name.
         patch.setattr(maxent, "np", counting_np)
@@ -380,13 +497,16 @@ def counted_solve(solver, cheb: np.ndarray, monkeypatch):
         patch.setattr(
             maxent, "chebyshev_grid", lambda size, degree: (grid, counting)
         )
+        patch.setattr(maxent, "_dual_value", counting_dual_value)
         if isinstance(solver, ReferenceSolver):
             solution = solver.solve_system(
                 grid, counting[: cheb.size], cheb
             )
         else:
             solution = solver.solve(cheb)
-    return thetas, counting_np.grid_exps, solution.iterations
+    return Counts(
+        thetas, counting_np.grid_exps, dual_values, solution.iterations
+    )
 
 
 @pytest.fixture
@@ -399,29 +519,48 @@ def pareto_cheb() -> np.ndarray:
 
 
 def test_each_point_is_evaluated_once(pareto_cheb, monkeypatch):
-    thetas, exps, iterations = counted_solve(
-        MaxEntropySolver(), pareto_cheb, monkeypatch
-    )
-    # The start plus one per line-search candidate, each a new theta,
-    # and nothing re-evaluated for the current point or the answer.
-    assert iterations > 5
+    counts = counted_solve(MaxEntropySolver(), pareto_cheb, monkeypatch)
+    thetas = counts.thetas
+    # The two starts, then one per line-search candidate, each a new
+    # theta, and nothing re-evaluated for the current point or the
+    # answer: one product, one exp and one dual value per point.
+    assert counts.iterations > 3
     assert len(set(thetas)) == len(thetas)
-    assert exps == len(thetas)
+    assert counts.grid_exps == len(thetas)
+    assert counts.dual_values == thetas
+    order_one = order_one_start(float(pareto_cheb[1]), pareto_cheb.size)
+    assert thetas[:2] == [
+        bytes(memoryview(uniform_start(pareto_cheb.size))),
+        bytes(memoryview(order_one)),
+    ]
     # Every step but the last (which converges) tried >= 1 candidate.
-    assert len(thetas) >= iterations
+    assert len(thetas) >= counts.iterations + 1
+
+
+def test_the_order_one_start_costs_one_evaluation(pareto_cheb, monkeypatch):
+    """From the uniform start alone the solver makes exactly one
+    evaluation fewer per path: the order-1 candidate's."""
+    uniform = counted_solve(UniformStartSolver(), pareto_cheb, monkeypatch)
+    assert len(uniform.thetas) == len(set(uniform.thetas))
+    assert uniform.grid_exps == len(uniform.thetas)
+    assert uniform.dual_values == uniform.thetas
+    both = counted_solve(MaxEntropySolver(), pareto_cheb, monkeypatch)
+    assert both.thetas[0] == uniform.thetas[0]
+    # The order-1 start wins here, and saves far more than it costs.
+    assert both.iterations < uniform.iterations
+    assert len(both.thetas) < len(uniform.thetas)
 
 
 def test_the_witness_sees_the_old_recomputation(pareto_cheb, monkeypatch):
-    """The same counters on the reference loop: two more evaluations
-    per step (loop top and line-search baseline) plus the answer's."""
-    new, new_exps, iterations = counted_solve(
-        MaxEntropySolver(), pareto_cheb, monkeypatch
-    )
-    old, old_exps, old_iterations = counted_solve(
-        ReferenceSolver(), pareto_cheb, monkeypatch
-    )
-    assert old_iterations == iterations
-    steps = iterations - 1  # the last step converges before searching
-    assert len(old) == len(new) + 2 * steps + 1
-    assert old_exps == new_exps + 2 * steps + 1
-    assert len(set(old)) < len(old)
+    """The same counters on the reference loop, against the uniform
+    start it shares: two more evaluations per step (loop top and
+    line-search baseline) plus the answer's."""
+    new = counted_solve(UniformStartSolver(), pareto_cheb, monkeypatch)
+    old = counted_solve(ReferenceSolver(), pareto_cheb, monkeypatch)
+    assert old.iterations == new.iterations
+    steps = new.iterations - 1  # the last step converges before searching
+    assert len(old.thetas) == len(new.thetas) + 2 * steps + 1
+    assert old.grid_exps == new.grid_exps + 2 * steps + 1
+    assert len(set(old.thetas)) < len(old.thetas)
+    # The old loop computes its dual values in its own method.
+    assert old.dual_values == []

@@ -14,7 +14,10 @@ from repro.core.maxent import (
 from repro.errors import (
     EmptySketchError,
     IncompatibleSketchError,
+    InsufficientDataError,
+    InvalidQuantileError,
     InvalidValueError,
+    SolverError,
 )
 from tests.conftest import true_quantiles
 
@@ -213,6 +216,96 @@ class TestQueryMechanics:
         for q in (0.25, 0.5, 0.75):
             value = float(s[int(q * s.size)])
             assert abs(sketch.rank(value) / sketch.count - q) < 0.02
+
+
+def _per_q_read(sketch: MomentsSketch, q: float) -> float:
+    """One q read off the fitted CDF by the per-call expressions."""
+    solution = sketch._solve()
+    if sketch._solution_domain == "joint":
+        mid = 0.5 * (sketch._l_min + sketch._l_max)
+        half = 0.5 * (sketch._l_max - sketch._l_min)
+        estimate = math.exp(solution.quantile(q) * half + mid)
+    else:
+        mid = 0.5 * (sketch._t_min + sketch._t_max)
+        half = 0.5 * (sketch._t_max - sketch._t_min)
+        estimate = sketch._invert_transform(solution.quantile(q) * half + mid)
+    return float(np.clip(estimate, sketch.min, sketch.max))
+
+
+class TestOneReadPath:
+    """``quantile(q)`` is ``quantiles([q])[0]``, and a batch read gives
+    every q the bits of a one-q read."""
+
+    QS = [1e-9, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0]
+
+    @staticmethod
+    def _sketch(path: str, monkeypatch) -> MomentsSketch:
+        rng = np.random.default_rng(11)
+        values = 1.0 + rng.pareto(1.0, 5_000)
+        if path == "single":
+            sketch = paper_config("moments", dataset="pareto")
+        elif path == "arcsinh":
+            sketch = MomentsSketch(transform="arcsinh")
+            values = rng.normal(0.0, 10.0, 5_000)
+        else:
+            sketch = MomentsSketch(log_moments=True)
+        if path == "log-only":
+            def refuse():
+                raise SolverError("joint system refused")
+
+            monkeypatch.setattr(sketch, "_solve_joint", refuse)
+        sketch.update_batch(values)
+        return sketch
+
+    @pytest.mark.parametrize(
+        "path", ["single", "arcsinh", "joint", "log-only"]
+    )
+    def test_fitted_paths(self, path, monkeypatch):
+        sketch = self._sketch(path, monkeypatch)
+        batch = [a.hex() for a in sketch.quantiles(self.QS)]
+        expected_domain = "single" if path in ("single", "arcsinh") else "joint"
+        assert sketch._solution_domain == expected_domain
+        singles = [sketch.quantile(q).hex() for q in self.QS]
+        per_q = [_per_q_read(sketch, q).hex() for q in self.QS]
+        assert batch == singles == per_q
+        assert all(type(a) is float for a in sketch.quantiles(self.QS))
+
+    @pytest.mark.parametrize("values", [[3.0, 1.0, 2.0], [7.5] * 40])
+    def test_degenerate_streams(self, values):
+        sketch = MomentsSketch()
+        sketch.update_batch(values)
+        with pytest.raises(InsufficientDataError):
+            sketch._solve()
+        batch = [a.hex() for a in sketch.quantiles(self.QS)]
+        assert batch == [sketch.quantile(q).hex() for q in self.QS]
+        assert batch == [
+            (min(values) if q <= 0.5 else max(values)).hex()
+            for q in self.QS
+        ]
+
+    def test_errors_keep_their_order(self):
+        empty = MomentsSketch()
+        assert empty.quantiles([]) == []
+        with pytest.raises(InvalidQuantileError):
+            empty.quantiles([1.5])
+        with pytest.raises(EmptySketchError):
+            empty.quantiles([0.5])
+        with pytest.raises(EmptySketchError):
+            empty.quantile(0.5)
+
+    def test_a_failing_solve_runs_once_per_call(self, monkeypatch):
+        sketch = paper_config("moments", dataset="pareto")
+        sketch.update_batch(1.0 + np.random.default_rng(3).pareto(1.0, 500))
+        calls = []
+
+        def failing(_moments):
+            calls.append(1)
+            raise SolverError("diverged")
+
+        monkeypatch.setattr(sketch._solver, "solve", failing)
+        with pytest.raises(SolverError):
+            sketch.quantiles(self.QS)
+        assert len(calls) == 1
 
 
 class TestNumericalStability:

@@ -230,6 +230,37 @@ class TestCollapsingLowestDenseStore:
         with pytest.raises(InvalidValueError):
             CollapsingLowestDenseStore(max_bins=0)
 
+    @pytest.mark.parametrize("low", [(-30, -20), (-5, 12), (0, 11)])
+    def test_a_merge_below_the_floor_folds_into_it(self, low):
+        store = CollapsingLowestDenseStore(max_bins=8)
+        for index in range(20):
+            store.add(index)
+        floor = store.min_index
+        below = DenseStore()
+        for index in range(*low):
+            below.add(index, 2)
+        store.merge(below)
+        assert store.min_index == floor
+        assert store.total == 20 + below.total
+        lowest = dict(store.items())[floor]
+        expected = 1 + floor + sum(
+            count for index, count in below.items() if index <= floor
+        )
+        assert lowest == expected
+
+    def test_a_merge_carries_the_collapse(self):
+        collapsed = CollapsingLowestDenseStore(max_bins=8)
+        for index in range(20):
+            collapsed.add(index)
+        fresh = CollapsingLowestDenseStore(max_bins=8)
+        fresh.merge(collapsed)  # eight buckets: the span fits
+        assert fresh.is_collapsed
+        assert list(fresh.items()) == list(collapsed.items())
+        narrow = CollapsingLowestDenseStore(max_bins=8)
+        narrow.add(3)
+        narrow.merge(CollapsingLowestDenseStore(max_bins=8))
+        assert not narrow.is_collapsed
+
 
 def uniform_collapse(store: SparseStore, levels: int = 1) -> None:
     store.set_collapsed(*store.sorted_arrays(), levels)

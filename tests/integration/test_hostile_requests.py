@@ -9,6 +9,10 @@ response object — ``ok: false`` with a code from :data:`CODES` whenever
 the value is not of a JSON type the field takes — and never an
 exception, which over TCP would drop the connection (the real-TCP case
 at the end).  ``ae_fetch`` also gets malformed items.
+
+A Moments tenant holding fewer than five values cannot fit a density:
+``rank`` and ``cdf`` are answered ``unanswerable`` on all three
+endpoints and over TCP, and ``quantile`` keeps its endpoint fallback.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from repro.cluster.node import ClusterNode
 from repro.cluster.proxy import RoutingProxy
 from repro.cluster.ring import HashRing
 from repro.cluster.transport import ClusterTransport
+from repro.core import MomentsSketch
 from repro.service import protocol
 from repro.service.clock import ManualClock
 from repro.service.ops import OPS
@@ -32,6 +37,7 @@ HOSTILE = [None, [], ["x"], "x", {}, True, -1, 2**70, 1e308, 10**400]
 CODES = {
     "bad_request", "empty", "invalid_quantile", "unavailable",
     "not_leader", "durability", "overloaded", "unknown_op",
+    "unanswerable",
 }
 
 #: A well-formed value for every field an op reads ...
@@ -149,3 +155,79 @@ def test_a_malformed_request_keeps_the_connection(endpoints):
             answer = protocol.read_frame(stream)
             assert answer is not None, "connection dropped"
         assert answer == protocol.ok(pong=True)
+
+
+# -- reads a sketch cannot answer -----------------------------------------
+
+#: Below the Moments Sketch's minimum cardinality of five.
+FEW_VALUES = [1.0, 2.0, 3.0]
+
+
+@pytest.fixture(scope="module")
+def moments_endpoints(tmp_path_factory):
+    """A server, a node and a proxy in front of the node, each holding
+    one Moments tenant of three values."""
+    clock = ManualClock(0.0)
+    server = QuantileServer(
+        MetricRegistry(sketch_factory=MomentsSketch, clock=clock)
+    ).start()
+    node = ClusterNode(
+        "n0", HashRing(["n0"]), tmp_path_factory.mktemp("moments"),
+        clock=clock, sketch_factory=MomentsSketch,
+    ).start()
+    for endpoint in (server, node):
+        seeded = endpoint.dispatch(
+            {**well_formed("ingest"), "values": FEW_VALUES}
+        )
+        assert seeded["ok"], seeded
+    transport = ClusterTransport("proxy", clock)
+    transport.set_address("n0", *node.address)
+    proxy = RoutingProxy(HashRing(["n0"]), transport)
+    yield {"server": server, "node": node, "proxy": proxy}
+    server.stop()
+    node.stop()
+
+
+@pytest.mark.parametrize("where", ["server", "node", "proxy"])
+@pytest.mark.parametrize("op", ["rank", "cdf"])
+def test_an_unanswerable_read_is_an_error_answer(
+    moments_endpoints, where, op
+):
+    answer = moments_endpoints[where].dispatch(
+        {**well_formed(op), "value": 2.0}
+    )
+    assert answer["ok"] is False, answer
+    assert answer["error"] == "unanswerable", answer
+
+
+@pytest.mark.parametrize("where", ["server", "node", "proxy"])
+def test_a_few_value_quantile_keeps_its_endpoint_fallback(
+    moments_endpoints, where
+):
+    endpoint = moments_endpoints[where]
+    for q, expected in ((0.25, 1.0), (0.5, 1.0), (0.75, 3.0)):
+        answer = endpoint.dispatch({**well_formed("quantile"), "q": q})
+        assert answer == protocol.ok(quantile=expected)
+
+
+def test_an_unanswerable_read_keeps_the_connection(moments_endpoints):
+    node = moments_endpoints["node"]
+
+    def errors():
+        return node.dispatch({"op": "stats"})["stats"]["error_responses"]
+
+    before = errors()
+    with socket.create_connection(node.address, timeout=5.0) as sock:
+        stream = sock.makefile("rwb")
+        answers = []
+        for request in (
+            {**well_formed("rank"), "value": 2.0},
+            {"op": "ping"},
+        ):
+            protocol.write_frame(stream, request)
+            stream.flush()
+            answers.append(protocol.read_frame(stream))
+            assert answers[-1] is not None, "connection dropped"
+    assert answers[0]["error"] == "unanswerable", answers[0]
+    assert answers[1] == protocol.ok(pong=True)
+    assert errors() == before + 1
