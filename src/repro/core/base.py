@@ -103,6 +103,17 @@ def validate_quantile(q: float) -> float:
     return q
 
 
+def validate_rank_value(value: float) -> None:
+    """Refuse NaN as the argument of ``rank``/``cdf``.
+
+    NaN has no rank: every ordered comparison with it is false, so
+    each sketch's rank walk would answer it differently.  ``+-inf``
+    are valid and saturate to ``count`` and 0.
+    """
+    if value != value:
+        raise InvalidValueError("rank/cdf of NaN is undefined")
+
+
 @dataclass(frozen=True)
 class Guarantee:
     """The error bound a sketch's answers carry (DESIGN §20).
@@ -344,6 +355,7 @@ class QuantileSketch(abc.ABC):
         The default implementation inverts :meth:`quantile` by bisection;
         sketches that can answer rank queries natively override it.
         """
+        validate_rank_value(value)
         self._require_nonempty()
         if value < self._min:
             return 0
@@ -544,6 +556,7 @@ class WeightedSampleSketch(QuantileSketch):
         return result
 
     def rank(self, value: float) -> int:
+        validate_rank_value(value)
         self._require_nonempty()
         values, weights = self._weighted_samples()
         pos = int(np.searchsorted(values, value, side="right"))

@@ -12,10 +12,14 @@ Being a *linear* sketch it supports negative updates (deletions) —
 the defining property of turnstile algorithms (Sec 5.1).
 
 Hashing is multiply-shift over ``uint64`` (Dietzfelbinger et al.),
-which is 2-universal for power-of-two widths and fully vectorises.
+which is 2-universal for power-of-two widths and fully vectorises over
+a leading *level* axis: a ``(levels, depth, width)`` table holds one
+Count-Sketch per level.  :class:`CountSketch` is the one-level case.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
@@ -23,6 +27,70 @@ from repro.errors import IncompatibleSketchError, InvalidValueError
 
 DEFAULT_DEPTH = 5
 DEFAULT_WIDTH = 512
+
+
+def new_levels(
+    seeds: Iterable[int], width: int, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Zeroed ``(levels, depth, width)`` counters, one level per seed,
+    and their ``(4, levels, depth, 1)`` bucket and sign multipliers and
+    offsets from ``default_rng(seed)``.  No level, no shape check."""
+    levels = list(seeds)
+    if levels and (width < 2 or width & (width - 1)):
+        raise InvalidValueError(
+            f"width must be a power of two >= 2, got {width!r}"
+        )
+    if levels and depth < 1:
+        raise InvalidValueError(f"depth must be >= 1, got {depth!r}")
+    draws = [
+        np.random.default_rng(seed).integers(
+            0, 1 << 63, (4, depth), dtype=np.uint64
+        )
+        for seed in levels
+    ]
+    hashes = np.array(draws, dtype=np.uint64).reshape(len(levels), 4, depth)
+    hashes = hashes.transpose(1, 0, 2)[..., None]
+    # Odd multipliers make multiply-shift 2-universal.
+    hashes[0::2] = hashes[0::2] << 1 | 1
+    return np.zeros((len(levels), depth, width), dtype=np.int64), hashes
+
+
+def _hash(
+    table: np.ndarray, hashes: np.ndarray, keys: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(levels, depth, n)`` flat *table* indices of the ``(levels, n)``
+    non-negative *keys* in every row of their level, and sign * count."""
+    levels, depth, width = table.shape
+    keys = keys.astype(np.uint64)[:, None, :]
+    bucket_a, bucket_b, sign_a, sign_b = hashes
+    # A bucket is the top log2(width) bits, a sign the top bit (-1 or 0
+    # by an arithmetic shift of the int64 view).
+    rows = np.arange(levels * depth).reshape(levels, depth, 1) * width
+    shift = np.uint64(65 - width.bit_length())
+    buckets = ((bucket_a * keys + bucket_b) >> shift).view(np.int64) + rows
+    signs = ((sign_a * keys + sign_b).view(np.int64) >> 63) * (-2 * count)
+    return buckets, signs - count
+
+
+def signed_add(
+    table: np.ndarray, hashes: np.ndarray, keys: np.ndarray, count: int
+) -> None:
+    """Add ``sign * count`` to the bucket of each of the ``(levels, n)``
+    *keys* in every row of its level."""
+    buckets, signs = _hash(table, hashes, keys, count)
+    np.add.at(table.reshape(-1), buckets.ravel(), signs.ravel())
+
+
+def signed_median(
+    table: np.ndarray, hashes: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
+    """``(levels, n)`` estimates of the ``(levels, n)`` *keys*: the signed
+    counters' median over rows (np.median's), truncated to an integer."""
+    buckets, signs = _hash(table, hashes, keys, 1)
+    per_row = np.sort(table.take(buckets) * signs, axis=1)
+    depth = table.shape[1]
+    middle = per_row[:, (depth - 1) // 2:depth // 2 + 1]
+    return middle.mean(axis=1).astype(np.int64)
 
 
 class CountSketch:
@@ -41,8 +109,7 @@ class CountSketch:
         share a seed, i.e. the same hash functions).
     """
 
-    __slots__ = ("width", "depth", "seed", "_shift", "_table",
-                 "_bucket_a", "_bucket_b", "_sign_a", "_sign_b")
+    __slots__ = ("width", "depth", "seed", "_table", "_hashes")
 
     def __init__(
         self,
@@ -50,58 +117,8 @@ class CountSketch:
         depth: int = DEFAULT_DEPTH,
         seed: int = 0,
     ) -> None:
-        if width < 2 or width & (width - 1):
-            raise InvalidValueError(
-                f"width must be a power of two >= 2, got {width!r}"
-            )
-        if depth < 1:
-            raise InvalidValueError(f"depth must be >= 1, got {depth!r}")
-        self.width = int(width)
-        self.depth = int(depth)
-        self.seed = int(seed)
-        self._shift = np.uint64(64 - int(width).bit_length() + 1)
-        rng = np.random.default_rng(seed)
-        self._table = np.zeros((self.depth, self.width), dtype=np.int64)
-        # Odd multipliers make multiply-shift 2-universal.
-        self._bucket_a = (
-            rng.integers(0, 1 << 63, self.depth, dtype=np.uint64) << 1 | 1
-        )
-        self._bucket_b = rng.integers(
-            0, 1 << 63, self.depth, dtype=np.uint64
-        )
-        self._sign_a = (
-            rng.integers(0, 1 << 63, self.depth, dtype=np.uint64) << 1 | 1
-        )
-        self._sign_b = rng.integers(
-            0, 1 << 63, self.depth, dtype=np.uint64
-        )
-
-    # ------------------------------------------------------------------
-    # Hashing
-    # ------------------------------------------------------------------
-
-    def _buckets_of(self, keys: np.ndarray) -> np.ndarray:
-        """(depth, n) array of bucket columns for *keys*."""
-        keys = keys.astype(np.uint64)
-        hashed = (
-            self._bucket_a[:, None] * keys[None, :]
-            + self._bucket_b[:, None]
-        )
-        return (hashed >> self._shift).astype(np.int64)
-
-    def _signs_of(self, keys: np.ndarray) -> np.ndarray:
-        """(depth, n) array of +-1 signs for *keys*."""
-        keys = keys.astype(np.uint64)
-        hashed = (
-            self._sign_a[:, None] * keys[None, :]
-            + self._sign_b[:, None]
-        )
-        top_bit = (hashed >> np.uint64(63)).astype(np.int64)
-        return top_bit * 2 - 1
-
-    # ------------------------------------------------------------------
-    # Updates and queries
-    # ------------------------------------------------------------------
+        self._table, self._hashes = new_levels([seed], width, depth)
+        self.width, self.depth, self.seed = int(width), int(depth), int(seed)
 
     def update(self, key: int, count: int = 1) -> None:
         """Add *count* (may be negative) occurrences of *key*."""
@@ -110,14 +127,9 @@ class CountSketch:
     def update_batch(self, keys: np.ndarray, count: int = 1) -> None:
         """Add *count* occurrences of every key in *keys*."""
         keys = np.asarray(keys, dtype=np.int64).ravel()
-        if keys.size == 0:
-            return
         if (keys < 0).any():
             raise InvalidValueError("keys must be non-negative integers")
-        buckets = self._buckets_of(keys)
-        signs = self._signs_of(keys) * count
-        for row in range(self.depth):
-            np.add.at(self._table[row], buckets[row], signs[row])
+        signed_add(self._table, self._hashes, keys[None], count)
 
     def estimate(self, key: int) -> int:
         """Estimated net count of *key* (median over rows)."""
@@ -126,29 +138,16 @@ class CountSketch:
     def estimate_batch(self, keys: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`estimate` over an array of keys."""
         keys = np.asarray(keys, dtype=np.int64).ravel()
-        if keys.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        buckets = self._buckets_of(keys)
-        signs = self._signs_of(keys)
-        rows = np.arange(self.depth)[:, None]
-        per_row = self._table[rows, buckets] * signs
-        return np.median(per_row, axis=0).astype(np.int64)
-
-    # ------------------------------------------------------------------
-    # Merging and accounting
-    # ------------------------------------------------------------------
+        return signed_median(self._table, self._hashes, keys[None]).ravel()
 
     def merge(self, other: "CountSketch") -> None:
         """Add *other*'s counters (requires identical configuration)."""
-        if (
-            other.width != self.width
-            or other.depth != self.depth
-            or other.seed != self.seed
-        ):
+        mine = (self.width, self.depth, self.seed)
+        if (other.width, other.depth, other.seed) != mine:
             raise IncompatibleSketchError(
                 "CountSketch configurations (or hash seeds) differ"
             )
         self._table += other._table
 
     def size_bytes(self) -> int:
-        return 8 * self._table.size + 8 * 4 * self.depth
+        return 8 * (self._table.size + self._hashes.size)

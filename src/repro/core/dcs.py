@@ -8,20 +8,19 @@ the sum of the counts of the O(log u) dyadic intervals composing
 ``[0, x)``, and a quantile query descends the dyadic tree comparing the
 target rank against left-child counts.
 
-Because every level is a *linear* structure (an exact counter array
-for the coarse levels, a :class:`~repro.core.countsketch.CountSketch`
-for the fine ones), DCS supports deletions — it is the turnstile
-representative the paper contrasts with the five cash-register
-sketches: it needs prior knowledge of the universe, more space, and is
-slower, which is why it was excluded from the main evaluation
-(Sec 5.2.3).  ``benchmarks/bench_related_work.py`` reproduces that
-comparison.
+Because every level is a *linear* structure (exact interval counters
+for the coarse levels, a Count-Sketch for the fine ones), DCS supports
+deletions — it is the turnstile representative the paper contrasts
+with the five cash-register sketches: it needs prior knowledge of the
+universe, more space, and is slower, which is why it was excluded from
+the main evaluation (Sec 5.2.3).  ``benchmarks/bench_related_work.py``
+reproduces that comparison.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,9 +29,10 @@ from repro.core.base import (
     Guarantee,
     QuantileSketch,
     validate_quantile,
+    validate_rank_value,
 )
-from repro.core.countsketch import CountSketch
-from repro.errors import EmptySketchError, InvalidValueError
+from repro.core import countsketch
+from repro.errors import InvalidValueError
 
 DEFAULT_UNIVERSE_LOG2 = 20
 
@@ -41,6 +41,23 @@ DEFAULT_EXACT_THRESHOLD = 2_048
 
 DEFAULT_CS_WIDTH = 1_024
 DEFAULT_CS_DEPTH = 5
+
+#: Keys per step of the update loop, which hashes them for all sketched
+#: levels at once into levels x depth x keys int64 temporaries: 184 kB at
+#: the defaults, which the allocator reuses.  Steps of 4,096 keys (1.5 MB)
+#: page-faulted fresh memory each time; one step of 2M keys takes 720 MB.
+UPDATE_CHUNK = 512
+
+
+def level_layout(
+    universe_log2: int, exact_threshold: int, cs_width: int, cs_depth: int
+) -> Iterator[tuple[bool, int]]:
+    """``(sketched, counters)`` of each level, finest first: what a
+    sketch of this configuration holds, known before it allocates."""
+    for level in range(universe_log2):
+        intervals = 1 << (universe_log2 - level)
+        sketched = intervals > exact_threshold
+        yield sketched, cs_width * cs_depth if sketched else intervals
 
 
 class DyadicCountSketch(QuantileSketch):
@@ -81,44 +98,32 @@ class DyadicCountSketch(QuantileSketch):
         self.universe = 1 << self.universe_log2
         self.exact_threshold = int(exact_threshold)
         self.seed = int(seed)
-        # Levels 0..universe_log2-1; level l has universe >> l intervals.
-        self._levels: list[np.ndarray | CountSketch] = []
-        for level in range(self.universe_log2):
-            intervals = self.universe >> level
-            if intervals <= self.exact_threshold:
-                self._levels.append(np.zeros(intervals, dtype=np.int64))
-            else:
-                self._levels.append(
-                    CountSketch(
-                        width=cs_width, depth=cs_depth,
-                        seed=seed + level,
-                    )
-                )
+        self.num_levels = self.universe_log2
+        # The sketched levels are (depth, width) slices of one table.  An
+        # all-exact sketch keeps no Count-Sketch shape: 0 x 0, always.
+        layout = level_layout(self.universe_log2, self.exact_threshold, 0, 0)
+        sketched = sum(kind for kind, _size in layout)
+        if not sketched:
+            cs_width = cs_depth = 0
+        self.cs_width, self.cs_depth = int(cs_width), int(cs_depth)
+        self._sketched, self._hashes = countsketch.new_levels(
+            range(self.seed, self.seed + sketched), cs_width, cs_depth
+        )
+        # Exact level l's interval i is at (universe >> l) - 2 + i: the
+        # coarsest level first, each finer one after the one above it.
+        self._shifts = np.arange(self.universe_log2)[:, None]
+        self._exact_base = (self.universe >> self._shifts[sketched:]) - 2
+        self._exact = np.zeros(2 * (self.universe >> sketched) - 2, np.int64)
 
     # ------------------------------------------------------------------
     # Ingestion (turnstile: insertions and deletions)
     # ------------------------------------------------------------------
 
-    def _validate_keys(self, values: np.ndarray) -> np.ndarray:
-        if not np.isfinite(values).all():
-            raise InvalidValueError("batch contains non-finite values")
-        keys = np.floor(values).astype(np.int64)
-        if (keys < 0).any() or (keys >= self.universe).any():
-            raise InvalidValueError(
-                f"values must lie in [0, {self.universe}) — DCS needs "
-                f"prior knowledge of the universe (Sec 5.2.3)"
-            )
-        return keys
-
     def update(self, value: float) -> None:
         self.update_batch(np.asarray([value], dtype=np.float64))
 
     def update_batch(self, values: Sequence[float] | np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float64).ravel()
-        if values.size == 0:
-            return
-        keys = self._validate_keys(values)  # rejects non-finite up front
-        self._apply(keys, +1)
+        keys = self._apply(values, +1)
         self._observe_batch(keys.astype(np.float64), checked=True)
 
     def delete(self, value: float) -> None:
@@ -131,46 +136,57 @@ class DyadicCountSketch(QuantileSketch):
         self.delete_batch(np.asarray([value], dtype=np.float64))
 
     def delete_batch(self, values: Sequence[float] | np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float64).ravel()
-        if values.size == 0:
-            return
-        keys = self._validate_keys(values)
-        if values.size > self._count:
+        self._count -= self._apply(values, -1).size
+
+    def _apply(
+        self, values: Sequence[float] | np.ndarray, sign: int
+    ) -> np.ndarray:
+        """Check, then add *sign* per key at every level; return the keys."""
+        floors = np.floor(np.asarray(values, dtype=np.float64).ravel())
+        # NaN and +-inf fail both comparisons.
+        if not ((floors >= 0) & (floors < self.universe)).all():
+            raise InvalidValueError(
+                f"values must lie in [0, {self.universe}) — DCS needs "
+                f"prior knowledge of the universe (Sec 5.2.3)"
+            )
+        keys = floors.astype(np.int64)
+        if sign < 0 and keys.size > self._count:
             raise InvalidValueError(
                 "cannot delete more items than were inserted"
             )
-        self._apply(keys, -1)
-        self._count -= int(values.size)
-
-    def _apply(self, keys: np.ndarray, sign: int) -> None:
-        for level, structure in enumerate(self._levels):
-            interval_keys = keys >> level
-            if isinstance(structure, CountSketch):
-                structure.update_batch(interval_keys, sign)
-            else:
-                counts = np.bincount(
-                    interval_keys, minlength=structure.size
-                )
-                if sign > 0:
-                    structure += counts
-                else:
-                    structure -= counts
+        sketched = len(self._sketched)
+        for start in range(0, keys.size, UPDATE_CHUNK):
+            chunk = keys[start:start + UPDATE_CHUNK]
+            countsketch.signed_add(
+                self._sketched, self._hashes,
+                chunk >> self._shifts[:sketched], sign,
+            )
+            np.add.at(
+                self._exact,
+                (chunk >> self._shifts[sketched:]) + self._exact_base,
+                sign,
+            )
+        return keys
 
     # ------------------------------------------------------------------
     # Rank and quantile queries
     # ------------------------------------------------------------------
 
     def _interval_count(self, level: int, index: int) -> int:
-        structure = self._levels[level]
-        if isinstance(structure, CountSketch):
-            return max(structure.estimate(index), 0)
-        return int(structure[index])
+        if level >= len(self._sketched):
+            return int(self._exact[(self.universe >> level) - 2 + index])
+        at = slice(level, level + 1)
+        estimate = countsketch.signed_median(
+            self._sketched[at], self._hashes[:, at], np.array([[index]])
+        )
+        return max(int(estimate[0, 0]), 0)
 
     def rank(self, value: float) -> int:
         """Estimated number of items ``<= value``.
 
         Sums the dyadic decomposition of ``[0, floor(value) + 1)``.
         """
+        validate_rank_value(value)
         self._require_nonempty()
         # Saturate before flooring: math.floor(+/-inf) cannot become an
         # int, and the observed range already answers both extremes.
@@ -186,8 +202,7 @@ class DyadicCountSketch(QuantileSketch):
         total = 0
         for level in range(self.universe_log2):
             if (x >> level) & 1:
-                index = ((x >> (level + 1)) << 1)
-                total += self._interval_count(level, index)
+                total += self._interval_count(level, (x >> (level + 1)) << 1)
         return max(0, min(total, self._count))
 
     def quantile(self, q: float) -> float:
@@ -211,27 +226,26 @@ class DyadicCountSketch(QuantileSketch):
         return estimate
 
     # ------------------------------------------------------------------
-    # Merging
+    # Merging and introspection
     # ------------------------------------------------------------------
 
     def merge(self, other: QuantileSketch) -> None:
         other = self._merge_operand(
-            other, "universe_log2", "exact_threshold", "seed"
+            other, "universe_log2", "exact_threshold", "seed",
+            "cs_width", "cs_depth",
         )
-        for mine, theirs in zip(self._levels, other._levels):
-            if isinstance(mine, CountSketch):
-                mine.merge(theirs)
-            else:
-                mine += theirs
+        self._sketched += other._sketched
+        self._exact += other._exact
         self._merge_bookkeeping(other)
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def num_levels(self) -> int:
-        return len(self._levels)
+    def level_counters(self) -> list[tuple[bool, np.ndarray]]:
+        """``(sketched, counters)`` per level, finest first, sized as in
+        :func:`level_layout`: writable views, which the codec writes
+        and fills."""
+        return [(True, table.reshape(-1)) for table in self._sketched] + [
+            (False, self._exact[base:2 * base + 2])
+            for base in self._exact_base.ravel().tolist()
+        ]
 
     def guarantee(self) -> Guarantee:
         """``none``: no cited closed form bounds the Count-Sketch levels'
@@ -239,10 +253,6 @@ class DyadicCountSketch(QuantileSketch):
         return NO_GUARANTEE
 
     def size_bytes(self) -> int:
-        total = 4 * 8
-        for structure in self._levels:
-            if isinstance(structure, CountSketch):
-                total += structure.size_bytes()
-            else:
-                total += 8 * structure.size
-        return total
+        return 8 * (
+            4 + self._sketched.size + self._hashes.size + self._exact.size
+        )

@@ -26,6 +26,7 @@ from repro.core.base import (
     QuantileSketch,
     as_float_batch,
     validate_quantile,
+    validate_rank_value,
 )
 from repro.core.mapping import (
     MIN_INDEXABLE_VALUE,
@@ -164,6 +165,7 @@ class DDSketch(QuantileSketch):
         return estimates
 
     def rank(self, value: float) -> int:
+        validate_rank_value(value)
         self._require_nonempty()
         value = float(value)
         if value >= self._max:

@@ -19,6 +19,7 @@ from repro.core.base import (
     QuantileSketch,
     as_float_batch,
     validate_quantile,
+    validate_rank_value,
 )
 from repro.errors import InvalidValueError
 
@@ -71,6 +72,7 @@ class ExactQuantiles(QuantileSketch):
 
     def rank(self, value: float) -> int:
         """Exact ``Rank(value)``: number of items ``<= value``."""
+        validate_rank_value(value)
         self._require_nonempty()
         return int(np.searchsorted(self._sorted_values(), value, side="right"))
 

@@ -25,6 +25,7 @@ from repro.core.base import (
     QuantileSketch,
     as_float_batch,
     validate_quantile,
+    validate_rank_value,
 )
 from repro.errors import InvalidValueError
 
@@ -205,6 +206,7 @@ class GKSketch(QuantileSketch):
         return self._tuples[-1].value
 
     def rank(self, value: float) -> int:
+        validate_rank_value(value)
         self._require_nonempty()
         min_rank = 0
         best = 0

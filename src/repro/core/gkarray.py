@@ -22,6 +22,7 @@ from repro.core.base import (
     QuantileSketch,
     as_float_batch,
     validate_quantile,
+    validate_rank_value,
 )
 from repro.core.gk import _Tuple
 from repro.errors import InvalidValueError
@@ -177,6 +178,7 @@ class GKArray(QuantileSketch):
         return self._tuples[-1].value
 
     def rank(self, value: float) -> int:
+        validate_rank_value(value)
         self._require_nonempty()
         self._flush()
         min_rank = 0

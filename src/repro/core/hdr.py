@@ -25,6 +25,7 @@ from repro.core.base import (
     QuantileSketch,
     as_float_batch,
     validate_quantile,
+    validate_rank_value,
 )
 from repro.errors import InvalidValueError
 
@@ -181,6 +182,7 @@ class HdrHistogram(QuantileSketch):
         return float(min(max(estimate, self._min), self._max))
 
     def rank(self, value: float) -> int:
+        validate_rank_value(value)
         self._require_nonempty()
         if value >= self._max:
             return self._count

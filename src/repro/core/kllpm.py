@@ -27,6 +27,7 @@ from repro.core.base import (
     QuantileSketch,
     as_float_batch,
     validate_quantile,
+    validate_rank_value,
 )
 from repro.core.kll import DEFAULT_MAX_COMPACTOR_SIZE, KLLSketch
 from repro.errors import EmptySketchError, InvalidValueError
@@ -104,6 +105,7 @@ class KLLPlusMinus(QuantileSketch):
 
     def rank(self, value: float) -> int:
         """Net estimated rank: inserted rank minus deleted rank."""
+        validate_rank_value(value)
         if self._count == 0:
             raise EmptySketchError("KLLPlusMinus has seen no data")
         inserted = self._inserts.rank(value)

@@ -29,6 +29,7 @@ from repro.core.base import (
     QuantileSketch,
     as_float_batch,
     validate_quantile,
+    validate_rank_value,
 )
 from repro.core.maxent import (
     DEFAULT_GRID_SIZE,
@@ -487,6 +488,7 @@ class MomentsSketch(QuantileSketch):
         return [min(max(invert(x * half + mid), low), high) for x in scaled]
 
     def rank(self, value: float) -> int:
+        validate_rank_value(value)
         self._require_nonempty()
         if value >= self._max:
             return self._count

@@ -28,8 +28,7 @@ import numpy as np
 
 from repro.core.base import QuantileSketch
 from repro.core.codec import Reader, Writer, canonical_json
-from repro.core.countsketch import CountSketch
-from repro.core.dcs import DyadicCountSketch
+from repro.core.dcs import DyadicCountSketch, level_layout
 from repro.core.ddsketch import DDSketch
 from repro.core.exact import ExactQuantiles
 from repro.core.gk import GKSketch, _Tuple
@@ -148,10 +147,16 @@ def _write_common(w: Writer, sketch: QuantileSketch) -> None:
     w.f64(sketch._max)
 
 
+def _read_counts(r: Reader) -> tuple[int, float, float]:
+    """The common fields: count (never negative), min and max."""
+    count = r.i64()
+    if count < 0:
+        r.fail(f"negative count {count}")
+    return count, r.f64(), r.f64()
+
+
 def _read_common(r: Reader, sketch: QuantileSketch) -> None:
-    sketch._count = r.i64()
-    sketch._min = r.f64()
-    sketch._max = r.f64()
+    sketch._count, sketch._min, sketch._max = _read_counts(r)
 
 
 def _write_buckets(w: Writer, sketch: DDSketch) -> None:
@@ -456,54 +461,33 @@ def _encode_dcs(w: Writer, sketch: DyadicCountSketch) -> None:
     w.i64(sketch.exact_threshold)
     w.i64(sketch.seed)
     _write_common(w, sketch)
-    # Count-Sketch config is shared by every sketched level.
-    sketched = [
-        s for s in sketch._levels if isinstance(s, CountSketch)
-    ]
-    w.i64(sketched[0].width if sketched else 0)
-    w.i64(sketched[0].depth if sketched else 0)
-    for structure in sketch._levels:
-        if isinstance(structure, CountSketch):
-            w.u8(1)
-            w.i64_array(structure._table.ravel())
-        else:
-            w.u8(0)
-            w.i64_array(structure)
+    # Every sketched level shares one Count-Sketch shape (0 x 0 if none).
+    w.i64(sketch.cs_width)
+    w.i64(sketch.cs_depth)
+    for sketched, counters in sketch.level_counters():
+        w.u8(1 if sketched else 0)
+        w.i64_array(counters)
 
 
 def _decode_dcs(r: Reader) -> DyadicCountSketch:
     universe_log2 = r.count(9)  # a kind byte + a length prefix per level
-    exact_threshold = r.i64()
-    seed = r.i64()
-    count, lo, hi = r.i64(), r.f64(), r.f64()
-    cs_width = r.i64() or 1024
-    cs_depth = r.i64() or 5
+    exact_threshold, seed = r.i64(), r.i64()
+    common = _read_counts(r)
+    cs_width, cs_depth = r.i64(), r.i64()
     # Levels are stored in full: check them against the configuration
     # *before* the constructor allocates what a hostile one claims.
     tables = []
-    for level in range(universe_log2):
-        sketched = r.u8() == 1
-        table = r.i64_array()
-        intervals = 1 << (universe_log2 - level)
-        if sketched != (intervals > exact_threshold):
-            r.fail("DCS level kind does not match configuration")
-        if table.size != (cs_width * cs_depth if sketched else intervals):
-            r.fail("DCS level size does not match configuration")
+    layout = level_layout(universe_log2, exact_threshold, cs_width, cs_depth)
+    for sketched, size in layout:
+        kind, table = r.u8() == 1, r.i64_array()
+        if kind != sketched or table.size != size:
+            r.fail("DCS level does not match configuration")
         tables.append(table)
-    sketch = DyadicCountSketch(
-        universe_log2=universe_log2,
-        exact_threshold=exact_threshold,
-        cs_width=cs_width,
-        cs_depth=cs_depth,
-        seed=seed,
-    )
-    sketch._count, sketch._min, sketch._max = count, lo, hi
-    for level, table in enumerate(tables):
-        structure = sketch._levels[level]
-        if isinstance(structure, CountSketch):
-            structure._table = table.reshape(cs_depth, cs_width)
-        else:
-            sketch._levels[level] = table
+    sketch = DyadicCountSketch(universe_log2, exact_threshold, cs_width,
+                               cs_depth, seed)
+    sketch._count, sketch._min, sketch._max = common
+    for (_sketched, counters), table in zip(sketch.level_counters(), tables):
+        counters[...] = table
     return sketch
 
 

@@ -26,6 +26,7 @@ from repro.core.base import (
     QuantileSketch,
     as_float_batch,
     validate_quantile,
+    validate_rank_value,
 )
 from repro.errors import InvalidValueError
 
@@ -170,6 +171,7 @@ class TDigest(QuantileSketch):
         return float(min(max(estimate, self._min), self._max))
 
     def rank(self, value: float) -> int:
+        validate_rank_value(value)
         self._require_nonempty()
         self._flush()
         if value >= self._max:

@@ -5,7 +5,8 @@ NaN fails every ordered comparison, so a NaN that slipped into
 untouched — rank/cdf bounds and serialization round-trips then disagree
 about the stream.  The policy is: NaN raises
 :class:`~repro.errors.InvalidValueError` from every ingestion path, and
-a rejected update/batch leaves the sketch exactly as it was.
+a rejected update/batch leaves the sketch exactly as it was.  NaN as
+the argument of ``rank`` or ``cdf`` raises the same error.
 """
 
 from __future__ import annotations
@@ -64,6 +65,31 @@ def test_update_nan_on_empty_sketch_stays_empty(name):
     with pytest.raises(InvalidValueError):
         sketch.update(math.nan)
     assert sketch.is_empty
+
+
+@pytest.mark.parametrize("name", ALL_SKETCHES)
+def test_rank_and_cdf_of_nan_raise(name):
+    """NaN has no rank.  Before, five different answers came back: an
+    ``InvalidValueError``, a bare ``ValueError``, ``count`` or 0."""
+    sketch = _filled(name)
+    before = dumps(sketch)
+    for query in (sketch.rank, sketch.cdf):
+        with pytest.raises(InvalidValueError):
+            query(math.nan)
+    assert dumps(sketch) == before
+    # ±inf still saturate.
+    assert sketch.rank(math.inf) == sketch.count
+    assert sketch.rank(-math.inf) == 0
+
+
+def test_sharded_sketch_rank_and_cdf_of_nan_raise():
+    sharded = ShardedSketch(
+        lambda: paper_config("kll", seed=11), n_shards=4
+    )
+    sharded.update_batch(FILL_VALUES)
+    for query in (sharded.rank, sharded.cdf):
+        with pytest.raises(InvalidValueError):
+            query(math.nan)
 
 
 def test_observe_helpers_reject_nan_before_mutating():

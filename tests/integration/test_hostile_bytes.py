@@ -516,6 +516,22 @@ def test_fixed_hostile_cases(name, label, data, tmp_path):
     check(entry(name), label, data, tmp_path, must_fail=True)
 
 
+@pytest.mark.parametrize("name", sorted(SKETCH_CLASSES))
+def test_a_negative_count_is_typed(name, tmp_path):
+    """Before, a count patched to -1 decoded into a sketch whose
+    ``count`` was -1 and which still answered ``quantile(0.5)``."""
+    point = entry(f"loads[{name}]")
+    sketch = small_sketch(name)
+    data = dumps(sketch)
+    count = struct.pack("<q", sketch.count)
+    offset = next(
+        offset for offset, fmt in integer_fields(point, data, tmp_path)
+        if fmt == "<q" and data[offset:offset + 8] == count
+    )
+    mutated = data[:offset] + struct.pack("<q", -1) + data[offset + 8:]
+    check(point, "count -1", mutated, tmp_path, must_fail=True)
+
+
 def test_moments_inflated_num_moments_is_typed(tmp_path):
     """``num_moments = 2**40`` reached ``np.zeros`` (``MemoryError``)."""
     target = entry("loads[moments]")

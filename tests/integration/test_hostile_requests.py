@@ -13,6 +13,8 @@ at the end).  ``ae_fetch`` also gets malformed items.
 A Moments tenant holding fewer than five values cannot fit a density:
 ``rank`` and ``cdf`` are answered ``unanswerable`` on all three
 endpoints and over TCP, and ``quantile`` keeps its endpoint fallback.
+NaN has no rank: ``rank`` and ``cdf`` of it are a ``bad_request`` on
+a KLL, a GK and a DDSketch tenant alike.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.cluster.proxy import RoutingProxy
 from repro.cluster.ring import HashRing
 from repro.cluster.transport import ClusterTransport
 from repro.core import MomentsSketch
+from repro.core.registry import paper_config
 from repro.service import protocol
 from repro.service.clock import ManualClock
 from repro.service.ops import OPS
@@ -163,26 +166,32 @@ def test_a_malformed_request_keeps_the_connection(endpoints):
 FEW_VALUES = [1.0, 2.0, 3.0]
 
 
-@pytest.fixture(scope="module")
-def moments_endpoints(tmp_path_factory):
+def tenant_endpoints(tmp_path_factory, factory, values):
     """A server, a node and a proxy in front of the node, each holding
-    one Moments tenant of three values."""
+    one tenant of *values* in sketches *factory* builds."""
     clock = ManualClock(0.0)
     server = QuantileServer(
-        MetricRegistry(sketch_factory=MomentsSketch, clock=clock)
+        MetricRegistry(sketch_factory=factory, clock=clock)
     ).start()
     node = ClusterNode(
-        "n0", HashRing(["n0"]), tmp_path_factory.mktemp("moments"),
-        clock=clock, sketch_factory=MomentsSketch,
+        "n0", HashRing(["n0"]), tmp_path_factory.mktemp("tenant"),
+        clock=clock, sketch_factory=factory,
     ).start()
     for endpoint in (server, node):
-        seeded = endpoint.dispatch(
-            {**well_formed("ingest"), "values": FEW_VALUES}
-        )
+        seeded = endpoint.dispatch({**well_formed("ingest"), "values": values})
         assert seeded["ok"], seeded
     transport = ClusterTransport("proxy", clock)
     transport.set_address("n0", *node.address)
     proxy = RoutingProxy(HashRing(["n0"]), transport)
+    return server, node, proxy
+
+
+@pytest.fixture(scope="module")
+def moments_endpoints(tmp_path_factory):
+    """Each endpoint holds one Moments tenant of three values."""
+    server, node, proxy = tenant_endpoints(
+        tmp_path_factory, MomentsSketch, FEW_VALUES
+    )
     yield {"server": server, "node": node, "proxy": proxy}
     server.stop()
     node.stop()
@@ -231,3 +240,32 @@ def test_an_unanswerable_read_keeps_the_connection(moments_endpoints):
     assert answers[0]["error"] == "unanswerable", answers[0]
     assert answers[1] == protocol.ok(pong=True)
     assert errors() == before + 1
+
+
+# -- NaN has no rank --------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=["kll", "gk", "ddsketch"])
+def nan_endpoints(request, tmp_path_factory):
+    """Each endpoint holds one 100-value tenant of the sketch named by
+    the parameter."""
+    server, node, proxy = tenant_endpoints(
+        tmp_path_factory, lambda: paper_config(request.param, seed=1),
+        [float(v) for v in range(1, 101)],
+    )
+    yield {"server": server, "node": node, "proxy": proxy}
+    server.stop()
+    node.stop()
+
+
+@pytest.mark.parametrize("where", ["server", "node", "proxy"])
+@pytest.mark.parametrize("op", ["rank", "cdf"])
+def test_a_nan_rank_or_cdf_is_a_bad_request(nan_endpoints, where, op):
+    """Before, the same request answered ``rank: 100`` on KLL, ``rank:
+    0`` on GK and ``bad_request`` only on DDSketch."""
+    endpoint = nan_endpoints[where]
+    answer = endpoint.dispatch({**well_formed(op), "value": float("nan")})
+    assert answer["ok"] is False, answer
+    assert answer["error"] == "bad_request", answer
+    answer = endpoint.dispatch({**well_formed(op), "value": float("inf")})
+    assert answer["ok"] is True, answer
