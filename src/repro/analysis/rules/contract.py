@@ -47,8 +47,11 @@ _REQUIRED_METHODS = (
     "update", "merge", "quantile", "size_bytes", "guarantee",
 )
 _OBSERVERS = frozenset({"_observe", "_observe_batch"})
-#: The interface and base.py's abstract base for weighted-sample sketches.
-_SKETCH_BASES = frozenset({"QuantileSketch", "WeightedSampleSketch"})
+#: The interface and the abstract bases sketches share an implementation
+#: through: base.py's weighted-sample sketch and gk.py's tuple summary.
+_SKETCH_BASES = frozenset(
+    {"QuantileSketch", "WeightedSampleSketch", "GKSummary"}
+)
 _REGISTRY_MODULE = "repro.core.registry"
 
 

@@ -10,12 +10,19 @@ bounds the rank uncertainty; tuples are merged whenever
 GK is not natively mergeable — merging concatenates summaries at the
 cost of summed error bounds, which is precisely why the paper's five
 evaluated sketches superseded it in distributed settings.
+
+:class:`GKSummary` is that summary: the tuple table, the sorted-run
+insert sweep, compression, the merge walk and the read path.
+:class:`GKSketch` (here) and :class:`~repro.core.gkarray.GKArray` differ
+only in when inserts reach it.
 """
 
 from __future__ import annotations
 
+import abc
 import bisect
 import math
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -41,19 +48,16 @@ class _Tuple:
         self.delta = delta
 
 
-class GKSketch(QuantileSketch):
-    """Deterministic additive rank-error summary.
+class GKSummary(QuantileSketch):
+    """The Greenwald-Khanna tuple table both GK variants keep.
 
-    Parameters
-    ----------
-    epsilon:
-        Additive rank-error guarantee: a q-quantile query returns a value
-        whose rank is within ``epsilon * n`` of ``q * n``.
+    ``_tuples`` holds the ``(value, g, delta)`` tuples in value order
+    and ``_values`` mirrors their values for ``bisect``.  Every value a
+    subclass has accepted but not yet inserted waits outside the table;
+    :meth:`_flush` moves it in (a no-op unless the subclass buffers).
     """
 
-    name = "gk"
-
-    def __init__(self, epsilon: float = DEFAULT_EPSILON) -> None:
+    def __init__(self, epsilon: float) -> None:
         super().__init__()
         if not 0.0 < epsilon < 0.5:
             raise InvalidValueError(
@@ -61,140 +65,86 @@ class GKSketch(QuantileSketch):
             )
         self.epsilon = float(epsilon)
         self._tuples: list[_Tuple] = []
-        self._values: list[float] = []  # mirror for O(log n) bisect
-        self._since_compress = 0
+        self._values: list[float] = []
+
+    @abc.abstractmethod
+    def copy(self) -> "GKSummary":
+        """A field-by-field copy (:meth:`_copy_table_into` does the table)."""
+
+    def _flush(self) -> None:
+        """Insert whatever values wait outside the table."""
+
+    def _flushed(self) -> "GKSummary":
+        """This summary with nothing waiting outside the table: itself,
+        or a flushed copy, so a merge never mutates its operand."""
+        return self
+
+    def _copy_table_into(self, clone: "GKSummary") -> "GKSummary":
+        clone._tuples = [_Tuple(t.value, t.g, t.delta) for t in self._tuples]
+        clone._values = list(self._values)
+        clone._count, clone._min, clone._max = self._count, self._min, self._max
+        return clone
+
+    def _adopt_table(self, rows: Sequence[tuple[float, int, int]]) -> None:
+        """Replace the table by ``(value, g, delta)`` rows, in order."""
+        self._tuples = [_Tuple(value, g, delta) for value, g, delta in rows]
+        self._values = [value for value, _, _ in rows]
 
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
 
-    def update(self, value: float) -> None:
-        value = float(value)
-        if not np.isfinite(value):
-            raise InvalidValueError(f"cannot insert non-finite value {value!r}")
-        self._observe(value)
-        pos = bisect.bisect_right(self._values, value)
-        if pos == 0 or pos == len(self._tuples):
-            delta = 0  # new extremum: rank is known exactly
-        else:
-            delta = max(
-                int(math.floor(2.0 * self.epsilon * self._count)) - 1, 0
-            )
-        self._tuples.insert(pos, _Tuple(value, 1, delta))
-        self._values.insert(pos, value)
-        self._since_compress += 1
-        if self._since_compress >= max(int(1.0 / (2.0 * self.epsilon)), 1):
-            self._compress()
-            self._since_compress = 0
-
-    def update_batch(self, values: Sequence[float] | np.ndarray) -> None:
-        """Vectorised ingest that replays the scalar schedule exactly.
-
-        Between two compression passes the summary only *gains* tuples,
-        so a whole run of inserts can be merged in one sorted sweep —
-        provided each item still gets the delta the scalar path would
-        have assigned (a function of the stream count *at its own
-        insert time* and whether it was an extremum *then*), and the
-        compression pass still fires after every ``1/(2*eps)``-th
-        insert.  Chunking by the distance to the next compression keeps
-        both, so batch and scalar ingestion produce bit-identical
-        summaries.
-        """
-        values = as_float_batch(values)
-        if values.size == 0:
-            return
-        period = max(int(1.0 / (2.0 * self.epsilon)), 1)
-        eps2 = 2.0 * self.epsilon
-        n = int(values.size)
-        pos = 0
-        while pos < n:
-            room = period - self._since_compress
-            chunk = values[pos : pos + room]
-            m = int(chunk.size)
-            base = self._count
-            self._observe_batch(chunk, checked=True)
-            # Delta as assigned at each item's own insert time; an item
-            # that was an extremum of everything inserted before it
-            # (summary plus earlier chunk items) has exactly-known rank.
-            deltas = np.maximum(
-                np.floor(
-                    eps2 * (base + 1 + np.arange(m, dtype=np.float64))
-                ).astype(np.int64)
-                - 1,
-                0,
-            )
-            if self._values:
-                lo, hi = self._values[0], self._values[-1]
-            else:
-                lo, hi = math.inf, -math.inf
-            prev_min = np.empty(m)
-            prev_max = np.empty(m)
-            prev_min[0] = lo
-            prev_max[0] = hi
-            if m > 1:
-                np.minimum(
-                    np.minimum.accumulate(chunk[:-1]), lo,
-                    out=prev_min[1:],
-                )
-                np.maximum(
-                    np.maximum.accumulate(chunk[:-1]), hi,
-                    out=prev_max[1:],
-                )
-            deltas[(chunk < prev_min) | (chunk >= prev_max)] = 0
-            # Stable sort keeps stream order among equal values, which
-            # is where bisect_right would have put them.
-            order = np.argsort(chunk, kind="stable")
-            svals = chunk[order].tolist()
-            sdeltas = deltas[order].tolist()
-            positions = np.searchsorted(
-                np.asarray(self._values, dtype=np.float64),
-                chunk[order],
-                side="right",
-            ).tolist()
-            tuples = self._tuples
-            old_values = self._values
-            merged: list[_Tuple] = []
-            merged_values: list[float] = []
-            prev = 0
-            for value, delta, insert_at in zip(
-                svals, sdeltas, positions
-            ):
-                if insert_at > prev:
-                    merged.extend(tuples[prev:insert_at])
-                    merged_values.extend(old_values[prev:insert_at])
-                    prev = insert_at
-                merged.append(_Tuple(value, 1, delta))
-                merged_values.append(value)
-            merged.extend(tuples[prev:])
-            merged_values.extend(old_values[prev:])
-            self._tuples = merged
-            self._values = merged_values
-            self._since_compress += m
-            pos += m
-            if self._since_compress >= period:
-                self._compress()
-                self._since_compress = 0
+    def _insert_sorted(
+        self, values: Sequence[float], deltas: Sequence[int]
+    ) -> None:
+        """Insert ascending *values* (``g = 1``, their *deltas*) in one
+        sweep.  ``bisect_right`` places ties after the table's equal
+        values, as a scalar insert does; the lists are rebuilt with
+        slice extends rather than shifted once per value."""
+        tuples = self._tuples
+        old_values = self._values
+        merged: list[_Tuple] = []
+        merged_values: list[float] = []
+        prev = 0
+        for value, delta in zip(values, deltas):
+            insert_at = bisect.bisect_right(old_values, value, prev)
+            if insert_at > prev:
+                merged.extend(tuples[prev:insert_at])
+                merged_values.extend(old_values[prev:insert_at])
+                prev = insert_at
+            merged.append(_Tuple(value, 1, delta))
+            merged_values.append(value)
+        merged.extend(tuples[prev:])
+        merged_values.extend(old_values[prev:])
+        self._tuples = merged
+        self._values = merged_values
 
     def _compress(self) -> None:
+        """Fold each tuple into its successor while the band allows,
+        right to left, never merging away the minimum."""
         threshold = 2.0 * self.epsilon * self._count
         tuples = self._tuples
+        values = self._values
         i = len(tuples) - 2
-        while i >= 1:  # never merge away the minimum
+        while i >= 1:
             current = tuples[i]
             nxt = tuples[i + 1]
             if current.g + nxt.g + nxt.delta <= threshold:
                 nxt.g += current.g
                 del tuples[i]
-                del self._values[i]
+                del values[i]
             i -= 1
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
-    def quantile(self, q: float) -> float:
+    def _select(self, q: float) -> float:
+        """The quantile walk: the first tuple whose rank band reaches
+        ``ceil(q * n) - eps * n``."""
         q = validate_quantile(q)
         self._require_nonempty()
+        self._flush()
         target = math.ceil(q * self._count)
         margin = self.epsilon * self._count
         min_rank = 0
@@ -208,6 +158,7 @@ class GKSketch(QuantileSketch):
     def rank(self, value: float) -> int:
         validate_rank_value(value)
         self._require_nonempty()
+        self._flush()
         min_rank = 0
         best = 0
         for item in self._tuples:
@@ -222,35 +173,23 @@ class GKSketch(QuantileSketch):
     # Merging
     # ------------------------------------------------------------------
 
-    def merge(self, other: QuantileSketch) -> None:
-        """Combine two GK summaries.
+    def _merge_tables(self, other: "GKSummary") -> None:
+        """Interleave *other*'s tuples into this table by value (this
+        table's first among ties), then compress.
 
-        The merged summary is a rank-weighted interleave of the tuple
-        lists; its error bound is the *sum* of the inputs' epsilons, the
-        classic weakness that motivated natively-mergeable sketches.
+        The merged error bound is the *sum* of the inputs' epsilons,
+        the classic weakness that motivated natively-mergeable sketches.
         """
-        other = self._merge_operand(other, "epsilon")
-        merged: list[_Tuple] = []
-        values: list[float] = []
-        i = j = 0
-        a, b = self._tuples, other._tuples
-        while i < len(a) and j < len(b):
-            if a[i].value <= b[j].value:
-                item = a[i]
-                i += 1
-            else:
-                item = b[j]
-                j += 1
-            merged.append(_Tuple(item.value, item.g, item.delta))
-            values.append(item.value)
-        for item in a[i:]:
-            merged.append(_Tuple(item.value, item.g, item.delta))
-            values.append(item.value)
-        for item in b[j:]:
-            merged.append(_Tuple(item.value, item.g, item.delta))
-            values.append(item.value)
+        self._flush()
+        other = other._flushed()
+        # Both runs are sorted, so the stable sort is one linear merge.
+        merged = sorted(
+            self._tuples
+            + [_Tuple(t.value, t.g, t.delta) for t in other._tuples],
+            key=attrgetter("value"),
+        )
         self._tuples = merged
-        self._values = values
+        self._values = [item.value for item in merged]
         self._merge_bookkeeping(other)
         self._compress()
 
@@ -261,6 +200,108 @@ class GKSketch(QuantileSketch):
     @property
     def num_tuples(self) -> int:
         return len(self._tuples)
+
+
+class GKSketch(GKSummary):
+    """Deterministic additive rank-error summary.
+
+    Parameters
+    ----------
+    epsilon:
+        Additive rank-error guarantee: a q-quantile query returns a value
+        whose rank is within ``epsilon * n`` of ``q * n``.
+    """
+
+    name = "gk"
+
+    def __init__(self, epsilon: float = DEFAULT_EPSILON) -> None:
+        super().__init__(epsilon)
+        # Compress after every period-th insert: whenever the count is
+        # a multiple of it, so a restored summary keeps the schedule.
+        self._period = max(int(1.0 / (2.0 * self.epsilon)), 1)
+
+    def copy(self) -> "GKSketch":
+        return self._copy_table_into(GKSketch(self.epsilon))
+
+    # ------------------------------------------------------------------
+    # Ingestion
+    # ------------------------------------------------------------------
+
+    def update(self, value: float) -> None:
+        value = float(value)
+        if not math.isfinite(value):
+            raise InvalidValueError(f"cannot insert non-finite value {value!r}")
+        self._observe(value)
+        pos = bisect.bisect_right(self._values, value)
+        if pos == 0 or pos == len(self._tuples):
+            delta = 0  # new extremum: rank is known exactly
+        else:
+            delta = max(
+                int(math.floor(2.0 * self.epsilon * self._count)) - 1, 0
+            )
+        self._tuples.insert(pos, _Tuple(value, 1, delta))
+        self._values.insert(pos, value)
+        if self._count % self._period == 0:
+            self._compress()
+
+    def update_batch(self, values: Sequence[float] | np.ndarray) -> None:
+        """Vectorised ingest that replays the scalar schedule exactly.
+
+        Between two compression passes the summary only *gains* tuples,
+        so a whole run of inserts can be merged in one sorted sweep —
+        provided each item still gets the delta the scalar path would
+        have assigned (a function of the stream count *at its own
+        insert time* and whether it was an extremum *then*), and the
+        compression pass still fires whenever the count reaches a
+        multiple of the period.  Chunking by the distance to that
+        multiple keeps both, so batch and scalar ingestion produce
+        bit-identical summaries.
+        """
+        values = as_float_batch(values)
+        if values.size == 0:
+            return
+        period = self._period
+        eps2 = 2.0 * self.epsilon
+        n = int(values.size)
+        pos = 0
+        while pos < n:
+            chunk = values[pos : pos + period - self._count % period]
+            m = int(chunk.size)
+            base = self._count
+            self._observe_batch(chunk, checked=True)
+            # Delta as assigned at each item's own insert time; an item
+            # that was an extremum of everything inserted before it
+            # (summary plus earlier chunk items) has exactly-known rank.
+            counts = np.arange(base + 1, base + m + 1, dtype=np.float64)
+            deltas = np.floor(eps2 * counts).astype(np.int64) - 1
+            lo, hi = math.inf, -math.inf
+            if self._values:
+                lo, hi = self._values[0], self._values[-1]
+            before = np.concatenate(([lo], chunk[:-1]))
+            prev_min = np.minimum.accumulate(before)
+            before[0] = hi
+            prev_max = np.maximum.accumulate(before)
+            deltas[(deltas < 0) | (chunk < prev_min) | (chunk >= prev_max)] = 0
+            # Stable sort keeps stream order among equal values, which
+            # is where bisect_right would have put them.
+            order = np.argsort(chunk, kind="stable")
+            self._insert_sorted(
+                chunk[order].tolist(), deltas[order].tolist()
+            )
+            pos += m
+            if self._count % period == 0:
+                self._compress()
+
+    # ------------------------------------------------------------------
+    # Queries, merging, introspection
+    # ------------------------------------------------------------------
+
+    def quantile(self, q: float) -> float:
+        return self._select(q)
+
+    def merge(self, other: QuantileSketch) -> None:
+        """Combine two GK summaries (summed error bounds)."""
+        self._merge_tables(self._merge_operand(other, "epsilon"))
 
     def guarantee(self) -> Guarantee:
         """Additive rank error ``epsilon`` (Greenwald & Khanna 2001) over

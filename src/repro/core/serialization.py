@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro.core.codec import Reader, Writer, canonical_json
 from repro.core.dcs import DyadicCountSketch, level_layout
 from repro.core.ddsketch import DDSketch
 from repro.core.exact import ExactQuantiles
-from repro.core.gk import GKSketch, _Tuple
+from repro.core.gk import GKSketch, GKSummary
 from repro.core.gkarray import GKArray
 from repro.core.hdr import HdrHistogram
 from repro.core.kll import KLLSketch
@@ -385,7 +385,7 @@ def _decode_tdigest(r: Reader) -> TDigest:
     return sketch
 
 
-def _write_tuples(w: Writer, sketch: GKSketch | GKArray) -> None:
+def _write_tuples(w: Writer, sketch: GKSummary) -> None:
     w.i64(len(sketch._tuples))
     for item in sketch._tuples:
         w.f64(item.value)
@@ -393,11 +393,31 @@ def _write_tuples(w: Writer, sketch: GKSketch | GKArray) -> None:
         w.i64(item.delta)
 
 
-def _read_tuples(r: Reader, sketch: GKSketch | GKArray) -> None:
-    for _ in range(r.count(24)):
-        value = r.f64()
-        sketch._tuples.append(_Tuple(value, r.i64(), r.i64()))
-        sketch._values.append(value)
+def _read_tuples(r: Reader, sketch: GKSummary) -> None:
+    sketch._adopt_table(
+        [(r.f64(), r.i64(), r.i64()) for _ in range(r.count(24))]
+    )
+
+
+def _check_summary(
+    r: Reader, sketch: GKSummary, buffer: Sequence[float] = ()
+) -> None:
+    """Refuse a decoded GK/GKArray whose tuple table is no summary of
+    its count: every gap at least 1, every band non-negative, finite
+    ascending values, finite buffered values, and the gaps summing to
+    the values in the table.  Such a table answers negative ranks."""
+    tuples = sketch._tuples
+    if any(item.g < 1 for item in tuples):
+        r.fail("GK tuple with a gap below 1")
+    if any(item.delta < 0 for item in tuples):
+        r.fail("GK tuple with a negative band")
+    values = np.array(sketch._values, dtype=np.float64)
+    if not np.isfinite(values).all() or (values[1:] < values[:-1]).any():
+        r.fail("GK tuple values are not finite and ascending")
+    if not np.isfinite(np.array(buffer, dtype=np.float64)).all():
+        r.fail("non-finite buffered value")
+    if sum(item.g for item in tuples) != sketch._count - len(buffer):
+        r.fail("GK gaps do not sum to the count outside the buffer")
 
 
 def _encode_gk(w: Writer, sketch: GKSketch) -> None:
@@ -410,6 +430,7 @@ def _decode_gk(r: Reader) -> GKSketch:
     sketch = GKSketch(epsilon=r.f64())
     _read_common(r, sketch)
     _read_tuples(r, sketch)
+    _check_summary(r, sketch)
     return sketch
 
 
@@ -506,6 +527,7 @@ def _decode_gkarray(r: Reader) -> GKArray:
     _read_common(r, sketch)
     _read_tuples(r, sketch)
     sketch._buffer = r.f64_array().tolist()
+    _check_summary(r, sketch, sketch._buffer)
     return sketch
 
 

@@ -102,6 +102,19 @@ class TestCopyContract:
         assert clone.count == sketch.count + other.count
 
 
+@pytest.mark.parametrize("cut", [1, 37, 1_237])
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_copy_continues_exactly_from_odd_cuts(name, cut):
+    """Cuts off GK's 50-insert compression period, where a GK copied
+    without its insert counter used to compress on another schedule."""
+    sketch = paper_config(name, seed=7)
+    sketch.update_batch(_values(1, cut))
+    clone = sketch.copy()
+    for each in (sketch, clone):
+        each.update_batch(_values(2, 3_000))
+    assert dumps(clone) == dumps(sketch)
+
+
 def test_moments_grid_size_travels():
     """A non-default solver grid answers the same after ``copy()`` and
     a round trip; it came back on the default grid before, moving

@@ -128,6 +128,17 @@ class TestRestoreEquivalence:
 
     def test_restored_continuation_is_bit_identical(self, name, rng):
         data, head = self._stream(name, rng)
+        self._check_continuation(name, data, head)
+
+    @pytest.mark.parametrize("cut", [1, 37, 1_237])
+    def test_restored_continuation_at_odd_cuts(self, name, cut, rng):
+        """Cuts off GK's 50-insert compression period: a GK that kept
+        its own insert counter, which the codec did not carry, diverged
+        here while every multiple of 50 hid it."""
+        self._check_continuation(name, 1.0 + rng.pareto(1.0, cut + 3_000), cut)
+
+    @staticmethod
+    def _check_continuation(name, data, head):
         # The control sees the same batch boundaries as the
         # interrupted run: recovery replays the journaled batches
         # as-journaled, and float accumulation (e.g. Moments power

@@ -18,7 +18,7 @@ from repro.durability.manager import (
 from repro.durability.wal import FlushPolicy, list_segments
 from repro.errors import WALError
 from repro.service.clock import ManualClock
-from repro.service.registry import MetricRegistry
+from repro.service.registry import MetricRegistry, default_sketch_factory
 from tests.conftest import all_json_values
 
 
@@ -34,11 +34,14 @@ def snapshot_all(registry):
     }
 
 
-def ingest(manager, registry, clock, batches, metric="lat", start=0):
-    """Journal + apply *batches* ops, mirroring the server's path."""
+def ingest(
+    manager, registry, clock, batches, metric="lat", start=0, size=20
+):
+    """Journal + apply *batches* ops of *size* values, mirroring the
+    server's path."""
     rng = np.random.default_rng(1234 + start)
     for _ in range(batches):
-        values = (1.0 + rng.pareto(1.0, 20)).tolist()
+        values = (1.0 + rng.pareto(1.0, size)).tolist()
         seq, ts, now = manager.journal(metric, {"svc": "api"}, values, None)
         registry.record(metric, values, ts, {"svc": "api"}, now_ms=now)
         clock.advance(25.0)
@@ -83,6 +86,28 @@ class TestRecoverRoundTrip:
             assert report.checkpoint_seq == 30
             assert report.records_replayed == 12
             assert report.last_seq == 42
+            assert snapshot_all(recovered) == expected
+
+    def test_gk_tenant_recovers_byte_for_byte(self, tmp_path):
+        """37-value batches leave GK between compressions at the
+        checkpoint; the recovered summary must keep its schedule."""
+        factory = default_sketch_factory("gk")
+        clock = ManualClock(1_000_000.0)
+        manager = DurabilityManager(tmp_path, clock=clock)
+        manager.wal.open()
+        registry = MetricRegistry(sketch_factory=factory, clock=clock)
+        ingest(manager, registry, clock, 5, size=37)
+        manager.checkpoint_now(registry)
+        ingest(manager, registry, clock, 7, start=1, size=37)
+        manager.wal.sync()
+        manager.close()
+        expected = snapshot_all(registry)
+
+        fresh_clock = ManualClock(clock.now_ms())
+        with DurabilityManager(tmp_path, clock=fresh_clock) as manager:
+            recovered = MetricRegistry(sketch_factory=factory, clock=fresh_clock)
+            report = manager.recover(recovered)
+            assert (report.checkpoint_seq, report.records_replayed) == (5, 7)
             assert snapshot_all(recovered) == expected
 
     def test_wal_only_no_checkpoint(self, tmp_path):

@@ -424,6 +424,37 @@ def with_tail(header: bytes, count: int) -> bytes:
     )
 
 
+#: One summary invariant each; the first also breaks the gap sum, as
+#: the case that decoded and then answered rank(50) = -999,951 did.
+GK_TABLE_FAULTS = (
+    "first gap -1e6", "a gap of 0", "a negative band",
+    "an infinite tuple value", "a decreasing tuple value",
+    "gaps that miss the count", "a NaN in the buffer",
+)
+
+
+def broken_gk_table(name: str, fault: str) -> bytes:
+    """A small GK/GKArray blob whose tuple table breaks *fault*."""
+    sketch = small_sketch(name)
+    first, second = sketch._tuples[:2]
+    if fault == "first gap -1e6":
+        first.g = -1_000_000
+    elif fault == "a gap of 0":
+        second.g += first.g
+        first.g = 0
+    elif fault == "a negative band":
+        second.delta = -1
+    elif fault == "an infinite tuple value":
+        sketch._tuples[-1].value = float("inf")
+    elif fault == "a decreasing tuple value":
+        first.value = second.value + 1.0
+    elif fault == "gaps that miss the count":
+        first.g += 1
+    else:
+        sketch._buffer[0] = float("nan")
+    return dumps(sketch)
+
+
 #: A well-formed record; each fixed case breaks one field of it.
 RECORD = {
     "metric": "lat", "tags": None, "values": [1.0], "ts": 1.0, "now": 2.0,
@@ -486,6 +517,12 @@ FIXED_CASES = [
             ),
             ("count without its floats", with_tail(b"{}", 3)[:-16]),
         )
+    ),
+    *(
+        (f"loads[{name}]", f"{name}: {fault}", broken_gk_table(name, fault))
+        for name in ("gk", "gkarray")
+        for fault in GK_TABLE_FAULTS
+        if name == "gkarray" or "buffer" not in fault
     ),
     # CRC-valid payloads that are not records; the first four escaped
     # recover() as KeyError, ValueError, AttributeError and ValueError
