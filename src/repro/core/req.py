@@ -74,9 +74,18 @@ class _RelativeCompactor:
         self._section_size_f = section_size_f
         self.nom_capacity = 2 * num_sections * section_size
 
-    def compact(self, flip: Callable[[], int]) -> list[float]:
+    def compact(
+        self, flip: Callable[[], int], below_capacity: bool = False
+    ) -> list[float]:
         """Run one compaction in place and return the items promoted
-        upward."""
+        upward.
+
+        With *below_capacity* (a merge's walk) the region grows, when
+        that is larger, to everything past the protected prefix and the
+        sections the schedule spares (the DataSketches
+        ``computeCompactionRange``), so a level that a merge left at k
+        times its capacity ends below it in one step.
+        """
         if self.state >= 1 << (self.num_sections - 1):
             self._ensure_enough_sections()
         buffer = self.buffer
@@ -92,6 +101,14 @@ class _RelativeCompactor:
         half = len(buffer) // 2
         if compact_len > half:
             compact_len = half
+        if below_capacity:
+            # At exactly capacity this equals the schedule's region.
+            keep = (
+                self.nom_capacity // 2
+                + (self.num_sections - secs) * self.section_size
+            )
+            if len(buffer) - keep > compact_len:
+                compact_len = len(buffer) - keep
         compact_len -= compact_len % 2  # even region for a fair halving
         if compact_len < 2:
             compact_len = 2
@@ -168,8 +185,9 @@ class ReqSketch(WeightedSampleSketch):
         self._rng = np.random.default_rng(seed)
         self._compactors = [_RelativeCompactor(self.num_sections, self.hra)]
         self._retained = 0
-        # Every level above this one is below capacity: only a walk or a
-        # merge can leave one at or over it (see _compress).
+        # Every level above this one is below capacity: only a stream
+        # walk or decoding can leave one at or over it; a merge cannot
+        # (see _compress).
         self._overfull_top = 0
 
     # ------------------------------------------------------------------
@@ -216,15 +234,19 @@ class ReqSketch(WeightedSampleSketch):
                 if len(buffer) >= capacity:
                     self._compress(flip)
 
-    def _compress(self, flip: Callable[[], int]) -> None:
+    def _compress(
+        self, flip: Callable[[], int], below_capacity: bool = False
+    ) -> None:
         """The compaction walk: bottom up, compact each level at or over
         its capacity and promote half of the compacted region upward.
 
         Between walks only level 0 grows, so a level above it can be at
         capacity only if it receives promotions in this walk or the last
-        walk or a merge left it there (``_overfull_top``).  The walk stops
-        at the first level below capacity past both; the levels it skips
-        would not have been compacted.
+        walk or decoding left it there (``_overfull_top``).  The walk
+        stops at the first level below capacity past both; the levels it
+        skips would not have been compacted.  A merge's walk passes
+        *below_capacity* to each compaction, so it leaves every level
+        below capacity.
         """
         compactors = self._compactors
         retained = self._retained
@@ -240,7 +262,7 @@ class ReqSketch(WeightedSampleSketch):
                     compactors.append(
                         _RelativeCompactor(self.num_sections, self.hra)
                     )
-                promoted = compactor.compact(flip)
+                promoted = compactor.compact(flip, below_capacity)
                 compactors[height + 1].buffer.extend(promoted)
                 retained += len(buffer) - size + len(promoted)
                 if len(buffer) >= compactor.nom_capacity:
@@ -290,11 +312,34 @@ class ReqSketch(WeightedSampleSketch):
             self._compactors[height].merge_from(compactor)
         self._merge_bookkeeping(other)
         self._retained += other._retained
-        # Any level may now be at capacity, and a merged section layout
-        # can lower a capacity: walk every level.
+        # Any level may now be at or many times over capacity, and a
+        # merged section layout can lower a capacity: walk every level,
+        # compacting each full one to below capacity, so a fold stays
+        # the size of one sketch.
         self._overfull_top = len(self._compactors) - 1
         with CoinFlips(self._rng) as flip:
-            self._compress(flip)
+            self._compress(flip, below_capacity=True)
+
+    def copy(self) -> "ReqSketch":
+        clone = ReqSketch(self.num_sections, self.hra, seed=0)
+        clone._rng.bit_generator.state = self._rng.bit_generator.state
+        clone._compactors = []
+        for compactor in self._compactors:
+            level = _RelativeCompactor(self.num_sections, self.hra)
+            level._set_sections(
+                compactor.num_sections,
+                compactor.section_size,
+                compactor._section_size_f,
+            )
+            level.state = compactor.state
+            level.buffer = list(compactor.buffer)
+            clone._compactors.append(level)
+        clone._retained = self._retained
+        clone._overfull_top = self._overfull_top
+        clone._count = self._count
+        clone._min = self._min
+        clone._max = self._max
+        return clone
 
     # ------------------------------------------------------------------
     # Introspection

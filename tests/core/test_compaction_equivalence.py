@@ -187,6 +187,41 @@ def _req_compress(self: ReqSketch, flip: Callable[[], int]) -> None:
     self._retained = sum(len(c.buffer) for c in self._compactors)
 
 
+def _compact_below_capacity(
+    compactor: _ReferenceCompactor, flip: Callable[[], int]
+) -> list[float]:
+    """A merge's compaction: the schedule's region, or everything past
+    the protected prefix and the spared sections if that is more, so
+    the level ends below capacity."""
+    compactor._ensure_enough_sections()
+    compactor.buffer.sort()
+    secs = min(
+        _trailing_ones(compactor.state) + 1,
+        compactor.num_sections - 1,
+    )
+    keep = (
+        compactor.nom_capacity // 2
+        + (compactor.num_sections - secs) * compactor.section_size
+    )
+    compact_len = max(
+        min(secs * compactor.section_size, len(compactor.buffer) // 2),
+        len(compactor.buffer) - keep,
+    )
+    compact_len -= compact_len % 2  # even region for a fair halving
+    if compact_len < 2:
+        compact_len = 2
+    if compactor.hra:
+        region = compactor.buffer[:compact_len]
+        keep_items = compactor.buffer[compact_len:]
+    else:
+        region = compactor.buffer[len(compactor.buffer) - compact_len :]
+        keep_items = compactor.buffer[: len(compactor.buffer) - compact_len]
+    promoted = region[flip()::2]
+    compactor.buffer = keep_items
+    compactor.state += 1
+    return promoted
+
+
 def _req_merge(self: ReqSketch, other: QuantileSketch) -> None:
     other = self._merge_operand(other)
     if not isinstance(other, ReqSketch):
@@ -204,9 +239,19 @@ def _req_merge(self: ReqSketch, other: QuantileSketch) -> None:
     for height, compactor in enumerate(other._compactors):
         self._compactors[height].merge_from(compactor)
     self._merge_bookkeeping(other)
-    self._retained = sum(len(c.buffer) for c in self._compactors)
     with CoinFlips(self._rng) as flip:
-        self._compress(flip)
+        height = 0
+        while height < len(self._compactors):
+            compactor = self._compactors[height]
+            if len(compactor.buffer) >= compactor.nom_capacity:
+                if height + 1 == len(self._compactors):
+                    self._compactors.append(
+                        _ReferenceCompactor(self.num_sections, self.hra)
+                    )
+                promoted = _compact_below_capacity(compactor, flip)
+                self._compactors[height + 1].buffer.extend(promoted)
+            height += 1
+    self._retained = sum(len(c.buffer) for c in self._compactors)
 
 
 def _kll_update_batch(
@@ -486,9 +531,10 @@ def test_each_batch_size_matches_reference(name: str, size: int) -> None:
 
 
 def test_req_merge_leaves_upper_level_at_capacity() -> None:
-    """A merge can leave levels above 0 at or over capacity; the next
-    walks must compact them although no promotion reaches them — the
-    case a walk that stops at the first quiet level would skip."""
+    """A merge used to leave levels above 0 at or over capacity.  Its
+    walk now compacts each full level to below capacity, so none is at
+    capacity afterwards, and the walks that follow, which start from
+    level 0 again, continue as the reference's."""
     data = np.random.default_rng(3).uniform(0.0, 1.0, (2, 1_000))
     new, ref = ReqSketch(seed=1), reference(ReqSketch(seed=1))
     new_operand, ref_operand = ReqSketch(seed=2), reference(ReqSketch(seed=2))
@@ -499,9 +545,11 @@ def test_req_merge_leaves_upper_level_at_capacity() -> None:
     new.merge(new_operand)
     ref.merge(ref_operand)
     assert_same(new, ref, "after the merge")
-    assert any(
-        len(c.buffer) >= c.nom_capacity for c in ref._compactors[1:]
-    ), "the merge should leave an upper level at capacity"
+    for sketch in (new, ref):
+        assert all(
+            len(c.buffer) < c.nom_capacity for c in sketch._compactors
+        ), "the merge left a level at capacity"
+    assert new._overfull_top == 0
     for value in np.random.default_rng(4).uniform(0.0, 1.0, 400).tolist():
         new.update(value)
         ref.update(value)

@@ -34,9 +34,12 @@ from typing import Callable, Iterator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import codec
 from repro.core.registry import SKETCH_CLASSES, make_sketch
+from repro.core.req import ReqSketch
 from repro.core.serialization import dumps, loads
 from repro.durability.checkpoint import (
     checkpoint_path,
@@ -646,6 +649,85 @@ def test_checkpoint_with_junk_json_behind_a_valid_crc(tmp_path):
         body = struct.pack("<I", len(header)) + header
         data = reseal_checkpoint(b"RPCK\x01" + bytes(4) + body)
         check(target, label, data, tmp_path, must_fail=True)
+
+
+# ----------------------------------------------------------------------
+# Merges that loop: REQ's state stays the size of one sketch
+# ----------------------------------------------------------------------
+
+
+def req_levels_below_capacity(sketch) -> bool:
+    return all(len(c.buffer) < c.nom_capacity for c in sketch._compactors)
+
+
+def test_req_self_merges_stay_sketch_sized():
+    """A decoded REQ merged into itself 8 times holds 256 times its
+    count; a merge compacts each full level to below capacity, so its
+    bytes stay within twice the decoded sketch's.  Each merge used to
+    keep both operands' items, doubling the state every time."""
+    sketch = make_sketch("req", seed=3)
+    values = np.random.default_rng(11).random(100_000)
+    sketch.update_batch(np.floor(1.0 + 50.0 * values))
+    decoded = loads(dumps(sketch))
+    size = decoded.size_bytes()
+    for _ in range(8):
+        decoded.merge(decoded)
+    assert decoded.count == 256 * sketch.count
+    assert decoded.size_bytes() <= 2 * size
+    assert req_levels_below_capacity(decoded)
+
+
+def req_full_operand(num_sections: int, hra: bool, n: int, fill: int):
+    """A REQ fed *n* values whose every level is then padded to *fill*
+    times its capacity (weights counted), round-tripped through the
+    codec: a decoded operand whose levels sit at or over capacity."""
+    sketch = ReqSketch(num_sections, hra=hra, seed=n)
+    sketch.update_batch(1.0 + np.random.default_rng(n).pareto(1.0, n))
+    for height, compactor in enumerate(sketch._compactors):
+        pad = max(fill * compactor.nom_capacity - len(compactor.buffer), 0)
+        compactor.buffer.extend([1.0 + height] * pad)
+        sketch._count += pad << height
+    return loads(dumps(sketch))
+
+
+MERGE_STEPS = st.one_of(
+    st.tuples(st.just("part"), st.integers(0, 3_000)),
+    st.tuples(st.just("self"), st.just(0)),
+    st.tuples(st.just("into-empty"), st.just(0)),
+    st.tuples(st.just("full"), st.integers(0, 3_000)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    num_sections=st.sampled_from((4, 8, 30)),
+    hra=st.booleans(),
+    fill=st.integers(1, 3),
+    merges=st.lists(MERGE_STEPS, min_size=1, max_size=6),
+)
+def test_every_req_merge_leaves_levels_below_capacity(
+    num_sections, hra, fill, merges
+):
+    folded = ReqSketch(num_sections, hra=hra, seed=1)
+    count = 0
+    for kind, n in merges:
+        if kind == "part":
+            operand = ReqSketch(num_sections, hra=hra, seed=n)
+            operand.update_batch(1.0 + np.random.default_rng(n).pareto(1.0, n))
+        elif kind == "full":
+            operand = req_full_operand(num_sections, hra, n, fill)
+        elif kind == "self":
+            operand = folded
+        else:  # the fold so far, merged into an empty sketch
+            operand, folded = folded, ReqSketch(num_sections, hra=hra, seed=2)
+            count = 0
+        count += operand.count
+        folded.merge(operand)
+        assert folded.count == count
+        assert folded.num_retained == sum(
+            len(c.buffer) for c in folded._compactors
+        )
+        assert req_levels_below_capacity(folded), (kind, n)
 
 
 # ----------------------------------------------------------------------
