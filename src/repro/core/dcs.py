@@ -238,6 +238,21 @@ class DyadicCountSketch(QuantileSketch):
         self._exact += other._exact
         self._merge_bookkeeping(other)
 
+    def copy(self) -> "DyadicCountSketch":
+        """Field by field: the counters are copied, the hash parameters
+        and level offsets (never written after ``__init__``) shared."""
+        clone = object.__new__(DyadicCountSketch)
+        for name in (
+            "universe_log2", "universe", "exact_threshold", "seed",
+            "num_levels", "cs_width", "cs_depth",
+            "_hashes", "_shifts", "_exact_base",
+            "_count", "_min", "_max",
+        ):
+            setattr(clone, name, getattr(self, name))
+        clone._sketched = self._sketched.copy()
+        clone._exact = self._exact.copy()
+        return clone
+
     def level_counters(self) -> list[tuple[bool, np.ndarray]]:
         """``(sketched, counters)`` per level, finest first, sized as in
         :func:`level_layout`: writable views, which the codec writes

@@ -88,13 +88,16 @@ def load_batch(path: str | Path) -> EventBatch:
                     f"(header {header!r})"
                 )
             for row in reader:
-                if len(row) != 3:
+                try:
+                    value, event_time, arrival_time = map(float, row)
+                except ValueError:
                     raise InvalidValueError(
-                        f"malformed row in {path}: {row!r}"
-                    )
-                values.append(float(row[0]))
-                event_times.append(float(row[1]))
-                arrival_times.append(float(row[2]))
+                        f"malformed row at line {reader.line_num} of "
+                        f"{path}: {row!r}"
+                    ) from None
+                values.append(value)
+                event_times.append(event_time)
+                arrival_times.append(arrival_time)
         return EventBatch(
             values=np.asarray(values),
             event_times=np.asarray(event_times),

@@ -52,18 +52,38 @@ class EventBatch:
             == self.arrival_times.shape
         ):
             raise InvalidValueError("EventBatch columns must align")
+        # NaN would slip past every watermark comparison and +-inf past
+        # every window; neither is a time.
+        for name in ("event_times", "arrival_times"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise InvalidValueError(
+                    f"EventBatch {name} must be finite"
+                )
 
     def __len__(self) -> int:
         return int(self.values.size)
 
     def in_arrival_order(self) -> "EventBatch":
-        """Reorder events by ingestion time (how the engine sees them)."""
-        order = np.argsort(self.arrival_times, kind="stable")
-        return EventBatch(
-            values=self.values[order],
-            event_times=self.event_times[order],
-            arrival_times=self.arrival_times[order],
-        )
+        """Reorder events by ingestion time (how the engine sees them).
+
+        The order is the stable one: events that arrive at the same
+        time keep their batch order.  When no two arrival times are
+        equal every sort gives that permutation, so numpy's vectorised
+        default sort runs first; only if its output does not strictly
+        increase (a tie, or ``-0.0`` beside ``0.0``) is the batch
+        sorted again with ``kind="stable"``.
+        """
+        order = np.argsort(self.arrival_times)
+        arrival_times = self.arrival_times[order]
+        if not (arrival_times[1:] > arrival_times[:-1]).all():
+            order = np.argsort(self.arrival_times, kind="stable")
+            arrival_times = self.arrival_times[order]
+        # A permutation of checked columns: nothing to check again.
+        ordered = object.__new__(EventBatch)
+        object.__setattr__(ordered, "values", self.values[order])
+        object.__setattr__(ordered, "event_times", self.event_times[order])
+        object.__setattr__(ordered, "arrival_times", arrival_times)
+        return ordered
 
 
 def generate_stream(

@@ -413,9 +413,16 @@ def tumbling_assignment(
     before the event arrived).  This is the independent reference for
     the engine's tumbling case — :func:`window_values`, the accuracy
     ground truth and the benchmark's correctness gate derive the drop
-    policy from it — so the engine itself must not call it.
+    policy from it — so the engine itself must not call it.  It sorts
+    with its own ``kind="stable"`` argsort, not the engine's
+    :meth:`~repro.data.streams.EventBatch.in_arrival_order`.
     """
-    ordered = batch.in_arrival_order()
+    order = np.argsort(batch.arrival_times, kind="stable")
+    ordered = EventBatch(
+        values=batch.values[order],
+        event_times=batch.event_times[order],
+        arrival_times=batch.arrival_times[order],
+    )
     event_times = ordered.event_times
     if event_times.size == 0:
         empty = np.zeros(0, dtype=np.int64)

@@ -19,6 +19,7 @@ from typing import Hashable, Iterable, Iterator
 import numpy as np
 
 from repro.data.streams import EventBatch
+from repro.errors import InvalidValueError
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,6 +97,8 @@ class EventColumns:
             ],
             dtype=np.float64,
         ).reshape(-1, 4)
+        if not np.isfinite(table[:, 1:3]).all():
+            raise InvalidValueError("event and arrival times must be finite")
         return cls(
             table[:, 0],
             table[:, 1],

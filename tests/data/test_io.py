@@ -45,6 +45,13 @@ class TestNpzRoundTrip:
         path = save_batch(batch, tmp_path / "a" / "b" / "c.npz")
         assert path.exists()
 
+    def test_non_finite_time_rejected(self, tmp_path):
+        np.savez(tmp_path / "nan.npz", values=np.zeros(2),
+                 event_times=np.asarray([0.0, np.nan]),
+                 arrival_times=np.zeros(2))
+        with pytest.raises(InvalidValueError, match="finite"):
+            load_batch(tmp_path / "nan.npz")
+
     def test_rejects_foreign_archive(self, tmp_path):
         np.savez(tmp_path / "other.npz", stuff=np.zeros(3))
         with pytest.raises(InvalidValueError):
@@ -68,6 +75,23 @@ class TestCsvRoundTrip:
         bad = tmp_path / "bad.csv"
         bad.write_text("value,event_time_ms,arrival_time_ms\n1,2\n")
         with pytest.raises(InvalidValueError):
+            load_batch(bad)
+
+    def test_non_numeric_cell_names_its_row(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "value,event_time_ms,arrival_time_ms\n"
+            "1.0,2.0,3.0\n1.0,abc,2.0\n"
+        )
+        with pytest.raises(InvalidValueError, match="line 3"):
+            load_batch(bad)
+
+    @pytest.mark.parametrize("row", ["1.0,nan,2.0", "1.0,2.0,nan",
+                                     "1.0,inf,2.0"])
+    def test_non_finite_time_cell(self, tmp_path, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"value,event_time_ms,arrival_time_ms\n{row}\n")
+        with pytest.raises(InvalidValueError, match="finite"):
             load_batch(bad)
 
 

@@ -1,8 +1,12 @@
 """Unit tests for the event model."""
 
+import math
+
 import numpy as np
+import pytest
 
 from repro.data.streams import EventBatch
+from repro.errors import InvalidValueError
 from repro.streaming.events import Event, EventColumns, events_from_batch
 
 
@@ -75,3 +79,13 @@ class TestEventColumns:
         columns = EventColumns.from_events([])
         assert columns.values.size == columns.key_codes.size == 0
         assert list(columns.events()) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["event_time", "arrival_time"])
+    def test_non_finite_times_rejected(self, field, bad):
+        # A map/key_by callback can yield any Event; the columns refuse
+        # a time no watermark or window can compare.
+        times = {"event_time": 10.0, "arrival_time": 10.0, field: bad}
+        events = [Event(1.0, 0.0, 0.0), Event(2.0, **times)]
+        with pytest.raises(InvalidValueError, match="finite"):
+            EventColumns.from_events(events)

@@ -13,6 +13,7 @@ that window, in arrival order.
 import numpy as np
 import pytest
 
+from repro.core import dumps
 from repro.core.registry import paper_config
 from repro.data.streams import EventBatch
 from repro.streaming import (
@@ -78,3 +79,36 @@ def test_fired_window_sketch_equals_scalar_fed_sketch(name):
         if name not in ANSWER_LEVEL:
             assert result.result == answers
         assert_equivalent(name, scalar, sketch)
+
+
+@pytest.mark.parametrize("name", ["kll", "req"])
+def test_tied_arrivals_fire_the_stable_order_panes(name):
+    """On a 1 ms arrival clock nearly every event shares its arrival
+    time with others.  Pane value order reaches KLL's and REQ's coin
+    flips, so the fired bytes hold only if ties keep batch order."""
+    rng = np.random.default_rng(SEED)
+    n = 20_000
+    event_times = np.arange(n) * 0.02
+    arrivals = np.ceil(event_times + rng.exponential(15.0, n))
+    batch = EventBatch(dataset(name, n), event_times, arrivals)
+    fired = []
+
+    def factory():
+        fired.append(paper_config(name, seed=SEED))
+        return fired[-1]
+
+    report = run_tumbling_batch(
+        batch, 100.0, SketchAggregator(factory, QS), 20.0
+    )
+
+    ordered, window_ids, late = tumbling_assignment(batch, 100.0, 20.0)
+    assert report.dropped_late == int(late.sum()) > 0
+    kept_ids = np.unique(window_ids[~late])
+    assert len(fired) == len(kept_ids)
+    for window_id, sketch in zip(kept_ids, fired):
+        folded = paper_config(name, seed=SEED)
+        folded.update_batch(
+            ordered.values[~late & (window_ids == window_id)]
+        )
+        folded.quantiles(QS)  # queried once, like the fired pane
+        assert dumps(folded) == dumps(sketch)
