@@ -83,7 +83,7 @@ def main() -> None:
         hot_metrics=("api.latency",),
         n_shards=4,
     )
-    with QuantileServer(registry, ingest_workers=2) as server:
+    with QuantileServer(registry) as server:
         host, port = server.address
         print(f"quantile service listening on {host}:{port}\n")
         with QuantileClient(host, port) as client:

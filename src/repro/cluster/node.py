@@ -20,7 +20,7 @@ Ingest path
 -----------
 Cluster ingest is synchronous: leadership check, then the server's
 journal step and :func:`~repro.service.registry.apply_ops` under the
-ingest lock, then ack (the base class's drain workers are disabled: a
+ingest lock, then ack (the base class's drain worker is disabled: a
 decoupled apply would let an ack race its own visibility).  The origin
 WAL sequence *is* the replication log position, so "acked" means
 "readable at watermark ``seq`` by every replica that catches up", and
@@ -251,8 +251,8 @@ class ClusterNode(QuantileServer):
             self._origins, self._state_lock, self._cluster_clock
         )
 
-    def _spawn_workers_locked(self) -> None:
-        """Cluster ingest applies synchronously: no drain workers."""
+    def _spawn_worker_locked(self) -> None:
+        """Cluster ingest applies synchronously: no drain worker."""
 
     def kill(self) -> None:
         """Crash simulation: stop serving with *no* clean shutdown.
@@ -439,21 +439,19 @@ class ClusterNode(QuantileServer):
             raise InvalidValueError(
                 "a node does not replicate from itself"
             )
-        applied = 0
-        rejected = 0
         with self._state_lock:
             registry = self._origin_registry_locked(origin)
             watermark = self._applied.get(origin, 0)
+            fresh = []
             for entry in records:
                 seq = int(entry[0])
-                if seq <= watermark:
-                    continue
-                # One record per op, as the origin applied it; a batch
-                # it rejected is rejected here too (see _op_ingest).
-                _, failed = apply_ops(registry, (IngestOp(**entry[1]),))
-                rejected += failed
-                watermark = seq
-                applied += 1
+                if seq > watermark:
+                    fresh.append(IngestOp(**entry[1]))
+                    watermark = seq
+            # A batch the origin rejected is rejected here too (see
+            # _op_ingest).
+            _, rejected = apply_ops(registry, fresh)
+            applied = len(fresh)
             self._applied[origin] = max(watermark, int(upto))
         if applied:
             self.telemetry.counter(

@@ -216,18 +216,17 @@ class DurabilityManager:
             checkpoint_stores = checkpoint.restore_into(registry)
             checkpoint_seq = checkpoint.wal_seq
         replayed = 0
-        rejected = 0
-        with self.telemetry.span("recovery.replay"):
-            for seq, payload in self.wal.replay(
-                after_seq=checkpoint_seq
-            ):
-                # One op per apply, exactly as it was journaled: the
-                # live drain rejected (and counted) the same batches.
-                _, failed = apply_ops(
-                    registry, (decode_record(payload, seq),)
-                )
-                rejected += failed
+
+        def journaled() -> Iterator[IngestOp]:
+            nonlocal replayed
+            for seq, payload in self.wal.replay(after_seq=checkpoint_seq):
                 replayed += 1
+                yield decode_record(payload, seq)
+
+        # The whole log in one apply, streamed: the live drain grouped
+        # and rejected (and counted) the same ops.
+        with self.telemetry.span("recovery.replay"):
+            _, rejected = apply_ops(registry, journaled())
         self.telemetry.counter("recovery.records_replayed").inc(replayed)
         self.telemetry.counter("recovery.replay_rejected").inc(rejected)
         self._last_checkpoint_seq = checkpoint_seq

@@ -45,10 +45,9 @@ class Telemetry:
     """Named registry of counters, gauges, latency histograms and spans.
 
     Thread-safe: instruments may be created and updated from the
-    server's handler threads, the drain thread, and ingest workers
-    concurrently.  Snapshots (:meth:`snapshot`) are plain dicts fit for
-    the canonical-JSON and Prometheus exporters in
-    :mod:`repro.obs.export`.
+    server's handler threads and its drain thread concurrently.
+    Snapshots (:meth:`snapshot`) are plain dicts fit for the
+    canonical-JSON and Prometheus exporters in :mod:`repro.obs.export`.
     """
 
     def __init__(

@@ -86,12 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bounded ingest queue (shed beyond this)",
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="ingest drain threads",
-    )
-    serve.add_argument(
         "--telemetry",
         choices=("on", "off"),
         default="on",
@@ -176,7 +170,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         ingest_queue_size=args.queue_size,
-        ingest_workers=args.workers,
         telemetry=telemetry,
         durability=durability,
     )
@@ -185,7 +178,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         print(
             f"[repro-service] serving {args.sketch} partitions on "
             f"{host}:{port} (queue={args.queue_size}, "
-            f"workers={args.workers}, telemetry={args.telemetry}, "
+            f"telemetry={args.telemetry}, "
             f"durability={args.durability}); Ctrl-C to stop",
             flush=True,
         )

@@ -91,22 +91,33 @@ def _sanitize(value: Any) -> Any:
     return value
 
 
-def _restore(value: Any) -> Any:
+#: How deep objects and arrays may nest in a frame whose sentinels are
+#: restored.  The cap, not the interpreter's recursion limit, refuses a
+#: deeper body, so the answer is the same on every Python.
+MAX_RESTORE_DEPTH = 100
+
+
+def _restore(value: Any, depth: int = 0) -> Any:
     """Inverse of :func:`_sanitize`: sentinel objects back to floats."""
-    if isinstance(value, dict):
-        if set(value) == {FLOAT_SENTINEL_KEY}:
-            name = value[FLOAT_SENTINEL_KEY]
-            try:
-                return _FLOAT_DECODE[name]
-            except KeyError:
-                raise ProtocolError(
-                    f"unknown float sentinel {name!r}; expected one of "
-                    f"{sorted(_FLOAT_DECODE)}"
-                ) from None
-        return {key: _restore(item) for key, item in value.items()}
+    if not isinstance(value, (dict, list)):
+        return value
+    if depth > MAX_RESTORE_DEPTH:
+        raise ProtocolError(
+            f"frame body nests deeper than {MAX_RESTORE_DEPTH} levels"
+        )
     if isinstance(value, list):
-        return [_restore(item) for item in value]
-    return value
+        return [_restore(item, depth + 1) for item in value]
+    if set(value) == {FLOAT_SENTINEL_KEY}:
+        name = value[FLOAT_SENTINEL_KEY]
+        try:
+            return _FLOAT_DECODE[name]
+        except (KeyError, TypeError):  # unknown or unhashable
+            raise ProtocolError(
+                f"unknown float sentinel {name!r}; expected one of "
+                f"{sorted(_FLOAT_DECODE)}"
+            ) from None
+    return {key: _restore(item, depth + 1) for key, item in value.items()}
+
 
 #: Hard ceiling on one frame's body, protecting both sides from a
 #: corrupt or hostile length prefix.
@@ -198,14 +209,14 @@ def _decode_json(body: bytes) -> dict[str, Any]:
         payload = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProtocolError(f"undecodable frame body: {exc}") from exc
-    if not isinstance(payload, dict):
+    # A sentinel's key is on the wire verbatim or, at most, \u-escaped.
+    if _SENTINEL_BYTES in body or b"\\u" in body:
+        payload = _restore(payload)
+    if not isinstance(payload, dict):  # a bare sentinel restores to a float
         raise ProtocolError(
             f"frame body must be a JSON object, got "
             f"{type(payload).__name__}"
         )
-    # A sentinel's key is on the wire verbatim or, at most, \u-escaped.
-    if _SENTINEL_BYTES in body or b"\\u" in body:
-        return _restore(payload)
     return payload
 
 

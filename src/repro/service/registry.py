@@ -14,12 +14,15 @@ concurrency tests exercise); everything else pays no sharding overhead.
 
 The write path has one op record, :class:`IngestOp`, and one apply
 loop, :func:`apply_ops`: the server's drain, WAL recovery, replication
-and what-if replay all record through it.
+and what-if replay all hand it their whole slice of ops, and it groups
+same-key runs into one batch for each of them.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -37,6 +40,11 @@ from repro.service.store import TimePartitionedStore
 #: Default per-partition sketch when the caller configures nothing: the
 #: paper's KLL parameterisation with the reproducible default seed.
 DEFAULT_SKETCH = "kll"
+
+#: Most ops :func:`apply_ops` concatenates into one ``record``: the
+#: server drain's slice, so a long same-key stretch of a replayed log
+#: is held and copied 64 ops at a time, never whole.
+MAX_RUN_OPS = 64
 
 
 def default_sketch_factory(
@@ -93,21 +101,45 @@ class IngestOp(NamedTuple):
 def apply_ops(
     registry: MetricRegistry, ops: Iterable[IngestOp]
 ) -> tuple[int, int]:
-    """Record each op into *registry*; ``(values_accepted, ops_rejected)``.
+    """Record *ops* into *registry*; ``(values_accepted, ops_rejected)``.
 
-    A rejected op (a ``ReproError``: NaN, ±inf) is counted, not fatal,
-    and left nothing behind.  A free function, so every apply is a
-    ``record`` call on whatever registry (or proxy) the caller holds.
+    Each run of adjacent ops with equal ``(metric, tags, ts, now)``, cut
+    at :data:`MAX_RUN_OPS`, is recorded as one concatenated batch
+    (Quancurrent's bulk propagation): ``update_batch(a ++ b)`` leaves
+    the bytes of ``update_batch(a); update_batch(b)`` (DESIGN §12), and
+    equal ``ts``/``now`` make the same partition and retention choices,
+    so grouping changes no state.  *ops* is consumed lazily, one run at
+    a time; seeing where a run ends reads the op after it.
+
+    A rejected batch (a ``ReproError``: NaN, ±inf) left nothing behind,
+    so a rejected run is recorded again op by op: only the poisoned ops
+    are counted, never their neighbours.  A free function, so every
+    apply is a ``record`` call on whatever registry (or proxy) the
+    caller holds.
     """
     accepted = 0
     rejected = 0
-    for op in ops:
-        try:
-            accepted += registry.record(
-                op.metric, op.values, op.ts, op.tags, now_ms=op.now
-            )
-        except ReproError:
-            rejected += 1
+    same_run = operator.attrgetter("metric", "tags", "ts", "now")
+    for _key, group in itertools.groupby(ops, same_run):
+        while chunk := list(itertools.islice(group, MAX_RUN_OPS)):
+            pending = [chunk]
+            while pending:
+                run = pending.pop()
+                first = run[0]
+                values = (
+                    first.values if len(run) == 1
+                    else np.concatenate([op.values for op in run])
+                )
+                try:
+                    accepted += registry.record(
+                        first.metric, values, first.ts, first.tags,
+                        now_ms=first.now,
+                    )
+                except ReproError:
+                    if len(run) == 1:
+                        rejected += 1
+                    else:
+                        pending.extend([op] for op in reversed(run))
     return accepted, rejected
 
 

@@ -12,29 +12,31 @@ Backpressure model
 ------------------
 Queries are answered synchronously from the registry's merged-view
 caches.  An ingest is validated, enqueued on a *bounded* queue and
-acked; worker threads drain the queue into the registry.  A full queue
-*sheds* the request with an explicit ``overloaded`` answer, so clients
-see backpressure as data instead of latency.  ``flush`` barriers on
-the queue, which makes ingest-then-query deterministic;
-``pause_ingest()`` / ``resume_ingest()`` hold the workers at a gate to
+acked; one worker thread drains the queue into the registry.  A full
+queue *sheds* the request with an explicit ``overloaded`` answer, so
+clients see backpressure as data instead of latency.  ``flush``
+barriers on the queue, which makes ingest-then-query deterministic;
+``pause_ingest()`` / ``resume_ingest()`` hold the worker at a gate to
 force the queue-full regime deterministically.
 
-Drain coalescing (DESIGN §12)
------------------------------
-The queue carries :class:`~repro.service.registry.IngestOp` records and
-every apply goes through :func:`~repro.service.registry.apply_ops`.  A
-drain pass takes up to ``ingest_coalesce`` queued ops and concatenates
-*adjacent* ops with the same ``(metric, tags, ts, now)`` into one apply
-(Quancurrent's bulk propagation), strictly after the WAL append, so
-per-key and WAL apply order are unchanged; a rejected coalesced op is
-re-applied op by op so a poisoned op cannot take down its neighbours.
+One drain (DESIGN §6, §12)
+--------------------------
+The queue carries :class:`~repro.service.registry.IngestOp` records.  A
+drain pass takes the op it blocked on plus up to ``DRAIN_SLICE - 1``
+more and hands the slice to :func:`~repro.service.registry.apply_ops`,
+which records each run of adjacent same-key ops as one batch — the
+grouping every write path shares.  The slice is taken in queue order,
+strictly after the WAL append, so per-key and WAL apply order are
+unchanged.  One worker, because the paper scales by merging sketches,
+not by adding threads, and under the GIL a second worker measured no
+faster (DESIGN §6).
 
 Durability (DESIGN §11)
 -----------------------
 With a :class:`~repro.durability.DurabilityManager` attached, an ingest
 is journaled *before* its ack.  The ingest lock serialises
 journal+enqueue, and ``queue.full()`` is checked under it before
-journaling (workers only remove items), so WAL order is apply order
+journaling (the worker only removes items), so WAL order is apply order
 and the log holds no journaled-but-shed record.  Cadence, on-demand
 (``checkpoint`` op) and final (:meth:`~QuantileServer.stop`)
 checkpoints quiesce ingestion and barrier on the queue, so a snapshot
@@ -45,11 +47,10 @@ this module never imports :mod:`repro.durability` at runtime.
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import threading
 from typing import TYPE_CHECKING, Any
-
-import numpy as np
 
 from repro.errors import DurabilityError, InvalidValueError
 from repro.obs.telemetry import Telemetry
@@ -61,6 +62,9 @@ from repro.service.registry import IngestOp, MetricRegistry, apply_ops
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; no runtime cycle
     from repro.durability import DurabilityManager
+
+#: Most queued ops one drain pass hands to ``apply_ops``.
+DRAIN_SLICE = 64
 
 
 class ServerStats:
@@ -97,12 +101,6 @@ class QuantileServer:
     ingest_queue_size:
         Bound of the ingest queue — the knob that trades buffering for
         shedding under overload.
-    ingest_workers:
-        Threads draining the ingest queue into the registry.
-    ingest_coalesce:
-        Max queued ops one drain pass merges into a single registry
-        apply (see the module docstring's drain-coalescing section);
-        ``1`` disables coalescing.
     clock:
         Time source for a default-constructed registry.
     telemetry:
@@ -139,21 +137,16 @@ class QuantileServer:
         host: str = "127.0.0.1",
         port: int = 0,
         ingest_queue_size: int = 4096,
-        ingest_workers: int = 1,
-        ingest_coalesce: int = 64,
         clock: Clock | None = None,
         telemetry: Telemetry | None = None,
         durability: "DurabilityManager | None" = None,
         node_id: str | None = None,
         final_checkpoint: bool = True,
     ) -> None:
-        for name, bound in (
-            ("ingest_queue_size", ingest_queue_size),
-            ("ingest_workers", ingest_workers),
-            ("ingest_coalesce", ingest_coalesce),
-        ):
-            if bound < 1:
-                raise InvalidValueError(f"{name} must be >= 1, got {bound!r}")
+        if ingest_queue_size < 1:
+            raise InvalidValueError(
+                f"ingest_queue_size must be >= 1, got {ingest_queue_size!r}"
+            )
         clock = clock if clock is not None else SystemClock()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.registry = (
@@ -179,35 +172,33 @@ class QuantileServer:
         self._queue: "queue.Queue[IngestOp | None]" = queue.Queue(
             maxsize=ingest_queue_size
         )
-        self._ingest_workers = ingest_workers
-        self._ingest_coalesce = ingest_coalesce
         # Serialises journal-then-enqueue against checkpoints; see the
         # module docstring's durability section for the invariants.
         self._ingest_lock = threading.Lock()
         self._drain_gate = threading.Event()
         self._drain_gate.set()
-        # Parked-worker accounting: workers held at a *cleared* drain
-        # gate count themselves here, and wait_parked() lets a harness
-        # rendezvous with "all W workers are parked holding one batch
-        # each" — the precondition for byte-exact shed counts in the
-        # deterministic overload scenarios.
+        # The worker marks itself here while held at a *cleared* drain
+        # gate, and wait_parked() lets a harness rendezvous with "the
+        # worker is parked holding one batch" — the precondition for
+        # byte-exact shed counts in the deterministic overload
+        # scenarios.
         self._park_lock = threading.Condition()
-        self._parked = 0
+        self._parked = False
         # Guards the start/stop lifecycle fields below.  Ordered
         # before the ingest lock (stop's final checkpoint); nothing
         # that holds the ingest lock ever takes it.
         self._lifecycle_lock = threading.Lock()
-        # Drain workers poll this so shutdown never depends on a
+        # The drain worker polls this so shutdown never depends on a
         # sentinel surviving a full queue (see stop()).
         self._stopping = threading.Event()
-        self._workers: list[threading.Thread] = []
+        self._worker: threading.Thread | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def start(self) -> "QuantileServer":
-        """Bind, start the accept loop and the drain workers.
+        """Bind, start the accept loop and the drain worker.
 
         With durability attached, the registry is recovered from disk
         (checkpoint + WAL replay) before the first connection is
@@ -220,7 +211,7 @@ class QuantileServer:
                 self.durability.recover(self.registry)
             self._stopping.clear()
             self._front.start(thread_name="quantile-server-accept")
-            self._spawn_workers_locked()
+            self._spawn_worker_locked()
         return self
 
     def _read_view(self) -> Reads:
@@ -228,32 +219,28 @@ class QuantileServer:
         ``keys()`` and ``clock`` (cluster nodes span every origin)."""
         return self.registry
 
-    def _spawn_workers_locked(self) -> None:
-        """Lifecycle hook: start the ingest drain workers.
+    def _spawn_worker_locked(self) -> None:
+        """Lifecycle hook: start the ingest drain worker.
 
         Cluster nodes apply ingests synchronously under replication
         locks and override this to spawn nothing.
         """
-        for index in range(self._ingest_workers):
-            worker = threading.Thread(
-                target=self._drain,
-                name=f"quantile-server-ingest-{index}",
-                daemon=True,
-            )
-            worker.start()
-            self._workers.append(worker)
+        self._worker = threading.Thread(
+            target=self._drain, name="quantile-server-ingest", daemon=True
+        )
+        self._worker.start()
 
     def stop(self) -> None:
-        """Stop accepting, checkpoint, drain shutdown sentinels, join.
+        """Stop accepting, checkpoint, drain the shutdown sentinel, join.
 
         The final checkpoint (replay-free next start) runs while the
-        workers are alive, so its queue barrier always completes; if it
+        worker is alive, so its queue barrier always completes; if it
         fails, the WAL still covers everything.  Shutdown must
-        terminate even when the ingest queue is full and a worker is
+        terminate even when the ingest queue is full and the worker is
         wedged: the sentinel ``put`` uses a timeout (a full queue would
         otherwise block forever — the exact deadlock LCK003 exists to
-        catch), and workers also poll :attr:`_stopping`, so a sentinel
-        that never fit in the queue still stops them.
+        catch), and the worker also polls :attr:`_stopping`, so a
+        sentinel that never fit in the queue still stops it.
         """
         with self._lifecycle_lock:
             if not self._front.running:
@@ -269,16 +256,13 @@ class QuantileServer:
                     ):
                         self._checkpoint_locked()
             self._stopping.set()
-            for _ in self._workers:
-                try:
+            if self._worker is not None:
+                # On a full queue the worker notices _stopping at its
+                # next get() timeout; don't wedge shutdown behind it.
+                with contextlib.suppress(queue.Full):
                     self._queue.put(None, timeout=1.0)
-                except queue.Full:
-                    # Workers notice _stopping on their next get()
-                    # timeout; don't wedge shutdown behind a full queue.
-                    break
-            for worker in self._workers:
-                worker.join(timeout=5.0)
-            self._workers = []
+                self._worker.join(timeout=5.0)
+                self._worker = None
         if self.durability is not None:
             self.durability.close()
 
@@ -310,39 +294,33 @@ class QuantileServer:
     # ------------------------------------------------------------------
 
     def pause_ingest(self) -> None:
-        """Hold drain workers at the gate (overload simulation)."""
+        """Hold the drain worker at the gate (overload simulation)."""
         self._drain_gate.clear()
 
     def resume_ingest(self) -> None:
         self._drain_gate.set()
 
-    def parked_workers(self) -> int:
-        """Drain workers currently held at a cleared gate."""
-        with self._park_lock:
-            return self._parked
-
-    def wait_parked(self, n: int, timeout: float = 5.0) -> bool:
-        """Block until *n* drain workers are parked at the gate.
+    def wait_parked(self, timeout: float = 5.0) -> bool:
+        """Block until the drain worker is parked at the gate.
 
         The deterministic-overload protocol: ``pause_ingest()``, send
-        one batch per worker, ``wait_parked(workers)`` — now every
-        worker holds exactly one in-flight batch and the queue's free
-        capacity is exact, so the next ``queue_size`` sends are all
-        accepted and every send after that is shed, byte-for-byte
-        reproducibly.  Returns whether the rendezvous happened within
-        *timeout* seconds.
+        one batch, ``wait_parked()`` — now the worker holds exactly one
+        in-flight batch and the queue's free capacity is exact, so the
+        next ``queue_size`` sends are all accepted and every send after
+        that is shed, byte-for-byte reproducibly.  Returns whether the
+        rendezvous happened within *timeout* seconds.
         """
         with self._park_lock:
             return self._park_lock.wait_for(
-                lambda: self._parked >= n, timeout=timeout
+                lambda: self._parked, timeout=timeout
             )
 
     def flush(self) -> None:
         """Block until every enqueued ingest has been applied.
 
         Callers hold the ingest lock here, which is safe *because* the
-        drain workers never acquire it: they only consume the queue and
-        call ``task_done()``, so the join always makes progress while
+        drain worker never acquires it: it only consumes the queue and
+        calls ``task_done()``, so the join always makes progress while
         the lock keeps new journal/enqueue pairs out mid-flush.
         """
         self._queue.join()  # repro: noqa[LCK003]
@@ -363,20 +341,20 @@ class QuantileServer:
                 self._queue.task_done()
                 return
             if not self._drain_gate.is_set():
-                # Count the park only when the gate is actually closed:
+                # Mark the park only when the gate is actually closed:
                 # the set-gate fast path must not bounce the condition
                 # lock per batch, and wait_parked() must only ever see
-                # workers that are truly held.
+                # a worker that is truly held.
                 with self._park_lock:
-                    self._parked += 1
+                    self._parked = True
                     self._park_lock.notify_all()
                 self._drain_gate.wait()
                 with self._park_lock:
-                    self._parked -= 1
+                    self._parked = False
                     self._park_lock.notify_all()
             batch = [item]
             got_sentinel = False
-            while len(batch) < self._ingest_coalesce:
+            while len(batch) < DRAIN_SLICE:
                 try:
                     extra = self._queue.get_nowait()
                 except queue.Empty:
@@ -386,7 +364,11 @@ class QuantileServer:
                     break
                 batch.append(extra)
             try:
-                self._apply_drained(batch)
+                with self.telemetry.span("server.drain_batch"):
+                    accepted, rejected = apply_ops(self.registry, batch)
+                self.stats.incr("ingested_values", accepted)
+                if rejected:
+                    self.stats.incr("error_responses", rejected)
             finally:
                 for _ in batch:
                     self._queue.task_done()
@@ -397,49 +379,6 @@ class QuantileServer:
                 )
             if got_sentinel:
                 return
-
-    def _apply_drained(self, batch: list[IngestOp]) -> None:
-        """Apply drained ops, merging adjacent same-key runs.
-
-        Only *consecutive* ops with identical ``(metric, tags, ts,
-        now)`` coalesce, which preserves per-key apply order.  Atomic
-        batch rejection (validation precedes mutation in every
-        ``update_batch``) makes the op-by-op retry of a rejected merged
-        op safe: it left nothing behind.
-        """
-        start = 0
-        total = len(batch)
-        while start < total:
-            first = batch[start]
-            key = (first.metric, first.tags, first.ts, first.now)
-            end = start + 1
-            while end < total:
-                other = batch[end]
-                if (other.metric, other.tags, other.ts, other.now) != key:
-                    break
-                end += 1
-            merged = first
-            if end - start > 1:
-                merged = first._replace(
-                    values=np.concatenate(
-                        [op.values for op in batch[start:end]]
-                    )
-                )
-                self.telemetry.counter("server.drain_coalesced_ops").inc(
-                    end - start - 1
-                )
-            with self.telemetry.span("server.drain_batch"):
-                accepted, rejected = apply_ops(self.registry, (merged,))
-            if rejected and end - start > 1:
-                # A poisoned op must not take down its coalesced
-                # neighbours: apply the run one op at a time.
-                accepted, rejected = apply_ops(
-                    self.registry, batch[start:end]
-                )
-            self.stats.incr("ingested_values", accepted)
-            if rejected:
-                self.stats.incr("error_responses", rejected)
-            start = end
 
     # ------------------------------------------------------------------
     # Request dispatch
@@ -536,8 +475,8 @@ class QuantileServer:
         if self.durability is not None:
             with self._ingest_lock:
                 # Shed *before* journaling: the WAL must hold exactly
-                # the acked operations.  Workers only remove items, so
-                # a non-full queue here cannot fill before the put.
+                # the acked operations.  The worker only removes items,
+                # so a non-full queue here cannot fill before the put.
                 if self._queue.full():
                     return self._shed()
                 journaled = self._journal_op(op)

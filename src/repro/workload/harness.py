@@ -6,7 +6,7 @@ The harness owns everything a traffic scenario needs and wires it onto
 * a :class:`~repro.service.registry.MetricRegistry` whose stores
   partition on that clock,
 * a real TCP :class:`~repro.service.server.QuantileServer` (bounded
-  ingest queue, drain workers, optional durability) serving it,
+  ingest queue, one drain worker, optional durability) serving it,
 * :class:`~repro.service.client.QuantileClient` instances whose retry
   backoff *advances* the manual clock instead of sleeping,
 * a :class:`~repro.obs.telemetry.Telemetry` sink shared by all of the
@@ -14,7 +14,7 @@ The harness owns everything a traffic scenario needs and wires it onto
 
 Determinism contract
 --------------------
-Scenarios drive real threads (connection handlers, drain workers), so
+Scenarios drive real threads (connection handlers, the drain worker), so
 determinism is a discipline, not a given.  The harness enforces the two
 rules that make it hold:
 
@@ -25,7 +25,7 @@ rules that make it hold:
    functions of the request sequence.
 2. **Overload is produced by rendezvous, not by racing.**  The
    :meth:`overload` helper runs the parked-worker protocol
-   (``pause -> one batch per worker -> wait_parked``), after which the
+   (``pause -> one batch -> wait_parked``), after which the
    queue's free capacity is *exact*: the next ``queue_size`` sends are
    accepted and everything beyond is shed, byte-for-byte the same
    every run.
@@ -58,9 +58,9 @@ class TrafficHarness:
     ----------
     seed:
         Seeds the harness RNG (value draws, tenant picks).
-    queue_size / workers / coalesce:
-        Server ingest geometry (queue bound, drain workers, coalesce
-        width) — the knobs overload scenarios push against.
+    queue_size:
+        Server ingest queue bound — the knob overload scenarios push
+        against.
     partition_ms:
         Store partition width; scenario "ticks" should advance by this
         so one tick lands in one partition.
@@ -80,8 +80,6 @@ class TrafficHarness:
         self,
         seed: int = DEFAULT_SEED,
         queue_size: int = 64,
-        workers: int = 1,
-        coalesce: int = 8,
         partition_ms: float = 1_000.0,
         hot_metrics: Iterable[str] = (),
         durability_dir: str | Path | None = None,
@@ -114,14 +112,11 @@ class TrafficHarness:
         self.server = QuantileServer(
             registry=self.registry,
             ingest_queue_size=queue_size,
-            ingest_workers=workers,
-            ingest_coalesce=coalesce,
             telemetry=self.telemetry,
             durability=self.durability,
             final_checkpoint=final_checkpoint,
         )
         self.queue_size = int(queue_size)
-        self.workers = int(workers)
         self.offered_batches = 0
         self.offered_values = 0
         self.accepted_values = 0
@@ -230,20 +225,18 @@ class TrafficHarness:
         self.clock.advance(ms)
 
     def overload(self) -> None:
-        """Deterministic-overload rendezvous: park every drain worker.
+        """Deterministic-overload rendezvous: park the drain worker.
 
-        After this returns, each of the server's ``workers`` drain
-        threads holds exactly one in-flight batch at the closed gate
-        and the queue is empty — so free capacity is exactly
-        ``queue_size``, and shed counts downstream are exact.  The
-        parker batches are offered through the normal bookkeeping
-        (they are real accepted traffic).
+        After this returns, the server's drain worker holds exactly one
+        in-flight batch at the closed gate and the queue is empty — so
+        free capacity is exactly ``queue_size``, and shed counts
+        downstream are exact.  The parker batch is offered through the
+        normal bookkeeping (it is real accepted traffic).
         """
         self.server.pause_ingest()
-        for index in range(self.workers):
-            self.ingest(f"overload.parker{index:02d}", [1.0])
-        parked = self.server.wait_parked(self.workers)
-        assert parked, "drain workers failed to park at the gate"
+        self.ingest("overload.parker00", [1.0])
+        parked = self.server.wait_parked()
+        assert parked, "the drain worker failed to park at the gate"
 
     def release(self) -> float:
         """Reopen the gate and drain the backlog; returns clock ms spent.

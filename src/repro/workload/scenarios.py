@@ -267,18 +267,17 @@ def scenario_flash_crowd(
     """A spike sized above queue capacity; shed counts must be exact.
 
     Steady load runs clean, then one :class:`FlashCrowd` tick offers
-    ``workers + queue_size + extra`` batches through the parked-worker
-    rendezvous: the parkers occupy the workers, the next ``queue_size``
+    ``1 + queue_size + extra`` batches through the parked-worker
+    rendezvous: the parker occupies the worker, the next ``queue_size``
     fill the queue, and exactly *extra* batches shed.  The client's
     ``client.shed_responses`` counter must agree (and its transport
     retry counter must stay zero — sheds are answers, not failures).
     """
     queue_size = 16 if fast else 32
-    workers = 2
     extra = 8
     base_level = 4.0
     normal_ticks = 2 if fast else 4
-    spike_total = workers + queue_size + extra
+    spike_total = 1 + queue_size + extra
     curve = FlashCrowd(
         DiurnalCurve(
             base=base_level, peak=base_level, period=24, peak_tick=0
@@ -289,9 +288,7 @@ def scenario_flash_crowd(
     )
     values = LatencyValues()
     batch = 10
-    with TrafficHarness(
-        seed=seed, queue_size=queue_size, workers=workers
-    ) as harness:
+    with TrafficHarness(seed=seed, queue_size=queue_size) as harness:
         client = harness.client
         assert client is not None
         for tick in range(normal_ticks):
@@ -302,8 +299,8 @@ def scenario_flash_crowd(
             harness.advance(harness.partition_ms)
         pre_spike_shed = harness.shed_values
         spike_batches = curve.batches_at(normal_ticks)
-        harness.overload()  # offers `workers` parker batches
-        for _ in range(spike_batches - workers):
+        harness.overload()  # offers one parker batch
+        for _ in range(spike_batches - 1):
             harness.ingest(
                 "lat.flash", values.sample(batch, harness.rng)
             )
@@ -311,7 +308,6 @@ def scenario_flash_crowd(
         harness.advance(harness.partition_ms)
         metrics = {
             "queue_size": queue_size,
-            "workers": workers,
             "spike_batches": spike_batches,
             "recovery_ms": recovery_ms,
             "final_p99": client.quantile("lat.flash", 0.99),
@@ -492,9 +488,7 @@ def scenario_slow_consumer(
     batch = 20
     baseline_batches = 4
     values = LatencyValues()
-    with TrafficHarness(
-        seed=seed, queue_size=queue_size, workers=1
-    ) as harness:
+    with TrafficHarness(seed=seed, queue_size=queue_size) as harness:
         client = harness.client
         assert client is not None
         for _ in range(baseline_batches):
@@ -503,7 +497,7 @@ def scenario_slow_consumer(
         baseline_count = client.count("lat.slow")
         harness.server.pause_ingest()
         harness.ingest("lat.slow", values.sample(batch, harness.rng))
-        parked = harness.server.wait_parked(1)
+        parked = harness.server.wait_parked()
         for _ in range(backlog):
             harness.ingest("lat.slow", values.sample(batch, harness.rng))
         depth_under_stall = harness.server.queue_depth()

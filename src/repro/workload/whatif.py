@@ -85,8 +85,8 @@ def replay_config(
         partition_ms=partition_ms,
     )
     ops = [op for _seq, op in read_wal_records(data_dir)]
-    # One op per apply, as journaled: a batch the altered config
-    # rejects is counted, not fatal (identically on every run).
+    # A batch the altered config rejects is counted, not fatal
+    # (identically on every run).
     _, rejected = apply_ops(registry, ops)
     stores: dict[str, dict[str, Any]] = {}
     for key in registry.keys():

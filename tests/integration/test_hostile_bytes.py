@@ -23,6 +23,7 @@ the integer-field cases under a traced-allocation ceiling.
 from __future__ import annotations
 
 import functools
+import math
 import signal
 import socket
 import struct
@@ -200,6 +201,16 @@ def tail_body() -> bytes:
     })
 
 
+def json_body() -> bytes:
+    """An all-JSON body (a control op) carrying float sentinels."""
+    body = protocol.encode_message({
+        "op": "rank", "metric": "lat", "tags": {"svc": "a"},
+        "value": float("inf"), "window": [0.0, float("nan")],
+    })
+    assert body[:1] == b"{"
+    return body
+
+
 def record_bytes() -> bytes:
     return encode_record(
         "lat", {"svc": "a"}, np.array([1.5, -0.0, float("inf")]), 12.0, 13.0
@@ -248,6 +259,14 @@ ENTRY_POINTS = [
         lambda data, _tmp: decode_record(data, 7),
     ),
 ]
+
+
+#: The all-JSON half of ``decode_message``.  It reads no codec integer
+#: field, so it sits outside the table's integer-field row.
+JSON_BODY = EntryPoint(
+    "decode_message[json]", ProtocolError, json_body,
+    lambda data, _tmp: protocol.decode_message(data),
+)
 
 
 # ----------------------------------------------------------------------
@@ -403,7 +422,11 @@ class TestHostileBytes:
 
 
 def entry(name: str) -> EntryPoint:
-    return next(e for e in ENTRY_POINTS if e.name == name)
+    return next(e for e in [*ENTRY_POINTS, JSON_BODY] if e.name == name)
+
+
+def nested(depth: int, inner: bytes) -> bytes:
+    return b'{"op":"ping","a":' + b'{"a":' * depth + inner + b"}" * (depth + 1)
 
 
 def negative_length_kll_blob(levels: int = 2**62) -> bytes:
@@ -522,6 +545,29 @@ FIXED_CASES = [
         )
     ),
     *(
+        ("decode_message[json]", label, data)
+        for label, data in (
+            ("sentinel holding a list", b'{"op":"ping","x":{"$float":[]}}'),
+            ("sentinel holding an object", b'{"op":"ping","x":{"$float":{}}}'),
+            ("nested sentinel holding a list", nested(1, b'{"$float":[1]}')),
+            ("unknown sentinel name", b'{"op":"ping","x":{"$float":"inff"}}'),
+            ("a sentinel as the whole body", b'{"$float":"inf"}'),
+            (
+                "a sentinel past the restore depth cap",
+                nested(protocol.MAX_RESTORE_DEPTH, b'{"$float":"nan"}'),
+            ),
+            ("a sentinel 600 objects deep", nested(600, b'{"$float":"nan"}')),
+            ("nested past the recursion limit", b"[" * 100_000),
+            ("objects nested past the recursion limit", b'{"a":' * 100_000),
+            ("invalid UTF-8", b'{"op":"\xff\xfe"}'),
+            ("an array body", b'[{"op":"ping"}]'),
+            ("a string body", b'"ping"'),
+            ("a number body", b"7"),
+            ("a null body", b"null"),
+            ("an empty body", b""),
+        )
+    ),
+    *(
         (f"loads[{name}]", f"{name}: {fault}", broken_gk_table(name, fault))
         for name in ("gk", "gkarray")
         for fault in GK_TABLE_FAULTS
@@ -554,6 +600,41 @@ FIXED_CASES = [
 )
 def test_fixed_hostile_cases(name, label, data, tmp_path):
     check(entry(name), label, data, tmp_path, must_fail=True)
+
+
+def test_a_sentinel_at_the_restore_depth_cap_decodes():
+    """The cap, not the interpreter's recursion limit, decides: one
+    level shallower than the row above decodes on every Python."""
+    depth = protocol.MAX_RESTORE_DEPTH - 1
+    payload = protocol.decode_message(nested(depth, b'{"$float":"nan"}'))
+    for _ in range(depth + 1):
+        payload = payload["a"]
+    assert math.isnan(payload)
+
+
+def test_all_json_body_truncated_at_every_offset(tmp_path):
+    data = JSON_BODY.valid()
+    assert outcome(JSON_BODY, data, tmp_path) == "ok"
+    for cut in range(len(data)):
+        check(
+            JSON_BODY, f"truncated to {cut} bytes", data[:cut], tmp_path,
+            must_fail=True,
+        )
+
+
+def test_all_json_body_garbage_and_bit_flips(tmp_path):
+    data = JSON_BODY.valid()
+    for tail in (b"\x00", b"\xff" * 9, b"{}"):
+        check(
+            JSON_BODY, f"trailing {tail!r}", data + tail, tmp_path,
+            must_fail=True,
+        )
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        position = int(rng.integers(len(data)))
+        mutated = bytearray(data)
+        mutated[position] ^= 1 << int(rng.integers(8))
+        check(JSON_BODY, f"bit flip at {position}", bytes(mutated), tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(SKETCH_CLASSES))
@@ -677,6 +758,25 @@ def test_req_self_merges_stay_sketch_sized():
     assert req_levels_below_capacity(decoded)
 
 
+#: ``exact`` keeps every value, so 8 self-merges make it 256x by design.
+SELF_MERGING = sorted(set(SKETCH_CLASSES) - {"exact"})
+
+
+@pytest.mark.parametrize("name", SELF_MERGING)
+def test_decoded_self_merges_stay_sketch_sized(name):
+    """The REQ row above, for every sketch in the registry: a decoded
+    100k-value Pareto sketch merged into itself 8 times stays within
+    twice its decoded bytes."""
+    sketch = make_sketch(name)
+    sketch.update_batch(1.0 + np.random.default_rng(11).pareto(1.0, 100_000))
+    decoded = loads(dumps(sketch))
+    size = decoded.size_bytes()
+    for _ in range(8):
+        decoded.merge(decoded)
+    assert decoded.count == 256 * sketch.count
+    assert decoded.size_bytes() <= 2 * size
+
+
 def req_full_operand(num_sections: int, hra: bool, n: int, fill: int):
     """A REQ fed *n* values whose every level is then padded to *fill*
     times its capacity (weights counted), round-tripped through the
@@ -776,6 +876,20 @@ class TestTailBodyOverASocket:
         )
         assert accepted == protocol.ok(accepted=4)
         assert stats["stats"]["ingest_requests"] == 1
+
+    def test_hostile_json_gets_one_protocol_error_then_ping(self, server):
+        """Before, a sentinel holding a list or an object escaped the
+        frame reader as a bare ``TypeError``: the connection died with
+        no answer."""
+        hostile = [
+            (label, data) for name, label, data in FIXED_CASES
+            if name == "decode_message[json]"
+        ]
+        ping = protocol.encode_frame({"op": "ping"})
+        for label, body in hostile:
+            responses = converse(server.address, framed(body) + ping)
+            assert [r.get("error") for r in responses] == ["protocol"], label
+            assert converse(server.address, ping) == [protocol.ok(pong=True)]
 
     def test_frame_ceiling_bounds_header_and_tail_together(
         self, server, monkeypatch

@@ -1,7 +1,7 @@
 """Concurrent ingest through the live TCP server.
 
-* concurrent clients against ``ingest_workers > 1`` drain the
-  coalescing queue to an exact total;
+* concurrent clients, each reading between its ingests, drain through
+  the one worker to an exact total;
 * with durability attached a journal crash is **never acked**: the
   client sees the error, and a restarted server recovers exactly the
   acked prefix.
@@ -41,13 +41,12 @@ def make_registry(clock):
 class TestMultiWorkerServerIngest:
     def test_concurrent_clients_exact_total(self):
         n_clients, n_batches, batch = 6, 20, 50
-        with QuantileServer(
-            make_registry(ManualClock(0.0)),
-            ingest_workers=4,
-            ingest_coalesce=16,
-        ) as server:
+        with QuantileServer(make_registry(ManualClock(0.0))) as server:
             host, port = server.address
             failures = []
+            with QuantileClient(host, port, timeout=10.0, retries=0) as cli:
+                cli.ingest("lat", [50.0], timestamp_ms=0.0)
+                cli.flush()  # so every read below finds the series
 
             def client_thread(cid: int) -> None:
                 try:
@@ -61,6 +60,10 @@ class TestMultiWorkerServerIngest:
                                 "lat", values, timestamp_ms=0.0
                             )
                             assert accepted == batch
+                            # Reads contend with the drain worker on
+                            # the registry and store locks.
+                            assert cli.count("lat") >= 1
+                            assert 1.0 <= cli.quantile("lat", 0.5) <= 100.0
                 except Exception as exc:  # noqa: BLE001 - reraised below
                     failures.append(exc)
 
@@ -76,7 +79,7 @@ class TestMultiWorkerServerIngest:
 
             with QuantileClient(host, port, timeout=10.0, retries=0) as cli:
                 cli.flush()
-                assert cli.count("lat") == n_clients * n_batches * batch
+                assert cli.count("lat") == n_clients * n_batches * batch + 1
                 assert 1.0 <= cli.quantile("lat", 0.5) <= 100.0
 
 

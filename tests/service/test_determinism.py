@@ -49,7 +49,7 @@ def run_session(sketch_factory):
         n_shards=2,
     )
     rng = np.random.default_rng(SEED)
-    with QuantileServer(registry, ingest_workers=2) as server:
+    with QuantileServer(registry) as server:
         host, port = server.address
         with RecordingClient(host, port, retries=0) as client:
             for second in range(8):

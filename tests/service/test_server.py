@@ -144,7 +144,7 @@ class TestErrors:
         assert client.ingest("lat", [2.0], timestamp_ms=0.0) == 1
         client.flush()
         assert client.count("lat") == 1
-        assert all(worker.is_alive() for worker in server._workers)
+        assert server._worker.is_alive()
 
     def test_values_must_be_a_non_empty_flat_sequence_of_numbers(
         self, server
@@ -208,9 +208,7 @@ class TestBackpressure:
     def test_queue_full_sheds_deterministically(self):
         clock = ManualClock(0.0)
         registry = make_registry(clock)
-        with QuantileServer(
-            registry, ingest_queue_size=3, ingest_workers=1
-        ) as server:
+        with QuantileServer(registry, ingest_queue_size=3) as server:
             host, port = server.address
             with QuantileClient(host, port, retries=0) as client:
                 server.pause_ingest()
@@ -233,7 +231,7 @@ class TestBackpressure:
     def test_poisoned_batch_coalesced_with_neighbours_counts_nothing(self):
         clock = ManualClock(0.0)
         registry = make_registry(clock)
-        with QuantileServer(registry, ingest_workers=1) as server:
+        with QuantileServer(registry) as server:
             host, port = server.address
             with QuantileClient(host, port, retries=0) as client:
                 server.pause_ingest()
@@ -255,9 +253,7 @@ class TestBackpressure:
         clock = ManualClock(0.0)
         registry = make_registry(clock)
         backoff = ManualClock(0.0)
-        with QuantileServer(
-            registry, ingest_queue_size=1, ingest_workers=1
-        ) as server:
+        with QuantileServer(registry, ingest_queue_size=1) as server:
             host, port = server.address
             with QuantileClient(
                 host, port, retries=3, clock=backoff

@@ -42,13 +42,10 @@ class TestLedger:
 class TestOverloadRendezvous:
     def test_free_capacity_is_exact_after_overload(self):
         queue_size = 8
-        workers = 2
         extra = 3
-        with TrafficHarness(
-            queue_size=queue_size, workers=workers
-        ) as harness:
+        with TrafficHarness(queue_size=queue_size) as harness:
             harness.overload()
-            assert harness.server.parked_workers() == workers
+            assert harness.server.wait_parked(timeout=0)
             accepted = shed = 0
             for _ in range(queue_size + extra):
                 if harness.ingest("lat", [1.0]):
@@ -59,7 +56,7 @@ class TestOverloadRendezvous:
             assert shed == extra
             assert harness.shed_batches == extra
             harness.release()
-            assert harness.server.parked_workers() == 0
+            assert not harness.server.wait_parked(timeout=0)
             assert harness.server.queue_depth() == 0
             # Everything accepted (parkers included) was applied.
             assert (
@@ -68,14 +65,14 @@ class TestOverloadRendezvous:
             )
 
     def test_release_is_timeless_under_manual_clock(self):
-        with TrafficHarness(queue_size=8, workers=1) as harness:
+        with TrafficHarness(queue_size=8) as harness:
             harness.overload()
             harness.ingest("lat", [1.0, 2.0])
             assert harness.release() == 0.0
 
     def test_shed_responses_do_not_count_as_transport_retries(self):
         """Satellite guarantee: backpressure != transport failure."""
-        with TrafficHarness(queue_size=2, workers=1) as harness:
+        with TrafficHarness(queue_size=2) as harness:
             harness.overload()
             for _ in range(5):
                 harness.ingest("lat", [1.0])
