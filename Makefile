@@ -62,11 +62,13 @@ serve:
 bench:
 	$(PYTHON) benchmarks/e2e/run.py
 
-# The paper's figure index: one pytest-benchmark file per table/figure
-# asserting the *shape* the paper reports over repro.experiments.
+# The paper's figure index: one plain pytest file per table/figure
+# asserting the *shape* the paper reports over repro.experiments. No
+# timing plugin: `-p no:benchmark` keeps one that happens to be
+# installed out, and the empty addopts drops tier-1's `-m` filter.
 paper-claims:
-	REPRO_SCALE=smoke $(PYTEST) benchmarks/ --benchmark-only \
-		--ignore=benchmarks/e2e
+	REPRO_SCALE=smoke $(PYTEST) benchmarks/ --ignore=benchmarks/e2e \
+		-p no:benchmark -o addopts=""
 
 # The crash-consistency gate: the in-process fault sweep (a simulated
 # crash at every WAL record boundary and mid-checkpoint) plus the

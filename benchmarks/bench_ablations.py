@@ -44,25 +44,21 @@ def mean_error(sketch, sorted_values, qs=QS):
     ]))
 
 
-def bench_ablation_ddsketch_store(benchmark, pareto_stream):
+def bench_ablation_ddsketch_store(pareto_stream):
     values, sorted_values = pareto_stream
 
-    def run():
-        rows = []
-        for store, max_bins in (
-            ("dense", 0), ("collapsing", 1024), ("sparse", 0),
-        ):
-            sketch = DDSketch(alpha=0.01, store=store, max_bins=max_bins or 1024)
-            sketch.update_batch(values)
-            rows.append([
-                store,
-                mean_error(sketch, sorted_values),
-                sketch.size_bytes() / 1000.0,
-                sketch.num_buckets,
-            ])
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    for store, max_bins in (
+        ("dense", 0), ("collapsing", 1024), ("sparse", 0),
+    ):
+        sketch = DDSketch(alpha=0.01, store=store, max_bins=max_bins or 1024)
+        sketch.update_batch(values)
+        rows.append([
+            store,
+            mean_error(sketch, sorted_values),
+            sketch.size_bytes() / 1000.0,
+            sketch.num_buckets,
+        ])
     emit(format_table(
         ["store", "mean rel err", "KB", "buckets"], rows,
         title="Ablation: DDSketch store layout",
@@ -73,20 +69,16 @@ def bench_ablation_ddsketch_store(benchmark, pareto_stream):
     assert errors["sparse"] == pytest.approx(errors["dense"], abs=1e-12)
 
 
-def bench_ablation_req_hra(benchmark, pareto_stream):
+def bench_ablation_req_hra(pareto_stream):
     values, sorted_values = pareto_stream
 
-    def run():
-        rows = []
-        for hra in (True, False):
-            sketch = ReqSketch(num_sections=30, hra=hra, seed=1)
-            sketch.update_batch(values)
-            lower = mean_error(sketch, sorted_values, (0.05, 0.25))
-            upper = mean_error(sketch, sorted_values, (0.98, 0.99))
-            rows.append(["HRA" if hra else "LRA", lower, upper])
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    for hra in (True, False):
+        sketch = ReqSketch(num_sections=30, hra=hra, seed=1)
+        sketch.update_batch(values)
+        lower = mean_error(sketch, sorted_values, (0.05, 0.25))
+        upper = mean_error(sketch, sorted_values, (0.98, 0.99))
+        rows.append(["HRA" if hra else "LRA", lower, upper])
     emit(format_table(
         ["mode", "lower-q err", "upper-q err"], rows,
         title="Ablation: ReqSketch rank-accuracy bias",
@@ -96,18 +88,14 @@ def bench_ablation_req_hra(benchmark, pareto_stream):
     assert lra[1] <= hra[1] + 0.01  # ...LRA no worse at the bottom.
 
 
-def bench_ablation_moments_count(benchmark, pareto_stream):
+def bench_ablation_moments_count(pareto_stream):
     values, sorted_values = pareto_stream
 
-    def run():
-        rows = []
-        for k in (4, 8, 12, 15):
-            sketch = MomentsSketch(num_moments=k, transform="log")
-            sketch.update_batch(values)
-            rows.append([k, mean_error(sketch, sorted_values)])
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    for k in (4, 8, 12, 15):
+        sketch = MomentsSketch(num_moments=k, transform="log")
+        sketch.update_batch(values)
+        rows.append([k, mean_error(sketch, sorted_values)])
     emit(format_table(
         ["num_moments", "mean rel err"], rows,
         title="Ablation: Moments Sketch moment count",
@@ -116,29 +104,25 @@ def bench_ablation_moments_count(benchmark, pareto_stream):
     assert errors[12] <= errors[4]
 
 
-def bench_ablation_moments_log_moments(benchmark, pareto_stream):
+def bench_ablation_moments_log_moments(pareto_stream):
     """Sec 3.2's full design (standard + log moments, joint fit) vs the
     standard-only reference implementation the paper benchmarks."""
     values, sorted_values = pareto_stream
 
-    def run():
-        rows = []
-        for label, sketch in (
-            ("standard only", MomentsSketch(num_moments=12)),
-            ("log transform", MomentsSketch(num_moments=12,
-                                            transform="log")),
-            ("joint std+log", MomentsSketch(num_moments=12,
-                                            log_moments=True)),
-        ):
-            sketch.update_batch(values)
-            rows.append([
-                label,
-                mean_error(sketch, sorted_values),
-                sketch.size_bytes(),
-            ])
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    for label, sketch in (
+        ("standard only", MomentsSketch(num_moments=12)),
+        ("log transform", MomentsSketch(num_moments=12,
+                                        transform="log")),
+        ("joint std+log", MomentsSketch(num_moments=12,
+                                        log_moments=True)),
+    ):
+        sketch.update_batch(values)
+        rows.append([
+            label,
+            mean_error(sketch, sorted_values),
+            sketch.size_bytes(),
+        ])
     emit(format_table(
         ["configuration", "mean rel err", "bytes"], rows,
         title="Ablation: Moments Sketch log moments (Sec 3.2)",
@@ -150,25 +134,21 @@ def bench_ablation_moments_log_moments(benchmark, pareto_stream):
     assert errors["joint std+log"] < errors["log transform"] + 0.02
 
 
-def bench_ablation_udd_budget(benchmark, pareto_stream):
+def bench_ablation_udd_budget(pareto_stream):
     values, sorted_values = pareto_stream
 
-    def run():
-        rows = []
-        for budget in (0, 6, 12):
-            sketch = UDDSketch(
-                final_alpha=0.01, num_collapses=budget, max_buckets=1024
-            )
-            sketch.update_batch(values)
-            rows.append([
-                budget,
-                sketch.num_collapses,
-                sketch.guarantee().eps,
-                mean_error(sketch, sorted_values),
-            ])
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    for budget in (0, 6, 12):
+        sketch = UDDSketch(
+            final_alpha=0.01, num_collapses=budget, max_buckets=1024
+        )
+        sketch.update_batch(values)
+        rows.append([
+            budget,
+            sketch.num_collapses,
+            sketch.guarantee().eps,
+            mean_error(sketch, sorted_values),
+        ])
     emit(format_table(
         ["budget", "collapses", "guarantee", "mean rel err"], rows,
         title="Ablation: UDDSketch collapse budget",
@@ -177,29 +157,25 @@ def bench_ablation_udd_budget(benchmark, pareto_stream):
         assert err <= guarantee + 1e-9
 
 
-def bench_ablation_kll_k(benchmark, pareto_stream):
+def bench_ablation_kll_k(pareto_stream):
     values, sorted_values = pareto_stream
 
-    def run():
-        rows = []
-        for k in (64, 350, 1024):
-            sketch = KLLSketch(max_compactor_size=k, seed=2)
-            sketch.update_batch(values)
-            s = sorted_values
-            rank_errors = []
-            for q in QS:
-                est = sketch.quantile(q)
-                rank = np.searchsorted(s, est, side="right") / s.size
-                rank_errors.append(abs(rank - q))
-            rows.append([
-                k,
-                float(np.mean(rank_errors)),
-                sketch.num_retained,
-                sketch.size_bytes() / 1000.0,
-            ])
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = []
+    for k in (64, 350, 1024):
+        sketch = KLLSketch(max_compactor_size=k, seed=2)
+        sketch.update_batch(values)
+        s = sorted_values
+        rank_errors = []
+        for q in QS:
+            est = sketch.quantile(q)
+            rank = np.searchsorted(s, est, side="right") / s.size
+            rank_errors.append(abs(rank - q))
+        rows.append([
+            k,
+            float(np.mean(rank_errors)),
+            sketch.num_retained,
+            sketch.size_bytes() / 1000.0,
+        ])
     emit(format_table(
         ["k", "mean rank err", "retained", "KB"], rows,
         title="Ablation: KLL max_compactor_size",

@@ -10,16 +10,10 @@ from benchmarks.conftest import emit
 from repro.experiments.datasets import profile_datasets, profiles_table
 
 
-def bench_fig4_datasets(benchmark, scale):
-    profiles = benchmark.pedantic(
-        lambda: profile_datasets(scale=scale), rounds=1, iterations=1
-    )
+def bench_fig4_datasets(scale):
+    profiles = profile_datasets(scale=scale)
     emit(profiles_table(profiles))
 
     assert profiles["uniform"].stats["kurtosis"] < 0
     assert profiles["pareto"].stats["kurtosis"] > 100
     assert len(profiles["power"].modes) >= 2
-    benchmark.extra_info["kurtosis"] = {
-        name: profile.stats["kurtosis"]
-        for name, profile in profiles.items()
-    }

@@ -1,6 +1,6 @@
-"""Fig 5a — average insertion time of a single element.
+"""Fig 5a — insertion time of a single element.
 
-The paper pre-samples values from Pareto(1, 1) and measures the mean
+The paper pre-samples values from Pareto(1, 1) and measures the
 per-element ``update`` cost.  The published ordering: DDSketch fastest;
 Moments and KLL in the middle; ReqSketch and UDDSketch slowest (list
 compaction and the map-based store respectively).  Absolute numbers are
@@ -11,38 +11,20 @@ import pytest
 
 from repro.core import paper_config
 from repro.experiments.config import DEFAULT_SKETCHES
+from repro.experiments.speed import measure_insertion
 
 
 @pytest.mark.parametrize("sketch_name", DEFAULT_SKETCHES)
-def bench_insertion(benchmark, sketch_name, speed_values):
-    values = speed_values[:20_000].tolist()
-
-    def insert_all():
-        sketch = paper_config(sketch_name, dataset="pareto", seed=0)
-        update = sketch.update
-        for value in values:
-            update(value)
-        return sketch
-
-    sketch = benchmark(insert_all)
-    assert sketch.count == len(values)
-    benchmark.extra_info["per_element_ns"] = (
-        benchmark.stats["mean"] / len(values) * 1e9
-    )
+def bench_insertion(sketch_name, scale):
+    result = measure_insertion((sketch_name,), scale=scale)
+    assert result.detail[sketch_name]["count"] == scale.speed_points
 
 
 @pytest.mark.parametrize("sketch_name", DEFAULT_SKETCHES)
-def bench_insertion_batched(benchmark, sketch_name, speed_values):
-    """Companion measurement: the vectorised ingestion path (not in the
-    paper; quantifies what numpy batching buys each sketch)."""
-
-    def insert_batch():
-        sketch = paper_config(sketch_name, dataset="pareto", seed=0)
-        sketch.update_batch(speed_values)
-        return sketch
-
-    sketch = benchmark(insert_batch)
+def bench_insertion_batched(sketch_name, speed_values):
+    """Companion check: the vectorised ingestion path (not in the
+    paper) takes the whole stream; its speed against the scalar path is
+    the benchmark's ``core.<sketch>.update_batch_values_per_s``."""
+    sketch = paper_config(sketch_name, dataset="pareto", seed=0)
+    sketch.update_batch(speed_values)
     assert sketch.count == speed_values.size
-    benchmark.extra_info["per_element_ns"] = (
-        benchmark.stats["mean"] / speed_values.size * 1e9
-    )

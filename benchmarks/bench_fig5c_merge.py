@@ -7,44 +7,20 @@ Published shape: Moments Sketch fastest by an order of magnitude
 (vector addition); DDSketch next; KLL, REQ and UDDSketch slowest.
 """
 
-import numpy as np
 import pytest
 
-from repro.core import paper_config
-from repro.experiments.config import BASE_SEED, DEFAULT_SKETCHES
-from repro.experiments.speed import MERGE_DISTRIBUTIONS
+from repro.experiments.config import DEFAULT_SKETCHES
+from repro.experiments.speed import measure_merge
 
 #: Number of sketches folded per measurement; the paper uses 100/1000.
 MERGE_COUNTS = (20,)
 
 
-@pytest.fixture(scope="module")
-def prefilled_streams(scale):
-    rng = np.random.default_rng(BASE_SEED)
-    return [
-        dist.sample(scale.merge_prefill, rng)
-        for dist in MERGE_DISTRIBUTIONS
-    ]
-
-
 @pytest.mark.parametrize("sketch_name", DEFAULT_SKETCHES)
 @pytest.mark.parametrize("num_sketches", MERGE_COUNTS)
-def bench_merge(benchmark, sketch_name, num_sketches, prefilled_streams):
-    prefilled = []
-    for i in range(num_sketches):
-        sketch = paper_config(sketch_name, seed=BASE_SEED + i)
-        sketch.update_batch(prefilled_streams[i % len(prefilled_streams)])
-        prefilled.append(sketch)
-    expected = sum(s.count for s in prefilled)
-
-    def merge_all():
-        accumulator = paper_config(sketch_name, seed=BASE_SEED - 1)
-        for sketch in prefilled:
-            accumulator.merge(sketch)
-        return accumulator
-
-    merged = benchmark(merge_all)
-    assert merged.count == expected
-    benchmark.extra_info["per_merge_us"] = (
-        benchmark.stats["mean"] / num_sketches * 1e6
+def bench_merge(sketch_name, num_sketches, scale):
+    result = measure_merge(
+        (sketch_name,), num_sketches=num_sketches, scale=scale
     )
+    expected = num_sketches * scale.merge_prefill
+    assert result.detail[sketch_name]["merged_count"] == expected

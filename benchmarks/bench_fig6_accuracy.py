@@ -27,19 +27,12 @@ def results(scale):
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-def bench_fig6_accuracy(benchmark, dataset, scale, results):
-    # The measured artifact is the full windowed run; re-run one
-    # (cheaper single-dataset) pass under the timer and reuse the
-    # module-level results for the assertions/tables.
-    result = benchmark.pedantic(
-        lambda: run_accuracy(dataset, ("ddsketch",), scale=scale),
-        rounds=1, iterations=1,
-    )
+def bench_fig6_accuracy(dataset, results):
+    result = results[dataset]
     assert result.dataset == dataset
-    full = results[dataset]
-    emit(full.to_table())
+    emit(result.to_table())
 
-    grouped = full.grouped
+    grouped = result.grouped
     if dataset == "pareto":
         assert grouped["kll"]["p99"] > 2 * grouped["ddsketch"]["p99"]
         assert grouped["uddsketch"]["mid"] <= 0.0101
@@ -58,4 +51,3 @@ def bench_fig6_accuracy(benchmark, dataset, scale, results):
         assert grouped["moments"]["mid"] > 0.0101
         assert grouped["ddsketch"]["upper"] <= 0.0101
         assert grouped["uddsketch"]["mid"] <= 0.0101
-    benchmark.extra_info["grouped"] = grouped

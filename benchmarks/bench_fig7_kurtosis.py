@@ -11,10 +11,8 @@ from benchmarks.conftest import emit
 from repro.experiments.kurtosis_sweep import run_kurtosis_sweep
 
 
-def bench_fig7_kurtosis(benchmark, scale):
-    result = benchmark.pedantic(
-        lambda: run_kurtosis_sweep(scale=scale), rounds=1, iterations=1
-    )
+def bench_fig7_kurtosis(scale):
+    result = run_kurtosis_sweep(scale=scale)
     emit(result.to_table())
 
     # The x-axis spans tail-free to extremely long-tailed.
@@ -33,7 +31,3 @@ def bench_fig7_kurtosis(benchmark, scale):
         result.errors["pareto"]["req"].mean
         < result.errors["pareto"]["kll"].mean
     )
-    benchmark.extra_info["errors"] = {
-        label: {s: ci.mean for s, ci in by_sketch.items()}
-        for label, by_sketch in result.errors.items()
-    }

@@ -13,10 +13,8 @@ from benchmarks.conftest import emit
 from repro.experiments.accuracy import run_adaptability
 
 
-def bench_fig8_adaptability(benchmark, scale):
-    result = benchmark.pedantic(
-        lambda: run_adaptability(scale=scale), rounds=1, iterations=1
-    )
+def bench_fig8_adaptability(scale):
+    result = run_adaptability(scale=scale)
     emit(result.to_table())
 
     per_quantile = result.per_quantile
@@ -34,6 +32,3 @@ def bench_fig8_adaptability(benchmark, scale):
     for name, errors in per_quantile.items():
         off_boundary = np.mean([errors[0.25].mean, errors[0.75].mean])
         assert off_boundary < 0.1, name
-    benchmark.extra_info["median_errors"] = {
-        name: errors[0.5].mean for name, errors in per_quantile.items()
-    }

@@ -10,10 +10,8 @@ from benchmarks.conftest import emit
 from repro.experiments.related_work import run_related_work
 
 
-def bench_related_work(benchmark, scale):
-    result = benchmark.pedantic(
-        lambda: run_related_work(scale=scale), rounds=1, iterations=1
-    )
+def bench_related_work(scale):
+    result = run_related_work(scale=scale)
     emit(result.to_table())
     rows = result.rows
 

@@ -14,11 +14,8 @@ from repro.experiments.late_data import run_late_data
 DATASETS = ("pareto", "uniform")
 
 
-def bench_sec46_late_data(benchmark, scale):
-    result = benchmark.pedantic(
-        lambda: run_late_data(datasets=DATASETS, scale=scale),
-        rounds=1, iterations=1,
-    )
+def bench_sec46_late_data(scale):
+    result = run_late_data(datasets=DATASETS, scale=scale)
     emit(result.to_table())
 
     for dataset in DATASETS:
@@ -33,6 +30,3 @@ def bench_sec46_late_data(benchmark, scale):
         # within (twice) their guarantee despite the loss.
         assert delayed.grouped["ddsketch"]["mid"] < 0.02
         assert delayed.grouped["uddsketch"]["mid"] < 0.02
-    benchmark.extra_info["loss"] = {
-        d: result.with_delay[d].loss_fraction for d in DATASETS
-    }

@@ -13,16 +13,13 @@ from repro.experiments.window_size import run_window_size
 DATASETS = ("uniform", "power")
 
 
-def bench_sec47_window_size(benchmark, scale):
+def bench_sec47_window_size(scale):
     # Window sizes scale with the configured window so the smoke/quick
     # scales sweep a proportional range (the paper uses 5/10/20 s).
     base_s = scale.window_size_ms / 1000.0
     sizes = (base_s / 4, base_s / 2, base_s)
-    result = benchmark.pedantic(
-        lambda: run_window_size(
-            datasets=DATASETS, scale=scale, window_sizes_s=sizes
-        ),
-        rounds=1, iterations=1,
+    result = run_window_size(
+        datasets=DATASETS, scale=scale, window_sizes_s=sizes
     )
     emit(result.to_table())
 
@@ -33,7 +30,3 @@ def bench_sec47_window_size(benchmark, scale):
     # Moments on the bimodal real-world stand-in: larger windows do
     # not hurt (the paper reports an improvement).
     assert result.trend("power", "moments") < 0.01
-    benchmark.extra_info["trends"] = {
-        d: {s: result.trend(d, s) for s in ("moments", "kll", "ddsketch")}
-        for d in DATASETS
-    }

@@ -11,10 +11,8 @@ from benchmarks.conftest import emit
 from repro.experiments.size_sweep import run_size_sweep
 
 
-def bench_size_sweep(benchmark, scale):
-    result = benchmark.pedantic(
-        lambda: run_size_sweep(scale=scale), rounds=1, iterations=1
-    )
+def bench_size_sweep(scale):
+    result = run_size_sweep(scale=scale)
     emit(result.to_table())
 
     for sketch, curve in result.curves.items():
@@ -26,7 +24,3 @@ def bench_size_sweep(benchmark, scale):
     # Deterministic sketches give clean monotone curves.
     for sketch in ("ddsketch", "tdigest", "req"):
         assert result.is_tradeoff_monotone(sketch), sketch
-    benchmark.extra_info["curves"] = {
-        sketch: [[label, size, error] for label, size, error in curve]
-        for sketch, curve in result.curves.items()
-    }

@@ -10,10 +10,8 @@ from benchmarks.conftest import emit
 from repro.experiments.memory import measure_memory
 
 
-def bench_table3_memory(benchmark, scale):
-    result = benchmark.pedantic(
-        lambda: measure_memory(scale=scale), rounds=1, iterations=1
-    )
+def bench_table3_memory(scale):
+    result = measure_memory(scale=scale)
     emit(result.to_table())
 
     for dataset, by_sketch in result.kb.items():
@@ -26,4 +24,3 @@ def bench_table3_memory(benchmark, scale):
     # KLL's retained sample is data-independent.
     kll_sizes = [by_sketch["kll"] for by_sketch in result.kb.values()]
     assert max(kll_sizes) - min(kll_sizes) < 0.5
-    benchmark.extra_info["kb"] = result.kb

@@ -18,24 +18,21 @@ from repro.experiments.speed import (
 from repro.experiments.summary import build_summary
 
 
-def bench_table4_summary(benchmark, scale):
-    def assemble():
-        accuracy = {
-            d: run_accuracy(d, scale=scale)
-            for d in ("pareto", "uniform", "nyt", "power")
-        }
-        queries = measure_query(
-            scale=scale, data_sizes=(scale.speed_points,), repetitions=3
-        )
-        return build_summary(
-            accuracy=accuracy,
-            insertion=measure_insertion(scale=scale),
-            query=queries[scale.speed_points],
-            merge=measure_merge(scale=scale, num_sketches=12),
-            adaptability=run_adaptability(scale=scale),
-        )
-
-    summary = benchmark.pedantic(assemble, rounds=1, iterations=1)
+def bench_table4_summary(scale):
+    accuracy = {
+        d: run_accuracy(d, scale=scale)
+        for d in ("pareto", "uniform", "nyt", "power")
+    }
+    queries = measure_query(
+        scale=scale, data_sizes=(scale.speed_points,), repetitions=3
+    )
+    summary = build_summary(
+        accuracy=accuracy,
+        insertion=measure_insertion(scale=scale),
+        query=queries[scale.speed_points],
+        merge=measure_merge(scale=scale, num_sketches=12),
+        adaptability=run_adaptability(scale=scale),
+    )
     emit(summary.to_table())
 
     assert summary.approach["kll"] == "Sampling"

@@ -1,14 +1,13 @@
-"""Shared fixtures and reporting helpers for the benchmark harness.
+"""Shared fixtures and reporting helpers for the paper's figure index.
 
 Every file regenerates one table or figure of the paper (see the
-experiment index in DESIGN.md).  Scale is selected with ``REPRO_SCALE``
-(``smoke`` | ``quick`` | ``paper``); the default ``quick`` preserves the
-paper's shapes at a Python-friendly stream size.
+experiment index in DESIGN.md) by calling its ``repro.experiments``
+runner and asserting the shape the paper reports; the files are plain
+pytest tests with no timer of their own.  Scale is selected with
+``REPRO_SCALE`` (``smoke`` | ``quick`` | ``paper``); the default
+``quick`` preserves the paper's shapes at a Python-friendly stream size.
 
-Run everything with ``make paper-claims``, i.e.::
-
-    REPRO_SCALE=smoke PYTHONPATH=src python -m pytest benchmarks/ \
-        --benchmark-only --ignore=benchmarks/e2e
+Run everything at smoke scale with ``make paper-claims``.
 """
 
 from __future__ import annotations
@@ -27,12 +26,12 @@ def scale():
 
 @pytest.fixture(scope="session")
 def speed_values(scale):
-    """Pre-sampled Pareto(1, 1) stream for the Fig 5 speed benches."""
+    """Pre-sampled Pareto(1, 1) stream for the batched-ingest check."""
     rng = np.random.default_rng(BASE_SEED)
     return SPEED_DISTRIBUTION.sample(scale.speed_points, rng)
 
 
 def emit(table: str) -> None:
-    """Print a paper-style table into the benchmark output."""
+    """Print a paper-style table into the test output."""
     print()
     print(table)

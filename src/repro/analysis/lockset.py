@@ -400,16 +400,14 @@ def _lock_edges(
 def _find_cycles(edges: list[LockEdge]) -> list[CycleReport]:
     """Report every lock-order edge that lies on a cycle.
 
-    Tokens are grouped into strongly connected components; any edge
-    with both ends in the same multi-node component participates in a
-    deadlock-capable cycle.  Each such edge yields one report (at its
-    first witness) so every involved acquisition site is flagged.
+    An edge src -> dst lies on a cycle iff dst reaches src, which is
+    exactly what the search for its shortest cycle finds out.  Each
+    such edge yields one report (at its first witness) so every
+    involved acquisition site is flagged.
     """
     adjacency: dict[str, set[str]] = {}
     for edge in edges:
         adjacency.setdefault(edge.src, set()).add(edge.dst)
-        adjacency.setdefault(edge.dst, set())
-    component = _strongly_connected(adjacency)
     reports: list[CycleReport] = []
     seen_edges: set[tuple[str, str]] = set()
     for edge in sorted(
@@ -417,79 +415,20 @@ def _find_cycles(edges: list[LockEdge]) -> list[CycleReport]:
     ):
         if (edge.src, edge.dst) in seen_edges:
             continue
-        if component[edge.src] != component[edge.dst]:
-            continue
-        members = [
-            token
-            for token, comp in component.items()
-            if comp == component[edge.src]
-        ]
-        if len(members) < 2:
-            continue
         seen_edges.add((edge.src, edge.dst))
         cycle = _shortest_cycle(adjacency, edge.src, edge.dst)
-        reports.append(CycleReport(cycle=cycle, edge=edge))
+        if cycle is not None:
+            reports.append(CycleReport(cycle=cycle, edge=edge))
     return reports
-
-
-def _strongly_connected(
-    adjacency: dict[str, set[str]]
-) -> dict[str, int]:
-    """Iterative Tarjan SCC; returns token -> component id."""
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    component: dict[str, int] = {}
-    counter = [0]
-    comp_counter = [0]
-
-    for root in sorted(adjacency):
-        if root in index:
-            continue
-        work: list[tuple[str, list[str]]] = [
-            (root, sorted(adjacency[root]))
-        ]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, successors = work[-1]
-            if successors:
-                succ = successors.pop(0)
-                if succ not in index:
-                    index[succ] = lowlink[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, sorted(adjacency[succ])))
-                elif succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(
-                        lowlink[parent], lowlink[node]
-                    )
-                if lowlink[node] == index[node]:
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component[member] = comp_counter[0]
-                        if member == node:
-                            break
-                    comp_counter[0] += 1
-    return component
 
 
 def _shortest_cycle(
     adjacency: dict[str, set[str]], src: str, dst: str
-) -> tuple[str, ...]:
-    """Cycle through edge src->dst: BFS path dst -> src, then close."""
-    if src == dst:
-        return (src, src)
+) -> tuple[str, ...] | None:
+    """Cycle through edge src->dst: BFS path dst -> src, then close.
+
+    ``None`` when dst does not reach src: the edge lies on no cycle.
+    """
     parents: dict[str, str] = {dst: dst}
     queue = [dst]
     while queue:
@@ -500,14 +439,14 @@ def _shortest_cycle(
             if succ not in parents:
                 parents[succ] = current
                 queue.append(succ)
-    if src not in parents:  # pragma: no cover - SCC guarantees a path
-        return (src, dst, src)
+    if src not in parents:
+        return None
     path = [src]
     while path[-1] != dst:
         path.append(parents[path[-1]])
     path.reverse()  # dst ... src
     # Close the witnessed edge: src -> dst -> ... -> src.
-    return (src, *path) if path[0] == dst else (src, dst, src)
+    return (src, *path)
 
 
 # ----------------------------------------------------------------------

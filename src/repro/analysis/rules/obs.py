@@ -8,15 +8,14 @@ identical runs, and ``MonotonicClock`` keeps production immune to wall
 clock steps.  One stray ``time.time()`` in a handler quietly breaks
 all three.
 
-``OBS001`` machine-checks that: inside the instrumented packages
-(``repro.obs``, ``repro.service``, ``repro.parallel``,
-``repro.streaming``, ``repro.durability``, ``repro.cluster``,
-``repro.workload``) no code may *read* a clock directly — calls to
-``time.time``/``time_ns``/``monotonic``/``monotonic_ns``/
-``perf_counter``/``perf_counter_ns`` (dotted or imported bare) are
-flagged.  ``repro.service.clock`` itself is exempt: it is the single
-module whose job is wrapping those primitives.  ``time.sleep`` is not
-a reading and stays legal (the client's backoff and the CLI use it).
+``OBS001`` machine-checks that: anywhere in ``repro`` — the
+experiments' Fig 5 timings included — no code may *read* a clock
+directly; calls to ``time.time``/``time_ns``/``monotonic``/
+``monotonic_ns``/``perf_counter``/``perf_counter_ns`` (dotted or
+imported bare) are flagged.  ``repro.service.clock`` itself is exempt:
+it is the single module whose job is wrapping those primitives.
+``time.sleep`` is not a reading and stays legal (the client's backoff
+and the CLI use it).
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Iterator
 
 from repro.analysis.walker import Finding, ModuleInfo, Project, Rule
 
-#: The stdlib clock readers an instrumented module must not call.
+#: The stdlib clock readers no module outside the wrapper may call.
 _TIME_READERS = frozenset(
     {
         "time",
@@ -57,19 +56,11 @@ class DirectClockReadRule(Rule):
     code = "OBS001"
     name = "direct-clock-read"
     description = (
-        "instrumented modules must read time through an injected "
-        "Clock, never time.time()/monotonic()/perf_counter() directly "
+        "read time through a repro.service.clock.Clock, never "
+        "time.time()/monotonic()/perf_counter() directly "
         "(repro.service.clock is the sole wrapper)"
     )
-    scopes = (
-        "repro.obs",
-        "repro.service",
-        "repro.parallel",
-        "repro.streaming",
-        "repro.durability",
-        "repro.cluster",
-        "repro.workload",
-    )
+    scopes = ("repro",)
 
     def check(
         self, module: ModuleInfo, project: Project

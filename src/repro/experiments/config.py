@@ -38,8 +38,6 @@ class ExperimentScale:
     merge_sketches: int       # sketches merged in the Fig 5c experiment
     merge_prefill: int        # events pre-filled into each merged sketch
     quantiles: tuple[float, ...] = field(default=PAPER_QUANTILES)
-    #: Shard counts swept by the parallel-scaling experiment.
-    shard_counts: tuple[int, ...] = (1, 2, 4, 8)
 
     @property
     def events_per_window(self) -> int:

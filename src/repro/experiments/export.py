@@ -63,6 +63,7 @@ def _speed(result: SpeedResult) -> dict[str, Any]:
         "kind": "speed",
         "operation": result.operation,
         "seconds_per_op": result.seconds_per_op,
+        "iqr": result.iqr,
         "ranking": result.ranking(),
         "detail": result.detail,
     }
@@ -225,6 +226,7 @@ def speed_csv_rows(result: SpeedResult) -> list[dict[str, Any]]:
             "operation": result.operation,
             "sketch": sketch,
             "seconds_per_op": seconds,
+            "iqr": result.iqr.get(sketch),
         }
         for sketch, seconds in result.seconds_per_op.items()
     ]

@@ -16,7 +16,6 @@ the baselines implemented here:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ import numpy as np
 from repro.core.registry import paper_config
 from repro.experiments.config import BASE_SEED, ExperimentScale, current_scale
 from repro.experiments.reporting import format_table
+from repro.experiments.speed import timed
 from repro.metrics.errors import PAPER_QUANTILES, rank_error, relative_error, true_quantile
 
 #: Paper's five plus every related-work baseline (exact excluded).
@@ -47,7 +47,7 @@ class RelatedWorkResult:
                 row["mean_rel_err"],
                 row["mean_rank_err"],
                 row["size_kb"],
-                row["ingest_s"],
+                round(row["ingest_ns_per_value"]),
                 row["query_ms"],
             ]
             for name, row in self.rows.items()
@@ -55,7 +55,7 @@ class RelatedWorkResult:
         return format_table(
             [
                 "sketch", "rel err", "rank err", "KB",
-                "ingest s", "query ms",
+                "ingest ns/value", "query ms",
             ],
             table_rows,
             title="Related-work comparison (Sec 5.2 baselines)",
@@ -70,7 +70,8 @@ def run_related_work(
 
     The workload is uniform over ``[0, 2^20)`` so the Dyadic Count
     Sketch (which needs a bounded universe) can participate; GK ingests
-    a fixed-size prefix because its per-item insert is O(summary).
+    a fixed-size prefix because its per-item insert is O(summary), so
+    ingest is reported per value to compare equal work.
     """
     scale = scale or current_scale()
     rng = np.random.default_rng(BASE_SEED)
@@ -81,19 +82,10 @@ def run_related_work(
     rows: dict[str, dict[str, float]] = {}
     for name in sketches:
         sketch = paper_config(name, seed=BASE_SEED)
-        reference = sorted_data
-        start = time.perf_counter()
-        if name == "gk":
-            prefix = data[: min(50_000, n)]
-            sketch.update_batch(prefix)
-            reference = np.sort(prefix)
-        else:
-            sketch.update_batch(data)
-        ingest = time.perf_counter() - start
-
-        start = time.perf_counter()
-        estimates = sketch.quantiles(PAPER_QUANTILES)
-        query = time.perf_counter() - start
+        stream = data[: min(50_000, n)] if name == "gk" else data
+        _, ingest = timed(sketch.update_batch, stream)
+        estimates, query = timed(sketch.quantiles, PAPER_QUANTILES)
+        reference = sorted_data if stream is data else np.sort(stream)
 
         rel_errors = []
         rank_errors = []
@@ -105,7 +97,7 @@ def run_related_work(
             "mean_rel_err": float(np.mean(rel_errors)),
             "mean_rank_err": float(np.mean(rank_errors)),
             "size_kb": sketch.size_bytes() / 1000.0,
-            "ingest_s": ingest,
+            "ingest_ns_per_value": ingest / stream.size * 1e9,
             "query_ms": query * 1000.0,
         }
     return RelatedWorkResult(rows=rows)

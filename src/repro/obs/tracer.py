@@ -4,9 +4,9 @@ A :class:`Tracer` hands out :class:`Span` context managers.  Spans nest
 per-thread (a thread-local stack), so the server's ``server.op.ingest``
 span can contain a ``store.record_batch`` child and the trace tree
 reflects the real call structure.  Timing always goes through the
-injected :class:`~repro.service.clock.Clock` — never ``time.time()``
-directly; the OBS001 analysis rule enforces that discipline across the
-instrumented packages.
+injected :class:`~repro.service.clock.Clock`, never a direct read of
+the ``time`` module; the OBS001 analysis rule enforces that discipline
+across all of ``repro``.
 
 On exit every span feeds its duration (microseconds) into a
 :class:`~repro.obs.metrics.LatencyHistogram` named ``span.<name>``, so

@@ -18,13 +18,14 @@ ordering).  Only the first witness of an edge captures context (thread
 name and caller's ``file:line``) — later hits are counted but cheap,
 which is what keeps sanitized runs within the <10% overhead budget.
 
-**Verification.** ``assert_acyclic()`` runs a DFS over the edge graph
-at teardown and reports one shortest cycle with each edge's first
-witness.  Two hazards are additionally caught *live*, because waiting
-for teardown would mean waiting forever: a non-reentrant lock
-re-acquired by its holding thread (guaranteed self-deadlock), and a
-blocking acquire that would close a cycle with already-witnessed edges
-(the sanitizer raises where a real deadlock *could* park).
+**Verification.** ``assert_acyclic()`` runs a breadth-first search
+over the edge graph at teardown and reports one shortest cycle with
+each edge's first witness.  Two hazards are additionally caught
+*live*, because waiting for teardown would mean waiting forever: a
+non-reentrant lock re-acquired by its holding thread (guaranteed
+self-deadlock), and a blocking acquire that would close a cycle with
+already-witnessed edges (the sanitizer raises where a real deadlock
+*could* park, naming the witnessed path the acquire would close).
 
 **Watchpoints.** ``watch(obj, "attr")`` installs a data descriptor on
 ``type(obj)`` whose getter/setter run the Eraser lockset algorithm:
@@ -192,12 +193,12 @@ class LockMonitor:
                 f"blocked on non-reentrant lock {lock.label} it already "
                 f"holds (at {_caller_site()})"
             )
-        if held and self._path_exists(lock.uid, held[-1]):
-            cycle = self._cycle_description(held[-1], lock.uid)
+        path = self._shortest_path(lock.uid, held[-1]) if held else None
+        if path is not None:
             raise LockOrderViolation(
                 f"lock-order cycle closed at acquire of {lock.label} "
                 f"while holding {self._locks[held[-1]].label} "
-                f"(at {_caller_site()}): {cycle}"
+                f"(at {_caller_site()}): {self._path_description(path)}"
             )
 
     def _record_acquire(self, lock: SanitizedLock) -> None:
@@ -240,67 +241,50 @@ class LockMonitor:
             adj.setdefault(a, set()).add(b)
         return adj
 
-    def _path_exists(self, src: int, dst: int) -> bool:
+    def _shortest_path(self, src: int, dst: int) -> list[int] | None:
+        """A shortest witnessed path src -> ... -> dst of at least one
+        edge, as a uid list from src to dst, or None.  With src == dst
+        it is a shortest cycle through src."""
         adj = self._adjacency()
-        seen = {src}
+        parents: dict[int, int] = {}
         frontier = [src]
-        while frontier:
-            node = frontier.pop()
-            if node == dst:
-                return True
-            for nxt in adj.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return False
+        while frontier and dst not in parents:
+            next_frontier = []
+            for node in frontier:
+                for nxt in adj.get(node, ()):
+                    if nxt not in parents:
+                        parents[nxt] = node
+                        next_frontier.append(nxt)
+            frontier = next_frontier
+        if dst not in parents:
+            return None
+        path = [dst]
+        node = parents[dst]
+        while node != src:
+            path.append(node)
+            node = parents[node]
+        path.append(src)
+        path.reverse()
+        return path
 
     def _shortest_cycle(self) -> list[int] | None:
         """A shortest cycle in the edge graph, as a uid path, or None."""
-        adj = self._adjacency()
         best: list[int] | None = None
-        for start in adj:
-            # BFS back to start.
-            parents: dict[int, int] = {}
-            frontier = [start]
-            seen = {start}
-            found = False
-            while frontier and not found:
-                nxt_frontier = []
-                for node in frontier:
-                    for nxt in adj.get(node, ()):
-                        if nxt == start:
-                            parents[start] = node
-                            found = True
-                            break
-                        if nxt not in seen:
-                            seen.add(nxt)
-                            parents[nxt] = node
-                            nxt_frontier.append(nxt)
-                    if found:
-                        break
-                frontier = nxt_frontier
-            if found:
-                path = [start]
-                node = parents[start]
-                while node != start:
-                    path.append(node)
-                    node = parents[node]
-                path.reverse()
-                if best is None or len(path) < len(best):
-                    best = path
-        return best
+        for start in self._adjacency():
+            path = self._shortest_path(start, start)
+            if path is not None and (best is None or len(path) < len(best)):
+                best = path
+        return None if best is None else best[:-1]
 
-    def _cycle_description(self, a: int, b: int) -> str:
-        """Describe the witnessed path b ->* a that edge a -> b would close."""
-        parts = []
+    def _path_description(self, path: list[int]) -> str:
+        """Name each witnessed edge along *path* (a uid list)."""
         with self._state_lock:
-            items = list(self.edges.items())
-        for (x, y), witness in items:
-            parts.append(
-                f"{self._locks[x].label} -> {self._locks[y].label} "
-                f"[{witness.thread} at {witness.site}]"
-            )
-        return "; ".join(parts)
+            witnesses = [self.edges[pair] for pair in zip(path, path[1:])]
+        return "; ".join(
+            f"{self._locks[x].label} -> {self._locks[y].label} "
+            f"[{witness.thread} at {witness.site}]"
+            for x, y, witness in zip(path, path[1:], witnesses)
+        )
 
     def assert_acyclic(self) -> None:
         """Raise :exc:`LockOrderViolation` if acquisition order cycles."""

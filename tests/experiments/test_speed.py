@@ -14,22 +14,35 @@ SMOKE = SCALES["smoke"]
 SKETCHES = ("ddsketch", "moments")
 
 
+@pytest.fixture(scope="module")
+def insertion():
+    """One smoke-scale Fig 5a run (each sketch timed SPEED_REPEATS
+    times) shared by the insertion tests."""
+    return measure_insertion(SKETCHES, scale=SMOKE)
+
+
 class TestInsertion:
-    def test_measures_all_sketches(self):
-        result = measure_insertion(SKETCHES, scale=SMOKE)
+    def test_measures_all_sketches(self, insertion):
+        result = insertion
         assert set(result.seconds_per_op) == set(SKETCHES)
         for seconds in result.seconds_per_op.values():
             assert 0 < seconds < 1e-3  # sub-millisecond per element
 
-    def test_ranking_sorted(self):
-        result = measure_insertion(SKETCHES, scale=SMOKE)
+    def test_ranking_sorted(self, insertion):
+        result = insertion
         ranking = result.ranking()
         times = [result.seconds_per_op[name] for name in ranking]
         assert times == sorted(times)
 
-    def test_table_renders(self):
-        result = measure_insertion(("ddsketch",), scale=SMOKE)
+    def test_table_renders(self, insertion):
+        result = insertion
         assert "insertion" in result.to_table()
+
+    def test_reports_median_and_iqr(self, insertion):
+        for name in SKETCHES:
+            assert insertion.iqr[name] >= 0
+            assert insertion.detail[name]["count"] == SMOKE.speed_points
+        assert "IQR" in insertion.to_table()
 
 
 class TestQuery:
@@ -66,6 +79,7 @@ class TestMerge:
         result = measure_merge(SKETCHES, num_sketches=5, scale=SMOKE)
         for name in SKETCHES:
             assert result.seconds_per_op[name] > 0
+            assert result.iqr[name] >= 0
             assert result.detail[name]["merged_count"] == (
                 5 * SMOKE.merge_prefill
             )

@@ -180,6 +180,9 @@ def tenant_endpoints(tmp_path_factory, factory, values):
     for endpoint in (server, node):
         seeded = endpoint.dispatch({**well_formed("ingest"), "values": values})
         assert seeded["ok"], seeded
+        # The server's drain worker applies the ingest asynchronously;
+        # barrier on it so the first read sees the tenant.
+        assert endpoint.dispatch(well_formed("flush"))["ok"]
     transport = ClusterTransport("proxy", clock)
     transport.set_address("n0", *node.address)
     proxy = RoutingProxy(HashRing(["n0"]), transport)

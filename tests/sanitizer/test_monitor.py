@@ -131,6 +131,28 @@ class TestLockOrderGraph:
                 a.acquire()
         assert monitor.held_uids() == ()
 
+    def test_live_cycle_message_names_only_the_closing_path(self):
+        monitor = LockMonitor()
+        a = make_lock(monitor, "a:1")
+        b = make_lock(monitor, "b:2")
+        c = make_lock(monitor, "c:3")
+        d = make_lock(monitor, "d:4")
+        with c:
+            with d:
+                pass
+        with a:
+            with b:
+                pass
+        with b:
+            with pytest.raises(LockOrderViolation) as caught:
+                a.acquire()
+        message = str(caught.value)
+        assert message.endswith(
+            f"a:1 -> b:2 [{threading.current_thread().name} at "
+            f"{monitor.edges[(a.uid, b.uid)].site}]"
+        )
+        assert "c:3" not in message and "d:4" not in message
+
     def test_edges_are_per_instance_not_per_site(self):
         """Two locks from the same source line are distinct vertices."""
         monitor = LockMonitor()
