@@ -91,6 +91,16 @@ def as_float_batch(
     return array
 
 
+def batch_extremes(values: np.ndarray) -> tuple[float, float]:
+    """The smallest and largest value of a non-empty batch.
+
+    argmin/argmax keep the *first* extreme, like the strict comparisons
+    in :meth:`QuantileSketch._observe`; min()/max() would keep the last
+    of 0.0 and -0.0, which serialize differently.
+    """
+    return float(values[values.argmin()]), float(values[values.argmax()])
+
+
 def validate_quantile(q: float) -> float:
     """Validate that *q* lies in (0, 1] and return it as a float.
 
@@ -250,28 +260,37 @@ class QuantileSketch(abc.ABC):
             self._max = value
 
     def _observe_batch(
-        self, values: np.ndarray, checked: bool = False
+        self,
+        values: np.ndarray,
+        checked: bool = False,
+        extremes: tuple[float, float] | None = None,
     ) -> None:
         """Batched :meth:`_observe`; rejects NaN before mutating state.
 
         Callers that already validated the batch through
         :func:`as_float_batch` pass ``checked=True`` to skip the
-        re-scan, so validation work happens once per batch.
+        re-scan, and callers that already took :func:`batch_extremes`
+        pass them as *extremes*, so each scan happens once per batch.
         """
         if values.size == 0:
             return
         if not checked:
             _reject_nan_batch(values)
+        lo, hi = batch_extremes(values) if extremes is None else extremes
         self._count += int(values.size)
-        # argmin/argmax keep the *first* extreme, like the strict
-        # comparisons here and in _observe; min()/max() would keep
-        # the last of 0.0 and -0.0, which serialize differently.
-        lo = float(values[values.argmin()])
-        hi = float(values[values.argmax()])
         if lo < self._min:
             self._min = lo
         if hi > self._max:
             self._max = hi
+
+    def _check_range(self, lo: float, hi: float) -> None:
+        """Raise :class:`~repro.errors.InvalidValueError` if a batch
+        spanning ``[lo, hi]`` holds a finite value this sketch refuses.
+
+        A wrapper that spreads one batch over several sketches (a
+        sharded partition) asks this before any of them moves.  Every
+        finite value is accepted unless a sketch says otherwise.
+        """
 
     # ------------------------------------------------------------------
     # Merging

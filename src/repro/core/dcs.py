@@ -138,17 +138,21 @@ class DyadicCountSketch(QuantileSketch):
     def delete_batch(self, values: Sequence[float] | np.ndarray) -> None:
         self._count -= self._apply(values, -1).size
 
+    def _check_range(self, lo: float, hi: float) -> None:
+        if not 0 <= lo <= hi < self.universe:
+            raise InvalidValueError(
+                f"values must lie in [0, {self.universe}) — DCS needs "
+                f"prior knowledge of the universe (Sec 5.2.3)"
+            )
+
     def _apply(
         self, values: Sequence[float] | np.ndarray, sign: int
     ) -> np.ndarray:
         """Check, then add *sign* per key at every level; return the keys."""
         floors = np.floor(np.asarray(values, dtype=np.float64).ravel())
-        # NaN and +-inf fail both comparisons.
-        if not ((floors >= 0) & (floors < self.universe)).all():
-            raise InvalidValueError(
-                f"values must lie in [0, {self.universe}) — DCS needs "
-                f"prior knowledge of the universe (Sec 5.2.3)"
-            )
+        if floors.size:
+            # min/max carry a NaN through, and NaN fails every comparison.
+            self._check_range(float(floors.min()), float(floors.max()))
         keys = floors.astype(np.int64)
         if sign < 0 and keys.size > self._count:
             raise InvalidValueError(

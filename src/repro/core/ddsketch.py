@@ -24,11 +24,12 @@ from repro.core.base import (
     NO_GUARANTEE,
     Guarantee,
     QuantileSketch,
-    as_float_batch,
+    batch_extremes,
     validate_quantile,
     validate_rank_value,
 )
 from repro.core.mapping import (
+    MAX_INDEXABLE_VALUE,
     MIN_INDEXABLE_VALUE,
     LogarithmicMapping,
 )
@@ -107,23 +108,34 @@ class DDSketch(QuantileSketch):
         self._drop_query_caches()
 
     def update_batch(self, values: Sequence[float] | np.ndarray) -> None:
-        values = as_float_batch(values)
+        values = np.asarray(values, dtype=np.float64).ravel()
         if values.size == 0:
             return
-        positive = values[values > MIN_INDEXABLE_VALUE]
-        negative = values[values < -MIN_INDEXABLE_VALUE]
-        n_zero = values.size - positive.size - negative.size
-        # Index both signs before either store moves: a finite value
-        # outside the indexable range raises here, with nothing applied.
-        if negative.size:
-            negative_indices = self._mapping.index_batch(-negative)
-        if positive.size:
+        # One pass: the extremes refuse a non-finite or unindexable
+        # batch before any store moves, skip the sign split when every
+        # value is positive (every latency a service records), and feed
+        # the bookkeeping.
+        lo, hi = extremes = batch_extremes(values)
+        self._check_range(lo, hi)
+        if lo > MIN_INDEXABLE_VALUE:
+            self._positive.add_batch(self._mapping.index_batch(values))
+        else:
+            positive = values[values > MIN_INDEXABLE_VALUE]
+            negative = values[values < -MIN_INDEXABLE_VALUE]
             self._positive.add_batch(self._mapping.index_batch(positive))
-        if negative.size:
-            self._negative.add_batch(negative_indices)
-        self._zero_count += int(n_zero)
-        self._observe_batch(values, checked=True)
+            self._negative.add_batch(self._mapping.index_batch(-negative))
+            self._zero_count += values.size - positive.size - negative.size
+        self._observe_batch(values, checked=True, extremes=extremes)
         self._drop_query_caches()
+
+    def _check_range(self, lo: float, hi: float) -> None:
+        # argmin/argmax stop at the first NaN, which fails both bounds.
+        if not -MAX_INDEXABLE_VALUE <= lo <= hi <= MAX_INDEXABLE_VALUE:
+            raise InvalidValueError(
+                "batch contains values outside the indexable range"
+                if math.isfinite(lo) and math.isfinite(hi)
+                else "batch contains non-finite values; nothing ingested"
+            )
 
     # ------------------------------------------------------------------
     # Queries

@@ -24,6 +24,7 @@ from repro.core.base import (
     Guarantee,
     QuantileSketch,
     as_float_batch,
+    batch_extremes,
     validate_quantile,
     validate_rank_value,
 )
@@ -140,14 +141,8 @@ class HdrHistogram(QuantileSketch):
         values = as_float_batch(values)
         if values.size == 0:
             return
-        if bool((values < 0).any()):
-            raise InvalidValueError(
-                "batch contains negative values"
-            )
-        if (values > self.highest_trackable_value).any():
-            raise InvalidValueError(
-                "batch contains values above highest_trackable_value"
-            )
+        extremes = batch_extremes(values)
+        self._check_range(*extremes)
         ints = values.astype(np.int64)
         bit_lengths = np.zeros(values.size, dtype=np.int64)
         nonzero = ints > 0
@@ -165,7 +160,15 @@ class HdrHistogram(QuantileSketch):
         self._counts += np.bincount(
             indices, minlength=self._counts.size
         ).astype(np.int64)
-        self._observe_batch(values, checked=True)
+        self._observe_batch(values, checked=True, extremes=extremes)
+
+    def _check_range(self, lo: float, hi: float) -> None:
+        if lo < 0:
+            raise InvalidValueError("batch contains negative values")
+        if hi > self.highest_trackable_value:
+            raise InvalidValueError(
+                "batch contains values above highest_trackable_value"
+            )
 
     # ------------------------------------------------------------------
     # Queries

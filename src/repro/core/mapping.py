@@ -68,17 +68,12 @@ class LogarithmicMapping:
         return math.ceil(math.log(value) * self._multiplier)
 
     def index_batch(self, values: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`index` over an array of positive values."""
-        values = np.asarray(values, dtype=np.float64)
-        if values.size and (
-            not np.isfinite(values).all()
-            or (values < MIN_INDEXABLE_VALUE).any()
-            or (values > MAX_INDEXABLE_VALUE).any()
-        ):
-            raise InvalidValueError(
-                "batch contains values outside the indexable range"
-            )
-        return np.ceil(np.log(values) * self._multiplier).astype(np.int64)
+        """Vectorised :meth:`index` over an array of values inside the
+        indexable range, which the caller has checked: DDSketch checks
+        a batch once, through its extremes."""
+        indices = np.log(values)
+        indices *= self._multiplier
+        return np.ceil(indices, out=indices).astype(np.int64)
 
     def value(self, index: int) -> float:
         """Return the representative value of bucket *index*.

@@ -201,13 +201,16 @@ class DenseStore(BucketStore):
         if indices.size == 0:
             return
         lo = int(indices.min())
-        hi = int(indices.max())
-        self._extend_range(lo, hi)
-        # After extension every index has a slot; bincount aggregates in C.
-        shifted = indices - self._offset
-        self._counts[: shifted.max() + 1] += np.bincount(
-            shifted, minlength=int(shifted.max()) + 1
-        )
+        self._extend_range(lo, int(indices.max()))
+        # After extension every index at or above the floor has a slot;
+        # a collapsed store folds the ones below it into its lowest slot.
+        floor = max(lo, self._offset)
+        if lo < floor:
+            indices = np.maximum(indices, floor)
+        # One bincount from the floor up aggregates in C.
+        counts = np.bincount(indices - floor)
+        start = floor - self._offset
+        self._counts[start : start + counts.size] += counts
         self._total += int(indices.size)
 
     def _normalize(self, index: int) -> int:
@@ -410,17 +413,6 @@ class CollapsingLowestDenseStore(DenseStore):
             self._total += count
             return
         super().add(index, count)
-
-    def add_batch(self, indices: np.ndarray) -> None:
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size == 0:
-            return
-        self._extend_range(int(indices.min()), int(indices.max()))
-        clipped = np.maximum(indices - self._offset, 0)
-        self._counts[: clipped.max() + 1] += np.bincount(
-            clipped, minlength=int(clipped.max()) + 1
-        )
-        self._total += int(indices.size)
 
     def merge(self, other: BucketStore) -> None:
         super().merge(other)

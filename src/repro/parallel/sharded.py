@@ -29,7 +29,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.base import Guarantee, QuantileSketch, as_float_batch
+from repro.core.base import (
+    Guarantee,
+    QuantileSketch,
+    as_float_batch,
+    batch_extremes,
+)
 from repro.errors import InvalidValueError
 
 
@@ -105,6 +110,7 @@ class ShardedSketch(QuantileSketch):
         value = float(value)
         if not np.isfinite(value):
             raise InvalidValueError(f"cannot insert non-finite value {value!r}")
+        self._shards[0]._check_range(value, value)
         with self._meta_lock:
             shard = self._routed % self.n_shards
             self._routed += 1
@@ -115,11 +121,14 @@ class ShardedSketch(QuantileSketch):
             self._version += 1
 
     def update_batch(self, values: Sequence[float] | np.ndarray) -> None:
-        # Refuse NaN and ±inf before the routing cursor moves or a shard
-        # is touched, so a poisoned batch leaves no partial state behind.
+        # Refuse NaN, ±inf and any finite value the shards' sketch
+        # refuses before the routing cursor moves or a shard is touched,
+        # so a poisoned batch leaves no partial state behind.
         values = as_float_batch(values)
         if values.size == 0:
             return
+        lo, hi = extremes = batch_extremes(values)
+        self._shards[0]._check_range(lo, hi)
         with self._meta_lock:
             offset = self._routed
             self._routed += int(values.size)
@@ -133,7 +142,7 @@ class ShardedSketch(QuantileSketch):
                 with lock:
                     self._shards[shard].update_batch(part)
         with self._meta_lock:
-            self._observe_batch(values)
+            self._observe_batch(values, checked=True, extremes=extremes)
             self._version += 1
 
     # ------------------------------------------------------------------

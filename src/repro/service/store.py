@@ -197,9 +197,11 @@ class TimePartitionedStore:
         recovered store makes byte-identical drop and compaction
         choices to the live run.
 
-        A batch the partition sketch rejects (NaN, ±inf) raises out of
-        here and leaves the store as it was: counters, version and
-        partitions change only once the update has succeeded.
+        A batch the partition sketch rejects (NaN, ±inf, or a finite
+        value it cannot hold, such as DDSketch's past 1e270) raises out
+        of here and leaves the store as it was: counters, version and
+        partitions change only once the update has succeeded.  A sharded
+        partition refuses it before any shard moves.
 
         Returns the number of values accepted.
         """

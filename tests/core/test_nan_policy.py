@@ -180,3 +180,40 @@ def test_bucket_sketch_refuses_a_batch_before_either_store_moves(make, bad):
         sketch.update(bad)
     assert dumps(sketch) == before
     assert sketch.count == 2 == bucket_totals(sketch)
+
+
+#: Sharded partitions over sketches that refuse some finite values,
+#: with the refused values to put next to good ones.
+SHARDED_REFUSALS = {
+    **{
+        name: (make, (1e300, -1e300))
+        for name, make in BUCKET_SKETCHES.items()
+    },
+    "hdr": (lambda: paper_config("hdr"), (-1.0, 1e300)),
+    "dcs": (lambda: paper_config("dcs", seed=11), (-1.0, 2.0**20)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARDED_REFUSALS))
+def test_sharded_sketch_refuses_a_finite_value_before_any_shard_moves(name):
+    """The shards' own range check runs before the cursor moves or a
+    shard is touched.  Before, two DDSketch shards fed ``[1.0, 2.0]``
+    then ``[5.0, 1e300]`` raised only once shard 0 held 5.0 and the
+    cursor stood at 4, while ``count`` stayed 2."""
+    make, refused = SHARDED_REFUSALS[name]
+    sharded = ShardedSketch(make, n_shards=2)
+    sharded.update_batch([1.0, 2.0])
+
+    def state():
+        shard_bytes = [dumps(shard) for shard in sharded.shards]
+        return shard_bytes, sharded._routed, sharded.count
+
+    before = state()
+    for bad in refused:
+        for batch in ([5.0, bad], [bad, 5.0], [5.0, 6.0, 7.0, bad]):
+            with pytest.raises(InvalidValueError):
+                sharded.update_batch(np.array(batch))
+        with pytest.raises(InvalidValueError):
+            sharded.update(bad)
+    assert state() == before
+    assert before[1:] == (2, 2)

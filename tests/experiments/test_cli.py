@@ -22,10 +22,9 @@ class TestCLI:
         assert "table3" in out
         assert "uddsketch" in out
 
-    def test_fig5a_runs(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_SCALE", "smoke")
-        assert main(["fig5a"]) == 0
-        assert "insertion" in capsys.readouterr().out
+    def test_fig5a_runs(self, fig5a_run):
+        assert fig5a_run.code == 0
+        assert "insertion" in fig5a_run.out
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):

@@ -89,10 +89,7 @@ class TestFileOutput:
 
 
 class TestCLIOutputFlag:
-    def test_writes_json_files(self, monkeypatch, tmp_path, capsys):
-        from repro.experiments.cli import main
-
-        monkeypatch.setenv("REPRO_SCALE", "smoke")
-        assert main(["fig5a", "--output", str(tmp_path)]) == 0
-        payload = json.loads((tmp_path / "fig5a.json").read_text())
+    def test_writes_json_files(self, fig5a_run):
+        assert fig5a_run.code == 0
+        payload = json.loads((fig5a_run.output / "fig5a.json").read_text())
         assert payload["kind"] == "speed"

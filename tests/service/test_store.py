@@ -317,8 +317,13 @@ class TestCountedAfterApply:
             (dd_factory, float("inf")),
             (sharded_factory, float("nan")),
             (sharded_factory, float("inf")),
+            (dd_factory, 1e300),
+            (sharded_factory, 1e300),
         ],
-        ids=["plain-nan", "plain-inf", "sharded-nan", "sharded-inf"],
+        ids=[
+            "plain-nan", "plain-inf", "sharded-nan", "sharded-inf",
+            "plain-unindexable", "sharded-unindexable",
+        ],
     )
     @pytest.mark.parametrize("partition", ["existing", "new"])
     def test_rejected_batch_leaves_the_store_untouched(
