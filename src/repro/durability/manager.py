@@ -223,8 +223,9 @@ class DurabilityManager:
                 replayed += 1
                 yield decode_record(payload, seq)
 
-        # The whole log in one apply, streamed: the live drain grouped
-        # and rejected (and counted) the same ops.
+        # The whole log in one apply, streamed op by op: the live drain
+        # applied and rejected (and counted) the same ops, and a record
+        # that fails to decode stops replay after every one before it.
         with self.telemetry.span("recovery.replay"):
             _, rejected = apply_ops(registry, journaled())
         self.telemetry.counter("recovery.records_replayed").inc(replayed)

@@ -94,11 +94,7 @@ class ShardedSketch(QuantileSketch):
         sharded = cls(sketch_factory, n_shards=len(shards))
         sharded._shards = list(shards)
         for shard in sharded._shards:
-            sharded._count += shard._count
-            if shard._min < sharded._min:
-                sharded._min = shard._min
-            if shard._max > sharded._max:
-                sharded._max = shard._max
+            sharded._merge_bookkeeping(shard)
         sharded._routed = sharded._count
         return sharded
 
@@ -115,9 +111,13 @@ class ShardedSketch(QuantileSketch):
             shard = self._routed % self.n_shards
             self._routed += 1
         with self._shard_locks[shard]:
-            self._shards[shard].update(value)
+            inner = self._shards[shard]
+            inner.update(value)
+            extremes = (inner._min, inner._max)
         with self._meta_lock:
-            self._observe(value)
+            self._observe_batch(
+                np.array([value]), checked=True, extremes=extremes
+            )
             self._version += 1
 
     def update_batch(self, values: Sequence[float] | np.ndarray) -> None:
@@ -127,22 +127,27 @@ class ShardedSketch(QuantileSketch):
         values = as_float_batch(values)
         if values.size == 0:
             return
-        lo, hi = extremes = batch_extremes(values)
-        self._shards[0]._check_range(lo, hi)
+        self._shards[0]._check_range(*batch_extremes(values))
         with self._meta_lock:
             offset = self._routed
             self._routed += int(values.size)
         # Shard s takes every n-th value from the first one the cursor
         # sends it; a writer holds one shard lock at a time, so
         # concurrent batches stripe across the shards instead of queueing.
+        # The extremes are the shards' own after the update, not the
+        # batch's: a sketch may keep less than the raw value (DCS floors
+        # it), and from_shards folds the shards' bookkeeping too.
         n = self.n_shards
+        lo, hi = np.inf, -np.inf
         for shard, lock in enumerate(self._shard_locks):
             part = np.ascontiguousarray(values[(shard - offset) % n :: n])
             if part.size:
                 with lock:
-                    self._shards[shard].update_batch(part)
+                    inner = self._shards[shard]
+                    inner.update_batch(part)
+                    lo, hi = min(lo, inner._min), max(hi, inner._max)
         with self._meta_lock:
-            self._observe_batch(values, checked=True, extremes=extremes)
+            self._observe_batch(values, checked=True, extremes=(lo, hi))
             self._version += 1
 
     # ------------------------------------------------------------------

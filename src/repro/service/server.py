@@ -21,15 +21,13 @@ force the queue-full regime deterministically.
 
 One drain (DESIGN §6, §12)
 --------------------------
-The queue carries :class:`~repro.service.registry.IngestOp` records.  A
-drain pass takes the op it blocked on plus up to ``DRAIN_SLICE - 1``
-more and hands the slice to :func:`~repro.service.registry.apply_ops`,
-which records each run of adjacent same-key ops as one batch — the
-grouping every write path shares.  The slice is taken in queue order,
-strictly after the WAL append, so per-key and WAL apply order are
-unchanged.  One worker, because the paper scales by merging sketches,
-not by adding threads, and under the GIL a second worker measured no
-faster (DESIGN §6).
+The queue carries :class:`~repro.service.registry.IngestOp` records.
+The worker applies each op it takes through
+:func:`~repro.service.registry.apply_ops`, the loop every write path
+shares: one op, one ``record``, in queue order, strictly after the WAL
+append, so per-key and WAL apply order are the same.  One worker,
+because the paper scales by merging sketches, not by adding threads,
+and under the GIL a second worker measured no faster (DESIGN §6).
 
 Durability (DESIGN §11)
 -----------------------
@@ -62,10 +60,6 @@ from repro.service.registry import IngestOp, MetricRegistry, apply_ops
 
 if TYPE_CHECKING:  # pragma: no cover - type-only; no runtime cycle
     from repro.durability import DurabilityManager
-
-#: Most queued ops one drain pass hands to ``apply_ops``.
-DRAIN_SLICE = 64
-
 
 class ServerStats:
     """Thread-safe request counters, reported by the ``stats`` op."""
@@ -343,7 +337,7 @@ class QuantileServer:
             if not self._drain_gate.is_set():
                 # Mark the park only when the gate is actually closed:
                 # the set-gate fast path must not bounce the condition
-                # lock per batch, and wait_parked() must only ever see
+                # lock per op, and wait_parked() must only ever see
                 # a worker that is truly held.
                 with self._park_lock:
                     self._parked = True
@@ -352,33 +346,17 @@ class QuantileServer:
                 with self._park_lock:
                     self._parked = False
                     self._park_lock.notify_all()
-            batch = [item]
-            got_sentinel = False
-            while len(batch) < DRAIN_SLICE:
-                try:
-                    extra = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if extra is None:
-                    got_sentinel = True
-                    break
-                batch.append(extra)
             try:
                 with self.telemetry.span("server.drain_batch"):
-                    accepted, rejected = apply_ops(self.registry, batch)
+                    accepted, rejected = apply_ops(self.registry, (item,))
                 self.stats.incr("ingested_values", accepted)
                 if rejected:
                     self.stats.incr("error_responses", rejected)
             finally:
-                for _ in batch:
-                    self._queue.task_done()
-                if got_sentinel:
-                    self._queue.task_done()
+                self._queue.task_done()
                 self.telemetry.gauge("server.ingest_queue_depth").set(
                     self._queue.qsize()
                 )
-            if got_sentinel:
-                return
 
     # ------------------------------------------------------------------
     # Request dispatch

@@ -5,9 +5,9 @@ with a WAL attached.  The WAL it
 wrote is then applied three more ways: ``DurabilityManager.recover``,
 what-if ``replay_config`` and ``ClusterNode.apply_replicated``.  All
 four must hold byte-identical per-key store snapshots and count the
-same rejected ops.  ``apply_ops`` groups runs of adjacent same-key ops
-on every path; the stream holds such runs, a NaN op inside a run, a
-late op and clock jumps past the fine horizon (compaction).
+same rejected ops.  ``apply_ops`` makes one ``record`` per op on every
+path; the stream holds runs of adjacent same-key ops, a NaN op inside
+a run, a late op and clock jumps past the fine horizon (compaction).
 Moments is left out: its replicas agree on answers, not bytes
 (DESIGN §12).
 """
@@ -95,8 +95,9 @@ def test_four_write_paths_agree(sketch, tmp_path):
     with server:
         for step, ops in op_blocks(2023):
             clock.advance(step)
-            # Held at the gate, the worker drains the block as one
-            # slice, so adjacent same-key ops form runs.
+            # Held at the gate, the worker finds the whole block
+            # queued, adjacent same-key ops included, and still applies
+            # it one op at a time.
             server.pause_ingest()
             dispatched += len(ops)
             for tags, values, offset in ops:
@@ -110,8 +111,8 @@ def test_four_write_paths_agree(sketch, tmp_path):
             server.resume_ingest()
             server.flush()
     live_rejected = server.stats.snapshot()["error_responses"]
-    # Runs were recorded as one batch each (the poisoned run twice over).
-    assert live.records < dispatched
+    # One record per op, the poisoned one included.
+    assert live.records == dispatched
     assert live_rejected >= 1
     assert live.dropped_late >= 2
     assert any(

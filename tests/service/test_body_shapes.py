@@ -34,8 +34,8 @@ def stream():
     a batch the sketch rejects, then seeded bulk."""
     rng = np.random.default_rng(20231107)
     yield "lat", {"svc": "api"}, [1.5, -0.0, 5e-324, 1e308, 7], START_MS
-    # key and timestamp of the batch after it: apply_ops may group
-    # the two or not, and the store counts only what it applied
+    # The rejected batch shares its key and timestamp with the batch
+    # after it; the store counts only what it applied.
     yield "lat", None, [2.0, math.inf, -math.inf, math.nan], START_MS
     for index in range(12):
         name = ("lat", "rps")[index % 2]

@@ -1,11 +1,13 @@
 """Tests for the time-partitioned sketch store."""
 
+import functools
 import threading
 
 import numpy as np
 import pytest
 
 from repro.core import DDSketch, paper_config
+from repro.core.registry import SKETCH_CLASSES
 from repro.core.serialization import dumps
 from repro.errors import (
     EmptySketchError,
@@ -293,6 +295,29 @@ class TestShardedPartitions:
         assert all(
             isinstance(s, ShardedSketch) for s in store._fine.values()
         )
+
+    @pytest.mark.parametrize("name", sorted(SKETCH_CLASSES))
+    def test_bookkeeping_is_what_the_shards_observed(self, name):
+        """A sharded partition's count/min/max agree with a plain
+        sketch's, live and after a snapshot restore, even where the
+        sketch keeps less than the raw value (DCS floors it)."""
+        factory = functools.partial(
+            ShardedSketch, functools.partial(paper_config, name, seed=1), 2
+        )
+        store = TimePartitionedStore(factory, clock=ManualClock(0.0))
+        plain = paper_config(name, seed=1)
+        rng = np.random.default_rng(20230328)
+        for batch in ([1.5, 7.25], 1.0 + rng.pareto(1.0, 500)):
+            store.record_batch(batch, timestamp_ms=0.0)
+            plain.update_batch(batch)
+        restored = TimePartitionedStore.restore(
+            store.snapshot(), factory, clock=ManualClock(0.0)
+        )
+        expected = (plain.count, plain.min, plain.max)
+        for partition in (store._fine[0], restored._fine[0]):
+            assert (partition.count, partition.min, partition.max) == (
+                expected
+            )
 
 
 class GatedSharded(ShardedSketch):

@@ -7,6 +7,7 @@ header amortised over the batch, and no Python or C call is made per
 value between the socket and the ingest queue.  Counts, not clocks.
 """
 
+import gc
 import sys
 
 import numpy as np
@@ -28,7 +29,12 @@ def ingest_request(n_values: int) -> dict:
 
 
 def count_calls(fn) -> int:
-    """Python and C calls *fn* makes on this thread."""
+    """Python and C calls *fn* makes on this thread.
+
+    The cyclic collector runs first and stays off inside the window, so
+    a collection's callbacks and finalizers never land in the count; its
+    prior state is restored afterwards.
+    """
     calls = 0
 
     def profile(_frame, event, _arg):
@@ -36,12 +42,48 @@ def count_calls(fn) -> int:
         if event in ("call", "c_call"):
             calls += 1
 
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
     sys.setprofile(profile)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return calls
+
+
+def make_cycles():
+    for _ in range(200):
+        cycle = []
+        cycle.append(cycle)
+
+
+def test_a_collection_adds_no_calls_to_a_count():
+    """A ``gc.callbacks`` entry fires on every collection, and cyclic
+    garbage under a threshold of 1 collects inside the window; the
+    count stays what the window's own code calls."""
+    baseline = count_calls(make_cycles)
+    fired = []
+    threshold = gc.get_threshold()
+    gc.callbacks.append(lambda phase, _info: fired.append(phase))
+    gc.set_threshold(1)
+    try:
+        make_cycles()
+        assert fired  # outside the window, collections do fire
+        assert count_calls(make_cycles) == baseline
+    finally:
+        gc.callbacks.pop()
+        gc.set_threshold(*threshold)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        count_calls(make_cycles)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def dispatch_calls(n_values: int) -> int:
