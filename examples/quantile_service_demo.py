@@ -80,8 +80,6 @@ def main() -> None:
         clock=clock,
         partition_ms=1_000.0,
         fine_partitions=120,
-        hot_metrics=("api.latency",),
-        n_shards=4,
     )
     with QuantileServer(registry) as server:
         host, port = server.address

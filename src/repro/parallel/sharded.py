@@ -3,8 +3,11 @@
 :class:`ShardedSketch` conforms to the
 :class:`~repro.core.base.QuantileSketch` interface, but routes every
 insertion to one of ``n_shards`` inner sketches and answers queries
-from a lazily merged view; the service's hot metrics use it as their
-partition sketch so concurrent writers stripe across shard locks.
+from a lazily merged view.  The service's hot metrics use it as their
+partition sketch, updated under the store lock like any other
+partition: the server has one writer, so nothing stripes there, and
+the service keeps it only while the benchmark configures it (ROADMAP
+item 5).
 Because all sketches in :mod:`repro.core` are mergeable (Sec 2.4 of the
 paper), shard-then-merge answers carry the same error guarantee as
 sequential ingestion — the differential harness in ``tests/parallel``

@@ -8,8 +8,8 @@ sketches of :mod:`repro.core` composed into an actual serving system.
   queries over fixed-width time partitions with tiered retention and
   snapshot/restore through :mod:`repro.core.serialization`;
 * :mod:`repro.service.registry` — :class:`MetricRegistry`, lazy
-  per-``(metric, tags)`` stores with hot metrics routed through
-  :class:`~repro.parallel.ShardedSketch`;
+  per-``(metric, tags)`` stores, each registered with its first batch
+  that is not refused, and the one apply loop every write path uses;
 * :mod:`repro.service.protocol` / ``server`` / ``client`` — a
   length-prefixed JSON TCP protocol with bounded-queue ingest and
   explicit load shedding, plus a retrying blocking client;

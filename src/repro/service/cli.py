@@ -1,8 +1,8 @@
 """Command-line entry point: ``python -m repro.service serve``.
 
 ``serve`` runs a quantile server in the foreground until interrupted.
-Sketch, store geometry, hot metrics, queue bound and worker count are
-all flags, so the CLI reaches every knob the subsystem exposes.
+Sketch, store geometry, queue bound, telemetry and durability are all
+flags.
 """
 
 from __future__ import annotations
@@ -65,19 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=24,
         help="coarse horizon in coarse partitions",
-    )
-    serve.add_argument(
-        "--hot",
-        action="append",
-        default=[],
-        metavar="METRIC",
-        help="metric routed through ShardedSketch (repeatable)",
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="shard count for hot metrics",
     )
     serve.add_argument(
         "--queue-size",
@@ -161,8 +148,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         fine_partitions=args.fine_partitions,
         coarse_factor=args.coarse_factor,
         coarse_partitions=args.coarse_partitions,
-        hot_metrics=args.hot,
-        n_shards=args.shards,
         telemetry=telemetry,
     )
     server = QuantileServer(

@@ -7,10 +7,11 @@ a configurable sketch factory the first time the metric is seen —
 exactly how a monitoring backend materialises series on first write.
 
 Metrics named in *hot_metrics* get their partitions built as
-:class:`~repro.parallel.ShardedSketch`.  The server's drain is the one
-writer (DESIGN §6), so the shards stripe no concurrent writes; they
-stay only while the benchmark's ``hot_shards`` parameter builds them
-(ROADMAP item 11).  Everything else pays no sharding overhead.
+:class:`~repro.parallel.ShardedSketch`, updated under the store lock
+like every other partition.  The server's drain is the one writer
+(DESIGN §6), so the shards stripe no concurrent writes; they stay only
+while the benchmark's ``hot_shards`` parameter builds them (ROADMAP
+item 5).
 
 The write path has one op record, :class:`IngestOp`, and one apply
 loop, :func:`apply_ops`: the server's drain, WAL recovery, replication
@@ -130,7 +131,8 @@ class MetricRegistry:
         :class:`~repro.service.store.TimePartitionedStore`.
     hot_metrics:
         Metric *names* whose partitions are built as
-        :class:`~repro.parallel.ShardedSketch` with *n_shards* shards.
+        :class:`~repro.parallel.ShardedSketch` with *n_shards* shards
+        (kept for the benchmark's ``hot_shards``; ROADMAP item 5).
     n_shards:
         Shard count for hot metrics.
     telemetry:
@@ -188,6 +190,17 @@ class MetricRegistry:
             )
         return self._base_factory
 
+    def _new_store(self, key: MetricKey) -> TimePartitionedStore:
+        return TimePartitionedStore(
+            self._factory_for(key),
+            clock=self._clock,
+            partition_ms=self.partition_ms,
+            fine_partitions=self.fine_partitions,
+            coarse_factor=self.coarse_factor,
+            coarse_partitions=self.coarse_partitions,
+            telemetry=self.telemetry,
+        )
+
     def store(
         self, name: str, tags: Mapping[str, str] | None = None
     ) -> TimePartitionedStore:
@@ -196,16 +209,7 @@ class MetricRegistry:
         with self._lock:
             store = self._stores.get(key)
             if store is None:
-                store = TimePartitionedStore(
-                    self._factory_for(key),
-                    clock=self._clock,
-                    partition_ms=self.partition_ms,
-                    fine_partitions=self.fine_partitions,
-                    coarse_factor=self.coarse_factor,
-                    coarse_partitions=self.coarse_partitions,
-                    telemetry=self.telemetry,
-                )
-                self._stores[key] = store
+                store = self._stores[key] = self._new_store(key)
             return store
 
     def get(
@@ -214,9 +218,6 @@ class MetricRegistry:
         """The store for ``(name, tags)`` or ``None`` if never written."""
         with self._lock:
             return self._stores.get(MetricKey.of(name, tags))
-
-    def is_hot(self, name: str) -> bool:
-        return name in self.hot_metrics
 
     # ------------------------------------------------------------------
     # Ingest facade
@@ -235,10 +236,21 @@ class MetricRegistry:
         *now_ms* overrides the store's clock reading for retention
         decisions — the WAL replay path pins it to the journal-time
         value so recovery reproduces the live run exactly.
+
+        A new series' store is registered only once its first batch is
+        recorded or dropped late; the registry lock is held across that
+        one ``record_batch``, so a refused batch registers nothing and
+        no second writer builds a second store for the key.
         """
-        return self.store(name, tags).record_batch(
-            values, timestamp_ms, now_ms
-        )
+        key = MetricKey.of(name, tags)
+        with self._lock:
+            store = self._stores.get(key)
+            if store is None:
+                store = self._new_store(key)
+                accepted = store.record_batch(values, timestamp_ms, now_ms)
+                self._stores[key] = store
+                return accepted
+        return store.record_batch(values, timestamp_ms, now_ms)
 
     def restore_store(
         self,

@@ -77,11 +77,10 @@ class TimePartitionedStore:
     Parameters
     ----------
     sketch_factory:
-        Zero-argument callable building one empty partition sketch.  A
-        factory returning :class:`~repro.parallel.ShardedSketch` turns
-        every partition into a lock-striped concurrent ingest point
-        (the registry's hot-metric route); plain sketches are guarded
-        by the store lock instead.
+        Zero-argument callable building one empty partition sketch.
+        It may return a :class:`~repro.parallel.ShardedSketch` (the
+        registry's hot-metric route); every partition, sharded or not,
+        is updated under the store lock.
     clock:
         Time source for retention decisions and default timestamps;
         defaults to :class:`~repro.service.clock.SystemClock`.
@@ -136,17 +135,15 @@ class TimePartitionedStore:
         self.coarse_ms = self.partition_ms * self.coarse_factor
         self.fine_horizon_ms = self.partition_ms * self.fine_partitions
         self.coarse_horizon_ms = self.coarse_ms * self.coarse_partitions
-        # The merged view is always a plain sketch: when partitions are
-        # sharded, views merge their (internally locked) merged views,
+        # The merged view and coarse partitions are always plain: when
+        # fine partitions are sharded, they merge their merged views,
         # so one plain inner sketch is the right container.
         probe = sketch_factory()
         self._fine_sharded = isinstance(probe, ShardedSketch)
-        if isinstance(probe, ShardedSketch):
-            self._view_factory: Callable[[], QuantileSketch] = (
-                probe._factory
-            )
-        else:
-            self._view_factory = sketch_factory
+        self._view_factory: Callable[[], QuantileSketch] = (
+            probe._factory if isinstance(probe, ShardedSketch)
+            else sketch_factory
+        )
         self._fine: dict[int, QuantileSketch] = {}
         self._coarse: dict[int, QuantileSketch] = {}
         self._lock = threading.RLock()
@@ -200,8 +197,13 @@ class TimePartitionedStore:
         A batch the partition sketch rejects (NaN, ±inf, or a finite
         value it cannot hold, such as DDSketch's past 1e270) raises out
         of here and leaves the store as it was: counters, version and
-        partitions change only once the update has succeeded.  A sharded
-        partition refuses it before any shard moves.
+        partitions change only once the update has succeeded.  A late
+        batch is checked by the same rules, on a throwaway partition
+        sketch, before it is counted as dropped.
+
+        Every partition, plain or sharded, is updated under the store
+        lock, so a view cached under a version, or a prefix that
+        survives the batch, always holds it.
 
         Returns the number of values accepted.
         """
@@ -216,6 +218,7 @@ class TimePartitionedStore:
             ts = now if timestamp_ms is None else float(timestamp_ms)
             self._maybe_compact_locked(now)
             if ts < now - self.fine_horizon_ms:
+                self._factory().update_batch(array)  # raises if refused
                 self._dropped_late += accepted
                 return 0
             position = ts / self.partition_ms
@@ -224,37 +227,19 @@ class TimePartitionedStore:
                     f"timestamp {ts!r} ms is beyond every partition id"
                 )
             bucket_id = int(math.floor(position))
+            # A new partition joins the store only with its first batch
+            # applied.
             bucket = self._fine.get(bucket_id)
-            if bucket is None or not self._fine_sharded:
-                # Plain sketches are not thread-safe, and a new
-                # partition joins the store only with its first batch
-                # applied: both keep the store lock across the update.
-                if bucket is None:
-                    bucket = self._factory()
-                bucket.update_batch(array)
-                self._fine[bucket_id] = bucket
-                self._applied_locked(bucket_id, accepted)
-                return accepted
-        # Sharded partitions take their own per-shard locks, so the
-        # update proceeds outside the store lock — this is the
-        # lock-striped hot path.
-        bucket.update_batch(array)
-        with self._lock:
-            self._applied_locked(bucket_id, accepted)
-        return accepted
-
-    def _applied_locked(self, bucket_id: int, accepted: int) -> None:
-        """Account for a batch now visible in fine partition *bucket_id*.
-
-        Runs after the update, never before: a view cached under the
-        new version, or a prefix that survives this call, must already
-        hold the batch.
-        """
-        self._events_recorded += accepted
-        self._version += 1
-        folded_fine = self._prefix_ids[1]
-        if folded_fine and bucket_id <= folded_fine[-1]:
-            self._prefix = None
+            if bucket is None:
+                bucket = self._factory()
+            bucket.update_batch(array)
+            self._fine[bucket_id] = bucket
+            self._events_recorded += accepted
+            self._version += 1
+            folded_fine = self._prefix_ids[1]
+            if folded_fine and bucket_id <= folded_fine[-1]:
+                self._prefix = None
+            return accepted
 
     # ------------------------------------------------------------------
     # Retention
@@ -280,15 +265,13 @@ class TimePartitionedStore:
             if bucket_id >= fine_keep:
                 break
             sketch = self._fine.pop(bucket_id)
-            if isinstance(sketch, ShardedSketch):
-                sketch = sketch._merged_view()
             if not sketch.is_empty:
                 coarse_id = bucket_id // self.coarse_factor
                 target = self._coarse.get(coarse_id)
                 if target is None:
                     target = self._view_factory()
                     self._coarse[coarse_id] = target
-                target.merge(sketch)
+                _merge_into(target, sketch)
             changed = True
         coarse_keep = int(
             math.floor((now - self.coarse_horizon_ms) / self.coarse_ms)
@@ -734,8 +717,6 @@ class TimePartitionedStore:
 def _merge_into(view: QuantileSketch, source: QuantileSketch) -> int:
     """Merge one partition into *view*; the number of merges it took."""
     if isinstance(source, ShardedSketch):
-        # Read through the shard locks for a consistent snapshot while
-        # concurrent writers make progress.
         source = source._merged_view()
     if source.is_empty:
         return 0

@@ -34,7 +34,7 @@ rules that make it hold:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -61,11 +61,6 @@ class TrafficHarness:
     queue_size:
         Server ingest queue bound — the knob overload scenarios push
         against.
-    partition_ms:
-        Store partition width; scenario "ticks" should advance by this
-        so one tick lands in one partition.
-    hot_metrics:
-        Metric names routed through sharded partitions.
     durability_dir:
         When set, the server journals every accepted ingest to a WAL
         under this directory (checkpoint cadence disabled — scenarios
@@ -80,8 +75,6 @@ class TrafficHarness:
         self,
         seed: int = DEFAULT_SEED,
         queue_size: int = 64,
-        partition_ms: float = 1_000.0,
-        hot_metrics: Iterable[str] = (),
         durability_dir: str | Path | None = None,
         final_checkpoint: bool = True,
     ) -> None:
@@ -89,13 +82,12 @@ class TrafficHarness:
         self.rng = np.random.default_rng(self.seed)
         self.clock = ManualClock(START_MS)
         self.telemetry = Telemetry(clock=self.clock)
-        self.partition_ms = float(partition_ms)
         self.registry = MetricRegistry(
-            clock=self.clock,
-            partition_ms=self.partition_ms,
-            hot_metrics=hot_metrics,
-            telemetry=self.telemetry,
+            clock=self.clock, telemetry=self.telemetry
         )
+        #: Store partition width; scenario "ticks" advance by this so
+        #: one tick lands in one partition.
+        self.partition_ms = self.registry.partition_ms
         self.durability = None
         if durability_dir is not None:
             # Deferred import keeps the workload layer usable without

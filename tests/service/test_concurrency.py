@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import DDSketch
-from repro.errors import EmptySketchError
+from repro.errors import EmptySketchError, InvalidValueError
 from repro.parallel import ShardedSketch
 from repro.service import ManualClock, MetricRegistry, TimePartitionedStore
 
@@ -245,6 +245,71 @@ class TestThreadedIngestWhileQuery:
         assert registry.events_recorded == 4 * 25 * 40
         assert registry.get("hot").count() == 2 * 25 * 40
         assert LO <= registry.get("hot").quantile(0.9) <= HI
+
+    def test_one_writer_beside_readers_on_hot_and_new_series(
+        self, lock_sanitizer
+    ):
+        """The drain's shape: one writer, every partition (sharded or
+        not) updated under its store lock, each new series registered
+        under the registry lock with its first batch, while readers
+        list, look up and merge."""
+        registry = MetricRegistry(
+            sketch_factory=lambda: DDSketch(alpha=0.01),
+            clock=ManualClock(0.0),
+            fine_partitions=100_000,
+            hot_metrics=("hot",),
+            n_shards=4,
+        )
+        done = threading.Event()
+        errors = []
+
+        def write():
+            rng = np.random.default_rng(5)
+            try:
+                for step in range(60):
+                    ts = step * 100.0
+                    registry.record("hot", rng.uniform(LO, HI, 40), ts)
+                    registry.record(f"new.{step}", rng.uniform(LO, HI, 10), ts)
+                    if step % 10 == 0:
+                        with pytest.raises(InvalidValueError):
+                            registry.record(f"bad.{step}", [np.nan], ts)
+            finally:
+                done.set()
+
+        def read():
+            try:
+                while not done.is_set():
+                    for key in registry.keys():
+                        view = registry.get(key.name).merged()
+                        assert LO <= view.quantile(0.5) <= HI
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, daemon=True)] + [
+            threading.Thread(target=read, daemon=True) for _ in range(2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        keys = registry.keys()
+        assert len(keys) == 61
+        assert not any(key.name.startswith("bad.") for key in keys)
+        hot = registry.get("hot")
+        assert hot.count() == hot.merged().count == 60 * 40
+        assert all(
+            registry.get(f"new.{step}").count() == 10 for step in range(60)
+        )
+        assert registry.events_recorded == 60 * 40 + 60 * 10
+        new = registry.get("new.0")
+        assert (registry._lock.uid, new._lock.uid) in lock_sanitizer.edges
 
 
 @pytest.mark.slow

@@ -1,5 +1,6 @@
 """Tests for the multi-tenant metric registry."""
 
+import numpy as np
 import pytest
 
 from repro.core import KLLSketch
@@ -12,6 +13,7 @@ from repro.service import (
     TimePartitionedStore,
     default_sketch_factory,
 )
+from repro.service.registry import IngestOp, apply_ops
 
 
 class TestMetricKey:
@@ -92,8 +94,6 @@ class TestHotMetrics:
             hot_metrics=("lat",),
             n_shards=3,
         )
-        assert registry.is_hot("lat")
-        assert not registry.is_hot("cold")
         registry.record("lat", [1.0, 2.0], timestamp_ms=0.0)
         registry.record("cold", [1.0, 2.0], timestamp_ms=0.0)
         hot = registry.get("lat")
@@ -149,3 +149,41 @@ class TestAggregates:
         assert all(
             isinstance(s, KLLSketch) for s in store._fine.values()
         )
+
+
+class TestFirstBatch:
+    """A series is registered with its first batch that is not refused."""
+
+    @staticmethod
+    def make():
+        return MetricRegistry(clock=ManualClock(100_000.0))
+
+    def test_refused_first_batch_leaves_no_series(self):
+        registry = self.make()
+        op = IngestOp("fresh", None, np.array([np.nan]), None, None)
+        assert apply_ops(registry, [op]) == (0, 1)
+        assert registry.keys() == []
+        assert registry.get("fresh") is None
+        assert registry.stats()["metrics"] == 0
+
+    def test_late_batch_is_validated(self):
+        registry = self.make()
+        op = IngestOp("late", None, np.array([np.nan, 1.0]), 0.0, None)
+        assert apply_ops(registry, [op]) == (0, 1)
+        assert registry.dropped_late == 0
+        assert registry.keys() == []
+
+    def test_accepted_or_late_first_batch_makes_a_series(self):
+        registry = self.make()
+        ops = [
+            IngestOp("kept", None, np.array([1.0, 2.0]), None, None),
+            IngestOp("late", None, np.array([3.0]), 0.0, None),
+        ]
+        assert apply_ops(registry, ops) == (2, 0)
+        assert [key.name for key in registry.keys()] == ["kept", "late"]
+        assert registry.get("late").dropped_late == 1
+        assert registry.stats() == {
+            "metrics": 2,
+            "events_recorded": 2,
+            "dropped_late": 1,
+        }

@@ -228,7 +228,7 @@ class TestBackpressure:
                 assert client.count("lat") == 4
                 assert client.stats()["ingested_values"] == 4
 
-    def test_poisoned_batch_coalesced_with_neighbours_counts_nothing(self):
+    def test_poisoned_batch_between_same_key_neighbours_counts_nothing(self):
         clock = ManualClock(0.0)
         registry = make_registry(clock)
         with QuantileServer(registry) as server:
@@ -237,7 +237,8 @@ class TestBackpressure:
                 server.pause_ingest()
                 client.ingest("other", [1.0], timestamp_ms=0.0)
                 wait_until(lambda: server.queue_depth() == 0)
-                # one drained run of three ops with one key and timestamp
+                # three queued ops with one key and timestamp, drained
+                # and recorded one by one
                 client.ingest("lat", [1.0, 2.0], timestamp_ms=0.0)
                 client.ingest("lat", [3.0, float("nan")], timestamp_ms=0.0)
                 client.ingest("lat", [4.0], timestamp_ms=0.0)
