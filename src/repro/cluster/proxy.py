@@ -92,7 +92,7 @@ class RoutingProxy:
         self.max_lag_records = int(max_lag_records)
         self.prefer_followers = bool(prefer_followers)
         self.telemetry = telemetry if telemetry is not None else NOOP
-        self._front = TCPFrontEnd(self.dispatch, host, port)
+        self._front = TCPFrontEnd(host, port)
         self._lock = threading.Lock()
         self._view: MembershipView = EMPTY_VIEW
         self._view_at_ms: float | None = None
@@ -111,7 +111,7 @@ class RoutingProxy:
     # ------------------------------------------------------------------
 
     def start(self) -> "RoutingProxy":
-        self._front.start(thread_name="cluster-proxy-accept")
+        self._front.start(self.dispatch, thread_name="cluster-proxy-accept")
         return self
 
     def stop(self) -> None:

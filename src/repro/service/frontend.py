@@ -92,12 +92,10 @@ class _RequestHandler(socketserver.StreamRequestHandler):
 
 
 class TCPFrontEnd:
-    """A threaded TCP server answering each frame with *dispatch*."""
+    """A threaded TCP server answering each frame with the *dispatch*
+    given to :meth:`start`; :meth:`stop` lets go of it."""
 
-    def __init__(
-        self, dispatch: Dispatch, host: str = "127.0.0.1", port: int = 0
-    ) -> None:
-        self._dispatch = dispatch
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self._host = host
         self._port = port
         self._server: _TCPServer | None = None
@@ -107,11 +105,13 @@ class TCPFrontEnd:
     def running(self) -> bool:
         return self._server is not None
 
-    def start(self, thread_name: str = "tcp-front-accept") -> None:
+    def start(
+        self, dispatch: Dispatch, thread_name: str = "tcp-front-accept"
+    ) -> None:
         if self._server is not None:
             raise InvalidValueError("front end already started")
         server = _TCPServer((self._host, self._port), _RequestHandler)
-        server.dispatch = self._dispatch
+        server.dispatch = dispatch
         self._server = server
         self._thread = threading.Thread(
             target=server.serve_forever, name=thread_name, daemon=True

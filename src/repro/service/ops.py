@@ -101,7 +101,8 @@ OPS: dict[str, Op] = {
 
 
 def handlers(endpoint: object) -> dict[str, Handler]:
-    """``{op: endpoint._op_<op>}`` for every op *endpoint* defines."""
+    """``{op: endpoint._op_<op>}`` for every op *endpoint* defines (given
+    a class, its plain functions)."""
     bound = {name: getattr(endpoint, f"_op_{name}", None) for name in OPS}
     return {name: handler for name, handler in bound.items() if handler}
 

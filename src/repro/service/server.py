@@ -161,8 +161,11 @@ class QuantileServer:
         self._host = host
         self._port = port
         self._node_id = node_id
-        self._front = TCPFrontEnd(self.dispatch, host, port)
-        self._handlers = ops.handlers(self)
+        # No bound method of the server is kept (the class's handler
+        # functions; ``dispatch`` goes to the front end only at start),
+        # so a stopped server is freed by reference counting (DESIGN §9).
+        self._front = TCPFrontEnd(host, port)
+        self._handlers = ops.handlers(type(self))
         self._queue: "queue.Queue[IngestOp | None]" = queue.Queue(
             maxsize=ingest_queue_size
         )
@@ -204,7 +207,9 @@ class QuantileServer:
             if self.durability is not None:
                 self.durability.recover(self.registry)
             self._stopping.clear()
-            self._front.start(thread_name="quantile-server-accept")
+            self._front.start(
+                self.dispatch, thread_name="quantile-server-accept"
+            )
             self._spawn_worker_locked()
         return self
 
@@ -379,7 +384,7 @@ class QuantileServer:
             # The span lands the handler's latency in the self-hosted
             # histogram "span.server.op.<op>" (see repro.obs).
             with self.telemetry.span(f"server.op.{op}"):
-                return handler(request)
+                return handler(self, request)
         except ops.ANSWERED as exc:
             self.stats.incr("error_responses")
             return ops.answer(exc)

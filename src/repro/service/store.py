@@ -186,8 +186,9 @@ class TimePartitionedStore:
 
         Values whose timestamp has already aged out of the fine horizon
         are dropped (and counted in :attr:`dropped_late`): the query
-        path could no longer attribute them to a fine range, matching
-        the sliding-window semantics of :mod:`repro.streaming`.
+        path could no longer attribute them to a fine range, as
+        :mod:`repro.streaming` drops and counts the events of a window
+        that has already fired.
 
         *now_ms* overrides the clock for the retention/compaction
         decision; WAL replay passes the journal-time reading so a

@@ -1,9 +1,9 @@
 """Window aggregate functions.
 
-Mirrors Flink's ``AggregateFunction`` contract: an accumulator is
-created per (key, window), fed events incrementally, optionally merged
-with accumulators of the same key (session merging / distributed
-pre-aggregation), and finalised into a result when the window fires.
+Mirrors the part of Flink's ``AggregateFunction`` contract the engine
+uses: an accumulator is created per window pane, fed the pane's values
+in arrival order by one ``add_batch``, and finalised into a result when
+the window fires.
 
 :class:`SketchAggregator` is the one the reproduction is about: the
 accumulator is a quantile sketch, so a window's full value distribution
@@ -13,7 +13,7 @@ is summarised in constant space and queried once at firing time.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Generic, Sequence, TypeVar
+from typing import Callable, Generic, Sequence, TypeVar
 
 import numpy as np
 
@@ -24,25 +24,15 @@ ResultT = TypeVar("ResultT")
 
 
 class AggregateFunction(abc.ABC, Generic[AccT, ResultT]):
-    """Incremental window aggregation contract."""
+    """Window aggregation contract."""
 
     @abc.abstractmethod
     def create_accumulator(self) -> AccT:
-        """Fresh accumulator for a new (key, window) pane."""
+        """Fresh accumulator for a new window pane."""
 
     @abc.abstractmethod
-    def add(self, accumulator: AccT, value: float) -> AccT:
-        """Fold one event value into the accumulator."""
-
     def add_batch(self, accumulator: AccT, values: np.ndarray) -> AccT:
-        """Fold many values at once; overridden when vectorisable."""
-        for value in values:
-            accumulator = self.add(accumulator, float(value))
-        return accumulator
-
-    @abc.abstractmethod
-    def merge(self, a: AccT, b: AccT) -> AccT:
-        """Combine two accumulators of the same key (may mutate *a*)."""
+        """Fold a pane's values, in arrival order, into the accumulator."""
 
     @abc.abstractmethod
     def get_result(self, accumulator: AccT) -> ResultT:
@@ -74,19 +64,11 @@ class SketchAggregator(AggregateFunction[QuantileSketch, dict[float, float]]):
     def create_accumulator(self) -> QuantileSketch:
         return self.sketch_factory()
 
-    def add(self, accumulator: QuantileSketch, value: float) -> QuantileSketch:
-        accumulator.update(value)
-        return accumulator
-
     def add_batch(
         self, accumulator: QuantileSketch, values: np.ndarray
     ) -> QuantileSketch:
         accumulator.update_batch(values)
         return accumulator
-
-    def merge(self, a: QuantileSketch, b: QuantileSketch) -> QuantileSketch:
-        a.merge(b)
-        return a
 
     def get_result(self, accumulator: QuantileSketch) -> dict[float, float]:
         estimates = accumulator.quantiles(self.quantiles)
@@ -99,26 +81,14 @@ class CollectingAggregator(AggregateFunction[list, np.ndarray]):
     def create_accumulator(self) -> list:
         return []
 
-    def add(self, accumulator: list, value: float) -> list:
-        accumulator.append(value)
-        return accumulator
-
     def add_batch(self, accumulator: list, values: np.ndarray) -> list:
         accumulator.append(np.asarray(values, dtype=np.float64))
         return accumulator
 
-    def merge(self, a: list, b: list) -> list:
-        a.extend(b)
-        return a
-
     def get_result(self, accumulator: list) -> np.ndarray:
-        parts = [
-            np.atleast_1d(np.asarray(part, dtype=np.float64))
-            for part in accumulator
-        ]
-        if not parts:
+        if not accumulator:
             return np.zeros(0)
-        return np.sort(np.concatenate(parts))
+        return np.sort(np.concatenate(accumulator))
 
 
 class CountAggregator(AggregateFunction[int, int]):
@@ -127,39 +97,8 @@ class CountAggregator(AggregateFunction[int, int]):
     def create_accumulator(self) -> int:
         return 0
 
-    def add(self, accumulator: int, value: float) -> int:
-        return accumulator + 1
-
     def add_batch(self, accumulator: int, values: np.ndarray) -> int:
         return accumulator + int(np.asarray(values).size)
 
-    def merge(self, a: int, b: int) -> int:
-        return a + b
-
     def get_result(self, accumulator: int) -> int:
-        return accumulator
-
-
-class ReduceAggregator(AggregateFunction[Any, Any]):
-    """Generic binary-reduce aggregation (sum, max, ...)."""
-
-    def __init__(self, fn: Callable[[Any, float], Any], initial: Any) -> None:
-        self.fn = fn
-        self.initial = initial
-
-    def create_accumulator(self) -> Any:
-        return self.initial
-
-    def add(self, accumulator: Any, value: float) -> Any:
-        return self.fn(accumulator, value)
-
-    def merge(self, a: Any, b: Any) -> Any:
-        # A generic reduce cannot merge partial states; recompute-free
-        # merging needs an associative fn over accumulators, which the
-        # caller can express by using accumulator-typed values.
-        raise NotImplementedError(
-            "ReduceAggregator does not support accumulator merging"
-        )
-
-    def get_result(self, accumulator: Any) -> Any:
         return accumulator

@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.data.distributions import Distribution
 from repro.data.streams import (
-    DEFAULT_DELAY_MEAN_MS,
     DEFAULT_RATE_PER_SEC,
     EventBatch,
     generate_stream,
@@ -66,13 +65,3 @@ class DistributionSource:
             start_time_ms=start_time_ms,
         )
 
-
-def delayed_source(
-    distribution: Distribution,
-    rate_per_sec: int = DEFAULT_RATE_PER_SEC,
-    delay_mean_ms: float = DEFAULT_DELAY_MEAN_MS,
-) -> DistributionSource:
-    """Source with the Sec 4.6 tail-latency network model."""
-    return DistributionSource(
-        distribution, rate_per_sec=rate_per_sec, delay_mean_ms=delay_mean_ms
-    )

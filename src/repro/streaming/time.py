@@ -1,21 +1,17 @@
-"""Watermark strategies.
+"""Watermarks.
 
 A watermark is the engine's claim that no event with a smaller event
 time will arrive any more.  Windows fire when the watermark passes their
 end; events whose window has already fired are *late* (Sec 2.6).
 
-Strategies mirror Flink's two standard generators:
-
-* :class:`AscendingTimestampsWatermarks` — watermark tracks the maximum
-  event time seen (suitable when sources are in order; any out-of-order
-  event is immediately late);
-* :class:`BoundedOutOfOrdernessWatermarks` — watermark lags the maximum
-  event time by a fixed bound, tolerating that much disorder.
+:class:`BoundedOutOfOrdernessWatermarks` is Flink's standard generator:
+the watermark lags the maximum event time seen by a fixed bound,
+tolerating that much disorder.  A bound of 0 is Flink's ascending-
+timestamps strategy, where any out-of-order event is immediately late.
 """
 
 from __future__ import annotations
 
-import abc
 import math
 
 import numpy as np
@@ -23,8 +19,9 @@ import numpy as np
 from repro.errors import InvalidValueError
 
 
-class WatermarkStrategy(abc.ABC):
-    """Generator of a monotone watermark.
+class BoundedOutOfOrdernessWatermarks:
+    """Watermark lagging the largest event time by *max_out_of_orderness*
+    milliseconds.
 
     ``on_event`` / ``current_watermark`` define it one event at a time;
     ``watermarks_before`` is the same fold over a whole column of event
@@ -32,7 +29,16 @@ class WatermarkStrategy(abc.ABC):
     strategy object it was given).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, max_out_of_orderness_ms: float) -> None:
+        if not (
+            math.isfinite(max_out_of_orderness_ms)
+            and max_out_of_orderness_ms >= 0
+        ):
+            raise InvalidValueError(
+                f"max_out_of_orderness_ms must be finite and >= 0, got "
+                f"{max_out_of_orderness_ms!r}"
+            )
+        self.max_out_of_orderness_ms = float(max_out_of_orderness_ms)
         self._watermark = -math.inf
 
     @property
@@ -42,7 +48,7 @@ class WatermarkStrategy(abc.ABC):
     def on_event(self, event_time: float) -> float:
         """Observe an event time; return the (possibly advanced)
         watermark."""
-        candidate = self._candidate(event_time)
+        candidate = event_time - self.max_out_of_orderness_ms
         if candidate > self._watermark:
             self._watermark = candidate
         return self._watermark
@@ -52,35 +58,6 @@ class WatermarkStrategy(abc.ABC):
         ``current_watermark`` just before event *i* is observed."""
         before = np.full(event_times.size, -math.inf)
         np.maximum.accumulate(
-            self._candidate(event_times[:-1]), out=before[1:]
+            event_times[:-1] - self.max_out_of_orderness_ms, out=before[1:]
         )
         return before
-
-    @abc.abstractmethod
-    def _candidate(self, event_time: float) -> float:
-        """Watermark implied by seeing *event_time* (elementwise on an
-        array of event times)."""
-
-
-class AscendingTimestampsWatermarks(WatermarkStrategy):
-    """Watermark equal to the largest event time seen."""
-
-    def _candidate(self, event_time: float) -> float:
-        return event_time
-
-
-class BoundedOutOfOrdernessWatermarks(WatermarkStrategy):
-    """Watermark lagging the largest event time by *max_out_of_orderness*
-    milliseconds."""
-
-    def __init__(self, max_out_of_orderness_ms: float) -> None:
-        if max_out_of_orderness_ms < 0:
-            raise InvalidValueError(
-                f"max_out_of_orderness_ms must be >= 0, got "
-                f"{max_out_of_orderness_ms!r}"
-            )
-        super().__init__()
-        self.max_out_of_orderness_ms = float(max_out_of_orderness_ms)
-
-    def _candidate(self, event_time: float) -> float:
-        return event_time - self.max_out_of_orderness_ms

@@ -13,8 +13,6 @@ from repro.data import (
 from repro.metrics import PAPER_QUANTILES, relative_error, true_quantile
 from repro.streaming import (
     SketchAggregator,
-    StreamEnvironment,
-    TumblingEventTimeWindows,
     run_tumbling_batch,
     window_values,
 )
@@ -106,19 +104,3 @@ class TestLateDataAccounting:
         kept = sum(r.event_count for r in report.results)
         assert kept + report.dropped_late == report.total_events
 
-
-class TestKeyedPipeline:
-    def test_per_key_quantiles(self, rng):
-        batch = generate_stream(
-            NYTFares(), 2_000.0, rng, rate_per_sec=1_000
-        )
-        env = StreamEnvironment()
-        report = (
-            env.from_batch(batch)
-            .key_by(lambda e: int(e.event_time) % 2)
-            .window(TumblingEventTimeWindows(1_000.0))
-            .aggregate(SketchAggregator(DDSketch, (0.5,)))
-        )
-        keys = {r.key for r in report.results}
-        assert keys == {0, 1}
-        assert sum(r.event_count for r in report.results) == 2_000

@@ -1,7 +1,9 @@
 """End-to-end tests: TCP client against a live quantile server."""
 
+import gc
 import socket
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -311,6 +313,39 @@ class TestLifecycle:
         server.start()
         server.stop()
         server.stop()
+
+    def test_stopped_server_is_freed_without_the_cycle_collector(self):
+        """No bound method of the server is kept on the server or its
+        front end after stop(), so dropping the last reference frees the
+        server and its registry at once, not at some later collection."""
+        server = QuantileServer(make_registry(ManualClock()))
+        server_ref = weakref.ref(server)
+        registry_ref = weakref.ref(server.registry)
+        gc.collect()
+        gc.disable()
+        try:
+            server.start()
+            with QuantileClient(*server.address, retries=0) as client:
+                assert client.ping() is True
+            server.stop()
+            del server, client
+            assert server_ref() is None
+            assert registry_ref() is None
+        finally:
+            gc.enable()
+
+    def test_same_server_object_restarts(self):
+        server = QuantileServer(make_registry(ManualClock()))
+        for _ in range(2):
+            server.start()
+            try:
+                with QuantileClient(*server.address, retries=0) as client:
+                    client.ingest("lat", [1.0], timestamp_ms=0.0)
+                    client.flush()
+                    assert client.ping() is True
+            finally:
+                server.stop()
+        assert server.registry.get("lat").count() == 2
 
     def test_idle_stop_does_not_wait_out_a_poll(self):
         """stop() wakes the accept loop, which alone notices a

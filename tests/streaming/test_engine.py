@@ -6,14 +6,11 @@ import numpy as np
 import pytest
 
 from repro.data.streams import EventBatch
-from repro.errors import PipelineError
+from repro.errors import InvalidValueError, PipelineError
 from repro.streaming import (
     BoundedOutOfOrdernessWatermarks,
     CollectingAggregator,
     CountAggregator,
-    Event,
-    SessionWindows,
-    SlidingEventTimeWindows,
     StreamEnvironment,
     TumblingEventTimeWindows,
     WindowSpan,
@@ -65,7 +62,7 @@ class TestTumblingAggregation:
 
     def test_requires_aggregator(self):
         env = StreamEnvironment()
-        stream = env.from_events([]).window(
+        stream = env.from_batch(make_batch([], [])).window(
             TumblingEventTimeWindows(10.0)
         )
         with pytest.raises(PipelineError):
@@ -85,10 +82,9 @@ class TestLateEvents:
         report = (
             env.from_batch(batch)
             .window(TumblingEventTimeWindows(1_000.0))
-            .aggregate(CollectingAggregator(), collect_late=True)
+            .aggregate(CollectingAggregator())
         )
         assert report.dropped_late == 1
-        assert report.late_events[0].value == 3.0
         first = next(
             r for r in report.results if r.window.start == 0.0
         )
@@ -172,99 +168,6 @@ class TestLateEvents:
         assert report.loss_fraction == pytest.approx(0.5)
 
 
-class TestTransformations:
-    def test_map_values(self):
-        batch = make_batch([1, 2, 3], [0, 1, 2])
-        env = StreamEnvironment()
-        report = (
-            env.from_batch(batch)
-            .map_values(lambda v: v * 10)
-            .window(TumblingEventTimeWindows(1_000.0))
-            .aggregate(CollectingAggregator())
-        )
-        assert report.results[0].result.tolist() == [10.0, 20.0, 30.0]
-
-    def test_filter(self):
-        batch = make_batch([1, 2, 3, 4], [0, 1, 2, 3])
-        env = StreamEnvironment()
-        report = (
-            env.from_batch(batch)
-            .filter(lambda e: e.value % 2 == 0)
-            .window(TumblingEventTimeWindows(1_000.0))
-            .aggregate(CollectingAggregator())
-        )
-        assert report.results[0].result.tolist() == [2.0, 4.0]
-
-    def test_key_by_partitions_windows(self):
-        batch = make_batch([1, 2, 3, 4], [0, 1, 2, 3])
-        env = StreamEnvironment()
-        report = (
-            env.from_batch(batch)
-            .key_by(lambda e: "even" if e.value % 2 == 0 else "odd")
-            .window(TumblingEventTimeWindows(1_000.0))
-            .aggregate(CollectingAggregator())
-        )
-        by_key = {r.key: r.result.tolist() for r in report.results}
-        assert by_key == {"even": [2.0, 4.0], "odd": [1.0, 3.0]}
-
-    def test_union_merges_streams(self):
-        a = make_batch([1.0], [0.0], [5.0])
-        b = make_batch([2.0], [1.0], [3.0])
-        env = StreamEnvironment()
-        union = env.from_batch(a).union(env.from_batch(b))
-        events = list(union)
-        assert [e.value for e in events] == [2.0, 1.0]
-
-    def test_map_full_events(self):
-        batch = make_batch([1.0], [0.0])
-        env = StreamEnvironment()
-        stream = env.from_batch(batch).map(
-            lambda e: Event(e.value + 1, e.event_time, e.arrival_time)
-        )
-        assert list(stream)[0].value == 2.0
-
-
-class TestSlidingWindows:
-    def test_event_lands_in_all_overlapping_windows(self):
-        batch = make_batch([1.0], [900.0])
-        env = StreamEnvironment()
-        report = (
-            env.from_batch(batch)
-            .window(SlidingEventTimeWindows(1_000.0, 500.0))
-            .aggregate(CountAggregator())
-        )
-        assert len(report.results) == 2
-        starts = sorted(r.window.start for r in report.results)
-        assert starts == [0.0, 500.0]
-
-
-class TestSessionWindows:
-    def test_bursts_merge_into_sessions(self):
-        # Two bursts separated by more than the 100 ms gap.
-        times = [0, 50, 90, 500, 560]
-        batch = make_batch(list(range(5)), times)
-        env = StreamEnvironment()
-        report = (
-            env.from_batch(batch)
-            .window(SessionWindows(100.0))
-            .aggregate(CountAggregator())
-        )
-        counts = sorted(r.result for r in report.results)
-        assert counts == [2, 3]
-
-    def test_session_span_covers_burst(self):
-        batch = make_batch([1, 2], [0, 80])
-        env = StreamEnvironment()
-        report = (
-            env.from_batch(batch)
-            .window(SessionWindows(100.0))
-            .aggregate(CountAggregator())
-        )
-        [result] = report.results
-        assert result.window.start == 0.0
-        assert result.window.end == 180.0
-
-
 class TestVectorisedPath:
     def test_empty_batch(self):
         batch = make_batch([], [])
@@ -334,54 +237,27 @@ class TestVectorisedPath:
         assert report.dropped_late == 1
 
 
-class TestIngestionTimeWindows:
-    def test_no_late_events_in_ingestion_time(self):
-        # The same disordered stream that loses an event in event time
-        # loses nothing in ingestion time (Sec 2.5's trade-off).
+class TestParameterValidation:
+    """A NaN or infinite window size or bound, or a NaN or negative
+    lateness, is refused: each one fired nothing or dropped events the
+    reference keeps."""
+
+    @pytest.mark.parametrize(
+        "size,bound,lateness",
+        [
+            pytest.param(math.nan, 0.0, 0.0, id="size-nan"),
+            pytest.param(math.inf, 0.0, 0.0, id="size-inf"),
+            pytest.param(1_000.0, math.nan, 0.0, id="bound-nan"),
+            pytest.param(1_000.0, math.inf, 0.0, id="bound-inf"),
+            pytest.param(1_000.0, 0.0, math.nan, id="lateness-nan"),
+            pytest.param(1_000.0, 0.0, -1.0, id="lateness-negative"),
+        ],
+    )
+    def test_parameter_is_refused(self, size, bound, lateness):
         batch = make_batch(
             values=[1, 2, 3],
             event_times=[0, 1500, 500],
             arrival_times=[0, 10, 20],
         )
-        env = StreamEnvironment()
-        event_time = (
-            env.from_batch(batch)
-            .window(TumblingEventTimeWindows(1_000.0))
-            .aggregate(CountAggregator())
-        )
-        ingestion_time = (
-            env.from_batch(batch)
-            .window(TumblingEventTimeWindows(1_000.0))
-            .aggregate(
-                CountAggregator(), time_characteristic="ingestion"
-            )
-        )
-        assert event_time.dropped_late == 1
-        assert ingestion_time.dropped_late == 0
-        assert sum(r.result for r in ingestion_time.results) == 3
-
-    def test_ingestion_windows_group_by_arrival(self):
-        batch = make_batch(
-            values=[1, 2],
-            event_times=[0.0, 1.0],       # same event-time window
-            arrival_times=[0.0, 5_000.0],  # different arrival windows
-        )
-        env = StreamEnvironment()
-        report = (
-            env.from_batch(batch)
-            .window(TumblingEventTimeWindows(1_000.0))
-            .aggregate(
-                CountAggregator(), time_characteristic="ingestion"
-            )
-        )
-        assert len(report.results) == 2
-
-    def test_unknown_characteristic_rejected(self):
-        env = StreamEnvironment()
-        stream = env.from_batch(make_batch([1.0], [0.0])).window(
-            TumblingEventTimeWindows(10.0)
-        )
-        with pytest.raises(PipelineError):
-            stream.aggregate(
-                CountAggregator(), time_characteristic="wallclock"
-            )
+        with pytest.raises(InvalidValueError):
+            run_tumbling_batch(batch, size, CountAggregator(), bound, lateness)

@@ -1,13 +1,11 @@
 """Unit tests for window aggregate functions."""
 
 import numpy as np
-import pytest
 
 from repro.core import DDSketch
 from repro.streaming.operators import (
     CollectingAggregator,
     CountAggregator,
-    ReduceAggregator,
     SketchAggregator,
 )
 
@@ -19,8 +17,7 @@ class TestSketchAggregator:
         )
         acc = agg.create_accumulator()
         assert acc.is_empty
-        for value in rng.uniform(1, 10, 100):
-            acc = agg.add(acc, float(value))
+        acc = agg.add_batch(acc, rng.uniform(1, 10, 100))
         assert acc.count == 100
         result = agg.get_result(acc)
         assert set(result) == {0.5, 0.99}
@@ -30,7 +27,7 @@ class TestSketchAggregator:
         agg = SketchAggregator(DDSketch, quantiles=(0.5,))
         a = agg.create_accumulator()
         b = agg.create_accumulator()
-        agg.add(a, 1.0)
+        agg.add_batch(a, np.asarray([1.0]))
         assert b.is_empty
 
     def test_add_batch_vectorised(self, rng):
@@ -39,19 +36,12 @@ class TestSketchAggregator:
         acc = agg.add_batch(acc, rng.uniform(1, 10, 1_000))
         assert acc.count == 1_000
 
-    def test_merge_combines(self, rng):
-        agg = SketchAggregator(DDSketch, quantiles=(0.5,))
-        a = agg.add_batch(agg.create_accumulator(), rng.uniform(1, 2, 500))
-        b = agg.add_batch(agg.create_accumulator(), rng.uniform(5, 6, 500))
-        merged = agg.merge(a, b)
-        assert merged.count == 1_000
-
 
 class TestCollectingAggregator:
     def test_returns_sorted_values(self):
         agg = CollectingAggregator()
         acc = agg.create_accumulator()
-        acc = agg.add(acc, 3.0)
+        acc = agg.add_batch(acc, np.asarray([3.0]))
         acc = agg.add_batch(acc, np.asarray([1.0, 2.0]))
         result = agg.get_result(acc)
         assert result.tolist() == [1.0, 2.0, 3.0]
@@ -60,42 +50,11 @@ class TestCollectingAggregator:
         agg = CollectingAggregator()
         assert agg.get_result(agg.create_accumulator()).size == 0
 
-    def test_merge(self):
-        agg = CollectingAggregator()
-        a = agg.add(agg.create_accumulator(), 1.0)
-        b = agg.add(agg.create_accumulator(), 2.0)
-        assert agg.get_result(agg.merge(a, b)).tolist() == [1.0, 2.0]
-
 
 class TestCountAggregator:
     def test_counts(self):
         agg = CountAggregator()
         acc = agg.create_accumulator()
-        acc = agg.add(acc, 42.0)
+        acc = agg.add_batch(acc, np.asarray([42.0]))
         acc = agg.add_batch(acc, np.zeros(9))
         assert agg.get_result(acc) == 10
-
-    def test_merge(self):
-        agg = CountAggregator()
-        assert agg.merge(3, 4) == 7
-
-
-class TestReduceAggregator:
-    def test_sum(self):
-        agg = ReduceAggregator(lambda acc, v: acc + v, 0.0)
-        acc = agg.create_accumulator()
-        for value in (1.0, 2.0, 3.0):
-            acc = agg.add(acc, value)
-        assert agg.get_result(acc) == 6.0
-
-    def test_max(self):
-        agg = ReduceAggregator(max, float("-inf"))
-        acc = agg.create_accumulator()
-        for value in (1.0, 5.0, 3.0):
-            acc = agg.add(acc, value)
-        assert agg.get_result(acc) == 5.0
-
-    def test_merge_unsupported(self):
-        agg = ReduceAggregator(max, 0.0)
-        with pytest.raises(NotImplementedError):
-            agg.merge(1.0, 2.0)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.distributions import Uniform
 from repro.errors import InvalidValueError
-from repro.streaming.sources import DistributionSource, delayed_source
+from repro.streaming.sources import DistributionSource
 
 
 class TestDistributionSource:
@@ -37,7 +37,7 @@ class TestDistributionSource:
 
 class TestDelayedSource:
     def test_delays_are_exponential_with_given_mean(self, rng):
-        source = delayed_source(
+        source = DistributionSource(
             Uniform(0, 1), rate_per_sec=10_000, delay_mean_ms=150.0
         )
         batch = source.batch(10_000.0, rng)
@@ -46,7 +46,7 @@ class TestDelayedSource:
         assert delays.mean() == pytest.approx(150.0, rel=0.1)
 
     def test_arrival_order_differs_from_event_order(self, rng):
-        source = delayed_source(
+        source = DistributionSource(
             Uniform(0, 1), rate_per_sec=10_000, delay_mean_ms=150.0
         )
         batch = source.batch(1_000.0, rng)

@@ -5,25 +5,24 @@ import math
 import pytest
 
 from repro.errors import InvalidValueError
-from repro.streaming.time import (
-    AscendingTimestampsWatermarks,
-    BoundedOutOfOrdernessWatermarks,
-)
+from repro.streaming.time import BoundedOutOfOrdernessWatermarks
 
 
 class TestAscendingWatermarks:
+    """A zero bound is Flink's ascending-timestamps strategy."""
+
     def test_starts_at_minus_infinity(self):
-        strategy = AscendingTimestampsWatermarks()
+        strategy = BoundedOutOfOrdernessWatermarks(0.0)
         assert strategy.current_watermark == -math.inf
 
     def test_tracks_maximum(self):
-        strategy = AscendingTimestampsWatermarks()
+        strategy = BoundedOutOfOrdernessWatermarks(0.0)
         assert strategy.on_event(10.0) == 10.0
         assert strategy.on_event(5.0) == 10.0  # never regresses
         assert strategy.on_event(20.0) == 20.0
 
     def test_monotone_under_any_sequence(self):
-        strategy = AscendingTimestampsWatermarks()
+        strategy = BoundedOutOfOrdernessWatermarks(0.0)
         previous = -math.inf
         for t in [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]:
             watermark = strategy.on_event(t)
@@ -35,12 +34,6 @@ class TestBoundedOutOfOrderness:
     def test_lags_by_bound(self):
         strategy = BoundedOutOfOrdernessWatermarks(100.0)
         assert strategy.on_event(1_000.0) == 900.0
-
-    def test_zero_bound_equals_ascending(self):
-        bounded = BoundedOutOfOrdernessWatermarks(0.0)
-        ascending = AscendingTimestampsWatermarks()
-        for t in [5.0, 3.0, 8.0, 8.0, 2.0]:
-            assert bounded.on_event(t) == ascending.on_event(t)
 
     def test_tolerates_disorder_within_bound(self):
         strategy = BoundedOutOfOrdernessWatermarks(50.0)

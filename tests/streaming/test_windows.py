@@ -1,14 +1,9 @@
-"""Unit tests for window assigners."""
+"""Unit tests for the tumbling window assigner."""
 
 import pytest
 
 from repro.errors import InvalidValueError
-from repro.streaming.windows import (
-    SessionWindows,
-    SlidingEventTimeWindows,
-    TumblingEventTimeWindows,
-    WindowSpan,
-)
+from repro.streaming.windows import TumblingEventTimeWindows, WindowSpan
 
 
 class TestWindowSpan:
@@ -24,17 +19,6 @@ class TestWindowSpan:
         assert span.contains(9.999)
         assert not span.contains(10.0)
         assert not span.contains(-0.001)
-
-    def test_intersects(self):
-        a = WindowSpan(0.0, 10.0)
-        assert a.intersects(WindowSpan(5.0, 15.0))
-        assert a.intersects(WindowSpan(-5.0, 1.0))
-        assert not a.intersects(WindowSpan(10.0, 20.0))  # half-open
-
-    def test_cover(self):
-        a = WindowSpan(0.0, 10.0)
-        b = WindowSpan(5.0, 20.0)
-        assert a.cover(b) == WindowSpan(0.0, 20.0)
 
     def test_ordering(self):
         assert WindowSpan(0.0, 10.0) < WindowSpan(10.0, 20.0)
@@ -76,35 +60,3 @@ class TestTumblingWindows:
     def test_rejects_bad_size(self):
         with pytest.raises(InvalidValueError):
             TumblingEventTimeWindows(0.0)
-
-
-class TestSlidingWindows:
-    def test_count_is_size_over_slide(self):
-        assigner = SlidingEventTimeWindows(1_000.0, 250.0)
-        spans = assigner.assign(2_000.0)
-        assert len(spans) == 4
-        for span in spans:
-            assert span.contains(2_000.0)
-
-    def test_slide_equal_size_is_tumbling(self):
-        sliding = SlidingEventTimeWindows(1_000.0, 1_000.0)
-        tumbling = TumblingEventTimeWindows(1_000.0)
-        assert sliding.assign(1_234.0) == tumbling.assign(1_234.0)
-
-    def test_rejects_gappy_slide(self):
-        with pytest.raises(InvalidValueError):
-            SlidingEventTimeWindows(1_000.0, 2_000.0)
-
-
-class TestSessionWindows:
-    def test_initial_window_is_gap_sized(self):
-        assigner = SessionWindows(10_000.0)
-        [span] = assigner.assign(5_000.0)
-        assert span == WindowSpan(5_000.0, 15_000.0)
-
-    def test_is_merging(self):
-        assert SessionWindows(1_000.0).is_merging
-
-    def test_rejects_bad_gap(self):
-        with pytest.raises(InvalidValueError):
-            SessionWindows(-1.0)
