@@ -13,7 +13,8 @@ whose gradient is the moment mismatch and whose Hessian is the Gram
 matrix of the basis under ``p`` — both evaluated on a fixed quadrature
 grid, exactly as the reference msketch solver does.  On the Chebyshev
 basis ``T_i T_j = (T_{i+j} + T_{|i-j|}) / 2``, so one matvec against
-``T_0 .. T_2k`` yields the gradient and the whole Hessian of a step.
+``T_0 .. T_2k``, pre-multiplied by the quadrature weights, yields the
+gradient and the whole Hessian of a step.
 
 Newton starts from the better (lower ``F``) of two densities: the
 uniform one, and the order-1 maximum-entropy density ``exp(a + b x)``
@@ -84,6 +85,34 @@ def _product_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=16)
+def _trapezoid_weights(grid_size: int, dx: float) -> np.ndarray:
+    """Trapezoid quadrature weights of a *grid_size*-point grid with
+    spacing *dx*, read-only: every solve on that grid shares them."""
+    weights = np.full(grid_size, dx)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    weights.flags.writeable = False
+    return weights
+
+
+def grid_weights(grid: np.ndarray) -> np.ndarray:
+    """The cached trapezoid weights of the evenly spaced *grid*."""
+    return _trapezoid_weights(grid.size, float(grid[1] - grid[0]))
+
+
+@functools.lru_cache(maxsize=16)
+def weighted_chebyshev_table(grid_size: int, degree: int) -> np.ndarray:
+    """``chebyshev_grid(grid_size, degree)``'s basis times the grid's
+    trapezoid weights, read-only: ``table @ exp(theta . T - shift)``
+    scaled by ``e^shift`` gives the Chebyshev expectations of a step
+    with no per-step ``p * w`` temporaries."""
+    grid, basis = chebyshev_grid(grid_size, degree)
+    table = basis * grid_weights(grid)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=16)
 def _identity(n: int) -> np.ndarray:
     identity = np.eye(n)
     identity.flags.writeable = False
@@ -101,6 +130,30 @@ def chebyshev_hessian(expectations: np.ndarray) -> np.ndarray:
     return 0.5 * (expectations[upper] + expectations[lower])
 
 
+#: A solve's step: ``(unnorm, e^shift) -> (c, G)``, the expectations
+#: whose first rows are the fitted moments and the Gram matrix, for the
+#: density ``unnorm * e^shift`` on the grid.
+MomentsAndGram = Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
+
+
+@functools.lru_cache(maxsize=16)
+def chebyshev_moments_and_gram(grid_size: int, degree: int) -> MomentsAndGram:
+    """The Chebyshev basis's step on the canonical grid: the ``degree +
+    1`` expectations are one product with the weighted table scaled by
+    ``e^shift`` afterwards, and the Gram matrix is
+    :func:`chebyshev_hessian` of them."""
+    table = weighted_chebyshev_table(grid_size, degree)
+
+    def moments_and_gram(
+        unnorm: np.ndarray, scale: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        expectations = table @ unnorm
+        expectations *= scale
+        return expectations, chebyshev_hessian(expectations)
+
+    return moments_and_gram
+
+
 def power_to_chebyshev_moments(power_moments: np.ndarray) -> np.ndarray:
     """Convert power moments ``E[x^i]`` to Chebyshev moments ``E[T_j(x)]``.
 
@@ -111,7 +164,10 @@ def power_to_chebyshev_moments(power_moments: np.ndarray) -> np.ndarray:
     """
     power_moments = np.asarray(power_moments, dtype=np.float64)
     rows = _chebyshev_power_rows(power_moments.size - 1)
-    return np.array([float(row @ power_moments[: row.size]) for row in rows])
+    # np.dot runs the same dot kernel as ``@`` on vectors, without the
+    # ufunc dispatch.
+    dot = np.dot
+    return np.array([dot(row, power_moments[: row.size]) for row in rows])
 
 
 @dataclass(frozen=True)
@@ -165,8 +221,8 @@ class MaxEntropySolver:
         """
         m = np.asarray(chebyshev_moments, dtype=np.float64)
         k = m.size - 1
-        # Rows 0..k are the basis; rows up to 2k turn each step's one
-        # matvec into the whole Gram matrix (chebyshev_hessian).
+        # Rows 0..k are the basis; the weighted rows up to 2k turn each
+        # step's one matvec into the whole Gram matrix.
         grid, basis_2k = chebyshev_grid(self.grid_size, 2 * k)
         starts = [uniform_start(k + 1)]
         if k >= 1:
@@ -174,8 +230,8 @@ class MaxEntropySolver:
             if order_one is not None:
                 starts.append(order_one)
         return self._newton(
-            grid, basis_2k[: k + 1], m, basis_2k,
-            lambda expectations, _: chebyshev_hessian(expectations),
+            grid, basis_2k[: k + 1], m,
+            chebyshev_moments_and_gram(self.grid_size, 2 * k),
             starts,
         )
 
@@ -205,10 +261,16 @@ class MaxEntropySolver:
                 f"basis shape {basis.shape} does not match "
                 f"{m.size} moments on a {grid.size}-point grid"
             )
+        weights = grid_weights(grid)
+
+        def moments_and_gram(
+            unnorm: np.ndarray, scale: float
+        ) -> tuple[np.ndarray, np.ndarray]:
+            pdf_weights = unnorm * scale * weights
+            return basis @ pdf_weights, (basis * pdf_weights) @ basis.T
+
         return self._newton(
-            grid, basis, m, basis,
-            lambda _, pdf_weights: (basis * pdf_weights) @ basis.T,
-            [uniform_start(m.size)],
+            grid, basis, m, moments_and_gram, [uniform_start(m.size)]
         )
 
     def _newton(
@@ -216,65 +278,77 @@ class MaxEntropySolver:
         grid: np.ndarray,
         basis: np.ndarray,
         m: np.ndarray,
-        moment_rows: np.ndarray,
-        hessian: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        moments_and_gram: MomentsAndGram,
         starts: Sequence[np.ndarray],
     ) -> MaxEntSolution:
         """Newton's method on the dual, shared by both entry points.
 
         It begins at the point of *starts* with the lowest dual value
-        (the first on ties or a non-finite value).  Each step takes
-        ``c = moment_rows @ (p * w)`` — ``moment_rows`` starts with the
-        rows of *basis*, so ``c[:k]`` are the fitted moments — and asks
-        ``hessian(c, p * w)`` for the Gram matrix.  A point is evaluated
-        (``theta . basis``, one ``exp`` over the grid and its dual
-        value) once, when it is offered as a start or proposed by the
-        line search; the accepted candidate carries that evaluation
-        into the next step.
+        (the first on ties or a non-finite value).  Each step asks
+        ``moments_and_gram(exp(theta . basis - shift), e^shift)`` for
+        the expectations ``c`` — ``c[:k]`` are the fitted moments — and
+        the Gram matrix.  A point is evaluated (``theta . basis``, one
+        ``exp`` over the grid and its dual value) once, when it is
+        offered as a start or proposed by the line search; the accepted
+        candidate carries that evaluation into the next step.  An
+        overflowing candidate evaluates to inf and the line search
+        rejects it, so the whole solve ignores overflow.
         """
         k = m.size
-        dx = grid[1] - grid[0]
-        # Trapezoid quadrature weights.
-        weights = np.full(grid.size, dx)
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-
-        theta = starts[0]
-        shift, unnorm = _evaluate(theta, basis)
-        current = _dual_value(theta, shift, unnorm, weights, m)
-        for start in starts[1:]:
-            start_shift, start_unnorm = _evaluate(start, basis)
-            value = _dual_value(start, start_shift, start_unnorm, weights, m)
-            if value < current:
-                theta, shift, unnorm, current = (
-                    start, start_shift, start_unnorm, value
+        weights = grid_weights(grid)
+        with np.errstate(over="ignore"):
+            theta = starts[0]
+            scale, unnorm = _evaluate(theta, basis)
+            current = _dual_value(theta, scale, unnorm, weights, m)
+            for start in starts[1:]:
+                start_scale, start_unnorm = _evaluate(start, basis)
+                value = _dual_value(
+                    start, start_scale, start_unnorm, weights, m
                 )
+                if value < current:
+                    theta, scale, unnorm, current = (
+                        start, start_scale, start_unnorm, value
+                    )
 
-        # Discrete or near-degenerate inputs admit no smooth density with
-        # exactly these moments, so the iteration may stall with a
-        # residual mismatch; like the reference msketch solver we then
-        # use the best density found, and only fail on garbage.
-        best_theta, best_unnorm = theta, unnorm
-        best_grad_norm = np.inf
-        iterations = 0
-        for iterations in range(1, self.max_iterations + 1):
-            scale = np.exp(shift)
-            pdf_weights = unnorm * scale * weights
-            expectations = moment_rows @ pdf_weights
-            grad = expectations[:k] - m
-            grad_norm = float(np.abs(grad).max())
-            if grad_norm < best_grad_norm:
-                best_grad_norm = grad_norm
-                best_theta, best_unnorm = theta, unnorm
-            if grad_norm < self.tolerance:
-                break
-            step = self._newton_step(hessian(expectations, pdf_weights), grad)
-            accepted = self._line_search(
-                theta, step, basis, weights, m, current
-            )
-            if accepted is None:
-                break  # line search cannot improve any further
-            theta, shift, unnorm, current = accepted
+            # Discrete or near-degenerate inputs admit no smooth density
+            # with exactly these moments, so the iteration may stall with
+            # a residual mismatch; like the reference msketch solver we
+            # then use the best density found, and only fail on garbage.
+            best_theta, best_unnorm = theta, unnorm
+            best_grad_norm = np.inf
+            iterations = 0
+            for iterations in range(1, self.max_iterations + 1):
+                expectations, hessian = moments_and_gram(unnorm, scale)
+                grad = expectations[:k] - m
+                grad_norm = float(np.maximum.reduce(np.abs(grad)))
+                if grad_norm < best_grad_norm:
+                    best_grad_norm = grad_norm
+                    best_theta, best_unnorm = theta, unnorm
+                if grad_norm < self.tolerance:
+                    break
+                step = self._newton_step(hessian, grad)
+                # Backtracking line search on the convex dual: the first
+                # finite candidate below the current value, within 40
+                # halvings, or no progress is possible and the loop ends.
+                length = 1.0
+                candidate = theta - step  # length 1.0 scales exactly
+                for _ in range(40):
+                    candidate_scale, candidate_unnorm = _evaluate(
+                        candidate, basis
+                    )
+                    value = _dual_value(
+                        candidate, candidate_scale, candidate_unnorm,
+                        weights, m,
+                    )
+                    if math.isfinite(value) and value < current:
+                        break
+                    length *= 0.5
+                    candidate = theta - length * step
+                else:
+                    break
+                theta, scale, unnorm, current = (
+                    candidate, candidate_scale, candidate_unnorm, value
+                )
 
         if not np.isfinite(best_grad_norm) or best_grad_norm > 0.5:
             raise SolverError(
@@ -284,11 +358,12 @@ class MaxEntropySolver:
 
         # best_unnorm is exp(theta . basis - max) at best_theta.
         pdf = best_unnorm
-        cdf = np.cumsum(pdf * weights)
+        pdf_weights = pdf * weights
+        cdf = np.cumsum(pdf_weights)
         cdf /= cdf[-1]
         cdf[0] = 0.0
         cdf[-1] = 1.0
-        pdf_normalised = pdf / float((pdf * weights).sum())
+        pdf_normalised = pdf / float(pdf_weights.sum())
         return MaxEntSolution(
             theta=best_theta,
             grid=grid,
@@ -307,7 +382,8 @@ class MaxEntropySolver:
         producing explosive steps; it grows if the solve still fails.
         """
         identity = _identity(hessian.shape[0])
-        scale = float(np.abs(np.diag(hessian)).max()) or 1.0
+        diagonal = np.abs(hessian.diagonal())
+        scale = float(np.maximum.reduce(diagonal)) or 1.0
         ridge = 1e-10 * scale
         for _ in range(8):
             try:
@@ -315,31 +391,6 @@ class MaxEntropySolver:
             except np.linalg.LinAlgError:
                 ridge *= 100.0
         return np.linalg.lstsq(hessian, grad, rcond=None)[0]
-
-    @staticmethod
-    def _line_search(
-        theta: np.ndarray,
-        step: np.ndarray,
-        basis: np.ndarray,
-        weights: np.ndarray,
-        m: np.ndarray,
-        current: float,
-    ) -> tuple[np.ndarray, float, np.ndarray, float] | None:
-        """Backtracking line search on the convex dual objective.
-
-        Returns the first candidate below *current* with its evaluation
-        ``(theta, shift, unnorm, dual value)``, or ``None`` when 40
-        halvings find none.
-        """
-        scale = 1.0
-        for _ in range(40):
-            candidate = theta - scale * step
-            shift, unnorm = _evaluate(candidate, basis)
-            value = _dual_value(candidate, shift, unnorm, weights, m)
-            if np.isfinite(value) and value < current:
-                return candidate, shift, unnorm, value
-            scale *= 0.5
-        return None  # no progress possible; caller's loop will stop
 
 
 def uniform_start(size: int) -> np.ndarray:
@@ -407,23 +458,23 @@ def _langevin(b: float) -> tuple[float, float]:
 
 
 def _evaluate(theta: np.ndarray, basis: np.ndarray) -> tuple[float, np.ndarray]:
-    """``(shift, exp(theta . basis - shift))`` with ``shift`` the max of
-    ``theta . basis``: the one product and one ``exp`` a point costs."""
+    """``(e^shift, exp(theta . basis - shift))`` with ``shift`` the max
+    of ``theta . basis``: the one product and one ``exp`` a point costs,
+    the ``exp`` taken in place."""
     log_pdf = theta @ basis
-    shift = log_pdf.max()
-    return shift, np.exp(log_pdf - shift)
+    shift = np.maximum.reduce(log_pdf)  # .max() without its wrapper
+    log_pdf -= shift
+    return np.exp(shift), np.exp(log_pdf, out=log_pdf)
 
 
 def _dual_value(
     theta: np.ndarray,
-    shift: float,
+    scale: float,
     unnorm: np.ndarray,
     weights: np.ndarray,
     m: np.ndarray,
 ) -> float:
-    # Stabilised evaluation of integral(exp(theta . T)) - theta . m;
-    # an overflowing candidate evaluates to inf and is rejected by
-    # the line search, so the overflow itself is benign.
-    with np.errstate(over="ignore"):
-        integral = float(unnorm @ weights) * np.exp(shift)
-    return integral - float(theta @ m)
+    """Stabilised ``integral(exp(theta . T)) - theta . m``; inf when the
+    integral overflows, which the caller's error state lets through."""
+    # np.dot runs the dot kernel ``@`` runs, without ufunc dispatch.
+    return float(np.dot(unnorm, weights)) * scale - float(np.dot(theta, m))

@@ -76,20 +76,71 @@ def _binomial_table(k: int) -> tuple[np.ndarray, np.ndarray]:
     return binomials, degrees
 
 
-def _add_power_sums(sums: np.ndarray, centred: np.ndarray) -> None:
-    """``sums[i] += sum(centred ** i)`` for every ``i``, in place.
+def _summed_powers(sums: np.ndarray, centred: np.ndarray) -> np.ndarray:
+    """A new array of ``sums[i] + sum(centred ** i)`` for every ``i``.
 
     The powers are a cumulative product multiplied in place, one array
     for all of them.  Power 0 adds the count: a float sum of ones is
     exactly that, so this is the float program of summing
-    ``ones * centred * centred ...`` term by term.
+    ``ones * centred * centred ...`` term by term.  Raises
+    :class:`~repro.errors.InvalidValueError`, with *sums* untouched, if
+    any of them would not be finite.
     """
-    sums[0] += centred.size
+    summed = sums.copy()
+    summed[0] += centred.size
     powers = centred.copy()
-    for i in range(1, sums.size):
-        sums[i] += powers.sum()
-        if i + 1 < sums.size:
-            np.multiply(powers, centred, out=powers)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, summed.size):
+            summed[i] += powers.sum()
+            if i + 1 < summed.size:
+                np.multiply(powers, centred, out=powers)
+    if not np.isfinite(summed).all():
+        raise _overflow_error()
+    return summed
+
+
+def _added_powers(sums: np.ndarray, centred: float) -> list[float]:
+    """``sums[i] + centred ** i`` for one value, as Python floats: the
+    float program of adding each power to the array in place.
+
+    Raises :class:`~repro.errors.InvalidValueError` if any of them
+    would not be finite.
+    """
+    added: list[float] = sums.tolist()
+    power = 1.0
+    for i in range(len(added)):
+        added[i] += power
+        power *= centred
+    if not all(map(math.isfinite, added)):
+        raise _overflow_error()
+    return added
+
+
+def _overflow_error() -> InvalidValueError:
+    return InvalidValueError(
+        "value out of range: a Moments power sum would overflow"
+    )
+
+
+def _exp(value: float) -> float:
+    """``math.exp``, but inf past the float range (the caller clamps an
+    answer to the observed range) instead of an ``OverflowError``."""
+    try:
+        return math.exp(value)
+    except OverflowError:
+        return math.inf
+
+
+def _float_powers(base: float, count: int) -> list[float]:
+    """``base ** d`` for ``d < count`` by Python's float pow (not
+    ``np.power``: SIMD pow may differ by an ulp), with a power out of
+    range as a signed infinity instead of an ``OverflowError``."""
+    try:
+        return [base ** d for d in range(count)]
+    except OverflowError:  # the powers cannot all be finite anyway
+        with np.errstate(over="ignore"):
+            powers = np.power(base, np.arange(count, dtype=np.float64))
+        return list(powers.tolist())
 
 
 class MomentsSketch(QuantileSketch):
@@ -189,9 +240,12 @@ class MomentsSketch(QuantileSketch):
 
     def _invert_transform(self, value: float) -> float:
         if self.transform == "log":
-            return math.exp(value)
+            return _exp(value)
         if self.transform == "arcsinh":
-            return math.sinh(value)
+            try:
+                return math.sinh(value)
+            except OverflowError:  # past the float range, as _exp
+                return math.copysign(math.inf, value)
         return value
 
     # ------------------------------------------------------------------
@@ -202,6 +256,12 @@ class MomentsSketch(QuantileSketch):
         value = float(value)
         if not math.isfinite(value):
             raise InvalidValueError(f"cannot insert non-finite value {value!r}")
+        # Every check runs before any state mutates, so a refused value
+        # leaves the sketch (and its cached solution) as it was.
+        if self.log_moments and value <= 0:
+            raise InvalidValueError(
+                "log moments require strictly positive values"
+            )
         if self.transform == "log":
             if value <= 0:
                 raise InvalidValueError(
@@ -212,37 +272,28 @@ class MomentsSketch(QuantileSketch):
             t = math.asinh(value)
         else:
             t = value
-        if self._origin is None:
-            self._origin = t
-        # Scalar Horner-style accumulation: k multiplies and adds.
-        sums = self._power_sums
-        centred = t - self._origin
-        power = 1.0
-        for i in range(self.num_moments + 1):
-            sums[i] += power
-            power *= centred
-        if t < self._t_min:
-            self._t_min = t
-        if t > self._t_max:
-            self._t_max = t
+        origin = t if self._origin is None else self._origin
+        sums = _added_powers(self._power_sums, t - origin)
         if self.log_moments:
-            if value <= 0:
-                raise InvalidValueError(
-                    "log moments require strictly positive values"
-                )
             log_value = math.log(value)
-            if self._log_origin is None:
-                self._log_origin = log_value
-            log_sums = self._log_power_sums
-            centred = log_value - self._log_origin
-            power = 1.0
-            for i in range(self.num_moments + 1):
-                log_sums[i] += power
-                power *= centred
+            log_origin = (
+                log_value if self._log_origin is None else self._log_origin
+            )
+            log_sums = _added_powers(
+                self._log_power_sums, log_value - log_origin
+            )
+            self._log_power_sums[:] = log_sums
+            self._log_origin = log_origin
             if log_value < self._l_min:
                 self._l_min = log_value
             if log_value > self._l_max:
                 self._l_max = log_value
+        self._power_sums[:] = sums
+        self._origin = origin
+        if t < self._t_min:
+            self._t_min = t
+        if t > self._t_max:
+            self._t_max = t
         self._observe(value)
         self._solution = None
 
@@ -256,9 +307,24 @@ class MomentsSketch(QuantileSketch):
                 "log moments require strictly positive values"
             )
         transformed = self._apply_transform(values)
-        if self._origin is None:
-            self._origin = float(transformed[0])
-        _add_power_sums(self._power_sums, transformed - self._origin)
+        origin = (
+            float(transformed[0]) if self._origin is None else self._origin
+        )
+        sums = _summed_powers(self._power_sums, transformed - origin)
+        if self.log_moments:
+            logs = np.log(values)
+            log_origin = (
+                float(logs[0]) if self._log_origin is None
+                else self._log_origin
+            )
+            self._log_power_sums = _summed_powers(
+                self._log_power_sums, logs - log_origin
+            )
+            self._log_origin = log_origin
+            self._l_min = min(self._l_min, float(logs.min()))
+            self._l_max = max(self._l_max, float(logs.max()))
+        self._power_sums = sums
+        self._origin = origin
         # First extreme wins, as in the scalar path and _observe_batch
         # (min()/max() would keep the last of 0.0 and -0.0).
         self._t_min = min(
@@ -267,13 +333,6 @@ class MomentsSketch(QuantileSketch):
         self._t_max = max(
             self._t_max, float(transformed[transformed.argmax()])
         )
-        if self.log_moments:
-            logs = np.log(values)
-            if self._log_origin is None:
-                self._log_origin = float(logs[0])
-            _add_power_sums(self._log_power_sums, logs - self._log_origin)
-            self._l_min = min(self._l_min, float(logs.min()))
-            self._l_max = max(self._l_max, float(logs.max()))
         self._observe_batch(values, checked=True)
         self._solution = None
 
@@ -285,19 +344,22 @@ class MomentsSketch(QuantileSketch):
         other = self._merge_operand(
             other, "num_moments", "transform", "log_moments"
         )
-        self._power_sums, self._origin = self._merge_sums(
+        # Both folds are built, and checked, before any state moves.
+        sums, origin = self._merge_sums(
             self._power_sums, self._origin,
             other._power_sums, other._origin,
         )
-        self._t_min = min(self._t_min, other._t_min)
-        self._t_max = max(self._t_max, other._t_max)
         if self.log_moments:
-            self._log_power_sums, self._log_origin = self._merge_sums(
+            log_sums, log_origin = self._merge_sums(
                 self._log_power_sums, self._log_origin,
                 other._log_power_sums, other._log_origin,
             )
+            self._log_power_sums, self._log_origin = log_sums, log_origin
             self._l_min = min(self._l_min, other._l_min)
             self._l_max = max(self._l_max, other._l_max)
+        self._power_sums, self._origin = sums, origin
+        self._t_min = min(self._t_min, other._t_min)
+        self._t_max = max(self._t_max, other._t_max)
         self._merge_bookkeeping(other)
         self._solution = None
 
@@ -313,8 +375,7 @@ class MomentsSketch(QuantileSketch):
         (``tests/core/test_moments.py`` keeps that loop as reference).
         """
         binomials, degrees = _binomial_table(sums.size - 1)
-        # Python's float pow, not np.power: SIMD pow may differ by an ulp.
-        powers = np.array([shift ** d for d in range(sums.size)])
+        powers = np.array(_float_powers(shift, sums.size))
         terms = binomials * powers[degrees] * sums
         # "+ 0.0" turns an all-(-0.0) row into the loop's 0.0 start.
         return terms.cumsum(axis=1).diagonal() + 0.0
@@ -327,16 +388,22 @@ class MomentsSketch(QuantileSketch):
         other_sums: np.ndarray,
         other_origin: float | None,
     ) -> tuple[np.ndarray, float | None]:
+        """``sums`` plus ``other_sums`` recentred on ``origin``, as a new
+        array; :class:`~repro.errors.InvalidValueError` if a merged sum
+        would not be finite."""
         if other_origin is None:  # other is empty
             return sums, origin
-        if origin is None:  # self is empty: adopt other's accumulation
-            return sums + other_sums, other_origin
-        if other_origin == origin:
-            return sums + other_sums, origin
-        recentred = cls._recenter_sums(
-            other_sums, other_origin - origin
-        )
-        return sums + recentred, origin
+        with np.errstate(over="ignore", invalid="ignore"):
+            if origin is None:  # self is empty: adopt other's accumulation
+                origin = other_origin
+            elif other_origin != origin:
+                other_sums = cls._recenter_sums(
+                    other_sums, other_origin - origin
+                )
+            merged = sums + other_sums
+        if not np.isfinite(merged).all():
+            raise _overflow_error()
+        return merged, origin
 
     # ------------------------------------------------------------------
     # Queries
@@ -356,15 +423,17 @@ class MomentsSketch(QuantileSketch):
         this is what keeps the re-scaling stable where zero-origin
         sums would cancel catastrophically.
         """
-        n = power_sums[0]
+        n = float(power_sums[0])
         s = 0.5 * (lo + hi)
         h = 0.5 * (hi - lo)
         if h <= 0.0:
             raise InsufficientDataError("all observed values are identical")
         scaled = MomentsSketch._recenter_sums(power_sums, origin - s)
         scaled[0] = 1.0
-        for i in range(1, scaled.size):
-            scaled[i] /= n * h ** i
+        # One division by the scalar divisors n * h^i: IEEE division
+        # rounds each element exactly as the scalar loop did.
+        powers = _float_powers(h, scaled.size)
+        scaled[1:] /= [n * power for power in powers[1:]]
         return scaled
 
     def _scaled_power_moments(self) -> np.ndarray:
@@ -478,7 +547,7 @@ class MomentsSketch(QuantileSketch):
         lo, hi = self._t_min, self._t_max
         invert: Callable[[float], float] = self._invert_transform
         if self._solution_domain == "joint":
-            lo, hi, invert = self._l_min, self._l_max, math.exp
+            lo, hi, invert = self._l_min, self._l_max, _exp
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         scaled: list[float] = np.interp(

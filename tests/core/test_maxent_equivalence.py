@@ -33,7 +33,6 @@ from repro.core.maxent import (
     MaxEntropySolver,
     MaxEntSolution,
     chebyshev_grid,
-    chebyshev_hessian,
     order_one_start,
     power_to_chebyshev_moments,
     uniform_start,
@@ -189,8 +188,8 @@ class UniformStartSolver(MaxEntropySolver):
         # Through the module, so the count witness can patch the table.
         grid, basis_2k = maxent.chebyshev_grid(self.grid_size, 2 * k)
         return self._newton(
-            grid, basis_2k[: k + 1], m, basis_2k,
-            lambda expectations, _: chebyshev_hessian(expectations),
+            grid, basis_2k[: k + 1], m,
+            maxent.chebyshev_moments_and_gram(self.grid_size, 2 * k),
             [uniform_start(k + 1)],
         )
 

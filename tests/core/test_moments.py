@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import KLLSketch, MomentsSketch, paper_config
+from repro.core import KLLSketch, MomentsSketch, dumps, loads, paper_config
 from repro.core.maxent import (
     _chebyshev_power_rows,
     chebyshev_grid,
+    chebyshev_moments_and_gram,
+    grid_weights,
     power_to_chebyshev_moments,
+    weighted_chebyshev_table,
 )
 from repro.errors import (
     EmptySketchError,
@@ -192,6 +195,84 @@ class TestMerge:
             )
         with pytest.raises(IncompatibleSketchError):
             MomentsSketch().merge(KLLSketch())
+
+
+#: Every Moments configuration, with values it must refuse once it
+#: holds 64 values in 1..50: non-finite ones, non-positive ones under a
+#: log, and finite ones after which a power sum would overflow.
+REFUSALS = {
+    "none": ({}, (math.nan, math.inf, 1e26, -1e300)),
+    "log": ({"transform": "log"}, (math.nan, 0.0, -1.0)),
+    "arcsinh": ({"transform": "arcsinh"}, (math.nan, -math.inf)),
+    "log_moments": ({"log_moments": True}, (math.nan, 0.0, -1.0, 1e26)),
+}
+
+
+def _filled(config: dict) -> MomentsSketch:
+    sketch = MomentsSketch(**config)
+    sketch.update_batch(np.linspace(1.0, 50.0, 64))
+    return sketch
+
+
+class TestRefusedValues:
+    """A refused value or batch leaves the sketch byte for byte as it
+    was.  Before, a log-moments sketch refused ``update(-1.0)`` only
+    after it had changed its standard power sums and range, and a
+    plain one took 1e26 into infinite power sums."""
+
+    @pytest.mark.parametrize("name", sorted(REFUSALS))
+    def test_a_refused_value_changes_nothing(self, name):
+        config, refused = REFUSALS[name]
+        sketch = _filled(config)
+        answers = sketch.quantiles([0.1, 0.5, 0.9])  # fills the cache
+        before = dumps(sketch)
+        for bad in refused:
+            with pytest.raises(InvalidValueError):
+                sketch.update(bad)
+            for batch in ([bad], [5.0, bad], [bad, 5.0, 6.0]):
+                with pytest.raises(InvalidValueError):
+                    sketch.update_batch(np.array(batch))
+        assert dumps(sketch) == before
+        assert sketch.quantiles([0.1, 0.5, 0.9]) == answers
+        sketch._solution = None  # a re-solve reads the same state
+        assert sketch.quantiles([0.1, 0.5, 0.9]) == answers
+
+    @pytest.mark.parametrize("log_moments", [False, True])
+    def test_merge_refuses_origins_too_far_apart(self, log_moments):
+        """Origins ~1e26 apart: recentring raised a bare OverflowError."""
+        near = _filled({"log_moments": log_moments})
+        far = MomentsSketch(log_moments=log_moments)
+        far.update_batch(1e26 + np.linspace(0.0, 1e12, 64))
+        before = dumps(near), dumps(far)
+        for target, operand in ((near, far), (far, near)):
+            with pytest.raises(InvalidValueError):
+                target.merge(operand)
+        assert (dumps(near), dumps(far)) == before
+
+    @pytest.mark.parametrize(
+        "transform, lo, hi, origin",
+        [
+            ("none", -1e300, 1e300, 1.0), ("none", 0.0, 1e30, 1.0),
+            ("log", 0.0, 1e3, 0.0), ("arcsinh", -1e3, 1e3, 0.0),
+            # Answers past exp / sinh of the float range.
+            ("log", 995.0, 1e3, 995.0), ("arcsinh", 995.0, 1e3, 995.0),
+        ],
+    )
+    def test_a_decoded_range_past_the_float_range_raises_no_overflow(
+        self, transform, lo, hi, origin
+    ):
+        """Decoded bytes carry any range; a query answers within the
+        observed values or raises a ``SolverError``, never a bare
+        ``OverflowError``."""
+        sketch = _filled({"transform": transform})
+        sketch._t_min, sketch._t_max, sketch._origin = lo, hi, origin
+        decoded = loads(dumps(sketch))
+        with np.errstate(all="ignore"):
+            try:
+                answers = decoded.quantiles([0.01, 0.5, 0.99])
+            except SolverError:
+                return
+        assert all(1.0 <= a <= 50.0 for a in answers)
 
 
 class TestQueryMechanics:
@@ -442,6 +523,29 @@ class TestConstantTables:
             assert grid.tobytes() == fresh_grid.tobytes()
             assert basis.tobytes() == fresh.tobytes()
             assert basis.strides == fresh.strides  # same matmul layout
+
+    def test_weighted_table_equals_a_fresh_build(self):
+        """The trapezoid weights and the weighted Chebyshev table are
+        read-only, equal a fresh ``basis * weights`` byte for byte, and
+        every solve on one grid shares them."""
+        for grid_size, degree in ((1024, 24), (257, 5), (64, 20)):
+            grid, basis = chebyshev_grid(grid_size, degree)
+            weights = grid_weights(grid)
+            table = weighted_chebyshev_table(grid_size, degree)
+            assert not weights.flags.writeable
+            assert not table.flags.writeable
+            dx = grid[1] - grid[0]
+            fresh_weights = np.full(grid_size, dx)
+            fresh_weights[0] *= 0.5
+            fresh_weights[-1] *= 0.5
+            assert weights.tobytes() == fresh_weights.tobytes()
+            assert table.tobytes() == (basis * fresh_weights).tobytes()
+            assert grid_weights(chebyshev_grid(grid_size, 2)[0]) is weights
+            assert weighted_chebyshev_table(grid_size, degree) is table
+            assert (
+                chebyshev_moments_and_gram(grid_size, degree)
+                is chebyshev_moments_and_gram(grid_size, degree)
+            )
 
     def test_conversion_matches_the_uncached_loop(self):
         rng = np.random.default_rng(20230328)

@@ -21,6 +21,7 @@ from repro.service import (
     QuantileServer,
 )
 from repro.service import protocol
+from repro.service.registry import default_sketch_factory
 
 
 def make_registry(clock):
@@ -176,6 +177,33 @@ class TestErrors:
         server.flush()
         assert server.registry.get("m").count() == 3
         assert server.stats.snapshot()["error_responses"] == 0
+
+    def test_a_moments_tenant_refuses_a_value_it_cannot_hold(self):
+        """A Moments partition fed 1e26 after 64 values in 1..50 would
+        hold an infinite power sum.  Before, it took the value, and every
+        later ``quantile`` raised a bare ``OverflowError`` that dropped
+        the connection.  Now the drain counts the op as rejected and the
+        tenant answers as it did before it."""
+        clock = ManualClock(0.0)
+        registry = MetricRegistry(
+            sketch_factory=default_sketch_factory("moments"),
+            clock=clock,
+            partition_ms=1_000.0,
+            fine_partitions=100_000,
+        )
+        with QuantileServer(registry) as srv:
+            host, port = srv.address
+            with QuantileClient(host, port, timeout=5.0, retries=0) as cli:
+                cli.ingest("lat", np.linspace(1.0, 50.0, 64),
+                           timestamp_ms=0.0)
+                cli.flush()
+                before = cli.quantile("lat", 0.5)
+                errors = srv.stats.snapshot()["error_responses"]
+                cli.ingest("lat", [1e26], timestamp_ms=0.0)
+                cli.flush()
+                assert srv.stats.snapshot()["error_responses"] == errors + 1
+                assert cli.count("lat") == 64
+                assert cli.quantile("lat", 0.5) == before
 
     def test_invalid_quantile(self, client):
         client.ingest("lat", [1.0], timestamp_ms=0.0)
