@@ -17,17 +17,25 @@ the range contributes wholly).  Two caches sit under
 ``(version, range)`` key — the same
 cache-invalidation rule as :class:`~repro.parallel.ShardedSketch` — so
 repeated queries of an unchanged store never merge at all.  Behind it
-the store keeps one *prefix fold*: the oldest→newest fold of every
-covered partition except the newest fine one, which is where in-order
-writes land.  A query beside writes extends that fold over the
-partitions passed since, copies it and merges the newest partition in,
-instead of re-folding the range from an empty sketch.  KLL and REQ
-spend coin flips in ``merge``, so the fold is never re-associated: the
-prefix (generator state included) is exactly what a from-scratch fold
-holds at that point, and every answer stays byte-identical to one.
-Writes into a folded partition, compaction and partition adoption drop
-the prefix; it is touched only under the store lock and callers only
-ever see copies of it.
+the store folds a range in one canonical order that depends only on
+the partitions and the range: the covered coarse partitions, then the
+fine ones below the first ``coarse_factor`` boundary (the *head*), then
+one *chunk fold* per whole ``coarse_factor``-aligned chunk, then the
+fine ones from the last boundary on (the *tail*), and last the newest
+fine partition, where in-order writes land.  A chunk fold is the
+ascending fold of its partitions into an empty sketch — byte for byte
+the coarse partition compaction later makes of them — and is cached
+until a write, compaction or adoption touches it, so a slid window
+costs its head, its chunks and its tail instead of every partition.
+The fold of everything but the newest partition is kept as one
+*prefix*: a query whose order begins with it extends it in place,
+copies it and merges the newest partition in.  A sketch's merge bound
+does not depend on how its merges nest (KLL's holds under any merge
+tree: Karnin, Lang and Liberty), so the re-associated fold keeps the
+bound, and since the order depends on nothing but the partitions and
+the range, replicas holding the same partitions answer byte-identically.
+Chunks and prefix are touched only under the store lock, and callers
+only ever see copies of them.
 
 All time reads flow through the injected :class:`~repro.service.clock.Clock`;
 nothing here touches the wall clock directly, which is what makes two
@@ -99,8 +107,9 @@ class TimePartitionedStore:
         ``store.view_cache_hit`` (answered without a merge) against
         ``store.view_cache_miss``, and for the misses
         ``store.view_prefix_hit`` (the prefix fold was reused) against
-        ``store.view_prefix_rebuild`` plus the ``store.view_merges``
-        they performed.  Defaults to the disabled no-op instance.
+        ``store.view_prefix_rebuild``, the ``store.view_chunk_builds``
+        and the ``store.view_merges`` they performed (chunk builds
+        included).  Defaults to the disabled no-op instance.
     """
 
     def __init__(
@@ -150,11 +159,16 @@ class TimePartitionedStore:
         self._version = 0
         self._cached_key: tuple[int, float, float] | None = None
         self._cached_view: QuantileSketch | None = None
-        # Prefix fold: _prefix holds the coarse, then the fine
-        # partitions named by _prefix_ids, folded in that order.  None
-        # once dropped; the ids it had are then meaningless.
+        # Prefix fold: _prefix holds the sources named by
+        # _prefix_sources ((tier, id) pairs, see _fold_order), folded in
+        # that order; _prefix_top is the newest fine id among them.
+        # None once dropped; the names it had are then meaningless.
         self._prefix: QuantileSketch | None = None
-        self._prefix_ids: tuple[tuple[int, ...], list[int]] = ((), [])
+        self._prefix_sources: list[tuple[str, int]] = []
+        self._prefix_top: int | None = None
+        # Chunk folds by chunk id (fine id // coarse_factor): the
+        # ascending fold of that chunk's fine partitions.
+        self._chunks: dict[int, QuantileSketch] = {}
         self._digest_cache: tuple[int, dict[str, str]] | None = None
         self._events_recorded = 0
         self._dropped_late = 0
@@ -237,8 +251,9 @@ class TimePartitionedStore:
             self._fine[bucket_id] = bucket
             self._events_recorded += accepted
             self._version += 1
-            folded_fine = self._prefix_ids[1]
-            if folded_fine and bucket_id <= folded_fine[-1]:
+            self._chunks.pop(bucket_id // self.coarse_factor, None)
+            top = self._prefix_top
+            if top is not None and bucket_id <= top:
                 self._prefix = None
             return accepted
 
@@ -258,21 +273,35 @@ class TimePartitionedStore:
             self._compact_locked(now)
 
     def _compact_locked(self, now: float) -> None:
+        """Fold aged fine partitions into their coarse targets, then
+        drop what aged out of the coarse horizon.
+
+        A fine partition leaves the fine tier only once its merge has
+        succeeded: one its coarse target refuses (a Moments origin too
+        far from the target's) stays fine, still queried and
+        snapshotted, until its coarse id expires with the rest.
+        """
         changed = False
+        cf = self.coarse_factor
         fine_keep = int(
             math.floor((now - self.fine_horizon_ms) / self.partition_ms)
         )
         for bucket_id in sorted(self._fine):
             if bucket_id >= fine_keep:
                 break
-            sketch = self._fine.pop(bucket_id)
+            sketch = self._fine[bucket_id]
             if not sketch.is_empty:
-                coarse_id = bucket_id // self.coarse_factor
+                coarse_id = bucket_id // cf
                 target = self._coarse.get(coarse_id)
                 if target is None:
                     target = self._view_factory()
-                    self._coarse[coarse_id] = target
-                _merge_into(target, sketch)
+                try:
+                    _merge_into(target, sketch)
+                except InvalidValueError:
+                    continue
+                self._coarse[coarse_id] = target
+            del self._fine[bucket_id]
+            self._chunks.pop(bucket_id // cf, None)
             changed = True
         coarse_keep = int(
             math.floor((now - self.coarse_horizon_ms) / self.coarse_ms)
@@ -282,6 +311,13 @@ class TimePartitionedStore:
                 break
             expired = self._coarse.pop(coarse_id)
             self._events_expired += expired.count
+            changed = True
+        # What is still below fine_keep was refused by its target.
+        for bucket_id in sorted(self._fine):
+            if bucket_id >= fine_keep or bucket_id // cf >= coarse_keep:
+                break
+            self._events_expired += self._fine.pop(bucket_id).count
+            self._chunks.pop(bucket_id // cf, None)
             changed = True
         if changed:
             self._version += 1
@@ -324,8 +360,9 @@ class TimePartitionedStore:
         The view is cached under the store version and the quantised
         range, so repeated queries of an unchanged store return the
         same object without re-merging.  Any other query folds the
-        covered partitions oldest to newest — coarse, then fine —
-        through :meth:`_fold_locked`.  Raises
+        covered partitions in the canonical order of :meth:`_fold_order`
+        — coarse, head, chunk folds, tail, newest — through
+        :meth:`_fold_locked`.  Raises
         :class:`~repro.errors.EmptySketchError` when no retained data
         falls in the range.
         """
@@ -356,51 +393,96 @@ class TimePartitionedStore:
             self._cached_key = key
             return view
 
+    def _fold_order(
+        self, coarse_ids: tuple[int, ...], sealed: list[int]
+    ) -> list[tuple[str, int]]:
+        """The canonical fold order of a range, the newest partition
+        aside: ``("c", id)`` per covered coarse partition, then
+        ``("f", id)`` per head partition, ``("k", chunk id)`` per whole
+        chunk and ``("f", id)`` per tail partition.
+
+        *sealed* are the covered fine ids below the newest, ascending.
+        The head ends at the first ``coarse_factor`` boundary at or
+        above the lowest of them, the tail starts at the last boundary
+        at or below one past the highest, and every chunk between is
+        whole.  Nothing depends on what was folded before, so replicas
+        holding the same partitions fold a range alike.  With
+        ``coarse_factor == 1`` there are no chunks.
+        """
+        order = [("c", coarse_id) for coarse_id in coarse_ids]
+        if not sealed:
+            return order
+        cf = self.coarse_factor
+        first = -(-sealed[0] // cf) * cf
+        tail_start = (
+            max(first, (sealed[-1] + 1) // cf * cf) if cf > 1 else first
+        )
+        chunk = None
+        for bucket_id in sealed:
+            if first <= bucket_id < tail_start:
+                if bucket_id // cf != chunk:
+                    chunk = bucket_id // cf
+                    order.append(("k", chunk))
+            else:
+                order.append(("f", bucket_id))
+        return order
+
+    def _build_chunk_locked(self, chunk_id: int) -> int:
+        """Cache the fold of chunk *chunk_id*'s fine partitions, in
+        ascending order into an empty sketch; the merges it took."""
+        chunk = self._view_factory()
+        merges = 0
+        cf = self.coarse_factor
+        for bucket_id in range(chunk_id * cf, (chunk_id + 1) * cf):
+            part = self._fine.get(bucket_id)
+            if part is not None:
+                merges += _merge_into(chunk, part)
+        self._chunks[chunk_id] = chunk
+        return merges
+
     def _fold_locked(
         self, coarse_ids: tuple[int, ...], fine_ids: list[int]
     ) -> QuantileSketch:
         """Fold the covered partitions; the caller owns the result.
 
-        The prefix — every covered partition but the newest fine one —
-        is kept between calls.  It serves this query if the partitions
-        it folded are the ones this fold begins with: the same coarse
-        partitions, then the same oldest fine ones.  It is then
-        extended, in place, over the fine partitions passed since;
-        otherwise (the range's lower edge moved past a folded
-        partition, or the range ends before the prefix does) it is
-        folded afresh.  The answer is a copy of the prefix with the
-        newest partition merged in, which is step for step the fold
-        from an empty sketch.
+        The prefix — the fold of every covered source but the newest
+        fine partition, in :meth:`_fold_order` — is kept between calls.
+        It serves this query if the sources it folded are the ones this
+        order begins with (an empty prefix begins every order of its
+        coarse partitions); it is then extended, in place, over the
+        sources that follow.  Otherwise (the range's lower edge moved,
+        a chunk formed, or the range ends before the prefix does) it
+        is folded afresh from the same order, cached chunk folds
+        included.  The answer is a copy of the prefix with the newest
+        partition merged in.
         """
         newest = fine_ids.pop() if fine_ids else None
+        order = self._fold_order(coarse_ids, fine_ids)
         # Out of its slot while it is mutated: a merge that raises
         # leaves no half-extended prefix behind.
         prefix, self._prefix = self._prefix, None
-        folded_coarse, folded_fine = self._prefix_ids
-        if (
-            prefix is not None
-            and folded_coarse == coarse_ids
-            and fine_ids[:len(folded_fine)] == folded_fine
-        ):
+        folded = self._prefix_sources
+        if prefix is not None and order[:len(folded)] == folded:
             self.telemetry.counter("store.view_prefix_hit").inc()
-            sources = [
-                self._fine[bucket_id]
-                for bucket_id in fine_ids[len(folded_fine):]
-            ]
+            pending = order[len(folded):]
         else:
             self.telemetry.counter("store.view_prefix_rebuild").inc()
             prefix = self._view_factory()
-            sources = [
-                self._coarse[coarse_id] for coarse_id in coarse_ids
-            ] + [self._fine[bucket_id] for bucket_id in fine_ids]
-        merges = 0
-        for source in sources:
-            merges += _merge_into(prefix, source)
+            pending = order
+        tiers = {"c": self._coarse, "f": self._fine, "k": self._chunks}
+        merges = built = 0
+        for tier, ident in pending:
+            if tier == "k" and ident not in self._chunks:
+                merges += self._build_chunk_locked(ident)
+                built += 1
+            merges += _merge_into(prefix, tiers[tier][ident])
         view = prefix.copy()
         if newest is not None:
             merges += _merge_into(view, self._fine[newest])
         self._prefix = prefix
-        self._prefix_ids = (coarse_ids, fine_ids)
+        self._prefix_sources = order
+        self._prefix_top = fine_ids[-1] if fine_ids else None
+        self.telemetry.counter("store.view_chunk_builds").inc(built)
         self.telemetry.counter("store.view_merges").inc(merges)
         return view
 
@@ -639,6 +721,7 @@ class TimePartitionedStore:
                 self._cached_view = None
                 self._cached_key = None
                 self._prefix = None
+                self._chunks.clear()
             return changed
 
     # ------------------------------------------------------------------

@@ -147,6 +147,8 @@ def test_query_instrument_calls_do_not_scale_with_partitions():
         ("counter.inc", "store.view_prefix_rebuild"): 1,
         ("counter", "store.view_prefix_hit"): 1,
         ("counter.inc", "store.view_prefix_hit"): 1,
+        ("counter", "store.view_chunk_builds"): 2,
+        ("counter.inc", "store.view_chunk_builds"): 2,
         ("counter", "store.view_merges"): 2,
         ("counter.inc", "store.view_merges"): 2,
     }

@@ -5,7 +5,7 @@ import functools
 import numpy as np
 import pytest
 
-from repro.core import DDSketch, paper_config
+from repro.core import DDSketch, MomentsSketch, paper_config
 from repro.core.registry import SKETCH_CLASSES
 from repro.core.serialization import dumps
 from repro.errors import (
@@ -255,6 +255,36 @@ class TestRetention:
         # No explicit compact(): the next record enforces retention.
         store.record(1.0)
         assert store.events_expired == 40
+
+    def test_a_refused_compaction_merge_keeps_the_partition(self):
+        """A fine partition its coarse target refuses (Moments origins
+        1e26 apart) stays fine, queried and snapshotted, until its
+        coarse id expires; the record that triggered compaction is
+        applied."""
+        clock = ManualClock(0.0)
+        store = TimePartitionedStore(
+            MomentsSketch, clock=clock, partition_ms=1_000.0,
+            fine_partitions=4, coarse_factor=2, coarse_partitions=24,
+        )
+        store.record_batch(np.linspace(1.0, 50.0, 64), timestamp_ms=0.0)
+        clock.set_time(1_000.0)
+        store.record_batch(1e26 + np.arange(64) * 1e12, timestamp_ms=1_000.0)
+        clock.set_time(10_000.0)
+        assert store.record_batch([3.0], timestamp_ms=10_000.0) == 1
+        assert store.count() == store.events_recorded == 129
+        assert (store.num_fine_partitions, store.num_coarse_partitions) == (
+            2, 1)
+        with pytest.raises(InvalidValueError):
+            store.merged()  # never a partial fold
+        assert store.merged(5_000.0, None).count == 1
+        snapshot = store.snapshot()
+        restored = TimePartitionedStore.restore(
+            snapshot, MomentsSketch, clock=clock)
+        assert restored.snapshot() == snapshot
+        clock.set_time(53_000.0)  # coarse id 0 leaves the 48 s horizon
+        store.compact()
+        assert store.events_expired == 128
+        assert store.count() == 1
 
     def test_memory_stays_bounded(self, rng):
         clock = ManualClock(0.0)
