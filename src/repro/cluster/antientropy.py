@@ -31,12 +31,12 @@ from __future__ import annotations
 from typing import Any
 
 from repro.cluster.transport import ClusterTransport
-from repro.errors import (
-    InvalidValueError,
-    ServiceError,
-    ServiceUnavailableError,
-)
+from repro.errors import ServiceError, ServiceUnavailableError
 from repro.service.registry import MetricKey
+
+#: Gossip cadence on the node's injected clock; a tick before it
+#: elapses is a no-op.
+INTERVAL_MS = 1_000.0
 
 
 def _diff_items(
@@ -129,32 +129,18 @@ def reconcile_with_peer(
 class AntiEntropyRunner:
     """Tick-driven gossip rounds for one node."""
 
-    def __init__(
-        self,
-        node: Any,
-        transport: ClusterTransport,
-        interval_ms: float = 1_000.0,
-    ) -> None:
-        if interval_ms <= 0:
-            raise InvalidValueError(
-                f"interval_ms must be > 0, got {interval_ms!r}"
-            )
+    def __init__(self, node: Any, transport: ClusterTransport) -> None:
         self.node = node
         self.transport = transport
-        self.interval_ms = float(interval_ms)
         self._next_due: float | None = None
         self._round = 0
 
-    def tick(self, now_ms: float | None = None) -> int:
+    def tick(self) -> int:
         """Run one gossip round if due; returns partitions adopted."""
-        now = (
-            self.node._cluster_clock.now_ms()
-            if now_ms is None
-            else float(now_ms)
-        )
+        now = self.node._cluster_clock.now_ms()
         if self._next_due is not None and now < self._next_due:
             return 0
-        self._next_due = now + self.interval_ms
+        self._next_due = now + INTERVAL_MS
         view = self.node.current_view()
         for node_id, status in view.nodes.items():
             self.transport.set_address(node_id, *status.address)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.cluster.antientropy import AntiEntropyRunner
 from repro.cluster.netfault import NetworkFaultInjector
@@ -37,7 +37,6 @@ from repro.cluster.replication import ReplicationRunner
 from repro.cluster.ring import HashRing
 from repro.cluster.supervisor import ClusterSupervisor
 from repro.cluster.transport import ClusterTransport
-from repro.core.base import QuantileSketch
 from repro.errors import InvalidValueError
 from repro.obs.telemetry import Telemetry
 from repro.service.client import QuantileClient
@@ -61,8 +60,8 @@ class LocalCluster:
     fault:
         Shared :class:`~repro.cluster.netfault.NetworkFaultInjector`;
         a quiet one (no faults) when omitted.
-    replication_factor / sketch_factory / geometry kwargs:
-        Passed to every node identically.
+    replication_factor:
+        Passed to every node and the proxy identically.
     """
 
     def __init__(
@@ -73,18 +72,6 @@ class LocalCluster:
         fault: NetworkFaultInjector | None = None,
         seed: int = 2023,
         replication_factor: int | None = None,
-        sketch_factory: Callable[[], QuantileSketch] | None = None,
-        partition_ms: float = 1_000.0,
-        fine_partitions: int = 60,
-        coarse_factor: int = 8,
-        coarse_partitions: int = 24,
-        checkpoint_interval_ms: float = 0.0,
-        heartbeat_interval_ms: float = 500.0,
-        failure_timeout_ms: float = 1_500.0,
-        repl_interval_ms: float = 200.0,
-        ae_interval_ms: float = 1_000.0,
-        staleness_ms: float = 5_000.0,
-        max_lag_records: int = 0,
         prefer_followers: bool = False,
         proxy_port: int = 0,
         telemetry: Telemetry | None = None,
@@ -105,17 +92,6 @@ class LocalCluster:
         self.node_ids = [f"n{index}" for index in range(int(n_nodes))]
         self.ring = HashRing(self.node_ids)
         self.replication_factor = replication_factor
-        self._node_config = {
-            "replication_factor": replication_factor,
-            "sketch_factory": sketch_factory,
-            "partition_ms": partition_ms,
-            "fine_partitions": fine_partitions,
-            "coarse_factor": coarse_factor,
-            "coarse_partitions": coarse_partitions,
-            "checkpoint_interval_ms": checkpoint_interval_ms,
-        }
-        self._repl_interval_ms = float(repl_interval_ms)
-        self._ae_interval_ms = float(ae_interval_ms)
         self.nodes: dict[str, ClusterNode] = {}
         self._repl: dict[str, ReplicationRunner] = {}
         self._ae: dict[str, AntiEntropyRunner] = {}
@@ -130,8 +106,6 @@ class LocalCluster:
                 telemetry=self.telemetry,
             ),
             clock=self.clock,
-            heartbeat_interval_ms=heartbeat_interval_ms,
-            failure_timeout_ms=failure_timeout_ms,
             telemetry=self.telemetry,
         )
         self.proxy = RoutingProxy(
@@ -144,8 +118,6 @@ class LocalCluster:
             ),
             clock=self.clock,
             replication_factor=replication_factor,
-            staleness_ms=staleness_ms,
-            max_lag_records=max_lag_records,
             prefer_followers=prefer_followers,
             port=int(proxy_port),
             telemetry=self.telemetry,
@@ -158,8 +130,8 @@ class LocalCluster:
             self.ring,
             self.base_dir / node_id,
             clock=self.clock,
+            replication_factor=self.replication_factor,
             telemetry=self.telemetry,
-            **self._node_config,
         )
         self.nodes[node_id] = node
         transport = ClusterTransport(
@@ -168,12 +140,8 @@ class LocalCluster:
             fault=self.fault,
             telemetry=self.telemetry,
         )
-        self._repl[node_id] = ReplicationRunner(
-            node, transport, interval_ms=self._repl_interval_ms
-        )
-        self._ae[node_id] = AntiEntropyRunner(
-            node, transport, interval_ms=self._ae_interval_ms
-        )
+        self._repl[node_id] = ReplicationRunner(node, transport)
+        self._ae[node_id] = AntiEntropyRunner(node, transport)
         return node
 
     # ------------------------------------------------------------------

@@ -157,15 +157,10 @@ class ClusterNode(QuantileServer):
         factor, gossip adoption no longer advances pull cursors for
         keys only this node replicates — see
         :meth:`reconcile_origin`.
-    sketch_factory / partition_ms / fine_partitions / coarse_factor /
-    coarse_partitions:
-        Registry geometry, identical on every node (bit-identical
-        convergence requires identical bucketing decisions).
-    checkpoint_interval_ms:
-        Own-WAL checkpoint cadence; ``0`` disables cadence (peers can
-        then always catch up by tailing, never needing snapshots).
-    fault:
-        Crash-injection hook passed to the durability layer.
+    sketch_factory / partition_ms:
+        Registry sketch and partition width, identical on every node
+        (bit-identical convergence requires identical bucketing
+        decisions); the tier counts are the registry's own defaults.
     """
 
     def __init__(
@@ -177,14 +172,9 @@ class ClusterNode(QuantileServer):
         replication_factor: int | None = None,
         sketch_factory: Callable[[], QuantileSketch] | None = None,
         partition_ms: float = 1_000.0,
-        fine_partitions: int = 60,
-        coarse_factor: int = 8,
-        coarse_partitions: int = 24,
-        checkpoint_interval_ms: float = 0.0,
         host: str = "127.0.0.1",
         port: int = 0,
         telemetry: Telemetry | None = None,
-        fault: Callable[[str], None] | None = None,
     ) -> None:
         if node_id not in ring:
             raise InvalidValueError(
@@ -206,17 +196,12 @@ class ClusterNode(QuantileServer):
         )
         self._cluster_clock = clock
         self._sketch_factory = sketch_factory
-        self._geometry = {
-            "partition_ms": float(partition_ms),
-            "fine_partitions": int(fine_partitions),
-            "coarse_factor": int(coarse_factor),
-            "coarse_partitions": int(coarse_partitions),
-        }
+        self._partition_ms = float(partition_ms)
         registry = MetricRegistry(
             sketch_factory,
             clock=clock,
+            partition_ms=self._partition_ms,
             telemetry=telemetry,
-            **self._geometry,
         )
         # Guards the origin map, applied watermarks and installed view.
         # Ordered before registry/store locks, never nested with the
@@ -225,12 +210,14 @@ class ClusterNode(QuantileServer):
         self._origins: dict[str, MetricRegistry] = {node_id: registry}
         self._applied: dict[str, int] = {}
         self._view: MembershipView = EMPTY_VIEW
+        # No checkpoint cadence (the manager's default is 60 s): an
+        # untruncated WAL lets every peer catch up by tailing it,
+        # never needing a snapshot.
         durability = DurabilityManager(
             data_dir,
             clock=clock,
-            checkpoint_interval_ms=checkpoint_interval_ms,
+            checkpoint_interval_ms=0.0,
             telemetry=telemetry,
-            fault=fault,
         )
         super().__init__(
             registry=registry,
@@ -416,8 +403,8 @@ class ClusterNode(QuantileServer):
             registry = MetricRegistry(
                 self._sketch_factory,
                 clock=self._cluster_clock,
+                partition_ms=self._partition_ms,
                 telemetry=self.telemetry,
-                **self._geometry,
             )
             self._origins[origin] = registry
         return registry

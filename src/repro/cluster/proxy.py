@@ -14,10 +14,10 @@ hash ring:
 * **replica** ops (keyed reads) prefer the leader but may fall to a
   follower inside the key's replica set when the follower is
   *fresh*: its applied frontier, as of the last heartbeat, trails no
-  alive origin by more than ``max_lag_records``, and the view itself
-  is younger than ``staleness_ms``.  That pair is the staleness bound:
-  every follower read is backed by evidence at most ``staleness_ms``
-  old that the follower was at most ``max_lag_records`` behind.
+  alive origin by more than ``MAX_LAG_RECORDS``, and the view itself
+  is younger than ``STALENESS_MS``.  That pair is the staleness bound:
+  every follower read is backed by evidence at most ``STALENESS_MS``
+  old that the follower was at most ``MAX_LAG_RECORDS`` behind.
 * **all** ops go to every alive node; the row's ``combine`` folds
   the answers into one.
 
@@ -34,11 +34,19 @@ from typing import Any
 from repro.cluster.membership import EMPTY_VIEW, MembershipView
 from repro.cluster.ring import HashRing
 from repro.cluster.transport import ClusterTransport
-from repro.errors import InvalidValueError, ServiceError
+from repro.errors import ServiceError
 from repro.obs.telemetry import NOOP, Telemetry
 from repro.service import ops, protocol
 from repro.service.clock import Clock, SystemClock
 from repro.service.frontend import TCPFrontEnd
+
+#: Maximum age of the membership view that may justify a follower
+#: read; an older view forces leader-only routing.
+STALENESS_MS = 5_000.0
+#: Maximum per-origin replication lag (in WAL records, as of the last
+#: heartbeat) a follower may carry and still serve reads: ``0``
+#: demands fully caught-up followers.
+MAX_LAG_RECORDS = 0
 
 
 class RoutingProxy:
@@ -50,13 +58,6 @@ class RoutingProxy:
         The shared key-ownership map (must match the nodes').
     transport:
         Fault-injected channel to the nodes.
-    staleness_ms:
-        Maximum age of the membership view that may justify a follower
-        read; an older view forces leader-only routing.
-    max_lag_records:
-        Maximum per-origin replication lag (in WAL records, as of the
-        last heartbeat) a follower may carry and still serve reads.
-        ``0`` demands fully-caught-up followers.
     prefer_followers:
         Route reads to eligible followers before the leader — spreads
         query load across replicas (the deterministic choice is the
@@ -69,27 +70,15 @@ class RoutingProxy:
         transport: ClusterTransport,
         clock: Clock | None = None,
         replication_factor: int | None = None,
-        staleness_ms: float = 5_000.0,
-        max_lag_records: int = 0,
         prefer_followers: bool = False,
         host: str = "127.0.0.1",
         port: int = 0,
         telemetry: Telemetry | None = None,
     ) -> None:
-        if staleness_ms <= 0:
-            raise InvalidValueError(
-                f"staleness_ms must be > 0, got {staleness_ms!r}"
-            )
-        if max_lag_records < 0:
-            raise InvalidValueError(
-                f"max_lag_records must be >= 0, got {max_lag_records!r}"
-            )
         self.ring = ring
         self.transport = transport
         self._clock = clock if clock is not None else SystemClock()
         self.replication_factor = replication_factor
-        self.staleness_ms = float(staleness_ms)
-        self.max_lag_records = int(max_lag_records)
         self.prefer_followers = bool(prefer_followers)
         self.telemetry = telemetry if telemetry is not None else NOOP
         self._front = TCPFrontEnd(host, port)
@@ -234,7 +223,7 @@ class RoutingProxy:
         """Followers of *key* eligible under the staleness bound."""
         if view_at is None:
             return []
-        if self._clock.now_ms() - view_at > self.staleness_ms:
+        if self._clock.now_ms() - view_at > STALENESS_MS:
             self.telemetry.counter("proxy.stale_view_reads").inc()
             return []
         owners = self.ring.owners(key, self.replication_factor)
@@ -250,7 +239,7 @@ class RoutingProxy:
             and all(
                 status.wal_watermark
                 - int(alive[follower].frontier.get(origin, 0))
-                <= self.max_lag_records
+                <= MAX_LAG_RECORDS
                 for origin, status in alive.items()
                 if origin != follower
             )

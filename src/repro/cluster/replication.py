@@ -27,11 +27,14 @@ from __future__ import annotations
 from repro.cluster.antientropy import reconcile_with_peer
 from repro.cluster.node import ClusterNode
 from repro.cluster.transport import ClusterTransport
-from repro.errors import (
-    InvalidValueError,
-    ServiceError,
-    ServiceUnavailableError,
-)
+from repro.errors import ServiceError, ServiceUnavailableError
+
+#: Cadence on the node's injected clock; a tick before it elapses is a
+#: no-op, so callers may tick as often as they like.
+INTERVAL_MS = 200.0
+#: Per-pull record cap (one pull may need several ticks to catch up a
+#: long suffix: bounded work per tick, no unbounded frame).
+MAX_RECORDS = 512
 
 
 class ReplicationRunner:
@@ -41,30 +44,13 @@ class ReplicationRunner:
     ----------
     node / transport:
         The owning node and its fault-injected transport.
-    interval_ms:
-        Cadence on the node's injected clock; a tick before the
-        interval elapses is a no-op, so callers may tick as often as
-        they like.
-    max_records:
-        Per-pull record cap (one pull may need several ticks to catch
-        up a long suffix — bounded work per tick, no unbounded frame).
     """
 
     def __init__(
-        self,
-        node: ClusterNode,
-        transport: ClusterTransport,
-        interval_ms: float = 200.0,
-        max_records: int = 512,
+        self, node: ClusterNode, transport: ClusterTransport
     ) -> None:
-        if interval_ms <= 0:
-            raise InvalidValueError(
-                f"interval_ms must be > 0, got {interval_ms!r}"
-            )
         self.node = node
         self.transport = transport
-        self.interval_ms = float(interval_ms)
-        self.max_records = int(max_records)
         self._next_due: float | None = None
 
     def _sync_addresses(self) -> None:
@@ -72,16 +58,12 @@ class ReplicationRunner:
         for node_id, status in view.nodes.items():
             self.transport.set_address(node_id, *status.address)
 
-    def tick(self, now_ms: float | None = None) -> int:
+    def tick(self) -> int:
         """Run one replication round if due; returns records applied."""
-        now = (
-            self.node._cluster_clock.now_ms()
-            if now_ms is None
-            else float(now_ms)
-        )
+        now = self.node._cluster_clock.now_ms()
         if self._next_due is not None and now < self._next_due:
             return 0
-        self._next_due = now + self.interval_ms
+        self._next_due = now + INTERVAL_MS
         self._sync_addresses()
         view = self.node.current_view()
         applied = 0
@@ -101,7 +83,7 @@ class ReplicationRunner:
                     "op": "repl_pull",
                     "after": cursor,
                     "peer": self.node.node_id,
-                    "max_records": self.max_records,
+                    "max_records": MAX_RECORDS,
                 },
             )
         except (ServiceUnavailableError, ServiceError):

@@ -10,7 +10,7 @@ tests never need it).  On each due tick it:
    exchange and humans use, so a node the supervisor can see is a node
    replication can use;
 2. marks nodes dead when they have not answered within
-   ``failure_timeout_ms`` on the injected clock (tests drive this with
+   ``FAILURE_TIMEOUT_MS`` on the injected clock (tests drive this with
    a :class:`~repro.service.clock.ManualClock` and never sleep);
 3. publishes an epoch-numbered :class:`MembershipView` to every alive
    node (``cluster_view`` op) and to in-process listeners (the routing
@@ -31,13 +31,15 @@ from typing import Callable
 
 from repro.cluster.membership import MembershipView, NodeStatus
 from repro.cluster.transport import ClusterTransport
-from repro.errors import (
-    InvalidValueError,
-    ServiceError,
-    ServiceUnavailableError,
-)
+from repro.errors import ServiceError, ServiceUnavailableError
 from repro.obs.telemetry import NOOP, Telemetry
 from repro.service.clock import Clock, SystemClock
+
+#: Heartbeat cadence on the injected clock; a tick before it elapses
+#: is a no-op.
+HEARTBEAT_INTERVAL_MS = 500.0
+#: A node unheard-from for longer than this is marked dead.
+FAILURE_TIMEOUT_MS = 1_500.0
 
 
 class ClusterSupervisor:
@@ -47,20 +49,10 @@ class ClusterSupervisor:
         self,
         transport: ClusterTransport,
         clock: Clock | None = None,
-        heartbeat_interval_ms: float = 500.0,
-        failure_timeout_ms: float = 1_500.0,
         telemetry: Telemetry | None = None,
     ) -> None:
-        if heartbeat_interval_ms <= 0 or failure_timeout_ms <= 0:
-            raise InvalidValueError(
-                "heartbeat_interval_ms and failure_timeout_ms must be "
-                f"> 0, got {heartbeat_interval_ms!r} / "
-                f"{failure_timeout_ms!r}"
-            )
         self.transport = transport
         self._clock = clock if clock is not None else SystemClock()
-        self.heartbeat_interval_ms = float(heartbeat_interval_ms)
-        self.failure_timeout_ms = float(failure_timeout_ms)
         self.telemetry = telemetry if telemetry is not None else NOOP
         # Guards registration and the published view; never held
         # across a network call (node lists are copied out first).
@@ -101,13 +93,13 @@ class ClusterSupervisor:
     # Heartbeat loop
     # ------------------------------------------------------------------
 
-    def tick(self, now_ms: float | None = None) -> MembershipView | None:
+    def tick(self) -> MembershipView | None:
         """Heartbeat if due; returns the new view when one was built."""
-        now = self._clock.now_ms() if now_ms is None else float(now_ms)
+        now = self._clock.now_ms()
         with self._lock:
             if self._next_due is not None and now < self._next_due:
                 return None
-            self._next_due = now + self.heartbeat_interval_ms
+            self._next_due = now + HEARTBEAT_INTERVAL_MS
         return self.heartbeat(now)
 
     def heartbeat(self, now_ms: float | None = None) -> MembershipView:
@@ -148,7 +140,7 @@ class ClusterSupervisor:
                 last_ok = self._last_ok.get(node_id)
                 alive = (
                     last_ok is not None
-                    and now - last_ok <= self.failure_timeout_ms
+                    and now - last_ok <= FAILURE_TIMEOUT_MS
                 )
                 info = self._info.get(node_id, {})
                 nodes[node_id] = NodeStatus(

@@ -32,6 +32,9 @@ from repro.obs.telemetry import NOOP, Telemetry
 from repro.service.client import QuantileClient
 from repro.service.clock import Clock, SystemClock
 
+#: Socket timeout per request, seconds.
+TIMEOUT_S = 5.0
+
 
 class ClusterTransport:
     """Node-id-addressed request channel for one cluster component.
@@ -46,8 +49,6 @@ class ClusterTransport:
         fault delays; a manual clock keeps fault tests sleep-free.
     fault:
         Optional :class:`~repro.cluster.netfault.NetworkFaultInjector`.
-    timeout:
-        Socket timeout per request, seconds.
     """
 
     def __init__(
@@ -55,13 +56,11 @@ class ClusterTransport:
         local_id: str,
         clock: Clock | None = None,
         fault: NetworkFaultInjector | None = None,
-        timeout: float = 5.0,
         telemetry: Telemetry | None = None,
     ) -> None:
         self.local_id = str(local_id)
         self._clock = clock if clock is not None else SystemClock()
         self._fault = fault
-        self._timeout = float(timeout)
         self.telemetry = telemetry if telemetry is not None else NOOP
         self._addresses: dict[str, tuple[str, int]] = {}
         self._address_lock = threading.Lock()
@@ -99,7 +98,7 @@ class ClusterTransport:
         client = QuantileClient(
             address[0],
             address[1],
-            timeout=self._timeout,
+            timeout=TIMEOUT_S,
             retries=0,
             clock=self._clock,
         )

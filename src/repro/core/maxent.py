@@ -37,6 +37,7 @@ from repro.errors import SolverError
 #: Default quadrature grid resolution (msketch uses 1024).
 DEFAULT_GRID_SIZE = 1024
 
+#: Newton iteration budget and gradient-norm convergence threshold.
 DEFAULT_MAX_ITERATIONS = 200
 DEFAULT_TOLERANCE = 1e-9
 
@@ -198,19 +199,10 @@ class MaxEntropySolver:
     grid_size:
         Number of quadrature points on [-1, 1].  Larger grids increase
         accuracy and query cost (the trade-off Sec 4.5.5 mentions).
-    max_iterations, tolerance:
-        Newton iteration budget and gradient-norm convergence threshold.
     """
 
-    def __init__(
-        self,
-        grid_size: int = DEFAULT_GRID_SIZE,
-        max_iterations: int = DEFAULT_MAX_ITERATIONS,
-        tolerance: float = DEFAULT_TOLERANCE,
-    ) -> None:
+    def __init__(self, grid_size: int = DEFAULT_GRID_SIZE) -> None:
         self.grid_size = int(grid_size)
-        self.max_iterations = int(max_iterations)
-        self.tolerance = float(tolerance)
 
     def solve(self, chebyshev_moments: np.ndarray) -> MaxEntSolution:
         """Fit a density matching *chebyshev_moments* on [-1, 1].
@@ -317,14 +309,14 @@ class MaxEntropySolver:
             best_theta, best_unnorm = theta, unnorm
             best_grad_norm = np.inf
             iterations = 0
-            for iterations in range(1, self.max_iterations + 1):
+            for iterations in range(1, DEFAULT_MAX_ITERATIONS + 1):
                 expectations, hessian = moments_and_gram(unnorm, scale)
                 grad = expectations[:k] - m
                 grad_norm = float(np.maximum.reduce(np.abs(grad)))
                 if grad_norm < best_grad_norm:
                     best_grad_norm = grad_norm
                     best_theta, best_unnorm = theta, unnorm
-                if grad_norm < self.tolerance:
+                if grad_norm < DEFAULT_TOLERANCE:
                     break
                 step = self._newton_step(hessian, grad)
                 # Backtracking line search on the convex dual: the first

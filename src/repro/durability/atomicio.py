@@ -83,10 +83,8 @@ def atomic_write_bytes(
 def atomic_write_text(
     path: str | Path,
     text: str,
-    encoding: str = "utf-8",
     durable: bool = True,
 ) -> Path:
-    """Atomically publish *text* at *path*; returns the path."""
-    return atomic_write_bytes(
-        path, text.encode(encoding), durable=durable
-    )
+    """Atomically publish *text*, UTF-8 encoded, at *path*; returns the
+    path."""
+    return atomic_write_bytes(path, text.encode("utf-8"), durable=durable)

@@ -146,11 +146,9 @@ class DurabilityManager:
     checkpoint_interval_ms:
         Clock time between automatic checkpoints (what
         :meth:`checkpoint_due` measures); ``0`` disables cadence, so
-        checkpoints happen only when forced.
-    segment_max_bytes:
-        WAL segment rotation threshold.
-    keep_checkpoints:
-        Checkpoint files retained after each write.
+        checkpoints happen only when forced.  The WAL's segment size
+        and the checkpoints kept are the log's and the checkpointer's
+        own defaults.
     telemetry:
         Observability sink shared with the WAL and checkpointer.
     fault:
@@ -163,8 +161,6 @@ class DurabilityManager:
         clock: Clock | None = None,
         flush_policy: FlushPolicy | None = None,
         checkpoint_interval_ms: float = 60_000.0,
-        segment_max_bytes: int = 64 * 1024 * 1024,
-        keep_checkpoints: int = 2,
         telemetry: Telemetry | None = None,
         fault: Callable[[str], None] | None = None,
     ) -> None:
@@ -181,13 +177,11 @@ class DurabilityManager:
         self.wal = WriteAheadLog(
             self.data_dir,
             flush_policy=flush_policy,
-            segment_max_bytes=segment_max_bytes,
             telemetry=self.telemetry,
             fault=self._fault,
         )
         self.checkpointer = Checkpointer(
             self.data_dir,
-            keep=keep_checkpoints,
             telemetry=self.telemetry,
             fault=self._fault,
         )
@@ -343,7 +337,7 @@ class DurabilityManager:
 
 
 def read_wal_records(
-    data_dir: str | Path, after_seq: int = 0
+    data_dir: str | Path,
 ) -> "Iterator[tuple[int, IngestOp]]":
     """Read-only scan of a WAL directory: yields ``(seq, op)``.
 
@@ -356,5 +350,5 @@ def read_wal_records(
     cannot support (they pin the sketch config) but raw records can.
     """
     wal = WriteAheadLog(Path(data_dir))
-    for seq, payload in wal.replay(after_seq=after_seq):
+    for seq, payload in wal.replay():
         yield seq, decode_record(payload, seq)

@@ -109,7 +109,6 @@ def run_accuracy(
     scale: ExperimentScale | None = None,
     delay_mean_ms: float | None = None,
     window_size_ms: float | None = None,
-    quantiles: tuple[float, ...] | None = None,
 ) -> AccuracyResult:
     """Run the Fig 6 accuracy methodology on one data set.
 
@@ -120,7 +119,7 @@ def run_accuracy(
     """
     scale = scale or current_scale()
     window_ms = window_size_ms or scale.window_size_ms
-    qs = quantiles or scale.quantiles
+    qs = scale.quantiles
     dataset_name, distribution = _resolve_dataset(dataset)
 
     per_run_errors: dict[str, dict[float, list[float]]] = {

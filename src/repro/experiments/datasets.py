@@ -17,6 +17,9 @@ from repro.experiments.config import BASE_SEED, ExperimentScale, current_scale
 from repro.experiments.reporting import format_table
 from repro.metrics.stats import summarize
 
+#: Histogram bins per profiled data set.
+PROFILE_BINS = 60
+
 
 @dataclass
 class DatasetProfile:
@@ -44,9 +47,9 @@ class DatasetProfile:
 
 def profile_datasets(
     scale: ExperimentScale | None = None,
-    bins: int = 60,
 ) -> dict[str, DatasetProfile]:
-    """Profile the four accuracy data sets at the current scale."""
+    """Profile the four accuracy data sets at the current scale, each
+    as a :data:`PROFILE_BINS`-bin histogram."""
     scale = scale or current_scale()
     profiles: dict[str, DatasetProfile] = {}
     for name, factory in ACCURACY_DATASETS.items():
@@ -56,7 +59,7 @@ def profile_datasets(
         # tails don't flatten the picture (as the paper's plots do).
         hi = float(np.quantile(values, 0.995))
         histogram, edges = np.histogram(
-            values, bins=bins, range=(float(values.min()), hi)
+            values, bins=PROFILE_BINS, range=(float(values.min()), hi)
         )
         profiles[name] = DatasetProfile(
             name=name,

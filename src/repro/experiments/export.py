@@ -1,20 +1,18 @@
 """Structured export of experiment results.
 
 Every experiment runner returns a result dataclass; this module turns
-them into plain JSON-able dictionaries and flat CSV rows so downstream
-tooling (plotting scripts, regression dashboards, the paper-comparison
-notebook of a reviewer) can consume the reproduction's numbers without
-parsing tables.
+them into plain JSON-able dictionaries so downstream tooling (plotting
+scripts, regression dashboards, the paper-comparison notebook of a
+reviewer) can consume the reproduction's numbers without parsing
+tables.
 
-Use :func:`to_jsonable` for any result object, :func:`write_json` /
-:func:`write_csv` for files, or the CLI's ``--output DIR`` flag which
-writes one ``<exp-id>.json`` per experiment.
+Use :func:`to_jsonable` for any result object, :func:`write_json` for
+a file, or the CLI's ``--output DIR`` flag which writes one
+``<exp-id>.json`` per experiment.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from pathlib import Path
 from typing import Any
@@ -200,44 +198,3 @@ def write_json(result: Any, path: str | Path) -> Path:
     """
     text = json.dumps(to_jsonable(result), indent=2, sort_keys=True)
     return atomic_write_text(Path(path), text + "\n", durable=False)
-
-
-def accuracy_csv_rows(result: AccuracyResult) -> list[dict[str, Any]]:
-    """Flatten an accuracy result into one CSV row per (sketch, q)."""
-    rows = []
-    for sketch, errors in result.per_quantile.items():
-        for q, ci in errors.items():
-            rows.append({
-                "dataset": result.dataset,
-                "window_size_ms": result.window_size_ms,
-                "sketch": sketch,
-                "quantile": q,
-                "mean_relative_error": ci.mean,
-                "ci_half_width": ci.half_width,
-                "runs": ci.n,
-            })
-    return rows
-
-
-def speed_csv_rows(result: SpeedResult) -> list[dict[str, Any]]:
-    """Flatten a speed result into one CSV row per sketch."""
-    return [
-        {
-            "operation": result.operation,
-            "sketch": sketch,
-            "seconds_per_op": seconds,
-            "iqr": result.iqr.get(sketch),
-        }
-        for sketch, seconds in result.seconds_per_op.items()
-    ]
-
-
-def write_csv(rows: list[dict[str, Any]], path: str | Path) -> Path:
-    """Write flat dict rows as CSV, atomically; returns the path."""
-    if not rows:
-        raise ExperimentError("no rows to write")
-    buffer = io.StringIO(newline="")
-    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
-    writer.writeheader()
-    writer.writerows(rows)
-    return atomic_write_text(Path(path), buffer.getvalue(), durable=False)

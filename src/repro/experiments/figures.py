@@ -22,6 +22,10 @@ from repro.errors import ExperimentError
 BAR = "█"
 HALF_BAR = "▌"
 
+#: Canvas of a :func:`line_chart`, in characters.
+LINE_WIDTH = 60
+LINE_HEIGHT = 16
+
 
 def bar_chart(
     data: Mapping[str, float],
@@ -110,12 +114,11 @@ def grouped_bar_chart(
 def line_chart(
     series: Mapping[str, Sequence[tuple[float, float]]],
     title: str | None = None,
-    width: int = 60,
-    height: int = 16,
     log_x: bool = False,
     log_y: bool = False,
 ) -> str:
-    """Multi-series scatter/line plot on a character canvas.
+    """Multi-series scatter/line plot on a :data:`LINE_WIDTH` x
+    :data:`LINE_HEIGHT` character canvas.
 
     Each series is a list of ``(x, y)`` points; series are drawn with
     distinct letters (a legend is appended).  Log axes suit the
@@ -144,7 +147,7 @@ def line_chart(
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
-    canvas = [[" "] * width for _ in range(height)]
+    canvas = [[" "] * LINE_WIDTH for _ in range(LINE_HEIGHT)]
     markers = "abcdefghijklmnopqrstuvwxyz"
     legend = []
     for index, (name, series_points) in enumerate(series.items()):
@@ -153,9 +156,9 @@ def line_chart(
         for x, y in series_points:
             if (log_x and x <= 0) or (log_y and y <= 0):
                 continue
-            column = int((tx(x) - x_lo) / x_span * (width - 1))
-            row = int((ty(y) - y_lo) / y_span * (height - 1))
-            canvas[height - 1 - row][column] = marker
+            column = int((tx(x) - x_lo) / x_span * (LINE_WIDTH - 1))
+            row = int((ty(y) - y_lo) / y_span * (LINE_HEIGHT - 1))
+            canvas[LINE_HEIGHT - 1 - row][column] = marker
 
     lines = []
     if title:
@@ -166,16 +169,16 @@ def line_chart(
     for row_index, row in enumerate(canvas):
         prefix = (
             top if row_index == 0
-            else bottom if row_index == height - 1
+            else bottom if row_index == LINE_HEIGHT - 1
             else ""
         )
         lines.append(f"{prefix.rjust(gutter)} |{''.join(row)}|")
     x_left = f"{(10 ** x_lo if log_x else x_lo):.3g}"
     x_right = f"{(10 ** x_hi if log_x else x_hi):.3g}"
-    axis = f"{' ' * gutter} +{'-' * width}+"
+    axis = f"{' ' * gutter} +{'-' * LINE_WIDTH}+"
     labels = (
         f"{' ' * gutter}  {x_left}"
-        f"{' ' * max(width - len(x_left) - len(x_right), 1)}{x_right}"
+        f"{' ' * max(LINE_WIDTH - len(x_left) - len(x_right), 1)}{x_right}"
     )
     lines.append(axis)
     lines.append(labels)

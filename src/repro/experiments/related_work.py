@@ -64,7 +64,6 @@ class RelatedWorkResult:
 
 def run_related_work(
     scale: ExperimentScale | None = None,
-    sketches: tuple[str, ...] = COMPARED,
 ) -> RelatedWorkResult:
     """Measure every implemented sketch on one bounded integer stream.
 
@@ -80,7 +79,7 @@ def run_related_work(
     sorted_data = np.sort(data)
 
     rows: dict[str, dict[str, float]] = {}
-    for name in sketches:
+    for name in COMPARED:
         sketch = paper_config(name, seed=BASE_SEED)
         stream = data[: min(50_000, n)] if name == "gk" else data
         _, ingest = timed(sketch.update_batch, stream)

@@ -37,6 +37,10 @@ from repro.experiments.config import BASE_SEED, ExperimentScale, current_scale
 from repro.experiments.reporting import format_table
 from repro.metrics.errors import PAPER_QUANTILES, relative_error, true_quantile
 
+#: How much worse than the best smaller configuration a larger one may
+#: be and still count as a monotone size/accuracy trade-off.
+MONOTONE_SLACK = 1.5
+
 #: Size knobs swept per sketch: (label, factory) pairs.
 SWEEPS: dict[str, list[tuple[str, Callable[[], QuantileSketch]]]] = {
     "kll": [
@@ -90,17 +94,18 @@ class SizeSweepResult:
             title="Accuracy vs space sweep (extension)",
         )
 
-    def is_tradeoff_monotone(self, sketch: str, slack: float = 1.5) -> bool:
+    def is_tradeoff_monotone(self, sketch: str) -> bool:
         """Whether more space never costs much accuracy.
 
-        Allows *slack* because randomized sketches wobble; a curve is
-        "monotone" if every larger configuration has error at most
-        ``slack`` times the best seen so far from the smaller ones.
+        Allows :data:`MONOTONE_SLACK` because randomized sketches
+        wobble; a curve is "monotone" if every larger configuration has
+        error at most that many times the best seen so far from the
+        smaller ones.
         """
         curve = sorted(self.curves[sketch], key=lambda row: row[1])
         best = np.inf
         for _label, _size, error in curve:
-            if error > max(best * slack, best + 1e-4):
+            if error > max(best * MONOTONE_SLACK, best + 1e-4):
                 return False
             best = min(best, error)
         return True

@@ -10,7 +10,7 @@ from repro.metrics.errors import (
     relative_error,
     true_quantile,
 )
-from repro.metrics.memory import compression_ratio, sketch_size_kb
+from repro.metrics.memory import sketch_size_kb
 from repro.metrics.stats import (
     MeanWithCI,
     excess_kurtosis,
@@ -32,5 +32,4 @@ __all__ = [
     "excess_kurtosis",
     "summarize",
     "sketch_size_kb",
-    "compression_ratio",
 ]

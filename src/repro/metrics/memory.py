@@ -17,13 +17,3 @@ def sketch_size_kb(sketch: QuantileSketch) -> float:
     """Footprint of *sketch* in kilobytes, Table 3 style."""
     return sketch.size_bytes() / 1000.0
 
-
-def compression_ratio(sketch: QuantileSketch) -> float:
-    """How many times smaller the sketch is than the raw stream.
-
-    The raw stream is ``count`` doubles; an empty sketch has ratio 0.
-    """
-    if sketch.count == 0:
-        return 0.0
-    raw_bytes = 8 * sketch.count
-    return raw_bytes / sketch.size_bytes()

@@ -16,8 +16,6 @@ from repro.obs.export import (
     diff_snapshots,
     to_canonical_json,
     to_prometheus,
-    write_json,
-    write_prometheus,
 )
 from repro.obs.metrics import Counter, Gauge, LatencyHistogram
 from repro.obs.telemetry import NOOP, Telemetry
@@ -34,6 +32,4 @@ __all__ = [
     "diff_snapshots",
     "to_canonical_json",
     "to_prometheus",
-    "write_json",
-    "write_prometheus",
 ]

@@ -7,9 +7,10 @@ Subcommands::
     python -m repro.obs dump snapshot.json --format json
     python -m repro.obs diff before.json after.json
 
-Snapshot files are the canonical-JSON documents written by
-:func:`repro.obs.export.write_json` (the obs overhead and service
-benchmarks both emit one).
+Snapshot files are canonical-JSON documents
+(:func:`repro.obs.export.to_canonical_json` of a
+:meth:`~repro.obs.telemetry.Telemetry.snapshot`), such as the one
+``python -m repro.service serve`` prints when it shuts down.
 """
 
 from __future__ import annotations

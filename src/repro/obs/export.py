@@ -16,7 +16,6 @@ swap ``.`` for ``_`` to satisfy Prometheus naming rules.
 from __future__ import annotations
 
 import json
-from typing import TextIO
 
 from repro.errors import InvalidValueError
 
@@ -118,12 +117,3 @@ def diff_snapshots(before: dict, after: dict) -> dict:
         "gauges": dict(after.get("gauges", {})),
         "histograms": histogram_diff,
     }
-
-
-def write_json(snapshot: dict, stream: TextIO) -> None:
-    stream.write(to_canonical_json(snapshot))
-    stream.write("\n")
-
-
-def write_prometheus(snapshot: dict, stream: TextIO) -> None:
-    stream.write(to_prometheus(snapshot))

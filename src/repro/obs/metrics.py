@@ -93,7 +93,8 @@ class LatencyHistogram:
     """Microsecond latency distribution over a self-hosted DDSketch.
 
     The underlying sketch keeps the relative-error contract of
-    :class:`~repro.core.ddsketch.DDSketch` (alpha = 1%), so a reported
+    :class:`~repro.core.ddsketch.DDSketch` (:data:`HISTOGRAM_ALPHA`
+    = 1%, at most :data:`HISTOGRAM_MAX_BINS` buckets), so a reported
     p99 of 840µs means the true p99 lies within 1% of 840µs — the same
     guarantee the service offers its own clients.
 
@@ -106,16 +107,13 @@ class LatencyHistogram:
 
     __slots__ = ("name", "_lock", "_sketch", "_pending")
 
-    def __init__(
-        self,
-        name: str,
-        alpha: float = HISTOGRAM_ALPHA,
-        max_bins: int = HISTOGRAM_MAX_BINS,
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self._lock = threading.Lock()
         self._sketch = DDSketch(
-            alpha=alpha, store="collapsing", max_bins=max_bins
+            alpha=HISTOGRAM_ALPHA,
+            store="collapsing",
+            max_bins=HISTOGRAM_MAX_BINS,
         )
         self._pending: list[float] = []
 

@@ -13,22 +13,18 @@ On exit every span feeds its duration (microseconds) into a
 percentile latency per operation is always available from the same
 snapshot that carries counters and gauges.  The tracer looks each
 name's histogram up once, so an exit costs a clock read and an append.
-The tracer also retains a small bounded ring of recently finished
-*root* spans for debugging.
+A finished span is kept only by its caller and its parent's
+``children``; the tracer retains none.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     from repro.obs.metrics import LatencyHistogram
     from repro.service.clock import Clock
-
-#: How many finished root spans a tracer keeps for inspection.
-DEFAULT_KEEP_ROOTS = 32
 
 
 class Span:
@@ -92,7 +88,6 @@ class Tracer:
         self,
         clock: "Clock",
         histogram_factory: Callable[[str], "LatencyHistogram"],
-        keep_roots: int = DEFAULT_KEEP_ROOTS,
     ) -> None:
         self._clock = clock
         self._histogram_factory = histogram_factory
@@ -100,16 +95,9 @@ class Tracer:
         # factory's one instance twice
         self._histograms: dict[str, "LatencyHistogram"] = {}
         self._local = _Stacks()
-        self._roots_lock = threading.Lock()
-        self._recent_roots: deque[Span] = deque(maxlen=keep_roots)
 
     def span(self, name: str) -> Span:
         return Span(name, self)
-
-    def recent_roots(self) -> list[Span]:
-        """Recently completed top-level spans, oldest first."""
-        with self._roots_lock:
-            return list(self._recent_roots)
 
     # -- span lifecycle (called by Span.__enter__/__exit__) ------------
 
@@ -131,9 +119,6 @@ class Tracer:
                 self._histogram_factory("span." + span.name)
             )
         histogram.record_us((span.end_ms - span.start_ms) * 1000.0)
-        if not stack:
-            with self._roots_lock:
-                self._recent_roots.append(span)
 
 
 class _NoopSpan:

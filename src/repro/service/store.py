@@ -279,7 +279,8 @@ class TimePartitionedStore:
         A fine partition leaves the fine tier only once its merge has
         succeeded: one its coarse target refuses (a Moments origin too
         far from the target's) stays fine, still queried and
-        snapshotted, until its coarse id expires with the rest.
+        snapshotted, until its coarse id expires with the rest.  Each
+        refused attempt counts ``store.compaction_refused``.
         """
         changed = False
         cf = self.coarse_factor
@@ -298,6 +299,7 @@ class TimePartitionedStore:
                 try:
                     _merge_into(target, sketch)
                 except InvalidValueError:
+                    self.telemetry.counter("store.compaction_refused").inc()
                     continue
                 self._coarse[coarse_id] = target
             del self._fine[bucket_id]

@@ -140,31 +140,18 @@ class TrafficHarness:
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
 
-    def new_client(
-        self,
-        retries: int = 2,
-        backoff_ms: float = 50.0,
-        jitter: float = 0.0,
-        jitter_seed: int | None = None,
-    ) -> QuantileClient:
+    def new_client(self, retries: int = 2) -> QuantileClient:
         """A client on the shared clock/telemetry, tracked for close.
 
-        Backoff runs on the manual clock, so a client retrying into a
-        dead server *advances* scenario time deterministically instead
-        of sleeping.
+        Backoff (the client's own, without jitter) runs on the manual
+        clock, so a client retrying into a dead server *advances*
+        scenario time deterministically instead of sleeping.
         """
         host, port = self.server.address
         client = QuantileClient(
             host,
             port,
             retries=retries,
-            backoff_ms=backoff_ms,
-            jitter=jitter,
-            jitter_seed=(
-                self.seed + len(self._clients)
-                if jitter_seed is None
-                else jitter_seed
-            ),
             clock=self.clock,
             telemetry=self.telemetry,
         )
@@ -245,13 +232,6 @@ class TrafficHarness:
     # ------------------------------------------------------------------
     # Observables
     # ------------------------------------------------------------------
-
-    @property
-    def shed_rate(self) -> float:
-        """Shed fraction of offered values (0.0 when nothing offered)."""
-        if not self.offered_values:
-            return 0.0
-        return self.shed_values / self.offered_values
 
     def traffic(self) -> dict[str, int]:
         """The traffic ledger every scenario report embeds."""

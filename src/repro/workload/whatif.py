@@ -114,12 +114,11 @@ def replay_config(
 def replay_whatif(
     data_dir: str | Path,
     configs: list[WhatIfConfig],
-    partition_ms: float = 1_000.0,
 ) -> dict[str, Any]:
     """Replay one recording through every config, keyed by label."""
     return {
         "configs": {
-            config.label: replay_config(data_dir, config, partition_ms)
+            config.label: replay_config(data_dir, config)
             for config in configs
         }
     }

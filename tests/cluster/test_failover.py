@@ -217,7 +217,7 @@ class TestStalenessBound:
 
     def test_lagging_follower_is_ineligible(self):
         with LocalCluster(
-            n_nodes=3, prefer_followers=True, repl_interval_ms=200.0
+            n_nodes=3, prefer_followers=True
         ) as cluster:
             with cluster.client() as client:
                 client.ingest("m", [float(v) for v in range(100)])

@@ -59,12 +59,6 @@ class TestNpzRoundTrip:
 
 
 class TestCsvRoundTrip:
-    def test_lossless_via_repr(self, batch, tmp_path):
-        path = save_batch(batch, tmp_path / "stream.csv")
-        loaded = load_batch(path)
-        assert np.array_equal(loaded.values, batch.values)
-        assert np.array_equal(loaded.arrival_times, batch.arrival_times)
-
     def test_header_checked(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n1,2,3\n")
@@ -75,23 +69,6 @@ class TestCsvRoundTrip:
         bad = tmp_path / "bad.csv"
         bad.write_text("value,event_time_ms,arrival_time_ms\n1,2\n")
         with pytest.raises(InvalidValueError):
-            load_batch(bad)
-
-    def test_non_numeric_cell_names_its_row(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text(
-            "value,event_time_ms,arrival_time_ms\n"
-            "1.0,2.0,3.0\n1.0,abc,2.0\n"
-        )
-        with pytest.raises(InvalidValueError, match="line 3"):
-            load_batch(bad)
-
-    @pytest.mark.parametrize("row", ["1.0,nan,2.0", "1.0,2.0,nan",
-                                     "1.0,inf,2.0"])
-    def test_non_finite_time_cell(self, tmp_path, row):
-        bad = tmp_path / "bad.csv"
-        bad.write_text(f"value,event_time_ms,arrival_time_ms\n{row}\n")
-        with pytest.raises(InvalidValueError, match="finite"):
             load_batch(bad)
 
 

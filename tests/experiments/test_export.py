@@ -1,6 +1,5 @@
 """Tests for structured result export."""
 
-import csv
 import json
 
 import pytest
@@ -8,15 +7,9 @@ import pytest
 from repro.errors import ExperimentError
 from repro.experiments.accuracy import run_accuracy
 from repro.experiments.config import SCALES
-from repro.experiments.export import (
-    accuracy_csv_rows,
-    speed_csv_rows,
-    to_jsonable,
-    write_csv,
-    write_json,
-)
+from repro.experiments.export import to_jsonable, write_json
 from repro.experiments.memory import measure_memory
-from repro.experiments.speed import SpeedResult, measure_insertion
+from repro.experiments.speed import measure_insertion
 
 SMOKE = SCALES["smoke"]
 
@@ -64,28 +57,6 @@ class TestFileOutput:
         path = write_json(accuracy_result, tmp_path / "out" / "a.json")
         loaded = json.loads(path.read_text())
         assert loaded["kind"] == "accuracy"
-
-    def test_accuracy_csv_rows(self, accuracy_result, tmp_path):
-        rows = accuracy_csv_rows(accuracy_result)
-        assert len(rows) == len(SMOKE.quantiles)
-        path = write_csv(rows, tmp_path / "acc.csv")
-        with open(path) as handle:
-            parsed = list(csv.DictReader(handle))
-        assert len(parsed) == len(rows)
-        assert parsed[0]["sketch"] == "ddsketch"
-
-    def test_speed_csv_rows(self, tmp_path):
-        result = SpeedResult(
-            operation="insertion",
-            seconds_per_op={"a": 1e-6, "b": 2e-6},
-        )
-        rows = speed_csv_rows(result)
-        assert {row["sketch"] for row in rows} == {"a", "b"}
-        write_csv(rows, tmp_path / "speed.csv")
-
-    def test_empty_csv_rejected(self, tmp_path):
-        with pytest.raises(ExperimentError):
-            write_csv([], tmp_path / "x.csv")
 
 
 class TestCLIOutputFlag:

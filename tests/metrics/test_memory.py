@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import DDSketch, MomentsSketch
-from repro.metrics.memory import compression_ratio, sketch_size_kb
+from repro.metrics.memory import sketch_size_kb
 
 
 class TestSketchSizeKB:
@@ -18,19 +18,3 @@ class TestSketchSizeKB:
         sketch.update_batch(rng.uniform(1, 10, 1_000))
         assert sketch_size_kb(sketch) == sketch.size_bytes() / 1000.0
 
-
-class TestCompressionRatio:
-    def test_empty_sketch(self):
-        assert compression_ratio(DDSketch()) == 0.0
-
-    def test_grows_with_stream_length(self, rng):
-        sketch = DDSketch()
-        sketch.update_batch(rng.uniform(1, 10, 1_000))
-        small = compression_ratio(sketch)
-        sketch.update_batch(rng.uniform(1, 10, 99_000))
-        assert compression_ratio(sketch) > small
-
-    def test_sketch_actually_compresses(self, rng):
-        sketch = DDSketch()
-        sketch.update_batch(rng.uniform(1, 10, 1_000_000))
-        assert compression_ratio(sketch) > 1_000

@@ -1,6 +1,5 @@
 """Exporter tests: canonical JSON, Prometheus text, snapshot diffs."""
 
-import io
 import json
 
 import pytest
@@ -11,8 +10,6 @@ from repro.obs.export import (
     diff_snapshots,
     to_canonical_json,
     to_prometheus,
-    write_json,
-    write_prometheus,
 )
 from repro.obs.telemetry import Telemetry
 from repro.service.clock import ManualClock
@@ -129,16 +126,3 @@ class TestDiff:
             {"gauges": {"depth": 9.0}}, {"gauges": {"depth": 4.0}}
         )
         assert diff["gauges"] == {"depth": 4.0}
-
-
-class TestWriters:
-    def test_write_json_appends_newline(self):
-        stream = io.StringIO()
-        write_json({"counters": {}}, stream)
-        assert stream.getvalue().endswith("\n")
-        assert json.loads(stream.getvalue()) == {"counters": {}}
-
-    def test_write_prometheus(self):
-        stream = io.StringIO()
-        write_prometheus(make_snapshot(), stream)
-        assert "server_shed_requests 2" in stream.getvalue()

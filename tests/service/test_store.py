@@ -13,6 +13,7 @@ from repro.errors import (
     InvalidValueError,
     SerializationError,
 )
+from repro.obs.telemetry import Telemetry
 from repro.parallel import ShardedSketch
 from repro.service import ManualClock, TimePartitionedStore
 
@@ -262,15 +263,19 @@ class TestRetention:
         coarse id expires; the record that triggered compaction is
         applied."""
         clock = ManualClock(0.0)
+        telemetry = Telemetry(clock=clock)
+        refused = telemetry.counter("store.compaction_refused")
         store = TimePartitionedStore(
             MomentsSketch, clock=clock, partition_ms=1_000.0,
             fine_partitions=4, coarse_factor=2, coarse_partitions=24,
+            telemetry=telemetry,
         )
         store.record_batch(np.linspace(1.0, 50.0, 64), timestamp_ms=0.0)
         clock.set_time(1_000.0)
         store.record_batch(1e26 + np.arange(64) * 1e12, timestamp_ms=1_000.0)
         clock.set_time(10_000.0)
         assert store.record_batch([3.0], timestamp_ms=10_000.0) == 1
+        assert refused.value == 1
         assert store.count() == store.events_recorded == 129
         assert (store.num_fine_partitions, store.num_coarse_partitions) == (
             2, 1)
@@ -283,6 +288,7 @@ class TestRetention:
         assert restored.snapshot() == snapshot
         clock.set_time(53_000.0)  # coarse id 0 leaves the 48 s horizon
         store.compact()
+        assert refused.value == 2  # retried once more, then expired
         assert store.events_expired == 128
         assert store.count() == 1
 

@@ -18,7 +18,6 @@ class TestLedger:
         assert traffic["accepted_values"] == 3
         assert traffic["shed_values"] == 0
         assert traffic["failed_batches"] == 0
-        assert harness.shed_rate == 0.0
 
     def test_clock_is_shared_and_manual(self):
         with TrafficHarness() as harness:
