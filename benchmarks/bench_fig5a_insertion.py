@@ -9,18 +9,17 @@ CPython, not JVM; the ordering is the reproduced result.
 
 import pytest
 
-from repro.core import paper_config
-from repro.experiments.config import DEFAULT_SKETCHES
+from repro.core import PAPER_SKETCHES, paper_config
 from repro.experiments.speed import measure_insertion
 
 
-@pytest.mark.parametrize("sketch_name", DEFAULT_SKETCHES)
+@pytest.mark.parametrize("sketch_name", PAPER_SKETCHES)
 def bench_insertion(sketch_name, scale):
     result = measure_insertion((sketch_name,), scale=scale)
     assert result.detail[sketch_name]["count"] == scale.speed_points
 
 
-@pytest.mark.parametrize("sketch_name", DEFAULT_SKETCHES)
+@pytest.mark.parametrize("sketch_name", PAPER_SKETCHES)
 def bench_insertion_batched(sketch_name, speed_values):
     """Companion check: the vectorised ingestion path (not in the
     paper) takes the whole stream; its speed against the scalar path is

@@ -9,7 +9,7 @@ sub-linearly with data size as more compactors must be sorted.
 
 import pytest
 
-from repro.experiments.config import DEFAULT_SKETCHES
+from repro.core.registry import PAPER_SKETCHES
 from repro.experiments.speed import measure_query
 from repro.metrics.errors import PAPER_QUANTILES
 
@@ -17,7 +17,7 @@ from repro.metrics.errors import PAPER_QUANTILES
 FILL_SIZES = (10_000, 100_000)
 
 
-@pytest.mark.parametrize("sketch_name", DEFAULT_SKETCHES)
+@pytest.mark.parametrize("sketch_name", PAPER_SKETCHES)
 @pytest.mark.parametrize("fill_size", FILL_SIZES)
 def bench_query(sketch_name, fill_size, scale):
     size = min(fill_size, scale.speed_points)

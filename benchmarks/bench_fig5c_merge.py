@@ -9,14 +9,14 @@ Published shape: Moments Sketch fastest by an order of magnitude
 
 import pytest
 
-from repro.experiments.config import DEFAULT_SKETCHES
+from repro.core.registry import PAPER_SKETCHES
 from repro.experiments.speed import measure_merge
 
 #: Number of sketches folded per measurement; the paper uses 100/1000.
 MERGE_COUNTS = (20,)
 
 
-@pytest.mark.parametrize("sketch_name", DEFAULT_SKETCHES)
+@pytest.mark.parametrize("sketch_name", PAPER_SKETCHES)
 @pytest.mark.parametrize("num_sketches", MERGE_COUNTS)
 def bench_merge(sketch_name, num_sketches, scale):
     result = measure_merge(

@@ -19,6 +19,7 @@ import time
 import numpy as np
 
 from repro import dumps, loads, paper_config
+from repro.core import PAPER_SKETCHES
 from repro.data import NYTFares
 from repro.metrics import relative_error, true_quantile
 
@@ -40,7 +41,7 @@ def main() -> None:
     print(f"{'sketch':>10} {'shipped':>10} {'merge time':>11} "
           + "".join(f"{'err@' + str(q):>10}" for q in QUANTILES))
 
-    for name in ("kll", "moments", "ddsketch", "uddsketch", "req"):
+    for name in PAPER_SKETCHES:
         # Map phase: each worker sketches its partition and serializes.
         payloads = []
         for worker, partition in enumerate(partitions):

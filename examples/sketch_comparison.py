@@ -14,12 +14,12 @@ import time
 import numpy as np
 
 from repro import paper_config
+from repro.core import PAPER_SKETCHES
 from repro.data import ACCURACY_DATASETS
 from repro.metrics import PAPER_QUANTILES, relative_error, true_quantile
 
 N = 500_000
-SKETCHES = ("kll", "moments", "ddsketch", "uddsketch", "req",
-            "tdigest", "gk")
+SKETCHES = (*PAPER_SKETCHES, "tdigest", "gk")
 
 
 def main(dataset: str = "nyt") -> None:

@@ -23,7 +23,6 @@ from repro.core import (
     GKArray,
     GKSketch,
     HdrHistogram,
-    KLLPlusMinus,
     KLLSketch,
     MomentsSketch,
     QuantileSketch,
@@ -55,7 +54,6 @@ __all__ = [
     "RandomSketch",
     "CountSketch",
     "DyadicCountSketch",
-    "KLLPlusMinus",
     "make_sketch",
     "paper_config",
     "dumps",

@@ -66,10 +66,9 @@ def _run(
 
 def analyze_paths(
     paths: Iterable[Path | str],
-    rules: Sequence[Rule] | None = None,
     unused_noqa: bool = False,
 ) -> list[Finding]:
-    """Run *rules* (default: all) over on-disk files/directories.
+    """Run every rule over on-disk files/directories.
 
     With ``unused_noqa=True`` the dead-suppression audit (NOQA001)
     runs as a post-pass and its findings join the result.
@@ -79,7 +78,7 @@ def analyze_paths(
     project = Project.from_paths(
         collect_paths([str(path) for path in paths])
     )
-    return _run(project, rules, unused_noqa)
+    return _run(project, None, unused_noqa)
 
 
 def analyze_source(

@@ -21,10 +21,11 @@ the differential harness relies on.  Four checks encode that:
   base).  The equivalence battery keeps the fast paths honest; this
   rule keeps them *present*.
 * ``SK003`` — every concrete sketch in ``repro.core`` must be
-  registered in ``repro.core.registry``'s ``SKETCH_CLASSES`` so the
+  registered in ``repro.core.registry``'s ``SKETCHES`` table so the
   benchmark harness, serialization codecs and conformance tests
   enumerate it; an unregistered sketch silently escapes the whole
-  evaluation.
+  evaluation. A registry whose table is not a dict literal the rule
+  can read is itself a finding, so the check never stops silently.
 
 A class is *abstract* (exempt) when its body declares
 ``@abc.abstractmethod`` members or it subclasses ``abc.ABC`` directly.
@@ -53,6 +54,7 @@ _SKETCH_BASES = frozenset(
     {"QuantileSketch", "WeightedSampleSketch", "GKSummary"}
 )
 _REGISTRY_MODULE = "repro.core.registry"
+_REGISTRY_TABLE = "SKETCHES"
 
 
 def _base_names(cls: ast.ClassDef) -> set[str]:
@@ -127,35 +129,39 @@ def _update_observes(cls: ast.ClassDef) -> bool:
     return False
 
 
-def _registered_class_names(project: Project) -> set[str] | None:
-    """Class names listed in registry.SKETCH_CLASSES, if resolvable."""
-    registry = project.find_module(_REGISTRY_MODULE)
-    if registry is None:
-        return None
-    for node in ast.walk(registry.tree):
-        targets: list[ast.expr] = []
+def _registry_table(
+    registry: ModuleInfo,
+) -> tuple[ast.stmt | None, set[str] | None]:
+    """The registry's table statement and the class names it lists.
+
+    The names are ``None`` when the table is missing or is not a dict
+    literal whose every value is a class name or a call whose first
+    argument is one (``SketchSpec(KLLSketch, ...)``).
+    """
+    for node in registry.tree.body:
         if isinstance(node, ast.Assign):
             targets = node.targets
-            value = node.value
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
             targets = [node.target]
-            value = node.value
         else:
             continue
         if not any(
-            isinstance(t, ast.Name) and t.id == "SKETCH_CLASSES"
+            isinstance(t, ast.Name) and t.id == _REGISTRY_TABLE
             for t in targets
         ):
             continue
-        if not isinstance(value, ast.Dict):
-            return None
+        if not isinstance(node.value, ast.Dict):
+            return node, None
         names = set()
-        for entry in value.values:
+        for entry in node.value.values:
+            if isinstance(entry, ast.Call) and entry.args:
+                entry = entry.args[0]
             name = dotted_name(entry)
-            if name is not None:
-                names.add(name.rsplit(".", maxsplit=1)[-1])
-        return names
-    return None
+            if name is None:
+                return node, None
+            names.add(name.rsplit(".", maxsplit=1)[-1])
+        return node, names
+    return None, None
 
 
 class SketchInterfaceRule(Rule):
@@ -274,18 +280,28 @@ class RegistryMembershipRule(Rule):
     name = "registry-membership"
     description = (
         "every concrete sketch in repro.core must be registered in "
-        "repro.core.registry.SKETCH_CLASSES"
+        "repro.core.registry.SKETCHES"
     )
     scopes = ("repro.core",)
 
     def check(
         self, module: ModuleInfo, project: Project
     ) -> Iterator[Finding]:
-        registered = _registered_class_names(project)
-        if registered is None:
+        registry = project.find_module(_REGISTRY_MODULE)
+        if registry is None:
             return  # registry not in this run (e.g. single-file lint)
+        table, registered = _registry_table(registry)
         if module.module == _REGISTRY_MODULE:
+            if registered is None:
+                yield self.finding(
+                    module, table or module.tree,
+                    f"registry.{_REGISTRY_TABLE} is not a dict literal "
+                    "of sketch classes — SK003 cannot tell which "
+                    "sketches are registered",
+                )
             return
+        if registered is None:
+            return  # reported once, on the registry module
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -295,6 +311,6 @@ class RegistryMembershipRule(Rule):
                 yield self.finding(
                     module, node,
                     f"sketch {node.name} is not registered in "
-                    "registry.SKETCH_CLASSES — it is invisible to the "
+                    "registry.SKETCHES — it is invisible to the "
                     "harness and the conformance tests",
                 )

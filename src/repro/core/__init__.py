@@ -19,7 +19,6 @@ from repro.core.gk import GKSketch
 from repro.core.gkarray import GKArray
 from repro.core.hdr import HdrHistogram
 from repro.core.kll import KLLSketch
-from repro.core.kllpm import KLLPlusMinus
 from repro.core.mapping import LogarithmicMapping, initial_alpha
 from repro.core.maxent import MaxEntropySolver, MaxEntSolution
 from repro.core.moments import MomentsSketch
@@ -62,7 +61,6 @@ __all__ = [
     "RandomSketch",
     "CountSketch",
     "DyadicCountSketch",
-    "KLLPlusMinus",
     "LogarithmicMapping",
     "initial_alpha",
     "MaxEntropySolver",

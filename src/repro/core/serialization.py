@@ -35,7 +35,6 @@ from repro.core.gk import GKSketch, GKSummary
 from repro.core.gkarray import GKArray
 from repro.core.hdr import HdrHistogram
 from repro.core.kll import KLLSketch
-from repro.core.kllpm import KLLPlusMinus
 from repro.core.mapping import LogarithmicMapping
 from repro.core.maxent import DEFAULT_GRID_SIZE
 from repro.core.moments import MomentsSketch
@@ -229,21 +228,6 @@ def _decode_kll(r: Reader) -> KLLSketch:
     sketch._retained = sum(len(b) for b in sketch._compactors)
     sketch._recompute_capacity()
     _read_rng(r, sketch._rng)
-    return sketch
-
-
-def _encode_kllpm(w: Writer, sketch: KLLPlusMinus) -> None:
-    w.i64(sketch.max_compactor_size)
-    _write_common(w, sketch)
-    _encode_kll(w, sketch._inserts)
-    _encode_kll(w, sketch._deletes)
-
-
-def _decode_kllpm(r: Reader) -> KLLPlusMinus:
-    sketch = KLLPlusMinus(max_compactor_size=r.i64())
-    _read_common(r, sketch)
-    sketch._inserts = _decode_kll(r)
-    sketch._deletes = _decode_kll(r)
     return sketch
 
 
@@ -548,7 +532,6 @@ _CODECS: dict[
     "hdr": (HdrHistogram, _encode_hdr, _decode_hdr),
     "random": (RandomSketch, _encode_random, _decode_random),
     "dcs": (DyadicCountSketch, _encode_dcs, _decode_dcs),
-    "kllpm": (KLLPlusMinus, _encode_kllpm, _decode_kllpm),
 }
 
 

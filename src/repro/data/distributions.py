@@ -24,7 +24,15 @@ from repro.errors import InvalidValueError
 
 #: The paper updates drifting parameters every millisecond at 50,000
 #: events/second — i.e. every 50 events.
-DEFAULT_REDRAW_EVERY = 50
+REDRAW_EVERY = 50
+
+#: ``N(mean, std)`` that DriftingPareto re-draws its shape and scale from.
+PARETO_DRIFT = (1.0, 0.05)
+
+#: ``N(mean, std)`` that DriftingUniform re-draws its minimum from, and
+#: the fixed width of its window.
+UNIFORM_MIN_DRIFT = (1000.0, 100.0)
+UNIFORM_WIDTH = 1000.0
 
 
 class Distribution(abc.ABC):
@@ -179,34 +187,20 @@ class DriftingPareto(Distribution):
     """Pareto whose shape and scale drift, per the paper's Sec 4.1.
 
     Both the shape ``alpha`` and the scale ``X_m`` are re-drawn from
-    ``N(1, 0.05)`` every *redraw_every* events (one millisecond of
-    stream at the paper's 50k events/s rate).
+    :data:`PARETO_DRIFT` every :data:`REDRAW_EVERY` events (one millisecond
+    of stream at the paper's 50k events/s rate).
     """
 
     name = "pareto"
 
-    def __init__(
-        self,
-        mean: float = 1.0,
-        std: float = 0.05,
-        redraw_every: int = DEFAULT_REDRAW_EVERY,
-    ) -> None:
-        if redraw_every < 1:
-            raise InvalidValueError(
-                f"redraw_every must be >= 1, got {redraw_every!r}"
-            )
-        self.mean = float(mean)
-        self.std = float(std)
-        self.redraw_every = int(redraw_every)
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        blocks = -(-n // self.redraw_every)  # ceil division
+        blocks = -(-n // REDRAW_EVERY)  # ceil division
         # Parameters must stay positive; drifted draws are clipped away
         # from zero so a 20-sigma outlier cannot crash the generator.
-        shapes = np.clip(rng.normal(self.mean, self.std, blocks), 0.05, None)
-        scales = np.clip(rng.normal(self.mean, self.std, blocks), 0.05, None)
-        per_block_shape = np.repeat(shapes, self.redraw_every)[:n]
-        per_block_scale = np.repeat(scales, self.redraw_every)[:n]
+        shapes = np.clip(rng.normal(*PARETO_DRIFT, blocks), 0.05, None)
+        scales = np.clip(rng.normal(*PARETO_DRIFT, blocks), 0.05, None)
+        per_block_shape = np.repeat(shapes, REDRAW_EVERY)[:n]
+        per_block_scale = np.repeat(scales, REDRAW_EVERY)[:n]
         # Inverse-CDF sampling vectorises across the drifting parameters.
         u = rng.random(n)
         return per_block_scale * (1.0 - u) ** (-1.0 / per_block_shape)
@@ -216,34 +210,16 @@ class DriftingUniform(Distribution):
     """Uniform whose minimum drifts as ``N(1000, 100)`` (Sec 4.1).
 
     The paper specifies only how the minimum drifts; the window width is
-    fixed (default 1000) so the stream stays "evenly spread out".
+    fixed (:data:`UNIFORM_WIDTH`) so the stream stays "evenly spread out".
     """
 
     name = "uniform"
 
-    def __init__(
-        self,
-        min_mean: float = 1000.0,
-        min_std: float = 100.0,
-        width: float = 1000.0,
-        redraw_every: int = DEFAULT_REDRAW_EVERY,
-    ) -> None:
-        if width <= 0:
-            raise InvalidValueError(f"width must be positive, got {width!r}")
-        if redraw_every < 1:
-            raise InvalidValueError(
-                f"redraw_every must be >= 1, got {redraw_every!r}"
-            )
-        self.min_mean = float(min_mean)
-        self.min_std = float(min_std)
-        self.width = float(width)
-        self.redraw_every = int(redraw_every)
-
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        blocks = -(-n // self.redraw_every)
-        minima = rng.normal(self.min_mean, self.min_std, blocks)
-        per_block_min = np.repeat(minima, self.redraw_every)[:n]
-        return per_block_min + rng.random(n) * self.width
+        blocks = -(-n // REDRAW_EVERY)
+        minima = rng.normal(*UNIFORM_MIN_DRIFT, blocks)
+        per_block_min = np.repeat(minima, REDRAW_EVERY)[:n]
+        return per_block_min + rng.random(n) * UNIFORM_WIDTH
 
 
 class Concatenation(Distribution):

@@ -166,21 +166,19 @@ class FlashCrowd:
         return int(round(self.level_at(tick)))
 
 
+#: ``(mean, sigma)`` of the log of a latency in milliseconds.
+LATENCY_LOGNORMAL = (4.6, 0.5)
+
+
 class LatencyValues:
     """The canonical latency-like value model: lognormal milliseconds.
 
-    ``mean=4.6, sigma=0.5`` puts the median near ``e^4.6 ≈ 100 ms``
+    :data:`LATENCY_LOGNORMAL` puts the median near ``e^4.6 ≈ 100 ms``
     with a heavy right tail — the parameterisation the service and
     cluster benchmarks have always drawn inline.  *scale* multiplies a
     whole batch, which is how scenarios model a degraded tenant or a
     slow time window without touching the RNG draw sequence.
     """
-
-    def __init__(self, mean: float = 4.6, sigma: float = 0.5) -> None:
-        if sigma <= 0:
-            raise InvalidValueError(f"sigma must be positive, got {sigma!r}")
-        self.mean = float(mean)
-        self.sigma = float(sigma)
 
     def sample(
         self,
@@ -192,7 +190,7 @@ class LatencyValues:
             raise InvalidValueError(f"n must be >= 1, got {n!r}")
         if scale <= 0:
             raise InvalidValueError(f"scale must be > 0, got {scale!r}")
-        values = rng.lognormal(self.mean, self.sigma, n)
+        values = rng.lognormal(*LATENCY_LOGNORMAL, n)
         if scale != 1.0:
             values = values * scale
         return values

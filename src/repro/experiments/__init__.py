@@ -12,7 +12,6 @@ from repro.experiments.accuracy import (
 )
 from repro.experiments.config import (
     BASE_SEED,
-    DEFAULT_SKETCHES,
     SCALES,
     ExperimentScale,
     current_scale,
@@ -48,7 +47,6 @@ __all__ = [
     "SCALES",
     "current_scale",
     "BASE_SEED",
-    "DEFAULT_SKETCHES",
     "DatasetProfile",
     "profile_datasets",
     "profiles_table",

@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.registry import paper_config
+from repro.core.registry import PAPER_SKETCHES, paper_config
 from repro.data import ACCURACY_DATASETS, adaptability_workload, generate_stream
 from repro.data.distributions import Distribution
 from repro.errors import ExperimentError
 from repro.experiments.config import (
     BASE_SEED,
-    DEFAULT_SKETCHES,
     ExperimentScale,
     current_scale,
 )
@@ -105,7 +104,7 @@ def _resolve_dataset(dataset: str | Distribution) -> tuple[str, Distribution]:
 
 def run_accuracy(
     dataset: str | Distribution,
-    sketches: tuple[str, ...] = DEFAULT_SKETCHES,
+    sketches: tuple[str, ...] = PAPER_SKETCHES,
     scale: ExperimentScale | None = None,
     delay_mean_ms: float | None = None,
     window_size_ms: float | None = None,
@@ -189,7 +188,7 @@ def run_accuracy(
 
 
 def run_adaptability(
-    sketches: tuple[str, ...] = DEFAULT_SKETCHES,
+    sketches: tuple[str, ...] = PAPER_SKETCHES,
     scale: ExperimentScale | None = None,
 ) -> AccuracyResult:
     """The Sec 4.5.7 distribution-shift experiment (Fig 8).

@@ -16,9 +16,6 @@ from dataclasses import dataclass, field
 from repro.errors import ExperimentError
 from repro.metrics.errors import PAPER_QUANTILES
 
-#: Sketches every experiment covers, in the paper's order.
-DEFAULT_SKETCHES = ("kll", "moments", "ddsketch", "uddsketch", "req")
-
 
 @dataclass(frozen=True)
 class ExperimentScale:

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.registry import paper_config
+from repro.core.registry import PAPER_SKETCHES, paper_config
 from repro.data.kurtosis import kurtosis_suite
 from repro.experiments.config import (
     BASE_SEED,
-    DEFAULT_SKETCHES,
     ExperimentScale,
     current_scale,
 )
@@ -76,7 +75,7 @@ class KurtosisResult:
 
 
 def run_kurtosis_sweep(
-    sketches: tuple[str, ...] = DEFAULT_SKETCHES,
+    sketches: tuple[str, ...] = PAPER_SKETCHES,
     scale: ExperimentScale | None = None,
 ) -> KurtosisResult:
     """Run the Fig 7 sweep at window size (``events_per_window`` values

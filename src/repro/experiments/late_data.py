@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.registry import PAPER_SKETCHES
 from repro.data import DEFAULT_DELAY_MEAN_MS
 from repro.experiments.accuracy import AccuracyResult, run_accuracy
 from repro.experiments.config import (
-    DEFAULT_SKETCHES,
     ExperimentScale,
     current_scale,
 )
@@ -62,7 +62,7 @@ class LateDataResult:
 
 def run_late_data(
     datasets: tuple[str, ...] = ("pareto", "uniform", "nyt", "power"),
-    sketches: tuple[str, ...] = DEFAULT_SKETCHES,
+    sketches: tuple[str, ...] = PAPER_SKETCHES,
     scale: ExperimentScale | None = None,
     delay_mean_ms: float = DEFAULT_DELAY_MEAN_MS,
 ) -> LateDataResult:

@@ -11,11 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.registry import paper_config
+from repro.core.registry import PAPER_SKETCHES, paper_config
 from repro.data import ACCURACY_DATASETS
 from repro.experiments.config import (
     BASE_SEED,
-    DEFAULT_SKETCHES,
     ExperimentScale,
     current_scale,
 )
@@ -47,7 +46,7 @@ class MemoryResult:
 
 
 def measure_memory(
-    sketches: tuple[str, ...] = DEFAULT_SKETCHES,
+    sketches: tuple[str, ...] = PAPER_SKETCHES,
     scale: ExperimentScale | None = None,
 ) -> MemoryResult:
     """Run the Table 3 measurement across the four accuracy data sets."""

@@ -20,16 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.registry import paper_config
+from repro.core.registry import SKETCHES, paper_config
 from repro.experiments.config import BASE_SEED, ExperimentScale, current_scale
 from repro.experiments.reporting import format_table
 from repro.experiments.speed import timed
 from repro.metrics.errors import PAPER_QUANTILES, rank_error, relative_error, true_quantile
 
-#: Paper's five plus every related-work baseline (exact excluded).
-COMPARED = (
-    "kll", "moments", "ddsketch", "uddsketch", "req",
-    "tdigest", "gk", "gkarray", "hdr", "random", "dcs",
+#: Paper's five plus every related-work baseline (ground truth excluded).
+COMPARED = tuple(
+    name for name, spec in SKETCHES.items() if spec.role != "truth"
 )
 
 

@@ -27,11 +27,10 @@ from typing import Any, Callable, Iterable, TypeVar
 
 import numpy as np
 
-from repro.core.registry import paper_config
+from repro.core.registry import PAPER_SKETCHES, paper_config
 from repro.data.distributions import Binomial, Pareto, Uniform, Zipf
 from repro.experiments.config import (
     BASE_SEED,
-    DEFAULT_SKETCHES,
     ExperimentScale,
     current_scale,
 )
@@ -123,7 +122,7 @@ class SpeedResult:
 
 
 def measure_insertion(
-    sketches: tuple[str, ...] = DEFAULT_SKETCHES,
+    sketches: tuple[str, ...] = PAPER_SKETCHES,
     scale: ExperimentScale | None = None,
 ) -> SpeedResult:
     """Fig 5a: per-element insertion time.
@@ -149,7 +148,7 @@ def measure_insertion(
 
 
 def measure_query(
-    sketches: tuple[str, ...] = DEFAULT_SKETCHES,
+    sketches: tuple[str, ...] = PAPER_SKETCHES,
     data_sizes: tuple[int, ...] | None = None,
     scale: ExperimentScale | None = None,
     repetitions: int = 5,
@@ -188,7 +187,7 @@ def measure_query(
 
 
 def measure_merge(
-    sketches: tuple[str, ...] = DEFAULT_SKETCHES,
+    sketches: tuple[str, ...] = PAPER_SKETCHES,
     num_sketches: int | None = None,
     scale: ExperimentScale | None = None,
 ) -> SpeedResult:

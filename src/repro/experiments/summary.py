@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.registry import PAPER_SKETCHES
 from repro.experiments.accuracy import AccuracyResult
-from repro.experiments.config import DEFAULT_SKETCHES
 from repro.experiments.reporting import format_table
 from repro.experiments.speed import SpeedResult
 
@@ -124,7 +124,7 @@ class SummaryTable:
     merge: dict[str, str]
     adaptability: dict[str, str]
 
-    def to_table(self, sketches: tuple[str, ...] = DEFAULT_SKETCHES) -> str:
+    def to_table(self, sketches: tuple[str, ...] = PAPER_SKETCHES) -> str:
         """Render the derived Table 4 as a text table."""
         characteristics = [
             ("Sketching approach", self.approach),

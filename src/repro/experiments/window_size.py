@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.registry import PAPER_SKETCHES
 from repro.experiments.accuracy import AccuracyResult, run_accuracy
 from repro.experiments.config import (
-    DEFAULT_SKETCHES,
     ExperimentScale,
     current_scale,
 )
@@ -71,7 +71,7 @@ class WindowSizeResult:
 
 def run_window_size(
     datasets: tuple[str, ...] = ("pareto", "uniform", "nyt", "power"),
-    sketches: tuple[str, ...] = DEFAULT_SKETCHES,
+    sketches: tuple[str, ...] = PAPER_SKETCHES,
     scale: ExperimentScale | None = None,
     window_sizes_s: tuple[float, ...] = WINDOW_SIZES_S,
 ) -> WindowSizeResult:

@@ -156,14 +156,13 @@ class LatencyHistogram:
         with self._lock:
             return self._fold().quantiles(qs)
 
-    def summary(self, qs: Iterable[float] = SUMMARY_QS) -> dict[str, float]:
-        """Snapshot dict: count, min/max and the requested percentiles.
+    def summary(self) -> dict[str, float]:
+        """Snapshot dict: count, min/max and the SUMMARY_QS percentiles.
 
         An empty histogram reports only ``{"count": 0}`` — no sentinel
         infinities ever leave the process (the wire-format policy of
         :mod:`repro.service.protocol`).
         """
-        qs = tuple(qs)
         with self._lock:
             sketch = self._fold()
             out: dict[str, float] = {"count": sketch.count}
@@ -171,7 +170,7 @@ class LatencyHistogram:
                 return out
             out["min"] = sketch.min
             out["max"] = sketch.max
-            for q, value in zip(qs, sketch.quantiles(qs)):
+            for q, value in zip(SUMMARY_QS, sketch.quantiles(SUMMARY_QS)):
                 out[f"p{_percentile_label(q)}"] = value
             return out
 
@@ -230,9 +229,7 @@ class NoopHistogram:
     def quantiles(self, qs: Iterable[float]) -> list[float]:
         raise EmptySketchError("no-op histogram records nothing")
 
-    def summary(
-        self, qs: Iterable[float] = SUMMARY_QS
-    ) -> Mapping[str, float]:
+    def summary(self) -> Mapping[str, float]:
         return {"count": 0}
 
 

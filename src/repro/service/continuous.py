@@ -226,8 +226,8 @@ class ContinuousQueryEngine:
     # Evaluation
     # ------------------------------------------------------------------
 
-    def evaluate(self, now_ms: float | None = None) -> list[dict[str, Any]]:
-        """Evaluate every registered query at *now* (clock default).
+    def evaluate(self) -> list[dict[str, Any]]:
+        """Evaluate every registered query at the registry clock's now.
 
         Returns this round's result objects (one per query, id order)
         and appends them to the retained history.  Queries whose window
@@ -238,10 +238,7 @@ class ContinuousQueryEngine:
             specs = [
                 self._specs[query_id] for query_id in sorted(self._specs)
             ]
-        now = (
-            self._registry.clock.now_ms() if now_ms is None
-            else float(now_ms)
-        )
+        now = self._registry.clock.now_ms()
         results = [self._evaluate_one(spec, now) for spec in specs]
         fired = sum(
             1 for result in results if result["status"] == "firing"

@@ -496,30 +496,6 @@ class TimePartitionedStore:
     ) -> float:
         return self.merged(t0, t1).quantile(q)
 
-    def quantiles(
-        self,
-        qs: Iterable[float],
-        t0: float | None = None,
-        t1: float | None = None,
-    ) -> list[float]:
-        return self.merged(t0, t1).quantiles(qs)
-
-    def rank(
-        self,
-        value: float,
-        t0: float | None = None,
-        t1: float | None = None,
-    ) -> int:
-        return self.merged(t0, t1).rank(value)
-
-    def cdf(
-        self,
-        value: float,
-        t0: float | None = None,
-        t1: float | None = None,
-    ) -> float:
-        return self.merged(t0, t1).cdf(value)
-
     def count(
         self, t0: float | None = None, t1: float | None = None
     ) -> int:

@@ -1,7 +1,7 @@
 # module: repro.core.registry
 """Synthetic registry joined to corpus projects for SK003 checks."""
 
-SKETCH_CLASSES = {
-    "good": GoodSketch,  # noqa: F821 - AST-only stub, never imported
-    "delegating": DelegatingSketch,  # noqa: F821
+SKETCHES = {
+    "good": SketchSpec(GoodSketch, "paper", {}),  # noqa: F821 - AST-only stub, never imported
+    "delegating": SketchSpec(DelegatingSketch, "baseline", {}),  # noqa: F821
 }

@@ -223,55 +223,13 @@ def test_weighted_sample_answers_match_the_per_call_code(name, state):
     ]
 
 
-def test_kllpm_halves_answer_through_the_shared_query():
-    sketch = paper_config("kllpm", seed=5)
-    sketch.update_batch(_values(1, 9_000))
-    sketch.delete_batch(_values(1, 2_000))
-    for half in (sketch._inserts, sketch._deletes):
-        assert _hex(half.quantiles(QS)) == _hex(
-            [_reference_quantile(half, _kll_weighted_samples, q) for q in QS]
-        )
-    assert _hex(sketch.quantiles(QS)) == _hex(
-        [sketch.quantile(q) for q in QS]
-    )
-
-
 # -- re-reads: the sealed sample is kept between queries -----------------
-
-
-def _reference_kllpm_quantile(self, q: float) -> float:
-    """``KLLPlusMinus.quantile`` over the per-call KLL samples."""
-    q = validate_quantile(q)
-    if self._deletes.count == 0:
-        return _reference_quantile(self._inserts, _kll_weighted_samples, q)
-    target = max(math.ceil(q * self._count), 1)
-    values, weights = _kll_weighted_samples(self._inserts)
-    cum_inserted = np.cumsum(weights)
-    scale_ins = self._inserts.count / cum_inserted[-1]
-    del_values, del_weights = _kll_weighted_samples(self._deletes)
-    cum_deleted = np.cumsum(del_weights)
-    scale_del = self._deletes.count / cum_deleted[-1]
-    positions = np.searchsorted(del_values, values, side="right")
-    deleted_at = np.where(positions > 0, cum_deleted[positions - 1], 0)
-    net = cum_inserted * scale_ins - deleted_at * scale_del
-    index = int(np.searchsorted(net, target, side="left"))
-    return float(values[min(index, values.size - 1)])
 
 
 def _assert_reads_match_reference(name: str, sketch) -> None:
     """Answers and ranks equal the per-call code's; reading, twice,
     leaves every ``dumps`` byte as it was."""
     before = dumps(sketch)
-    if name == "kllpm":
-        for _ in range(2):
-            assert _hex(sketch.quantiles(QS)) == _hex(
-                [_reference_kllpm_quantile(sketch, q) for q in QS]
-            )
-        for half in (sketch._inserts, sketch._deletes):
-            if not half.is_empty:
-                _assert_reads_match_reference("kll", half)
-        assert dumps(sketch) == before
-        return
     samples = REFERENCE_SAMPLES[name]
     probes = [-1.0, -0.0, 0.0, 1.0, 1.5, 3.5, 1e3, 1e9]
     for _ in range(2):
@@ -286,13 +244,6 @@ def _assert_reads_match_reference(name: str, sketch) -> None:
             _reference_rank(sketch, samples, v) for v in probes
         ]
     assert dumps(sketch) == before
-
-
-def _reread_sketch(name: str):
-    sketch = _sketch(name, "filled")
-    if name == "kllpm":
-        sketch.delete_batch(_values(1, 2_000))
-    return sketch
 
 
 def _scalar_updates(n: int):
@@ -333,13 +284,13 @@ CHANGES = {
     "copy": lambda sketch: sketch.copy(),
     "roundtrip": lambda sketch: loads(dumps(sketch)),
 }
-REREAD_NAMES = ("kll", "kllpm", "random", "req")
+REREAD_NAMES = ("kll", "random", "req")
 
 
 @pytest.mark.parametrize("change", sorted(CHANGES))
 @pytest.mark.parametrize("name", REREAD_NAMES)
 def test_reread_after_a_change_matches_the_per_call_code(name, change):
-    sketch = _reread_sketch(name)
+    sketch = _sketch(name, "filled")
     _assert_reads_match_reference(name, sketch)
     changed = CHANGES[change](sketch)
     _assert_reads_match_reference(name, changed)

@@ -15,6 +15,7 @@ from repro.core.registry import (
     BASELINE_SKETCHES,
     PAPER_SKETCHES,
     SKETCH_CLASSES,
+    SKETCHES,
 )
 from repro.errors import InvalidValueError
 
@@ -43,6 +44,24 @@ class TestRegistry:
 
     def test_baselines_disjoint_from_paper_set(self):
         assert not set(PAPER_SKETCHES) & set(BASELINE_SKETCHES)
+
+    def test_every_list_comes_from_the_one_table(self):
+        assert list(SKETCH_CLASSES) == list(SKETCHES)
+        assert PAPER_SKETCHES + BASELINE_SKETCHES == tuple(SKETCHES)
+        assert BASELINE_SKETCHES == (
+            "tdigest", "gk", "gkarray", "hdr", "random", "dcs", "exact",
+        )
+        for name, spec in SKETCHES.items():
+            assert SKETCH_CLASSES[name] is spec.cls
+            assert spec.cls.name == name
+
+    def test_paper_config_leaves_the_table_as_it_was(self):
+        before = {name: dict(spec.params) for name, spec in SKETCHES.items()}
+        for name in SKETCHES:
+            paper_config(name, dataset="pareto", seed=9)
+        assert {
+            name: dict(spec.params) for name, spec in SKETCHES.items()
+        } == before
 
 
 class TestPaperConfig:

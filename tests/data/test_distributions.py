@@ -13,6 +13,8 @@ from repro.data.distributions import (
     Lognormal,
     Normal,
     Pareto,
+    REDRAW_EVERY,
+    UNIFORM_WIDTH,
     Uniform,
     Zipf,
     adaptability_workload,
@@ -94,9 +96,12 @@ class TestDriftingDistributions:
         assert stats.kurtosis(samples) > 100
 
     def test_redraw_blocks_share_parameters(self, rng):
-        dist = DriftingPareto(redraw_every=1_000)
-        samples = dist.sample(10_000, rng)
-        assert samples.size == 10_000
+        # Each block of REDRAW_EVERY values shares one drawn minimum, so
+        # it spans less than the fixed width; the minima differ.
+        samples = DriftingUniform().sample(10 * REDRAW_EVERY, rng)
+        blocks = samples.reshape(10, REDRAW_EVERY)
+        assert (np.ptp(blocks, axis=1) < UNIFORM_WIDTH).all()
+        assert np.unique(blocks.min(axis=1)).size == 10
 
     def test_drifting_uniform_range(self, rng):
         samples = DriftingUniform().sample(100_000, rng)
@@ -108,12 +113,6 @@ class TestDriftingDistributions:
         from scipy import stats
         samples = DriftingUniform().sample(200_000, rng)
         assert abs(stats.kurtosis(samples)) < 1.3
-
-    def test_rejects_bad_redraw(self):
-        with pytest.raises(InvalidValueError):
-            DriftingPareto(redraw_every=0)
-        with pytest.raises(InvalidValueError):
-            DriftingUniform(width=-1.0)
 
 
 class TestConcatenation:

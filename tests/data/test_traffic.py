@@ -120,8 +120,6 @@ class TestLatencyValues:
         assert np.allclose(scaled, base * 3.0)
 
     def test_validation(self):
-        with pytest.raises(InvalidValueError):
-            LatencyValues(sigma=-1.0)
         values = LatencyValues()
         with pytest.raises(InvalidValueError):
             values.sample(0, np.random.default_rng(1))

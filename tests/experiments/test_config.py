@@ -1,10 +1,13 @@
 """Unit tests for experiment configuration."""
 
+import inspect
+
 import pytest
 
+from repro import experiments
+from repro.core.registry import PAPER_SKETCHES
 from repro.errors import ExperimentError
 from repro.experiments.config import (
-    DEFAULT_SKETCHES,
     SCALES,
     current_scale,
 )
@@ -63,6 +66,17 @@ class TestCurrentScale:
 
 class TestDefaults:
     def test_default_sketches_are_the_papers_five(self):
-        assert DEFAULT_SKETCHES == (
-            "kll", "moments", "ddsketch", "uddsketch", "req",
-        )
+        runners = [
+            experiments.run_accuracy,
+            experiments.run_adaptability,
+            experiments.run_kurtosis_sweep,
+            experiments.run_late_data,
+            experiments.measure_memory,
+            experiments.measure_insertion,
+            experiments.measure_query,
+            experiments.measure_merge,
+            experiments.run_window_size,
+        ]
+        for runner in runners:
+            default = inspect.signature(runner).parameters["sketches"].default
+            assert default == PAPER_SKETCHES, runner.__name__

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.registry import PAPER_SKETCHES
 from repro.experiments.config import SCALES
 from repro.experiments.memory import measure_memory
 
@@ -10,9 +11,7 @@ SMOKE = SCALES["smoke"]
 
 @pytest.fixture(scope="module")
 def result():
-    return measure_memory(
-        ("kll", "moments", "ddsketch", "uddsketch", "req"), scale=SMOKE
-    )
+    return measure_memory(PAPER_SKETCHES, scale=SMOKE)
 
 
 class TestMeasureMemory:

@@ -18,6 +18,12 @@ class TestRelatedWork:
         assert set(result.rows) == set(COMPARED)
         assert len(COMPARED) == 11
 
+    def test_compared_in_the_papers_order_then_the_baselines(self):
+        assert COMPARED == (
+            "kll", "moments", "ddsketch", "uddsketch", "req",
+            "tdigest", "gk", "gkarray", "hdr", "random", "dcs",
+        )
+
     def test_metrics_present_and_sane(self, result):
         for name, row in result.rows.items():
             assert row["mean_rel_err"] >= 0, name

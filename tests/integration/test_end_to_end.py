@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import DDSketch, UDDSketch, dumps, loads, paper_config
+from repro.core import (
+    PAPER_SKETCHES,
+    DDSketch,
+    UDDSketch,
+    dumps,
+    loads,
+    paper_config,
+)
 from repro.data import (
     ACCURACY_DATASETS,
     DriftingPareto,
@@ -39,9 +46,7 @@ class TestFullPipelinePerDataset:
                 true = true_quantile(true_sorted, q)
                 assert relative_error(true, est) <= 0.011, (dataset, q)
 
-    @pytest.mark.parametrize(
-        "sketch_name", ["kll", "moments", "ddsketch", "uddsketch", "req"]
-    )
+    @pytest.mark.parametrize("sketch_name", PAPER_SKETCHES)
     def test_every_sketch_through_the_engine(self, sketch_name, rng):
         batch = generate_stream(
             NYTFares(), 3_000.0, rng, rate_per_sec=2_000

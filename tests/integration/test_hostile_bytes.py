@@ -74,7 +74,6 @@ SMALL_CONFIGS: dict[str, dict[str, object]] = {
     "dcs": dict(universe_log2=6, exact_threshold=8, cs_width=8, cs_depth=2),
     "hdr": dict(significant_digits=1, highest_trackable_value=1_000.0),
     "kll": dict(max_compactor_size=8, seed=3),
-    "kllpm": dict(max_compactor_size=8, seed=3),
     "req": dict(num_sections=4, seed=3),
     "random": dict(num_buffers=3, buffer_size=4, seed=3),
     "uddsketch": dict(max_buckets=8, num_collapses=4),
@@ -450,6 +449,24 @@ def with_tail(header: bytes, count: int) -> bytes:
     )
 
 
+def kllpm_tagged(blob: bytes) -> bytes:
+    """A KLL blob re-tagged ``kllpm``: the name KLL± sketches, which
+    have no codec any more, were written under."""
+    assert blob[5:9] == b"\x03kll"  # magic, version, then the name
+    return blob[:5] + b"\x05kllpm" + blob[9:]
+
+
+def snapshot_with_a_kllpm_partition() -> bytes:
+    """A plain store snapshot whose first partition is tagged ``kllpm``."""
+    store = small_store()
+    key = sorted(k for k in store.partition_digests() if k[0] == "f")[0]
+    frozen = store.export_partitions([key])[key]  # kind, u32 length, blob
+    tagged = kllpm_tagged(frozen[5:])
+    return store.snapshot().replace(
+        frozen, b"\x00" + struct.pack("<I", len(tagged)) + tagged
+    )
+
+
 #: One summary invariant each; the first also breaks the gap sum, as
 #: the case that decoded and then answered rank(50) = -999,951 did.
 GK_TABLE_FAULTS = (
@@ -501,6 +518,11 @@ FIXED_CASES = [
     (
         "loads[kll]", "sketch-name byte >= 0x80",
         b"RPRO\x02\x03k\xffl" + bytes(64),
+    ),
+    ("loads[kll]", "a blob tagged kllpm", kllpm_tagged(dumps(kll_factory()))),
+    (
+        "restore[plain]", "a partition tagged kllpm",
+        snapshot_with_a_kllpm_partition(),
     ),
     (
         "restore[sharded]", "unknown partitioner byte",

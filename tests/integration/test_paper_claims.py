@@ -7,7 +7,7 @@ who wins, who fails, and where — the *shape* of the published results.
 import numpy as np
 import pytest
 
-from repro.core import paper_config
+from repro.core import PAPER_SKETCHES, paper_config
 from repro.data import (
     DriftingPareto,
     DriftingUniform,
@@ -18,13 +18,12 @@ from repro.data import (
 from repro.metrics import relative_error, true_quantile
 
 N = 200_000
-SKETCHES = ("kll", "moments", "ddsketch", "uddsketch", "req")
 
 
 def errors_on(dataset_name, values, quantiles, seed=0):
     true_sorted = np.sort(values)
     out = {}
-    for name in SKETCHES:
+    for name in PAPER_SKETCHES:
         sketch = paper_config(name, dataset=dataset_name, seed=seed)
         sketch.update_batch(values)
         out[name] = {
@@ -182,7 +181,7 @@ class TestTable3Shape:
         rng = np.random.default_rng(6)
         values = DriftingPareto().sample(N, rng)
         sizes = {}
-        for name in SKETCHES:
+        for name in PAPER_SKETCHES:
             sketch = paper_config(name, dataset="pareto", seed=0)
             sketch.update_batch(values)
             sizes[name] = sketch.size_bytes()

@@ -49,8 +49,7 @@ BOUNDS: dict[str, object] = {
     "exact": None,
     # a 99%-confidence bound, asserted per quantile in every cell
     "kll": 0.03,
-    # guarantee() is none for these five: an empirical tripwire
-    "kllpm": 0.03,
+    # guarantee() is none for these four: an empirical tripwire
     "req": 0.05,
     "moments": 0.10,
     "random": 0.15,

@@ -125,8 +125,8 @@ class TestRangeQueryExactness:
         for q in QS:
             assert store.quantile(q) == reference.quantile(q)
         assert store.count() == reference.count
-        assert store.rank(100.0) == reference.rank(100.0)
-        assert store.cdf(100.0) == reference.cdf(100.0)
+        assert store.merged().rank(100.0) == reference.rank(100.0)
+        assert store.merged().cdf(100.0) == reference.cdf(100.0)
 
     def test_subrange_matches_unpartitioned(self):
         clock = ManualClock(0.0)
@@ -186,8 +186,8 @@ class TestMergedViewCache:
         assert len(calls) == before + 1  # one view build
         for _ in range(10):
             assert store.quantile(0.5) == first
-            store.rank(3.0)
-            store.cdf(3.0)
+            store.merged().rank(3.0)
+            store.merged().cdf(3.0)
         assert len(calls) == before + 1  # all served from cache
 
     def test_record_invalidates_cache(self):
