@@ -96,7 +96,7 @@ class DDSketch(QuantileSketch):
 
     def update(self, value: float) -> None:
         value = float(value)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise InvalidValueError(f"cannot insert non-finite value {value!r}")
         if value > MIN_INDEXABLE_VALUE:
             self._positive.add(self._mapping.index(value))

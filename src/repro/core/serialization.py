@@ -69,9 +69,8 @@ _STORE_NAMES = {code: name for name, code in _STORE_CODES.items()}
 def _write_store(w: Writer, store: BucketStore) -> None:
     if isinstance(store, SparseStore):
         w.u8(_STORE_CODES["sparse"])
-        indices = sorted(store._buckets)
-        w.i64_array(indices)
-        w.i64_array([store._buckets[i] for i in indices])
+        for array in store.sorted_arrays():
+            w.i64_array(array)
         return
     if isinstance(store, CollapsingLowestDenseStore):
         w.u8(_STORE_CODES["collapsing"])

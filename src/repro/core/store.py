@@ -11,7 +11,8 @@ implementations mirror the ones discussed in the paper:
   runs out of room (the bounded DDSketch variant of Sec 3.3).
 * :class:`SparseStore` — a hash-map store holding three numbers per
   bucket, mirroring the map-based UDDSketch implementation whose higher
-  memory and iteration costs the paper's Sec 4.3/4.4 analysis discusses.
+  memory cost the paper's Table 3 reports.  Beside the map it keeps the
+  sorted arrays that its batch, collapse and merge paths compute.
 
 Queries read a store through a :class:`BucketView`, which the sketch
 keeps until the store changes.
@@ -29,6 +30,10 @@ from repro.errors import EmptySketchError, InvalidValueError
 #: Dense stores grow in chunks of this many buckets (the paper notes the
 #: unbounded dense store starts at 64 buckets).
 CHUNK_SIZE = 64
+
+#: The bucket arrays of an empty store, shared and read-only.
+_NO_BUCKETS = np.zeros(0, dtype=np.int64)
+_NO_BUCKETS.flags.writeable = False
 
 
 def collapsed_indices(indices: np.ndarray, levels: int) -> np.ndarray:
@@ -123,6 +128,11 @@ class BucketStore(abc.ABC):
     @abc.abstractmethod
     def items(self) -> Iterator[tuple[int, int]]:
         """Yield ``(index, count)`` pairs for non-empty buckets, ascending."""
+
+    @abc.abstractmethod
+    def sorted_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Non-empty bucket indices ascending, with their counts (int64
+        arrays the caller must not write to)."""
 
     @abc.abstractmethod
     def merge(self, other: "BucketStore") -> None:
@@ -251,6 +261,10 @@ class DenseStore(BucketStore):
         nonzero = np.nonzero(self._counts)[0]
         for pos in nonzero:
             yield int(pos) + self._offset, int(self._counts[pos])
+
+    def sorted_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        filled = np.flatnonzero(self._counts)
+        return filled + self._offset, self._counts[filled]
 
     def view(self, descending: bool = False) -> BucketView:
         # The cumsum runs over the slot array: extracting the non-empty
@@ -429,8 +443,15 @@ class SparseStore(BucketStore):
     """Hash-map store: three numbers (map slot, index, count) per bucket.
 
     Mirrors the map-based UDDSketch implementation the paper evaluates;
-    its per-bucket overhead is why UDDSketch tops Table 3 and why its
-    iteration-heavy merge is the slowest in Fig 5c.
+    its per-bucket overhead is why UDDSketch tops Table 3.
+
+    Beside the dict the store keeps its buckets as the sorted arrays
+    that a batch into an empty store, a collapse and a merge compute
+    anyway, so reads, collapses and merges start from them instead of
+    reading the dict back.  A scalar add only notes its key; the next
+    :meth:`sorted_arrays` folds the noted keys in.  Kept arrays are
+    read-only and replaced, never written, so a copy and an earlier
+    :class:`BucketView` can share them.
     """
 
     BYTES_PER_BUCKET = 24
@@ -438,6 +459,10 @@ class SparseStore(BucketStore):
     def __init__(self) -> None:
         self._buckets: dict[int, int] = {}
         self._total = 0
+        # The dict as sorted (indices, counts), apart from the keys in
+        # _moved; None when the next read rebuilds them from the dict.
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
+        self._moved: set[int] = set()
 
     def add(self, index: int, count: int = 1) -> None:
         if count < 0:
@@ -446,6 +471,8 @@ class SparseStore(BucketStore):
             return
         self._buckets[index] = self._buckets.get(index, 0) + count
         self._total += count
+        if self._arrays is not None:
+            self._moved.add(index)
 
     def add_batch(self, indices: np.ndarray) -> None:
         indices = np.asarray(indices, dtype=np.int64)
@@ -454,8 +481,11 @@ class SparseStore(BucketStore):
         buckets = self._buckets
         if indices.size < 32:
             # Tiny batches: a dict walk beats np.unique's sort overhead.
-            for index in indices.tolist():
+            keys = indices.tolist()
+            for index in keys:
                 buckets[index] = buckets.get(index, 0) + 1
+            if self._arrays is not None:
+                self._moved.update(keys)
         else:
             # One sort aggregates duplicates, then one dict update per
             # *distinct* bucket — bounded by the store width, not the
@@ -464,8 +494,9 @@ class SparseStore(BucketStore):
             if buckets:
                 for index, count in zip(unique.tolist(), counts.tolist()):
                     buckets[index] = buckets.get(index, 0) + count
+                self._arrays = None
             else:
-                self._buckets = dict(zip(unique.tolist(), counts.tolist()))
+                self._hold(unique, counts)
         self._total += int(indices.size)
 
     def items(self) -> Iterator[tuple[int, int]]:
@@ -473,7 +504,19 @@ class SparseStore(BucketStore):
             yield index, self._buckets[index]
 
     def sorted_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bucket indices ascending, with their counts (int64 arrays)."""
+        # _keep writes the arrays before the keys, so a read racing
+        # another read's fold sees fresh arrays with stale keys at worst,
+        # and folds those keys again to the same result.
+        moved = self._moved
+        arrays = self._arrays
+        if arrays is not None and not moved:
+            return arrays
+        if arrays is None or 4 * len(moved) > arrays[0].size:
+            return self._keep(*self._dict_arrays())
+        return self._keep(*self._fold_moved(*arrays, moved))
+
+    def _dict_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dict read back into sorted arrays."""
         size = len(self._buckets)
         indices = np.fromiter(self._buckets, dtype=np.int64, count=size)
         counts = np.fromiter(self._buckets.values(), dtype=np.int64, count=size)
@@ -483,6 +526,40 @@ class SparseStore(BucketStore):
             indices, counts = indices[order], counts[order]
         return indices, counts
 
+    def _fold_moved(
+        self, indices: np.ndarray, counts: np.ndarray, moved: set[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The kept arrays with the *moved* keys' counts read from the
+        dict: present keys are overwritten in a copy, new ones inserted."""
+        keys = sorted(moved)
+        noted = np.array(keys, dtype=np.int64)
+        values = np.array([self._buckets[key] for key in keys], dtype=np.int64)
+        at = indices.searchsorted(noted)
+        present = indices.take(at, mode="clip") == noted
+        counts = counts.copy()
+        counts[at[present]] = values[present]
+        new = ~present
+        if new.any():
+            indices = np.insert(indices, at[new], noted[new])
+            counts = np.insert(counts, at[new], values[new])
+        return indices, counts
+
+    def _keep(
+        self, indices: np.ndarray, counts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Keep *indices*/*counts*, read-only, as the dict's arrays."""
+        indices.flags.writeable = False
+        counts.flags.writeable = False
+        self._arrays = arrays = indices, counts
+        self._moved = set()
+        return arrays
+
+    def _hold(self, indices: np.ndarray, counts: np.ndarray) -> None:
+        """Hold exactly the buckets *indices*/*counts* (ascending,
+        distinct, counts positive), keeping the arrays."""
+        self._buckets = dict(zip(indices.tolist(), counts.tolist()))
+        self._keep(indices, counts)
+
     def view(self, descending: bool = False) -> BucketView:
         indices, counts = self.sorted_arrays()
         if descending:
@@ -490,8 +567,28 @@ class SparseStore(BucketStore):
         return BucketView(counts, keys=indices)
 
     def merge(self, other: BucketStore) -> None:
-        for index, count in other.items():
-            self.add(index, count)
+        """Add *other*'s buckets: its sorted arrays and ours, summed per
+        index in one stable sort, become the kept arrays, and the dict
+        takes the new counts of *other*'s keys."""
+        if other.is_empty:
+            return
+        theirs = other.sorted_arrays()
+        if not self._buckets:
+            self._hold(*theirs)
+        else:
+            ours = self.sorted_arrays()
+            indices = np.concatenate((ours[0], theirs[0]))
+            # Two ascending runs: the stable sort (timsort) merges them.
+            order = indices.argsort(kind="stable")
+            indices, counts = _summed(
+                indices[order], np.concatenate((ours[1], theirs[1]))[order]
+            )
+            self._buckets.update(zip(
+                theirs[0].tolist(),
+                counts[indices.searchsorted(theirs[0])].tolist(),
+            ))
+            self._keep(indices, counts)
+        self._total += other.total
 
     def set_collapsed(
         self, indices: np.ndarray, counts: np.ndarray, levels: int
@@ -503,18 +600,13 @@ class SparseStore(BucketStore):
         consistent with squaring gamma in the value mapping (Sec 3.4);
         :func:`collapsed_indices` composes *levels* of them into one map.
         """
-        if not indices.size:
-            self._buckets = {}
-            self._total = 0
-            return
-        collapsed = collapsed_indices(indices, levels)
-        starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(collapsed)) + 1)
-        )
-        self._buckets = dict(zip(
-            collapsed[starts].tolist(),
-            np.add.reduceat(counts, starts).tolist(),
-        ))
+        if indices.size:
+            indices, counts = _summed(
+                collapsed_indices(indices, levels), counts
+            )
+        else:
+            indices = counts = _NO_BUCKETS
+        self._hold(indices, counts)
         self._total = int(counts.sum())
 
     @property
@@ -539,7 +631,17 @@ class SparseStore(BucketStore):
         clone = SparseStore()
         clone._buckets = dict(self._buckets)
         clone._total = self._total
+        clone._arrays, clone._moved = self._arrays, set(self._moved)
         return clone
 
     def size_bytes(self) -> int:
         return self.BYTES_PER_BUCKET * len(self._buckets) + 8
+
+
+def _summed(
+    indices: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct index of the ascending *indices* once, with the sum
+    of its *counts*."""
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(indices)) + 1))
+    return indices[starts], np.add.reduceat(counts, starts)

@@ -22,8 +22,11 @@ at a time.
 
 Following the paper's Java port of the authors' C code, the bucket store
 is map-based (:class:`repro.core.store.SparseStore`), which is what drives
-UDDSketch's higher memory footprint (Table 3) and slower insert/merge
-paths (Fig 5) relative to DDSketch.
+UDDSketch's higher memory footprint (Table 3) relative to DDSketch.  The
+store keeps its buckets' sorted arrays beside the map, so the collapse
+check, the collapse, ``merge`` and the reads start from them; a merge
+still writes the operand's keys into the map and may collapse after
+it, where DDSketch's dense merge is one array addition (Fig 5c).
 """
 
 from __future__ import annotations

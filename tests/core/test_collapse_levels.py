@@ -48,6 +48,7 @@ def _uniform_collapse(store: SparseStore) -> None:
     summed = np.zeros(unique.size, dtype=np.int64)
     np.add.at(summed, inverse, counts)
     store._buckets = dict(zip(unique.tolist(), summed.tolist()))
+    store._arrays = None  # the dict moved under the store's kept arrays
 
 
 def _collapse_once(sketch: UDDSketch) -> None:

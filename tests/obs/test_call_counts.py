@@ -7,14 +7,20 @@ same instrument traffic for a 10-value batch as for a 10,000-value one.
 Likewise on the read path: a query's instrument traffic is per query,
 never per partition merged.  And the whole of one telemetry-on
 ``dispatch`` has a call budget.  Counts, not clocks: the assertions
-are noise-free.
+are noise-free.  Below the service, a scalar update of a sparse store
+that keeps its sorted arrays makes no numpy call at all.
 """
 
 import collections
+import functools
+import os
+import sys
 import threading
 
+import numpy as np
 import pytest
 
+from repro.core import DDSketch, UDDSketch
 from repro.durability import DurabilityManager
 from repro.obs.telemetry import Telemetry
 from repro.service import (
@@ -189,3 +195,65 @@ def test_telemetry_on_dispatch_call_budget():
     ingest = count_calls(lambda: answers.append(server.dispatch(request)))
     assert answers == [protocol.ok(accepted=1000)]
     assert ingest <= 70
+
+
+class _NoNumpy:
+    """Stands in for ``np`` in a module: any use of it is a numpy call
+    (a ufunc call makes no profiler event, a module lookup is caught)."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} called")
+
+
+def numpy_calls(fn, monkeypatch) -> list[str]:
+    """Names of the numpy functions and array methods *fn* calls, with
+    ``np`` taken away from the modules a sketch's scalar path runs in."""
+    for module in ("base", "ddsketch", "mapping", "store", "uddsketch"):
+        monkeypatch.setattr(f"repro.core.{module}.np", _NoNumpy())
+    numpy_dir = os.path.dirname(np.__file__)
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            called.append(frame.f_code.co_name)
+        elif event == "c_call" and isinstance(
+            getattr(arg, "__self__", None), (np.ndarray, np.generic, np.ufunc)
+        ):
+            called.append(arg.__qualname__)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        monkeypatch.undo()
+    return called
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [UDDSketch, functools.partial(DDSketch, store="sparse")],
+    ids=["uddsketch", "ddsketch-sparse"],
+)
+def test_a_scalar_update_on_kept_arrays_makes_no_numpy_call(
+    factory, monkeypatch
+):
+    """A sparse store that keeps its sorted arrays only notes the key of
+    a scalar add; folding it into the arrays waits for the next read."""
+    sketch = factory()
+    sketch.update_batch(np.linspace(1.0, 2.0, 100))
+    sketch.quantiles((0.5, 0.99))
+    assert sketch._positive._arrays is not None
+
+    def updates():
+        sketch.update(1.5)  # a bucket the store holds
+        sketch.update(1e6)  # a new bucket
+        sketch.update(-3.0)  # the other store
+        sketch.update(0.0)
+
+    assert numpy_calls(updates, monkeypatch) == []
+    assert sketch._positive._moved and sketch.count == 104
+    sketch.quantile(0.5)  # the read folds the noted keys in
+    indices, _ = sketch._positive.sorted_arrays()
+    assert not sketch._positive._moved
+    assert indices[-1] == sketch.mapping.index(1e6)
