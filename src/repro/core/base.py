@@ -35,6 +35,7 @@ from __future__ import annotations
 import abc
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from itertools import chain
 from typing import (
@@ -89,6 +90,51 @@ def as_float_batch(
     else:
         _reject_nan_batch(array)
     return array
+
+
+#: Values each per-thread work array holds: the ``sketch_batch`` chunk
+#: size.  A larger batch gets a fresh array.
+WORK_ARRAY_VALUES = 1 << 16
+
+#: The two work arrays a batch kernel may fill.  ``BATCH`` holds what a
+#: sketch derives from its batch and hands down (DDSketch's and
+#: UDDSketch's indices, Moments' centred values); ``SCRATCH`` holds what
+#: a leaf kernel fills and uses up before it returns (the mapping's
+#: logarithms, a dense store's shifted indices, Moments' powers).
+BATCH, SCRATCH = 0, 1
+
+_work_arrays = threading.local()
+
+
+def work_array(slot: int, size: int, dtype: type = np.float64) -> np.ndarray:
+    """An uninitialised length-*size* array of *dtype* (``np.float64``
+    or ``np.int64``) in this thread's work array *slot* (``BATCH`` or
+    ``SCRATCH``).
+
+    A batch-sized temporary above glibc's mmap threshold (128 KB until
+    a larger block is freed) is a fresh ``mmap``, so a kernel that
+    allocated one per batch paid its page faults on every batch
+    (DESIGN §12).  A thread allocates its two work arrays, 8 bytes by
+    :data:`WORK_ARRAY_VALUES` each, at its first batch kernel and
+    reuses them.  The next kernel that asks for a slot overwrites it,
+    so no work array outlives the call that fills it: a kernel hands
+    its result back in an array of its own.  A larger batch gets a
+    fresh array.
+    """
+    if size > WORK_ARRAY_VALUES:
+        # np.empty's own constructor: like the slice below, it makes no
+        # profiler event, so a kernel's call count does not depend on
+        # its batch's size (tests/core/test_ddsketch_kernel.py).
+        return np.ndarray(size, dtype)
+    try:
+        views: dict[tuple[int, type], np.ndarray] = _work_arrays.views
+    except AttributeError:
+        views = _work_arrays.views = {}
+        for work_slot in (BATCH, SCRATCH):
+            array = np.empty(WORK_ARRAY_VALUES, dtype=np.float64)
+            views[work_slot, np.float64] = array
+            views[work_slot, np.int64] = array.view(np.int64)
+    return views[slot, dtype][:size]
 
 
 def batch_extremes(values: np.ndarray) -> tuple[float, float]:

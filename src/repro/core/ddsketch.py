@@ -21,12 +21,14 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.core.base import (
+    BATCH,
     NO_GUARANTEE,
     Guarantee,
     QuantileSketch,
     batch_extremes,
     validate_quantile,
     validate_rank_value,
+    work_array,
 )
 from repro.core.mapping import (
     MAX_INDEXABLE_VALUE,
@@ -43,6 +45,10 @@ from repro.core.store import (
 from repro.errors import InvalidValueError
 
 DEFAULT_ALPHA = 0.01
+
+#: The magnitudes of a batch with no values of one sign.
+_NO_VALUES = np.zeros(0)
+_NO_VALUES.flags.writeable = False
 
 _STORE_FACTORIES: dict[str, Callable[..., BucketStore]] = {
     "dense": lambda max_bins: DenseStore(),
@@ -108,6 +114,19 @@ class DDSketch(QuantileSketch):
         self._drop_query_caches()
 
     def update_batch(self, values: Sequence[float] | np.ndarray) -> None:
+        self._ingest(values, self._add_magnitudes)
+
+    def _ingest(
+        self,
+        values: Sequence[float] | np.ndarray,
+        add: Callable[[np.ndarray, np.ndarray], None],
+    ) -> None:
+        """Insert a batch: *add* takes its values above zero and the
+        magnitudes of those below it, for the stores.  The range check,
+        sign split and bookkeeping are shared; UDDSketch passes an add
+        that collapses first.  This class's :meth:`update_batch` stays a
+        plain add on every subclass: the one-level UDDSketch reference
+        in ``tests/core/test_collapse_levels.py`` calls it so."""
         values = np.asarray(values, dtype=np.float64).ravel()
         if values.size == 0:
             return
@@ -118,15 +137,29 @@ class DDSketch(QuantileSketch):
         lo, hi = extremes = batch_extremes(values)
         self._check_range(lo, hi)
         if lo > MIN_INDEXABLE_VALUE:
-            self._positive.add_batch(self._mapping.index_batch(values))
+            add(values, _NO_VALUES)
         else:
             positive = values[values > MIN_INDEXABLE_VALUE]
-            negative = values[values < -MIN_INDEXABLE_VALUE]
-            self._positive.add_batch(self._mapping.index_batch(positive))
-            self._negative.add_batch(self._mapping.index_batch(-negative))
+            negative = -values[values < -MIN_INDEXABLE_VALUE]
+            add(positive, negative)
             self._zero_count += values.size - positive.size - negative.size
         self._observe_batch(values, checked=True, extremes=extremes)
         self._drop_query_caches()
+
+    def _add_magnitudes(
+        self, positive: np.ndarray, negative: np.ndarray
+    ) -> None:
+        """Add a batch's values above zero, and the magnitudes of those
+        below it, to their stores; all lie in the indexable range.  The
+        indices go through this thread's batch work array, one store
+        at a time."""
+        for store, values in (
+            (self._positive, positive), (self._negative, negative)
+        ):
+            if values.size:
+                store.add_batch(self._mapping.index_batch(
+                    values, out=work_array(BATCH, values.size, np.int64)
+                ))
 
     def _check_range(self, lo: float, hi: float) -> None:
         # argmin/argmax stop at the first NaN, which fails both bounds.

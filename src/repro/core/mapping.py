@@ -5,7 +5,9 @@ A value ``x > 0`` is assigned to the bucket with index
 bucket ``i`` covers ``(gamma^(i-1), gamma^i]``.  The representative value
 returned for a bucket is ``2 * gamma^i / (gamma + 1)``, which guarantees a
 relative error of at most ``alpha`` for any value inside the bucket
-(Sec 3.3 of the paper).
+(Sec 3.3 of the paper).  A batch is indexed through this thread's work
+arrays (:func:`repro.core.base.work_array`), so it allocates no
+batch-sized temporary.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 
 import numpy as np
 
+from repro.core.base import SCRATCH, work_array
 from repro.errors import IncompatibleSketchError, InvalidValueError
 
 #: Smallest positive value the mapping will index.  Values at or below this
@@ -67,13 +70,21 @@ class LogarithmicMapping:
             )
         return math.ceil(math.log(value) * self._multiplier)
 
-    def index_batch(self, values: np.ndarray) -> np.ndarray:
+    def index_batch(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`index` over an array of values inside the
         indexable range, which the caller has checked: DDSketch checks
-        a batch once, through its extremes."""
-        indices = np.log(values)
-        indices *= self._multiplier
-        return np.ceil(indices, out=indices).astype(np.int64)
+        a batch once, through its extremes.
+
+        The indices go into *out* (int64, as long as *values*), which is
+        returned.  The logarithms go into this thread's scratch work
+        array, so a batch of up to ``WORK_ARRAY_VALUES`` allocates
+        nothing else.
+        """
+        logs = np.log(values, out=work_array(SCRATCH, values.size))
+        logs *= self._multiplier
+        np.ceil(logs, out=logs)
+        out[...] = logs
+        return out
 
     def value(self, index: int) -> float:
         """Return the representative value of bucket *index*.

@@ -24,12 +24,15 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.core.base import (
+    BATCH,
     NO_GUARANTEE,
+    SCRATCH,
     Guarantee,
     QuantileSketch,
     as_float_batch,
     validate_quantile,
     validate_rank_value,
+    work_array,
 )
 from repro.core.maxent import (
     DEFAULT_GRID_SIZE,
@@ -79,21 +82,21 @@ def _binomial_table(k: int) -> tuple[np.ndarray, np.ndarray]:
 def _summed_powers(sums: np.ndarray, centred: np.ndarray) -> np.ndarray:
     """A new array of ``sums[i] + sum(centred ** i)`` for every ``i``.
 
-    The powers are a cumulative product multiplied in place, one array
-    for all of them.  Power 0 adds the count: a float sum of ones is
-    exactly that, so this is the float program of summing
+    The powers are a cumulative product multiplied in place, in this
+    thread's scratch work array.  Power 0 adds the count: a float sum
+    of ones is exactly that, so this is the float program of summing
     ``ones * centred * centred ...`` term by term.  Raises
     :class:`~repro.errors.InvalidValueError`, with *sums* untouched, if
     any of them would not be finite.
     """
     summed = sums.copy()
     summed[0] += centred.size
-    powers = centred.copy()
+    powers, scratch = centred, work_array(SCRATCH, centred.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, summed.size):
             summed[i] += powers.sum()
             if i + 1 < summed.size:
-                np.multiply(powers, centred, out=powers)
+                powers = np.multiply(powers, centred, out=scratch)
     if not np.isfinite(summed).all():
         raise _overflow_error()
     return summed
@@ -227,15 +230,19 @@ class MomentsSketch(QuantileSketch):
     # Transform helpers
     # ------------------------------------------------------------------
 
-    def _apply_transform(self, values: np.ndarray) -> np.ndarray:
+    def _apply_transform(
+        self, values: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The transformed *values*, into *out* if given; *values*
+        themselves without a transform."""
         if self.transform == "log":
             if (values <= 0).any():
                 raise InvalidValueError(
                     "log transform requires strictly positive values"
                 )
-            return np.log(values)
+            return np.log(values, out=out)
         if self.transform == "arcsinh":
-            return np.arcsinh(values)
+            return np.arcsinh(values, out=out)
         return values
 
     def _invert_transform(self, value: float) -> float:
@@ -306,33 +313,37 @@ class MomentsSketch(QuantileSketch):
             raise InvalidValueError(
                 "log moments require strictly positive values"
             )
-        transformed = self._apply_transform(values)
+        # The transform and the centring write this thread's batch work
+        # array, and the power loop its scratch one.
+        work = work_array(BATCH, values.size)
+        transformed = self._apply_transform(values, out=work)
         origin = (
             float(transformed[0]) if self._origin is None else self._origin
         )
-        sums = _summed_powers(self._power_sums, transformed - origin)
+        # First extreme wins, as in the scalar path and _observe_batch
+        # (min()/max() would keep the last of 0.0 and -0.0).
+        t_min = float(transformed[transformed.argmin()])
+        t_max = float(transformed[transformed.argmax()])
+        sums = _summed_powers(
+            self._power_sums, np.subtract(transformed, origin, out=work)
+        )
         if self.log_moments:
-            logs = np.log(values)
+            logs = np.log(values, out=work)
             log_origin = (
                 float(logs[0]) if self._log_origin is None
                 else self._log_origin
             )
+            l_min, l_max = float(logs.min()), float(logs.max())
             self._log_power_sums = _summed_powers(
-                self._log_power_sums, logs - log_origin
+                self._log_power_sums, np.subtract(logs, log_origin, out=logs)
             )
             self._log_origin = log_origin
-            self._l_min = min(self._l_min, float(logs.min()))
-            self._l_max = max(self._l_max, float(logs.max()))
+            self._l_min = min(self._l_min, l_min)
+            self._l_max = max(self._l_max, l_max)
         self._power_sums = sums
         self._origin = origin
-        # First extreme wins, as in the scalar path and _observe_batch
-        # (min()/max() would keep the last of 0.0 and -0.0).
-        self._t_min = min(
-            self._t_min, float(transformed[transformed.argmin()])
-        )
-        self._t_max = max(
-            self._t_max, float(transformed[transformed.argmax()])
-        )
+        self._t_min = min(self._t_min, t_min)
+        self._t_max = max(self._t_max, t_max)
         self._observe_batch(values, checked=True)
         self._solution = None
 

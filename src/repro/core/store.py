@@ -15,7 +15,10 @@ implementations mirror the ones discussed in the paper:
   sorted arrays that its batch, collapse and merge paths compute.
 
 Queries read a store through a :class:`BucketView`, which the sketch
-keeps until the store changes.
+keeps until the store changes.  A dense store shifts a batch's indices
+in this thread's scratch work array (:func:`repro.core.base.work_array`).
+:func:`united` sums two stores' sorted arrays, for ``merge`` and for
+UDDSketch, which collapses a large batch before a store maps it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.core.base import SCRATCH, work_array
 from repro.errors import EmptySketchError, InvalidValueError
 
 #: Dense stores grow in chunks of this many buckets (the paper notes the
@@ -53,6 +57,19 @@ def distinct_sorted(indices: np.ndarray) -> int:
     if not indices.size:
         return 0
     return int(np.count_nonzero(np.diff(indices))) + 1
+
+
+def united(
+    ours: tuple[np.ndarray, np.ndarray], theirs: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The buckets of two ``(indices, counts)`` pairs, ascending and
+    distinct, summed per index, in new arrays."""
+    indices = np.concatenate((ours[0], theirs[0]))
+    # Two ascending runs: the stable sort (timsort) merges them.
+    order = indices.argsort(kind="stable")
+    return _summed(
+        indices[order], np.concatenate((ours[1], theirs[1]))[order]
+    )
 
 
 class BucketView:
@@ -210,15 +227,18 @@ class DenseStore(BucketStore):
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size == 0:
             return
-        lo = int(indices.min())
-        self._extend_range(lo, int(indices.max()))
+        lo = int(np.minimum.reduce(indices))
+        self._extend_range(lo, int(np.maximum.reduce(indices)))
         # After extension every index at or above the floor has a slot;
         # a collapsed store folds the ones below it into its lowest slot.
         floor = max(lo, self._offset)
+        shifted = np.subtract(
+            indices, floor, out=work_array(SCRATCH, indices.size, np.int64)
+        )
         if lo < floor:
-            indices = np.maximum(indices, floor)
+            np.maximum(shifted, 0, out=shifted)
         # One bincount from the floor up aggregates in C.
-        counts = np.bincount(indices - floor)
+        counts = np.bincount(shifted)
         start = floor - self._offset
         self._counts[start : start + counts.size] += counts
         self._total += int(indices.size)
@@ -576,13 +596,7 @@ class SparseStore(BucketStore):
         if not self._buckets:
             self._hold(*theirs)
         else:
-            ours = self.sorted_arrays()
-            indices = np.concatenate((ours[0], theirs[0]))
-            # Two ascending runs: the stable sort (timsort) merges them.
-            order = indices.argsort(kind="stable")
-            indices, counts = _summed(
-                indices[order], np.concatenate((ours[1], theirs[1]))[order]
-            )
+            indices, counts = united(self.sorted_arrays(), theirs)
             self._buckets.update(zip(
                 theirs[0].tolist(),
                 counts[indices.searchsorted(theirs[0])].tolist(),

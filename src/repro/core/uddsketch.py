@@ -15,8 +15,9 @@ batch needs — a fresh 5,000-value window pane at the paper's
 ``alpha_0 ~ 2.4e-6`` needs about ten — the sketch finds the lowest level
 at which both stores fit the budget on their sorted indices and rebuilds
 each store once; ``merge`` brings the finer operand to the coarser level
-the same way.  Values are inserted at the current level first and the
-level is settled after: the mapping, and so gamma, still advances by one
+the same way.  The search starts at the level the indices' span
+guarantees to fit and walks down, so it counts buckets at two or three
+levels, not ten.  The mapping, and so gamma, still advances by one
 ``collapsed()`` call per level, the same floats as collapsing one level
 at a time.
 
@@ -24,9 +25,12 @@ Following the paper's Java port of the authors' C code, the bucket store
 is map-based (:class:`repro.core.store.SparseStore`), which is what drives
 UDDSketch's higher memory footprint (Table 3) relative to DDSketch.  The
 store keeps its buckets' sorted arrays beside the map, so the collapse
-check, the collapse, ``merge`` and the reads start from them; a merge
-still writes the operand's keys into the map and may collapse after
-it, where DDSketch's dense merge is one array addition (Fig 5c).
+check, the collapse, ``merge`` and the reads start from them.  A batch
+collapses before any store maps it: its sorted indices join the
+stores' arrays, the level is settled on them, and each store maps only
+its collapsed buckets.  A merge still writes the operand's keys
+into the map and may collapse after it, where DDSketch's dense merge is
+one array addition (Fig 5c).
 """
 
 from __future__ import annotations
@@ -35,14 +39,19 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.base import Guarantee, QuantileSketch
+from repro.core.base import BATCH, Guarantee, QuantileSketch, work_array
 from repro.core.ddsketch import DDSketch
 from repro.core.mapping import (
     LogarithmicMapping,
     alpha_after_collapses,
     initial_alpha,
 )
-from repro.core.store import SparseStore, collapsed_indices, distinct_sorted
+from repro.core.store import (
+    SparseStore,
+    collapsed_indices,
+    distinct_sorted,
+    united,
+)
 from repro.errors import IncompatibleSketchError, InvalidValueError
 
 DEFAULT_FINAL_ALPHA = 0.01
@@ -123,28 +132,100 @@ class UDDSketch(DDSketch):
         self._collapse_if_needed()
 
     def update_batch(self, values: Sequence[float] | np.ndarray) -> None:
-        super().update_batch(values)
-        self._collapse_if_needed()
+        # DDSketch's batch path, with the stores' add replaced: each
+        # batch reaches the stores as sorted arrays, collapsed first.
+        self._ingest(values, self._add_collapsed)
+
+    def _add_collapsed(
+        self, positive: np.ndarray, negative: np.ndarray
+    ) -> None:
+        """Join each store's buckets with the batch's, as sorted arrays,
+        and rebuild each store once, at the level where they all fit: no
+        store maps a bucket that the collapse folds away, and a batch
+        that no level fits raises before any store moves."""
+        self._settle(
+            self._joined(self._positive, positive),
+            self._joined(self._negative, negative),
+        )
+
+    def _joined(self, store: SparseStore, values: np.ndarray) -> _Arrays:
+        """The sorted arrays of *store* with the buckets of *values*
+        (magnitudes in the indexable range) added."""
+        held = store.sorted_arrays()
+        if not values.size:
+            return held
+        indices = self._mapping.index_batch(
+            values, out=work_array(BATCH, values.size, np.int64)
+        )
+        batch = np.unique(indices, return_counts=True)
+        return united(held, batch) if held[0].size else batch
 
     def _collapse_if_needed(self) -> None:
         """Collapse to the lowest level at which the buckets fit."""
-        if self.num_buckets <= self.max_buckets:
-            return
-        positive = self._positive.sorted_arrays()
-        negative = self._negative.sorted_arrays()
-        mapping, levels = self._mapping, 0
-        while True:
+        if self.num_buckets > self.max_buckets:
+            self._settle(
+                self._positive.sorted_arrays(), self._negative.sorted_arrays()
+            )
+
+    def _settle(self, positive: _Arrays, negative: _Arrays) -> None:
+        """Hold the buckets *positive* and *negative* (sorted arrays at
+        the current mapping) at the lowest level at which they fit."""
+        levels, mapping = 0, self._mapping
+        if positive[0].size + negative[0].size > self.max_buckets:
+            found = self._collapse_levels(positive[0], negative[0])
             # The mapping refuses an alpha that has rounded to 1, so a
-            # budget no level can meet raises here, before any store
-            # has moved.
-            mapping = mapping.collapsed()
-            levels += 1
-            buckets = distinct_sorted(
-                collapsed_indices(positive[0], levels)
-            ) + distinct_sorted(collapsed_indices(negative[0], levels))
-            if buckets <= self.max_buckets:
-                break
+            # budget that no level meets, or one met only past that
+            # level, raises here, before any store has moved.
+            while found is None:
+                mapping = mapping.collapsed()
+            levels = found
+            for _ in range(levels):
+                mapping = mapping.collapsed()
         self._collapse(levels, mapping, positive, negative)
+
+    def _collapse_levels(
+        self, positive: np.ndarray, negative: np.ndarray
+    ) -> int | None:
+        """The fewest collapses, at least one, after which the buckets
+        at the sorted indices *positive* and *negative* fit the budget;
+        None when no number of collapses does.
+
+        Collapses never add buckets, so the search starts at a level
+        known to fit and walks down while the next lower one fits.
+        """
+        stores = [
+            indices for indices in (positive, negative) if indices.size
+        ]
+
+        def fits(levels: int) -> bool:
+            return sum(
+                distinct_sorted(collapsed_indices(indices, levels))
+                for indices in stores
+            ) <= self.max_buckets
+
+        if 2 * len(stores) <= self.max_buckets:
+            # After L collapses, a store whose indices span s holds at
+            # most (s >> L) + 2 buckets.
+            spans = [int(indices[-1] - indices[0]) for indices in stores]
+            levels = 1
+            while sum((span >> levels) + 2 for span in spans) \
+                    > self.max_buckets:
+                levels += 1
+        else:
+            # Two stores and a budget of 2 or 3.  After this many
+            # collapses every index is 0 or 1, and more change nothing.
+            levels = max(
+                1,
+                *(
+                    max(-int(indices[0]), int(indices[-1])).bit_length()
+                    for indices in stores
+                ),
+            )
+            if not fits(levels):
+                return None
+        while levels > 1 and fits(levels - 1):
+            levels -= 1
+        return levels
 
     def _collapse(
         self,
@@ -153,10 +234,17 @@ class UDDSketch(DDSketch):
         positive: _Arrays,
         negative: _Arrays,
     ) -> None:
-        """Rebuild each store once at *levels* collapses up, given their
-        sorted arrays, and move to *mapping*."""
-        self._positive.set_collapsed(*positive, levels)
-        self._negative.set_collapsed(*negative, levels)
+        """Rebuild each store once from its sorted arrays, *levels*
+        collapses up, and move to *mapping*.  An empty store stays as
+        it is, and so does one that is handed its own arrays for no
+        collapse."""
+        for store, arrays in (
+            (self._positive, positive), (self._negative, negative)
+        ):
+            if arrays[0].size and (
+                levels or arrays is not store.sorted_arrays()
+            ):
+                store.set_collapsed(*arrays, levels)
         self._mapping = mapping
         self._collapses += levels
         self._drop_query_caches()

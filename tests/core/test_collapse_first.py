@@ -1,0 +1,214 @@
+"""UDDSketch collapses a batch before any store maps it.
+
+A batch joins each store's buckets as sorted arrays; the sketch finds
+the collapse level on them and rebuilds each store once, so a fresh
+5,000-value pane maps its ~750 collapsed buckets and never its ~5,000
+fine ones.  The level search starts where the index span guarantees
+a fit — ``(span >> L) + 2`` buckets per store after ``L`` collapses —
+and walks down while the next lower level fits.
+
+Three properties are held here:
+
+* the search equals the linear one (level 1, 2, ... until the buckets
+  fit) on a table of index sets: both signs, one empty store, and the
+  budgets of 2 and 3 buckets that no level meets;
+* a batch into a sketch, empty or not, of either sign, gives the bytes
+  of adding it and then collapsing one level at a time (the reference
+  of ``test_collapse_levels.py``), and raises the same error where
+  that raises, with nothing applied;
+* a fresh pane builds one map per store, of its collapsed buckets.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core import UDDSketch, dumps, paper_config
+from repro.core import uddsketch as uddsketch_module
+from repro.core.store import SparseStore, collapsed_indices, distinct_sorted
+from repro.errors import ReproError
+from tests.core.test_collapse_levels import (
+    outcome,
+    reference_update_batch,
+    state,
+    stream,
+)
+
+#: Collapses past which no int64 index changes any more.
+LEVEL_LIMIT = 64
+
+
+def linear_levels(
+    positive: np.ndarray, negative: np.ndarray, budget: int
+) -> int | None:
+    """The one-level-at-a-time search: the first level that fits."""
+    for levels in range(1, LEVEL_LIMIT):
+        buckets = sum(
+            distinct_sorted(collapsed_indices(indices, levels))
+            for indices in (positive, negative)
+        )
+        if buckets <= budget:
+            return levels
+    return None
+
+
+def indices(*values: int) -> np.ndarray:
+    return np.array(sorted(set(values)), dtype=np.int64)
+
+
+def spread(seed: int, size: int, lo: int, hi: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.unique(rng.integers(lo, hi, size))
+
+
+NONE = indices()
+
+TABLE = {
+    "positive only": (spread(1, 5_000, 300_000, 3_000_000), NONE, 1024),
+    "negative only": (NONE, spread(2, 5_000, -40_000, 900_000), 1024),
+    "both signs": (
+        spread(3, 3_000, 0, 2_000_000), spread(4, 3_000, -500, 70_000), 1024
+    ),
+    "both signs, small budget": (
+        spread(5, 200, -300, 300), spread(6, 200, 10, 5_000), 16
+    ),
+    "one wide, one narrow": (
+        spread(7, 4_000, 1, 1 << 40), indices(5, 6, 7), 64
+    ),
+    "dense run": (np.arange(-2_000, 2_000, dtype=np.int64), NONE, 1024),
+    "pairs that fold at once": (indices(3, 4, 5, 6), NONE, 2),
+    "two stores, budget 3, fits": (indices(5, 6), indices(5, 7, 8), 3),
+    "two stores, budget 2, fits late": (
+        indices(4, 5), indices(100, 130), 2
+    ),
+    "refused: a store across index 0": (indices(0, 1), indices(9), 2),
+    "refused: both across index 0": (
+        indices(-3, 0, 2), indices(-1, 1), 3
+    ),
+    "one store across index 0, budget 2": (NONE, indices(-8, 0, 8), 2),
+}
+
+
+@pytest.mark.parametrize("row", TABLE)
+def test_span_started_search_equals_the_linear_one(row):
+    positive, negative, budget = TABLE[row]
+    assert positive.size + negative.size > budget
+    expected = linear_levels(positive, negative, budget)
+    assert (expected is None) == row.startswith("refused")
+    sketch = UDDSketch(max_buckets=budget)
+    assert sketch._collapse_levels(positive, negative) == expected
+
+
+def test_the_search_counts_buckets_at_few_levels(monkeypatch):
+    counts = []
+
+    def counting(array: np.ndarray) -> int:
+        counts.append(array.size)
+        return distinct_sorted(array)
+
+    monkeypatch.setattr(uddsketch_module, "distinct_sorted", counting)
+    rng = np.random.default_rng(20230328)
+    levels = []
+    for _ in range(20):
+        sketch = paper_config("uddsketch", dataset="pareto")
+        sketch.update_batch(1.0 + rng.pareto(1.0, 5_000))
+        levels.append(sketch.num_collapses)
+    # The linear search counted every level from 1 up: ~10 a pane.
+    assert min(levels) >= 8
+    assert len(counts) <= 3 * len(levels)
+
+
+# -- the batch path against add-then-collapse ------------------------------
+
+BUDGETS = (2, 3, 16, 1024)
+KINDS = ("mixed", "zero_heavy", "pareto", "negative")
+
+
+def feed(budget: int, batches) -> None:
+    new, old = UDDSketch(max_buckets=budget), UDDSketch(max_buckets=budget)
+    for values in batches:
+        before = dumps(new)
+        raised = outcome(UDDSketch.update_batch, new, values)
+        assert raised == outcome(reference_update_batch, old, values)
+        if raised:
+            # Adding first, the reference moved the stores before its
+            # collapse raised; this path raises before that.
+            assert dumps(new) == before
+            return
+        assert state(new) == state(old)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_batches_match_adding_then_collapsing(budget, kind):
+    # Sizes on both sides of the budget, into an empty sketch and on
+    # top of what the earlier batches left.
+    sizes = (budget, budget + 1, 5_000, 3, 2_000, budget + 1)
+    feed(budget, [stream(kind, size, seed) for seed, size in enumerate(sizes)])
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_signs_arriving_apart_match_adding_then_collapsing(budget):
+    feed(budget, [
+        stream("pareto", 3_000, 1),
+        stream("negative", 3_000, 2),
+        np.zeros(budget + 1),
+        stream("mixed", 3_000, 3),
+    ])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_random_batch_runs_match_adding_then_collapsing(budget, seed):
+    rng = np.random.default_rng(seed)
+    batches = [
+        stream(
+            str(rng.choice(KINDS)),
+            int(rng.choice((1, budget, budget + 1, 700, 5_000, 20_000))),
+            int(rng.integers(1 << 32)),
+        )
+        for _ in range(6)
+    ]
+    feed(budget, batches)
+
+
+# -- the map-once witness --------------------------------------------------
+
+
+def test_a_fresh_pane_maps_only_its_collapsed_buckets(monkeypatch):
+    maps = []
+    hold = SparseStore._hold
+
+    def counted_hold(store, indices, counts):
+        maps.append(indices.size)
+        hold(store, indices, counts)
+
+    def refused(*_args):
+        raise AssertionError("a store took buckets one by one")
+
+    monkeypatch.setattr(SparseStore, "_hold", counted_hold)
+    monkeypatch.setattr(SparseStore, "add", refused)
+    monkeypatch.setattr(SparseStore, "add_batch", refused)
+    sketch = paper_config("uddsketch", dataset="pareto")
+    pane = 1.0 + np.random.default_rng(20230328).pareto(1.0, 5_000)
+    sketch.update_batch(pane)
+    sketch.quantiles((0.5, 0.9, 0.99))
+    dumps(sketch)
+    assert sketch.num_collapses >= 8
+    assert maps == [sketch.num_buckets]
+
+
+@pytest.mark.parametrize(
+    "batch", [[0.25, 0.5, 4.0, -3.0], [-3.0]], ids=["over budget", "one value"]
+)
+def test_a_refused_batch_leaves_the_sketch_as_it_was(batch):
+    sketch = UDDSketch(max_buckets=2)
+    sketch.update_batch([0.5, 2.0])
+    before = dumps(sketch)
+    # Values below and above 1 keep a store across index 0, so no
+    # level fits two buckets alongside the negative ones.
+    with pytest.raises(ReproError):
+        sketch.update_batch(batch)
+    assert dumps(sketch) == before

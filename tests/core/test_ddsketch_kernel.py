@@ -23,7 +23,12 @@ import numpy as np
 import pytest
 
 from repro.core import DDSketch, UDDSketch, dumps
-from repro.core.base import _reject_nan_batch, as_float_batch
+from repro.core.base import (
+    BATCH,
+    _reject_nan_batch,
+    as_float_batch,
+    work_array,
+)
 from repro.core.mapping import (
     MAX_INDEXABLE_VALUE,
     MIN_INDEXABLE_VALUE,
@@ -266,6 +271,7 @@ def update_calls(n_values: int, warm: bool) -> int:
 
 @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
 def test_all_positive_batch_costs_a_fixed_number_of_calls(warm):
+    work_array(BATCH, 1)  # this thread's work arrays exist before counting
     calls = update_calls(1_000, warm)
     assert update_calls(100_000, warm) == calls
     assert calls <= KERNEL_CALLS

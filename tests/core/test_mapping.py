@@ -45,7 +45,7 @@ class TestLogarithmicMapping:
         mapping = LogarithmicMapping(0.02)
         rng = np.random.default_rng(1)
         values = 10.0 ** rng.uniform(-3, 3, 500)
-        batch = mapping.index_batch(values)
+        batch = mapping.index_batch(values, np.empty(500, dtype=np.int64))
         scalars = [mapping.index(float(v)) for v in values]
         assert batch.tolist() == scalars
 
