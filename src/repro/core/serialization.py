@@ -99,9 +99,12 @@ def _read_store(r: Reader) -> BucketStore:
     kind = _STORE_NAMES[r.u8()]
     if kind == "sparse":
         store = SparseStore()
-        indices = r.i64_array()
-        for index, count in zip(indices.tolist(), r.i64_array().tolist()):
-            store.add(index, count)
+        indices, counts = r.i64_array(), r.i64_array()
+        if indices.size != counts.size:
+            r.fail(f"{indices.size} bucket indices, {counts.size} counts")
+        if indices.size > 1 and not bool((indices[1:] > indices[:-1]).all()):
+            r.fail("bucket indices not strictly ascending")
+        store._hold(indices, counts, _bucket_total(r, counts, floor=1))
         return store
     if kind == "collapsing":
         store = CollapsingLowestDenseStore(r.i64())
@@ -110,8 +113,19 @@ def _read_store(r: Reader) -> BucketStore:
         store = DenseStore()
     store._offset = r.i64()
     store._counts = r.i64_array()
-    store._total = int(store._counts.sum())
+    store._total = _bucket_total(r, store._counts, floor=0)
     return store
+
+
+def _bucket_total(r: Reader, counts: np.ndarray, floor: int) -> int:
+    """The exact sum of a store's *counts*, each at least *floor*."""
+    if not counts.size:
+        return 0
+    if int(counts.min()) < floor:
+        r.fail(f"bucket count below {floor}")
+    if int(counts.max()) < (1 << 63) // counts.size:
+        return int(counts.sum())  # too small to wrap an int64 sum
+    return sum(counts.tolist())
 
 
 # ----------------------------------------------------------------------
@@ -166,10 +180,15 @@ def _write_buckets(w: Writer, sketch: DDSketch) -> None:
 
 
 def _read_buckets(r: Reader, sketch: DDSketch) -> None:
-    sketch._zero_count = r.i64()
+    sketch._zero_count = zeros = r.i64()
     _read_common(r, sketch)
     sketch._positive = _read_store(r)
     sketch._negative = _read_store(r)
+    held = sketch._positive.total + sketch._negative.total
+    if zeros < 0 or zeros + held != sketch._count:
+        r.fail(
+            f"{zeros} zeros and {held} bucketed values, count {sketch._count}"
+        )
 
 
 def _encode_ddsketch(w: Writer, sketch: DDSketch) -> None:

@@ -9,16 +9,16 @@ implementations mirror the ones discussed in the paper:
 * :class:`CollapsingLowestDenseStore` — a dense store capped at
   ``max_bins`` buckets that collapses the lowest-indexed buckets when it
   runs out of room (the bounded DDSketch variant of Sec 3.3).
-* :class:`SparseStore` — a hash-map store holding three numbers per
-  bucket, mirroring the map-based UDDSketch implementation whose higher
-  memory cost the paper's Table 3 reports.  Beside the map it keeps the
-  sorted arrays that its batch, collapse and merge paths compute.
+* :class:`SparseStore` — the non-empty buckets as sorted arrays, costed
+  as the map-based UDDSketch implementation (three numbers per bucket)
+  whose higher memory cost the paper's Table 3 reports.
 
 Queries read a store through a :class:`BucketView`, which the sketch
 keeps until the store changes.  A dense store shifts a batch's indices
 in this thread's scratch work array (:func:`repro.core.base.work_array`).
-:func:`united` sums two stores' sorted arrays, for ``merge`` and for
-UDDSketch, which collapses a large batch before a store maps it.
+:func:`united` sums two stores' sorted arrays, for a sparse store's
+batch and merge and for UDDSketch, which collapses before a store
+takes a bucket.
 """
 
 from __future__ import annotations
@@ -35,9 +35,13 @@ from repro.errors import EmptySketchError, InvalidValueError
 #: unbounded dense store starts at 64 buckets).
 CHUNK_SIZE = 64
 
-#: The bucket arrays of an empty store, shared and read-only.
-_NO_BUCKETS = np.zeros(0, dtype=np.int64)
-_NO_BUCKETS.flags.writeable = False
+#: Buckets as ascending, distinct ``(indices, counts)`` int64 arrays.
+Buckets = tuple[np.ndarray, np.ndarray]
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
+#: The buckets of an empty store, shared and read-only.
+NO_BUCKETS: Buckets = (_EMPTY, _EMPTY)
 
 
 def collapsed_indices(indices: np.ndarray, levels: int) -> np.ndarray:
@@ -52,6 +56,14 @@ def collapsed_indices(indices: np.ndarray, levels: int) -> np.ndarray:
     return (indices + ((1 << levels) - 1)) >> levels
 
 
+def collapsed(indices: np.ndarray, counts: np.ndarray, levels: int) -> Buckets:
+    """The buckets *indices*/*counts* after *levels* uniform collapses:
+    the same arrays for none."""
+    if not levels or not indices.size:
+        return indices, counts
+    return _summed(collapsed_indices(indices, levels), counts)
+
+
 def distinct_sorted(indices: np.ndarray) -> int:
     """Number of distinct values in an ascending array."""
     if not indices.size:
@@ -59,11 +71,13 @@ def distinct_sorted(indices: np.ndarray) -> int:
     return int(np.count_nonzero(np.diff(indices))) + 1
 
 
-def united(
-    ours: tuple[np.ndarray, np.ndarray], theirs: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The buckets of two ``(indices, counts)`` pairs, ascending and
-    distinct, summed per index, in new arrays."""
+def united(ours: Buckets, theirs: Buckets) -> Buckets:
+    """The buckets of both pairs, summed per index: new arrays, or the
+    one pair that is not empty."""
+    if not theirs[0].size:
+        return ours
+    if not ours[0].size:
+        return theirs
     indices = np.concatenate((ours[0], theirs[0]))
     # Two ascending runs: the stable sort (timsort) merges them.
     order = indices.argsort(kind="stable")
@@ -142,12 +156,13 @@ class BucketStore(abc.ABC):
     def add_batch(self, indices: np.ndarray) -> None:
         """Add one occurrence for every index in *indices*."""
 
-    @abc.abstractmethod
     def items(self) -> Iterator[tuple[int, int]]:
-        """Yield ``(index, count)`` pairs for non-empty buckets, ascending."""
+        """``(index, count)`` pairs for non-empty buckets, ascending."""
+        indices, counts = self.sorted_arrays()
+        return zip(indices.tolist(), counts.tolist())
 
     @abc.abstractmethod
-    def sorted_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+    def sorted_arrays(self) -> Buckets:
         """Non-empty bucket indices ascending, with their counts (int64
         arrays the caller must not write to)."""
 
@@ -155,11 +170,14 @@ class BucketStore(abc.ABC):
     def merge(self, other: "BucketStore") -> None:
         """Add every bucket of *other* into this store."""
 
-    @abc.abstractmethod
     def view(self, descending: bool = False) -> BucketView:
         """The buckets as one :class:`BucketView`, walked lowest index
         first, or highest first with *descending* (the mirrored store of
         negative values)."""
+        indices, counts = self.sorted_arrays()
+        if descending:
+            return BucketView(counts[::-1], step=-1, keys=indices[::-1])
+        return BucketView(counts, keys=indices)
 
     @abc.abstractmethod
     def size_bytes(self) -> int:
@@ -184,14 +202,16 @@ class BucketStore(abc.ABC):
         return self.total == 0
 
     @property
-    @abc.abstractmethod
     def min_index(self) -> int:
         """Lowest non-empty bucket index."""
+        self._require_nonempty()
+        return int(self.sorted_arrays()[0][0])
 
     @property
-    @abc.abstractmethod
     def max_index(self) -> int:
         """Highest non-empty bucket index."""
+        self._require_nonempty()
+        return int(self.sorted_arrays()[0][-1])
 
     def _require_nonempty(self) -> None:
         if self.is_empty:
@@ -277,12 +297,7 @@ class DenseStore(BucketStore):
 
     # -- queries --------------------------------------------------------
 
-    def items(self) -> Iterator[tuple[int, int]]:
-        nonzero = np.nonzero(self._counts)[0]
-        for pos in nonzero:
-            yield int(pos) + self._offset, int(self._counts[pos])
-
-    def sorted_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+    def sorted_arrays(self) -> Buckets:
         filled = np.flatnonzero(self._counts)
         return filled + self._offset, self._counts[filled]
 
@@ -460,149 +475,49 @@ class CollapsingLowestDenseStore(DenseStore):
 
 
 class SparseStore(BucketStore):
-    """Hash-map store: three numbers (map slot, index, count) per bucket.
+    """Read-only sorted arrays, costed as the authors' map: three numbers
+    (map slot, index, count) per bucket, which is why UDDSketch tops
+    Table 3.
 
-    Mirrors the map-based UDDSketch implementation the paper evaluates;
-    its per-bucket overhead is why UDDSketch tops Table 3.
-
-    Beside the dict the store keeps its buckets as the sorted arrays
-    that a batch into an empty store, a collapse and a merge compute
-    anyway, so reads, collapses and merges start from them instead of
-    reading the dict back.  A scalar add only notes its key; the next
-    :meth:`sorted_arrays` folds the noted keys in.  Kept arrays are
-    read-only and replaced, never written, so a copy and an earlier
+    A scalar add only notes its count in a small dict, which the next
+    read folds in.  The arrays and that dict are one tuple, replaced in
+    one assignment, so two reads racing on one store fold the same adds
+    into the same arrays, and neither folds them twice.  Arrays are
+    replaced, never written, so a copy and an earlier
     :class:`BucketView` can share them.
     """
 
     BYTES_PER_BUCKET = 24
 
     def __init__(self) -> None:
-        self._buckets: dict[int, int] = {}
+        # The folded buckets, and the scalar adds not yet folded in.
+        self._held: tuple[np.ndarray, np.ndarray, dict[int, int]] = (
+            *NO_BUCKETS, {}
+        )
         self._total = 0
-        # The dict as sorted (indices, counts), apart from the keys in
-        # _moved; None when the next read rebuilds them from the dict.
-        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
-        self._moved: set[int] = set()
 
     def add(self, index: int, count: int = 1) -> None:
         if count < 0:
             raise InvalidValueError(f"count must be >= 0, got {count!r}")
         if count == 0:
             return
-        self._buckets[index] = self._buckets.get(index, 0) + count
+        adds = self._held[2]
+        adds[index] = adds.get(index, 0) + count
         self._total += count
-        if self._arrays is not None:
-            self._moved.add(index)
 
     def add_batch(self, indices: np.ndarray) -> None:
         indices = np.asarray(indices, dtype=np.int64)
-        if indices.size == 0:
-            return
-        buckets = self._buckets
-        if indices.size < 32:
-            # Tiny batches: a dict walk beats np.unique's sort overhead.
-            keys = indices.tolist()
-            for index in keys:
-                buckets[index] = buckets.get(index, 0) + 1
-            if self._arrays is not None:
-                self._moved.update(keys)
-        else:
-            # One sort aggregates duplicates, then one dict update per
-            # *distinct* bucket — bounded by the store width, not the
-            # batch length.
-            unique, counts = np.unique(indices, return_counts=True)
-            if buckets:
-                for index, count in zip(unique.tolist(), counts.tolist()):
-                    buckets[index] = buckets.get(index, 0) + count
-                self._arrays = None
-            else:
-                self._hold(unique, counts)
-        self._total += int(indices.size)
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        for index in sorted(self._buckets):
-            yield index, self._buckets[index]
-
-    def sorted_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        # _keep writes the arrays before the keys, so a read racing
-        # another read's fold sees fresh arrays with stale keys at worst,
-        # and folds those keys again to the same result.
-        moved = self._moved
-        arrays = self._arrays
-        if arrays is not None and not moved:
-            return arrays
-        if arrays is None or 4 * len(moved) > arrays[0].size:
-            return self._keep(*self._dict_arrays())
-        return self._keep(*self._fold_moved(*arrays, moved))
-
-    def _dict_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The dict read back into sorted arrays."""
-        size = len(self._buckets)
-        indices = np.fromiter(self._buckets, dtype=np.int64, count=size)
-        counts = np.fromiter(self._buckets.values(), dtype=np.int64, count=size)
-        # A store filled by one batch holds its keys in order already.
-        if size > 1 and not bool((indices[1:] > indices[:-1]).all()):
-            order = np.argsort(indices)
-            indices, counts = indices[order], counts[order]
-        return indices, counts
-
-    def _fold_moved(
-        self, indices: np.ndarray, counts: np.ndarray, moved: set[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The kept arrays with the *moved* keys' counts read from the
-        dict: present keys are overwritten in a copy, new ones inserted."""
-        keys = sorted(moved)
-        noted = np.array(keys, dtype=np.int64)
-        values = np.array([self._buckets[key] for key in keys], dtype=np.int64)
-        at = indices.searchsorted(noted)
-        present = indices.take(at, mode="clip") == noted
-        counts = counts.copy()
-        counts[at[present]] = values[present]
-        new = ~present
-        if new.any():
-            indices = np.insert(indices, at[new], noted[new])
-            counts = np.insert(counts, at[new], values[new])
-        return indices, counts
-
-    def _keep(
-        self, indices: np.ndarray, counts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Keep *indices*/*counts*, read-only, as the dict's arrays."""
-        indices.flags.writeable = False
-        counts.flags.writeable = False
-        self._arrays = arrays = indices, counts
-        self._moved = set()
-        return arrays
-
-    def _hold(self, indices: np.ndarray, counts: np.ndarray) -> None:
-        """Hold exactly the buckets *indices*/*counts* (ascending,
-        distinct, counts positive), keeping the arrays."""
-        self._buckets = dict(zip(indices.tolist(), counts.tolist()))
-        self._keep(indices, counts)
-
-    def view(self, descending: bool = False) -> BucketView:
-        indices, counts = self.sorted_arrays()
-        if descending:
-            return BucketView(counts[::-1], step=-1, keys=indices[::-1])
-        return BucketView(counts, keys=indices)
+        if indices.size:
+            batch = np.unique(indices, return_counts=True)
+            self._hold(*united(self.sorted_arrays(), batch),
+                       self._total + indices.size)
 
     def merge(self, other: BucketStore) -> None:
         """Add *other*'s buckets: its sorted arrays and ours, summed per
-        index in one stable sort, become the kept arrays, and the dict
-        takes the new counts of *other*'s keys."""
-        if other.is_empty:
-            return
-        theirs = other.sorted_arrays()
-        if not self._buckets:
-            self._hold(*theirs)
-        else:
-            indices, counts = united(self.sorted_arrays(), theirs)
-            self._buckets.update(zip(
-                theirs[0].tolist(),
-                counts[indices.searchsorted(theirs[0])].tolist(),
-            ))
-            self._keep(indices, counts)
-        self._total += other.total
+        index in one stable sort."""
+        if not other.is_empty:
+            self._hold(*united(self.sorted_arrays(), other.sorted_arrays()),
+                       self._total + other.total)
 
     def set_collapsed(
         self, indices: np.ndarray, counts: np.ndarray, levels: int
@@ -614,14 +529,32 @@ class SparseStore(BucketStore):
         consistent with squaring gamma in the value mapping (Sec 3.4);
         :func:`collapsed_indices` composes *levels* of them into one map.
         """
-        if indices.size:
-            indices, counts = _summed(
-                collapsed_indices(indices, levels), counts
-            )
-        else:
-            indices = counts = _NO_BUCKETS
-        self._hold(indices, counts)
-        self._total = int(counts.sum())
+        self._hold(*collapsed(indices, counts, levels), int(counts.sum()))
+
+    def _hold(
+        self, indices: np.ndarray, counts: np.ndarray, total: int
+    ) -> None:
+        """Hold exactly the buckets *indices*/*counts* (ascending,
+        distinct, counts positive, summing to *total*), read-only."""
+        indices.flags.writeable = False
+        counts.flags.writeable = False
+        self._held = indices, counts, {}
+        self._total = total
+
+    def sorted_arrays(self) -> Buckets:
+        indices, counts, adds = self._held
+        if adds:
+            indices, counts = _folded(indices, counts, adds)
+            self._held = indices, counts, {}
+        return indices, counts
+
+    def holds(self, index: int) -> bool:
+        """Whether bucket *index* is non-empty, found without a fold."""
+        indices, _, adds = self._held
+        if index in adds:
+            return True
+        at = int(indices.searchsorted(index))
+        return at < indices.size and int(indices[at]) == index
 
     @property
     def total(self) -> int:
@@ -629,32 +562,50 @@ class SparseStore(BucketStore):
 
     @property
     def num_buckets(self) -> int:
-        return len(self._buckets)
-
-    @property
-    def min_index(self) -> int:
-        self._require_nonempty()
-        return min(self._buckets)
-
-    @property
-    def max_index(self) -> int:
-        self._require_nonempty()
-        return max(self._buckets)
+        # Counted without a fold: the noted adds the arrays lack are new.
+        indices, _, adds = self._held
+        if not adds or not indices.size:
+            return indices.size + len(adds)
+        noted = np.fromiter(adds, dtype=np.int64, count=len(adds))
+        held = indices.take(indices.searchsorted(noted), mode="clip")
+        return int(indices.size + np.count_nonzero(held != noted))
 
     def copy(self) -> "SparseStore":
         clone = SparseStore()
-        clone._buckets = dict(self._buckets)
+        indices, counts, adds = self._held
+        clone._held = indices, counts, dict(adds)
         clone._total = self._total
-        clone._arrays, clone._moved = self._arrays, set(self._moved)
         return clone
 
     def size_bytes(self) -> int:
-        return self.BYTES_PER_BUCKET * len(self._buckets) + 8
+        return self.BYTES_PER_BUCKET * self.num_buckets + 8
 
 
-def _summed(
-    indices: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _folded(
+    indices: np.ndarray, counts: np.ndarray, adds: dict[int, int]
+) -> Buckets:
+    """Read-only arrays of the buckets *indices*/*counts* with the counts
+    *adds* added: held keys in a copy, new ones inserted."""
+    keys = sorted(adds)
+    noted = np.fromiter(keys, dtype=np.int64, count=len(keys))
+    values = np.fromiter(map(adds.__getitem__, keys), np.int64, len(keys))
+    if indices.size:
+        at = indices.searchsorted(noted)
+        held = indices.take(at, mode="clip") == noted
+        counts = counts.copy()
+        counts[at[held]] += values[held]
+        new = ~held
+        if new.any():
+            indices = np.insert(indices, at[new], noted[new])
+            counts = np.insert(counts, at[new], values[new])
+    else:
+        indices, counts = noted, values
+    indices.flags.writeable = False
+    counts.flags.writeable = False
+    return indices, counts
+
+
+def _summed(indices: np.ndarray, counts: np.ndarray) -> Buckets:
     """Each distinct index of the ascending *indices* once, with the sum
     of its *counts*."""
     starts = np.concatenate(([0], np.flatnonzero(np.diff(indices)) + 1))

@@ -10,27 +10,21 @@ reaches the target after the budgeted number of collapses.
 
 A collapse maps bucket ``i`` to ``ceil(i / 2)``, and ``k`` collapses
 compose into the single map ``ceil(i / 2**k)``
-(:func:`repro.core.store.collapsed_indices`).  So however many levels a
-batch needs — a fresh 5,000-value window pane at the paper's
-``alpha_0 ~ 2.4e-6`` needs about ten — the sketch finds the lowest level
-at which both stores fit the budget on their sorted indices and rebuilds
-each store once; ``merge`` brings the finer operand to the coarser level
-the same way.  The search starts at the level the indices' span
-guarantees to fit and walks down, so it counts buckets at two or three
-levels, not ten.  The mapping, and so gamma, still advances by one
+(:func:`repro.core.store.collapsed_indices`).  Every write settles its
+level before a store takes a bucket: a batch's sorted indices, the
+bucket of a scalar update that the budget cannot fit, and a merge
+operand (brought to the coarser level first, arXiv 2101.06758) join
+the stores' sorted arrays; the sketch finds the lowest level at which
+they fit, starting at the level the indices' span guarantees, and
+rebuilds each store once.  A budget that no level meets raises before
+anything moves.  The mapping, and so gamma, still advances by one
 ``collapsed()`` call per level, the same floats as collapsing one level
 at a time.
 
-Following the paper's Java port of the authors' C code, the bucket store
-is map-based (:class:`repro.core.store.SparseStore`), which is what drives
-UDDSketch's higher memory footprint (Table 3) relative to DDSketch.  The
-store keeps its buckets' sorted arrays beside the map, so the collapse
-check, the collapse, ``merge`` and the reads start from them.  A batch
-collapses before any store maps it: its sorted indices join the
-stores' arrays, the level is settled on them, and each store maps only
-its collapsed buckets.  A merge still writes the operand's keys
-into the map and may collapse after it, where DDSketch's dense merge is
-one array addition (Fig 5c).
+The buckets live in :class:`repro.core.store.SparseStore`'s sorted
+arrays, whose ``size_bytes`` charges the map-based store of the paper's
+Java port of the authors' C code: that cost model is what puts UDDSketch
+above DDSketch in Table 3.
 """
 
 from __future__ import annotations
@@ -42,12 +36,17 @@ import numpy as np
 from repro.core.base import BATCH, Guarantee, QuantileSketch, work_array
 from repro.core.ddsketch import DDSketch
 from repro.core.mapping import (
+    MAX_INDEXABLE_VALUE,
+    MIN_INDEXABLE_VALUE,
     LogarithmicMapping,
     alpha_after_collapses,
     initial_alpha,
 )
 from repro.core.store import (
+    NO_BUCKETS,
+    Buckets,
     SparseStore,
+    collapsed,
     collapsed_indices,
     distinct_sorted,
     united,
@@ -57,8 +56,6 @@ from repro.errors import IncompatibleSketchError, InvalidValueError
 DEFAULT_FINAL_ALPHA = 0.01
 DEFAULT_NUM_COLLAPSES = 12
 DEFAULT_MAX_BUCKETS = 1024
-
-_Arrays = tuple[np.ndarray, np.ndarray]
 
 
 def _coarsened(
@@ -122,14 +119,44 @@ class UDDSketch(DDSketch):
         self.max_buckets = int(max_buckets)
         self._initial_alpha = float(alpha0)
         self._collapses = 0
+        # Scalar adds that surely fit the budget: _settle and an exact
+        # count set it, and each add spends one, new bucket or not.
+        self._slack = 0
 
     # ------------------------------------------------------------------
-    # Ingestion (DDSketch paths plus the collapse check)
+    # Ingestion (DDSketch paths, collapsed before the stores take them)
     # ------------------------------------------------------------------
 
     def update(self, value: float) -> None:
-        super().update(value)
-        self._collapse_if_needed()
+        # DDSketch.update's sign split, not a call to it: that method
+        # stays a plain add for the one-level reference in
+        # tests/core/test_collapse_levels.py, which calls it.
+        value = float(value)
+        if MIN_INDEXABLE_VALUE < value <= MAX_INDEXABLE_VALUE:
+            store, index = self._positive, self._mapping.index(value)
+        elif -MAX_INDEXABLE_VALUE <= value < -MIN_INDEXABLE_VALUE:
+            store, index = self._negative, self._mapping.index(-value)
+        else:  # a zero, or a value DDSketch refuses
+            super().update(value)
+            return
+        if self._slack:
+            self._slack -= 1
+        elif not store.holds(index):
+            # A new bucket: count the buckets exactly.
+            slack = self.max_buckets - self.num_buckets
+            if slack <= 0:
+                bucket = np.array([index], np.int64), np.ones(1, np.int64)
+                self._settle(*(
+                    united(mine.sorted_arrays(), bucket if mine is store
+                           else NO_BUCKETS)
+                    for mine in (self._positive, self._negative)
+                ))
+                self._observe(value)
+                return
+            self._slack = slack - 1
+        store.add(index)
+        self._observe(value)
+        self._drop_query_caches()
 
     def update_batch(self, values: Sequence[float] | np.ndarray) -> None:
         # DDSketch's batch path, with the stores' add replaced: each
@@ -141,36 +168,34 @@ class UDDSketch(DDSketch):
     ) -> None:
         """Join each store's buckets with the batch's, as sorted arrays,
         and rebuild each store once, at the level where they all fit: no
-        store maps a bucket that the collapse folds away, and a batch
+        store holds a bucket that the collapse folds away, and a batch
         that no level fits raises before any store moves."""
-        self._settle(
-            self._joined(self._positive, positive),
-            self._joined(self._negative, negative),
-        )
-
-    def _joined(self, store: SparseStore, values: np.ndarray) -> _Arrays:
-        """The sorted arrays of *store* with the buckets of *values*
-        (magnitudes in the indexable range) added."""
-        held = store.sorted_arrays()
-        if not values.size:
-            return held
-        indices = self._mapping.index_batch(
-            values, out=work_array(BATCH, values.size, np.int64)
-        )
-        batch = np.unique(indices, return_counts=True)
-        return united(held, batch) if held[0].size else batch
-
-    def _collapse_if_needed(self) -> None:
-        """Collapse to the lowest level at which the buckets fit."""
-        if self.num_buckets > self.max_buckets:
-            self._settle(
-                self._positive.sorted_arrays(), self._negative.sorted_arrays()
+        self._settle(*(
+            united(store.sorted_arrays(), self._bucketed(values))
+            for store, values in (
+                (self._positive, positive), (self._negative, negative)
             )
+        ))
 
-    def _settle(self, positive: _Arrays, negative: _Arrays) -> None:
-        """Hold the buckets *positive* and *negative* (sorted arrays at
-        the current mapping) at the lowest level at which they fit."""
-        levels, mapping = 0, self._mapping
+    def _bucketed(self, values: np.ndarray) -> Buckets:
+        """The buckets of *values* (magnitudes in the indexable range)."""
+        if not values.size:
+            return NO_BUCKETS
+        out = work_array(BATCH, values.size, np.int64)
+        indices = self._mapping.index_batch(values, out=out)
+        return np.unique(indices, return_counts=True)
+
+    def _settle(
+        self, positive: Buckets, negative: Buckets, levels: int = 0
+    ) -> None:
+        """Hold the buckets *positive* and *negative*, sorted arrays
+        *levels* collapses past the current mapping, at the lowest
+        further level at which they fit, rebuilding each store once.  An
+        empty store stays as it is, and so does one that is handed its
+        own arrays for no collapse."""
+        mapping, more = self._mapping, 0
+        for _ in range(levels):
+            mapping = mapping.collapsed()
         if positive[0].size + negative[0].size > self.max_buckets:
             found = self._collapse_levels(positive[0], negative[0])
             # The mapping refuses an alpha that has rounded to 1, so a
@@ -178,10 +203,20 @@ class UDDSketch(DDSketch):
             # level, raises here, before any store has moved.
             while found is None:
                 mapping = mapping.collapsed()
-            levels = found
-            for _ in range(levels):
+            more = found
+            for _ in range(more):
                 mapping = mapping.collapsed()
-        self._collapse(levels, mapping, positive, negative)
+        for store, arrays in (
+            (self._positive, positive), (self._negative, negative)
+        ):
+            if arrays[0].size and (
+                more or arrays[0] is not store.sorted_arrays()[0]
+            ):
+                store.set_collapsed(*arrays, more)
+        self._mapping = mapping
+        self._collapses += levels + more
+        self._slack = self.max_buckets - self.num_buckets
+        self._drop_query_caches()
 
     def _collapse_levels(
         self, positive: np.ndarray, negative: np.ndarray
@@ -227,28 +262,6 @@ class UDDSketch(DDSketch):
             levels -= 1
         return levels
 
-    def _collapse(
-        self,
-        levels: int,
-        mapping: LogarithmicMapping,
-        positive: _Arrays,
-        negative: _Arrays,
-    ) -> None:
-        """Rebuild each store once from its sorted arrays, *levels*
-        collapses up, and move to *mapping*.  An empty store stays as
-        it is, and so does one that is handed its own arrays for no
-        collapse."""
-        for store, arrays in (
-            (self._positive, positive), (self._negative, negative)
-        ):
-            if arrays[0].size and (
-                levels or arrays is not store.sorted_arrays()
-            ):
-                store.set_collapsed(*arrays, levels)
-        self._mapping = mapping
-        self._collapses += levels
-        self._drop_query_caches()
-
     # ------------------------------------------------------------------
     # Merging
     # ------------------------------------------------------------------
@@ -256,34 +269,22 @@ class UDDSketch(DDSketch):
     def merge(self, other: QuantileSketch) -> None:
         other = self._merge_operand(other)
         # Align collapse levels: the coarser sketch wins, so the finer
-        # one is collapsed to its level (*other* through collapsed
-        # copies of its stores).  Both levels are settled before either
-        # sketch moves, so an incompatible pair leaves us unchanged.
+        # one's arrays are collapsed to its level.  Both levels are
+        # settled before either sketch moves, so an incompatible pair,
+        # or a union that no level fits, leaves us unchanged.
         levels, mapping = _coarsened(self._mapping, other._mapping)
         other_levels, other_mapping = _coarsened(other._mapping, mapping)
         mapping.require_compatible(other_mapping)
-        if levels:
-            self._collapse(
-                levels,
-                mapping,
-                self._positive.sorted_arrays(),
-                self._negative.sorted_arrays(),
+        self._settle(*(
+            united(collapsed(*mine.sorted_arrays(), levels),
+                   collapsed(*theirs.sorted_arrays(), other_levels))
+            for mine, theirs in (
+                (self._positive, other._positive),
+                (self._negative, other._negative),
             )
-        positive, negative = other._positive, other._negative
-        if other_levels:
-            positive, negative = SparseStore(), SparseStore()
-            positive.set_collapsed(
-                *other._positive.sorted_arrays(), other_levels
-            )
-            negative.set_collapsed(
-                *other._negative.sorted_arrays(), other_levels
-            )
-        self._positive.merge(positive)
-        self._negative.merge(negative)
+        ), levels)
         self._zero_count += other._zero_count
         self._merge_bookkeeping(other)
-        self._drop_query_caches()
-        self._collapse_if_needed()
 
     def copy(self) -> "UDDSketch":
         clone = UDDSketch(

@@ -37,6 +37,34 @@ class _TCPServer(socketserver.ThreadingTCPServer):
         # over their pooled connections.
         self._conn_lock = threading.Lock()
         self._conns: set[Any] = set()
+        # Live connection threads.  socketserver joins none of its
+        # daemon threads on close, and a handler still unwinding holds
+        # the dispatch, and through it whatever serves it.
+        self._handlers: set[threading.Thread] = set()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        handler = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            daemon=True,
+        )
+        with self._conn_lock:
+            self._handlers.add(handler)
+        handler.start()
+
+    def process_request_thread(self, request: Any, client_address: Any) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._conn_lock:
+                self._handlers.discard(threading.current_thread())
+
+    def join_handlers(self, timeout: float) -> None:
+        """Wait up to *timeout* seconds for each connection thread."""
+        with self._conn_lock:
+            handlers = list(self._handlers)
+        for handler in handlers:
+            handler.join(timeout)
 
     def get_request(self) -> tuple[Any, Any]:
         request, client_address = super().get_request()
@@ -129,8 +157,11 @@ class TCPFrontEnd:
         with contextlib.suppress(OSError):
             server.socket.shutdown(socket.SHUT_RDWR)
         server.shutdown()
-        server.server_close()
+        # Sever the conversations first, so that each handler's next
+        # read fails and its thread ends, then wait for those threads.
         server.close_connections()
+        server.server_close()
+        server.join_handlers(timeout=5.0)
         if self._thread is not None:
             self._thread.join(timeout=5.0)
         self._server = None

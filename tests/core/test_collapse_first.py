@@ -1,22 +1,25 @@
-"""UDDSketch collapses a batch before any store maps it.
+"""UDDSketch collapses a batch, or a scalar update, before any store
+holds it.
 
 A batch joins each store's buckets as sorted arrays; the sketch finds
 the collapse level on them and rebuilds each store once, so a fresh
-5,000-value pane maps its ~750 collapsed buckets and never its ~5,000
-fine ones.  The level search starts where the index span guarantees
+5,000-value pane holds its ~750 collapsed buckets and never its ~5,000
+fine ones.  A scalar update that adds a bucket past the budget joins
+that one bucket the same way.  The level search starts where the index span guarantees
 a fit — ``(span >> L) + 2`` buckets per store after ``L`` collapses —
 and walks down while the next lower level fits.
 
-Three properties are held here:
+Four properties are held here:
 
 * the search equals the linear one (level 1, 2, ... until the buckets
   fit) on a table of index sets: both signs, one empty store, and the
   budgets of 2 and 3 buckets that no level meets;
-* a batch into a sketch, empty or not, of either sign, gives the bytes
-  of adding it and then collapsing one level at a time (the reference
-  of ``test_collapse_levels.py``), and raises the same error where
-  that raises, with nothing applied;
-* a fresh pane builds one map per store, of its collapsed buckets.
+* a batch into a sketch, empty or not, of either sign, and each scalar
+  update, gives the bytes of adding it and then collapsing one level at
+  a time (the reference of ``test_collapse_levels.py``), and raises the
+  same error where that raises, with nothing applied;
+* a fresh pane rebuilds its store once, with its collapsed buckets;
+* a refused batch, scalar update or merge leaves the sketch as it was.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.core.store import SparseStore, collapsed_indices, distinct_sorted
 from repro.errors import ReproError
 from tests.core.test_collapse_levels import (
     outcome,
+    reference_update,
     reference_update_batch,
     state,
     stream,
@@ -174,16 +178,32 @@ def test_random_batch_runs_match_adding_then_collapsing(budget, seed):
     feed(budget, batches)
 
 
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_scalar_update_matches_adding_then_collapsing(budget, kind):
+    """Compared after every update, not only at the end of a stream: a
+    sketch that held one bucket past its budget until the next new one
+    would collapse to the same level then."""
+    new, old = UDDSketch(max_buckets=budget), UDDSketch(max_buckets=budget)
+    for value in stream(kind, 400, budget).tolist():
+        raised = outcome(UDDSketch.update, new, value)
+        assert raised == outcome(reference_update, old, value)
+        if raised:
+            return
+        assert state(new) == state(old)
+
+
 # -- the map-once witness --------------------------------------------------
 
 
 def test_a_fresh_pane_maps_only_its_collapsed_buckets(monkeypatch):
-    maps = []
+    """update_batch, quantiles and dumps rebuild the store once."""
+    rebuilds = []
     hold = SparseStore._hold
 
-    def counted_hold(store, indices, counts):
-        maps.append(indices.size)
-        hold(store, indices, counts)
+    def counted_hold(store, indices, counts, total):
+        rebuilds.append((store, indices.size))
+        hold(store, indices, counts, total)
 
     def refused(*_args):
         raise AssertionError("a store took buckets one by one")
@@ -197,18 +217,47 @@ def test_a_fresh_pane_maps_only_its_collapsed_buckets(monkeypatch):
     sketch.quantiles((0.5, 0.9, 0.99))
     dumps(sketch)
     assert sketch.num_collapses >= 8
-    assert maps == [sketch.num_buckets]
+    # The negative store, empty, is never rebuilt.
+    assert rebuilds == [(sketch._positive, sketch.num_buckets)]
 
 
 @pytest.mark.parametrize(
-    "batch", [[0.25, 0.5, 4.0, -3.0], [-3.0]], ids=["over budget", "one value"]
+    "scalar, values",
+    [
+        (False, [0.25, 0.5, 4.0, -3.0]),
+        (False, [-3.0]),
+        (True, [0.25, 0.5, 4.0, -3.0]),
+        (True, [-3.0]),
+    ],
+    ids=["over budget", "one value", "scalar over budget", "scalar one value"],
 )
-def test_a_refused_batch_leaves_the_sketch_as_it_was(batch):
+def test_a_refused_batch_leaves_the_sketch_as_it_was(scalar, values):
     sketch = UDDSketch(max_buckets=2)
     sketch.update_batch([0.5, 2.0])
+    if scalar:
+        # The values before the last still fit, at some level.
+        for value in values[:-1]:
+            sketch.update(value)
     before = dumps(sketch)
     # Values below and above 1 keep a store across index 0, so no
     # level fits two buckets alongside the negative ones.
     with pytest.raises(ReproError):
-        sketch.update_batch(batch)
+        if scalar:
+            sketch.update(values[-1])
+        else:
+            sketch.update_batch(values)
     assert dumps(sketch) == before
+
+
+def test_a_refused_merge_leaves_the_receiver_as_it_was():
+    # The operand is 16 collapses coarser, and the union has a store
+    # across index 0 beside the other store: no level fits 2 buckets.
+    receiver = UDDSketch(max_buckets=2)
+    receiver.update_batch([0.5, 2.0])
+    operand = UDDSketch(max_buckets=2)
+    operand.update_batch([-3.0, -3.1, -30.0])
+    assert operand.num_collapses > receiver.num_collapses
+    before = dumps(receiver), dumps(operand)
+    with pytest.raises(ReproError):
+        receiver.merge(operand)
+    assert (dumps(receiver), dumps(operand)) == before

@@ -36,24 +36,22 @@ STREAMS = ("mixed", "zero_heavy", "pareto", "negative")
 # -- the one-level-at-a-time loop, as it was ------------------------------
 
 
-def _uniform_collapse(store: SparseStore) -> None:
-    """Fold every adjacent bucket pair ``(2j-1, 2j) -> j``."""
-    if not store._buckets:
-        return
-    size = len(store._buckets)
-    indices = np.fromiter(store._buckets.keys(), dtype=np.int64, count=size)
-    counts = np.fromiter(store._buckets.values(), dtype=np.int64, count=size)
-    new_indices = (indices + 1) // 2  # == ceil(index / 2) for ints
-    unique, inverse = np.unique(new_indices, return_inverse=True)
-    summed = np.zeros(unique.size, dtype=np.int64)
-    np.add.at(summed, inverse, counts)
-    store._buckets = dict(zip(unique.tolist(), summed.tolist()))
-    store._arrays = None  # the dict moved under the store's kept arrays
+def _uniform_collapse(store: SparseStore) -> SparseStore:
+    """A new store with every adjacent bucket pair ``(2j-1, 2j)`` of
+    *store* folded into ``j``, added one bucket at a time."""
+    folded: dict[int, int] = {}
+    for index, count in store.items():
+        key = (index + 1) // 2  # == ceil(index / 2) for ints
+        folded[key] = folded.get(key, 0) + count
+    collapsed = SparseStore()
+    for index, count in folded.items():
+        collapsed.add(index, count)
+    return collapsed
 
 
 def _collapse_once(sketch: UDDSketch) -> None:
-    _uniform_collapse(sketch._positive)
-    _uniform_collapse(sketch._negative)
+    sketch._positive = _uniform_collapse(sketch._positive)
+    sketch._negative = _uniform_collapse(sketch._negative)
     sketch._mapping = sketch._mapping.collapsed()
     sketch._collapses += 1
 
@@ -283,9 +281,9 @@ def test_a_fresh_pane_rebuilds_each_store_at_most_once(monkeypatch):
     passes = []
     inner = _uniform_collapse
 
-    def counted(store: SparseStore) -> None:
+    def counted(store: SparseStore) -> SparseStore:
         passes.append(store)
-        inner(store)
+        return inner(store)
 
     monkeypatch.setattr(sys.modules[__name__], "_uniform_collapse", counted)
     old = paper_config("uddsketch")

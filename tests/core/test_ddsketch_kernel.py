@@ -40,6 +40,7 @@ from repro.core.store import (
     DenseStore,
 )
 from repro.errors import InvalidValueError, ReproError
+from tests.core.test_collapse_levels import _collapse_if_needed as collapse_if_needed
 from tests.service.test_wire_budget import count_calls
 
 
@@ -143,7 +144,7 @@ def reference_ddsketch_update_batch(self: DDSketch, values) -> None:
 def reference_update_batch(sketch: DDSketch, values) -> None:
     reference_ddsketch_update_batch(sketch, values)
     if isinstance(sketch, UDDSketch):
-        sketch._collapse_if_needed()
+        collapse_if_needed(sketch)  # the one-level loop
 
 
 # -- the grid --------------------------------------------------------------

@@ -1,72 +1,130 @@
-"""A sparse store's kept sorted arrays always equal its dict.
+"""A sparse store's sorted arrays hold exactly the buckets fed to it.
 
-``SparseStore`` keeps its buckets twice: the dict, and the sorted
-``(indices, counts)`` arrays that a batch into an empty store, a
-collapse and a merge leave behind; a scalar add only notes its key for
-the next read to fold in.  Seeded interleavings of every step that
-moves a store — scalar adds of existing and of new keys, batches into
-empty and non-empty stores below and above the 32-value sort
-threshold, merges with sparse, dense and empty operands (UDDSketch's
-also at fewer and at more collapses), ``set_collapsed``, ``copy`` and
+``SparseStore`` is its read-only ascending ``(indices, counts)`` arrays
+plus the scalar adds that the next read folds in.  Seeded interleavings
+of every step that moves a store — scalar adds of existing and of new
+keys, batches of 1, 31, 32 and 300 values into empty and non-empty
+stores, merges with sparse, dense and empty operands (UDDSketch's also
+at fewer and at more collapses), ``set_collapsed``, ``copy`` and
 ``loads(dumps())`` — run on a bare store, on UDDSketch and on
-``DDSketch(store="sparse")``, with reads between the steps.  After every
-step:
+``DDSketch(store="sparse")``, with reads between some of the steps.
+Beside each subject runs an oracle: plain dicts of bucket counts, fed
+the same inputs, that collapse one level at a time with Python
+integers.  After every step:
 
-* ``sorted_arrays()`` equals the arrays rebuilt from ``_buckets``;
-* copies and ``BucketView``\\ s taken earlier have not moved;
-* the bytes and the answers equal those of a twin fed the same steps
-  that drops its kept arrays after each one.
+* ``num_buckets``, ``holds`` and ``total`` (none of which folds) agree
+  with the oracle, and so do a sketch's count, collapses and gamma;
+* after a read, ``sorted_arrays()`` and ``items()`` equal the oracle's
+  buckets, ascending, as read-only int64 arrays;
+* copies and ``BucketView``\\ s taken earlier have not moved.
 
 Tier 1 runs a few interleavings; the ``slow`` grid runs many more.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core import DDSketch, UDDSketch, dumps, loads
 from repro.core.codec import Reader, Writer
+from repro.core.mapping import MIN_INDEXABLE_VALUE, LogarithmicMapping
 from repro.core.serialization import _read_store, _write_store
-from repro.core.store import (
-    BucketStore,
-    BucketView,
-    DenseStore,
-    SparseStore,
-)
+from repro.core.store import BucketStore, BucketView, DenseStore, SparseStore
 from repro.errors import SerializationError
 
 QS = (0.001, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0)
 STEPS = ("add_existing", "add_new", "batch", "batch", "merge", "merge",
          "collapse", "copy", "roundtrip", "fresh")
+BUDGET = 24
+
+
+# -- the oracle ------------------------------------------------------------
+
+
+def collapsed_keys(buckets: dict[int, int], levels: int) -> dict[int, int]:
+    """*buckets* with every key ``i`` moved to ``ceil(i / 2**levels)``."""
+    out: dict[int, int] = {}
+    for index, count in buckets.items():
+        key = -(-index // (1 << levels))
+        out[key] = out.get(key, 0) + count
+    return out
+
+
+def added(buckets: dict[int, int], more: dict[int, int]) -> None:
+    for index, count in more.items():
+        buckets[index] = buckets.get(index, 0) + count
+
+
+def counted(indices: list[int]) -> dict[int, int]:
+    """One count per occurrence of each index."""
+    buckets: dict[int, int] = {}
+    for index in indices:
+        buckets[index] = buckets.get(index, 0) + 1
+    return buckets
+
+
+class SketchOracle:
+    """The buckets a DDSketch, or a UDDSketch of *budget* buckets, holds
+    after the values fed to it: one dict per sign, collapsed one level
+    at a time while the buckets exceed the budget."""
+
+    def __init__(self, mapping: LogarithmicMapping, budget: int | None):
+        self.stores: list[dict[int, int]] = [{}, {}]  # positive, negative
+        self.mapping = mapping
+        self.budget = budget
+        self.count = 0
+        self.levels = 0
+
+    def add(self, values: list[float]) -> None:
+        for value in values:
+            if value > MIN_INDEXABLE_VALUE:
+                added(self.stores[0], {self.mapping.index(value): 1})
+            elif value < -MIN_INDEXABLE_VALUE:
+                added(self.stores[1], {self.mapping.index(-value): 1})
+        self.count += len(values)
+        self.settle()
+
+    def settle(self) -> None:
+        while self.budget and sum(map(len, self.stores)) > self.budget:
+            self.collapse_once()
+
+    def collapse_once(self) -> None:
+        self.stores = [collapsed_keys(store, 1) for store in self.stores]
+        self.mapping = self.mapping.collapsed()
+        self.levels += 1
+
+    def merge(self, other: "SketchOracle") -> None:
+        other = other.copy()
+        for finer, coarser in ((self, other), (other, self)):
+            while finer.mapping.alpha < coarser.mapping.alpha - 1e-15:
+                finer.collapse_once()
+        for mine, theirs in zip(self.stores, other.stores):
+            added(mine, theirs)
+        self.count += other.count
+        self.settle()
+
+    def copy(self) -> "SketchOracle":
+        clone = SketchOracle(self.mapping, self.budget)
+        clone.stores = [dict(store) for store in self.stores]
+        clone.count, clone.levels = self.count, self.levels
+        return clone
+
+
+# -- reading a subject ------------------------------------------------------
 
 
 def sparse_stores(subject) -> list[SparseStore]:
     if isinstance(subject, SparseStore):
         return [subject]
-    if isinstance(subject, DenseStore):
-        return []
-    stores = (subject._positive, subject._negative)
-    return [store for store in stores if isinstance(store, SparseStore)]
+    return [subject._positive, subject._negative]
 
 
-def drop_kept(subject) -> None:
-    for store in sparse_stores(subject):
-        store._arrays = None
-
-
-def rebuilt(store: SparseStore) -> tuple[list[int], list[int]]:
-    pairs = sorted(store._buckets.items())
-    return [index for index, _ in pairs], [count for _, count in pairs]
-
-
-def assert_kept_arrays_match_the_dict(subject) -> None:
-    for store in sparse_stores(subject):
-        indices, counts = store.sorted_arrays()
-        assert indices.dtype == counts.dtype == np.int64
-        assert not indices.flags.writeable and not counts.flags.writeable
-        assert (indices.tolist(), counts.tolist()) == rebuilt(store)
-        assert store.total == sum(store._buckets.values())
+def oracle_stores(oracle) -> list[dict[int, int]]:
+    return [oracle] if isinstance(oracle, dict) else oracle.stores
 
 
 def view_state(view: BucketView) -> tuple:
@@ -94,24 +152,37 @@ def state(subject) -> tuple:
     return dumps(subject), answers
 
 
+def roundtrip(subject):
+    if not isinstance(subject, SparseStore):
+        return loads(dumps(subject))
+    w = Writer()
+    _write_store(w, subject)
+    with Reader(w.getvalue(), SerializationError, "store") as r:
+        return _read_store(r)
+
+
 class Interleaving:
-    """One seeded run of *kind*: a subject, its twin and what to watch."""
+    """One seeded run of *kind*: a subject, its oracle and what to watch."""
 
     def __init__(self, kind: str, seed: int) -> None:
         self.kind = kind
         self.rng = np.random.default_rng(seed)
-        self.subject = self.new()
-        self.twin = self.new()
+        self.subject, self.oracle = self.new()
         self.seen: list = [1.0]  # inputs so far, to add again
         self.watched: list[tuple[object, tuple]] = []  # (copy, its state)
         self.views: list[tuple[BucketView, tuple]] = []
 
-    def new(self):
-        if self.kind == "store":
-            return SparseStore()
-        if self.kind == "uddsketch":
-            return UDDSketch(max_buckets=24)
-        return DDSketch(store="sparse")
+    def new(self, kind: str | None = None):
+        """A fresh subject of *kind* (the run's own by default) and its
+        oracle."""
+        kind = kind or self.kind
+        if kind == "store":
+            return SparseStore(), {}
+        if kind == "uddsketch":
+            sketch = UDDSketch(max_buckets=BUDGET)
+            return sketch, SketchOracle(sketch.mapping, BUDGET)
+        sketch = DDSketch(store="dense" if kind == "dense" else "sparse")
+        return sketch, SketchOracle(sketch.mapping, None)
 
     # -- inputs -----------------------------------------------------------
 
@@ -125,88 +196,84 @@ class Interleaving:
 
     def existing(self, size: int) -> list:
         if self.kind == "store":
-            keys = list(self.subject._buckets) or [0]
+            keys = list(self.oracle) or [0]
             return [keys[i] for i in self.rng.integers(0, len(keys), size)]
         return [self.seen[i] for i in
                 self.rng.integers(0, len(self.seen), size)]
 
     def operand(self):
-        """A merge operand: sparse, dense or empty, fewer or more
-        collapses, drawn for the subject's kind."""
+        """A merge operand and its oracle: sparse, dense or empty, fewer
+        or more collapses, drawn for the subject's kind."""
         choice = self.rng.integers(0, 4)
         size = int(self.rng.choice((0, 5, 40, 600)))
         if self.kind == "store":
             other = SparseStore() if choice else DenseStore()
-            other.add_batch(self.values(size) % 400 - 200)
-            return other
-        if self.kind == "ddsketch" and not choice:
-            other = DDSketch(store="dense")
-        else:
-            other = self.new()
+            indices = self.values(size) % 400 - 200
+            other.add_batch(indices)
+            return other, counted(indices.tolist())
+        kind = "dense" if self.kind == "ddsketch" and not choice else None
+        other, oracle = self.new(kind)
         # A wide spread collapses a UDDSketch operand further.
-        other.update_batch(self.values(size, spread=1.0 + 4.0 * (choice > 1)))
-        return other
+        values = self.values(size, spread=1.0 + 4.0 * (choice > 1))
+        other.update_batch(values)
+        oracle.add(values.tolist())
+        return other, oracle
 
-    # -- the steps, applied alike to subject and twin ---------------------
+    # -- the steps, applied alike to subject and oracle -------------------
 
     def apply(self, step: str) -> None:
         rng = self.rng
+        subject, oracle = self.subject, self.oracle
         if step in ("add_existing", "add_new"):
             count = int(rng.choice((1, 3, 40)))
             items = (self.existing(count) if step == "add_existing"
                      else self.values(count, spread=6.0).tolist())
-            self.both(lambda s: [self.add(s, item) for item in items])
+            for item in items:
+                if self.kind == "store":
+                    subject.add(int(item))
+                    added(oracle, {int(item): 1})
+                else:
+                    subject.update(item)
+                    oracle.add([item])
             self.seen += items
         elif step == "batch":
             batch = self.values(int(rng.choice((1, 31, 32, 300))))
-            self.both(lambda s: self.add_batch(s, batch))
+            self.add_batch(batch)
             self.seen += batch.tolist()[:4]
         elif step == "merge":
-            other = self.operand()
+            other, other_oracle = self.operand()
             before = state(other)
-            self.both(lambda s: s.merge(other))
-            assert state(other) == before
-            assert_kept_arrays_match_the_dict(other)
-        elif step == "collapse":
-            levels = int(rng.integers(0, 4))
+            subject.merge(other)
             if self.kind == "store":
-                self.both(lambda s: s.set_collapsed(*s.sorted_arrays(),
-                                                    levels))
+                added(oracle, other_oracle)
+            else:
+                oracle.merge(other_oracle)
+            assert state(other) == before
+        elif step == "collapse":
+            if self.kind == "store":
+                levels = int(rng.integers(0, 4))
+                subject.set_collapsed(*subject.sorted_arrays(), levels)
+                self.oracle = collapsed_keys(oracle, levels)
             else:  # a wide batch drives UDDSketch's own collapse
-                batch = self.values(64, spread=8.0)
-                self.both(lambda s: self.add_batch(s, batch))
+                self.add_batch(self.values(64, spread=8.0))
         elif step == "copy":
-            keep_original = bool(rng.integers(0, 2))
-            for name in ("subject", "twin"):
-                original = getattr(self, name)
-                clone = original.copy()
-                kept, moving = ((clone, original) if keep_original
-                                else (original, clone))
-                setattr(self, name, moving)
-                if name == "subject":
-                    self.watched.append((kept, state(kept)))
+            clone = subject.copy()
+            kept, self.subject = (
+                (clone, subject) if rng.integers(0, 2) else (subject, clone)
+            )
+            self.watched.append((kept, state(kept)))
         elif step == "roundtrip":
-            self.subject = roundtrip(self.subject)
-            self.twin = roundtrip(self.twin)
+            self.subject = roundtrip(subject)
         else:
-            self.subject, self.twin = self.new(), self.new()
+            self.subject, self.oracle = self.new()
 
-    def both(self, change) -> None:
-        change(self.subject)
-        change(self.twin)
-        drop_kept(self.twin)
-
-    def add(self, subject, item) -> None:
+    def add_batch(self, batch: np.ndarray) -> None:
         if self.kind == "store":
-            subject.add(int(item))
+            self.subject.add_batch(batch)
+            added(self.oracle, counted(batch.tolist()))
         else:
-            subject.update(item)
-
-    def add_batch(self, subject, batch) -> None:
-        if self.kind == "store":
-            subject.add_batch(batch)
-        else:
-            subject.update_batch(batch)
+            self.subject.update_batch(batch)
+            self.oracle.add(batch.tolist())
 
     # -- the checks ---------------------------------------------------------
 
@@ -215,17 +282,41 @@ class Interleaving:
             assert state(kept) == before
         for view, before in self.views:
             assert view_state(view) == before
-        if not read:
-            return
-        assert_kept_arrays_match_the_dict(self.subject)
-        assert state(self.subject) == state(self.twin)
-        self.watch_views()
+        subject, oracle = self.subject, self.oracle
+        if not isinstance(subject, SparseStore):
+            assert subject.count == oracle.count
+        if isinstance(subject, UDDSketch):
+            assert subject.num_collapses == oracle.levels
+            assert subject.mapping.gamma.hex() == oracle.mapping.gamma.hex()
+        for store, buckets in zip(sparse_stores(subject),
+                                  oracle_stores(oracle)):
+            # Reads that fold nothing.
+            assert store.num_buckets == len(buckets)
+            assert store.total == sum(buckets.values())
+            for key in list(buckets)[:3]:
+                assert store.holds(key)
+            for key in (min(buckets, default=0) - 1,
+                        max(buckets, default=0) + 1):
+                assert not store.holds(key)
+            if read:
+                indices, counts = store.sorted_arrays()
+                assert indices.dtype == counts.dtype == np.int64
+                assert not indices.flags.writeable
+                assert not counts.flags.writeable
+                expected = sorted(buckets.items())
+                assert list(zip(indices.tolist(), counts.tolist())) == expected
+                assert list(store.items()) == expected
+        if read:
+            self.watch_views()
 
     def watch_views(self) -> None:
         subject = self.subject
         if isinstance(subject, SparseStore):
             views = [subject.view(), subject.view(descending=True)]
         else:
+            if subject.count:
+                subject.quantiles(QS)
+                subject.rank(-5.0)
             views = [subject._positive_walk, subject._negative_walk]
         self.views += [(view, view_state(view))
                        for view in views if view is not None]
@@ -233,18 +324,9 @@ class Interleaving:
     def run(self, steps: int) -> None:
         for _ in range(steps):
             self.apply(str(self.rng.choice(STEPS)))
-            # Most steps are read; the rest leave noted keys to pile up.
+            # Most steps are read; the rest leave adds to pile up.
             self.check(read=self.rng.random() < 0.75)
         self.check(read=True)
-
-
-def roundtrip(subject):
-    if not isinstance(subject, SparseStore):
-        return loads(dumps(subject))
-    w = Writer()
-    _write_store(w, subject)
-    with Reader(w.getvalue(), SerializationError, "store") as r:
-        return _read_store(r)
 
 
 KINDS = ("store", "uddsketch", "ddsketch")
@@ -270,8 +352,47 @@ def test_a_scalar_add_notes_its_key_and_a_read_folds_it_in():
     view = store.view()
     store.add(4)  # existing
     store.add(5, 3)  # new
-    assert store._moved == {4, 5} and store._arrays is kept
+    assert store.num_buckets == 101 and store.total == 104
+    assert store.holds(5) and not store.holds(7)
     indices, counts = store.sorted_arrays()
-    assert (indices.tolist(), counts.tolist()) == rebuilt(store)
+    assert indices[:5].tolist() == [0, 2, 4, 5, 6]
+    assert counts[:5].tolist() == [1, 1, 2, 3, 1]
     assert kept[1][2] == 1 and view.key_at(2) == 4  # nothing moved under
-    assert store._moved == set()
+    # The fold is kept: the next read returns the same arrays.
+    again = store.sorted_arrays()
+    assert again[0] is indices and again[1] is counts
+
+
+def test_racing_reads_fold_each_add_once():
+    """Reads on more threads than cores, all starting from the same
+    unfolded adds, return equal arrays and count each add once."""
+    rng = np.random.default_rng(7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            batch = rng.integers(-50, 50, 300)
+            scalars = rng.integers(-80, 80, 60).tolist()
+            expected = counted(batch.tolist() + scalars)
+            store = SparseStore()
+            store.add_batch(batch)
+            for index in scalars:
+                store.add(index)
+            barrier = threading.Barrier(6)
+            seen = []
+
+            def read():
+                barrier.wait(timeout=10)
+                indices, counts = store.sorted_arrays()
+                seen.append(dict(zip(indices.tolist(), counts.tolist())))
+
+            threads = [threading.Thread(target=read) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert seen == [expected] * 6
+            assert dict(store.items()) == expected
+    finally:
+        sys.setswitchinterval(interval)

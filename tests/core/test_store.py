@@ -327,18 +327,6 @@ class TestSparseStore:
             store.items()
         )
 
-    def test_first_batch_builds_the_dict_the_walk_built(self):
-        indices = np.random.default_rng(6).integers(-40, 40, 500)
-        store = SparseStore()
-        store.add_batch(indices)
-        walked: dict[int, int] = {}
-        unique, counts = np.unique(indices, return_counts=True)
-        for index, count in zip(unique.tolist(), counts.tolist()):
-            walked[index] = walked.get(index, 0) + count
-        # Same pairs in the same insertion order.
-        assert list(store._buckets.items()) == list(walked.items())
-        assert store.total == indices.size
-
     def test_size_accounts_three_numbers_per_bucket(self):
         store = SparseStore()
         for index in range(10):

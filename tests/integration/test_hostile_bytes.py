@@ -498,6 +498,78 @@ def broken_gk_table(name: str, fault: str) -> bytes:
     return dumps(sketch)
 
 
+def i64_array(values) -> bytes:
+    """An array as the codec writes it: its length, then the int64s."""
+    return struct.pack("<q", len(values)) + struct.pack(
+        f"<{len(values)}q", *values
+    )
+
+
+def bucket_sketch_blob(
+    name: str, indices=None, counts=None, zeros: int = 0
+) -> bytes:
+    """A blob of 1..4 in a UDDSketch or a dense-store DDSketch, with
+    *zeros* as its zero count and its positive store's buckets written
+    as *indices*/*counts* (a dense store writes its counts from its
+    lowest bucket to its highest, empty slots included)."""
+    sketch = make_sketch(name, **SMALL_CONFIGS.get(name, {}))
+    sketch.update_batch([1.0, 2.0, 3.0, 4.0])
+    sketch._zero_count = zeros
+    held_indices, held_counts = sketch._positive.sorted_arrays()
+    if name == "ddsketch":
+        slots = np.zeros(held_indices[-1] - held_indices[0] + 1, np.int64)
+        filled = held_indices - held_indices[0]
+        slots[filled] = held_counts
+        old = i64_array(slots.tolist())
+        slots[filled] = held_counts if counts is None else counts
+        new = i64_array(slots.tolist())
+    else:
+        old = i64_array(held_indices.tolist()) + i64_array(held_counts.tolist())
+        new = i64_array(
+            held_indices.tolist() if indices is None else indices
+        ) + i64_array(held_counts.tolist() if counts is None else counts)
+    data = dumps(sketch)
+    assert data.count(old) == 1
+    return data.replace(old, new)
+
+
+def udd_indices() -> list[int]:
+    """The four bucket indices of the UDDSketch blob of 1..4."""
+    sketch = make_sketch("uddsketch", **SMALL_CONFIGS["uddsketch"])
+    sketch.update_batch([1.0, 2.0, 3.0, 4.0])
+    return sketch._positive.sorted_arrays()[0].tolist()
+
+
+#: Bucket stores that decoded into sketches contradicting themselves.
+BUCKET_STORE_FAULTS = [
+    # zip() truncated the counts: store total 3 under count 4.
+    ("loads[uddsketch]", "counts shorter than indices",
+     bucket_sketch_blob("uddsketch", counts=[1, 1, 1])),
+    # Empty stores under count 4: quantiles raised EmptySketchError.
+    ("loads[uddsketch]", "all-zero counts",
+     bucket_sketch_blob("uddsketch", counts=[0, 0, 0, 0])),
+    # Summed silently, so dumps(loads(b)) != b.
+    ("loads[uddsketch]", "unsorted indices",
+     bucket_sketch_blob("uddsketch", indices=udd_indices()[::-1])),
+    ("loads[uddsketch]", "duplicate indices",
+     bucket_sketch_blob("uddsketch", indices=udd_indices()[:1] * 4)),
+    # Then rank(2.5) answered -4.
+    ("loads[ddsketch]", "a negative dense count",
+     bucket_sketch_blob("ddsketch", counts=[-4, 1, 1, 6])),
+    ("loads[uddsketch]", "uddsketch: zeros beside a full count",
+     bucket_sketch_blob("uddsketch", zeros=2)),
+    ("loads[ddsketch]", "ddsketch: zeros beside a full count",
+     bucket_sketch_blob("ddsketch", zeros=2)),
+]
+
+
+def test_the_bucket_store_blobs_are_well_formed_apart_from_the_fault():
+    """The fault rows' untouched blobs decode and round-trip."""
+    for name in ("uddsketch", "ddsketch"):
+        data = bucket_sketch_blob(name)
+        assert dumps(loads(data)) == data
+
+
 #: A well-formed record; each fixed case breaks one field of it.
 RECORD = {
     "metric": "lat", "tags": None, "values": [1.0], "ts": 1.0, "now": 2.0,
@@ -595,6 +667,7 @@ FIXED_CASES = [
         for fault in GK_TABLE_FAULTS
         if name == "gkarray" or "buffer" not in fault
     ),
+    *BUCKET_STORE_FAULTS,
     # CRC-valid payloads that are not records; the first four escaped
     # recover() as KeyError, ValueError, AttributeError and ValueError
     *(

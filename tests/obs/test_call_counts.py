@@ -238,12 +238,13 @@ def numpy_calls(fn, monkeypatch) -> list[str]:
 def test_a_scalar_update_on_kept_arrays_makes_no_numpy_call(
     factory, monkeypatch
 ):
-    """A sparse store that keeps its sorted arrays only notes the key of
-    a scalar add; folding it into the arrays waits for the next read."""
+    """A sparse store only notes a scalar add; folding it into its
+    sorted arrays waits for the next read.  Under the bucket budget,
+    UDDSketch adds without counting buckets."""
     sketch = factory()
     sketch.update_batch(np.linspace(1.0, 2.0, 100))
     sketch.quantiles((0.5, 0.99))
-    assert sketch._positive._arrays is not None
+    before, _ = sketch._positive.sorted_arrays()
 
     def updates():
         sketch.update(1.5)  # a bucket the store holds
@@ -252,8 +253,8 @@ def test_a_scalar_update_on_kept_arrays_makes_no_numpy_call(
         sketch.update(0.0)
 
     assert numpy_calls(updates, monkeypatch) == []
-    assert sketch._positive._moved and sketch.count == 104
-    sketch.quantile(0.5)  # the read folds the noted keys in
+    assert sketch.count == 104
+    sketch.quantile(0.5)  # the read folds the noted adds in
     indices, _ = sketch._positive.sorted_arrays()
-    assert not sketch._positive._moved
     assert indices[-1] == sketch.mapping.index(1e6)
+    assert before[-1] < indices[-1]  # the replaced arrays did not move
