@@ -16,6 +16,10 @@ implementations mirror the ones discussed in the paper:
 Queries read a store through a :class:`BucketView`, which the sketch
 keeps until the store changes.  A dense store shifts a batch's indices
 in this thread's scratch work array (:func:`repro.core.base.work_array`).
+:func:`bucketed` counts a batch of indices into sorted arrays with one
+``bincount`` over their span, in the same work array, collapsing them
+first for UDDSketch when the span is wider than :data:`COUNT_SLOTS`; a
+sparse store's batch that no bincount covers is sorted instead.
 :func:`united` sums two stores' sorted arrays, for a sparse store's
 batch and merge and for UDDSketch, which collapses before a store
 takes a bucket.
@@ -34,6 +38,11 @@ from repro.errors import EmptySketchError, InvalidValueError
 #: Dense stores grow in chunks of this many buckets (the paper notes the
 #: unbounded dense store starts at 64 buckets).
 CHUNK_SIZE = 64
+
+#: Slots of the one ``bincount`` that counts a batch (:func:`bucketed`):
+#: 64 KB of counts, under glibc's 128 KB mmap threshold, so a batch
+#: faults no fresh pages, and 8x the paper's 1,024-bucket budget.
+COUNT_SLOTS = 1 << 13
 
 #: Buckets as ascending, distinct ``(indices, counts)`` int64 arrays.
 Buckets = tuple[np.ndarray, np.ndarray]
@@ -62,6 +71,39 @@ def collapsed(indices: np.ndarray, counts: np.ndarray, levels: int) -> Buckets:
     if not levels or not indices.size:
         return indices, counts
     return _summed(collapsed_indices(indices, levels), counts)
+
+
+def bucketed(
+    indices: np.ndarray, collapse: bool = False
+) -> tuple[int, Buckets]:
+    """The buckets of the index batch *indices* (int64), as sorted
+    arrays, and the collapses they went through.
+
+    Without *collapse* those are none: a batch whose span fits
+    :data:`COUNT_SLOTS` is counted by one ``bincount`` over it, and a
+    wider one is sorted.  With *collapse* the batch first goes through
+    the fewest collapses that bring its span within
+    :data:`COUNT_SLOTS`, and is always counted.  The collapse and the
+    shift to the lowest index are one add and one shift in this
+    thread's scratch work array, so only the counts are allocated.
+    """
+    lo, hi = int(np.minimum.reduce(indices)), int(np.maximum.reduce(indices))
+    levels = 0
+    while hi - lo >= COUNT_SLOTS:
+        if not collapse:
+            return 0, np.unique(indices, return_counts=True)
+        lo, hi, levels = (lo + 1) >> 1, (hi + 1) >> 1, levels + 1
+    # ceil(i / 2**levels) - lo, with lo's multiple of 2**levels taken
+    # off before the shift floors.
+    shifted = np.add(
+        indices, ((1 << levels) - 1) - (lo << levels),
+        out=work_array(SCRATCH, indices.size, np.int64),
+    )
+    if levels:
+        np.right_shift(shifted, levels, out=shifted)
+    counts = np.bincount(shifted)
+    filled = np.flatnonzero(counts)
+    return levels, (filled + lo, counts[filled])
 
 
 def distinct_sorted(indices: np.ndarray) -> int:
@@ -508,8 +550,7 @@ class SparseStore(BucketStore):
     def add_batch(self, indices: np.ndarray) -> None:
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size:
-            batch = np.unique(indices, return_counts=True)
-            self._hold(*united(self.sorted_arrays(), batch),
+            self._hold(*united(self.sorted_arrays(), bucketed(indices)[1]),
                        self._total + indices.size)
 
     def merge(self, other: BucketStore) -> None:

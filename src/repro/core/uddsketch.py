@@ -11,15 +11,17 @@ reaches the target after the budgeted number of collapses.
 A collapse maps bucket ``i`` to ``ceil(i / 2)``, and ``k`` collapses
 compose into the single map ``ceil(i / 2**k)``
 (:func:`repro.core.store.collapsed_indices`).  Every write settles its
-level before a store takes a bucket: a batch's sorted indices, the
-bucket of a scalar update that the budget cannot fit, and a merge
-operand (brought to the coarser level first, arXiv 2101.06758) join
-the stores' sorted arrays; the sketch finds the lowest level at which
-they fit, starting at the level the indices' span guarantees, and
-rebuilds each store once.  A budget that no level meets raises before
-anything moves.  The mapping, and so gamma, still advances by one
-``collapsed()`` call per level, the same floats as collapsing one level
-at a time.
+level before a store takes a bucket: a batch's buckets, counted by one
+``bincount`` at the level its span allows
+(:func:`repro.core.store.bucketed`), the bucket of a scalar update that
+the budget cannot fit, and a merge operand (brought to the coarser
+level first, arXiv 2101.06758) join the stores' sorted arrays, taken
+to the batch's or the operand's level where it is coarser; the sketch
+finds the lowest level at which they fit, starting at the level the
+indices' span guarantees, and rebuilds each store once.  A budget that
+no level meets raises before anything moves.  The mapping, and so
+gamma, still advances by one ``collapsed()`` call per level, the same
+floats as collapsing one level at a time.
 
 The buckets live in :class:`repro.core.store.SparseStore`'s sorted
 arrays, whose ``size_bytes`` charges the map-based store of the paper's
@@ -46,6 +48,7 @@ from repro.core.store import (
     NO_BUCKETS,
     Buckets,
     SparseStore,
+    bucketed,
     collapsed,
     collapsed_indices,
     distinct_sorted,
@@ -169,21 +172,42 @@ class UDDSketch(DDSketch):
         """Join each store's buckets with the batch's, as sorted arrays,
         and rebuild each store once, at the level where they all fit: no
         store holds a bucket that the collapse folds away, and a batch
-        that no level fits raises before any store moves."""
-        self._settle(*(
-            united(store.sorted_arrays(), self._bucketed(values))
-            for store, values in (
-                (self._positive, positive), (self._negative, negative)
-            )
-        ))
+        that no level fits raises before any store moves.
 
-    def _bucketed(self, values: np.ndarray) -> Buckets:
-        """The buckets of *values* (magnitudes in the indexable range)."""
+        Each sign's batch is counted at the level its span allows
+        (:func:`repro.core.store.bucketed`), and both go to the coarser
+        of the two, ``levels``.  Collapses never add buckets, so when
+        the batch alone overfills the budget there, every finer level
+        overfills it too, with the stores' buckets or without: the
+        stores join it at ``levels``, and the sketch ends at the level
+        it would reach from the one it is at.  A batch that fits there
+        might fit finer: it is bucketed where it is.
+        """
+        signs = (positive, negative)
+        counted = [self._bucketed(values, collapse=True) for values in signs]
+        levels = max(level for level, _ in counted)
+        batch = [
+            collapsed(*buckets, levels - level) for level, buckets in counted
+        ]
+        size = sum(indices.size for indices, _ in batch)
+        if levels and size <= self.max_buckets:
+            levels = 0
+            batch = [self._bucketed(values)[1] for values in signs]
+        self._settle(*(
+            united(collapsed(*store.sorted_arrays(), levels), buckets)
+            for store, buckets in zip((self._positive, self._negative), batch)
+        ), levels)
+
+    def _bucketed(
+        self, values: np.ndarray, collapse: bool = False
+    ) -> tuple[int, Buckets]:
+        """The buckets of *values* (magnitudes in the indexable range)
+        and the collapses they went through, as
+        :func:`repro.core.store.bucketed` gives them."""
         if not values.size:
-            return NO_BUCKETS
+            return 0, NO_BUCKETS
         out = work_array(BATCH, values.size, np.int64)
-        indices = self._mapping.index_batch(values, out=out)
-        return np.unique(indices, return_counts=True)
+        return bucketed(self._mapping.index_batch(values, out=out), collapse)
 
     def _settle(
         self, positive: Buckets, negative: Buckets, levels: int = 0

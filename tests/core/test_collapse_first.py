@@ -9,7 +9,13 @@ that one bucket the same way.  The level search starts where the index span guar
 a fit — ``(span >> L) + 2`` buckets per store after ``L`` collapses —
 and walks down while the next lower level fits.
 
-Four properties are held here:
+A batch is counted, not sorted: each sign's indices go through the
+fewest collapses that bring their span within ``COUNT_SLOTS`` and one
+``bincount`` (``store.bucketed``).  When the batch alone overfills the
+budget at that level ``L`` the stores join it there; when it fits, a
+finer level might fit too, so it is sorted at the level it is at.
+
+Five properties are held here:
 
 * the search equals the linear one (level 1, 2, ... until the buckets
   fit) on a table of index sets: both signs, one empty store, and the
@@ -19,7 +25,11 @@ Four properties are held here:
   a time (the reference of ``test_collapse_levels.py``), and raises the
   same error where that raises, with nothing applied;
 * a fresh pane rebuilds its store once, with its collapsed buckets;
-* a refused batch, scalar update or merge leaves the sketch as it was.
+* a refused batch, scalar update or merge leaves the sketch as it was;
+* each of the three batch paths (counted at ``L = 0``, counted at
+  ``L > 0`` over the budget, sorted at ``L > 0`` within it) gives the
+  add-then-collapse bytes, and makes a sort only where it should; a
+  sparse DDSketch store counts a batch the same way.
 """
 
 from __future__ import annotations
@@ -27,9 +37,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import UDDSketch, dumps, paper_config
+from repro.core import DDSketch, UDDSketch, dumps, paper_config
 from repro.core import uddsketch as uddsketch_module
-from repro.core.store import SparseStore, collapsed_indices, distinct_sorted
+from repro.core.base import WORK_ARRAY_VALUES
+from repro.core.store import (
+    COUNT_SLOTS,
+    SparseStore,
+    bucketed,
+    collapsed_indices,
+    distinct_sorted,
+)
 from repro.errors import ReproError
 from tests.core.test_collapse_levels import (
     outcome,
@@ -261,3 +278,213 @@ def test_a_refused_merge_leaves_the_receiver_as_it_was():
     with pytest.raises(ReproError):
         receiver.merge(operand)
     assert (dumps(receiver), dumps(operand)) == before
+
+
+# -- counted, not sorted ---------------------------------------------------
+
+
+def sorted_buckets(indices: np.ndarray, levels: int):
+    """The buckets of *indices* after *levels* collapses, by a sort."""
+    return np.unique(collapsed_indices(indices, levels), return_counts=True)
+
+
+def same_buckets(ours, theirs) -> bool:
+    return all(map(np.array_equal, ours, theirs))
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0, 10), (-5_000, 3_000), (1 - COUNT_SLOTS, 0), (-COUNT_SLOTS, 0),
+     (-(1 << 40), 1 << 41), (300_000, 3_000_000)],
+)
+def test_bucketed_equals_the_sort(lo, hi):
+    batch = np.random.default_rng(hi).integers(lo, hi, 5_000, endpoint=True)
+    batch[:2] = lo, hi
+    levels, buckets = bucketed(batch, collapse=True)
+    # The fewest collapses that bring the span within the slots.
+    ends = np.array([lo, hi])
+    assert np.ptp(collapsed_indices(ends, levels)) < COUNT_SLOTS
+    assert not levels \
+        or np.ptp(collapsed_indices(ends, levels - 1)) >= COUNT_SLOTS
+    assert same_buckets(buckets, sorted_buckets(batch, levels))
+    # Without the collapse, counted or sorted, at the level it is at.
+    levels, buckets = bucketed(batch)
+    assert levels == 0
+    assert same_buckets(buckets, sorted_buckets(batch, 0))
+
+
+def traced(step, sketch, values):
+    """*step*(*sketch*, *values*)'s outcome, the ``(collapse, levels)``
+    of each ``bucketed`` call it made, and the sizes it sorted."""
+    calls: list[tuple[bool, int]] = []
+    sorts: list[int] = []
+    unique = np.unique
+
+    def spy_bucketed(indices, collapse=False):
+        levels, buckets = bucketed(indices, collapse)
+        calls.append((collapse, levels))
+        return levels, buckets
+
+    def spy_unique(array, *args, **kwargs):
+        sorts.append(np.asarray(array).size)
+        return unique(array, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(uddsketch_module, "bucketed", spy_bucketed)
+        patch.setattr(np, "unique", spy_unique)
+        raised = outcome(step, sketch, values)
+    return raised, calls, sorts
+
+
+def pareto(size: int, seed: int) -> np.ndarray:
+    return 1.0 + np.random.default_rng(seed).pareto(1.0, size)
+
+
+@pytest.fixture(scope="module")
+def settled():
+    """A paper-config UDDSketch fed 2M Pareto values in 65,536 chunks."""
+    sketch = paper_config("uddsketch", dataset="pareto")
+    values = pareto(2_000_000, 20230328)
+    for start in range(0, values.size, WORK_ARRAY_VALUES):
+        sketch.update_batch(values[start:start + WORK_ARRAY_VALUES])
+    return sketch
+
+
+def fresh(budget: int = 1024) -> UDDSketch:
+    return UDDSketch(max_buckets=budget)
+
+
+def wide(size: int, seed: int) -> np.ndarray:
+    """Both signs, magnitudes e^-200 .. e^200."""
+    rng = np.random.default_rng(seed)
+    return np.exp(rng.uniform(-200, 200, size)) * rng.choice((-1, 1), size)
+
+
+def refused_base() -> UDDSketch:
+    """Budget 2, full: one bucket of each sign."""
+    sketch = fresh(2)
+    sketch.update_batch([-3.0, 2.0])
+    return sketch
+
+
+#: Row: (a function of the ``settled`` sketch giving the sketch the
+#: batch goes into, the batch, the path it must take).
+#: ``counted``: every sign counted at L = 0, no sort.
+#: ``collapsed``: counted at L > 0, over the budget there, no sort.
+#: ``sorted``: counted at L > 0 within the budget, then sorted.
+PATHS = {
+    "a chunk into a settled sketch": (
+        lambda s: s, pareto(WORK_ARRAY_VALUES, 1), "counted"
+    ),
+    "a fresh 5,000-value pane": (
+        lambda s: paper_config("uddsketch", dataset="pareto"),
+        pareto(5_000, 2), "collapsed",
+    ),
+    "a fresh 65,536-value chunk": (
+        lambda s: paper_config("uddsketch", dataset="pareto"),
+        pareto(WORK_ARRAY_VALUES, 3), "collapsed",
+    ),
+    "a chunk over the work arrays": (
+        lambda s: fresh(), pareto(WORK_ARRAY_VALUES + 1, 4), "collapsed"
+    ),
+    "64 values over [1e-3, 1e6] into a fresh sketch": (
+        lambda s: fresh(), np.geomspace(1e-3, 1e6, 64), "sorted"
+    ),
+    "64 wide values into a settled sketch": (
+        lambda s: s, np.geomspace(1e-250, 1e250, 64), "sorted"
+    ),
+    "signs counted at different levels": (
+        lambda s: fresh(),
+        np.concatenate((pareto(5_000, 5), -np.linspace(1.0, 1.004, 500))),
+        "collapsed",
+    ),
+    "signs counted at different levels, the negative coarser": (
+        lambda s: fresh(),
+        np.concatenate((-pareto(5_000, 6), np.linspace(2.0, 2.008, 500))),
+        "collapsed",
+    ),
+    "a wide batch into a store settled coarser": (
+        lambda s: s, wide(20_000, 7), "collapsed"
+    ),
+    "budget 2, refused": (
+        lambda s: fresh(2), np.array([1e-3, 0.5, 2.0, 1e6, -3.0]),
+        "collapsed",
+    ),
+    "budget 3, fits": (
+        lambda s: fresh(3), np.array([1.0, 1e3, 1e6, 1e9]), "collapsed"
+    ),
+    "budget 3, sorted": (
+        lambda s: fresh(3), np.array([1e-3, 1e6]), "sorted"
+    ),
+    "budget 2, refused into a settled sketch": (
+        lambda s: refused_base(), np.array([1e-9, 0.5, 2.0, 1e9]),
+        "collapsed",
+    ),
+}
+
+
+@pytest.mark.parametrize("row", PATHS)
+def test_each_batch_path_matches_adding_then_collapsing(row, settled):
+    base, values, path = PATHS[row]
+    start = base(settled)
+    new, old = start.copy(), start.copy()
+    before = dumps(new)
+    raised, calls, sorts = traced(UDDSketch.update_batch, new, values)
+    assert raised == outcome(reference_update_batch, old, values)
+    assert (raised is not None) == ("refused" in row)
+    if raised:
+        assert dumps(new) == before
+    else:
+        assert state(new) == state(old)
+    # One count per sign the batch holds, then the path's own calls.
+    first = [levels for collapse, levels in calls if collapse]
+    again = [levels for collapse, levels in calls if not collapse]
+    signs = sum(bool(side.any()) for side in (values > 0, values < 0))
+    assert len(first) == signs
+    if path == "counted":
+        assert max(first) == 0 and not again and not sorts
+    elif path == "collapsed":
+        assert max(first) > 0 and not again and not sorts
+    else:
+        assert max(first) > 0 and again and sorts
+    if row.startswith("signs counted"):
+        assert len(set(first)) == 2
+    if "settled coarser" in row:
+        assert start.num_collapses > max(first)
+
+
+def test_a_sparse_store_counts_a_chunk_without_a_sort():
+    values = pareto(WORK_ARRAY_VALUES, 7)
+    sketch, dense = DDSketch(store="sparse"), DDSketch()
+    dense.update_batch(values)
+    raised, _, sorts = traced(DDSketch.update_batch, sketch, values)
+    assert raised is None and not sorts
+    assert list(sketch._positive.items()) == list(dense._positive.items())
+    assert sketch.quantiles((0.1, 0.5, 0.99)) \
+        == dense.quantiles((0.1, 0.5, 0.99))
+    # A span past the slots is sorted, to the same buckets.
+    wider = np.geomspace(1e-100, 1e100, 1_000)
+    raised, _, sorts = traced(DDSketch.update_batch, sketch, wider)
+    dense.update_batch(wider)
+    assert raised is None and sorts == [wider.size]
+    assert list(sketch._positive.items()) == list(dense._positive.items())
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("budget", (2, 3, 16, 64, 1024, 4096))
+def test_chunked_streams_match_adding_then_collapsing(budget, seed):
+    rng = np.random.default_rng(seed)
+    streams = {
+        "pareto": pareto(60_000, seed),
+        "uniform": rng.uniform(0.0, 1_000.0, 60_000),
+        "normal": rng.normal(0.0, 50.0, 60_000),
+        "wide": wide(60_000, seed),
+        "narrow": rng.uniform(1.0, 1.001, 60_000),
+    }
+    for values in streams.values():
+        for chunk in (WORK_ARRAY_VALUES, 5_000, 700, 37):
+            feed(budget, [
+                values[start:start + chunk]
+                for start in range(0, min(values.size, 400 * chunk), chunk)
+            ])

@@ -2,14 +2,19 @@
 batch-sized.
 
 DDSketch's and UDDSketch's indexing (the mapping's logarithms, the
-dense store's shift) and Moments' transform, centring and power loop
-write into two work arrays each thread allocates once
+dense store's shift, the collapse and shift before UDDSketch's and the
+sparse store's one ``bincount``) and Moments' transform, centring and
+power loop write into two work arrays each thread allocates once
 (:func:`repro.core.base.work_array`).  A batch-sized temporary above
 glibc's mmap threshold is a fresh ``mmap`` whose pages fault on every
 batch, so the witness is a count, not a clock: in a fresh interpreter,
 a pass of 2M Pareto values in 65,536-value chunks makes (almost) no
 minor page faults once the first pass has allocated the work arrays.
-Before them, DDSketch and Moments each made 6,720 faults per pass.
+Before them, DDSketch and Moments each made 6,720 faults per pass;
+UDDSketch, which sorted each batch with ``np.unique``, made ~450.  The
+probe checks that the platform counts faults on pages it maps itself,
+outside malloc, so the check does not raise glibc's mmap threshold
+and hide the temporaries it is there to see.
 
 A work array never escapes the call that fills it: what a kernel
 returns is its own array, and each thread has its own work arrays.
@@ -39,10 +44,12 @@ from repro.core.mapping import LogarithmicMapping
 SRC_ROOT = Path(repro.__file__).resolve().parent.parent
 
 #: Minor faults a pass after the first may make: a handful of pages for
-#: a sketch's own arrays, far below the 6,720 of per-batch temporaries.
-FAULT_BUDGET = 500
+#: a sketch's own arrays, far below the ~450 of UDDSketch's sorted
+#: copies and the 6,720 of per-batch temporaries.
+FAULT_BUDGET = 64
 
 _FAULT_PROBE = r"""
+import mmap
 import resource
 
 import numpy as np
@@ -53,13 +60,17 @@ def faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 # Does this platform count minor faults at all?  Touch 4 MB of fresh
-# pages and look.
+# pages and look.  A 4 MB numpy array, once freed, would raise glibc's
+# mmap threshold past the chunk-sized temporaries counted below.
+pages = mmap.mmap(-1, 1 << 22)
 before = faults()
-np.ones(1 << 19).sum()
+for offset in range(0, len(pages), mmap.PAGESIZE):
+    pages[offset] = 1
 print("counted", faults() > before)
+pages.close()
 
 values = 1.0 + np.random.default_rng(20230328).pareto(1.0, 2_000_000)
-for name in ("ddsketch", "moments"):
+for name in ("ddsketch", "uddsketch", "moments"):
     passes = []
     for _ in range(3):
         sketch = paper_config(name, dataset="pareto")
